@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +31,13 @@ from . import flux_carrier as fc
 from . import functional_inequalities as fi
 from . import geometry as geo
 from . import ns_solver as ns
-from .errors import ChannelLabError, ParseError, ValidationError
+from .errors import (
+    ChannelLabError,
+    HypothesisNotMet,
+    OutOfRange,
+    ParseError,
+    ValidationError,
+)
 
 __all__ = [
     "Scenario",
@@ -226,15 +231,24 @@ def parse_scenario(path, environ=None):
                 _as_float_list(fetch("solver", "continuation", default=[]))
             )
             or None,
-            linear_solver=ns.LinearSolverKind(
-                str(fetch("solver", "linear_solver", default="banded_direct")).lower()
-            ),
             convection=ns.ConvectionScheme(
                 str(fetch("solver", "convection", default="central")).lower()
             ),
         )
     except (ChannelLabError, ValueError) as exc:
         errors.append(ValidationError("[solver]", str(exc)))
+    # sparse LU is the only linear solver; the key stays accepted so that
+    # existing scenario files keep working
+    linear_solver = str(fetch("solver", "linear_solver", "banded_direct")).lower()
+    if linear_solver != "banded_direct":
+        errors.append(
+            ValidationError(
+                "[solver] linear_solver",
+                f"unknown linear solver {linear_solver!r}; the Krylov path "
+                f"(krylov_ilu) was removed, only banded_direct (sparse LU) "
+                f"remains",
+            )
+        )
 
     thresholds = eh.HarnessThresholds(
         growth_ratio_bound=float(fetch("harness", "growth_ratio_bound", 3.0)),
@@ -635,13 +649,14 @@ def _run_growth(sc, out, quiet):
     verdicts = dict(rep.verdicts)
 
     # weighted-energy inequality on the same solve (only meaningful when
-    # both tails of the window parameterization are infinite)
+    # both tails of the window parameterization are infinite and the window
+    # reaches past t*); any other error is a failure of the command
     try:
         hat = eh.hat_energy_inequality(
             sc.profile, sc.params.phi, min(sc.x_max, max(sc.t_list)),
             params=sc.params, state=state,
         )
-    except ChannelLabError:
+    except (HypothesisNotMet, OutOfRange):
         hat = None
     if hat is not None:
         phi_curve = [hat.c13 + hat.c14 * i for i in _hat_weight_integrals(sc, hat)]
@@ -754,24 +769,16 @@ def _run_poiseuille(sc, out, quiet):
     return ok, artifacts
 
 
-def _run_constants(sc, out, quiet, threads=1):
+def _run_constants(sc, out, quiet):
     a, b = sc.grid_window[0], sc.grid_window[1]
-    jobs = {
-        "M0": lambda: fi.poincare_m0(sc.profile, a, b),
-        "M1": lambda: fi.poincare_m1(sc.profile, a, b, resolution=(129, 65)),
-        "M4": lambda: fi.sobolev_m4(sc.profile, a, b, resolution=(49, 33)),
-        "M5": lambda: fi.bogovskii_m5(sc.profile, a, b, resolution=(33, 33)),
-    }
-    results = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {k: pool.submit(fn) for k, fn in jobs.items()}
-            results = {k: f.result() for k, f in futures.items()}
-    else:
-        results = {k: fn() for k, fn in jobs.items()}
+    estimates = [
+        fi.poincare_m0(sc.profile, a, b),
+        fi.poincare_m1(sc.profile, a, b, resolution=(129, 65)),
+        fi.sobolev_m4(sc.profile, a, b, resolution=(49, 33)),
+        fi.bogovskii_m5(sc.profile, a, b, resolution=(33, 33)),
+    ]
     rows = []
-    for key in sorted(results):
-        est = results[key]
+    for est in estimates:
         rows.append(
             {
                 "name": est.name.value,
@@ -855,17 +862,14 @@ _PIPELINES = {
 }
 
 
-def run(command, scenario, scenario_path=None, quiet=False, threads=1):
+def run(command, scenario, scenario_path=None, quiet=False):
     """Execute one subcommand pipeline; returns the process exit status."""
     if command not in _PIPELINES:
         raise ValidationError("command", f"unknown subcommand {command!r}")
     out = Path(scenario.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        if command == "constants":
-            ok, artifacts = _run_constants(scenario, out, quiet, threads)
-        else:
-            ok, artifacts = _PIPELINES[command](scenario, out, quiet)
+        ok, artifacts = _PIPELINES[command](scenario, out, quiet)
     except ChannelLabError as exc:
         if not quiet:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -883,7 +887,6 @@ def main(argv=None):
     parser.add_argument("command", choices=SUBCOMMANDS)
     parser.add_argument("--scenario", required=True, help="scenario file path")
     parser.add_argument("--out", default=None, help="override output directory")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--grid", default=None, help="override grid as nx,ny")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
@@ -910,7 +913,6 @@ def main(argv=None):
         scenario,
         scenario_path=args.scenario,
         quiet=args.quiet,
-        threads=args.threads,
     )
 
 

@@ -258,26 +258,6 @@ def decay_scan(profile, phi, t_range, policy=None, config=None, params=None,
 # ---------------------------------------------------------------------------
 
 
-def outlet_reference(profile, phi, x1_probe):
-    """Flux-consistent parabolic profile of the straight outlet at x1_probe.
-
-    Normalized so its flux integral equals phi (the flux constraint picks
-    this normalization uniquely).
-    """
-    c1 = float(profile.f1(x1_probe))
-    c2 = float(profile.f2(x1_probe))
-    hw = 0.5 * (c2 - c1)
-    cen = 0.5 * (c1 + c2)
-
-    def u_ref(x2):
-        return 0.75 * phi / hw * (1.0 - ((np.asarray(x2) - cen) / hw) ** 2)
-
-    def du_ref(x2):
-        return -1.5 * phi * (np.asarray(x2) - cen) / hw**3
-
-    return u_ref, du_ref
-
-
 @dataclass
 class PoiseuilleReport:
     profile: str
@@ -336,15 +316,12 @@ def poiseuille_convergence(profile, phi, k, t_list, policy=None, config=None,
         + (d1u2 - r1u2) ** 2
         + (d2u2 - r2u2) ** 2
     )
-    wy = np.full(grid.ny, grid.hy)
-    wy[0] *= 0.5
-    wy[-1] *= 0.5
 
     h1 = []
     tails = []
     for T in t_list:
-        masses = ns._window_column_masses(state, k, T)
-        h1.append(float(np.einsum("i,ij,j->", masses, diff2, wy)))
+        w = geo.window_weights(profile, grid.xi, grid.ny, k, T)
+        h1.append(float((w * diff2).sum()))
         d_plus = ns.dirichlet_energy(state, 0.0, T)
         tails.append(d_plus / T**3)
 
@@ -393,7 +370,7 @@ def _perturbed_solve(profile, params, a, b, nx, ny, config, seed):
     """
     grid = ns.make_grid(profile, a, b, nx, ny)
     ws = ns._Workspace(grid, params, profile)
-    state = ns.solve_stokes(grid, params, profile, config)
+    state = ns.solve_stokes(grid, params, profile, config, ws)
     rng = np.random.default_rng(seed)
     envelope = (grid.eta * (1.0 - grid.eta)) ** 2 * 16.0
     modes = np.zeros((grid.nx, grid.ny))
@@ -410,22 +387,8 @@ def _perturbed_solve(profile, params, a, b, nx, ny, config, seed):
     psi = state.psi + scale * envelope[None, :] * modes
     state = ns._state_from_fields(grid, profile, params, psi, state.omega)
 
-    res = ns.residual_norm(state, config)
-    state.residual_history.append((0, res))
-    for _ in range(config.max_iter):
-        if max(res, ns.boundary_defect(state, ws)) < config.tol:
-            break
-        state, res = ns.picard_step(state, params, profile, config, ws)
-    if res >= config.tol:
-        from .errors import NonConvergence
-
-        raise NonConvergence(
-            f"perturbed start stalled at residual {res:.3e}",
-            best_residual=res,
-            iterations=config.max_iter,
-        )
-    state.converged = True
-    return state
+    state.residual_history.append((0, ns.residual_norm(state, config)))
+    return ns._picard(state, params, profile, config, ws)
 
 
 def uniqueness_probe(profile, phi, a, b, nx=257, ny=65, config=None,

@@ -314,7 +314,6 @@ def _saddle_factor(x, y, nx, ny, stab=0.1):
     B1f = B1[:, free]
     B2f = B2[:, free]
     # pressure stabilization (Brezzi-Pitkaranta): eps_h * K_p with eps_h ~ h^2
-    hx = float(np.max(np.diff(np.unique(x)))) if nx > 1 else 1.0
     area = lumped.sum()
     h2 = area / ((nx - 1) * (ny - 1))
     C = stab * h2 * K

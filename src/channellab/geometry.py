@@ -35,6 +35,7 @@ __all__ = [
     "inverse_k",
     "classify",
     "make_grid",
+    "window_weights",
 ]
 
 
@@ -74,9 +75,6 @@ class ChannelProfile:
 
     def widthp(self, x):
         return self.f2p(x) - self.f1p(x)
-
-    def widthpp(self, x):
-        return self.f2pp(x) - self.f1pp(x)
 
     def center(self, x):
         return 0.5 * (self.f1(x) + self.f2(x))
@@ -697,8 +695,8 @@ class Grid:
 
     xi = x1 in [a, b]; eta = (x2 - f1(xi)) / f(xi) in [0, 1].  Arrays are
     indexed [i, j] = [xi, eta].  Metric terms are the analytic chain-rule
-    factors at the nodes; column masses integrate f exactly per xi-cell so
-    quadrature of a constant reproduces the area.
+    factors at the nodes; ``wq`` holds the :func:`window_weights` of the
+    whole grid, so quadrature of a constant reproduces the area.
     """
 
     a: float
@@ -710,11 +708,9 @@ class Grid:
     x2: np.ndarray          # (nx, ny) physical x2
     f: np.ndarray           # (nx,) width at xi
     fp: np.ndarray          # (nx,)
-    fbar_p: np.ndarray      # (nx,) center-line slope
     f1p: np.ndarray         # (nx,)
     j1: np.ndarray          # (nx, ny) d(eta)/d(x1)
     lap_s: np.ndarray       # (nx, ny) first-order eta coefficient of Delta
-    col_mass: np.ndarray    # (nx,) exact integral of f over the xi-cell
     wq: np.ndarray          # (nx, ny) nodal quadrature weights (dx measure)
 
     @property
@@ -729,12 +725,28 @@ class Grid:
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _cell_mass(profile, lo, hi):
-    """integral of f over [lo, hi] by 8-point Gauss-Legendre (exact to rounding)."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    xs = mid + half * _GL8_NODES
-    return half * float(np.dot(_GL8_WEIGHTS, profile.width(xs)))
+def window_weights(profile, xi, ny, a, b):
+    """Nodal weights of integral dx over the window a <= x1 <= b.
+
+    ``xi`` are the uniform x1 nodes and ``ny`` the eta node count of a
+    mapped grid.  A node's column mass integrates f over its xi-cell,
+    clipped to the window and the grid, by 8-point Gauss-Legendre (exact to
+    rounding); the eta factor is the trapezoid rule.  Nodes whose cell
+    misses the window get weight zero.
+    """
+    hx = (xi[-1] - xi[0]) / (len(xi) - 1)
+    lo = np.maximum(xi - 0.5 * hx, max(a, xi[0]))
+    hi = np.minimum(xi + 0.5 * hx, min(b, xi[-1]))
+    inside = hi > lo
+    mid = 0.5 * (lo[inside] + hi[inside])
+    half = 0.5 * (hi[inside] - lo[inside])
+    width = profile.width(mid[:, None] + half[:, None] * _GL8_NODES)
+    masses = np.zeros(len(xi))
+    masses[inside] = half * (width @ _GL8_WEIGHTS)
+    wy = np.full(ny, 1.0 / (ny - 1))
+    wy[0] *= 0.5
+    wy[-1] *= 0.5
+    return masses[:, None] * wy[None, :]
 
 
 def make_grid(profile, a, b, nx, ny):
@@ -768,18 +780,6 @@ def make_grid(profile, a, b, nx, ny):
         / f[:, None] ** 2
     )
 
-    hx = (b - a) / (nx - 1)
-    col_mass = np.empty(nx)
-    for i in range(nx):
-        lo = max(a, xi[i] - 0.5 * hx)
-        hi = min(b, xi[i] + 0.5 * hx)
-        col_mass[i] = _cell_mass(profile, lo, hi)
-
-    wy = np.full(ny, 1.0 / (ny - 1))
-    wy[0] *= 0.5
-    wy[-1] *= 0.5
-    wq = col_mass[:, None] * wy[None, :]
-
     return Grid(
         a=a,
         b=b,
@@ -790,10 +790,8 @@ def make_grid(profile, a, b, nx, ny):
         x2=x2,
         f=f,
         fp=fp,
-        fbar_p=0.5 * (f1p + f2p),
         f1p=f1p,
         j1=j1,
         lap_s=lap_s,
-        col_mass=col_mass,
-        wq=wq,
+        wq=window_weights(profile, xi, ny, a, b),
     )

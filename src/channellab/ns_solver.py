@@ -18,15 +18,14 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu, spilu, bicgstab, LinearOperator
+from scipy.sparse.linalg import splu
 
 from . import flux_carrier as fc
 from ._fem import assemble_q1, assemble_grad_load
 from .errors import LinearSolveFailure, NonConvergence, OutOfRange
-from .geometry import Grid, make_grid
+from .geometry import Grid, make_grid, window_weights
 
 __all__ = [
-    "LinearSolverKind",
     "ConvectionScheme",
     "SolverConfig",
     "FlowState",
@@ -37,16 +36,10 @@ __all__ = [
     "dirichlet_energy",
     "weighted_energy",
     "slice_flux_profile",
-    "divergence_max",
     "pressure_recover",
     "pressure_mean_zero",
     "momentum_residual",
 ]
-
-
-class LinearSolverKind(enum.Enum):
-    BANDED_DIRECT = "banded_direct"
-    KRYLOV_ILU = "krylov_ilu"
 
 
 class ConvectionScheme(enum.Enum):
@@ -60,7 +53,6 @@ class SolverConfig:
     max_iter: int = 60
     relax: float = 1.0
     continuation: Optional[tuple] = None
-    linear_solver: LinearSolverKind = LinearSolverKind.BANDED_DIRECT
     convection: ConvectionScheme = ConvectionScheme.CENTRAL
 
     def __post_init__(self):
@@ -201,20 +193,6 @@ def velocity_gradients(state):
     return d1u1, d2u1, d1u2, d2u2
 
 
-def divergence_max(state):
-    """Max-norm of the discrete divergence at interior nodes.
-
-    Differences the velocity arrays themselves (not the psi derivatives
-    they were built from), so this is an independent O(h^2) consistency
-    check rather than a structural identity.
-    """
-    grid = state.grid
-    du1_x = _d1(state.u1, grid.hx, 0) + grid.j1 * _d1(state.u1, grid.hy, 1)
-    du2_y = _d1(state.u2, grid.hy, 1) / grid.f[:, None]
-    div = du1_x + du2_y
-    return float(np.abs(div[1:-1, 1:-1]).max())
-
-
 # ---------------------------------------------------------------------------
 # System assembly
 # ---------------------------------------------------------------------------
@@ -226,7 +204,6 @@ class _Workspace:
     def __init__(self, grid, params, profile):
         self.grid = grid
         self.params = params
-        self.profile = profile
         nx, ny = grid.nx, grid.ny
         n = nx * ny
         self.n = n
@@ -242,7 +219,6 @@ class _Workspace:
             (x1_right, grid.x2[-1, :]), params, profile
         )
         self.a_const, self.rhs = self._assemble_constant()
-        self._adv_pattern = None
 
     def _idx(self, i, j):
         return i * self.grid.ny + j
@@ -390,16 +366,7 @@ class _Workspace:
         if u1 is not None:
             a = a + self.advection_matrix(u1, u2, config.convection)
         try:
-            if config.linear_solver is LinearSolverKind.BANDED_DIRECT:
-                lu = splu(a.tocsc())
-                x = lu.solve(self.rhs)
-            else:
-                ilu = spilu(a.tocsc(), drop_tol=1e-6, fill_factor=20)
-                pre = LinearOperator(a.shape, ilu.solve)
-                x, info = bicgstab(a, self.rhs, M=pre, rtol=1e-12, atol=0.0,
-                                   maxiter=400)
-                if info != 0:
-                    raise LinearSolveFailure(f"bicgstab failed with info={info}")
+            x = splu(a.tocsc()).solve(self.rhs)
         except RuntimeError as exc:  # singular factorization
             raise LinearSolveFailure(str(exc)) from exc
         if not np.all(np.isfinite(x)):
@@ -442,35 +409,23 @@ def residual_norm(state, config=None):
     return r / scale
 
 
-def boundary_defect(state, workspace=None):
+def boundary_defect(state, workspace):
     """Max mismatch of the imposed boundary data at the current fields.
 
     The interior residual is blind to the flux (it only enters through the
     boundary rows), so convergence checks that drive continuation combine
-    both defects.
+    both defects.  ``workspace`` holds the boundary data of ``state.params``.
     """
-    grid = state.grid
-    params = state.params
     ws = workspace
-    if ws is None or ws.params.phi != params.phi:
-        x1l = np.full(grid.ny, grid.a)
-        x1r = np.full(grid.ny, grid.b)
-        psi_l = fc.stream_G((x1l, grid.x2[0, :]), params, state.profile)
-        psi_r = fc.stream_G((x1r, grid.x2[-1, :]), params, state.profile)
-        om_l = fc.carrier_vorticity((x1l, grid.x2[0, :]), params, state.profile)
-        om_r = fc.carrier_vorticity((x1r, grid.x2[-1, :]), params, state.profile)
-    else:
-        psi_l, psi_r = ws.psi_left, ws.psi_right
-        om_l, om_r = ws.omega_left, ws.omega_right
     psi_scale = max(1.0, float(np.abs(state.psi).max()))
     om_scale = max(1.0, float(np.abs(state.omega).max()))
     d = max(
         float(np.abs(state.psi[:, 0]).max()) / psi_scale,
-        float(np.abs(state.psi[:, -1] - params.phi).max()) / psi_scale,
-        float(np.abs(state.psi[0, :] - psi_l).max()) / psi_scale,
-        float(np.abs(state.psi[-1, :] - psi_r).max()) / psi_scale,
-        float(np.abs(state.omega[0, :] - om_l).max()) / om_scale,
-        float(np.abs(state.omega[-1, :] - om_r).max()) / om_scale,
+        float(np.abs(state.psi[:, -1] - state.params.phi).max()) / psi_scale,
+        float(np.abs(state.psi[0, :] - ws.psi_left).max()) / psi_scale,
+        float(np.abs(state.psi[-1, :] - ws.psi_right).max()) / psi_scale,
+        float(np.abs(state.omega[0, :] - ws.omega_left).max()) / om_scale,
+        float(np.abs(state.omega[-1, :] - ws.omega_right).max()) / om_scale,
     )
     return d
 
@@ -488,10 +443,10 @@ def _state_from_fields(grid, profile, params, psi, omega):
     )
 
 
-def solve_stokes(grid, params, profile, config=None):
+def solve_stokes(grid, params, profile, config=None, workspace=None):
     """Linear Stokes solve (no advection); the Picard initializer."""
     config = config or SolverConfig()
-    ws = _Workspace(grid, params, profile)
+    ws = workspace or _Workspace(grid, params, profile)
     psi, omega = ws.solve(None, None, config)
     state = _state_from_fields(grid, profile, params, psi, omega)
     state.residual_history.append((0, residual_norm(state, config)))
@@ -511,6 +466,30 @@ def picard_step(state, params, profile, config=None, workspace=None):
     res = residual_norm(new, config)
     new.residual_history.append((len(new.residual_history), res))
     return new, res
+
+
+def _picard(state, params, profile, config, workspace):
+    """Picard steps from ``state`` until both defects drop below tol.
+
+    ``state.residual_history`` must end with the residual of ``state``;
+    ``workspace`` carries the boundary data of ``params``.  Returns the
+    converged state, or raises :class:`NonConvergence` with the best
+    residual seen when max_iter steps do not get there.
+    """
+    res = best = state.residual_history[-1][1]
+    for steps in range(config.max_iter + 1):
+        if max(res, boundary_defect(state, workspace)) < config.tol:
+            state.converged = True
+            return state
+        if steps < config.max_iter:
+            state, res = picard_step(state, params, profile, config, workspace)
+            best = min(best, res)
+    raise NonConvergence(
+        f"Picard stalled at flux {params.phi}: residual {best:.3e} "
+        f"after {config.max_iter} iterations (tol {config.tol:.1e})",
+        best_residual=best,
+        iterations=config.max_iter,
+    )
 
 
 def solve_steady(profile, params, a, b, nx, ny, config=None):
@@ -540,27 +519,11 @@ def solve_steady(profile, params, a, b, nx, ny, config=None):
         params_k = fc.CarrierParams(phi_k, params.epsilon, params.cutoff)
         ws = _Workspace(grid, params_k, profile)
         if state is None:
-            psi, omega = ws.solve(None, None, config)
-            state = _state_from_fields(grid, profile, params_k, psi, omega)
+            state = solve_stokes(grid, params_k, profile, config, ws)
         else:
             state = _state_from_fields(grid, profile, params_k, state.psi, state.omega)
-        res = residual_norm(state, config)
-        state.residual_history.append((len(state.residual_history), res))
-        best = res
-        for _ in range(config.max_iter):
-            if max(res, boundary_defect(state, ws)) < config.tol:
-                break
-            state, res = picard_step(state, params_k, profile, config, ws)
-            best = min(best, res)
-        else:
-            if max(res, boundary_defect(state, ws)) >= config.tol:
-                raise NonConvergence(
-                    f"Picard stalled at flux {phi_k}: residual {best:.3e} "
-                    f"after {config.max_iter} iterations (tol {config.tol:.1e})",
-                    best_residual=best,
-                    iterations=config.max_iter,
-                )
-    state.converged = True
+            state.residual_history.append((0, residual_norm(state, config)))
+        state = _picard(state, params_k, profile, config, ws)
     state.params = params
 
     energy_v = dirichlet_energy(state, a, b, of_perturbation=True)
@@ -580,25 +543,6 @@ def solve_steady(profile, params, a, b, nx, ny, config=None):
 # ---------------------------------------------------------------------------
 
 
-def _window_column_masses(state, a, b):
-    """Column quadrature masses clipped to [a, b] (sub-cell resolution)."""
-    grid = state.grid
-    from .geometry import _cell_mass
-
-    a = max(a, grid.a)
-    b = min(b, grid.b)
-    if b <= a:
-        return np.zeros(grid.nx)
-    hx = grid.hx
-    masses = np.zeros(grid.nx)
-    for i, x in enumerate(grid.xi):
-        lo = max(grid.a, x - 0.5 * hx, a)
-        hi = min(grid.b, x + 0.5 * hx, b)
-        if hi > lo:
-            masses[i] = _cell_mass(state.profile, lo, hi)
-    return masses
-
-
 def _grad_square(state, of_perturbation):
     d1u1, d2u1, d1u2, d2u2 = velocity_gradients(state)
     if of_perturbation:
@@ -614,22 +558,15 @@ def _grad_square(state, of_perturbation):
 def dirichlet_energy(state, a, b, of_perturbation=False):
     """integral over Omega_{a,b} of |grad u|^2 (or |grad(u-g)|^2)."""
     e = _grad_square(state, of_perturbation)
-    masses = _window_column_masses(state, a, b)
-    wy = np.full(state.grid.ny, state.grid.hy)
-    wy[0] *= 0.5
-    wy[-1] *= 0.5
-    return float(np.einsum("i,ij,j->", masses, e, wy))
+    w = window_weights(state.profile, state.grid.xi, state.grid.ny, a, b)
+    return float((w * e).sum())
 
 
 def weighted_energy(state, weight, of_perturbation=True):
     """integral of weight(x1) * |grad v|^2 with v = u - g by default."""
     e = _grad_square(state, of_perturbation)
     w = np.asarray(weight(state.grid.xi), dtype=float)
-    masses = state.grid.col_mass * w
-    wy = np.full(state.grid.ny, state.grid.hy)
-    wy[0] *= 0.5
-    wy[-1] *= 0.5
-    return float(np.einsum("i,ij,j->", masses, e, wy))
+    return float((state.grid.wq * w[:, None] * e).sum())
 
 
 def _d1_fourth(values, h, axis):
@@ -738,14 +675,11 @@ def pressure_mean_zero(state, a, b):
     """
     if state.p is None:
         pressure_recover(state)
-    masses = _window_column_masses(state, a, b)
-    wy = np.full(state.grid.ny, state.grid.hy)
-    wy[0] *= 0.5
-    wy[-1] *= 0.5
-    area = float(masses.sum())
+    w = window_weights(state.profile, state.grid.xi, state.grid.ny, a, b)
+    area = float(w.sum())
     if area <= 0.0:
         raise OutOfRange(f"window [{a}, {b}] has no overlap with the grid")
-    mean = float(np.einsum("i,ij,j->", masses, state.p, wy)) / area
+    mean = float((w * state.p).sum()) / area
     return state.p - mean
 
 

@@ -9,7 +9,7 @@ from channellab import comparison_lemmas as cl
 from channellab import flux_carrier as fc
 from channellab import geometry as geo
 from channellab import ns_solver as ns
-from channellab.errors import ParseError, ValidationError
+from channellab.errors import LemmaViolation, ParseError, ValidationError
 
 
 def write_scenario(tmp_path, body, name="case.scn"):
@@ -87,6 +87,16 @@ class TestParsing:
             path, environ={"CHANNELLAB_SOLVER__TOL": "1e-7"}
         )
         assert sc.solver.tol == 1e-7
+
+    def test_linear_solver_key(self, tmp_path):
+        body = MINIMAL.format(out=tmp_path / "o") + "\n[solver]\n"
+        path = write_scenario(tmp_path, body + "linear_solver = banded_direct\n")
+        assert cli_io.parse_scenario(path, environ={}).solver.tol == 1e-9
+        path = write_scenario(tmp_path, body + "linear_solver = krylov_ilu\n")
+        with pytest.raises(ValidationError) as err:
+            cli_io.parse_scenario(path, environ={})
+        assert "linear_solver" in str(err.value)
+        assert "Krylov path" in str(err.value)
 
     def test_custom_profile_expressions(self, tmp_path):
         body = MINIMAL.format(out=tmp_path).replace(
@@ -166,6 +176,16 @@ class TestRun:
         assert cli_io.run("report", sc, scenario_path=path, quiet=True) == 0
         summary = (tmp_path / "out" / "summary.csv").read_text()
         assert "PASS" in summary and "FAIL" not in summary
+
+    def test_hat_inequality_bug_fails_growth_scan(self, tmp_path, monkeypatch):
+        # a LemmaViolation is an implementation bug, not a skipped check
+        def broken(*args, **kwargs):
+            raise LemmaViolation("comparison did not conclude domination")
+
+        monkeypatch.setattr(cli_io.eh, "hat_energy_inequality", broken)
+        path = self.scenario(tmp_path)
+        sc = cli_io.parse_scenario(path, environ={})
+        assert cli_io.run("growth-scan", sc, scenario_path=path, quiet=True) == 1
 
     def test_solve_writes_field_and_history(self, tmp_path):
         path = self.scenario(tmp_path)

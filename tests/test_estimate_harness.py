@@ -6,7 +6,7 @@ from channellab import estimate_harness as eh
 from channellab import flux_carrier as fc
 from channellab import geometry as geo
 from channellab import ns_solver as ns
-from channellab.errors import HypothesisNotMet, OutOfRange
+from channellab.errors import HypothesisNotMet, NonConvergence, OutOfRange
 
 SMALL = eh.GridPolicy(target_hx=0.125, ny=33)
 
@@ -109,6 +109,15 @@ class TestUniqueness:
         assert rep.unique
         assert rep.l2_distance <= 1e-6
         assert rep.dirichlet_distance <= 1e-6
+
+    def test_perturbed_start_reports_nonconvergence(self, straight):
+        cfg = ns.SolverConfig(tol=1e-12, max_iter=2)
+        with pytest.raises(NonConvergence) as err:
+            eh._perturbed_solve(straight, fc.CarrierParams(1.0, 0.5),
+                                -4, 4, 65, 17, cfg, seed=7)
+        assert "Picard stalled" in str(err.value)
+        assert err.value.iterations == 2
+        assert cfg.tol <= err.value.best_residual < np.inf
 
     def test_zero_flux_exact_agreement(self, straight):
         rep = eh.uniqueness_probe(straight, 0.0, -4, 4, nx=65, ny=17)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from channellab import geometry as geo
 from channellab.errors import AssumptionViolation, DegenerateGrid, OutOfRange
@@ -172,6 +173,31 @@ class TestGrid:
         p = geo.custom("-(1+x)", "1+x")
         g = geo.make_grid(p, 0, 1, 32, 16)
         assert g.wq.sum() == pytest.approx(3.0, rel=1e-10)
+
+    def test_window_weights_of_whole_grid_are_wq(self, power_half):
+        g = geo.make_grid(power_half, -3, 3, 33, 16)
+        w = geo.window_weights(power_half, g.xi, g.ny, g.a, g.b)
+        assert np.array_equal(w, g.wq)
+
+    def test_window_weights_partial_end_cells(self, straight):
+        # both window ends cut through a cell of the width-2 strip
+        g = geo.make_grid(straight, -4, 8, 97, 17)
+        w = geo.window_weights(straight, g.xi, g.ny, -3.03, 7.77)
+        assert abs(w.sum() - 21.6) <= 1e-12
+        outside = (g.xi < -3.03 - 0.5 * g.hx) | (g.xi > 7.77 + 0.5 * g.hx)
+        assert np.all(w[outside] == 0.0)
+
+    def test_window_weights_match_cellwise_quad(self):
+        p = geo.linear_widen(d0=1.0, slope=0.3)
+        g = geo.make_grid(p, -2, 3, 41, 9)
+        a, b = -1.3, 2.2
+        cols = geo.window_weights(p, g.xi, g.ny, a, b).sum(axis=1)
+        ref = []
+        for x in g.xi:
+            lo = max(a, x - 0.5 * g.hx)
+            hi = min(b, x + 0.5 * g.hx)
+            ref.append(integrate.quad(p.width, lo, hi)[0] if hi > lo else 0.0)
+        assert np.allclose(cols, ref, rtol=1e-12, atol=0.0)
 
     def test_top_line_maps_to_upper_wall(self, power_half):
         g = geo.make_grid(power_half, -3, 3, 32, 16)

@@ -209,11 +209,10 @@ class TestPressure:
 
     def test_mean_zero_on_subdomain(self, poiseuille_state):
         p = ns.pressure_mean_zero(poiseuille_state, 0.0, 4.0)
-        masses = ns._window_column_masses(poiseuille_state, 0.0, 4.0)
-        wy = np.full(poiseuille_state.grid.ny, poiseuille_state.grid.hy)
-        wy[0] *= 0.5
-        wy[-1] *= 0.5
-        mean = np.einsum("i,ij,j->", masses, p, wy) / masses.sum()
+        grid = poiseuille_state.grid
+        w = geo.window_weights(poiseuille_state.profile, grid.xi, grid.ny,
+                               0.0, 4.0)
+        mean = (w * p).sum() / w.sum()
         assert abs(mean) < 1e-12
 
     def test_momentum_residual_second_order(self, straight, carrier_unit):
@@ -226,15 +225,6 @@ class TestPressure:
 
 
 class TestKrylovAndUpwind:
-    def test_krylov_matches_direct(self, straight, carrier_unit):
-        cfg_d = ns.SolverConfig(tol=1e-9)
-        cfg_k = ns.SolverConfig(
-            tol=1e-9, linear_solver=ns.LinearSolverKind.KRYLOV_ILU
-        )
-        st_d = ns.solve_steady(straight, carrier_unit, -4, 4, 65, 17, cfg_d)
-        st_k = ns.solve_steady(straight, carrier_unit, -4, 4, 65, 17, cfg_k)
-        assert np.abs(st_d.psi - st_k.psi).max() < 1e-7
-
     def test_upwind_converges(self, power_half, carrier_unit):
         cfg = ns.SolverConfig(tol=1e-9, convection=ns.ConvectionScheme.UPWIND)
         st = ns.solve_steady(power_half, carrier_unit, -4, 4, 65, 17, cfg)
