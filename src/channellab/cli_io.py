@@ -157,6 +157,18 @@ class Scenario:
     raw: dict = field(default_factory=dict)
 
 
+# Retired [solver] keys, the one value each still accepts (None: no value)
+# so that existing scenario files keep working, and what was removed
+_RETIRED_SOLVER_KEYS = {
+    "linear_solver": ("banded_direct", "the Krylov path (krylov_ilu) was removed, "
+                      "only banded_direct (sparse LU) remains"),
+    "relax": (1.0, "under-relaxation was removed, only relax = 1 remains"),
+    "convection": ("central", "the upwind scheme was removed, only central remains"),
+    "continuation": (None, "user-set continuation was removed, the levels come "
+                     "from the flux"),
+}
+
+
 def _as_float_list(value):
     if isinstance(value, (int, float)):
         return [float(value)]
@@ -226,29 +238,14 @@ def parse_scenario(path, environ=None):
         solver = ns.SolverConfig(
             tol=float(fetch("solver", "tol", default=1e-9)),
             max_iter=int(fetch("solver", "max_iter", default=60)),
-            relax=float(fetch("solver", "relax", default=1.0)),
-            continuation=tuple(
-                _as_float_list(fetch("solver", "continuation", default=[]))
-            )
-            or None,
-            convection=ns.ConvectionScheme(
-                str(fetch("solver", "convection", default="central")).lower()
-            ),
         )
     except (ChannelLabError, ValueError) as exc:
         errors.append(ValidationError("[solver]", str(exc)))
-    # sparse LU is the only linear solver; the key stays accepted so that
-    # existing scenario files keep working
-    linear_solver = str(fetch("solver", "linear_solver", "banded_direct")).lower()
-    if linear_solver != "banded_direct":
-        errors.append(
-            ValidationError(
-                "[solver] linear_solver",
-                f"unknown linear solver {linear_solver!r}; the Krylov path "
-                f"(krylov_ilu) was removed, only banded_direct (sparse LU) "
-                f"remains",
-            )
-        )
+    for key, (kept, removed) in _RETIRED_SOLVER_KEYS.items():
+        value = fetch("solver", key, default=kept)
+        if value != kept and str(value).lower() != kept:
+            errors.append(ValidationError(
+                f"[solver] {key}", f"unsupported value {value!r}; {removed}"))
 
     thresholds = eh.HarnessThresholds(
         growth_ratio_bound=float(fetch("harness", "growth_ratio_bound", 3.0)),

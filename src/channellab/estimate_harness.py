@@ -67,8 +67,7 @@ class HarnessThresholds:
     uniqueness_tol: float = 1e-6
 
 
-def padded_solve(profile, params, t_max, policy=None, config=None,
-                 symmetric=True, t_min=None):
+def padded_solve(profile, params, t_max, policy=None, config=None):
     """Converged solve on a truncation padded beyond the reporting window.
 
     The pad is pad_factor * beta* f at each end, so windows up to +-t_max
@@ -78,8 +77,7 @@ def padded_solve(profile, params, t_max, policy=None, config=None,
     config = config or ns.SolverConfig()
     metrics = geo.validate(profile, (-t_max - 1.0, t_max + 1.0))
     bs = metrics.beta_star
-    lo = -t_max if symmetric else (t_min if t_min is not None else -t_max)
-    hi = t_max
+    lo, hi = -t_max, t_max
     pad_lo = policy.pad_factor * bs * float(profile.width(lo))
     pad_hi = policy.pad_factor * bs * float(profile.width(hi))
     a, b = lo - pad_lo, hi + pad_hi
@@ -292,6 +290,11 @@ def poiseuille_convergence(profile, phi, k, t_list, policy=None, config=None,
     """
     thresholds = thresholds or HarnessThresholds()
     t_list = sorted(float(t) for t in t_list)
+    if len(t_list) >= 2 and t_list[-2] <= k:
+        raise OutOfRange(
+            f"the plateau needs two windows beyond k = {k}, but the "
+            f"second-largest T is {t_list[-2]}"
+        )
     params = params or fc.CarrierParams(phi)
     if state is None:
         state, _ = padded_solve(profile, params, t_list[-1], policy, config)
@@ -370,7 +373,7 @@ def _perturbed_solve(profile, params, a, b, nx, ny, config, seed):
     """
     grid = ns.make_grid(profile, a, b, nx, ny)
     ws = ns._Workspace(grid, params, profile)
-    state = ns.solve_stokes(grid, params, profile, config, ws)
+    state = ns.solve_stokes(grid, params, profile, ws)
     rng = np.random.default_rng(seed)
     envelope = (grid.eta * (1.0 - grid.eta)) ** 2 * 16.0
     modes = np.zeros((grid.nx, grid.ny))
@@ -387,7 +390,7 @@ def _perturbed_solve(profile, params, a, b, nx, ny, config, seed):
     psi = state.psi + scale * envelope[None, :] * modes
     state = ns._state_from_fields(grid, profile, params, psi, state.omega)
 
-    state.residual_history.append((0, ns.residual_norm(state, config)))
+    state.residual_history.append((0, ns.residual_norm(state)))
     return ns._picard(state, params, profile, config, ws)
 
 

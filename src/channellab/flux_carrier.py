@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
+from ._fem import tridiagonal_pencil_max
 from .errors import BoundViolation, OutOfRange
 
 __all__ = [
@@ -477,36 +477,7 @@ def weighted_inequality_constant(params, profile, x1, n_coarse=200, n_band=2400)
         off_M[i0 : i0 + n_band] += wq * dens * phi_l * phi_r
 
     # Dirichlet at both ends
-    dK = diag_K[1:-1]
-    oK = off_K[1:-1]
-    dM = diag_M[1:-1]
-    oM = off_M[1:-1]
-    m = dK.size
-    ab = np.zeros((3, m))
-    ab[0, 1:] = oK
-    ab[1, :] = dK
-    ab[2, :-1] = oK
-
-    def tri_apply(d, o, v):
-        out = d * v
-        out[:-1] += o * v[1:]
-        out[1:] += o * v[:-1]
-        return out
-
-    rng = np.random.default_rng(1234)
-    v = rng.standard_normal(m)
-    lam = 0.0
-    for _ in range(400):
-        v_new = solve_banded((1, 1), ab, tri_apply(dM, oM, v))
-        nrm = math.sqrt(abs(float(v_new @ tri_apply(dM, oM, v_new))))
-        if nrm == 0.0:
-            return 0.0
-        v_new /= nrm
-        lam_new = float(v_new @ tri_apply(dM, oM, v_new)) / float(
-            v_new @ tri_apply(dK, oK, v_new)
-        )
-        done = abs(lam_new - lam) <= 1e-13 * max(abs(lam_new), 1e-300)
-        lam, v = lam_new, v_new
-        if done:
-            break
-    return lam
+    return tridiagonal_pencil_max(
+        diag_K[1:-1], off_K[1:-1], diag_M[1:-1], off_M[1:-1],
+        seed=1234, tol=1e-13, max_iter=400,
+    )

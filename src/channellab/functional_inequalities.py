@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 
-from ._fem import assemble_div, assemble_q1
+from ._fem import assemble_div, assemble_q1, tridiagonal_pencil_max
 from .errors import AscentStagnation, EigenFailure, NonZeroMean, SaddleSolveFailure
 from .geometry import make_grid, weight_integral
 
@@ -181,34 +180,10 @@ def _slice_m0(profile, x1, n):
     dM /= width**2
     oM /= width**2
 
-    dKi, oKi = dK[1:-1], oK[1:-1]
-    dMi, oMi = dM[1:-1], oM[1:-1]
-    m = dKi.size
-    ab = np.zeros((3, m))
-    ab[0, 1:] = oKi
-    ab[1, :] = dKi
-    ab[2, :-1] = oKi
-
-    def apply_tri(d, o, v):
-        out = d * v
-        out[:-1] += o * v[1:]
-        out[1:] += o * v[:-1]
-        return out
-
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(m)
-    lam = 0.0
-    for _ in range(300):
-        v = solve_banded((1, 1), ab, apply_tri(dMi, oMi, v))
-        nrm = math.sqrt(abs(v @ apply_tri(dMi, oMi, v)))
-        if nrm == 0.0:
-            raise EigenFailure("slice iteration collapsed")
-        v /= nrm
-        lam_new = float(v @ apply_tri(dMi, oMi, v)) / float(v @ apply_tri(dKi, oKi, v))
-        done = abs(lam_new - lam) <= 1e-12 * max(lam_new, 1e-300)
-        lam = lam_new
-        if done:
-            break
+    # Dirichlet at both wall ends
+    lam = tridiagonal_pencil_max(
+        dK[1:-1], oK[1:-1], dM[1:-1], oM[1:-1], seed=3, tol=1e-12, max_iter=300
+    )
     return math.sqrt(lam)
 
 
@@ -344,7 +319,7 @@ def _saddle_apply(lu, nf, n, w_times_mass):
 
 
 def bogovskii_m5(profile, a, b, resolution=(49, 49), probes=6, power_iters=40,
-                 seed=0, nodes=None):
+                 seed=0):
     """Estimate M5(D) = sup ||grad a|| / ||w|| over mean-zero w.
 
     Random mean-zero probes bound the constant from below; power iteration
@@ -352,10 +327,7 @@ def bogovskii_m5(profile, a, b, resolution=(49, 49), probes=6, power_iters=40,
     the estimate to the discrete operator norm.
     """
     nx, ny = resolution
-    if nodes is not None:
-        x, y = nodes
-    else:
-        _, x, y = _grid_nodes(profile, a, b, nx, ny)
+    _, x, y = _grid_nodes(profile, a, b, nx, ny)
     n = x.size
     lu, Kf, Mp, lumped, free, nf = _saddle_factor(x, y, nx, ny)
     area = lumped.sum()

@@ -11,7 +11,6 @@ one-sided formula built into the matrix.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -26,7 +25,6 @@ from .errors import LinearSolveFailure, NonConvergence, OutOfRange
 from .geometry import Grid, make_grid, window_weights
 
 __all__ = [
-    "ConvectionScheme",
     "SolverConfig",
     "FlowState",
     "solve_stokes",
@@ -42,24 +40,14 @@ __all__ = [
 ]
 
 
-class ConvectionScheme(enum.Enum):
-    CENTRAL = "central"
-    UPWIND = "upwind"
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-9
     max_iter: int = 60
-    relax: float = 1.0
-    continuation: Optional[tuple] = None
-    convection: ConvectionScheme = ConvectionScheme.CENTRAL
 
     def __post_init__(self):
         if self.tol <= 0.0:
             raise OutOfRange("tol must be positive")
-        if not (0.0 < self.relax <= 1.0):
-            raise OutOfRange("relax must lie in (0, 1]")
 
 
 @dataclass
@@ -116,24 +104,14 @@ def _advection_coeffs(grid, u1, u2):
     return a1, a2
 
 
-def apply_advection(grid, phi, u1, u2, scheme):
+def apply_advection(grid, phi, u1, u2):
+    """Central-difference advection at interior nodes."""
     hx, hy = grid.hx, grid.hy
     a1, a2 = _advection_coeffs(grid, u1, u2)
     out = np.zeros_like(phi)
-    if scheme is ConvectionScheme.CENTRAL:
-        px = (phi[2:, 1:-1] - phi[:-2, 1:-1]) / (2 * hx)
-        pe = (phi[1:-1, 2:] - phi[1:-1, :-2]) / (2 * hy)
-        out[1:-1, 1:-1] = a1[1:-1, 1:-1] * px + a2[1:-1, 1:-1] * pe
-    else:
-        a1i = a1[1:-1, 1:-1]
-        a2i = a2[1:-1, 1:-1]
-        dxm = (phi[1:-1, 1:-1] - phi[:-2, 1:-1]) / hx
-        dxp = (phi[2:, 1:-1] - phi[1:-1, 1:-1]) / hx
-        dem = (phi[1:-1, 1:-1] - phi[1:-1, :-2]) / hy
-        dep = (phi[1:-1, 2:] - phi[1:-1, 1:-1]) / hy
-        out[1:-1, 1:-1] = np.where(a1i >= 0, a1i * dxm, a1i * dxp) + np.where(
-            a2i >= 0, a2i * dem, a2i * dep
-        )
+    px = (phi[2:, 1:-1] - phi[:-2, 1:-1]) / (2 * hx)
+    pe = (phi[1:-1, 2:] - phi[1:-1, :-2]) / (2 * hy)
+    out[1:-1, 1:-1] = a1[1:-1, 1:-1] * px + a2[1:-1, 1:-1] * pe
     return out
 
 
@@ -319,7 +297,7 @@ class _Workspace:
         a = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
         return a, rhs
 
-    def advection_matrix(self, u1, u2, scheme):
+    def advection_matrix(self, u1, u2):
         grid = self.grid
         nx, ny = grid.nx, grid.ny
         n = self.n
@@ -332,25 +310,12 @@ class _Workspace:
         a1i = a1[ii, jj]
         a2i = a2[ii, jj]
         rows, cols, vals = [], [], []
-        if scheme is ConvectionScheme.CENTRAL:
-            entries = [
-                (self._idx(ii + 1, jj), -a1i / (2 * hx)),
-                (self._idx(ii - 1, jj), a1i / (2 * hx)),
-                (self._idx(ii, jj + 1), -a2i / (2 * hy)),
-                (self._idx(ii, jj - 1), a2i / (2 * hy)),
-            ]
-        else:
-            a1p = np.maximum(a1i, 0.0)
-            a1m = np.minimum(a1i, 0.0)
-            a2p = np.maximum(a2i, 0.0)
-            a2m = np.minimum(a2i, 0.0)
-            entries = [
-                (center, -(a1p - a1m) / hx - (a2p - a2m) / hy),
-                (self._idx(ii - 1, jj), a1p / hx),
-                (self._idx(ii + 1, jj), -a1m / hx),
-                (self._idx(ii, jj - 1), a2p / hy),
-                (self._idx(ii, jj + 1), -a2m / hy),
-            ]
+        entries = [
+            (self._idx(ii + 1, jj), -a1i / (2 * hx)),
+            (self._idx(ii - 1, jj), a1i / (2 * hx)),
+            (self._idx(ii, jj + 1), -a2i / (2 * hy)),
+            (self._idx(ii, jj - 1), a2i / (2 * hy)),
+        ]
         for col, val in entries:
             rows.append(n + center)
             cols.append(n + col)
@@ -360,11 +325,11 @@ class _Workspace:
         vals = np.concatenate(vals)
         return sparse.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
 
-    def solve(self, u1, u2, config):
+    def solve(self, u1, u2):
         """Solve the linearized coupled system at frozen advecting velocity."""
         a = self.a_const
         if u1 is not None:
-            a = a + self.advection_matrix(u1, u2, config.convection)
+            a = a + self.advection_matrix(u1, u2)
         try:
             x = splu(a.tocsc()).solve(self.rhs)
         except RuntimeError as exc:  # singular factorization
@@ -388,16 +353,15 @@ def _closure_defect(grid, psi, omega):
     return max(float(np.abs(lo).max()), float(np.abs(hi).max()))
 
 
-def residual_norm(state, config=None):
+def residual_norm(state):
     """Max-norm defect of the steady system at the current fields.
 
     Covers the vorticity transport equation, the psi-omega coupling, and
     the wall closure, relative to the vorticity scale.
     """
-    scheme = config.convection if config is not None else ConvectionScheme.CENTRAL
     grid = state.grid
     transport = apply_laplacian(grid, state.omega) - apply_advection(
-        grid, state.omega, state.u1, state.u2, scheme
+        grid, state.omega, state.u1, state.u2
     )
     poisson = apply_laplacian(grid, state.psi) + state.omega
     r = max(
@@ -413,7 +377,7 @@ def boundary_defect(state, workspace):
     """Max mismatch of the imposed boundary data at the current fields.
 
     The interior residual is blind to the flux (it only enters through the
-    boundary rows), so convergence checks that drive continuation combine
+    boundary rows), so convergence checks that step the flux up combine
     both defects.  ``workspace`` holds the boundary data of ``state.params``.
     """
     ws = workspace
@@ -443,27 +407,22 @@ def _state_from_fields(grid, profile, params, psi, omega):
     )
 
 
-def solve_stokes(grid, params, profile, config=None, workspace=None):
+def solve_stokes(grid, params, profile, workspace=None):
     """Linear Stokes solve (no advection); the Picard initializer."""
-    config = config or SolverConfig()
     ws = workspace or _Workspace(grid, params, profile)
-    psi, omega = ws.solve(None, None, config)
+    psi, omega = ws.solve(None, None)
     state = _state_from_fields(grid, profile, params, psi, omega)
-    state.residual_history.append((0, residual_norm(state, config)))
+    state.residual_history.append((0, residual_norm(state)))
     return state
 
 
-def picard_step(state, params, profile, config=None, workspace=None):
+def picard_step(state, params, profile, workspace=None):
     """One Picard iteration; returns (new_state, residual)."""
-    config = config or SolverConfig()
     ws = workspace or _Workspace(state.grid, params, profile)
-    psi_new, omega_new = ws.solve(state.u1, state.u2, config)
-    r = config.relax
-    psi = state.psi + r * (psi_new - state.psi)
-    omega = state.omega + r * (omega_new - state.omega)
+    psi, omega = ws.solve(state.u1, state.u2)
     new = _state_from_fields(state.grid, profile, params, psi, omega)
     new.residual_history = list(state.residual_history)
-    res = residual_norm(new, config)
+    res = residual_norm(new)
     new.residual_history.append((len(new.residual_history), res))
     return new, res
 
@@ -482,7 +441,7 @@ def _picard(state, params, profile, config, workspace):
             state.converged = True
             return state
         if steps < config.max_iter:
-            state, res = picard_step(state, params, profile, config, workspace)
+            state, res = picard_step(state, params, profile, workspace)
             best = min(best, res)
     raise NonConvergence(
         f"Picard stalled at flux {params.phi}: residual {best:.3e} "
@@ -493,36 +452,34 @@ def _picard(state, params, profile, config, workspace):
 
 
 def solve_steady(profile, params, a, b, nx, ny, config=None):
-    """Stokes initialize, then Picard (with flux continuation) to tolerance.
+    """Stokes initialize, then Picard to tolerance, stepping the flux up.
 
-    Raises :class:`NonConvergence` rather than returning an unconverged
-    state.  Diagnostics report the Dirichlet energy of v = u - g and the
+    Fluxes above 2 pass through linspace(2, phi, ceil(log2(phi / 2)) + 2),
+    each level started from the previous one's solution.  Raises
+    :class:`NonConvergence` rather than returning an unconverged state.
+    Diagnostics report the Dirichlet energy of v = u - g and the
     ratio against the carrier volume integral, which stays bounded
     uniformly in the truncation.
     """
     config = config or SolverConfig()
     grid = make_grid(profile, a, b, nx, ny)
 
-    phis = list(config.continuation or [])
-    if not phis:
-        target = params.phi
-        if target > 2.0:
-            steps = int(math.ceil(math.log2(target / 2.0))) + 1
-            phis = list(np.linspace(2.0, target, steps + 1))
-        else:
-            phis = [target]
-    if phis[-1] != params.phi:
-        phis.append(params.phi)
+    target = params.phi
+    if target > 2.0:
+        steps = int(math.ceil(math.log2(target / 2.0))) + 2
+        phis = list(np.linspace(2.0, target, steps))
+    else:
+        phis = [target]
 
     state = None
     for phi_k in phis:
         params_k = fc.CarrierParams(phi_k, params.epsilon, params.cutoff)
         ws = _Workspace(grid, params_k, profile)
         if state is None:
-            state = solve_stokes(grid, params_k, profile, config, ws)
+            state = solve_stokes(grid, params_k, profile, ws)
         else:
             state = _state_from_fields(grid, profile, params_k, state.psi, state.omega)
-            state.residual_history.append((0, residual_norm(state, config)))
+            state.residual_history.append((0, residual_norm(state)))
         state = _picard(state, params_k, profile, config, ws)
     state.params = params
 

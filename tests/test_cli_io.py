@@ -98,6 +98,21 @@ class TestParsing:
         assert "linear_solver" in str(err.value)
         assert "Krylov path" in str(err.value)
 
+    def test_retired_solver_keys(self, tmp_path):
+        body = MINIMAL.format(out=tmp_path / "o") + "\n[solver]\n"
+        path = write_scenario(tmp_path, body + "relax = 1.0\nconvection = central\n")
+        assert cli_io.parse_scenario(path, environ={}).solver.max_iter == 60
+        path = write_scenario(
+            tmp_path,
+            body + "relax = 0.8\nconvection = upwind\ncontinuation = 1, 2\n",
+        )
+        with pytest.raises(ValidationError) as err:
+            cli_io.parse_scenario(path, environ={})
+        msg = str(err.value)
+        assert "[solver] relax" in msg and "under-relaxation" in msg
+        assert "[solver] convection" in msg and "upwind" in msg
+        assert "[solver] continuation" in msg
+
     def test_custom_profile_expressions(self, tmp_path):
         body = MINIMAL.format(out=tmp_path).replace(
             "family = straight\nd0 = 1.0",

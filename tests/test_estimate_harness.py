@@ -102,6 +102,16 @@ class TestPoiseuilleConvergence:
         )
         assert max(rep.h1_error) == 0.0
 
+    def test_empty_window_rejected_before_solving(self, straight, monkeypatch):
+        # T = 2 and T = 4 give empty windows k < x1 < T at k = 4
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking t_list")
+
+        monkeypatch.setattr(eh, "padded_solve", no_solve)
+        with pytest.raises(OutOfRange) as err:
+            eh.poiseuille_convergence(straight, 1.0, 4.0, [8, 2, 4])
+        assert "4.0" in str(err.value) and "two windows" in str(err.value)
+
 
 class TestUniqueness:
     def test_small_flux_unique(self, straight):
