@@ -169,12 +169,6 @@ _RETIRED_SOLVER_KEYS = {
 }
 
 
-def _as_float_list(value):
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    return [float(v) for v in value]
-
-
 def parse_scenario(path, environ=None):
     """Parse and validate a scenario file; report every error at once."""
     sections = _apply_env_overrides(_read_sections(path), environ)
@@ -186,6 +180,24 @@ def parse_scenario(path, environ=None):
             return sec[key]
         if required:
             errors.append(ValidationError(f"[{section}] {key}", "missing"))
+        return default
+
+    def number(section, key, default, kind=float):
+        """The value as kind (a list if the default is a list); a non-number,
+        or a fraction for kind int, is an error and the default stands in."""
+        value = fetch(section, key, default)
+        if value is None:
+            return None
+        many = isinstance(default, list)
+        items = value if many and isinstance(value, list) else [value]
+        if items and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and (kind is float or float(v).is_integer()) for v in items
+        ):
+            return [kind(v) for v in items] if many else kind(value)
+        expected = "an integer" if kind is int else "a number"
+        errors.append(ValidationError(
+            f"[{section}] {key}", f"expected {expected}, got {value!r}"))
         return default
 
     name = sections.get("", {}).get("name", Path(path).stem)
@@ -207,11 +219,11 @@ def parse_scenario(path, environ=None):
         }
         try:
             profile = geo.make_profile(family, **kwargs)
-        except (ChannelLabError, TypeError) as exc:
+        except (ChannelLabError, TypeError, ValueError) as exc:
             errors.append(ValidationError("[profile]", str(exc)))
 
-    flux = fetch("carrier", "flux", default=1.0)
-    epsilon = fetch("carrier", "epsilon", default=None)
+    flux = number("carrier", "flux", 1.0)
+    epsilon = number("carrier", "epsilon", None)
     cutoff_name = str(fetch("carrier", "cutoff", default="quintic")).lower()
     params = None
     try:
@@ -224,22 +236,20 @@ def parse_scenario(path, environ=None):
             )
         )
         cutoff = fc.Cutoff()
-    if epsilon is not None and not (0.0 < float(epsilon) < 1.0):
+    if epsilon is not None and not (0.0 < epsilon < 1.0):
         errors.append(ValidationError("[carrier] epsilon", "must lie in (0,1)"))
-    elif flux is not None and float(flux) < 0:
+    elif flux < 0:
         errors.append(ValidationError("[carrier] flux", "must be nonnegative"))
     else:
-        params = fc.CarrierParams(
-            float(flux), None if epsilon is None else float(epsilon), cutoff
-        )
+        params = fc.CarrierParams(flux, epsilon, cutoff)
 
     solver = None
     try:
         solver = ns.SolverConfig(
-            tol=float(fetch("solver", "tol", default=1e-9)),
-            max_iter=int(fetch("solver", "max_iter", default=60)),
+            tol=number("solver", "tol", 1e-9),
+            max_iter=number("solver", "max_iter", 60, int),
         )
-    except (ChannelLabError, ValueError) as exc:
+    except ChannelLabError as exc:
         errors.append(ValidationError("[solver]", str(exc)))
     for key, (kept, removed) in _RETIRED_SOLVER_KEYS.items():
         value = fetch("solver", key, default=kept)
@@ -248,36 +258,40 @@ def parse_scenario(path, environ=None):
                 f"[solver] {key}", f"unsupported value {value!r}; {removed}"))
 
     thresholds = eh.HarnessThresholds(
-        growth_ratio_bound=float(fetch("harness", "growth_ratio_bound", 3.0)),
-        growth_lower_bound=float(fetch("harness", "growth_lower_bound", 0.5)),
-        decay_ratio_bound=float(fetch("harness", "decay_ratio_bound", 4.0)),
-        plateau_fraction=float(fetch("harness", "plateau_fraction", 0.1)),
-        wall_delta=float(fetch("harness", "wall_delta", 0.1)),
-        uniqueness_tol=float(fetch("harness", "uniqueness_tol", 1e-6)),
+        growth_ratio_bound=number("harness", "growth_ratio_bound", 3.0),
+        growth_lower_bound=number("harness", "growth_lower_bound", 0.5),
+        decay_ratio_bound=number("harness", "decay_ratio_bound", 4.0),
+        plateau_fraction=number("harness", "plateau_fraction", 0.1),
+        wall_delta=number("harness", "wall_delta", 0.1),
+        uniqueness_tol=number("harness", "uniqueness_tol", 1e-6),
     )
+    ny = number("grid", "ny", 65, int)
     policy = eh.GridPolicy(
-        target_hx=float(fetch("harness", "target_hx", 0.125)),
-        ny=int(fetch("grid", "ny", 65)),
-        pad_factor=float(fetch("harness", "pad_factor", 2.0)),
+        target_hx=number("harness", "target_hx", 0.125),
+        ny=ny,
+        pad_factor=number("harness", "pad_factor", 2.0),
     )
     grid_window = (
-        float(fetch("grid", "a", -10.0)),
-        float(fetch("grid", "b", 10.0)),
-        int(fetch("grid", "nx", 513)),
-        int(fetch("grid", "ny", 65)),
+        number("grid", "a", -10.0),
+        number("grid", "b", 10.0),
+        number("grid", "nx", 513, int),
+        ny,
     )
     if grid_window[1] <= grid_window[0]:
         errors.append(ValidationError("[grid]", "need b > a"))
 
-    t_list = _as_float_list(fetch("harness", "t_list", [5.0, 10.0, 20.0, 40.0]))
-    t_range = _as_float_list(fetch("harness", "t_range", [10.0, 40.0]))
-    x_max = float(fetch("harness", "x_max", 8.0))
-    outlet_k = float(fetch("harness", "outlet_k", 4.0))
+    t_list = number("harness", "t_list", [5.0, 10.0, 20.0, 40.0])
+    t_range = number("harness", "t_range", [10.0, 40.0])
+    x_max = number("harness", "x_max", 8.0)
+    outlet_k = number("harness", "outlet_k", 4.0)
 
     out_dir = Path(str(fetch("output", "dir", "out")))
-    seed = int(fetch("output", "seed", 1234))
+    seed = number("output", "seed", 1234, int)
 
     comparison = dict(sections.get("comparison", {}))
+    for key, default in (("c1", 0.0), ("c2", 1.0), ("exponent", 1.5),
+                         ("delta1", 0.5)):
+        comparison[key] = number("comparison", key, default)
 
     if errors:
         raise ValidationError(
@@ -623,8 +637,8 @@ def _run_growth(sc, out, quiet):
         sc.profile, sc.params, max(sc.t_list), sc.policy, sc.solver
     )
     rep = eh.growth_scan(
-        sc.profile, sc.params.phi, sc.t_list, params=sc.params,
-        thresholds=sc.thresholds, state=state,
+        sc.profile, sc.params.phi, sc.t_list, thresholds=sc.thresholds,
+        state=state,
     )
     artifacts = [
         write_csv(
@@ -650,13 +664,11 @@ def _run_growth(sc, out, quiet):
     # reaches past t*); any other error is a failure of the command
     try:
         hat = eh.hat_energy_inequality(
-            sc.profile, sc.params.phi, min(sc.x_max, max(sc.t_list)),
-            params=sc.params, state=state,
+            sc.profile, sc.params.phi, min(sc.x_max, max(sc.t_list)), state
         )
     except (HypothesisNotMet, OutOfRange):
         hat = None
     if hat is not None:
-        phi_curve = [hat.c13 + hat.c14 * i for i in _hat_weight_integrals(sc, hat)]
         artifacts.append(
             write_csv(out / "hat_energy.csv", ["t", "y_hat"], hat.rows())
         )
@@ -665,7 +677,7 @@ def _run_growth(sc, out, quiet):
                 out / "hat_energy.svg",
                 [
                     ("weighted energy", hat.t, hat.y_hat),
-                    ("majorant", hat.t, phi_curve),
+                    ("majorant", hat.t, hat.majorant),
                 ],
                 title="Weighted energy vs comparison majorant",
                 xlabel="t",
@@ -676,29 +688,21 @@ def _run_growth(sc, out, quiet):
             {f"hat_{k}": v for k, v in hat.verdicts.items()}
         )
 
-    ok = all(verdicts.values())
-    artifacts.append(_verdict_csv(out / "growth_verdicts.csv", verdicts))
-    if not quiet:
-        for k, v in verdicts.items():
-            print(f"  {k}: {'PASS' if v else 'FAIL'}")
-    return ok, artifacts
+    artifacts.append(_write_verdicts(out / "growth_verdicts.csv", verdicts, quiet))
+    return all(verdicts.values()), artifacts
 
 
-def _hat_weight_integrals(sc, hat):
-    out = []
-    for t in hat.t:
-        lo = geo.inverse_k(sc.profile, -t)
-        hi = geo.inverse_k(sc.profile, t)
-        out.append(geo.weight_integral(sc.profile, lo, hi, -3.0))
-    return out
-
-
-def _verdict_csv(path, verdicts):
+def _write_verdicts(path, verdicts, quiet):
+    """Verdict CSV (sorted by name), then one PASS/FAIL line per verdict."""
     rows = [
         {"verdict": k, "status": "PASS" if v else "FAIL"}
         for k, v in sorted(verdicts.items())
     ]
-    return write_csv(path, ["verdict", "status"], rows)
+    written = write_csv(path, ["verdict", "status"], rows)
+    if not quiet:
+        for k, v in verdicts.items():
+            print(f"  {k}: {'PASS' if v else 'FAIL'}")
+    return written
 
 
 def _run_decay(sc, out, quiet):
@@ -733,10 +737,7 @@ def _run_decay(sc, out, quiet):
     ok = informational or all(
         v for k, v in verdicts.items() if k != "hypothesis_met"
     )
-    artifacts.append(_verdict_csv(out / "decay_verdicts.csv", verdicts))
-    if not quiet:
-        for k, v in verdicts.items():
-            print(f"  {k}: {'PASS' if v else 'FAIL'}")
+    artifacts.append(_write_verdicts(out / "decay_verdicts.csv", verdicts, quiet))
     return ok, artifacts
 
 
@@ -757,13 +758,9 @@ def _run_poiseuille(sc, out, quiet):
             ylabel="H1 error",
             logy=True,
         ),
-        _verdict_csv(out / "poiseuille_verdicts.csv", rep.verdicts),
+        _write_verdicts(out / "poiseuille_verdicts.csv", rep.verdicts, quiet),
     ]
-    ok = all(rep.verdicts.values())
-    if not quiet:
-        for k, v in rep.verdicts.items():
-            print(f"  {k}: {'PASS' if v else 'FAIL'}")
-    return ok, artifacts
+    return all(rep.verdicts.values()), artifacts
 
 
 def _run_constants(sc, out, quiet):
@@ -801,12 +798,8 @@ def _run_constants(sc, out, quiet):
 
 def _run_comparison(sc, out, quiet):
     cfg = sc.comparison
-    psi = cl.separable_psi(
-        c1=float(cfg.get("c1", 0.0)),
-        c2=float(cfg.get("c2", 1.0)),
-        exponent=float(cfg.get("exponent", 1.5)),
-    )
-    delta1 = float(cfg.get("delta1", 0.5))
+    psi = cl.separable_psi(c1=cfg["c1"], c2=cfg["c2"], exponent=cfg["exponent"])
+    delta1 = cfg["delta1"]
     if "file" in cfg:
         problem = load_comparison_csv(cfg["file"], psi, delta1)
     else:
@@ -911,7 +904,3 @@ def main(argv=None):
         scenario_path=args.scenario,
         quiet=args.quiet,
     )
-
-
-if __name__ == "__main__":
-    sys.exit(main())

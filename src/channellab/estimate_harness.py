@@ -447,8 +447,12 @@ def hat_weight(profile, t, beta_star):
     window edges); below that the two ramps overlap and the construction
     is meaningless.
     """
-    h_t, h_l, h_r = geo.h_parameterization(profile, t, beta_star)
-    h_m = geo.inverse_k(profile, -t)
+    return _hat_weight(profile, t, beta_star, geo._h_window(profile, t, beta_star))
+
+
+def _hat_weight(profile, t, beta_star, window):
+    """hat_weight from the window (h(-t), h(t), h_L, h_R) of t."""
+    h_m, h_t, h_l, h_r = window
     if h_l >= h_r:
         raise OutOfRange(
             f"weight undefined at t={t}: inner edges cross (t below t*)"
@@ -475,6 +479,7 @@ class HatEnergyReport:
     phi: float
     t: list
     y_hat: list
+    majorant: list             # phi(t) = C13 + C14 * I(t) fed to the comparison
     c11: float
     c12: float
     c13: float
@@ -488,47 +493,40 @@ class HatEnergyReport:
             yield {"t": self.t[i], "y_hat": self.y_hat[i]}
 
 
-def hat_energy_inequality(profile, phi, x_max, policy=None, config=None,
-                          params=None, n_t=25, state=None):
+_HAT_SAMPLES = 25
+
+
+def hat_energy_inequality(profile, phi, x_max, state):
     """Reproduce the weighted-energy inequality and its comparison verdict.
 
-    One converged solve; y_hat(t) is the zeta-hat weighted energy of
-    v = u - g; the smallest (C11, C12) making
-    y_hat <= C11 (y' + y'^(3/2)) + C12 * int f^-3 hold on the sample grid
-    come from a tiny linear program, and the induced majorant is handed to
-    the comparison module, which must conclude domination.
+    On the converged ``state``, y_hat(t) is the zeta-hat weighted energy of
+    v = u - g; the smallest (C11, C12) making y_hat <= C11 (y' + y'^(3/2)) +
+    C12 I(t), I(t) = int f^-3 over (h(-t), h(t)), hold on the sample grid
+    come from a tiny linear program; the induced majorant (in the report) is
+    handed to the comparison module, which must conclude domination.
     """
-    params = params or fc.CarrierParams(phi)
     classification = geo.classify(profile)
     if classification.case is not geo.KRangeCase.BOTH_INFINITE:
         raise HypothesisNotMet(
             f"weight parameterization needs both tails infinite, got "
             f"{classification.case.value}"
         )
-    metrics = geo.validate(profile, (-x_max - 1.0, x_max + 1.0))
-    bs = metrics.beta_star
-    if state is None:
-        state, _ = padded_solve(profile, params, x_max, policy, config)
+    bs = geo.validate(profile, (-x_max - 1.0, x_max + 1.0)).beta_star
 
-    t_star = metrics.t_star or geo._try_t_star(profile, bs)
+    t_star = geo._try_t_star(profile, bs)
     t_max = geo.k_of(profile, x_max)
     t_min = (t_star or 0.0) * 1.05 + 1e-6
     if t_min >= t_max:
         raise OutOfRange("x_max too small: no room above t*")
-    ts = np.linspace(t_min, t_max, n_t)
+    ts = np.linspace(t_min, t_max, _HAT_SAMPLES)
+    windows = [geo._h_window(profile, t, bs) for t in ts]
 
-    y = np.array(
-        [ns.weighted_energy(state, hat_weight(profile, t, bs)) for t in ts]
-    )
+    y = np.array([ns.weighted_energy(state, _hat_weight(profile, t, bs, w))
+                  for t, w in zip(ts, windows)])
     yp = np.gradient(y, ts)
     yp = np.maximum(yp, 0.0)
     i_vals = np.array(
-        [
-            geo.weight_integral(
-                profile, geo.inverse_k(profile, -t), geo.inverse_k(profile, t), -3.0
-            )
-            for t in ts
-        ]
+        [geo.weight_integral(profile, h_m, h_t, -3.0) for h_m, h_t, _, _ in windows]
     )
 
     c11, c12 = _fit_inequality(y, yp, i_vals)
@@ -548,6 +546,7 @@ def hat_energy_inequality(profile, phi, x_max, policy=None, config=None,
         phi=phi,
         t=list(ts),
         y_hat=list(y),
+        majorant=list(phi_fn_vals),
         c11=c11,
         c12=c12,
         c13=c13,

@@ -472,11 +472,16 @@ def h_parameterization(profile, t, beta_star=None):
     """
     if beta_star is None:
         beta_star = default_beta_star(profile)
-    hp = inverse_k(profile, t)
+    return _h_window(profile, t, beta_star)[1:]
+
+
+def _h_window(profile, t, beta_star):
+    """(h(-t), h(t), h_L(t), h_R(t)), inverting k once at each end."""
     hm = inverse_k(profile, -t)
+    hp = inverse_k(profile, t)
     h_L = hm + beta_star * float(profile.width(hm))
     h_R = hp - beta_star * float(profile.width(hp))
-    return hp, h_L, h_R
+    return hm, hp, h_L, h_R
 
 
 def default_beta_star(profile, window=(-64.0, 64.0)):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +77,24 @@ class TestParsing:
             cli_io.parse_scenario(path, environ={})
         msg = str(err.value)
         assert "family" in msg and "epsilon" in msg
+
+    def test_non_numeric_values_reported_together(self, tmp_path, capsys):
+        body = MINIMAL.format(out=tmp_path / "o")
+        for old, new in [("nx = 65", "nx = abc"), ("flux = 1.0", "flux = abc"),
+                         ("t_list = 1, 2", "t_list = 1, x")]:
+            body = body.replace(old, new)
+        path = write_scenario(tmp_path, body)
+        with pytest.raises(ValidationError) as err:
+            cli_io.parse_scenario(path, environ={})
+        msg = str(err.value)
+        assert "[grid] nx: expected an integer, got 'abc'" in msg
+        assert "[carrier] flux: expected a number, got 'abc'" in msg
+        assert "[harness] t_list: expected a number, got [1, 'x']" in msg
+        assert cli_io.main(["solve", "--scenario", str(path), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        body = MINIMAL.format(out=tmp_path / "o").replace("nx = 65", "nx = 65.5")
+        with pytest.raises(ValidationError, match="expected an integer"):
+            cli_io.parse_scenario(write_scenario(tmp_path, body), environ={})
 
     def test_malformed_lines_raise_parse_error_with_lines(self, tmp_path):
         path = write_scenario(tmp_path, "name = x\nthis is not a pair\n")
@@ -227,6 +248,20 @@ class TestRun:
             ["carrier-check", "--scenario", str(path), "--quiet"]
         )
         assert status == 0
+
+    def test_python_m_channellab(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "channellab", "--help"], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "carrier-check" in proc.stdout
 
     def test_determinism_byte_identical_csv(self, tmp_path):
         path = self.scenario(tmp_path)

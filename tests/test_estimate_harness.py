@@ -171,14 +171,47 @@ class TestHatWeight:
         assert np.all(np.diff(ys) >= -1e-9 * max(ys))
 
 
-class TestHatEnergyInequality:
-    def test_dominated_on_power_law(self, power_half, small_power_report):
+@pytest.fixture(scope="module")
+def counted_hat(power_half, small_power_report):
+    """The power-law report, its inverse_k calls, and those of the t* search."""
+    calls = []
+    inverse_k = geo.inverse_k
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inverse_k(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geo, "inverse_k", counting)
         rep = eh.hat_energy_inequality(
             power_half, 1.0, 6.0, state=small_power_report
         )
+        n_report = len(calls)
+        geo._try_t_star(power_half, geo.validate(power_half, (-7, 7)).beta_star)
+    return rep, n_report, len(calls) - n_report
+
+
+class TestHatEnergyInequality:
+    def test_dominated_on_power_law(self, counted_hat):
+        rep = counted_hat[0]
         assert rep.verdict is cl.Verdict.DOMINATED
         assert rep.monotone
         assert rep.c11 > 0
+
+    def test_window_ends_inverted_once_per_sample(self, counted_hat):
+        rep, n_report, n_t_star = counted_hat
+        assert n_t_star > 0
+        assert n_report == 2 * len(rep.t) + n_t_star
+
+    def test_report_carries_majorant(self, power_half, counted_hat):
+        # the formula the command line used to rebuild from the report
+        rep = counted_hat[0]
+        integrals = [
+            geo.weight_integral(power_half, geo.inverse_k(power_half, -t),
+                                geo.inverse_k(power_half, t), -3.0)
+            for t in rep.t
+        ]
+        assert rep.majorant == [rep.c13 + rep.c14 * i for i in integrals]
 
     def test_zero_flux_trivial(self, straight):
         state = ns.solve_steady(
@@ -191,7 +224,7 @@ class TestHatEnergyInequality:
     def test_requires_case_one(self):
         p = geo.power_law(d0=1.0, alpha=0.7)
         with pytest.raises(HypothesisNotMet):
-            eh.hat_energy_inequality(p, 1.0, 4.0, policy=SMALL)
+            eh.hat_energy_inequality(p, 1.0, 4.0, state=None)
 
 
 class TestFitInequality:
