@@ -4,7 +4,8 @@ Scenario files are INI-style text (``key = value`` lines under
 ``[section]`` headers, ``#`` comments, UTF-8).  Values are numbers,
 booleans, strings, or comma-separated lists; profile expressions use the
 grammar documented in :mod:`.expressions`.  Any key can be overridden from
-the environment as ``CHANNELLAB_<SECTION>__<KEY>``.
+the environment as ``CHANNELLAB_<SECTION>__<KEY>``; a key that no command
+reads, in the file or the environment, is an error.
 
 Artifacts are deterministic: CSV floats are printed with repr-faithful
 %.17g, row order is fixed, and the manifest hashes the scenario file plus
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -55,16 +57,6 @@ ENV_PREFIX = "CHANNELLAB_"
 CSV_SCHEMA_VERSION = "1"
 
 KNOWN_FAMILIES = [f.value for f in geo.Family]
-SUBCOMMANDS = (
-    "carrier-check",
-    "solve",
-    "growth-scan",
-    "decay-scan",
-    "poiseuille",
-    "constants",
-    "comparison",
-    "report",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +137,9 @@ class Scenario:
     params: fc.CarrierParams
     solver: ns.SolverConfig
     thresholds: eh.HarnessThresholds
-    policy: eh.GridPolicy
-    grid_window: tuple       # (a, b, nx, ny)
+    grid_window: tuple       # (a, b, nx, ny); ny also sizes the scans' grids
+    target_hx: float
+    pad_factor: float
     t_list: list
     t_range: tuple
     x_max: float
@@ -154,7 +147,11 @@ class Scenario:
     out_dir: Path
     seed: int
     comparison: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+
+    @property
+    def policy(self):
+        """The scans' grids: nx from target_hx, ny from the grid window."""
+        return eh.GridPolicy(self.target_hx, self.grid_window[3], self.pad_factor)
 
 
 # Retired [solver] keys, the one value each still accepts (None: no value)
@@ -173,9 +170,11 @@ def parse_scenario(path, environ=None):
     """Parse and validate a scenario file; report every error at once."""
     sections = _apply_env_overrides(_read_sections(path), environ)
     errors = []
+    read = set()
 
     def fetch(section, key, default=None, required=False):
         sec = sections.get(section, {})
+        read.add((section, key))
         if key in sec:
             return sec[key]
         if required:
@@ -200,27 +199,24 @@ def parse_scenario(path, environ=None):
             f"[{section}] {key}", f"expected {expected}, got {value!r}"))
         return default
 
-    name = sections.get("", {}).get("name", Path(path).stem)
+    name = fetch("", "name", Path(path).stem)
 
     family = str(fetch("profile", "family", required=True) or "").lower()
     profile = None
-    if family and family not in KNOWN_FAMILIES:
-        errors.append(
-            ValidationError(
-                "[profile] family",
-                f"unknown family {family!r}; known: {', '.join(KNOWN_FAMILIES)}",
-            )
-        )
-    elif family:
-        kwargs = {
-            k: v
-            for k, v in sections.get("profile", {}).items()
-            if k != "family"
-        }
+    if family in KNOWN_FAMILIES:
+        accepted = inspect.signature(geo._FACTORIES[geo.Family(family)]).parameters
+        kwargs = {k: fetch("profile", k) for k in sections["profile"] if k in accepted}
         try:
             profile = geo.make_profile(family, **kwargs)
         except (ChannelLabError, TypeError, ValueError) as exc:
             errors.append(ValidationError("[profile]", str(exc)))
+    else:
+        # no family, no known keys: the family error speaks for the section
+        read.update(("profile", k) for k in sections.get("profile", {}))
+        if family:
+            errors.append(ValidationError(
+                "[profile] family",
+                f"unknown family {family!r}; known: {', '.join(KNOWN_FAMILIES)}"))
 
     flux = number("carrier", "flux", 1.0)
     epsilon = number("carrier", "epsilon", None)
@@ -263,22 +259,17 @@ def parse_scenario(path, environ=None):
         decay_ratio_bound=number("harness", "decay_ratio_bound", 4.0),
         plateau_fraction=number("harness", "plateau_fraction", 0.1),
         wall_delta=number("harness", "wall_delta", 0.1),
-        uniqueness_tol=number("harness", "uniqueness_tol", 1e-6),
-    )
-    ny = number("grid", "ny", 65, int)
-    policy = eh.GridPolicy(
-        target_hx=number("harness", "target_hx", 0.125),
-        ny=ny,
-        pad_factor=number("harness", "pad_factor", 2.0),
     )
     grid_window = (
         number("grid", "a", -10.0),
         number("grid", "b", 10.0),
         number("grid", "nx", 513, int),
-        ny,
+        number("grid", "ny", 65, int),
     )
     if grid_window[1] <= grid_window[0]:
         errors.append(ValidationError("[grid]", "need b > a"))
+    target_hx = number("harness", "target_hx", 0.125)
+    pad_factor = number("harness", "pad_factor", 2.0)
 
     t_list = number("harness", "t_list", [5.0, 10.0, 20.0, 40.0])
     t_range = number("harness", "t_range", [10.0, 40.0])
@@ -288,11 +279,14 @@ def parse_scenario(path, environ=None):
     out_dir = Path(str(fetch("output", "dir", "out")))
     seed = number("output", "seed", 1234, int)
 
-    comparison = dict(sections.get("comparison", {}))
+    comparison = {"file": fetch("comparison", "file")}
     for key, default in (("c1", 0.0), ("c2", 1.0), ("exponent", 1.5),
                          ("delta1", 0.5)):
         comparison[key] = number("comparison", key, default)
 
+    errors += [ValidationError(f"[{sec}] {key}", "unknown key")
+               for sec, keys in sections.items() for key in keys
+               if (sec, key) not in read]
     if errors:
         raise ValidationError(
             "scenario", "; ".join(str(e) for e in errors)
@@ -303,8 +297,9 @@ def parse_scenario(path, environ=None):
         params=params,
         solver=solver,
         thresholds=thresholds,
-        policy=policy,
         grid_window=grid_window,
+        target_hx=target_hx,
+        pad_factor=pad_factor,
         t_list=t_list,
         t_range=(t_range[0], t_range[-1]),
         x_max=x_max,
@@ -312,7 +307,6 @@ def parse_scenario(path, environ=None):
         out_dir=out_dir,
         seed=seed,
         comparison=comparison,
-        raw=sections,
     )
 
 
@@ -637,8 +631,7 @@ def _run_growth(sc, out, quiet):
         sc.profile, sc.params, max(sc.t_list), sc.policy, sc.solver
     )
     rep = eh.growth_scan(
-        sc.profile, sc.params.phi, sc.t_list, thresholds=sc.thresholds,
-        state=state,
+        sc.profile, sc.params.phi, sc.t_list, state, thresholds=sc.thresholds
     )
     artifacts = [
         write_csv(
@@ -706,9 +699,11 @@ def _write_verdicts(path, verdicts, quiet):
 
 
 def _run_decay(sc, out, quiet):
+    state, _ = eh.padded_solve(
+        sc.profile, sc.params, sc.t_range[-1], sc.policy, sc.solver
+    )
     rep = eh.decay_scan(
-        sc.profile, sc.params.phi, sc.t_range, policy=sc.policy,
-        config=sc.solver, params=sc.params, thresholds=sc.thresholds,
+        sc.profile, sc.params.phi, sc.t_range, state, thresholds=sc.thresholds
     )
     artifacts = [
         write_csv(
@@ -742,9 +737,13 @@ def _run_decay(sc, out, quiet):
 
 
 def _run_poiseuille(sc, out, quiet):
+    eh.plateau_windows(sc.outlet_k, sc.t_list)  # rejects empty windows unsolved
+    state, _ = eh.padded_solve(
+        sc.profile, sc.params, max(sc.t_list), sc.policy, sc.solver
+    )
     rep = eh.poiseuille_convergence(
-        sc.profile, sc.params.phi, sc.outlet_k, sc.t_list, policy=sc.policy,
-        config=sc.solver, params=sc.params, thresholds=sc.thresholds,
+        sc.profile, sc.params.phi, sc.outlet_k, sc.t_list, state,
+        thresholds=sc.thresholds,
     )
     artifacts = [
         write_csv(
@@ -800,7 +799,7 @@ def _run_comparison(sc, out, quiet):
     cfg = sc.comparison
     psi = cl.separable_psi(c1=cfg["c1"], c2=cfg["c2"], exponent=cfg["exponent"])
     delta1 = cfg["delta1"]
-    if "file" in cfg:
+    if cfg["file"] is not None:
         problem = load_comparison_csv(cfg["file"], psi, delta1)
     else:
         ts, phi = cl.solve_majorant(psi, delta1, 2.0, 0.0, 2.0, step=1e-3)
@@ -874,7 +873,7 @@ def main(argv=None):
         prog="channellab",
         description="Numerical laboratory for steady channel flows",
     )
-    parser.add_argument("command", choices=SUBCOMMANDS)
+    parser.add_argument("command", choices=list(_PIPELINES))
     parser.add_argument("--scenario", required=True, help="scenario file path")
     parser.add_argument("--out", default=None, help="override output directory")
     parser.add_argument("--grid", default=None, help="override grid as nx,ny")

@@ -314,8 +314,7 @@ class BlowupReport:
     passes: bool
 
 
-def blowup_rate(t, z, psi, c0=None, m=None, tail_fraction=0.1, tol=0.05,
-                hyp_tol=0.02):
+def blowup_rate(t, z, psi, m=None, tail_fraction=0.1, tol=0.05, hyp_tol=0.02):
     """Fit the tail growth exponent of z and compare with m/(m-1).
 
     The hypothesis z <= Psi(z') is evaluated on the tail; when it holds,

@@ -1,11 +1,12 @@
 """Scenario-level scans that verify the channel-flow estimates at desk scale.
 
-Each scan runs one converged solve on a truncation padded past the
-reporting windows (the truncation ends carry carrier data, so verification
-windows stay clear of the end layers by a multiple of the local window
-scale beta* f), then extracts windowed energies, slice suprema, and ratio
-verdicts.  Thresholds quantify "bounded with unspecified constant" at desk
-scale and live in :class:`HarnessThresholds`.
+Each scan measures one given converged state, solved by
+:func:`padded_solve` on a truncation padded past the reporting windows (the
+truncation ends carry carrier data, so verification windows stay clear of
+the end layers by a multiple of the local window scale beta* f), and
+extracts windowed energies, slice suprema, and ratio verdicts.  Thresholds
+quantify "bounded with unspecified constant" at desk scale and live in
+:class:`HarnessThresholds`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "uniqueness_probe",
     "hat_energy_inequality",
     "padded_solve",
+    "plateau_windows",
 ]
 
 
@@ -44,7 +46,6 @@ class GridPolicy:
 
     target_hx: float = 0.125
     ny: int = 65
-    nx_cap: int = 1201
     pad_factor: float = 2.0
 
     def nx_for(self, length):
@@ -52,7 +53,7 @@ class GridPolicy:
         nx = max(nx, 65)
         if nx % 2 == 0:
             nx += 1
-        return min(nx, self.nx_cap)
+        return nx
 
 
 @dataclass(frozen=True)
@@ -64,17 +65,14 @@ class HarnessThresholds:
     decay_ratio_bound: float = 4.0
     plateau_fraction: float = 0.1
     wall_delta: float = 0.1
-    uniqueness_tol: float = 1e-6
 
 
-def padded_solve(profile, params, t_max, policy=None, config=None):
+def padded_solve(profile, params, t_max, policy, config=ns.SolverConfig()):
     """Converged solve on a truncation padded beyond the reporting window.
 
     The pad is pad_factor * beta* f at each end, so windows up to +-t_max
     sit at least one window scale inside the carrier end layers.
     """
-    policy = policy or GridPolicy()
-    config = config or ns.SolverConfig()
     metrics = geo.validate(profile, (-t_max - 1.0, t_max + 1.0))
     bs = metrics.beta_star
     lo, hi = -t_max, t_max
@@ -115,16 +113,11 @@ class GrowthReport:
             }
 
 
-def growth_scan(profile, phi, t_list, policy=None, config=None, params=None,
-                thresholds=None, state=None):
-    """D(t) against 1 + I(t) and phi^2 I(t) from one converged solve."""
-    thresholds = thresholds or HarnessThresholds()
+def growth_scan(profile, phi, t_list, state, thresholds=HarnessThresholds()):
+    """D(t) against 1 + I(t) and phi^2 I(t) on the converged ``state``."""
     t_list = sorted(float(t) for t in t_list)
     if any(t <= 0 for t in t_list):
         raise OutOfRange("t values must be positive")
-    params = params or fc.CarrierParams(phi)
-    if state is None:
-        state, _ = padded_solve(profile, params, t_list[-1], policy, config)
 
     d_vals = [ns.dirichlet_energy(state, -t, t) for t in t_list]
     i_vals = [geo.weight_integral(profile, -t, t, -3.0) for t in t_list]
@@ -187,20 +180,18 @@ class DecayReport:
             }
 
 
-def decay_scan(profile, phi, t_range, policy=None, config=None, params=None,
-               thresholds=None, state=None, n_slices=17, n_windows=7):
-    """f * sup|u| per slice and f^2-weighted window energies.
+_DECAY_SLICES, _DECAY_WINDOWS = 17, 7  # sampled slices, energy windows
+
+
+def decay_scan(profile, phi, t_range, state, thresholds=HarnessThresholds()):
+    """f * sup|u| per slice and f^2-weighted window energies on ``state``.
 
     Requires the uniqueness-condition hypotheses; if they fail the scan
     still runs and the verdicts are informational only.
     """
-    thresholds = thresholds or HarnessThresholds()
     t_lo, t_hi = float(t_range[0]), float(t_range[-1])
-    params = params or fc.CarrierParams(phi)
     classification = geo.classify(profile)
     hypothesis = classification.condition_16 or classification.condition_17
-    if state is None:
-        state, _ = padded_solve(profile, params, t_hi, policy, config)
     metrics = geo.validate(profile, (-t_hi - 1.0, t_hi + 1.0))
     bs = metrics.beta_star
     delta = thresholds.wall_delta
@@ -208,8 +199,8 @@ def decay_scan(profile, phi, t_range, policy=None, config=None, params=None,
     grid = state.grid
     speed = np.hypot(state.u1, state.u2)
     xs = np.concatenate(
-        [np.linspace(-t_hi, -t_lo, n_slices // 2 + 1),
-         np.linspace(t_lo, t_hi, n_slices // 2 + 1)]
+        [np.linspace(-t_hi, -t_lo, _DECAY_SLICES // 2 + 1),
+         np.linspace(t_lo, t_hi, _DECAY_SLICES // 2 + 1)]
     )
     sup_all, sup_int, sup_wall = [], [], []
     for x in xs:
@@ -221,7 +212,7 @@ def decay_scan(profile, phi, t_range, policy=None, config=None, params=None,
         sup_int.append(fx * float(col[interior].max()))
         sup_wall.append(fx * float(col[~interior].max()))
 
-    win_t = list(np.linspace(t_lo, t_hi, n_windows))
+    win_t = list(np.linspace(t_lo, t_hi, _DECAY_WINDOWS))
     win_e = []
     for t in win_t:
         w = bs * float(profile.width(t))
@@ -277,9 +268,20 @@ class PoiseuilleReport:
             }
 
 
-def poiseuille_convergence(profile, phi, k, t_list, policy=None, config=None,
-                           params=None, thresholds=None, state=None):
-    """H1 distance to the outlet shear flow on growing windows.
+def plateau_windows(k, t_list):
+    """The sorted window ends T; the plateau needs two of them beyond k."""
+    t_list = sorted(float(t) for t in t_list)
+    if len(t_list) >= 2 and t_list[-2] <= k:
+        raise OutOfRange(
+            f"the plateau needs two windows beyond k = {k}, but the "
+            f"second-largest T is {t_list[-2]}"
+        )
+    return t_list
+
+
+def poiseuille_convergence(profile, phi, k, t_list, state,
+                           thresholds=HarnessThresholds()):
+    """H1 distance to the outlet shear flow on growing windows of ``state``.
 
     The reference flow is carried by its streamfunction and differentiated
     with the same discrete operators as the computed state, so the shared
@@ -288,16 +290,7 @@ def poiseuille_convergence(profile, phi, k, t_list, policy=None, config=None,
     second-largest to the largest window stays below plateau_fraction of
     the former.
     """
-    thresholds = thresholds or HarnessThresholds()
-    t_list = sorted(float(t) for t in t_list)
-    if len(t_list) >= 2 and t_list[-2] <= k:
-        raise OutOfRange(
-            f"the plateau needs two windows beyond k = {k}, but the "
-            f"second-largest T is {t_list[-2]}"
-        )
-    params = params or fc.CarrierParams(phi)
-    if state is None:
-        state, _ = padded_solve(profile, params, t_list[-1], policy, config)
+    t_list = plateau_windows(k, t_list)
     grid = state.grid
 
     c1 = float(profile.f1(t_list[-1]))
@@ -306,7 +299,7 @@ def poiseuille_convergence(profile, phi, k, t_list, policy=None, config=None,
     cen = 0.5 * (c1 + c2)
     zeta = (grid.x2 - cen) / hw
     psi_ref = phi * (0.75 * (zeta - zeta**3 / 3.0) + 0.5)
-    ref = ns._state_from_fields(grid, profile, params, psi_ref,
+    ref = ns._state_from_fields(grid, profile, state.params, psi_ref,
                                 np.zeros_like(psi_ref))
 
     d1u1, d2u1, d1u2, d2u2 = ns.velocity_gradients(state)
@@ -394,14 +387,18 @@ def _perturbed_solve(profile, params, a, b, nx, ny, config, seed):
     return ns._picard(state, params, profile, config, ws)
 
 
-def uniqueness_probe(profile, phi, a, b, nx=257, ny=65, config=None,
-                     params=None, thresholds=None, seed=7):
+# both starts are solved far below the distance bound, so a distance above
+# it is a second solution, not solver noise
+_UNIQUENESS_SOLVER = ns.SolverConfig(tol=1e-12, max_iter=120)
+_UNIQUENESS_TOL = 1e-6
+
+
+def uniqueness_probe(profile, phi, a, b, nx=257, ny=65, seed=7):
     """Compare the Stokes-started and perturbation-started solutions."""
-    thresholds = thresholds or HarnessThresholds()
-    config = config or ns.SolverConfig(tol=1e-12, max_iter=120)
-    params = params or fc.CarrierParams(phi)
-    base = ns.solve_steady(profile, params, a, b, nx, ny, config)
-    other = _perturbed_solve(profile, params, a, b, nx, ny, config, seed)
+    params = fc.CarrierParams(phi)
+    base = ns.solve_steady(profile, params, a, b, nx, ny, _UNIQUENESS_SOLVER)
+    other = _perturbed_solve(profile, params, a, b, nx, ny, _UNIQUENESS_SOLVER,
+                             seed)
 
     wq = base.grid.wq
     du1 = base.u1 - other.u1
@@ -418,7 +415,7 @@ def uniqueness_probe(profile, phi, a, b, nx=257, ny=65, config=None,
     else:
         l2 = l2_diff / max(l2_base, 1e-300)
         dd = e_diff / max(e_base, 1e-300)
-    unique = bool(max(l2, dd) <= thresholds.uniqueness_tol)
+    unique = bool(max(l2, dd) <= _UNIQUENESS_TOL)
     return UniquenessReport(
         profile=profile.label(),
         phi=phi,

@@ -325,7 +325,6 @@ class CarrierReport:
     volume_integral: float
     weight_integral_f3: float
     volume_ratio: float
-    flux_error: float
 
 
 def support_and_bounds_report(
@@ -339,7 +338,7 @@ def support_and_bounds_report(
     if rng is None:
         rng = np.random.default_rng(0)
     a, b = float(window[0]), float(window[1])
-    eps, phi = params.epsilon, params.phi
+    eps = params.epsilon
 
     x1s = np.linspace(a, b, n_x)
     violations = 0
@@ -385,9 +384,6 @@ def support_and_bounds_report(
     from .geometry import weight_integral
 
     wint = weight_integral(profile, a, b, -3.0)
-    flux_err = 0.0
-    for x1 in np.linspace(a, b, 9):
-        flux_err = max(flux_err, abs(slice_flux(params, profile, x1) - phi))
 
     return CarrierReport(
         n_support_points=checked,
@@ -397,7 +393,6 @@ def support_and_bounds_report(
         volume_integral=vol,
         weight_integral_f3=wint,
         volume_ratio=vol / wint if wint > 0 else math.inf,
-        flux_error=flux_err,
     )
 
 

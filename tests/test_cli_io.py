@@ -12,7 +12,12 @@ from channellab import comparison_lemmas as cl
 from channellab import flux_carrier as fc
 from channellab import geometry as geo
 from channellab import ns_solver as ns
-from channellab.errors import LemmaViolation, ParseError, ValidationError
+from channellab.errors import (
+    LemmaViolation,
+    OutOfRange,
+    ParseError,
+    ValidationError,
+)
 
 
 def write_scenario(tmp_path, body, name="case.scn"):
@@ -108,6 +113,30 @@ class TestParsing:
             path, environ={"CHANNELLAB_SOLVER__TOL": "1e-7"}
         )
         assert sc.solver.tol == 1e-7
+
+    def test_unknown_keys_reported_together(self, tmp_path):
+        body = MINIMAL.format(out=tmp_path / "o") + (
+            "\n[solver]\ntolerance = 1e-12\n[profile]\nd1 = 2\n"
+            "[harness]\nuniqueness_tol = 1e-6\n[carrier]\nepsilon = 1.5\n"
+        )
+        path = write_scenario(tmp_path, body)
+        with pytest.raises(ValidationError) as err:
+            cli_io.parse_scenario(
+                path, environ={"CHANNELLAB_SOLVR__TOL": "1e-3",
+                               "CHANNELLAB_SOLVER__TOL": "1e-7"}
+            )
+        msg = str(err.value)
+        for key in ("[solver] tolerance", "[solvr] tol", "[profile] d1",
+                    "[harness] uniqueness_tol"):
+            assert f"{key}: unknown key" in msg
+        assert "epsilon" in msg and "[solver] tol:" not in msg
+
+    def test_bundled_scenarios_parse(self):
+        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+        paths = sorted(scenarios.glob("*.scn"))
+        assert len(paths) == 4
+        for path in paths:
+            cli_io.parse_scenario(path, environ={})
 
     def test_linear_solver_key(self, tmp_path):
         body = MINIMAL.format(out=tmp_path / "o") + "\n[solver]\n"
@@ -222,6 +251,35 @@ class TestRun:
         path = self.scenario(tmp_path)
         sc = cli_io.parse_scenario(path, environ={})
         assert cli_io.run("growth-scan", sc, scenario_path=path, quiet=True) == 1
+
+    def test_grid_option_sizes_scans(self, tmp_path, monkeypatch):
+        # --grid nx,ny: the scans keep nx from target_hx and take the ny
+        policies = []
+
+        def capture(profile, params, t_max, policy, config):
+            policies.append(policy)
+            raise OutOfRange("captured")
+
+        monkeypatch.setattr(cli_io.eh, "padded_solve", capture)
+        body = MINIMAL.format(out=tmp_path / "out") + "\n[harness]\noutlet_k = 0.5\n"
+        path = write_scenario(tmp_path, body)
+        for command in ("growth-scan", "decay-scan", "poiseuille"):
+            argv = [command, "--scenario", str(path), "--grid", "65,9", "--quiet"]
+            assert cli_io.main(argv) == 1
+        assert policies == [cli_io.eh.GridPolicy(target_hx=0.25, ny=9)] * 3
+
+    def test_poiseuille_rejects_t_list_before_solving(self, tmp_path,
+                                                      monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking t_list")
+
+        monkeypatch.setattr(cli_io.eh, "padded_solve", no_solve)
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "t_list = 1, 2", "t_list = 2, 4, 8\noutlet_k = 4"
+        )
+        sc = cli_io.parse_scenario(write_scenario(tmp_path, body), environ={})
+        assert cli_io.run("poiseuille", sc) == 1
+        assert "two windows" in capsys.readouterr().err
 
     def test_solve_writes_field_and_history(self, tmp_path):
         path = self.scenario(tmp_path)

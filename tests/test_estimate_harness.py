@@ -22,7 +22,8 @@ def small_power_report(power_half):
 class TestGrowthScan:
     def test_straight_channel_matches_analytic_ratio(self, straight):
         # per unit length: dissipation 3/2 phi^2, weight 1/8 -> ratio 12
-        rep = eh.growth_scan(straight, 1.0, [2, 4, 6], policy=SMALL)
+        state, _ = eh.padded_solve(straight, fc.CarrierParams(1.0), 6.0, SMALL)
+        rep = eh.growth_scan(straight, 1.0, [2, 4, 6], state=state)
         assert rep.lower_ratio[-1] == pytest.approx(12.0, rel=0.02)
         assert all(rep.verdicts.values())
 
@@ -46,13 +47,14 @@ class TestGrowthScan:
 
     def test_invalid_t(self, straight):
         with pytest.raises(OutOfRange):
-            eh.growth_scan(straight, 1.0, [-1, 2], policy=SMALL)
+            eh.growth_scan(straight, 1.0, [-1, 2], state=None)
 
 
 class TestDecayScan:
     def test_straight_channel_constant_product(self, straight):
         # Poiseuille maximum 3 phi/4 at the center, width 2: product 3/2
-        rep = eh.decay_scan(straight, 1.0, (2, 5), policy=SMALL)
+        state, _ = eh.padded_solve(straight, fc.CarrierParams(1.0), 5.0, SMALL)
+        rep = eh.decay_scan(straight, 1.0, (2, 5), state=state)
         assert rep.slice_sup[0] == pytest.approx(1.5, rel=0.02)
         assert rep.sup_spread <= 1.05
 
@@ -83,33 +85,33 @@ class TestDecayScan:
 class TestPoiseuilleConvergence:
     def test_bump_profile_plateaus(self):
         p = geo.straight_outlet(c1=-1, c2=1, amp=0.5, k=4.0)
-        rep = eh.poiseuille_convergence(
-            p, 0.5, 4.0, [6, 10, 14], policy=eh.GridPolicy(0.1, 33)
+        state, _ = eh.padded_solve(
+            p, fc.CarrierParams(0.5), 14.0, eh.GridPolicy(0.1, 33)
         )
+        rep = eh.poiseuille_convergence(p, 0.5, 4.0, [6, 10, 14], state=state)
         assert rep.plateau_ok
         assert rep.tail_decreasing
 
     def test_straight_everywhere_error_is_floor(self, straight):
-        rep = eh.poiseuille_convergence(
-            straight, 0.5, 0.0, [4, 8], policy=eh.GridPolicy(0.1, 33)
+        state, _ = eh.padded_solve(
+            straight, fc.CarrierParams(0.5), 8.0, eh.GridPolicy(0.1, 33)
         )
+        rep = eh.poiseuille_convergence(straight, 0.5, 0.0, [4, 8], state=state)
         assert max(rep.h1_error) < 1e-6
         assert rep.plateau_ok
 
     def test_zero_flux(self, straight):
-        rep = eh.poiseuille_convergence(
-            straight, 0.0, 0.0, [3, 6], policy=eh.GridPolicy(0.125, 17)
+        state, _ = eh.padded_solve(
+            straight, fc.CarrierParams(0.0), 6.0, eh.GridPolicy(0.125, 17)
         )
+        rep = eh.poiseuille_convergence(straight, 0.0, 0.0, [3, 6], state=state)
         assert max(rep.h1_error) == 0.0
 
-    def test_empty_window_rejected_before_solving(self, straight, monkeypatch):
-        # T = 2 and T = 4 give empty windows k < x1 < T at k = 4
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solved before checking t_list")
-
-        monkeypatch.setattr(eh, "padded_solve", no_solve)
+    def test_empty_window_rejected_before_solving(self, straight):
+        # T = 2 and T = 4 give empty windows k < x1 < T at k = 4; the
+        # command line runs the same check before its solve
         with pytest.raises(OutOfRange) as err:
-            eh.poiseuille_convergence(straight, 1.0, 4.0, [8, 2, 4])
+            eh.poiseuille_convergence(straight, 1.0, 4.0, [8, 2, 4], state=None)
         assert "4.0" in str(err.value) and "two windows" in str(err.value)
 
 
