@@ -3,21 +3,22 @@
 Shared by the pressure recovery and the functional-inequality estimators.
 Nodes are the mapped-grid nodes ordered idx = i*ny + j; elements are the
 grid cells, integrated isoparametrically with 2x2 Gauss.  Also holds the
-eigen helper for the 1D P1 stiffness/mass pencils of the slice constants.
+one eigen helper behind every inequality constant (shift-invert Lanczos
+with a residual-checked acceptance) and its wrapper for the tridiagonal
+1D P1 pencils of the slice constants.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_banded
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .errors import EigenFailure
 
 _G = 1.0 / np.sqrt(3.0)
 _GAUSS = [(-_G, -_G), (_G, -_G), (_G, _G), (-_G, _G)]
+_EIGEN_RTOL = 1e-10
 
 
 def _shape(xi, eta):
@@ -132,36 +133,37 @@ def assemble_div(x, y, nx, ny):
     return B1, B2
 
 
-def _tri_apply(d, o, v):
-    """Symmetric tridiagonal (diagonal d, off-diagonal o) times v."""
-    out = d * v
-    out[:-1] += o * v[1:]
-    out[1:] += o * v[:-1]
-    return out
+def smallest_eigenpair(M, solve):
+    """Smallest lam of K v = lam M v, given M and solve = K^(-1).
+
+    Shift-invert Lanczos (ARPACK mode 3, sigma 0) from a seeded start, so
+    reruns are byte-identical; only solve and M are applied, never K.  The
+    pair is accepted only if ||lam solve(M v) - v|| <= 1e-10 ||v||;
+    otherwise, and on any ARPACK error, :class:`EigenFailure` is raised.
+    """
+    n = M.shape[0]
+    op = LinearOperator((n, n), matvec=solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        # in shift-invert mode the first argument is read for its shape only
+        vals, vecs = eigsh(M, k=1, M=M, sigma=0.0, OPinv=op, v0=v0)
+    except ArpackError as exc:
+        raise EigenFailure(f"shift-invert Lanczos failed: {exc}") from exc
+    lam, v = float(vals[0]), vecs[:, 0]
+    residual = np.linalg.norm(lam * solve(M @ v) - v) / np.linalg.norm(v)
+    if not residual <= _EIGEN_RTOL:
+        raise EigenFailure(
+            f"eigenpair residual {residual:.3e} above {_EIGEN_RTOL:.0e} (lam {lam:.6e})"
+        )
+    return lam, v
 
 
-def tridiagonal_pencil_max(dK, oK, dM, oM, seed, tol, max_iter):
+def tridiagonal_pencil_max(dK, oK, dM, oM):
     """Largest lam of M v = lam K v for symmetric tridiagonal 1D P1 pencils.
 
-    (dK, oK) and (dM, oM) are diagonals and off-diagonals, K positive
-    definite.  Seeded inverse iteration on K until the Rayleigh quotient
-    changes by at most tol relative; raises :class:`EigenFailure` on a
-    collapse to zero or after max_iter steps.
+    (dK, oK) and (dM, oM) are diagonals and off-diagonals, K positive definite.
     """
-    ab = np.array([np.r_[0.0, oK], dK, np.r_[oK, 0.0]])
-    v = np.random.default_rng(seed).standard_normal(dK.size)
-    lam, step = 0.0, math.inf
-    for _ in range(max_iter):
-        v = solve_banded((1, 1), ab, _tri_apply(dM, oM, v))
-        nrm = math.sqrt(abs(v @ _tri_apply(dM, oM, v)))
-        if nrm == 0.0:
-            raise EigenFailure("tridiagonal inverse iteration collapsed to zero")
-        v /= nrm
-        lam_new = float(v @ _tri_apply(dM, oM, v)) / float(v @ _tri_apply(dK, oK, v))
-        step, lam = abs(lam_new - lam), lam_new
-        if step <= tol * max(abs(lam), 1e-300):
-            return lam
-    raise EigenFailure(
-        f"tridiagonal inverse iteration not converged after {max_iter} iterations "
-        f"(last relative change {step / max(abs(lam), 1e-300):.3e}, tol {tol:.1e})"
-    )
+    K = sparse.diags([oK, dK, oK], [-1, 0, 1], format="csc")
+    M = sparse.diags([oM, dM, oM], [-1, 0, 1], format="csr")
+    lam, _ = smallest_eigenpair(M, splu(K).solve)
+    return 1.0 / lam

@@ -31,7 +31,7 @@ class NonConvergence(ChannelLabError):
 
 
 class EigenFailure(ChannelLabError):
-    """Eigenvalue iteration stagnated."""
+    """Eigen solve failed or returned a pair that fails its residual check."""
 
 
 class AscentStagnation(ChannelLabError):
@@ -40,10 +40,6 @@ class AscentStagnation(ChannelLabError):
 
 class SaddleSolveFailure(ChannelLabError):
     """Constrained (saddle-point) solve failed."""
-
-
-class NonZeroMean(ChannelLabError):
-    """Right-hand side of the divergence problem is not mean-zero."""
 
 
 class NonMonotoneSamples(ChannelLabError):

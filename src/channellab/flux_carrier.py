@@ -411,7 +411,8 @@ def weighted_inequality_constant(params, profile, x1, n_coarse=200, n_band=2400)
     discretized in the log coordinate tau = -ln(2A/f).  In these variables
     every matrix entry is O(1) regardless of epsilon; a direct physical
     discretization loses the eigenvalue to conditioning once the band gets
-    thin.  Solved by power iteration on the tridiagonal pencil.
+    thin.  Solved by the shift-invert eigen helper on the tridiagonal
+    pencil.
     """
     if params.phi <= 0.0:
         return 0.0
@@ -473,6 +474,5 @@ def weighted_inequality_constant(params, profile, x1, n_coarse=200, n_band=2400)
 
     # Dirichlet at both ends
     return tridiagonal_pencil_max(
-        diag_K[1:-1], off_K[1:-1], diag_M[1:-1], off_M[1:-1],
-        seed=1234, tol=1e-13, max_iter=400,
+        diag_K[1:-1], off_K[1:-1], diag_M[1:-1], off_M[1:-1]
     )

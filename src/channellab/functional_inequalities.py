@@ -17,8 +17,13 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from ._fem import assemble_div, assemble_q1, tridiagonal_pencil_max
-from .errors import AscentStagnation, EigenFailure, NonZeroMean, SaddleSolveFailure
+from ._fem import (
+    assemble_div,
+    assemble_q1,
+    smallest_eigenpair,
+    tridiagonal_pencil_max,
+)
+from .errors import AscentStagnation, EigenFailure, SaddleSolveFailure
 from .geometry import make_grid, weight_integral
 
 __all__ = [
@@ -82,48 +87,17 @@ def _wall_mask(nx, ny, dirichlet_ends=False):
     return mask
 
 
-def _smallest_eigenvalue(K, M, free, tol=1e-8, max_iter=400, seed=0):
-    """Smallest eigenvalue of K w = lam M w on the free nodes.
-
-    Inverse power iteration (factorize K once) is the fast path; on long
-    domains the low end of the spectrum clusters (near-continuum of
-    along-channel modes) and the single-vector iteration stalls, so a
-    preconditioned block solve takes over.
-    """
-    Kf = K[free][:, free].tocsc()
-    Mf = M[free][:, free].tocsr()
+def _laplace_eigenvalue(profile, a, b, nx, ny, dirichlet_ends):
+    """Smallest Laplace eigenvalue on the free nodes of an nx x ny grid."""
+    _, x, y = _grid_nodes(profile, a, b, nx, ny)
+    K, M, _ = assemble_q1(x, y, nx, ny)
+    free = ~_wall_mask(nx, ny, dirichlet_ends)
     try:
-        lu = splu(Kf)
+        lu = splu(K[free][:, free].tocsc())
     except RuntimeError as exc:
         raise EigenFailure(str(exc)) from exc
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(Kf.shape[0])
-    lam_old = math.inf
-    for _ in range(max_iter):
-        v = lu.solve(Mf @ v)
-        nrm = math.sqrt(abs(v @ (Mf @ v)))
-        if nrm == 0.0:
-            raise EigenFailure("inverse iteration collapsed to zero")
-        v /= nrm
-        lam = float(v @ (Kf @ v)) / float(v @ (Mf @ v))
-        if abs(lam - lam_old) <= tol * abs(lam):
-            return lam, v
-        lam_old = lam
-
-    from scipy.sparse.linalg import LinearOperator, lobpcg
-
-    n = Kf.shape[0]
-    block = min(6, n)
-    X = rng.standard_normal((n, block))
-    prec = LinearOperator((n, n), matvec=lu.solve)
-    with np.errstate(all="ignore"):
-        vals, vecs = lobpcg(
-            Kf, X, B=Mf, M=prec, largest=False, tol=1e-10, maxiter=500
-        )
-    if vals.size == 0 or not np.all(np.isfinite(vals)):
-        raise EigenFailure(f"eigen iteration stagnated at {lam_old}")
-    k = int(np.argmin(vals))
-    return float(vals[k]), vecs[:, k]
+    lam, _ = smallest_eigenpair(M[free][:, free].tocsr(), lu.solve)
+    return lam
 
 
 def poincare_m1(profile, a, b, resolution=(129, 65), dirichlet_ends=False):
@@ -134,17 +108,10 @@ def poincare_m1(profile, a, b, resolution=(129, 65), dirichlet_ends=False):
     all-Dirichlet mode.
     """
     nx, ny = resolution
-    grid, x, y = _grid_nodes(profile, a, b, nx, ny)
-    K, M, _ = assemble_q1(x, y, nx, ny)
-    free = ~_wall_mask(nx, ny, dirichlet_ends)
-    lam, _ = _smallest_eigenvalue(K, M, free)
-
-    nx2, ny2 = (nx // 2 + 1, ny // 2 + 1)
-    grid2, x2, y2 = _grid_nodes(profile, a, b, nx2, ny2)
-    K2, M2, _ = assemble_q1(x2, y2, nx2, ny2)
-    lam2, _ = _smallest_eigenvalue(K2, M2, ~_wall_mask(nx2, ny2, dirichlet_ends))
-    value = lam ** -0.5
-    coarse = lam2 ** -0.5
+    value, coarse = (
+        _laplace_eigenvalue(profile, a, b, n1, n2, dirichlet_ends) ** -0.5
+        for n1, n2 in ((nx, ny), (nx // 2 + 1, ny // 2 + 1))
+    )
     return ConstantEstimate(
         name=ConstantName.M1,
         value=value,
@@ -181,9 +148,7 @@ def _slice_m0(profile, x1, n):
     oM /= width**2
 
     # Dirichlet at both wall ends
-    lam = tridiagonal_pencil_max(
-        dK[1:-1], oK[1:-1], dM[1:-1], oM[1:-1], seed=3, tol=1e-12, max_iter=300
-    )
+    lam = tridiagonal_pencil_max(dK[1:-1], oK[1:-1], dM[1:-1], oM[1:-1])
     return math.sqrt(lam)
 
 
@@ -306,7 +271,7 @@ def _saddle_factor(x, y, nx, ny, stab=0.1):
         lu = splu(s)
     except RuntimeError as exc:
         raise SaddleSolveFailure(str(exc)) from exc
-    return lu, Kf, Mp, lumped, free, nf
+    return lu, Mp, lumped, nf
 
 
 def _saddle_apply(lu, nf, n, w_times_mass):
@@ -318,66 +283,32 @@ def _saddle_apply(lu, nf, n, w_times_mass):
     return a1, a2, lam
 
 
-def bogovskii_m5(profile, a, b, resolution=(49, 49), probes=6, power_iters=40,
-                 seed=0):
+def bogovskii_m5(profile, a, b, resolution=(49, 49)):
     """Estimate M5(D) = sup ||grad a|| / ||w|| over mean-zero w.
 
-    Random mean-zero probes bound the constant from below; power iteration
-    on the pressure Schur complement (each step one saddle solve) refines
-    the estimate to the discrete operator norm.
+    M5^2 is the largest eigenvalue of w -> -lambda(Mp w), the pressure
+    multiplier of one saddle solve projected to mean zero (the inverse
+    Schur complement), so M5 = lam^(-1/2) for the smallest eigenvalue lam
+    of the pencil it inverts.
     """
     nx, ny = resolution
     _, x, y = _grid_nodes(profile, a, b, nx, ny)
     n = x.size
-    lu, Kf, Mp, lumped, free, nf = _saddle_factor(x, y, nx, ny)
+    lu, Mp, lumped, nf = _saddle_factor(x, y, nx, ny)
     area = lumped.sum()
 
-    def project(w):
-        return w - (lumped @ w) / area
+    def solve(rhs):
+        z = -_saddle_apply(lu, nf, n, rhs)[2]
+        return z - (lumped @ z) / area
 
-    def grad_norm(a1, a2):
-        return math.sqrt(abs(a1 @ (Kf @ a1)) + abs(a2 @ (Kf @ a2)))
-
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(probes):
-        w = project(rng.standard_normal(n))
-        wn = math.sqrt(abs(w @ (Mp @ w)))
-        a1, a2, _ = _saddle_apply(lu, nf, n, Mp @ w)
-        best = max(best, grad_norm(a1, a2) / wn)
-
-    # power iteration on w -> -lambda(w) (the Schur complement inverse)
-    w = project(rng.standard_normal(n))
-    mu = 0.0
-    for _ in range(power_iters):
-        a1, a2, lam = _saddle_apply(lu, nf, n, Mp @ w)
-        z = project(-lam)
-        num = float(w @ (Mp @ z))
-        den = float(w @ (Mp @ w))
-        mu_new = abs(num / den)
-        nrm = math.sqrt(abs(z @ (Mp @ z)))
-        if nrm == 0.0:
-            break
-        w = z / nrm
-        if abs(mu_new - mu) <= 1e-10 * max(mu_new, 1e-300):
-            mu = mu_new
-            break
-        mu = mu_new
-    value = max(best, math.sqrt(mu))
+    lam, _ = smallest_eigenpair(Mp, solve)
     return ConstantEstimate(
         name=ConstantName.M5,
-        value=value,
+        value=lam ** -0.5,
         domain=f"{profile.label()}[{a},{b}]",
         method=Method.INF_SUP,
         resolution=(nx, ny),
     )
-
-
-def check_mean_zero(w, lumped, tol=1e-10):
-    if abs(lumped @ w) > tol * math.sqrt(abs(w @ (lumped * w))) * math.sqrt(
-        lumped.sum()
-    ):
-        raise NonZeroMean("right-hand side must have zero mean")
 
 
 def bogovskii_window_sweep(profile, beta_star, t_values, resolution=(33, 33)):

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh, null_space
 
 from channellab import functional_inequalities as fi
 from channellab import geometry as geo
-from channellab.errors import NonZeroMean
 
 
 class TestPoincareM1:
@@ -118,16 +118,31 @@ class TestBogovskii:
         vals = [e.value for e in sweep]
         assert max(vals) / min(vals) <= 1.10
 
-    def test_mean_zero_rejection(self):
-        lumped = np.ones(5)
-        with pytest.raises(NonZeroMean):
-            fi.check_mean_zero(np.ones(5), lumped)
+    def test_matches_dense_schur_reference(self):
+        # dense reference: the projected multiplier map G (one saddle solve
+        # per column) and eigh of Mp G Mp against Mp on the mean-zero
+        # complement; the largest eigenvalue is M5^2
+        p = geo.straight(c1=0.0, c2=1.0)
+        nx = ny = 25
+        _, x, y = fi._grid_nodes(p, 0, 1, nx, ny)
+        n = x.size
+        lu, Mp, lumped, nf = fi._saddle_factor(x, y, nx, ny)
+        G = -np.column_stack(
+            [fi._saddle_apply(lu, nf, n, e)[2] for e in np.eye(n)]
+        )
+        G -= np.outer(np.ones(n), lumped @ G) / lumped.sum()
+        Q = null_space(lumped[None, :])
+        Md = Mp.toarray()
+        A = Q.T @ Md @ G @ Md @ Q
+        ref = math.sqrt(eigh(0.5 * (A + A.T), Q.T @ Md @ Q, eigvals_only=True)[-1])
+        est = fi.bogovskii_m5(p, 0, 1, resolution=(nx, ny))
+        assert est.value == pytest.approx(ref, rel=1e-8)
 
     def test_zero_rhs_gives_zero_field(self):
         # div a = 0 with a = 0 on the boundary has only the zero minimizer
         p = geo.straight(c1=0.0, c2=1.0)
         _, x, y = fi._grid_nodes(p, 0, 1, 17, 17)
-        lu, Kf, Mp, lumped, free, nf = fi._saddle_factor(x, y, 17, 17)
+        lu, _, _, nf = fi._saddle_factor(x, y, 17, 17)
         a1, a2, _ = fi._saddle_apply(lu, nf, x.size, np.zeros(x.size))
         assert np.abs(a1).max() == 0.0 and np.abs(a2).max() == 0.0
 
