@@ -24,10 +24,12 @@ class LinearSolveFailure(ChannelLabError):
 class NonConvergence(ChannelLabError):
     """Nonlinear iteration failed to reach the residual tolerance."""
 
-    def __init__(self, message, best_residual=None, iterations=None):
+    def __init__(self, message, best_residual=None, iterations=None,
+                 factorizations=None):
         super().__init__(message)
         self.best_residual = best_residual
         self.iterations = iterations
+        self.factorizations = factorizations
 
 
 class EigenFailure(ChannelLabError):

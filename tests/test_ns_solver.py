@@ -4,6 +4,7 @@ import pytest
 from channellab import flux_carrier as fc
 from channellab import geometry as geo
 from channellab import ns_solver as ns
+from channellab._fem import assemble_q1
 from channellab.errors import NonConvergence, OutOfRange
 
 from conftest import poiseuille_psi, poiseuille_u1
@@ -87,6 +88,32 @@ class TestSolveSteady:
         with pytest.raises(NonConvergence) as info:
             ns.solve_steady(straight, carrier_unit, -6, 6, 97, 25, cfg)
         assert info.value.best_residual is not None
+
+    def test_stagnation_below_floor_raises_early(self, straight, carrier_unit):
+        # tol 1e-17 lies below the round-off floor: the chord loop must
+        # give up once the residual stops halving, not spin to max_iter
+        cfg = ns.SolverConfig(tol=1e-17)
+        with pytest.raises(NonConvergence) as info:
+            ns.solve_steady(straight, carrier_unit, -4, 4, 65, 17, cfg)
+        err = info.value
+        assert "Picard stalled" in str(err)
+        assert err.iterations <= cfg.max_iter // 3
+        assert err.best_residual > cfg.tol
+        assert 1 <= err.factorizations <= err.iterations
+
+    def test_chord_matches_plain_picard(self, power_half, carrier_unit):
+        # the chord loop converges to the fixed point of plain Picard steps
+        # that factor afresh every time
+        st = ns.solve_steady(power_half, carrier_unit, -8, 8, 129, 33,
+                             ns.SolverConfig(tol=1e-12))
+        ref = ns.solve_stokes(st.grid, carrier_unit, power_half)
+        for _ in range(20):
+            ref, res = ns.picard_step(ref, carrier_unit, power_half)
+            if res < 1e-11:
+                break
+        assert res < 1e-11
+        scale = np.abs(ref.psi).max()
+        assert np.abs(st.psi - ref.psi).max() <= 1e-10 * scale
 
     def test_converged_flag_and_history(self, poiseuille_state):
         assert poiseuille_state.converged
@@ -203,6 +230,14 @@ class TestPressure:
         )
         p = ns.pressure_recover(st)
         assert np.abs(p).max() < 1e-12
+
+    def test_lumped_mean_zero(self, power_state):
+        # the pinned-node solve is shifted to zero lumped-mass mean
+        p = ns.pressure_recover(power_state)
+        grid = power_state.grid
+        x = np.broadcast_to(grid.xi[:, None], p.shape).ravel()
+        _, _, lumped = assemble_q1(x, grid.x2.ravel(), grid.nx, grid.ny)
+        assert abs(lumped @ p.ravel()) / lumped.sum() < 1e-12
 
     def test_mean_zero_on_subdomain(self, poiseuille_state):
         p = ns.pressure_mean_zero(poiseuille_state, 0.0, 4.0)
