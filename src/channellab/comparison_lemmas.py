@@ -77,33 +77,32 @@ class PsiSpec:
         if y == 0.0:
             return 0.0
         if self.fn is None:
-            if self.c2 == 0.0:
-                return y / self.c1
-            if self.c1 == 0.0:
-                return (y / self.c2) ** (1.0 / self.exponent)
-        hi = 1.0
-        for _ in range(400):
-            if self(t, hi) >= y:
-                break
-            hi *= 2.0
+            c1, c2, m = float(self.c1), float(self.c2), float(self.exponent)
+            if c2 == 0.0:
+                return y / c1
+            if c1 == 0.0:
+                return (y / c2) ** (1.0 / m)
+            resid = lambda s: c1 * s + c2 * s**m - y
+            # at the root each term is <= y and one is >= y/2; widened by
+            # 1e-12 so rounding cannot put a root-side end on the wrong side
+            lo = min(y / (2.0 * c1), (y / (2.0 * c2)) ** (1.0 / m)) * (1.0 - 1e-12)
+            hi = min(y / c1, (y / c2) ** (1.0 / m)) * (1.0 + 1e-12)
         else:
-            raise RootBracketFailure(f"could not bracket Psi(t,s)={y}")
+            resid = lambda s: self(t, s) - y
+            lo, hi = 0.0, 1.0
+            for _ in range(400):
+                if self(t, hi) >= y:
+                    break
+                hi *= 2.0
+            else:
+                raise RootBracketFailure(f"could not bracket Psi(t,s)={y}")
         root = optimize.brentq(
-            lambda s: self(t, s) - y,
-            0.0,
-            hi,
-            xtol=1e-300,
-            rtol=4 * np.finfo(float).eps,
-            maxiter=300,
+            resid, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=300
         )
-        if self.fn is None and root > 0.0:
-            # one Newton polish against the closed form
+        if self.fn is None:
+            # Newton polish against the closed form
             for _ in range(2):
-                deriv = self.c1 + self.c2 * self.exponent * root ** (
-                    self.exponent - 1.0
-                )
-                if deriv > 0:
-                    root -= (float(self(t, root)) - y) / deriv
+                root -= resid(root) / (c1 + c2 * m * root ** (m - 1.0))
         return root
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "grad_g",
     "carrier_vorticity",
     "slice_flux",
-    "slice_carrier_density",
     "carrier_volume_integral",
     "support_and_bounds_report",
     "weighted_inequality_constant",
@@ -253,61 +252,57 @@ def carrier_vorticity(x, params, profile):
 # ---------------------------------------------------------------------------
 
 
-def _band_gauss_nodes(params, profile, x1, n_panels=32, n_gauss=8):
+_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _band_gauss_nodes(params, profile, x1, n_panels=32):
     """Gauss nodes in tau = -ln((f2-x2)/(f2-fbar)) covering the carrier band.
 
     The substitution x2 = f2 - (f/2) e^(-tau) makes the integrand smooth and
     O(1) however thin the band is; d x2 = A d tau.  Panels are aligned with
     the exact band edges (cutoff argument 1 and 0) where the quintic cutoff
-    is only C^1, so composite Gauss converges at full order.
+    is only C^1, so composite Gauss converges at full order.  ``x1`` may be
+    an array: x2 and the weights get one trailing axis of 8*n_panels nodes.
     """
     eps = params.epsilon
-    f2 = float(profile.f2(x1))
-    half = 0.5 * float(profile.width(x1))
+    x1 = np.asarray(x1, dtype=float)
+    f2 = np.asarray(profile.f2(x1), dtype=float)[..., None]
+    half = 0.5 * np.asarray(profile.width(x1), dtype=float)[..., None]
     tau_lo = math.log(2.0)                       # cutoff argument = 1
     tau_hi = 1.0 / eps + math.log1p(math.exp(-1.0 / eps))  # argument = 0
     edges = np.linspace(tau_lo, tau_hi, n_panels + 1)
-    nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
-    taus = []
-    ws = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        taus.append(mid + rad * nodes)
-        ws.append(rad * weights)
-    tau = np.concatenate(taus)
-    w = np.concatenate(ws)
-    x2 = f2 - half * np.exp(-tau)
+    mid, rad = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    tau = (mid[:, None] + rad[:, None] * _GL8_NODES).ravel()
+    w = (rad[:, None] * _GL8_WEIGHTS).ravel()
     jac = half * np.exp(-tau)  # = A = f2 - x2
-    return x2, w * jac
+    return f2 - jac, w * jac
 
 
-def slice_flux(params, profile, x1, n_panels=32, n_gauss=8):
+def slice_flux(params, profile, x1, n_panels=32):
     """Gauss quadrature of integral g1 dx2 over the cross-section at x1."""
-    x2, w = _band_gauss_nodes(params, profile, x1, n_panels, n_gauss)
+    x2, w = _band_gauss_nodes(params, profile, x1, n_panels)
     g = velocity_g((np.full_like(x2, float(x1)), x2), params, profile)
     return float(np.dot(w, g[:, 0]))
 
 
-def slice_carrier_density(params, profile, x1, n_panels=32, n_gauss=8):
-    """integral (|grad g|^2 + |g|^4) dx2 over the cross-section at x1."""
-    x2, w = _band_gauss_nodes(params, profile, x1, n_panels, n_gauss)
-    pts = (np.full_like(x2, float(x1)), x2)
-    g = velocity_g(pts, params, profile)
-    J = grad_g(pts, params, profile)
-    dens = (J**2).sum(axis=(-2, -1)) + (g**2).sum(axis=-1) ** 2
-    return float(np.dot(w, dens))
-
-
 def carrier_volume_integral(params, profile, a, b, n_x=256):
-    """integral over Omega_{a,b} of |grad g|^2 + |g|^4 (composite Gauss in x1)."""
-    nodes, weights = np.polynomial.legendre.leggauss(8)
+    """integral over Omega_{a,b} of |grad g|^2 + |g|^4 (composite Gauss in x1).
+
+    Each x1 panel is one (x1, tau) evaluation of its 8 x1 nodes times the
+    band nodes, which keeps the temporaries small.
+    """
     n_panels = max(8, int(n_x // 8))
     edges = np.linspace(a, b, n_panels + 1)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        for xn, wn in zip(mid + rad * nodes, rad * weights):
-            total += wn * slice_carrier_density(params, profile, xn)
+        x1 = mid + rad * _GL8_NODES
+        x2, w = _band_gauss_nodes(params, profile, x1)
+        pts = (np.broadcast_to(x1[:, None], x2.shape), x2)
+        g = velocity_g(pts, params, profile)
+        J = grad_g(pts, params, profile)
+        dens = (J**2).sum(axis=(-2, -1)) + (g**2).sum(axis=-1) ** 2
+        total += rad * float(_GL8_WEIGHTS @ (dens * w).sum(axis=-1))
     return total
 
 
@@ -339,41 +334,33 @@ def support_and_bounds_report(
         rng = np.random.default_rng(0)
     a, b = float(window[0]), float(window[1])
     eps = params.epsilon
-
-    x1s = np.linspace(a, b, n_x)
-    violations = 0
-    checked = 0
-    sup_fg = 0.0
-    sup_f2dg = 0.0
-    exp_inv = math.exp(1.0 / eps)
-    exp_minv = math.exp(-1.0 / eps)
-
-    for x1 in x1s:
+    checked, violations, sup_fg, sup_f2dg = 0, 0, 0.0, 0.0
+    # eight sections per evaluation, as in the volume integral: a single
+    # sweep over all of them left about 0.5 MB more resident at peak
+    for x1 in np.split(np.linspace(a, b, n_x), range(8, n_x, 8)):
         x2, _ = _band_gauss_nodes(params, profile, x1, n_panels=max(8, n_y // 8))
-        jitter = rng.uniform(-0.2, 0.2, size=x2.shape) * np.gradient(x2)
-        x2 = np.clip(x2 + jitter, profile.center(x1) + 1e-14, profile.f2(x1) - 1e-300)
-        pts = (np.full_like(x2, x1), x2)
+        f2 = np.asarray(profile.f2(x1), dtype=float)[:, None]
+        fbar = np.asarray(profile.center(x1), dtype=float)[:, None]
+        f = np.asarray(profile.width(x1), dtype=float)[:, None]
+        jitter = rng.uniform(-0.2, 0.2, size=x2.shape) * np.gradient(x2, axis=-1)
+        x2 = np.clip(x2 + jitter, fbar + 1e-14, f2 - 1e-300)
+        pts = (np.broadcast_to(x1[:, None], x2.shape), x2)
         g = velocity_g(pts, params, profile)
-        J = grad_g(pts, params, profile)
-        gn = np.hypot(g[:, 0], g[:, 1])
+        gn = np.hypot(g[..., 0], g[..., 1])
+        dg = np.sqrt((grad_g(pts, params, profile) ** 2).sum(axis=(-2, -1)))
         on_supp = gn > 0.0
+        A, B, tol = f2 - x2, x2 - fbar, 1e-12 * f
+        ok = (
+            (A <= B + tol)
+            & (B <= math.exp(1.0 / eps) * A + tol)
+            & (B >= f / 4.0 - tol)
+            & (B <= f / 2.0 + tol)
+            & (A >= math.exp(-1.0 / eps) * f / 4.0 - tol)
+        )
         checked += int(np.count_nonzero(on_supp))
-        if np.any(on_supp):
-            A = float(profile.f2(x1)) - x2[on_supp]
-            B = x2[on_supp] - float(profile.center(x1))
-            f = float(profile.width(x1))
-            tol = 1e-12 * f
-            ok = (
-                (A <= B + tol)
-                & (B <= exp_inv * A + tol)
-                & (B >= f / 4.0 - tol)
-                & (B <= f / 2.0 + tol)
-                & (A >= exp_minv * f / 4.0 - tol)
-            )
-            violations += int(np.count_nonzero(~ok))
-            sup_fg = max(sup_fg, f * float(gn[on_supp].max()))
-            dg = np.sqrt((J[on_supp] ** 2).sum(axis=(-2, -1)))
-            sup_f2dg = max(sup_f2dg, f * f * float(dg.max()))
+        violations += int(np.count_nonzero(on_supp & ~ok))
+        sup_fg = max(sup_fg, float(np.max(f * gn, where=on_supp, initial=0.0)))
+        sup_f2dg = max(sup_f2dg, float(np.max(f * f * dg, where=on_supp, initial=0.0)))
 
     if violations and raise_on_violation:
         raise BoundViolation(

@@ -377,36 +377,54 @@ def validate(profile, window, classify_case=False):
 # Weight integrals and the k/h parameterization
 # ---------------------------------------------------------------------------
 
+_QUAD_RTOL = 1e-13
+_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
 
 def weight_integral(profile, a, b, p):
-    """Adaptive quadrature of integral_a^b f(x)^p dx (relative 1e-10)."""
+    """Integral_a^b f(x)^p dx by adaptive 8-point Gauss-Legendre.
+
+    Seed panels: eight per block of :func:`_dyadic_blocks`, which splits at
+    0 (families built from |x| have a slope kink there) and grows
+    geometrically far out.  Every panel whose whole-panel and two-half
+    values disagree by more than 1e-13 relative is bisected, level by
+    level, so kinks are found wherever they are; each level is one
+    vectorised ``profile.width`` call.  Panels are not split below the
+    spacing of the floats around them.
+    """
     a, b = float(a), float(b)
     if a > b:
         raise OutOfRange(f"need a <= b, got ({a}, {b})")
     if a == b:
         return 0.0
-
-    def integrand(x):
-        return profile.width(x) ** p
-
-    # split at 0 (families built from |x| have a slope kink there) and into
-    # dyadic blocks far out so quad never sees a wildly scaled interval
-    cuts = [a, b]
-    if a < 0.0 < b:
-        cuts.insert(1, 0.0)
-    pieces = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        pieces.extend(_dyadic_blocks(lo, hi))
+    blocks = np.array(_dyadic_blocks(a, b))
+    edges = blocks[:, :1] + np.diff(blocks, axis=1) * np.linspace(0.0, 1.0, 9)
+    edges[:, -1] = blocks[:, 1]
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     total = 0.0
-    for lo, hi in pieces:
-        val, _ = integrate.quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12,
-                                limit=200)
-        total += val
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        whole, left, right = _gl8_panels(
+            profile, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]), p
+        ).reshape(3, -1)
+        two = left + right
+        split = (np.abs(two - whole) > _QUAD_RTOL * np.abs(two)) & (
+            mid - lo > 64.0 * np.spacing(np.abs(mid)))
+        total += float(np.sum(two[~split]))
+        # both halves of every split panel go on to the next level
+        lo, hi = np.stack([lo, mid, mid, hi])[:, split].reshape(2, -1)
     return total
 
 
+def _gl8_panels(profile, lo, hi, p):
+    """8-point Gauss-Legendre value of integral f^p on each panel [lo, hi]."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL8_NODES
+    return half * (profile.width(x) ** p @ _GL8_WEIGHTS)
+
+
 def _dyadic_blocks(lo, hi, start=64.0):
-    """Split [lo, hi] into blocks that grow geometrically away from 0."""
+    """Split [lo, hi] at 0 and into blocks that grow geometrically away from 0."""
     if hi <= lo:
         return []
     if lo >= 0.0:
@@ -436,32 +454,39 @@ def k_of(profile, t):
 
 
 def inverse_k(profile, t, bracket_start=1.0):
-    """Solve k(h) = t for h by bracketed root-finding on the monotone k."""
+    """Solve k(h) = t for h: bracket by x4 growth, then safeguarded Newton.
+
+    Newton uses k' = f^(-5/3) and advances k by the integral over each
+    step; a step that would leave the current bracket is replaced by
+    bisection.  Stops when the step is at most 1e-15 |h| or the bracket
+    has shrunk to that width.
+    """
     t = float(t)
     if t == 0.0:
         return 0.0
     sign = 1.0 if t > 0.0 else -1.0
+    target = abs(t)
+    lo, k_lo = 0.0, 0.0
     hi = bracket_start
-    val = k_of(profile, sign * hi)
+    k_hi = abs(k_of(profile, sign * hi))
     guard = 0
-    while abs(val) < abs(t):
-        hi *= 4.0
-        guard += 1
+    while k_hi < target:
+        lo, k_lo, hi, guard = hi, k_hi, 4.0 * hi, guard + 1
         if guard > 120 or hi > 1e280:
-            raise OutOfRange(
-                f"t={t:.6g} lies outside the range of k for this profile"
-            )
-        val = k_of(profile, sign * hi)
-    lo = 0.0
-    res = optimize.brentq(
-        lambda h: k_of(profile, sign * h) - t,
-        lo,
-        hi,
-        xtol=1e-300,
-        rtol=1e-14,
-        maxiter=200,
-    )
-    return sign * res
+            raise OutOfRange(f"t={t:.6g} lies outside the range of k for this profile")
+        k_hi = abs(k_of(profile, sign * hi))
+    h, k_h = (lo, k_lo) if target - k_lo <= k_hi - target else (hi, k_hi)
+    while hi - lo > 1e-15 * hi:
+        step = (target - k_h) * float(profile.width(sign * h)) ** (5.0 / 3.0)
+        if abs(step) <= 1e-15 * h:
+            return sign * (h + step)
+        new = h + step
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        span = weight_integral(profile, *sorted((sign * h, sign * new)), -5.0 / 3.0)
+        h, k_h = new, k_h + (span if new > h else -span)
+        lo, hi = (h, hi) if k_h < target else (lo, h)
+    return sign * h
 
 
 def h_parameterization(profile, t, beta_star=None):
@@ -623,21 +648,13 @@ def classify(profile, t0=64.0, n_windows=36):
     div3_r = _diverges(inc3_r)
     div3_l = _diverges(inc3_l)
 
-    sup_slope = []
-    for lo, hi in zip(edges_r[:-1], edges_r[1:]):
-        xs = np.linspace(lo, hi, 257)
-        sup_slope.append(
-            float(np.max(np.maximum(np.abs(profile.f1p(xs)), np.abs(profile.f2p(xs)))))
-        )
-    sup_slope = np.asarray(sup_slope)
+    def window_sup_slope(lo, hi):
+        xs = np.linspace(lo, hi, 257, axis=-1)
+        return np.max(np.maximum(np.abs(profile.f1p(xs)), np.abs(profile.f2p(xs))), axis=-1)
+
     # symmetric-profile shortcut is not assumed: sample the left too
-    sup_slope_l = []
-    for lo, hi in zip(edges_l[:-1], edges_l[1:]):
-        xs = np.linspace(-hi, -lo, 257)
-        sup_slope_l.append(
-            float(np.max(np.maximum(np.abs(profile.f1p(xs)), np.abs(profile.f2p(xs)))))
-        )
-    sup_slope_l = np.asarray(sup_slope_l)
+    sup_slope = window_sup_slope(edges_r[:-1], edges_r[1:])
+    sup_slope_l = window_sup_slope(-edges_l[1:], -edges_l[:-1])
 
     cond16 = bool(
         div3_r is True
@@ -725,9 +742,6 @@ class Grid:
     @property
     def hy(self):
         return 1.0 / (self.ny - 1)
-
-
-_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def window_weights(profile, xi, ny, a, b):

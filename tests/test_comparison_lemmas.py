@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from channellab import comparison_lemmas as cl
 from channellab.errors import (
     InsufficientTail,
     NonMonotoneSamples,
     OutOfRange,
+    RootBracketFailure,
 )
 
 
@@ -139,6 +141,55 @@ class TestInverse:
         assert lin.inverse(0.0, 3.0) == pytest.approx(1.5)
         pw = cl.separable_psi(c2=2.0, exponent=1.5)
         assert pw.inverse(0.0, 2.0) == pytest.approx(1.0)
+
+    def test_separable_matches_dense_bracket_reference(self):
+        rng = np.random.default_rng(11)
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            c1, c2 = 10.0 ** rng.uniform(-2, 2, size=2)
+            m = rng.uniform(1.05, 3.5)
+            psi = cl.separable_psi(c1=c1, c2=c2, exponent=m)
+            for y in 10.0 ** rng.uniform(-8, 4, size=5):
+                hi = 1.0
+                while c1 * hi + c2 * hi**m < y:
+                    hi *= 2.0
+                ref = optimize.brentq(lambda s: c1 * s + c2 * s**m - y, 0.0, hi,
+                                      xtol=1e-300, rtol=4 * eps, maxiter=300)
+                assert abs(psi.inverse(0.0, y) - ref) <= 4 * np.spacing(ref)
+
+    def test_separable_one_brentq_and_no_psi_calls(self, monkeypatch):
+        psi = cl.separable_psi(c1=0.7, c2=1.3, exponent=1.8)
+        calls = []
+        brentq = optimize.brentq
+
+        def counting_brentq(*args, **kwargs):
+            calls.append("brentq")
+            return brentq(*args, **kwargs)
+
+        def counting_call(self, t, s):
+            calls.append("psi")
+            return orig_call(self, t, s)
+
+        orig_call = cl.PsiSpec.__call__
+        monkeypatch.setattr(cl.optimize, "brentq", counting_brentq)
+        monkeypatch.setattr(cl.PsiSpec, "__call__", counting_call)
+        s = psi.inverse(0.0, 3.0)
+        assert calls == ["brentq"]
+        assert 0.7 * s + 1.3 * s**1.8 == pytest.approx(3.0, rel=1e-15)
+
+    def test_negative_y_rejected(self):
+        with pytest.raises(OutOfRange):
+            cl.separable_psi(c1=1.0, c2=1.0).inverse(0.0, -1e-12)
+        with pytest.raises(OutOfRange):
+            cl.PsiSpec(fn=lambda t, s: s).inverse(0.0, -1.0)
+
+    def test_fn_path_brackets_by_doubling(self):
+        psi = cl.PsiSpec(fn=lambda t, s: (1.0 + t) * np.asarray(s) ** 3)
+        for t, y in [(0.0, 8.0), (1.0, 2.0e6), (2.0, 1e-9)]:
+            s = psi.inverse(t, y)
+            assert (1.0 + t) * s**3 == pytest.approx(y, rel=1e-13)
+        with pytest.raises(RootBracketFailure):
+            cl.PsiSpec(fn=lambda t, s: 1e-300 * np.tanh(s)).inverse(0.0, 1.0)
 
 
 class TestFuzz:

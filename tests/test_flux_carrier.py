@@ -1,11 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from channellab import flux_carrier as fc
 from channellab import geometry as geo
+from channellab.cli_io import parse_scenario
 from channellab.errors import OutOfRange
+
+SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.scn"))
 
 
 def band_point(profile, params, x1, s):
@@ -214,12 +218,68 @@ class TestFluxAndSupport:
         assert math.isfinite(rep.sup_f2_grad_g)
         assert math.isfinite(rep.volume_ratio)
 
+    def test_report_matches_per_slice_loop(self, power_half):
+        """The report samples the same jittered points as a loop over x1."""
+        params = fc.CarrierParams(1.0, 0.5)
+        rng = np.random.default_rng(3)
+        checked, sup_fg, sup_f2dg = 0, 0.0, 0.0
+        for x1 in np.linspace(-5.0, 5.0, 64):
+            x2, _ = fc._band_gauss_nodes(params, power_half, x1)
+            x2 = x2 + rng.uniform(-0.2, 0.2, size=x2.shape) * np.gradient(x2)
+            x2 = np.clip(x2, power_half.center(x1) + 1e-14, power_half.f2(x1) - 1e-300)
+            pts = (np.full_like(x2, x1), x2)
+            gn = np.hypot(*fc.velocity_g(pts, params, power_half).T)
+            dg = np.sqrt((fc.grad_g(pts, params, power_half) ** 2).sum(axis=(-2, -1)))
+            f = float(power_half.width(x1))
+            checked += int(np.count_nonzero(gn > 0.0))
+            sup_fg = max(sup_fg, f * float(gn.max()))
+            sup_f2dg = max(sup_f2dg, f * f * float(dg[gn > 0.0].max()))
+        rep = fc.support_and_bounds_report(params, power_half, (-5.0, 5.0),
+                                           rng=np.random.default_rng(3))
+        assert (rep.n_support_points, rep.sup_f_g, rep.sup_f2_grad_g) == (
+            checked, sup_fg, sup_f2dg)
+
     def test_sup_f_g_independent_of_window(self, straight):
         # translation invariance: the straight-channel carrier is uniform
         params = fc.CarrierParams(1.0, 0.5)
         r1 = fc.support_and_bounds_report(params, straight, (-3, 3))
         r2 = fc.support_and_bounds_report(params, straight, (-9, 9))
         assert r1.sup_f_g == pytest.approx(r2.sup_f_g, rel=1e-6)
+
+
+def per_slice_volume_integral(params, profile, a, b, n_x=256):
+    """Composite 8-point Gauss in x1, one band quadrature per x1 node."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    eps = params.epsilon
+    tau_edges = np.linspace(math.log(2.0),
+                            1.0 / eps + math.log1p(math.exp(-1.0 / eps)), 33)
+    tau_mid = 0.5 * (tau_edges[:-1] + tau_edges[1:])
+    tau_rad = 0.5 * np.diff(tau_edges)
+    tau = (tau_mid[:, None] + tau_rad[:, None] * nodes).ravel()
+    w_tau = (tau_rad[:, None] * weights).ravel()
+    edges = np.linspace(a, b, n_x // 8 + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for xn, wn in zip(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes,
+                          0.5 * (hi - lo) * weights):
+            A = 0.5 * float(profile.width(xn)) * np.exp(-tau)
+            pts = (np.full_like(tau, xn), float(profile.f2(xn)) - A)
+            g = fc.velocity_g(pts, params, profile)
+            J = fc.grad_g(pts, params, profile)
+            dens = (J**2).sum(axis=(-2, -1)) + (g**2).sum(axis=-1) ** 2
+            total += wn * float(np.dot(w_tau * A, dens))
+    return total
+
+
+class TestVolumeIntegral:
+    @pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
+    def test_matches_per_slice_gauss_sum(self, path):
+        sc = parse_scenario(path)
+        a, b = sc.grid_window[:2]
+        ref = per_slice_volume_integral(sc.params, sc.profile, a, b)
+        assert fc.carrier_volume_integral(sc.params, sc.profile, a, b) == pytest.approx(
+            ref, rel=1e-13
+        )
 
 
 class TestWeightedInequality:

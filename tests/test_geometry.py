@@ -1,11 +1,33 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from channellab import geometry as geo
+from channellab.cli_io import parse_scenario
 from channellab.errors import AssumptionViolation, DegenerateGrid, OutOfRange
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+# the four bundled walls and a wall with a kink off every seed panel edge,
+# with the points besides 0 where f is not smooth
+QUAD_PROFILES = [
+    (path.stem, parse_scenario(path).profile) for path in sorted(SCENARIOS.glob("*.scn"))
+] + [("kink_1.3", geo.custom("-1", "1+0.3*abs(x-1.3)"))]
+ROUGH_POINTS = {"bump_outlet": (-4.0, 4.0), "kink_1.3": (1.3,)}
+
+
+def quad_reference(profile, a, b, p, rough=()):
+    """integrate.quad split at 0, at the rough points and into dyadic blocks."""
+    cuts = sorted({a, b, *(c for c in (0.0, *rough) if a < c < b)})
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        for blo, bhi in geo._dyadic_blocks(lo, hi):
+            total += integrate.quad(lambda x: profile.width(x) ** p, blo, bhi,
+                                    epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    return total
 
 
 class TestValidate:
@@ -66,6 +88,31 @@ class TestWeightIntegral:
         total = geo.weight_integral(power_half, -3, 9, -3.0)
         assert abs(a + b - total) < 1e-12
 
+    @pytest.mark.parametrize("name,profile", QUAD_PROFILES, ids=[n for n, _ in QUAD_PROFILES])
+    @pytest.mark.parametrize("p", [-5.0 / 3.0, -3.0, 1.0])
+    def test_matches_quad(self, name, profile, p):
+        for a, b in [(0.0, 7.3), (-12.0, 12.0), (-3.0, 40.0), (-1e4, 5.0), (0.5, 1e6)]:
+            ref = quad_reference(profile, a, b, p, ROUGH_POINTS.get(name, ()))
+            assert geo.weight_integral(profile, a, b, p) == pytest.approx(ref, rel=1e-12)
+
+    def test_no_quad_or_brentq(self, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(geo.integrate, "quad", counting(integrate.quad))
+        monkeypatch.setattr(geo.optimize, "brentq", counting(geo.optimize.brentq))
+        for _, profile in QUAD_PROFILES[:-1]:
+            geo.weight_integral(profile, -7.0, 30.0, -3.0)
+            geo.k_of(profile, -2.5)
+            geo.inverse_k(profile, 1.7)
+            geo.inverse_k(profile, -0.2)
+        assert calls == []
+
 
 class TestHParameterization:
     def test_straight_channel_inverse_is_linear(self, straight):
@@ -87,6 +134,18 @@ class TestHParameterization:
             assert abs(geo.k_of(power_half, h) - t) <= 1e-10 * max(t, 1.0)
             h = geo.inverse_k(power_half, -t)
             assert abs(geo.k_of(power_half, h) + t) <= 1e-10 * max(t, 1.0)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [geo.power_law(d0=1.0, alpha=0.5), geo.straight_outlet()],
+        ids=["power_law", "straight_outlet"],
+    )
+    def test_round_trip_to_rounding(self, profile):
+        for t in [1e-6, 0.05, 0.4, 1.2, 2.0, 7.5, 30.0]:
+            for tt in (t, -t):
+                assert geo.k_of(profile, geo.inverse_k(profile, tt)) == pytest.approx(
+                    tt, rel=1e-13
+                )
 
     def test_monotonicity_bounds(self, power_half):
         # finite-difference slopes of h_L, h_R respect +-d^(5/3)/2
