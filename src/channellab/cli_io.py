@@ -85,8 +85,9 @@ def _parse_value(text):
 
 
 def _read_sections(path):
-    """Raw section dict from the file, or raise ParseError listing lines."""
+    """Raw sections and each key's line, or raise ParseError listing lines."""
     sections = {"": {}}
+    origins = {}
     current = ""
     errors = []
     text = Path(path).read_text(encoding="utf-8")
@@ -110,13 +111,14 @@ def _read_sections(path):
             errors.append((lineno, "empty key"))
             continue
         sections[current][key] = _parse_value(value)
+        origins[(current, key)] = f"line {lineno}"
     if errors:
         msgs = "; ".join(f"line {ln}: {msg}" for ln, msg in errors)
         raise ParseError(msgs)
-    return sections
+    return sections, origins
 
 
-def _apply_env_overrides(sections, environ=None):
+def _apply_env_overrides(sections, origins, environ=None):
     env = environ if environ is not None else os.environ
     for key, value in env.items():
         if not key.startswith(ENV_PREFIX):
@@ -127,7 +129,8 @@ def _apply_env_overrides(sections, environ=None):
         else:
             section, name = "", rest
         sections.setdefault(section, {})[name] = _parse_value(value)
-    return sections
+        origins[(section, name)] = key
+    return sections, origins
 
 
 @dataclass
@@ -168,9 +171,13 @@ _RETIRED_SOLVER_KEYS = {
 
 def parse_scenario(path, environ=None):
     """Parse and validate a scenario file; report every error at once."""
-    sections = _apply_env_overrides(_read_sections(path), environ)
+    sections, origins = _apply_env_overrides(*_read_sections(path), environ)
     errors = []
     read = set()
+
+    def located(section, key):
+        """'[section] key' after the line or override variable it came from."""
+        return f"{origins[(section, key)]}: [{section}] {key}"
 
     def fetch(section, key, default=None, required=False):
         sec = sections.get(section, {})
@@ -196,7 +203,7 @@ def parse_scenario(path, environ=None):
             return [kind(v) for v in items] if many else kind(value)
         expected = "an integer" if kind is int else "a number"
         errors.append(ValidationError(
-            f"[{section}] {key}", f"expected {expected}, got {value!r}"))
+            located(section, key), f"expected {expected}, got {value!r}"))
         return default
 
     name = fetch("", "name", Path(path).stem)
@@ -284,7 +291,7 @@ def parse_scenario(path, environ=None):
                          ("delta1", 0.5)):
         comparison[key] = number("comparison", key, default)
 
-    errors += [ValidationError(f"[{sec}] {key}", "unknown key")
+    errors += [ValidationError(located(sec, key), "unknown key")
                for sec, keys in sections.items() for key in keys
                if (sec, key) not in read]
     if errors:

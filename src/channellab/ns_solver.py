@@ -6,8 +6,9 @@ psi = G, omega = curl g, so the zero-flux perturbation v = u - g vanishes
 there up to the tangential component carried through the omega data.  The
 nonlinear loop is a chord iteration on the coupled linear (psi, omega)
 system with the advecting velocity frozen: one SuperLU factor serves
-several steps; the wall vorticity closure is a second-order one-sided
-formula built into the matrix.
+several steps, starting with the Stokes factor A(0) and carried across
+continuation levels.  The wall vorticity closure is a second-order
+one-sided formula built into the matrix.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "weighted_energy",
     "slice_flux_profile",
     "pressure_recover",
-    "pressure_mean_zero",
     "momentum_residual",
 ]
 
@@ -296,6 +296,9 @@ class _Workspace:
         cols = np.concatenate([np.asarray(c).ravel() for c in cols])
         vals = np.concatenate([np.asarray(v, dtype=float).ravel() for v in vals])
         a = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
+        # cxy and cy vanish where the wall is straight; SuperLU would
+        # count those stored zeros as structural nonzeros
+        a.eliminate_zeros()
         return a, rhs
 
     def advection_matrix(self, u1, u2):
@@ -455,31 +458,37 @@ def picard_step(state, params, profile, workspace=None, lu=None, chord=False):
 _STALL_STEPS = 3
 
 
-def _picard(state, params, profile, config, workspace):
+def _picard(state, params, profile, config, workspace, lu=None,
+            factorizations=0):
     """Chord iteration from ``state`` until both defects drop below tol.
 
-    A(u) is factored at the current iterate, the first step with the new
-    factor is the plain Picard solve, and later steps reuse the factor for
-    chord corrections.  Each correction evaluates the full nonlinear
-    residual, so it also refines away the round-off of the factored
-    solve.  The factor is refreshed whenever a step shrinks the defect
-    max(residual_norm, boundary_defect) by less than 2x, and dropped when
-    the loop returns.
+    Steps with a factor in hand are chord corrections x + LU^-1 (b - A(u) x)
+    that evaluate the full nonlinear residual, so they also refine away
+    the round-off of the factored solve.  ``lu`` may factor A at any
+    iterate and flux on the grid, because the flux enters only the
+    right-hand side: ``solve_steady`` passes the Stokes factor A(0), then
+    the last factor of the previous continuation level.  Whenever a step
+    shrinks the defect max(residual_norm, boundary_defect) by less than
+    2x, or when ``lu`` is None, A(u) is factored at the current iterate
+    and the step is the plain Picard solve, which keeps flux-0 fields
+    exactly 0.
 
     ``state.residual_history`` must end with the residual of ``state``;
-    ``workspace`` carries the boundary data of ``params``.  Returns the
-    converged state, or raises :class:`NonConvergence` with the smallest
-    defect reached as soon as the defect has not halved over
-    ``_STALL_STEPS`` steps after the first, or after max_iter steps.
+    ``workspace`` carries the boundary data of ``params``.  Returns
+    ``(state, lu, factorizations)``: the converged state, the last factor
+    and the factor count, which goes on from ``factorizations``.  Raises
+    :class:`NonConvergence` with the smallest defect reached as soon as
+    the defect has not halved over ``_STALL_STEPS`` steps after the first,
+    or after max_iter steps.
     """
     res = state.residual_history[-1][1]
-    lu, factorizations, stalled = None, 0, 0
+    stalled = 0
     best = prev = math.inf
     for steps in range(config.max_iter + 1):
         defect = max(res, boundary_defect(state, workspace))
         if defect < config.tol:
             state.converged = True
-            return state
+            return state, lu, factorizations
         best = min(best, defect)
         if defect > 0.5 * prev:
             lu = None
@@ -511,11 +520,11 @@ def solve_steady(profile, params, a, b, nx, ny, config=None):
     """Stokes initialize, then Picard to tolerance, stepping the flux up.
 
     Fluxes above 2 pass through linspace(2, phi, ceil(log2(phi / 2)) + 2),
-    each level started from the previous one's solution.  Raises
-    :class:`NonConvergence` rather than returning an unconverged state.
-    Diagnostics report the Dirichlet energy of v = u - g and the
-    ratio against the carrier volume integral, which stays bounded
-    uniformly in the truncation.
+    each level started from the previous one's solution and factor; the
+    Stokes factor seeds the first.  Raises :class:`NonConvergence` rather
+    than returning an unconverged state.  Diagnostics report the Dirichlet
+    energy of v = u - g and the ratio against the carrier volume integral,
+    which stays bounded uniformly in the truncation.
     """
     config = config or SolverConfig()
     grid = make_grid(profile, a, b, nx, ny)
@@ -532,11 +541,15 @@ def solve_steady(profile, params, a, b, nx, ny, config=None):
         params_k = fc.CarrierParams(phi_k, params.epsilon, params.cutoff)
         ws = _Workspace(grid, params_k, profile)
         if state is None:
-            state = solve_stokes(grid, params_k, profile, ws)
+            lu, factorizations = ws.factor(None, None), 1
+            psi, omega = ws.apply(lu, ws.rhs)
         else:
-            state = _state_from_fields(grid, profile, params_k, state.psi, state.omega)
-            state.residual_history.append((0, residual_norm(state)))
-        state = _picard(state, params_k, profile, config, ws)
+            psi, omega = state.psi, state.omega
+        state = _state_from_fields(grid, profile, params_k, psi, omega)
+        state.residual_history.append((0, residual_norm(state)))
+        state, lu, factorizations = _picard(state, params_k, profile, config,
+                                            ws, lu, factorizations)
+    del lu, ws  # free the factor before the energy diagnostics
     state.params = params
 
     energy_v = dirichlet_energy(state, a, b, of_perturbation=True)
@@ -677,22 +690,6 @@ def pressure_recover(state):
     p = p.reshape(nx, ny)
     state.p = p
     return p
-
-
-def pressure_mean_zero(state, a, b):
-    """Pressure re-normalized to zero mean over the window [a, b].
-
-    The recovered pressure is defined up to a constant; window quantities
-    use the mean-zero representative on their own subdomain.
-    """
-    if state.p is None:
-        pressure_recover(state)
-    w = window_weights(state.profile, state.grid.xi, state.grid.ny, a, b)
-    area = float(w.sum())
-    if area <= 0.0:
-        raise OutOfRange(f"window [{a}, {b}] has no overlap with the grid")
-    mean = float((w * state.p).sum()) / area
-    return state.p - mean
 
 
 def momentum_residual(state, a=None, b=None):

@@ -35,6 +35,20 @@ def power_state(power_half, carrier_unit):
     return ns.solve_steady(power_half, carrier_unit, -8.0, 8.0, 257, 33, cfg)
 
 
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Every SuperLU factorization the flow solver makes, as a list."""
+    calls = []
+    splu = ns.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(ns, "splu", counted)
+    return calls
+
+
 def poiseuille_u1(x2, phi=1.0):
     return 0.75 * phi * (1.0 - np.asarray(x2) ** 2)
 

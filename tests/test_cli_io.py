@@ -131,6 +131,31 @@ class TestParsing:
             assert f"{key}: unknown key" in msg
         assert "epsilon" in msg and "[solver] tol:" not in msg
 
+    def test_errors_name_the_line_of_the_key(self, tmp_path):
+        body = MINIMAL.format(out=tmp_path / "o").replace("nx = 65", "nx = abc")
+        body += "[solver]\ntolerance = 1e-12\n"
+        lines = body.splitlines()
+        path = write_scenario(tmp_path, body)
+        with pytest.raises(ValidationError) as err:
+            cli_io.parse_scenario(path, environ={})
+        msg = str(err.value)
+        nx_line = lines.index("nx = abc") + 1
+        tol_line = lines.index("tolerance = 1e-12") + 1
+        assert f"line {nx_line}: [grid] nx: expected an integer" in msg
+        assert f"line {tol_line}: [solver] tolerance: unknown key" in msg
+
+    def test_errors_name_the_override_variable(self, tmp_path):
+        path = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "o"))
+        with pytest.raises(ValidationError) as err:
+            cli_io.parse_scenario(
+                path, environ={"CHANNELLAB_SOLVR__TOL": "1e-3",
+                               "CHANNELLAB_GRID__NX": "abc"}
+            )
+        msg = str(err.value)
+        assert "CHANNELLAB_SOLVR__TOL: [solvr] tol: unknown key" in msg
+        assert "CHANNELLAB_GRID__NX: [grid] nx: expected an integer" in msg
+        assert "line" not in msg
+
     def test_bundled_scenarios_parse(self):
         scenarios = Path(__file__).resolve().parents[1] / "scenarios"
         paths = sorted(scenarios.glob("*.scn"))
