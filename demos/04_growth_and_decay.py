@@ -4,7 +4,8 @@ For walls +-(1+|x1|)^(1/2) the dissipation D(t) over |x1| < t stays
 pinched between multiples of the weight integral I(t) = int f^(-3), the
 per-slice product f * sup|u| stays bounded, and the zeta-hat weighted
 energy obeys a differential inequality whose comparison majorant it never
-crosses.  One converged solve feeds all three diagnostics.
+crosses.  One converged solve feeds all three diagnostics, which read the
+profile and the flux from that solve.
 
 Run:  python demos/04_growth_and_decay.py
 """
@@ -23,11 +24,11 @@ def main():
     policy = eh.GridPolicy(target_hx=0.125, ny=33)
 
     print("solving once on the padded truncation ...")
-    state, _ = eh.padded_solve(profile, params, 16.0, policy)
+    state = eh.padded_solve(profile, params, 16.0, policy)
     print(f"  grid {state.grid.nx} x {state.grid.ny} on "
           f"[{state.grid.a:.1f}, {state.grid.b:.1f}]")
 
-    rep = eh.growth_scan(profile, 1.0, [2, 4, 8, 16], state=state)
+    rep = eh.growth_scan(state, [2, 4, 8, 16])
     print("\n== growth of the Dirichlet energy ==")
     for t, d, i, lo in zip(rep.t, rep.dirichlet, rep.weight, rep.lower_ratio):
         print(f"  t = {t:4.1f}: D = {d:7.4f}  I = {i:6.4f}  D/(phi^2 I) = {lo:6.2f}")
@@ -40,7 +41,7 @@ def main():
         xlabel="t", ylabel="energy",
     )
 
-    drep = eh.decay_scan(profile, 1.0, (4, 16), state=state)
+    drep = eh.decay_scan(state, (4, 16))
     print("\n== pointwise decay products ==")
     print(f"  f * sup|u| spread over slices: {drep.sup_spread:.3f}")
     print(f"  windowed energy * f^2 spread:  {drep.window_spread:.3f}")
@@ -51,7 +52,7 @@ def main():
         xlabel="x1", ylabel="f * sup|u|",
     )
 
-    hrep = eh.hat_energy_inequality(profile, 1.0, 12.0, state=state)
+    hrep = eh.hat_energy_inequality(state, 12.0)
     print("\n== weighted-energy comparison ==")
     print(f"  fitted inequality constants: C11 = {hrep.c11:.3g}, "
           f"C12 = {hrep.c12:.3g}")

@@ -634,12 +634,10 @@ def _run_solve(sc, out, quiet):
 
 
 def _run_growth(sc, out, quiet):
-    state, _ = eh.padded_solve(
+    state = eh.padded_solve(
         sc.profile, sc.params, max(sc.t_list), sc.policy, sc.solver
     )
-    rep = eh.growth_scan(
-        sc.profile, sc.params.phi, sc.t_list, state, thresholds=sc.thresholds
-    )
+    rep = eh.growth_scan(state, sc.t_list, thresholds=sc.thresholds)
     artifacts = [
         write_csv(
             out / "growth.csv",
@@ -663,9 +661,7 @@ def _run_growth(sc, out, quiet):
     # both tails of the window parameterization are infinite and the window
     # reaches past t*); any other error is a failure of the command
     try:
-        hat = eh.hat_energy_inequality(
-            sc.profile, sc.params.phi, min(sc.x_max, max(sc.t_list)), state
-        )
+        hat = eh.hat_energy_inequality(state, min(sc.x_max, max(sc.t_list)))
     except (HypothesisNotMet, OutOfRange):
         hat = None
     if hat is not None:
@@ -706,12 +702,10 @@ def _write_verdicts(path, verdicts, quiet):
 
 
 def _run_decay(sc, out, quiet):
-    state, _ = eh.padded_solve(
+    state = eh.padded_solve(
         sc.profile, sc.params, sc.t_range[-1], sc.policy, sc.solver
     )
-    rep = eh.decay_scan(
-        sc.profile, sc.params.phi, sc.t_range, state, thresholds=sc.thresholds
-    )
+    rep = eh.decay_scan(state, sc.t_range, thresholds=sc.thresholds)
     artifacts = [
         write_csv(
             out / "decay.csv",
@@ -745,12 +739,11 @@ def _run_decay(sc, out, quiet):
 
 def _run_poiseuille(sc, out, quiet):
     eh.plateau_windows(sc.outlet_k, sc.t_list)  # rejects empty windows unsolved
-    state, _ = eh.padded_solve(
+    state = eh.padded_solve(
         sc.profile, sc.params, max(sc.t_list), sc.policy, sc.solver
     )
     rep = eh.poiseuille_convergence(
-        sc.profile, sc.params.phi, sc.outlet_k, sc.t_list, state,
-        thresholds=sc.thresholds,
+        state, sc.outlet_k, sc.t_list, thresholds=sc.thresholds
     )
     artifacts = [
         write_csv(

@@ -1,12 +1,12 @@
 """Scenario-level scans that verify the channel-flow estimates at desk scale.
 
-Each scan measures one given converged state, solved by
-:func:`padded_solve` on a truncation padded past the reporting windows (the
-truncation ends carry carrier data, so verification windows stay clear of
-the end layers by a multiple of the local window scale beta* f), and
-extracts windowed energies, slice suprema, and ratio verdicts.  Thresholds
-quantify "bounded with unspecified constant" at desk scale and live in
-:class:`HarnessThresholds`.
+Each scan measures one given converged state, takes the profile and the
+flux from that state, and extracts windowed energies, slice suprema, and
+ratio verdicts.  :func:`padded_solve` solves the state on a truncation
+padded past the reporting windows (the truncation ends carry carrier data,
+so verification windows stay clear of the end layers by a multiple of the
+local window scale beta* f).  Thresholds quantify "bounded with
+unspecified constant" at desk scale and live in :class:`HarnessThresholds`.
 """
 
 from __future__ import annotations
@@ -73,15 +73,13 @@ def padded_solve(profile, params, t_max, policy, config=ns.SolverConfig()):
     The pad is pad_factor * beta* f at each end, so windows up to +-t_max
     sit at least one window scale inside the carrier end layers.
     """
-    metrics = geo.validate(profile, (-t_max - 1.0, t_max + 1.0))
-    bs = metrics.beta_star
+    bs = geo.validate(profile, (-t_max - 1.0, t_max + 1.0)).beta_star
     lo, hi = -t_max, t_max
     pad_lo = policy.pad_factor * bs * float(profile.width(lo))
     pad_hi = policy.pad_factor * bs * float(profile.width(hi))
     a, b = lo - pad_lo, hi + pad_hi
     nx = policy.nx_for(b - a)
-    state = ns.solve_steady(profile, params, a, b, nx, policy.ny, config)
-    return state, metrics
+    return ns.solve_steady(profile, params, a, b, nx, policy.ny, config)
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +111,12 @@ class GrowthReport:
             }
 
 
-def growth_scan(profile, phi, t_list, state, thresholds=HarnessThresholds()):
+def growth_scan(state, t_list, thresholds=HarnessThresholds()):
     """D(t) against 1 + I(t) and phi^2 I(t) on the converged ``state``."""
     t_list = sorted(float(t) for t in t_list)
     if any(t <= 0 for t in t_list):
         raise OutOfRange("t values must be positive")
+    profile, phi = state.profile, state.params.phi
 
     d_vals = [ns.dirichlet_energy(state, -t, t) for t in t_list]
     i_vals = [geo.weight_integral(profile, -t, t, -3.0) for t in t_list]
@@ -183,12 +182,13 @@ class DecayReport:
 _DECAY_SLICES, _DECAY_WINDOWS = 17, 7  # sampled slices, energy windows
 
 
-def decay_scan(profile, phi, t_range, state, thresholds=HarnessThresholds()):
+def decay_scan(state, t_range, thresholds=HarnessThresholds()):
     """f * sup|u| per slice and f^2-weighted window energies on ``state``.
 
     Requires the uniqueness-condition hypotheses; if they fail the scan
     still runs and the verdicts are informational only.
     """
+    profile = state.profile
     t_lo, t_hi = float(t_range[0]), float(t_range[-1])
     classification = geo.classify(profile)
     hypothesis = classification.condition_16 or classification.condition_17
@@ -228,7 +228,7 @@ def decay_scan(profile, phi, t_range, state, thresholds=HarnessThresholds()):
     }
     return DecayReport(
         profile=profile.label(),
-        phi=phi,
+        phi=state.params.phi,
         hypothesis_met=hypothesis,
         slice_x=list(xs),
         slice_sup=sup_all,
@@ -279,8 +279,7 @@ def plateau_windows(k, t_list):
     return t_list
 
 
-def poiseuille_convergence(profile, phi, k, t_list, state,
-                           thresholds=HarnessThresholds()):
+def poiseuille_convergence(state, k, t_list, thresholds=HarnessThresholds()):
     """H1 distance to the outlet shear flow on growing windows of ``state``.
 
     The reference flow is carried by its streamfunction and differentiated
@@ -291,7 +290,7 @@ def poiseuille_convergence(profile, phi, k, t_list, state,
     the former.
     """
     t_list = plateau_windows(k, t_list)
-    grid = state.grid
+    grid, profile, phi = state.grid, state.profile, state.params.phi
 
     c1 = float(profile.f1(t_list[-1]))
     c2 = float(profile.f2(t_list[-1]))
@@ -386,7 +385,7 @@ def _perturbed_solve(profile, params, a, b, nx, ny, config, seed):
     state = ns._state_from_fields(grid, profile, params, psi, state.omega)
 
     state.residual_history.append((0, ns.residual_norm(state)))
-    return ns._picard(state, params, profile, config, ws)[0]
+    return ns._picard(state, config, ws)[0]
 
 
 # both starts are solved far below the distance bound, so a distance above
@@ -495,7 +494,7 @@ class HatEnergyReport:
 _HAT_SAMPLES = 25
 
 
-def hat_energy_inequality(profile, phi, x_max, state):
+def hat_energy_inequality(state, x_max):
     """Reproduce the weighted-energy inequality and its comparison verdict.
 
     On the converged ``state``, y_hat(t) is the zeta-hat weighted energy of
@@ -504,6 +503,7 @@ def hat_energy_inequality(profile, phi, x_max, state):
     come from a tiny linear program; the induced majorant (in the report) is
     handed to the comparison module, which must conclude domination.
     """
+    profile = state.profile
     classification = geo.classify(profile)
     if classification.case is not geo.KRangeCase.BOTH_INFINITE:
         raise HypothesisNotMet(
@@ -542,7 +542,7 @@ def hat_energy_inequality(profile, phi, x_max, state):
     monotone = bool(np.all(np.diff(y) >= -1e-9 * max(float(y.max()), 1e-300)))
     return HatEnergyReport(
         profile=profile.label(),
-        phi=phi,
+        phi=state.params.phi,
         t=list(ts),
         y_hat=list(y),
         majorant=list(phi_fn_vals),

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._fem import tridiagonal_pencil_max
 from .errors import BoundViolation, OutOfRange
+from .geometry import _GL8_NODES, _GL8_WEIGHTS
 
 __all__ = [
     "CutoffKind",
@@ -250,9 +251,6 @@ def carrier_vorticity(x, params, profile):
 # ---------------------------------------------------------------------------
 # Quadratures that resolve the near-wall band exactly
 # ---------------------------------------------------------------------------
-
-
-_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def _band_gauss_nodes(params, profile, x1, n_panels=32):

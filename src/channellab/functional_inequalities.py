@@ -24,7 +24,7 @@ from ._fem import (
     tridiagonal_pencil_max,
 )
 from .errors import AscentStagnation, EigenFailure, SaddleSolveFailure
-from .geometry import make_grid, weight_integral
+from .geometry import make_grid
 
 __all__ = [
     "ConstantName",
@@ -223,17 +223,6 @@ def sobolev_m4(profile, a, b, resolution=(65, 65), n_starts=16, n_iter=200, seed
     )
 
 
-def m4_scaling_reference(profile, a, b, m1_value):
-    """Dimensional reference [(b-a)^-1 M1 + 1]^(1/2) |Omega|^(1/4).
-
-    The embedding constant divided by this reference is a single fitted
-    number across a profile family; only the scaling is testable, the
-    universal prefactor is unspecified.
-    """
-    area = weight_integral(profile, a, b, 1.0)
-    return math.sqrt(m1_value / (b - a) + 1.0) * area**0.25
-
-
 # ---------------------------------------------------------------------------
 # M5: divergence problem (Bogovskii) constant
 # ---------------------------------------------------------------------------
@@ -243,12 +232,7 @@ def _saddle_factor(x, y, nx, ny, stab=0.1):
     """LU of the stabilized Q1-Q1 saddle system for div a = w, a = 0 on bd."""
     K, Mp, lumped = assemble_q1(x, y, nx, ny)
     B1, B2 = assemble_div(x, y, nx, ny)
-    n = x.size
-    bdry = np.zeros(n, dtype=bool)
-    idx = np.arange(n).reshape(nx, ny)
-    bdry[idx[:, 0]] = bdry[idx[:, -1]] = True
-    bdry[idx[0, :]] = bdry[idx[-1, :]] = True
-    free = ~bdry
+    free = ~_wall_mask(nx, ny, dirichlet_ends=True)
 
     Kf = K[free][:, free]
     B1f = B1[:, free]

@@ -73,9 +73,6 @@ class ChannelProfile:
     def width(self, x):
         return self.f2(x) - self.f1(x)
 
-    def widthp(self, x):
-        return self.f2p(x) - self.f1p(x)
-
     def center(self, x):
         return 0.5 * (self.f1(x) + self.f2(x))
 
@@ -489,14 +486,12 @@ def inverse_k(profile, t, bracket_start=1.0):
     return sign * h
 
 
-def h_parameterization(profile, t, beta_star=None):
+def h_parameterization(profile, t, beta_star):
     """Return (h(t), h_L(t), h_R(t)) for the reparameterized windows.
 
     h inverts k; h_L(t) = h(-t) + beta* f(h(-t)) and
     h_R(t) = h(t) - beta* f(h(t)).
     """
-    if beta_star is None:
-        beta_star = default_beta_star(profile)
     return _h_window(profile, t, beta_star)[1:]
 
 
@@ -507,13 +502,6 @@ def _h_window(profile, t, beta_star):
     h_L = hm + beta_star * float(profile.width(hm))
     h_R = hp - beta_star * float(profile.width(hp))
     return hm, hp, h_L, h_R
-
-
-def default_beta_star(profile, window=(-64.0, 64.0)):
-    xs = np.linspace(window[0], window[1], _SAMPLES)
-    slopes = np.maximum(np.abs(profile.f1p(xs)), np.abs(profile.f2p(xs)))
-    beta = float(np.max(slopes))
-    return 1.0 / (4.0 * max(beta, _BETA_FLOOR))
 
 
 def _try_t_star(profile, beta_star):

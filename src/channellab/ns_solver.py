@@ -178,17 +178,24 @@ def velocity_gradients(state):
 
 
 class _Workspace:
-    """Per-(grid, params) constant matrix blocks and boundary data."""
+    """Constant matrix block of a grid, and the boundary data of one flux."""
 
     def __init__(self, grid, params, profile):
         self.grid = grid
-        self.params = params
-        nx, ny = grid.nx, grid.ny
-        n = nx * ny
-        self.n = n
+        self.profile = profile
+        self.n = grid.nx * grid.ny
+        self.a_const = self._assemble_constant()
+        self.set_params(params)
 
-        x1_left = np.full(ny, grid.a)
-        x1_right = np.full(ny, grid.b)
+    def set_params(self, params):
+        """End data and right-hand side of ``params``; ``a_const`` is kept.
+
+        The flux enters only the Dirichlet rows, so one assembly of the
+        constant block serves every continuation level on the grid.
+        """
+        grid, profile = self.grid, self.profile
+        x1_left = np.full(grid.ny, grid.a)
+        x1_right = np.full(grid.ny, grid.b)
         self.psi_left = fc.stream_G((x1_left, grid.x2[0, :]), params, profile)
         self.psi_right = fc.stream_G((x1_right, grid.x2[-1, :]), params, profile)
         self.omega_left = fc.carrier_vorticity(
@@ -197,7 +204,14 @@ class _Workspace:
         self.omega_right = fc.carrier_vorticity(
             (x1_right, grid.x2[-1, :]), params, profile
         )
-        self.a_const, self.rhs = self._assemble_constant()
+        # Dirichlet psi on the ends, then the walls (walls win at corners);
+        # carrier vorticity on the ends; every other row is homogeneous
+        psi = np.zeros((grid.nx, grid.ny))
+        psi[0, :], psi[-1, :] = self.psi_left, self.psi_right
+        psi[:, 0], psi[:, -1] = 0.0, params.phi
+        omega = np.zeros((grid.nx, grid.ny))
+        omega[0, :], omega[-1, :] = self.omega_left, self.omega_right
+        self.rhs = np.concatenate([psi.ravel(), omega.ravel()])
 
     def _idx(self, i, j):
         return i * self.grid.ny + j
@@ -208,10 +222,8 @@ class _Workspace:
         n = self.n
         hx, hy = grid.hx, grid.hy
         cxy, cyy, cy = _lap_coeffs(grid)
-        phi = self.params.phi
 
         rows, cols, vals = [], [], []
-        rhs = np.zeros(2 * n)
 
         ii, jj = np.meshgrid(
             np.arange(1, nx - 1), np.arange(1, ny - 1), indexing="ij"
@@ -256,18 +268,10 @@ class _Workspace:
         ends = np.concatenate(
             [self._idx(0, np.arange(1, ny - 1)), self._idx(nx - 1, np.arange(1, ny - 1))]
         )
-        for rr, vv in [
-            (wall_lo, np.zeros(nx)),
-            (wall_hi, np.full(nx, phi)),
-            (
-                ends,
-                np.concatenate([self.psi_left[1:-1], self.psi_right[1:-1]]),
-            ),
-        ]:
+        for rr in (wall_lo, wall_hi, ends):
             rows.append(rr)
             cols.append(rr)
             vals.append(np.ones(rr.size))
-            rhs[rr] = vv
 
         # omega ends: carrier vorticity
         om_ends = np.concatenate(
@@ -276,7 +280,6 @@ class _Workspace:
         rows.append(n + om_ends)
         cols.append(n + om_ends)
         vals.append(np.ones(om_ends.size))
-        rhs[n + om_ends] = np.concatenate([self.omega_left, self.omega_right])
 
         # omega wall closure: omega + c*(8 psi_1 - psi_2 - 7 psi_0) = 0,
         # c = Cyy/(2 hy^2), one-sided second order with psi_eta = 0 at walls
@@ -299,7 +302,7 @@ class _Workspace:
         # cxy and cy vanish where the wall is straight; SuperLU would
         # count those stored zeros as structural nonzeros
         a.eliminate_zeros()
-        return a, rhs
+        return a
 
     def advection_matrix(self, u1, u2):
         grid = self.grid
@@ -424,16 +427,18 @@ def solve_stokes(grid, params, profile, workspace=None):
     return state
 
 
-def picard_step(state, params, profile, workspace=None, lu=None, chord=False):
+def picard_step(state, workspace=None, lu=None, chord=False):
     """One Picard iteration; returns (new_state, residual).
 
     The plain step solves A(u) x = b at the velocity u of ``state``,
     factoring A(u) unless ``lu`` already holds that factor.  With
     ``chord=True`` the step is the chord correction
     x + LU^-1 (b - A(u) x) from the fields x of ``state``, where ``lu``
-    may factor A at an earlier iterate.
+    may factor A at an earlier iterate.  The flux and the end data are
+    those of ``state.params`` and ``state.profile``; a ``workspace`` passed
+    in must hold them, and without one the step builds it from the state.
     """
-    ws = workspace or _Workspace(state.grid, params, profile)
+    ws = workspace or _Workspace(state.grid, state.params, state.profile)
     if lu is None:
         lu = ws.factor(state.u1, state.u2)
     if chord:
@@ -447,7 +452,8 @@ def picard_step(state, params, profile, workspace=None, lu=None, chord=False):
         psi, omega = state.psi + dpsi, state.omega + domega
     else:
         psi, omega = ws.apply(lu, ws.rhs)
-    new = _state_from_fields(state.grid, profile, params, psi, omega)
+    new = _state_from_fields(state.grid, state.profile, state.params, psi,
+                             omega)
     new.residual_history = list(state.residual_history)
     res = residual_norm(new)
     new.residual_history.append((len(new.residual_history), res))
@@ -458,8 +464,7 @@ def picard_step(state, params, profile, workspace=None, lu=None, chord=False):
 _STALL_STEPS = 3
 
 
-def _picard(state, params, profile, config, workspace, lu=None,
-            factorizations=0):
+def _picard(state, config, workspace, lu=None, factorizations=0):
     """Chord iteration from ``state`` until both defects drop below tol.
 
     Steps with a factor in hand are chord corrections x + LU^-1 (b - A(u) x)
@@ -474,7 +479,8 @@ def _picard(state, params, profile, config, workspace, lu=None,
     exactly 0.
 
     ``state.residual_history`` must end with the residual of ``state``;
-    ``workspace`` carries the boundary data of ``params``.  Returns
+    ``workspace`` carries the boundary data of ``state.params``, which
+    every step keeps.  Returns
     ``(state, lu, factorizations)``: the converged state, the last factor
     and the factor count, which goes on from ``factorizations``.  Raises
     :class:`NonConvergence` with the smallest defect reached as soon as
@@ -505,9 +511,9 @@ def _picard(state, params, profile, config, workspace, lu=None,
         if not chord:
             lu = workspace.factor(state.u1, state.u2)
             factorizations += 1
-        state, res = picard_step(state, params, profile, workspace, lu, chord)
+        state, res = picard_step(state, workspace, lu, chord)
     raise NonConvergence(
-        f"Picard stalled at flux {params.phi}: residual {best:.3e} after "
+        f"Picard stalled at flux {state.params.phi}: residual {best:.3e} after "
         f"{steps} iterations and {factorizations} factorizations "
         f"(tol {config.tol:.1e})",
         best_residual=best,
@@ -521,7 +527,8 @@ def solve_steady(profile, params, a, b, nx, ny, config=None):
 
     Fluxes above 2 pass through linspace(2, phi, ceil(log2(phi / 2)) + 2),
     each level started from the previous one's solution and factor; the
-    Stokes factor seeds the first.  Raises :class:`NonConvergence` rather
+    Stokes factor seeds the first.  The constant block is assembled once;
+    each level replaces only the boundary data and right-hand side.  Raises :class:`NonConvergence` rather
     than returning an unconverged state.  Diagnostics report the Dirichlet
     energy of v = u - g and the ratio against the carrier volume integral,
     which stays bounded uniformly in the truncation.
@@ -536,19 +543,20 @@ def solve_steady(profile, params, a, b, nx, ny, config=None):
     else:
         phis = [target]
 
-    state = None
+    state = ws = None
     for phi_k in phis:
         params_k = fc.CarrierParams(phi_k, params.epsilon, params.cutoff)
-        ws = _Workspace(grid, params_k, profile)
-        if state is None:
+        if ws is None:
+            ws = _Workspace(grid, params_k, profile)
             lu, factorizations = ws.factor(None, None), 1
             psi, omega = ws.apply(lu, ws.rhs)
         else:
+            ws.set_params(params_k)
             psi, omega = state.psi, state.omega
         state = _state_from_fields(grid, profile, params_k, psi, omega)
         state.residual_history.append((0, residual_norm(state)))
-        state, lu, factorizations = _picard(state, params_k, profile, config,
-                                            ws, lu, factorizations)
+        state, lu, factorizations = _picard(state, config, ws, lu,
+                                            factorizations)
     del lu, ws  # free the factor before the energy diagnostics
     state.params = params
 

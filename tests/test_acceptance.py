@@ -34,7 +34,7 @@ def big_power_state():
     profile = geo.power_law(d0=1.0, alpha=0.5)
     params = fc.CarrierParams(1.0, 0.5)
     policy = eh.GridPolicy(target_hx=0.125, ny=65)
-    state, _ = eh.padded_solve(profile, params, 40.0, policy)
+    state = eh.padded_solve(profile, params, 40.0, policy)
     return profile, state
 
 
@@ -147,7 +147,7 @@ class TestCriterion3:
     def test_growth_law(self, big_power_state):
         t0 = time.time()
         profile, state = big_power_state
-        rep = eh.growth_scan(profile, 1.0, [5, 10, 20, 40], state=state)
+        rep = eh.growth_scan(state, [5, 10, 20, 40])
         # flux conservation invariant rides along on the same solve
         grid = state.grid
         fl = ns.slice_flux_profile(state)
@@ -175,7 +175,7 @@ class TestCriterion3:
 class TestCriterion4:
     def test_pointwise_decay(self, big_power_state):
         profile, state = big_power_state
-        rep = eh.decay_scan(profile, 1.0, (10, 40), state=state)
+        rep = eh.decay_scan(state, (10, 40))
         ok = (
             rep.hypothesis_met
             and rep.sup_spread <= 4.0

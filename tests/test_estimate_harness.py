@@ -13,25 +13,20 @@ SMALL = eh.GridPolicy(target_hx=0.125, ny=33)
 
 @pytest.fixture(scope="module")
 def small_power_report(power_half):
-    state, _ = eh.padded_solve(
-        power_half, fc.CarrierParams(1.0, 0.5), 8.0, SMALL
-    )
-    return state
+    return eh.padded_solve(power_half, fc.CarrierParams(1.0, 0.5), 8.0, SMALL)
 
 
 class TestGrowthScan:
     def test_straight_channel_matches_analytic_ratio(self, straight):
         # per unit length: dissipation 3/2 phi^2, weight 1/8 -> ratio 12
-        state, _ = eh.padded_solve(straight, fc.CarrierParams(1.0), 6.0, SMALL)
-        rep = eh.growth_scan(straight, 1.0, [2, 4, 6], state=state)
+        state = eh.padded_solve(straight, fc.CarrierParams(1.0), 6.0, SMALL)
+        rep = eh.growth_scan(state, [2, 4, 6])
         assert rep.lower_ratio[-1] == pytest.approx(12.0, rel=0.02)
         assert all(rep.verdicts.values())
 
     def test_dirichlet_and_weight_monotone(self, power_half,
                                            small_power_report):
-        rep = eh.growth_scan(
-            power_half, 1.0, [2, 4, 8], state=small_power_report
-        )
+        rep = eh.growth_scan(small_power_report, [2, 4, 8])
         assert np.all(np.diff(rep.dirichlet) > 0)
         assert np.all(np.diff(rep.weight) > 0)
         assert rep.upper_spread <= 3.0
@@ -41,27 +36,25 @@ class TestGrowthScan:
         state = ns.solve_steady(
             straight, fc.CarrierParams(0.0, 0.5), -6, 6, 97, 17
         )
-        rep = eh.growth_scan(straight, 0.0, [2, 4], state=state)
+        rep = eh.growth_scan(state, [2, 4])
         assert np.isnan(rep.lower_min)
         assert rep.verdicts["lower_positive"]
 
     def test_invalid_t(self, straight):
         with pytest.raises(OutOfRange):
-            eh.growth_scan(straight, 1.0, [-1, 2], state=None)
+            eh.growth_scan(None, [-1, 2])
 
 
 class TestDecayScan:
     def test_straight_channel_constant_product(self, straight):
         # Poiseuille maximum 3 phi/4 at the center, width 2: product 3/2
-        state, _ = eh.padded_solve(straight, fc.CarrierParams(1.0), 5.0, SMALL)
-        rep = eh.decay_scan(straight, 1.0, (2, 5), state=state)
+        state = eh.padded_solve(straight, fc.CarrierParams(1.0), 5.0, SMALL)
+        rep = eh.decay_scan(state, (2, 5))
         assert rep.slice_sup[0] == pytest.approx(1.5, rel=0.02)
         assert rep.sup_spread <= 1.05
 
     def test_power_law_bounded_products(self, power_half, small_power_report):
-        rep = eh.decay_scan(
-            power_half, 1.0, (3, 8), state=small_power_report
-        )
+        rep = eh.decay_scan(small_power_report, (3, 8))
         assert rep.hypothesis_met
         assert rep.sup_spread <= 4.0
         assert rep.window_spread <= 4.0
@@ -71,11 +64,11 @@ class TestDecayScan:
         state = ns.solve_steady(
             straight, fc.CarrierParams(0.0, 0.5), -6, 6, 97, 17
         )
-        rep = eh.decay_scan(straight, 0.0, (2, 4), state=state)
+        rep = eh.decay_scan(state, (2, 4))
         assert max(rep.slice_sup) == 0.0
 
     def test_interior_wall_split(self, power_half, small_power_report):
-        rep = eh.decay_scan(power_half, 1.0, (3, 8), state=small_power_report)
+        rep = eh.decay_scan(small_power_report, (3, 8))
         for full, inner, wall in zip(
             rep.slice_sup, rep.slice_sup_interior, rep.slice_sup_wall
         ):
@@ -85,33 +78,33 @@ class TestDecayScan:
 class TestPoiseuilleConvergence:
     def test_bump_profile_plateaus(self):
         p = geo.straight_outlet(c1=-1, c2=1, amp=0.5, k=4.0)
-        state, _ = eh.padded_solve(
+        state = eh.padded_solve(
             p, fc.CarrierParams(0.5), 14.0, eh.GridPolicy(0.1, 33)
         )
-        rep = eh.poiseuille_convergence(p, 0.5, 4.0, [6, 10, 14], state=state)
+        rep = eh.poiseuille_convergence(state, 4.0, [6, 10, 14])
         assert rep.plateau_ok
         assert rep.tail_decreasing
 
     def test_straight_everywhere_error_is_floor(self, straight):
-        state, _ = eh.padded_solve(
+        state = eh.padded_solve(
             straight, fc.CarrierParams(0.5), 8.0, eh.GridPolicy(0.1, 33)
         )
-        rep = eh.poiseuille_convergence(straight, 0.5, 0.0, [4, 8], state=state)
+        rep = eh.poiseuille_convergence(state, 0.0, [4, 8])
         assert max(rep.h1_error) < 1e-6
         assert rep.plateau_ok
 
     def test_zero_flux(self, straight):
-        state, _ = eh.padded_solve(
+        state = eh.padded_solve(
             straight, fc.CarrierParams(0.0), 6.0, eh.GridPolicy(0.125, 17)
         )
-        rep = eh.poiseuille_convergence(straight, 0.0, 0.0, [3, 6], state=state)
+        rep = eh.poiseuille_convergence(state, 0.0, [3, 6])
         assert max(rep.h1_error) == 0.0
 
     def test_empty_window_rejected_before_solving(self, straight):
         # T = 2 and T = 4 give empty windows k < x1 < T at k = 4; the
         # command line runs the same check before its solve
         with pytest.raises(OutOfRange) as err:
-            eh.poiseuille_convergence(straight, 1.0, 4.0, [8, 2, 4], state=None)
+            eh.poiseuille_convergence(None, 4.0, [8, 2, 4])
         assert "4.0" in str(err.value) and "two windows" in str(err.value)
 
 
@@ -194,9 +187,7 @@ def counted_hat(power_half, small_power_report):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geo, "inverse_k", counting)
-        rep = eh.hat_energy_inequality(
-            power_half, 1.0, 6.0, state=small_power_report
-        )
+        rep = eh.hat_energy_inequality(small_power_report, 6.0)
         n_report = len(calls)
         geo._try_t_star(power_half, geo.validate(power_half, (-7, 7)).beta_star)
     return rep, n_report, len(calls) - n_report
@@ -228,14 +219,15 @@ class TestHatEnergyInequality:
         state = ns.solve_steady(
             straight, fc.CarrierParams(0.0, 0.5), -8, 8, 129, 17
         )
-        rep = eh.hat_energy_inequality(straight, 0.0, 4.0, state=state)
+        rep = eh.hat_energy_inequality(state, 4.0)
         assert rep.verdict is cl.Verdict.DOMINATED
         assert max(rep.y_hat) == 0.0
 
     def test_requires_case_one(self):
         p = geo.power_law(d0=1.0, alpha=0.7)
+        state = ns.solve_steady(p, fc.CarrierParams(0.0, 0.5), -4, 4, 65, 17)
         with pytest.raises(HypothesisNotMet):
-            eh.hat_energy_inequality(p, 1.0, 4.0, state=None)
+            eh.hat_energy_inequality(state, 4.0)
 
 
 class TestFitInequality:

@@ -118,12 +118,14 @@ class TestHParameterization:
     def test_straight_channel_inverse_is_linear(self, straight):
         # k(t) = t * 2^(-5/3), so h(t) = 2^(5/3) t
         t = 0.7
-        h, h_l, h_r = geo.h_parameterization(straight, t)
+        bs = geo.validate(straight, (-8, 8)).beta_star
+        h, h_l, h_r = geo.h_parameterization(straight, t, bs)
         assert h == pytest.approx(2.0 ** (5.0 / 3.0) * t, rel=1e-9)
         assert h_r == pytest.approx(h - 2.0, rel=1e-9)  # beta* f = 2
 
     def test_origin(self, straight):
-        h, h_l, h_r = geo.h_parameterization(straight, 0.0)
+        bs = geo.validate(straight, (-8, 8)).beta_star
+        h, h_l, h_r = geo.h_parameterization(straight, 0.0, bs)
         assert h == 0.0
         assert h_r == -2.0  # -beta* f(0) < 0
         assert h_l == 2.0
@@ -267,7 +269,7 @@ class TestGrid:
         g = geo.make_grid(power_half, 0.5, 4.0, 16, 16)
         f = power_half.width(g.xi)
         f1p = power_half.f1p(g.xi)
-        fp = power_half.widthp(g.xi)
+        fp = power_half.f2p(g.xi) - power_half.f1p(g.xi)
         j1 = -(f1p[:, None] + g.eta[None, :] * fp[:, None]) / f[:, None]
         assert np.allclose(g.j1, j1, rtol=1e-14)
 
