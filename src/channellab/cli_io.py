@@ -498,28 +498,56 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def write_manifest(out_dir, scenario_path, artifacts, exit_status):
-    """Atomic manifest covering the scenario file and all numeric outputs."""
+def _relative_to_cwd(path):
+    """``path`` relative to the working directory when it lies under it."""
+    try:
+        return str(Path(path).resolve().relative_to(Path.cwd().resolve()))
+    except ValueError:
+        return str(path)
+
+
+def write_manifest(out_dir, scenario_path, command, artifacts, exit_status):
+    """Merge one command's outputs and exit status into ``manifest.json``.
+
+    Every command shares the scenario's output directory, so the manifest
+    accumulates: ``outputs`` hashes every file any command wrote there and
+    ``commands`` holds each command's exit status and output names.  An
+    existing manifest of another scenario file (path or hash) is replaced.
+    The write is atomic.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "scenario": str(scenario_path),
-        "scenario_sha256": _sha256(scenario_path) if scenario_path else None,
-        "outputs": {
-            str(Path(p).name): _sha256(p) for p in sorted(map(str, artifacts))
-        },
-        "versions": {
+    path = out_dir / "manifest.json"
+    scenario = _relative_to_cwd(scenario_path) if scenario_path else None
+    digest = _sha256(scenario_path) if scenario_path else None
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError):
+        manifest = {}
+    if "commands" not in manifest or (
+        manifest.get("scenario"), manifest.get("scenario_sha256")
+    ) != (scenario, digest):
+        manifest = {"outputs": {}, "commands": {}}
+    outputs = {Path(p).name: _sha256(p) for p in map(str, artifacts)}
+    manifest["outputs"].update(outputs)
+    manifest["commands"][command] = {
+        "exit_status": exit_status,
+        "outputs": sorted(outputs),
+    }
+    manifest.update(
+        scenario=scenario,
+        scenario_sha256=digest,
+        versions={
             "python": sys.version.split()[0],
             "numpy": np.__version__,
             "channellab": _package_version(),
         },
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "exit_status": exit_status,
-    }
+        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+    )
     tmp = out_dir / "manifest.json.tmp"
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    tmp.replace(out_dir / "manifest.json")
-    return out_dir / "manifest.json"
+    tmp.replace(path)
+    return path
 
 
 def _package_version():
@@ -862,9 +890,10 @@ def run(command, scenario, scenario_path=None, quiet=False):
     except ChannelLabError as exc:
         if not quiet:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        write_manifest(out, scenario_path, command, [], 1)
         return 1
     status = 0 if ok else 2
-    write_manifest(out, scenario_path, artifacts, status)
+    write_manifest(out, scenario_path, command, artifacts, status)
     return status
 
 

@@ -113,7 +113,8 @@ def _expbump_mupp(t):
     mu = _expbump_mu(np.asarray(ti))
     mup = _expbump_mup(np.asarray(ti))
     qp = 1.0 / (1.0 - ti) ** 2 + 1.0 / ti**2
-    qpp = 2.0 / (1.0 - ti) ** 3 - 2.0 / ti**3
+    r = 1.0 - ti
+    qpp = 2.0 / (r * r * r) - 2.0 / (ti * ti * ti)  # products, not pow calls
     out[inside] = -mup * (1.0 - 2.0 * mu) * qp - mu * (1.0 - mu) * qpp
     return out
 

@@ -93,7 +93,7 @@ def _laplace_eigenvalue(profile, a, b, nx, ny, dirichlet_ends):
     K, M, _ = assemble_q1(x, y, nx, ny)
     free = ~_wall_mask(nx, ny, dirichlet_ends)
     try:
-        lu = splu(K[free][:, free].tocsc())
+        lu = splu(K[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise EigenFailure(str(exc)) from exc
     lam, _ = smallest_eigenpair(M[free][:, free].tocsr(), lu.solve)
@@ -187,7 +187,7 @@ def sobolev_m4(profile, a, b, resolution=(65, 65), n_starts=16, n_iter=200, seed
     Kf = K[free][:, free].tocsc()
     lump_f = lumped[free]
     try:
-        lu = splu(Kf)
+        lu = splu(Kf, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise EigenFailure(str(exc)) from exc
 
@@ -199,12 +199,12 @@ def sobolev_m4(profile, a, b, resolution=(65, 65), n_starts=16, n_iter=200, seed
         w /= math.sqrt(w @ (Kf @ w))
         ratio_old = 0.0
         for _ in range(n_iter):
-            w = lu.solve(lump_f * w**3)
+            w = lu.solve(lump_f * (w * w * w))  # w**3 is a pow call per entry
             nrm = math.sqrt(w @ (Kf @ w))
             if nrm == 0.0:
                 break
             w /= nrm
-            l4 = float(lump_f @ w**4) ** 0.25
+            l4 = float(lump_f @ np.square(w * w)) ** 0.25
             ratio = l4  # ||grad w|| normalized to 1
             if abs(ratio - ratio_old) <= 1e-10 * max(ratio, 1e-300):
                 break
@@ -229,27 +229,24 @@ def sobolev_m4(profile, a, b, resolution=(65, 65), n_starts=16, n_iter=200, seed
 
 
 def _saddle_factor(x, y, nx, ny, stab=0.1):
-    """LU of the stabilized Q1-Q1 saddle system for div a = w, a = 0 on bd."""
+    """LU of the stabilized Q1-Q1 saddle system for div a = w, a = 0 on bd.
+
+    The pressure is fixed up to a constant, so node 0 is pinned (its row and
+    column dropped): a dense mean-zero multiplier border would fill the LU.
+    """
     K, Mp, lumped = assemble_q1(x, y, nx, ny)
     B1, B2 = assemble_div(x, y, nx, ny)
     free = ~_wall_mask(nx, ny, dirichlet_ends=True)
 
     Kf = K[free][:, free]
-    B1f = B1[:, free]
-    B2f = B2[:, free]
+    B1f = B1[1:, free]
+    B2f = B2[1:, free]
     # pressure stabilization (Brezzi-Pitkaranta): eps_h * K_p with eps_h ~ h^2
-    area = lumped.sum()
-    h2 = area / ((nx - 1) * (ny - 1))
-    C = stab * h2 * K
+    h2 = lumped.sum() / ((nx - 1) * (ny - 1))
+    C = stab * h2 * K[1:, 1:]
     nf = int(free.sum())
     s = sparse.bmat(
-        [
-            [Kf, None, B1f.T, None],
-            [None, Kf, B2f.T, None],
-            [B1f, B2f, -C, sparse.csr_matrix(lumped[:, None])],
-            [None, None, sparse.csr_matrix(lumped[None, :]), None],
-        ],
-        format="csc",
+        [[Kf, None, B1f.T], [None, Kf, B2f.T], [B1f, B2f, -C]], format="csc"
     )
     try:
         lu = splu(s)
@@ -258,31 +255,30 @@ def _saddle_factor(x, y, nx, ny, stab=0.1):
     return lu, Mp, lumped, nf
 
 
-def _saddle_apply(lu, nf, n, w_times_mass):
-    rhs = np.concatenate([np.zeros(2 * nf), w_times_mass, [0.0]])
-    sol = lu.solve(rhs)
-    a1 = sol[:nf]
-    a2 = sol[nf : 2 * nf]
-    lam = sol[2 * nf : 2 * nf + n]
-    return a1, a2, lam
+def _saddle_apply(lu, nf, lumped, w_times_mass):
+    """(a1, a2, p), p[0] = 0, for the load r made compatible first as
+    r - lumped sum(r) / area: what a mean-zero multiplier would absorb."""
+    r = w_times_mass - lumped * (w_times_mass.sum() / lumped.sum())
+    sol = lu.solve(np.concatenate([np.zeros(2 * nf), r[1:]]))
+    return sol[:nf], sol[nf : 2 * nf], np.concatenate([[0.0], sol[2 * nf :]])
 
 
 def bogovskii_m5(profile, a, b, resolution=(49, 49)):
     """Estimate M5(D) = sup ||grad a|| / ||w|| over mean-zero w.
 
-    M5^2 is the largest eigenvalue of w -> -lambda(Mp w), the pressure
-    multiplier of one saddle solve projected to mean zero (the inverse
-    Schur complement), so M5 = lam^(-1/2) for the smallest eigenvalue lam
-    of the pencil it inverts.
+    M5^2 is the largest eigenvalue of w -> -p(Mp w), the pressure of one
+    saddle solve projected to zero lumped mean (the inverse Schur
+    complement), so M5 = lam^(-1/2) for the smallest eigenvalue lam of the
+    pencil it inverts.  The projection removes the constant of the pinned
+    pressure node, so the map is the one of a mean-zero multiplier.
     """
     nx, ny = resolution
     _, x, y = _grid_nodes(profile, a, b, nx, ny)
-    n = x.size
     lu, Mp, lumped, nf = _saddle_factor(x, y, nx, ny)
     area = lumped.sum()
 
     def solve(rhs):
-        z = -_saddle_apply(lu, nf, n, rhs)[2]
+        z = -_saddle_apply(lu, nf, lumped, rhs)[2]
         return z - (lumped @ z) / area
 
     lam, _ = smallest_eigenpair(Mp, solve)

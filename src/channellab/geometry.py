@@ -192,7 +192,7 @@ def _bump(x, half_len):
     inside = np.abs(s) < 1.0
     out = np.zeros_like(s)
     q = 1.0 - s[inside] ** 2
-    out[inside] = q**3
+    out[inside] = q * q * q  # q**3 is a libm pow call per element
     return out
 
 

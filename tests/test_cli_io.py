@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -258,6 +259,38 @@ class TestRun:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert "carrier_report.csv" in manifest["outputs"]
         assert manifest["scenario_sha256"]
+
+    def test_manifest_merges_every_command(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = self.scenario(tmp_path)
+        sc = cli_io.parse_scenario(path, environ={})
+        statuses = {
+            cmd: cli_io.run(cmd, sc, scenario_path=path, quiet=True)
+            for cmd in cli_io._PIPELINES
+        }
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["scenario"] == "case.scn"
+        assert {
+            cmd: entry["exit_status"] for cmd, entry in manifest["commands"].items()
+        } == statuses
+        written = [p.name for p in out.glob("*.csv")] + ["flow.field"]
+        assert len(written) > 8
+        for name in written:
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert manifest["outputs"][name] == digest, name
+
+    def test_manifest_of_another_scenario_is_replaced(self, tmp_path):
+        first = self.scenario(tmp_path)
+        second = write_scenario(
+            tmp_path, MINIMAL.format(out=tmp_path / "out"), name="other.scn"
+        )
+        for path, cmd in ((first, "solve"), (second, "carrier-check")):
+            sc = cli_io.parse_scenario(path, environ={})
+            assert cli_io.run(cmd, sc, scenario_path=path, quiet=True) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert list(manifest["commands"]) == ["carrier-check"]
+        assert list(manifest["outputs"]) == ["carrier_report.csv"]
 
     def test_growth_scan_and_report(self, tmp_path):
         path = self.scenario(tmp_path)

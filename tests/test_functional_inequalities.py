@@ -1,11 +1,28 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import eigh, null_space
+from scipy.sparse.linalg import splu
 
 from channellab import functional_inequalities as fi
 from channellab import geometry as geo
+from channellab._fem import assemble_div, assemble_q1, smallest_eigenpair
+from channellab.cli_io import parse_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+# stem -> (profile, a, b) of the bundled walls, on the window `constants` uses
+BUNDLED = {
+    path.stem: (sc.profile, *sc.grid_window[:2])
+    for path in sorted(SCENARIOS.glob("*.scn"))
+    for sc in [parse_scenario(path, environ={})]
+}
+
+
+def bundled(*stems):
+    return [pytest.param(*BUNDLED[s], id=s) for s in stems or BUNDLED]
 
 
 class TestPoincareM1:
@@ -86,6 +103,33 @@ class TestSobolevM4:
         large = fi.sobolev_m4(power_half, -6, 6, resolution=(81, 25))
         assert large.value >= small.value * (1 - 1e-6)
 
+    @pytest.mark.parametrize("profile, a, b", bundled("custom_walls", "widening"))
+    def test_matches_power_reference(self, profile, a, b):
+        # the ascent as it read with integer array powers and a COLAMD factor
+        nx, ny = 49, 33
+        _, x, y = fi._grid_nodes(profile, a, b, nx, ny)
+        K, _, lumped = assemble_q1(x, y, nx, ny)
+        free = ~fi._wall_mask(nx, ny)
+        Kf = K[free][:, free].tocsc()
+        lump_f = lumped[free]
+        lu = splu(Kf)
+        rng = np.random.default_rng(0)
+        best = 0.0
+        for _ in range(16):
+            w = rng.standard_normal(lump_f.size)
+            w /= math.sqrt(w @ (Kf @ w))
+            ratio_old = 0.0
+            for _ in range(200):
+                w = lu.solve(lump_f * w**3)
+                w /= math.sqrt(w @ (Kf @ w))
+                ratio = float(lump_f @ w**4) ** 0.25
+                if abs(ratio - ratio_old) <= 1e-10 * ratio:
+                    break
+                ratio_old = ratio
+            best = max(best, ratio_old)
+        est = fi.sobolev_m4(profile, a, b, resolution=(nx, ny))
+        assert est.value == pytest.approx(best, rel=1e-12)
+
     def test_fitted_constant_stable_against_reference(self):
         # M4 / [(b-a)^-1 M1 + 1]^(1/2) |Omega|^(1/4) is one number across a
         # family of strips: only the scaling is testable, the universal
@@ -132,7 +176,7 @@ class TestBogovskii:
         n = x.size
         lu, Mp, lumped, nf = fi._saddle_factor(x, y, nx, ny)
         G = -np.column_stack(
-            [fi._saddle_apply(lu, nf, n, e)[2] for e in np.eye(n)]
+            [fi._saddle_apply(lu, nf, lumped, e)[2] for e in np.eye(n)]
         )
         G -= np.outer(np.ones(n), lumped @ G) / lumped.sum()
         Q = null_space(lumped[None, :])
@@ -146,9 +190,67 @@ class TestBogovskii:
         # div a = 0 with a = 0 on the boundary has only the zero minimizer
         p = geo.straight(c1=0.0, c2=1.0)
         _, x, y = fi._grid_nodes(p, 0, 1, 17, 17)
-        lu, _, _, nf = fi._saddle_factor(x, y, 17, 17)
-        a1, a2, _ = fi._saddle_apply(lu, nf, x.size, np.zeros(x.size))
+        lu, _, lumped, nf = fi._saddle_factor(x, y, 17, 17)
+        a1, a2, _ = fi._saddle_apply(lu, nf, lumped, np.zeros(x.size))
         assert np.abs(a1).max() == 0.0 and np.abs(a2).max() == 0.0
+
+    @pytest.mark.parametrize("profile, a, b", bundled())
+    def test_matches_bordered_reference(self, profile, a, b):
+        # reference: the saddle system bordered by the dense mean-zero
+        # multiplier row and column, whose pressure is mean-zero already
+        nx = ny = 33
+        _, x, y = fi._grid_nodes(profile, a, b, nx, ny)
+        n = x.size
+        K, Mp, lumped = assemble_q1(x, y, nx, ny)
+        B1, B2 = assemble_div(x, y, nx, ny)
+        free = ~fi._wall_mask(nx, ny, dirichlet_ends=True)
+        nf = int(free.sum())
+        Kf = K[free][:, free]
+        C = 0.1 * lumped.sum() / ((nx - 1) * (ny - 1)) * K
+        border = sparse.csr_matrix(lumped[None, :])
+        lu = splu(
+            sparse.bmat(
+                [
+                    [Kf, None, B1[:, free].T, None],
+                    [None, Kf, B2[:, free].T, None],
+                    [B1[:, free], B2[:, free], -C, border.T],
+                    [None, None, border, None],
+                ],
+                format="csc",
+            )
+        )
+
+        def solve(rhs):
+            z = -lu.solve(np.concatenate([np.zeros(2 * nf), rhs, [0.0]]))[2 * nf : -1]
+            return z - (lumped @ z) / lumped.sum()
+
+        ref = smallest_eigenpair(Mp, solve)[0] ** -0.5
+        est = fi.bogovskii_m5(profile, a, b, resolution=(nx, ny))
+        assert est.value == pytest.approx(ref, rel=1e-12)
+
+        # one load with nonzero mean: same velocity, same pressure up to the
+        # constant of the pinned node
+        load = Mp @ np.random.default_rng(1).standard_normal(n)
+        want = lu.solve(np.concatenate([np.zeros(2 * nf), load, [0.0]]))[:-1]
+        pinned = fi._saddle_factor(x, y, nx, ny)[0]
+        a1, a2, p = fi._saddle_apply(pinned, nf, lumped, load)
+        got = np.concatenate([a1, a2, p - (lumped @ p) / lumped.sum()])
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_saddle_matrix_has_no_dense_border(self, monkeypatch):
+        # Q1 couplings give at most 9 + 9 + 9 entries in a pressure row; a
+        # bordered multiplier would add a full row and column
+        factored = []
+
+        def recording(matrix, *args, **kwargs):
+            factored.append(matrix.tocsr())
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(fi, "splu", recording)
+        fi.bogovskii_m5(geo.straight(c1=0.0, c2=1.0), 0, 1, resolution=(33, 33))
+        (s,) = factored
+        assert np.diff(s.indptr).max() <= 27
+        assert np.diff(s.tocsc().indptr).max() <= 27
 
 
 class TestDecompositionBound:

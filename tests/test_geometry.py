@@ -283,6 +283,18 @@ class TestGrid:
         assert np.all(np.diff(g.x2, axis=1) > 0)
 
 
+class TestBump:
+    def test_products_match_power_form(self):
+        # _bump forms q^3 as q*q*q; the pow form agrees to 2 ulp
+        x = np.linspace(-4.4, 4.4, 200_001)
+        s = x / 4.0
+        inside = np.abs(s) < 1.0
+        ref = np.where(inside, (1.0 - s**2) ** 3, 0.0)
+        got = geo._bump(x, 4.0)
+        assert np.all(got[~inside] == 0.0)
+        assert np.all(np.abs(got - ref) <= 2.0 * np.spacing(ref))
+
+
 class TestCustomProfiles:
     def test_power_law_expression_matches_family(self):
         pc = geo.custom("-(1+abs(x))^0.5", "(1+abs(x))^0.5")
