@@ -80,26 +80,21 @@ def _scatter(conn, ndof, *blocks):
     ]
 
 
-def assemble_q1(x, y, nx, ny, coeff=None):
+def assemble_q1(x, y, nx, ny):
     """Stiffness K, mass M, and lumped mass for nodes (x, y) flattened.
 
-    coeff, if given, is a nodal scalar multiplying the mass integrand.
     Returns (K, M, lumped) as CSR / CSR / array.
     """
     conn = element_connectivity(nx, ny)
     ne = conn.shape[0]
-    ce = coeff[conn] if coeff is not None else None
 
     ke = np.zeros((ne, 4, 4))
     me = np.zeros((ne, 4, 4))
     for n, det, bx, by in _gauss_points(x[conn], y[conn]):
-        w = det
-        ke += w[:, None, None] * (
+        ke += det[:, None, None] * (
             bx[:, :, None] * bx[:, None, :] + by[:, :, None] * by[:, None, :]
         )
-        cval = (ce @ n) if ce is not None else 1.0
-        scal = w * cval if ce is not None else w
-        me += scal[:, None, None] * (n[None, :, None] * n[None, None, :])
+        me += det[:, None, None] * (n[None, :, None] * n[None, None, :])
 
     K, M = _scatter(conn, x.size, ke, me)
     return K, M, np.asarray(M.sum(axis=1)).ravel()

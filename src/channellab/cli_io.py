@@ -49,7 +49,6 @@ __all__ = [
     "write_csv",
     "write_svg_plot",
     "write_field_file",
-    "read_field_file",
     "load_comparison_csv",
 ]
 
@@ -176,8 +175,10 @@ def parse_scenario(path, environ=None):
     read = set()
 
     def located(section, key):
-        """'[section] key' after the line or override variable it came from."""
-        return f"{origins[(section, key)]}: [{section}] {key}"
+        """'[section] key' after the line or override variable it came from,
+        if it came from either."""
+        origin = origins.get((section, key))
+        return f"{origin}: [{section}] {key}" if origin else f"[{section}] {key}"
 
     def fetch(section, key, default=None, required=False):
         sec = sections.get(section, {})
@@ -222,7 +223,7 @@ def parse_scenario(path, environ=None):
         read.update(("profile", k) for k in sections.get("profile", {}))
         if family:
             errors.append(ValidationError(
-                "[profile] family",
+                located("profile", "family"),
                 f"unknown family {family!r}; known: {', '.join(KNOWN_FAMILIES)}"))
 
     flux = number("carrier", "flux", 1.0)
@@ -232,17 +233,16 @@ def parse_scenario(path, environ=None):
     try:
         cutoff = fc.Cutoff(fc.CutoffKind(cutoff_name))
     except ValueError:
-        errors.append(
-            ValidationError(
-                "[carrier] cutoff",
-                f"unknown cutoff {cutoff_name!r}; known: quintic, exp_bump",
-            )
-        )
+        errors.append(ValidationError(
+            located("carrier", "cutoff"),
+            f"unknown cutoff {cutoff_name!r}; known: quintic, exp_bump"))
         cutoff = fc.Cutoff()
     if epsilon is not None and not (0.0 < epsilon < 1.0):
-        errors.append(ValidationError("[carrier] epsilon", "must lie in (0,1)"))
+        errors.append(ValidationError(
+            located("carrier", "epsilon"), "must lie in (0,1)"))
     elif flux < 0:
-        errors.append(ValidationError("[carrier] flux", "must be nonnegative"))
+        errors.append(ValidationError(
+            located("carrier", "flux"), "must be nonnegative"))
     else:
         params = fc.CarrierParams(flux, epsilon, cutoff)
 
@@ -252,13 +252,13 @@ def parse_scenario(path, environ=None):
             tol=number("solver", "tol", 1e-9),
             max_iter=number("solver", "max_iter", 60, int),
         )
-    except ChannelLabError as exc:
-        errors.append(ValidationError("[solver]", str(exc)))
+    except ChannelLabError as exc:  # SolverConfig checks only tol
+        errors.append(ValidationError(located("solver", "tol"), str(exc)))
     for key, (kept, removed) in _RETIRED_SOLVER_KEYS.items():
         value = fetch("solver", key, default=kept)
         if value != kept and str(value).lower() != kept:
             errors.append(ValidationError(
-                f"[solver] {key}", f"unsupported value {value!r}; {removed}"))
+                located("solver", key), f"unsupported value {value!r}; {removed}"))
 
     thresholds = eh.HarnessThresholds(
         growth_ratio_bound=number("harness", "growth_ratio_bound", 3.0),
@@ -274,7 +274,8 @@ def parse_scenario(path, environ=None):
         number("grid", "ny", 65, int),
     )
     if grid_window[1] <= grid_window[0]:
-        errors.append(ValidationError("[grid]", "need b > a"))
+        errors.append(ValidationError(
+            f"{located('grid', 'a')}, {located('grid', 'b')}", "need b > a"))
     target_hx = number("harness", "target_hx", 0.125)
     pad_factor = number("harness", "pad_factor", 2.0)
 
@@ -334,12 +335,11 @@ def _fmt(value):
     return str(value)
 
 
-def write_csv(path, header, rows, comment=None):
+def write_csv(path, header, rows):
     """Deterministic CSV: schema comment, header, %.17g floats."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# channellab csv v{CSV_SCHEMA_VERSION}"
-             + (f" {comment}" if comment else "")]
+    lines = [f"# channellab csv v{CSV_SCHEMA_VERSION}"]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(row[h]) for h in header))
@@ -467,31 +467,6 @@ def write_field_file(path, state):
     return path
 
 
-def read_field_file(path):
-    """Load a field file back into (header dict, arrays dict)."""
-    header = {}
-    arrays = {}
-    current = None
-    rows = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if current is not None:
-                arrays[current] = np.array(rows, dtype=float)
-            current = line[1:-1]
-            rows = []
-        elif current is None:
-            key, _, value = line.partition("=")
-            header[key.strip()] = _parse_value(value)
-        else:
-            rows.append([float(v) for v in line.split()])
-    if current is not None:
-        arrays[current] = np.array(rows, dtype=float)
-    return header, arrays
-
-
 def _sha256(path):
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())
@@ -615,9 +590,10 @@ def _run_carrier_check(sc, out, quiet):
     return ok, artifacts
 
 
-def _grad_fd_spot_check(params, profile, window, rng, n=40):
+def _grad_fd_spot_check(params, profile, window, rng):
+    """Worst relative gap of grad_g to 4th-order differences at 40 points."""
     worst = 0.0
-    for _ in range(n):
+    for _ in range(40):
         x1 = rng.uniform(window[0], window[1])
         f2v = float(profile.f2(x1))
         fbv = float(profile.center(x1))

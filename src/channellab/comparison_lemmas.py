@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -112,6 +112,11 @@ def separable_psi(c1=0.0, c2=0.0, exponent=1.5):
 
 FunctionLike = Union[Callable, np.ndarray]
 
+# relative slack for decreasing jitter in sampled z
+MONOTONE_TOL = 1e-9
+# fine grid on which the hypotheses and the conclusion are evaluated
+N_FINE = 512
+
 
 @dataclass
 class ComparisonProblem:
@@ -120,7 +125,6 @@ class ComparisonProblem:
     t: np.ndarray
     z: np.ndarray
     phi: FunctionLike  # callable phi(t) or samples on the same grid
-    monotone_tol: float = 1e-9
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -131,10 +135,10 @@ class ComparisonProblem:
             raise OutOfRange("need at least 4 samples")
         if np.any(np.diff(self.t) <= 0):
             raise NonMonotoneSamples("sample grid must be strictly increasing")
-        if np.any(self.z < -self.monotone_tol * max(1.0, np.abs(self.z).max())):
+        if np.any(self.z < -MONOTONE_TOL * max(1.0, np.abs(self.z).max())):
             raise NonMonotoneSamples("z must be nonnegative")
         scale = max(1.0, float(np.abs(self.z).max()))
-        if np.any(np.diff(self.z) < -self.monotone_tol * scale):
+        if np.any(np.diff(self.z) < -MONOTONE_TOL * scale):
             raise NonMonotoneSamples("z samples must be nondecreasing")
 
     def z_interp(self):
@@ -183,19 +187,6 @@ class HypothesisReport:
     majorant_margin: float     # min over grid of phi - Psi(t,phi')/d1
     endpoint_ok: bool
     endpoint_gap: float        # phi(T) - z(T)
-    margin_tol: float = MARGIN_TOL
-    all_hold: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "all_hold",
-            bool(
-                self.growth_margin >= -self.margin_tol
-                and self.majorant_margin >= -self.margin_tol
-                and self.endpoint_ok
-            ),
-        )
 
 
 class Verdict(enum.Enum):
@@ -205,14 +196,14 @@ class Verdict(enum.Enum):
     HYPOTHESIS_FAILED_ENDPOINT = "hypothesis_failed_endpoint"
 
 
-def check_hypotheses(problem, n_fine=512, margin_tol=MARGIN_TOL):
+def check_hypotheses(problem):
     """Evaluate both differential inequalities on a fine grid.
 
     Margins are normalized by the local scale so they compare across
-    problems; small negative margins within margin_tol on an exactly
+    problems; small negative margins within MARGIN_TOL on an exactly
     saturated majorant count as holding.
     """
-    ts = np.linspace(problem.t[0], problem.t[-1], n_fine)
+    ts = np.linspace(problem.t[0], problem.t[-1], N_FINE)
     zi = problem.z_interp()
     z = zi(ts)
     zp = np.maximum(zi.derivative()(ts), 0.0)
@@ -238,32 +229,31 @@ def check_hypotheses(problem, n_fine=512, margin_tol=MARGIN_TOL):
     majorant_margin = float(np.min(phi - psi_phi / problem.delta1) / maj_scale)
 
     gap = float(problem.phi_values(problem.t[-1]) - zi(problem.t[-1]))
-    endpoint_ok = bool(gap >= -margin_tol * maj_scale)
+    endpoint_ok = bool(gap >= -MARGIN_TOL * maj_scale)
     return HypothesisReport(
         growth_margin=growth_margin,
         majorant_margin=majorant_margin,
         endpoint_ok=endpoint_ok,
         endpoint_gap=gap,
-        margin_tol=margin_tol,
     )
 
 
-def comparison_conclude(problem, report=None, n_fine=512):
+def comparison_conclude(problem, report=None):
     """Conclude z <= phi on the interval when the hypotheses hold.
 
     The conclusion is a theorem: if the hypotheses pass but z exceeds phi
     anywhere, that is an implementation bug and LemmaViolation is raised.
     """
     if report is None:
-        report = check_hypotheses(problem, n_fine)
-    if report.growth_margin < -report.margin_tol:
+        report = check_hypotheses(problem)
+    if report.growth_margin < -MARGIN_TOL:
         return Verdict.HYPOTHESIS_FAILED_GROWTH
-    if report.majorant_margin < -report.margin_tol:
+    if report.majorant_margin < -MARGIN_TOL:
         return Verdict.HYPOTHESIS_FAILED_MAJORANT
     if not report.endpoint_ok:
         return Verdict.HYPOTHESIS_FAILED_ENDPOINT
 
-    ts = np.linspace(problem.t[0], problem.t[-1], n_fine)
+    ts = np.linspace(problem.t[0], problem.t[-1], N_FINE)
     z = problem.z_interp()(ts)
     phi = problem.phi_values(ts)
     scale = max(1.0, float(np.abs(phi).max()))
@@ -313,23 +303,28 @@ class BlowupReport:
     passes: bool
 
 
-def blowup_rate(t, z, psi, m=None, tail_fraction=0.1, tol=0.05, hyp_tol=0.02):
+BLOWUP_TAIL_FRACTION = 0.1  # the tail is the final decade of t
+BLOWUP_SLOPE_TOL = 0.05
+BLOWUP_HYP_TOL = 0.02
+
+
+def blowup_rate(t, z, psi):
     """Fit the tail growth exponent of z and compare with m/(m-1).
 
-    The hypothesis z <= Psi(z') is evaluated on the tail; when it holds,
-    the comparison lemma forces liminf t^(-m/(m-1)) z > 0, so the fitted
-    log-log slope must reach m/(m-1) - tol.  Needs at least 10 samples in
-    the final decade of t.  hyp_tol is the relative slack for the
-    hypothesis margin: exact saturators sit at equality and interpolation
-    of the sampled derivative wobbles around it.
+    m is the exponent of the separable psi.  The hypothesis z <= Psi(z') is
+    evaluated on the tail; when it holds, the comparison lemma forces
+    liminf t^(-m/(m-1)) z > 0, so the fitted log-log slope must reach
+    m/(m-1) - BLOWUP_SLOPE_TOL.  Needs at least 10 samples in the final
+    decade of t.  BLOWUP_HYP_TOL is the relative slack for the hypothesis
+    margin: exact saturators sit at equality and interpolation of the
+    sampled derivative wobbles around it.
     """
     t = np.asarray(t, dtype=float)
     z = np.asarray(z, dtype=float)
-    if m is None:
-        m = psi.exponent
+    m = psi.exponent
     if m <= 1:
         raise OutOfRange("need m > 1")
-    tail = t >= t[-1] * tail_fraction
+    tail = t >= t[-1] * BLOWUP_TAIL_FRACTION
     if np.count_nonzero(tail) < 10:
         raise InsufficientTail(
             f"only {np.count_nonzero(tail)} samples in the final decade"
@@ -340,7 +335,7 @@ def blowup_rate(t, z, psi, m=None, tail_fraction=0.1, tol=0.05, hyp_tol=0.02):
     interp = PchipInterpolator(tt, zz)
     zp = np.maximum(interp.derivative()(tt), 0.0)
     margin = float(np.min((psi(tt, zp) - zz) / np.maximum(zz, 1e-300)))
-    holds = margin >= -hyp_tol
+    holds = margin >= -BLOWUP_HYP_TOL
 
     slope = float(np.polyfit(np.log(tt), np.log(zz), 1)[0])
     critical = m / (m - 1.0)
@@ -349,5 +344,5 @@ def blowup_rate(t, z, psi, m=None, tail_fraction=0.1, tol=0.05, hyp_tol=0.02):
         critical_exponent=critical,
         hypothesis_holds=holds,
         worst_hypothesis_margin=margin,
-        passes=bool((not holds) or slope >= critical - tol),
+        passes=bool((not holds) or slope >= critical - BLOWUP_SLOPE_TOL),
     )

@@ -20,7 +20,7 @@ from . import comparison_lemmas as cl
 from . import flux_carrier as fc
 from . import geometry as geo
 from . import ns_solver as ns
-from .errors import HypothesisNotMet, OutOfRange
+from .errors import HypothesisNotMet, LemmaViolation, OutOfRange
 
 __all__ = [
     "GridPolicy",
@@ -71,13 +71,16 @@ def padded_solve(profile, params, t_max, policy, config=ns.SolverConfig()):
     """Converged solve on a truncation padded beyond the reporting window.
 
     The pad is pad_factor * beta* f at each end, so windows up to +-t_max
-    sit at least one window scale inside the carrier end layers.
+    sit at least one window scale inside the carrier end layers.  beta*
+    comes from (-t_max-1, t_max+1); the padded window [a, b] that is solved
+    on is checked too, so no assumption fails unchecked inside a pad.
     """
     bs = geo.validate(profile, (-t_max - 1.0, t_max + 1.0)).beta_star
     lo, hi = -t_max, t_max
     pad_lo = policy.pad_factor * bs * float(profile.width(lo))
     pad_hi = policy.pad_factor * bs * float(profile.width(hi))
     a, b = lo - pad_lo, hi + pad_hi
+    geo.validate(profile, (a, b))
     nx = policy.nx_for(b - a)
     return ns.solve_steady(profile, params, a, b, nx, policy.ny, config)
 
@@ -438,18 +441,13 @@ def _gradient_distance(a_state, b_state):
 # ---------------------------------------------------------------------------
 
 
-def hat_weight(profile, t, beta_star):
+def _hat_weight(profile, t, beta_star, window):
     """The reparameterized trapezoidal weight at parameter t (callable).
 
-    Defined once the plateau exists (t past the crossing of the inner
-    window edges); below that the two ramps overlap and the construction
-    is meaningless.
+    ``window`` is (h(-t), h(t), h_L, h_R) of t.  Defined once the plateau
+    exists (t past the crossing of the inner window edges); below that the
+    two ramps overlap and the construction is meaningless.
     """
-    return _hat_weight(profile, t, beta_star, geo._h_window(profile, t, beta_star))
-
-
-def _hat_weight(profile, t, beta_star, window):
-    """hat_weight from the window (h(-t), h(t), h_L, h_R) of t."""
     h_m, h_t, h_l, h_r = window
     if h_l >= h_r:
         raise OutOfRange(
@@ -597,9 +595,9 @@ def _fit_inequality(y, yp, i_vals):
         if np.all(margin >= -1e-9 * max(1.0, float(np.abs(y).max()))):
             feasible.append((c11 + c12, c11, c12))
     if not feasible:
-        # fall back to the safe corner
-        c11 = float(np.nanmax(np.where(a > 0, y / a, 0.0)))
-        return c11 * 1.001 + 1e-12, 1e-12
+        # the (0, max y/b) vertex is feasible whenever every b > 0
+        raise LemmaViolation(
+            "no feasible (c11, c12): a weight integral is not positive")
     _, c11, c12 = min(feasible)
     scale = 1.0 + 1e-9
     return c11 * scale + 1e-15, c12 * scale + 1e-15

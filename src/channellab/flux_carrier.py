@@ -254,14 +254,14 @@ def carrier_vorticity(x, params, profile):
 # ---------------------------------------------------------------------------
 
 
-def _band_gauss_nodes(params, profile, x1, n_panels=32):
+def _band_gauss_nodes(params, profile, x1):
     """Gauss nodes in tau = -ln((f2-x2)/(f2-fbar)) covering the carrier band.
 
     The substitution x2 = f2 - (f/2) e^(-tau) makes the integrand smooth and
     O(1) however thin the band is; d x2 = A d tau.  Panels are aligned with
     the exact band edges (cutoff argument 1 and 0) where the quintic cutoff
     is only C^1, so composite Gauss converges at full order.  ``x1`` may be
-    an array: x2 and the weights get one trailing axis of 8*n_panels nodes.
+    an array: x2 and the weights get one trailing axis of 8 * 32 nodes.
     """
     eps = params.epsilon
     x1 = np.asarray(x1, dtype=float)
@@ -269,7 +269,7 @@ def _band_gauss_nodes(params, profile, x1, n_panels=32):
     half = 0.5 * np.asarray(profile.width(x1), dtype=float)[..., None]
     tau_lo = math.log(2.0)                       # cutoff argument = 1
     tau_hi = 1.0 / eps + math.log1p(math.exp(-1.0 / eps))  # argument = 0
-    edges = np.linspace(tau_lo, tau_hi, n_panels + 1)
+    edges = np.linspace(tau_lo, tau_hi, 33)  # 32 panels
     mid, rad = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     tau = (mid[:, None] + rad[:, None] * _GL8_NODES).ravel()
     w = (rad[:, None] * _GL8_WEIGHTS).ravel()
@@ -277,9 +277,9 @@ def _band_gauss_nodes(params, profile, x1, n_panels=32):
     return f2 - jac, w * jac
 
 
-def slice_flux(params, profile, x1, n_panels=32):
+def slice_flux(params, profile, x1):
     """Gauss quadrature of integral g1 dx2 over the cross-section at x1."""
-    x2, w = _band_gauss_nodes(params, profile, x1, n_panels)
+    x2, w = _band_gauss_nodes(params, profile, x1)
     g = velocity_g((np.full_like(x2, float(x1)), x2), params, profile)
     return float(np.dot(w, g[:, 0]))
 
@@ -322,10 +322,11 @@ class CarrierReport:
 
 
 def support_and_bounds_report(
-    params, profile, window, n_x=64, n_y=256, rng=None, raise_on_violation=True
+    params, profile, window, rng=None, raise_on_violation=True
 ):
     """Check the support/ratio bounds on a dense sample and report sizes.
 
+    The sample is 64 equispaced sections times the jittered band nodes.
     The inequalities are theorem-backed, so any violation signals an
     implementation bug (:class:`BoundViolation`).
     """
@@ -336,8 +337,8 @@ def support_and_bounds_report(
     checked, violations, sup_fg, sup_f2dg = 0, 0, 0.0, 0.0
     # eight sections per evaluation, as in the volume integral: a single
     # sweep over all of them left about 0.5 MB more resident at peak
-    for x1 in np.split(np.linspace(a, b, n_x), range(8, n_x, 8)):
-        x2, _ = _band_gauss_nodes(params, profile, x1, n_panels=max(8, n_y // 8))
+    for x1 in np.split(np.linspace(a, b, 64), range(8, 64, 8)):
+        x2, _ = _band_gauss_nodes(params, profile, x1)
         f2 = np.asarray(profile.f2(x1), dtype=float)[:, None]
         fbar = np.asarray(profile.center(x1), dtype=float)[:, None]
         f = np.asarray(profile.width(x1), dtype=float)[:, None]
@@ -366,7 +367,7 @@ def support_and_bounds_report(
             f"{violations} sampled points violate the carrier support bounds"
         )
 
-    vol = carrier_volume_integral(params, profile, a, b, n_x=max(64, n_x))
+    vol = carrier_volume_integral(params, profile, a, b, n_x=64)
     from .geometry import weight_integral
 
     wint = weight_integral(profile, a, b, -3.0)
@@ -387,7 +388,7 @@ def support_and_bounds_report(
 # ---------------------------------------------------------------------------
 
 
-def weighted_inequality_constant(params, profile, x1, n_coarse=200, n_band=2400):
+def weighted_inequality_constant(params, profile, x1):
     """Best constant of integral |g|^2 w^2 <= c * phi^2 * integral |d2 w|^2.
 
     Slicewise 1D generalized eigenproblem over w vanishing at both walls.
@@ -409,6 +410,7 @@ def weighted_inequality_constant(params, profile, x1, n_coarse=200, n_band=2400)
     half = 0.5 * f
 
     # nodes: physical below the band edge x2 = fbar + f/4, tau inside
+    n_coarse, n_band = 200, 2400  # P1 elements below the band and in tau
     x_low = np.linspace(f1, f2 - half / 2.0, n_coarse + 1)  # A from f down to f/4
     tau_end = 1.0 / eps + 8.0
     tau = np.linspace(math.log(2.0), tau_end, n_band + 1)  # A from f/4 downward

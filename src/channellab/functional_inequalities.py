@@ -152,18 +152,23 @@ def _slice_m0(profile, x1, n):
     return math.sqrt(lam)
 
 
-def poincare_m0(profile, a, b, resolution=257, n_slices=7):
+# M0: P1 nodes per slice and equispaced slices over [a, b]
+M0_NODES = 257
+M0_SLICES = 7
+
+
+def poincare_m0(profile, a, b):
     """Slicewise best constant of ||w/f|| <= M0 ||d2 w||, sup over slices."""
-    xs = np.linspace(a, b, n_slices)
-    vals = [_slice_m0(profile, x1, resolution) for x1 in xs]
+    xs = np.linspace(a, b, M0_SLICES)
+    vals = [_slice_m0(profile, x1, M0_NODES) for x1 in xs]
     value = max(vals)
-    coarse = max(_slice_m0(profile, x1, resolution // 2 + 1) for x1 in xs)
+    coarse = max(_slice_m0(profile, x1, M0_NODES // 2 + 1) for x1 in xs)
     return ConstantEstimate(
         name=ConstantName.M0,
         value=value,
         domain=f"{profile.label()}[{a},{b}]",
         method=Method.EIGEN,
-        resolution=(resolution,),
+        resolution=(M0_NODES,),
         self_consistency=abs(value - coarse) / value,
     )
 
@@ -173,12 +178,19 @@ def poincare_m0(profile, a, b, resolution=257, n_slices=7):
 # ---------------------------------------------------------------------------
 
 
-def sobolev_m4(profile, a, b, resolution=(65, 65), n_starts=16, n_iter=200, seed=0):
+# M4 ascent: seeded random starts, each capped at M4_MAX_STEPS steps; the
+# start set decides the basin the ascent lands in, so it is fixed
+M4_STARTS = 16
+M4_MAX_STEPS = 200
+M4_SEED = 0
+
+
+def sobolev_m4(profile, a, b, resolution=(65, 65)):
     """Best ratio ||w||_L4 / ||grad w||_L2 over wall-vanishing fields.
 
-    Normalized fixed-point ascent w <- K^(-1) M(w^3) from several random
-    starts; the result is a certified lower bound on M4 (ascent can only
-    stop short of the supremum).
+    Normalized fixed-point ascent w <- K^(-1) M(w^3) from M4_STARTS seeded
+    random starts; the result is a certified lower bound on M4 (ascent can
+    only stop short of the supremum).
     """
     nx, ny = resolution
     grid, x, y = _grid_nodes(profile, a, b, nx, ny)
@@ -191,14 +203,14 @@ def sobolev_m4(profile, a, b, resolution=(65, 65), n_starts=16, n_iter=200, seed
     except RuntimeError as exc:
         raise EigenFailure(str(exc)) from exc
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(M4_SEED)
     best = 0.0
     improved = False
-    for _ in range(n_starts):
+    for _ in range(M4_STARTS):
         w = rng.standard_normal(lump_f.size)
         w /= math.sqrt(w @ (Kf @ w))
         ratio_old = 0.0
-        for _ in range(n_iter):
+        for _ in range(M4_MAX_STEPS):
             w = lu.solve(lump_f * (w * w * w))  # w**3 is a pow call per entry
             nrm = math.sqrt(w @ (Kf @ w))
             if nrm == 0.0:
@@ -228,7 +240,7 @@ def sobolev_m4(profile, a, b, resolution=(65, 65), n_starts=16, n_iter=200, seed
 # ---------------------------------------------------------------------------
 
 
-def _saddle_factor(x, y, nx, ny, stab=0.1):
+def _saddle_factor(x, y, nx, ny):
     """LU of the stabilized Q1-Q1 saddle system for div a = w, a = 0 on bd.
 
     The pressure is fixed up to a constant, so node 0 is pinned (its row and
@@ -243,7 +255,7 @@ def _saddle_factor(x, y, nx, ny, stab=0.1):
     B2f = B2[1:, free]
     # pressure stabilization (Brezzi-Pitkaranta): eps_h * K_p with eps_h ~ h^2
     h2 = lumped.sum() / ((nx - 1) * (ny - 1))
-    C = stab * h2 * K[1:, 1:]
+    C = 0.1 * h2 * K[1:, 1:]
     nf = int(free.sum())
     s = sparse.bmat(
         [[Kf, None, B1f.T], [None, Kf, B2f.T], [B1f, B2f, -C]], format="csc"

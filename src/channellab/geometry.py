@@ -96,9 +96,6 @@ class ChannelMetrics:
     beta_star: float
     gamma: float
     window: tuple
-    k_range_case: Optional[KRangeCase] = None
-    t_star: Optional[float] = None
-    t_hat: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +294,7 @@ def _refined_extremum(fn, xs, vals, mode):
     return float(min(best, vals[idx]) if mode == "min" else max(best, vals[idx]))
 
 
-def validate(profile, window, classify_case=False):
+def validate(profile, window):
     """Check the standing assumptions on a window and return the metrics.
 
     Sampling is dense (4096 points) with a local golden-section style
@@ -348,25 +345,12 @@ def validate(profile, window, classify_case=False):
     if gamma > 1e6:
         raise AssumptionViolation(f"curvature bound gamma = {gamma:.3e} is unbounded")
 
-    beta_star = 1.0 / (4.0 * max(beta, _BETA_FLOOR))
-
-    case = None
-    t_star = None
-    t_hat = None
-    if classify_case:
-        case = classify(profile).case
-        t_star = _try_t_star(profile, beta_star)
-        t_hat = _try_t_hat(profile, beta_star)
-
     return ChannelMetrics(
         d_lower=d_lower,
         beta=beta,
-        beta_star=beta_star,
+        beta_star=1.0 / (4.0 * max(beta, _BETA_FLOOR)),
         gamma=gamma,
         window=(a, b),
-        k_range_case=case,
-        t_star=t_star,
-        t_hat=t_hat,
     )
 
 
@@ -420,14 +404,15 @@ def _gl8_panels(profile, lo, hi, p):
     return half * (profile.width(x) ** p @ _GL8_WEIGHTS)
 
 
-def _dyadic_blocks(lo, hi, start=64.0):
-    """Split [lo, hi] at 0 and into blocks that grow geometrically away from 0."""
+def _dyadic_blocks(lo, hi):
+    """Split [lo, hi] at 0 and into blocks that grow geometrically away from 0,
+    the first 64 long."""
     if hi <= lo:
         return []
     if lo >= 0.0:
         blocks = []
         edge = lo
-        step = start
+        step = 64.0
         while edge + step < hi and edge < 1e300:
             nxt = max(edge + step, step)
             if nxt >= hi:
@@ -438,8 +423,8 @@ def _dyadic_blocks(lo, hi, start=64.0):
         blocks.append((edge, hi))
         return blocks
     if hi <= 0.0:
-        return [(-b, -a) for a, b in reversed(_dyadic_blocks(-hi, -lo, start))]
-    return _dyadic_blocks(lo, 0.0, start) + _dyadic_blocks(0.0, hi, start)
+        return [(-b, -a) for a, b in reversed(_dyadic_blocks(-hi, -lo))]
+    return _dyadic_blocks(lo, 0.0) + _dyadic_blocks(0.0, hi)
 
 
 def k_of(profile, t):
@@ -450,8 +435,8 @@ def k_of(profile, t):
     return -weight_integral(profile, t, 0.0, -5.0 / 3.0)
 
 
-def inverse_k(profile, t, bracket_start=1.0):
-    """Solve k(h) = t for h: bracket by x4 growth, then safeguarded Newton.
+def inverse_k(profile, t):
+    """Solve k(h) = t for h: bracket by x4 growth from 1, then safeguarded Newton.
 
     Newton uses k' = f^(-5/3) and advances k by the integral over each
     step; a step that would leave the current bracket is replaced by
@@ -464,7 +449,7 @@ def inverse_k(profile, t, bracket_start=1.0):
     sign = 1.0 if t > 0.0 else -1.0
     target = abs(t)
     lo, k_lo = 0.0, 0.0
-    hi = bracket_start
+    hi = 1.0
     k_hi = abs(k_of(profile, sign * hi))
     guard = 0
     while k_hi < target:
@@ -524,26 +509,6 @@ def _try_t_star(profile, beta_star):
         return None
 
 
-def _try_t_hat(profile, beta_star):
-    """sup{t>0 : h_R(t) <= 0}: solve X = beta* f(X) for X, then t = k(X)."""
-
-    def g(x):
-        return x - beta_star * float(profile.width(x))
-
-    try:
-        hi = 1.0
-        for _ in range(200):
-            if g(hi) > 0.0:
-                break
-            hi *= 2.0
-        else:
-            return None
-        x_root = optimize.brentq(g, 0.0, hi, rtol=1e-13)
-        return k_of(profile, x_root)
-    except (OutOfRange, ValueError):
-        return None
-
-
 # ---------------------------------------------------------------------------
 # Divergence classification of the tail integrals
 # ---------------------------------------------------------------------------
@@ -559,9 +524,14 @@ class ClassificationReport:
     details: dict = field(default_factory=dict)
 
 
-def _tail_increments(profile, p, side, t0=64.0, n_windows=36):
+# classify: TAIL_WINDOWS dyadic windows on each side, the first at TAIL_T0
+TAIL_T0 = 64.0
+TAIL_WINDOWS = 36
+
+
+def _tail_increments(profile, p, side):
     """Partial-integral increments of f^p over dyadic windows on one side."""
-    edges = t0 * 2.0 ** np.arange(n_windows + 1)
+    edges = TAIL_T0 * 2.0 ** np.arange(TAIL_WINDOWS + 1)
     incs = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         if side < 0:
@@ -574,11 +544,12 @@ def _tail_increments(profile, p, side, t0=64.0, n_windows=36):
     return edges, np.asarray(incs)
 
 
-def _diverges(incs, margin=0.02):
+def _diverges(incs):
     """True/False/None for divergence from the dyadic increment ratios.
 
     On [T, 2T] an integrand ~ x^-q contributes ~ T^(1-q); the increment
-    ratio tends to 2^(1-q), so ratio > 1 <=> q < 1 <=> divergence.
+    ratio tends to 2^(1-q), so ratio > 1 <=> q < 1 <=> divergence.  A
+    median ratio within 0.02 of 1 is inconclusive.
     """
     incs = np.asarray(incs)
     if np.all(incs == 0.0):
@@ -588,9 +559,9 @@ def _diverges(incs, margin=0.02):
         return None
     ratios = tail[1:] / tail[:-1]
     r = float(np.median(ratios))
-    if r >= 1.0 + margin:
+    if r >= 1.02:
         return True
-    if r <= 1.0 - margin:
+    if r <= 0.98:
         return False
     return None
 
@@ -608,15 +579,15 @@ def _slope_limit_zero(edges, sups):
     return bool(slope < -0.02 or tail[-1] < 1e-9)
 
 
-def classify(profile, t0=64.0, n_windows=36):
+def classify(profile):
     """Classify the k-range case and evaluate the uniqueness hypotheses.
 
     The divergence of integral f^(-5/3) on each side fixes the case; the
     uniqueness conditions compare sup f' against the tail of integral f^(-3).
     Results are finite-window surrogates of asymptotic statements.
     """
-    edges_r, inc53_r = _tail_increments(profile, -5.0 / 3.0, +1, t0, n_windows)
-    edges_l, inc53_l = _tail_increments(profile, -5.0 / 3.0, -1, t0, n_windows)
+    edges_r, inc53_r = _tail_increments(profile, -5.0 / 3.0, +1)
+    edges_l, inc53_l = _tail_increments(profile, -5.0 / 3.0, -1)
     right = _diverges(inc53_r)
     left = _diverges(inc53_l)
 
@@ -631,8 +602,8 @@ def classify(profile, t0=64.0, n_windows=36):
     else:
         case = KRangeCase.FINITE_RIGHT
 
-    _, inc3_r = _tail_increments(profile, -3.0, +1, t0, n_windows)
-    _, inc3_l = _tail_increments(profile, -3.0, -1, t0, n_windows)
+    _, inc3_r = _tail_increments(profile, -3.0, +1)
+    _, inc3_l = _tail_increments(profile, -3.0, -1)
     div3_r = _diverges(inc3_r)
     div3_l = _diverges(inc3_l)
 

@@ -596,9 +596,9 @@ def dirichlet_energy(state, a, b, of_perturbation=False):
     return float((w * e).sum())
 
 
-def weighted_energy(state, weight, of_perturbation=True):
-    """integral of weight(x1) * |grad v|^2 with v = u - g by default."""
-    e = _grad_square(state, of_perturbation)
+def weighted_energy(state, weight):
+    """integral of weight(x1) * |grad v|^2 with v = u - g."""
+    e = _grad_square(state, True)
     w = np.asarray(weight(state.grid.xi), dtype=float)
     return float((state.grid.wq * w[:, None] * e).sum())
 

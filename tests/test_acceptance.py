@@ -237,8 +237,8 @@ class TestCriterion6:
         m1 = fi.poincare_m1(straight, 0, 2, resolution=(257, 257))
         wide = geo.straight(d0=2.0)
         m1w = fi.poincare_m1(wide, 0, 4, resolution=(257, 257))
-        m0_a = fi.poincare_m0(straight, -5, 5, resolution=257)
-        m0_b = fi.poincare_m0(power_half, -5, 5, resolution=257)
+        m0_a = fi.poincare_m0(straight, -5, 5)
+        m0_b = fi.poincare_m0(power_half, -5, 5)
         sq = geo.straight(c1=0.0, c2=1.0)
         m5_c = fi.bogovskii_m5(sq, 0, 1, resolution=(25, 25))
         m5_f = fi.bogovskii_m5(sq, 0, 1, resolution=(49, 49))

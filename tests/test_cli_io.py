@@ -157,6 +157,33 @@ class TestParsing:
         assert "CHANNELLAB_GRID__NX: [grid] nx: expected an integer" in msg
         assert "line" not in msg
 
+    def test_value_errors_name_their_line_or_variable(self, tmp_path):
+        body = MINIMAL.format(out=tmp_path / "o")
+        for old, new in [("family = straight", "family = wiggly"),
+                         ("b = 4", "b = -5")]:
+            body = body.replace(old, new)
+        body += "[solver]\ntol = -1\nrelax = 0.5\n[carrier]\ncutoff = box\n"
+        lines = body.splitlines()
+        at = {text: lines.index(text) + 1
+              for text in ("family = wiggly", "a = -4", "b = -5", "tol = -1",
+                           "relax = 0.5", "cutoff = box")}
+        path = write_scenario(tmp_path, body)
+        with pytest.raises(ValidationError) as err:
+            cli_io.parse_scenario(path, environ={"CHANNELLAB_CARRIER__FLUX": "-1"})
+        msg = str(err.value)
+        assert f"line {at['family = wiggly']}: [profile] family: unknown family" in msg
+        assert (f"line {at['a = -4']}: [grid] a, line {at['b = -5']}: [grid] b: "
+                "need b > a") in msg
+        assert f"line {at['tol = -1']}: [solver] tol: tol must be positive" in msg
+        assert f"line {at['relax = 0.5']}: [solver] relax: unsupported value" in msg
+        assert f"line {at['cutoff = box']}: [carrier] cutoff: unknown cutoff" in msg
+        assert "CHANNELLAB_CARRIER__FLUX: [carrier] flux: must be nonnegative" in msg
+        body = MINIMAL.format(out=tmp_path / "o") + "[carrier]\nepsilon = 1.5\n"
+        eps_line = body.splitlines().index("epsilon = 1.5") + 1
+        with pytest.raises(ValidationError) as err:
+            cli_io.parse_scenario(write_scenario(tmp_path, body), environ={})
+        assert f"line {eps_line}: [carrier] epsilon: must lie in (0,1)" in str(err.value)
+
     def test_bundled_scenarios_parse(self):
         scenarios = Path(__file__).resolve().parents[1] / "scenarios"
         paths = sorted(scenarios.glob("*.scn"))
@@ -210,11 +237,19 @@ class TestArtifacts:
         params = fc.CarrierParams(1.0, 0.5)
         state = ns.solve_steady(straight, params, -4, 4, 65, 17)
         path = cli_io.write_field_file(tmp_path / "f.field", state)
-        header, arrays = cli_io.read_field_file(path)
-        assert header["nx"] == 65 and header["ny"] == 17
-        assert header["flux"] == 1.0
+        header, arrays, current = {}, {}, None
+        for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+            if line.startswith("["):
+                current = arrays.setdefault(line[1:-1], [])
+            elif current is None:
+                key, _, value = line.partition(" = ")
+                header[key] = value
+            else:
+                current.append([float(v) for v in line.split()])
+        assert header["nx"] == "65" and header["ny"] == "17"
+        assert float(header["flux"]) == 1.0
         for name, arr in [("psi", state.psi), ("u1", state.u1)]:
-            assert np.array_equal(arrays[name], arr)
+            assert np.array_equal(np.array(arrays[name]), arr)
 
     def test_svg_written(self, tmp_path):
         p = cli_io.write_svg_plot(

@@ -124,9 +124,9 @@ class TestBlowup:
 
     def test_insufficient_tail(self):
         psi = cl.separable_psi(c2=1.0, exponent=1.5)
-        t = np.linspace(1.0, 100.0, 16)  # 8 tail samples < 10
+        t = np.linspace(1.0, 100.0, 10)  # 9 samples in the final decade < 10
         with pytest.raises(InsufficientTail):
-            cl.blowup_rate(t, t**3, psi, tail_fraction=0.5)
+            cl.blowup_rate(t, t**3, psi)
 
 
 class TestInverse:
@@ -207,8 +207,6 @@ class TestFuzz:
             ts, phi = cl.solve_majorant(psi, d1, phi0, 0.0, t1, step=t1 / 60)
             z = rng.uniform(0.05, 1.0) * (1 - d1) * phi
             prob = cl.ComparisonProblem(psi, d1, ts, z, phi)
-            # the majorant saturates its inequality; the sampled-derivative
-            # wobble needs a margin tolerance matched to the step
-            rep = cl.check_hypotheses(prob, margin_tol=1e-3)
+            rep = cl.check_hypotheses(prob)
             verdict = cl.comparison_conclude(prob, rep)  # raises on violation
             assert verdict is cl.Verdict.DOMINATED

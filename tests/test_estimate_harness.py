@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,13 @@ from channellab import estimate_harness as eh
 from channellab import flux_carrier as fc
 from channellab import geometry as geo
 from channellab import ns_solver as ns
-from channellab.errors import HypothesisNotMet, NonConvergence, OutOfRange
+from channellab.errors import (
+    AssumptionViolation,
+    HypothesisNotMet,
+    LemmaViolation,
+    NonConvergence,
+    OutOfRange,
+)
 
 SMALL = eh.GridPolicy(target_hx=0.125, ny=33)
 
@@ -14,6 +22,27 @@ SMALL = eh.GridPolicy(target_hx=0.125, ny=33)
 @pytest.fixture(scope="module")
 def small_power_report(power_half):
     return eh.padded_solve(power_half, fc.CarrierParams(1.0, 0.5), 8.0, SMALL)
+
+
+class TestPaddedSolve:
+    def test_assumption_broken_only_in_the_pad_raises_before_solving(
+        self, straight, monkeypatch
+    ):
+        # f'' is infinite beyond |x| = t_max + 2: outside the reporting
+        # window (-t_max-1, t_max+1) but inside the pads (beta* f = 2 each)
+        t_max = 6.0
+        bad = dataclasses.replace(
+            straight,
+            f2pp=lambda x: np.where(np.abs(np.asarray(x)) > t_max + 2.0, np.inf, 0.0),
+        )
+        geo.validate(bad, (-t_max - 1.0, t_max + 1.0))
+        solves = []
+        monkeypatch.setattr(ns, "solve_steady", lambda *args: solves.append(args))
+        with pytest.raises(AssumptionViolation):
+            eh.padded_solve(bad, fc.CarrierParams(1.0), t_max, SMALL)
+        assert solves == []
+        eh.padded_solve(straight, fc.CarrierParams(1.0), t_max, SMALL)
+        assert len(solves) == 1
 
 
 class TestGrowthScan:
@@ -140,13 +169,18 @@ class TestUniqueness:
         assert rep.unique
 
 
+def hat_weight(profile, t, beta_star):
+    return eh._hat_weight(profile, t, beta_star,
+                          geo._h_window(profile, t, beta_star))
+
+
 class TestHatWeight:
     def test_shape(self, power_half):
         m = geo.validate(power_half, (-40, 40))
         bs = m.beta_star
         t = 1.0
         h_t, h_l, h_r = geo.h_parameterization(power_half, t, bs)
-        w = eh.hat_weight(power_half, t, bs)
+        w = hat_weight(power_half, t, bs)
         assert w(np.array([h_t + 1.0]))[0] == 0.0
         assert w(np.array([0.5 * (h_l + h_r)]))[0] == pytest.approx(bs)
         # continuity at the joins
@@ -156,19 +190,21 @@ class TestHatWeight:
             assert lo == pytest.approx(hi, abs=1e-6)
 
     def test_undefined_below_crossing(self, power_half):
-        m = geo.validate(power_half, (-40, 40), classify_case=True)
-        assert m.t_star is not None
+        m = geo.validate(power_half, (-40, 40))
+        t_star = geo._try_t_star(power_half, m.beta_star)
+        assert t_star is not None
         with pytest.raises(OutOfRange):
-            eh.hat_weight(power_half, 0.5 * m.t_star, m.beta_star)
+            hat_weight(power_half, 0.5 * t_star, m.beta_star)
 
     def test_weighted_energy_nondecreasing_in_t(self, power_half,
                                                 small_power_report):
         # dt zeta_hat >= 0: the weighted energy grows with the window
-        m = geo.validate(power_half, (-40, 40), classify_case=True)
-        ts = np.linspace(1.05 * m.t_star, geo.k_of(power_half, 6.0), 8)
+        m = geo.validate(power_half, (-40, 40))
+        t_star = geo._try_t_star(power_half, m.beta_star)
+        ts = np.linspace(1.05 * t_star, geo.k_of(power_half, 6.0), 8)
         ys = [
             ns.weighted_energy(
-                small_power_report, eh.hat_weight(power_half, t, m.beta_star)
+                small_power_report, hat_weight(power_half, t, m.beta_star)
             )
             for t in ts
         ]
@@ -239,3 +275,11 @@ class TestFitInequality:
         c11, c12 = eh._fit_inequality(y, yp, i_vals)
         a = yp + yp**1.5
         assert np.all(c11 * a + c12 * i_vals >= y * (1 - 1e-8))
+
+    def test_no_feasible_vertex_raises(self):
+        # a zero weight integral where y' = 0 leaves no (c11, c12) at all
+        y = np.array([1.0, 2.0, 3.0, 4.0])
+        yp = np.array([0.0, 1.0, 1.0, 1.0])
+        i_vals = np.array([0.0, 1.0, 1.0, 1.0])
+        with pytest.raises(LemmaViolation):
+            eh._fit_inequality(y, yp, i_vals)

@@ -74,12 +74,12 @@ class TestPoincareM0:
     def test_random_fields_below_constant(self, straight):
         # the maximizer property: any wall-vanishing discrete field has
         # ratio at most M0 (up to discretization)
-        est = fi.poincare_m0(straight, -1, 1, resolution=129)
+        est = fi.poincare_m0(straight, -1, 1)
         rng = np.random.default_rng(0)
-        x2 = np.linspace(-1, 1, 129)
+        x2 = np.linspace(-1, 1, fi.M0_NODES)
         h = x2[1] - x2[0]
         for _ in range(20):
-            w = rng.standard_normal(129)
+            w = rng.standard_normal(fi.M0_NODES)
             w[0] = w[-1] = 0.0
             q = (w / 2.0) ** 2
             num = h * (q.sum() - 0.5 * (q[0] + q[-1]))
@@ -95,7 +95,7 @@ class TestSobolevM4:
         assert b.value / a.value == pytest.approx(math.sqrt(2.0), abs=0.05)
 
     def test_positive_on_any_start(self, straight):
-        est = fi.sobolev_m4(straight, 0, 2, resolution=(33, 17), n_starts=4)
+        est = fi.sobolev_m4(straight, 0, 2, resolution=(33, 17))
         assert est.value > 0
 
     def test_monotone_under_domain_growth(self, power_half):

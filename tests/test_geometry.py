@@ -191,11 +191,10 @@ class TestHParameterization:
             fxi = float(profile.width(xi))
             assert 0.5 * ft - 1e-12 <= fxi <= 1.5 * ft + 1e-12
 
-    def test_t_hat_straight(self, straight):
-        m = geo.validate(straight, (-10, 10), classify_case=True)
-        # h_R(t) = 0 at h(t) = beta* f = 2, i.e. t = k(2)
-        assert m.t_hat == pytest.approx(2.0 * 2.0 ** (-5.0 / 3.0), rel=1e-9)
-        assert m.t_star is not None and m.t_star > 0
+    def test_t_star_straight(self, straight):
+        m = geo.validate(straight, (-10, 10))
+        t_star = geo._try_t_star(straight, m.beta_star)
+        assert t_star is not None and t_star > 0
 
 
 class TestClassify:
