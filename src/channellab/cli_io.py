@@ -217,7 +217,9 @@ def parse_scenario(path, environ=None):
         try:
             profile = geo.make_profile(family, **kwargs)
         except (ChannelLabError, TypeError, ValueError) as exc:
-            errors.append(ValidationError("[profile]", str(exc)))
+            # the factory names no key: locate every wall value it was given
+            where = ", ".join(located("profile", k) for k in kwargs)
+            errors.append(ValidationError(where or "[profile]", str(exc)))
     else:
         # no family, no known keys: the family error speaks for the section
         read.update(("profile", k) for k in sections.get("profile", {}))

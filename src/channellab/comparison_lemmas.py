@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -141,24 +142,32 @@ class ComparisonProblem:
         if np.any(np.diff(self.z) < -MONOTONE_TOL * scale):
             raise NonMonotoneSamples("z samples must be nondecreasing")
 
-    def z_interp(self):
+    # The interpolants are built on first use and kept: the hypotheses and
+    # the conclusion evaluate them several times.
+    @cached_property
+    def _z_interp(self):
         # clip tiny decreasing jitter so the shape-preserving interpolant
         # cannot manufacture negative slopes
-        z = np.maximum.accumulate(self.z)
-        return PchipInterpolator(self.t, z)
+        return PchipInterpolator(self.t, np.maximum.accumulate(self.z))
+
+    @cached_property
+    def _phi_interp(self):
+        return PchipInterpolator(self.t, np.asarray(self.phi, dtype=float))
+
+    @cached_property
+    def _phi_slope(self):
+        return self._phi_interp.derivative()
 
     def phi_values(self, ts):
         if callable(self.phi):
             return np.asarray(self.phi(ts), dtype=float)
-        return PchipInterpolator(self.t, np.asarray(self.phi, dtype=float))(ts)
+        return self._phi_interp(ts)
 
     def phi_derivative(self, ts):
         if callable(self.phi):
             h = 1e-6 * max(1.0, float(self.t[-1] - self.t[0]))
             return (self.phi_values(ts + h) - self.phi_values(ts - h)) / (2 * h)
-        return PchipInterpolator(
-            self.t, np.asarray(self.phi, dtype=float)
-        ).derivative()(ts)
+        return self._phi_slope(ts)
 
     def phi_derivative_band(self, ts):
         """Derivative reconstruction ambiguity of sampled phi.
@@ -171,7 +180,7 @@ class ComparisonProblem:
             return np.zeros_like(np.asarray(ts, dtype=float))
         samples = np.asarray(self.phi, dtype=float)
         alt = np.gradient(samples, self.t)
-        main = PchipInterpolator(self.t, samples).derivative()(self.t)
+        main = self._phi_slope(self.t)
         band = np.abs(alt - main)
         return np.interp(ts, self.t, band)
 
@@ -204,9 +213,10 @@ def check_hypotheses(problem):
     saturated majorant count as holding.
     """
     ts = np.linspace(problem.t[0], problem.t[-1], N_FINE)
-    zi = problem.z_interp()
+    zi = problem._z_interp
+    dzi = zi.derivative()
     z = zi(ts)
-    zp = np.maximum(zi.derivative()(ts), 0.0)
+    zp = np.maximum(dzi(ts), 0.0)
     phi = problem.phi_values(ts)
     phip = problem.phi_derivative(ts)
     band = problem.phi_derivative_band(ts)
@@ -215,7 +225,7 @@ def check_hypotheses(problem):
     z_samples = np.maximum.accumulate(problem.z)
     z_band = np.interp(
         ts, problem.t,
-        np.abs(np.gradient(z_samples, problem.t) - zi.derivative()(problem.t)),
+        np.abs(np.gradient(z_samples, problem.t) - dzi(problem.t)),
     )
 
     psi_z = problem.psi(ts, zp + z_band)
@@ -254,7 +264,7 @@ def comparison_conclude(problem, report=None):
         return Verdict.HYPOTHESIS_FAILED_ENDPOINT
 
     ts = np.linspace(problem.t[0], problem.t[-1], N_FINE)
-    z = problem.z_interp()(ts)
+    z = problem._z_interp(ts)
     phi = problem.phi_values(ts)
     scale = max(1.0, float(np.abs(phi).max()))
     worst = float(np.min(phi - z))

@@ -7,8 +7,11 @@ there up to the tangential component carried through the omega data.  The
 nonlinear loop is a chord iteration on the coupled linear (psi, omega)
 system with the advecting velocity frozen: one SuperLU factor serves
 several steps, starting with the Stokes factor A(0) and carried across
-continuation levels.  The wall vorticity closure is a second-order
-one-sided formula built into the matrix.
+continuation levels.  The factor takes the unknowns in a nested-dissection
+order of the grid nodes, psi and omega of a node side by side, and keeps
+its pivots on the diagonal so that the order's low fill survives.  The
+wall vorticity closure is a second-order one-sided formula built into the
+matrix.
 """
 
 from __future__ import annotations
@@ -177,6 +180,37 @@ def velocity_gradients(state):
 # ---------------------------------------------------------------------------
 
 
+# nested dissection stops at boxes of at most this many nodes a side
+_LEAF_NODES = 4
+
+
+def _nested_dissection(nx, ny):
+    """Grid nodes ``i * ny + j`` in nested-dissection order.
+
+    Each box larger than a leaf is cut across its longer side by one full
+    grid line; both halves come first, then the separating line, so every
+    separator follows the nodes it decouples (George, SIAM J. Numer.
+    Anal. 10, 1973).
+    """
+    parts = []
+
+    def visit(box):
+        m, k = box.shape
+        if max(m, k) <= _LEAF_NODES:
+            parts.append(box.ravel())
+            return
+        if m < k:
+            box = box.T
+            m = k
+        c = m // 2
+        visit(box[:c])
+        visit(box[c + 1:])
+        parts.append(box[c])
+
+    visit(np.arange(nx * ny).reshape(nx, ny))
+    return np.concatenate(parts)
+
+
 class _Workspace:
     """Constant matrix block of a grid, and the boundary data of one flux."""
 
@@ -185,6 +219,10 @@ class _Workspace:
         self.profile = profile
         self.n = grid.nx * grid.ny
         self.a_const = self._assemble_constant()
+        # factor order of the 2n unknowns: psi and omega of each node
+        # adjacent, the nodes in nested-dissection order
+        order = _nested_dissection(grid.nx, grid.ny)
+        self.perm = np.column_stack([order, order + self.n]).ravel()
         self.set_params(params)
 
     def set_params(self, params):
@@ -333,18 +371,29 @@ class _Workspace:
         return sparse.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
 
     def factor(self, u1, u2):
-        """SuperLU factor of A(u) at a frozen advecting velocity."""
+        """SuperLU factor of A(u) at a frozen advecting velocity.
+
+        Rows and columns are both permuted by ``perm``, and SuperLU keeps
+        that order (``permc_spec="NATURAL"``) with diagonal pivots
+        (``diag_pivot_thresh=0``): a row swap would undo the symmetric
+        nested-dissection order and its fill.  SuperLU still swaps a row
+        where a diagonal pivot is exactly zero.  The factor is of the
+        permuted matrix; :meth:`apply` maps in and out of that order.
+        """
         a = self.a_const
         if u1 is not None:
             a = a + self.advection_matrix(u1, u2)
+        p = self.perm
         try:
-            return splu(a.tocsc())
+            return splu(a[p][:, p].tocsc(), permc_spec="NATURAL",
+                        diag_pivot_thresh=0.0)
         except RuntimeError as exc:  # singular factorization
             raise LinearSolveFailure(str(exc)) from exc
 
     def apply(self, lu, rhs):
-        """(psi, omega) from the back-solve LU^-1 rhs."""
-        x = lu.solve(rhs)
+        """(psi, omega) from the back-solve LU^-1 rhs, in natural order."""
+        x = np.empty_like(rhs)
+        x[self.perm] = lu.solve(rhs[self.perm])
         if not np.all(np.isfinite(x)):
             raise LinearSolveFailure("linear solve produced non-finite values")
         n = self.n

@@ -184,6 +184,18 @@ class TestParsing:
             cli_io.parse_scenario(write_scenario(tmp_path, body), environ={})
         assert f"line {eps_line}: [carrier] epsilon: must lie in (0,1)" in str(err.value)
 
+    def test_rejected_wall_names_its_lines(self, tmp_path):
+        # the family factory names no key, so every [profile] value it got
+        # is located
+        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+        body = (scenarios / "widening.scn").read_text(encoding="utf-8")
+        assert body.splitlines()[6] == "alpha = 0.5"
+        path = write_scenario(tmp_path, body.replace("alpha = 0.5", "alpha = 1.2"))
+        with pytest.raises(ValidationError) as err:
+            cli_io.parse_scenario(path, environ={})
+        assert ("line 6: [profile] d0, line 7: [profile] alpha: power_law needs"
+                in str(err.value))
+
     def test_bundled_scenarios_parse(self):
         scenarios = Path(__file__).resolve().parents[1] / "scenarios"
         paths = sorted(scenarios.glob("*.scn"))

@@ -69,6 +69,23 @@ class TestConclusion:
         )
         assert cl.comparison_conclude(prob) is cl.Verdict.DOMINATED
 
+    def test_sampled_problem_interpolates_z_and_phi_once(self, monkeypatch):
+        # the hypotheses and the conclusion share one interpolant of z and
+        # one of phi, with their derivatives
+        psi = cl.separable_psi(c2=1.0)
+        ts, phi = cl.solve_majorant(psi, 0.5, 2.0, 0.0, 1.0, step=1 / 60)
+        built = []
+        pchip = cl.PchipInterpolator
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return pchip(*args, **kwargs)
+
+        monkeypatch.setattr(cl, "PchipInterpolator", counted)
+        prob = cl.ComparisonProblem(psi, 0.5, ts, 0.25 * phi, phi)
+        assert cl.comparison_conclude(prob) is cl.Verdict.DOMINATED
+        assert len(built) <= 2
+
 
 class TestMajorant:
     def test_linear_psi_gives_exponential(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from channellab import flux_carrier as fc
 from channellab import geometry as geo
@@ -185,6 +186,64 @@ class TestFactorReuse:
         st = ns.solve_steady(straight, fc.CarrierParams(8.0), -6, 6, 97, 17)
         assert st.converged
         assert calls == [97]
+
+
+def _colamd_factor(self, u1, u2):
+    """Reference factor: COLAMD column order with partial pivoting."""
+    a = self.a_const
+    if u1 is not None:
+        a = a + self.advection_matrix(u1, u2)
+    return splu(a.tocsc())
+
+
+def _natural_apply(self, lu, rhs):
+    x = lu.solve(rhs)
+    n = self.n
+    return (x[:n].reshape(self.grid.nx, self.grid.ny),
+            x[n:].reshape(self.grid.nx, self.grid.ny))
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("nx, ny", [(8, 9), (65, 17), (96, 16), (385, 49)])
+    def test_order_pairs_psi_and_omega_of_every_node(self, straight, nx, ny):
+        grid = geo.make_grid(straight, -4, 4, nx, ny)
+        perm = ns._Workspace(grid, fc.CarrierParams(0.5), straight).perm
+        n = nx * ny
+        assert np.array_equal(np.sort(perm), np.arange(2 * n))
+        assert np.array_equal(perm[1::2], perm[0::2] + n)
+
+    def test_stokes_fill_of_bump_grid(self):
+        # COLAMD with partial pivoting fills L+U to 4,661,240 entries here
+        bump = geo.straight_outlet(c1=-1, c2=1, amp=0.5, k=4)
+        grid = geo.make_grid(bump, -12, 12, 385, 49)
+        lu = ns._Workspace(grid, fc.CarrierParams(0.5), bump).factor(None, None)
+        assert lu.L.nnz + lu.U.nnz <= 3_400_000
+
+    @pytest.mark.parametrize("case", ["bump", "straight"])
+    def test_solution_matches_colamd_partial_pivoting(self, straight, case,
+                                                      monkeypatch):
+        if case == "bump":
+            profile = geo.straight_outlet(c1=-1, c2=1, amp=0.5, k=4)
+            args = (profile, fc.CarrierParams(0.5), -12, 12, 385, 49)
+        else:
+            args = (straight, fc.CarrierParams(8.0), -6, 6, 97, 17)
+        st = ns.solve_steady(*args)
+        monkeypatch.setattr(ns._Workspace, "factor", _colamd_factor)
+        monkeypatch.setattr(ns._Workspace, "apply", _natural_apply)
+        ref = ns.solve_steady(*args)
+        for got, want in ((st.psi, ref.psi), (st.omega, ref.omega)):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("flux, factors, history", [
+        (1.0, 1, 11), (4.0, 3, 13), (8.0, 10, 25), (12.0, 72, 61)])
+    def test_counts_up_to_advection_dominated_flux(self, straight, splu_calls,
+                                                   flux, factors, history):
+        # the COLAMD, partial-pivot factor needed these counts; flux 12 has
+        # cell Peclet numbers far above 2, where diagonal pivots could fail
+        st = ns.solve_steady(straight, fc.CarrierParams(flux), -6, 6, 97, 17)
+        assert st.converged
+        assert len(splu_calls) <= factors
+        assert len(st.residual_history) <= history
 
 
 class TestEnergies:
