@@ -9,7 +9,8 @@ reads, in the file or the environment, is an error.
 
 Artifacts are deterministic: CSV floats are printed with repr-faithful
 %.17g, row order is fixed, and the manifest hashes the scenario file plus
-every numeric output.
+every numeric output.  Scan commands writing one output directory share
+each padded solve through a state file there (:func:`_padded_state`).
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ import math
 import os
 import sys
 import time
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import comparison_lemmas as cl
 from . import estimate_harness as eh
@@ -639,10 +642,82 @@ def _run_solve(sc, out, quiet):
     return bool(state.converged), artifacts
 
 
+_FIELDS = ("psi", "omega", "u1", "u2")
+
+
+def _code_version():
+    """Digest of the channellab sources and the numpy and scipy versions."""
+    digest = hashlib.sha256(f"{np.__version__} {scipy.__version__}".encode())
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def _save_state(path, state):
+    """Write a converged state's window, fields and solve record, atomically."""
+    g = state.grid
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    with open(tmp, "wb") as fh:
+        np.savez(fh, window=[g.a, g.b], shape=[g.nx, g.ny],
+                 converged=state.converged,
+                 residual_history=np.reshape(state.residual_history, (-1, 2)),
+                 diagnostics=list(state.diagnostics),
+                 diagnostic_values=list(state.diagnostics.values()),
+                 **{name: getattr(state, name) for name in _FIELDS})
+    tmp.replace(path)
+
+
+def _load_state(path, profile, params):
+    """The state :func:`_save_state` wrote, on the wall it was solved for."""
+    with np.load(path, allow_pickle=False) as z:
+        (a, b), (nx, ny) = z["window"], z["shape"]
+        return ns.FlowState(
+            grid=geo.make_grid(profile, a, b, int(nx), int(ny)),
+            profile=profile, params=params,
+            converged=bool(z["converged"]),
+            residual_history=[(int(i), float(r))
+                              for i, r in z["residual_history"]],
+            diagnostics=dict(zip(z["diagnostics"].tolist(),
+                                 z["diagnostic_values"].tolist())),
+            **{name: z[name] for name in _FIELDS},
+        )
+
+
+def _padded_state(sc, out, t_max, quiet):
+    """``eh.padded_solve`` once per window and output directory.
+
+    The converged state is kept in ``out`` as ``.padded-<session>-<t_max>.npz``,
+    so a later command writing there, in this process or another, loads it
+    instead of solving again.  ``<session>`` hashes every solve argument but
+    ``t_max`` (the wall by its label) and :func:`_code_version`; a solve
+    removes the states of other sessions.  The fields are read-only.
+    """
+    kwargs = dict(profile=sc.profile, params=sc.params, t_max=t_max,
+                  policy=sc.policy, config=sc.solver)
+    session = {**kwargs, "profile": sc.profile.label(), "t_max": None,
+               "code": _code_version()}
+    name = hashlib.sha256(repr(session).encode()).hexdigest()[:16]
+    path = out / f".padded-{name}-{t_max!r}.npz"
+    try:
+        state, how = _load_state(path, sc.profile, sc.params), "reused"
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile):
+        # absent, or not a file this function wrote: solve and replace it
+        state, how = eh.padded_solve(**kwargs), "solved"
+        for old in out.glob(".padded-*.npz"):
+            if not old.name.startswith(f".padded-{name}-"):
+                old.unlink(missing_ok=True)
+        _save_state(path, state)
+    for values in (state.psi, state.omega, state.u1, state.u2):
+        values.setflags(write=False)
+    if not quiet:
+        g = state.grid
+        print(f"  padded window [{g.a:.6g}, {g.b:.6g}], {g.nx}x{g.ny}, "
+              f"hx {g.hx:.4g}: {how}")
+    return state
+
+
 def _run_growth(sc, out, quiet):
-    state = eh.padded_solve(
-        sc.profile, sc.params, max(sc.t_list), sc.policy, sc.solver
-    )
+    state = _padded_state(sc, out, max(sc.t_list), quiet)
     rep = eh.growth_scan(state, sc.t_list, thresholds=sc.thresholds)
     artifacts = [
         write_csv(
@@ -708,9 +783,7 @@ def _write_verdicts(path, verdicts, quiet):
 
 
 def _run_decay(sc, out, quiet):
-    state = eh.padded_solve(
-        sc.profile, sc.params, sc.t_range[-1], sc.policy, sc.solver
-    )
+    state = _padded_state(sc, out, sc.t_range[-1], quiet)
     rep = eh.decay_scan(state, sc.t_range, thresholds=sc.thresholds)
     artifacts = [
         write_csv(
@@ -745,9 +818,7 @@ def _run_decay(sc, out, quiet):
 
 def _run_poiseuille(sc, out, quiet):
     eh.plateau_windows(sc.outlet_k, sc.t_list)  # rejects empty windows unsolved
-    state = eh.padded_solve(
-        sc.profile, sc.params, max(sc.t_list), sc.policy, sc.solver
-    )
+    state = _padded_state(sc, out, max(sc.t_list), quiet)
     rep = eh.poiseuille_convergence(
         state, sc.outlet_k, sc.t_list, thresholds=sc.thresholds
     )

@@ -49,6 +49,20 @@ def splu_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The arguments of every ``solve_steady`` call, as a list; calls through."""
+    calls = []
+    solve = ns.solve_steady
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ns, "solve_steady", counted)
+    return calls
+
+
 def poiseuille_u1(x2, phi=1.0):
     return 0.75 * phi * (1.0 - np.asarray(x2) ** 2)
 

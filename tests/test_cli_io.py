@@ -15,6 +15,7 @@ from channellab import geometry as geo
 from channellab import ns_solver as ns
 from channellab.errors import (
     LemmaViolation,
+    NonConvergence,
     OutOfRange,
     ParseError,
     ValidationError,
@@ -375,10 +376,11 @@ class TestRun:
 
     def test_poiseuille_rejects_t_list_before_solving(self, tmp_path,
                                                       monkeypatch, capsys):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solved before checking t_list")
+        def no_lookup(*args, **kwargs):
+            raise AssertionError("looked up a state before checking t_list")
 
-        monkeypatch.setattr(cli_io.eh, "padded_solve", no_solve)
+        # no solve and no reuse of a cached state either
+        monkeypatch.setattr(cli_io, "_padded_state", no_lookup)
         body = MINIMAL.format(out=tmp_path / "out").replace(
             "t_list = 1, 2", "t_list = 2, 4, 8\noutlet_k = 4"
         )
@@ -426,11 +428,158 @@ class TestRun:
         assert "RuntimeWarning" not in proc.stderr
         assert "carrier-check" in proc.stdout
 
-    def test_determinism_byte_identical_csv(self, tmp_path):
+    def test_determinism_byte_identical_csv(self, tmp_path, solve_calls):
         path = self.scenario(tmp_path)
         sc = cli_io.parse_scenario(path, environ={})
         cli_io.run("growth-scan", sc, scenario_path=path, quiet=True)
         first = (tmp_path / "out" / "growth.csv").read_bytes()
+        # a second directory, so the second run solves afresh
+        sc.out_dir = tmp_path / "again"
         cli_io.run("growth-scan", sc, scenario_path=path, quiet=True)
-        second = (tmp_path / "out" / "growth.csv").read_bytes()
+        second = (tmp_path / "again" / "growth.csv").read_bytes()
+        assert len(solve_calls) == 2
         assert first == second
+
+
+class TestSessionSolves:
+    """Scan commands into one output directory share their padded solves."""
+
+    # outlet_k 0.5 gives poiseuille two plateau windows in t_list 1, 2
+    BODY = MINIMAL + "\n[harness]\noutlet_k = 0.5\n"
+
+    def scenario(self, tmp_path, out="out"):
+        text = self.BODY.format(out=tmp_path / out)
+        return write_scenario(tmp_path, text, name=f"{out}.scn")
+
+    def command(self, command, path, *extra):
+        return cli_io.main([command, "--scenario", str(path), "--quiet", *extra])
+
+    def states(self, out):
+        return sorted(p.name for p in out.glob(".padded-*"))
+
+    def test_growth_then_poiseuille_solve_once(self, tmp_path, solve_calls):
+        path = self.scenario(tmp_path)
+        assert self.command("growth-scan", path) == 0
+        status = self.command("poiseuille", path)
+        assert len(solve_calls) == 1
+        # a fresh solve in another directory writes the same bytes
+        fresh = self.scenario(tmp_path, out="fresh")
+        assert self.command("poiseuille", fresh) == status
+        assert len(solve_calls) == 2
+        for name in ("poiseuille.csv", "poiseuille_verdicts.csv"):
+            reused = (tmp_path / "out" / name).read_bytes()
+            assert reused == (tmp_path / "fresh" / name).read_bytes(), name
+
+    def test_another_process_reuses_the_state(self, tmp_path, solve_calls):
+        path = self.scenario(tmp_path)
+        assert self.command("growth-scan", path) == 0
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "channellab", "poiseuille", "--scenario",
+             str(path)], env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = [line for line in proc.stdout.splitlines()
+                 if "padded window" in line]
+        assert len(lines) == 1 and lines[0].endswith(": reused"), proc.stdout
+
+    def test_two_directories_solve_twice(self, tmp_path, solve_calls):
+        for out in ("run1", "run2"):
+            assert self.command("growth-scan", self.scenario(tmp_path, out)) == 0
+        assert len(solve_calls) == 2
+
+    @pytest.mark.parametrize(
+        "edit, env, extra",
+        [
+            (("flux = 1.0", "flux = 0.5"), {}, ()),
+            (None, {"CHANNELLAB_SOLVER__TOL": "1e-10"}, ()),
+            (None, {}, ("--grid", "65,13")),
+            (("target_hx = 0.25", "target_hx = 0.2"), {}, ()),
+            (None, {"CHANNELLAB_PROFILE__D0": "1.5"}, ()),
+            (("d0 = 1.0", "d0 = 1.25"), {}, ()),
+        ],
+        ids=["flux", "tol", "grid-ny", "target-hx", "profile-env",
+             "profile-file"],
+    )
+    def test_changed_input_solves_again(self, tmp_path, monkeypatch, solve_calls,
+                                        edit, env, extra):
+        path = self.scenario(tmp_path)
+        assert self.command("growth-scan", path) == 0
+        first = self.states(tmp_path / "out")
+        if edit is not None:
+            path.write_text(path.read_text().replace(*edit))
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        self.command("growth-scan", path, *extra)
+        assert len(solve_calls) == 2
+        # the new session's state replaced the old one
+        second = self.states(tmp_path / "out")
+        assert len(first) == len(second) == 1 and first != second
+
+    def test_changed_code_solves_again(self, tmp_path, monkeypatch, solve_calls):
+        path = self.scenario(tmp_path)
+        assert self.command("growth-scan", path) == 0
+        monkeypatch.setattr(cli_io, "_code_version", lambda: "edited")
+        assert self.command("growth-scan", path) == 0
+        assert len(solve_calls) == 2
+
+    def test_session_keeps_each_window(self, tmp_path, monkeypatch, solve_calls):
+        path = self.scenario(tmp_path)
+        monkeypatch.setenv("CHANNELLAB_HARNESS__T_RANGE", "1, 3")
+        for command in ("growth-scan", "decay-scan", "poiseuille", "decay-scan"):
+            self.command(command, path)
+        # t_max 2 (growth, poiseuille) and 3 (decay): two windows, both kept
+        assert len(solve_calls) == 2
+        assert solve_calls[0][2:4] != solve_calls[1][2:4]
+        assert len(self.states(tmp_path / "out")) == 2
+
+    def test_unreadable_state_solves_again(self, tmp_path, solve_calls):
+        path = self.scenario(tmp_path)
+        assert self.command("growth-scan", path) == 0
+        (state,) = (tmp_path / "out").glob(".padded-*")
+        state.write_bytes(b"not a state")
+        assert self.command("growth-scan", path) == 0
+        assert len(solve_calls) == 2
+        assert self.command("poiseuille", path) == 0
+        assert len(solve_calls) == 2
+
+    def test_reused_state_is_read_only(self, tmp_path, solve_calls):
+        path = self.scenario(tmp_path)
+        assert self.command("growth-scan", path) == 0
+        sc = cli_io.parse_scenario(path, environ={})
+        state = cli_io._padded_state(sc, sc.out_dir, max(sc.t_list), quiet=True)
+        assert len(solve_calls) == 1
+        with pytest.raises(ValueError):
+            state.psi[1, 1] = 0.0
+
+    def test_failed_solve_is_not_cached(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def diverge(*args, **kwargs):
+            calls.append(args)
+            raise NonConvergence("diverged", best_residual=0.3, iterations=4)
+
+        monkeypatch.setattr(ns, "solve_steady", diverge)
+        path = self.scenario(tmp_path)
+        for command in ("growth-scan", "poiseuille"):
+            assert cli_io.main([command, "--scenario", str(path)]) == 1
+            assert "NonConvergence: diverged" in capsys.readouterr().err
+        assert len(calls) == 2
+        assert self.states(tmp_path / "out") == []
+
+    def test_scans_say_what_they_solved(self, tmp_path, capsys, solve_calls):
+        path = self.scenario(tmp_path)
+        for command in ("growth-scan", "poiseuille"):
+            cli_io.main([command, "--scenario", str(path)])
+        lines = [line.strip() for line in capsys.readouterr().out.splitlines()
+                 if "padded window" in line]
+        assert len(lines) == 2 and len(solve_calls) == 1
+        a, b, nx, ny = solve_calls[0][2:6]
+        hx = (b - a) / (nx - 1)
+        assert lines[0] == (f"padded window [{a:.6g}, {b:.6g}], {nx}x{ny}, "
+                            f"hx {hx:.4g}: solved")
+        assert lines[1] == lines[0].replace("solved", "reused")
