@@ -60,10 +60,6 @@ class LemmaViolation(ChannelLabError):
     """A theorem-backed conclusion failed numerically: implementation bug."""
 
 
-class BoundViolation(ChannelLabError):
-    """A theorem-backed pointwise bound failed: implementation bug."""
-
-
 class HypothesisNotMet(ChannelLabError):
     """Input does not satisfy the hypotheses required by the check."""
 

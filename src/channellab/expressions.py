@@ -17,8 +17,8 @@ user's responsibility, matching profiles like ``(1+abs(x))^0.5``).
 
 from __future__ import annotations
 
+import ast
 import math
-import re
 
 import numpy as np
 
@@ -216,124 +216,55 @@ class Func(Expr):
         return f"{self.name}({self.arg!r})"
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_]\w*)"
-    r"|(?P<op>\*\*|[-+*/^(),]))"
-)
-
 _FUNCS = ("sqrt", "exp", "log", "sin", "cos", "tanh", "abs")
 _CONSTS = {"pi": math.pi, "e": math.e}
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r} in expression {text!r}")
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            op = m.group("op")
-            tokens.append(("op", "^" if op == "**" else op))
-        pos = m.end()
-    tokens.append(("end", None))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, text):
-        self.tokens = tokens
-        self.text = text
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r} in expression {self.text!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ParseError(f"trailing tokens in expression {self.text!r}")
-        return node.simplified()
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.next()
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.next()
-            rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.next()
-            return Sub(Const(0.0), self.unary())
-        if self.peek() == ("op", "+"):
-            self.next()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.next()
-            exponent = self.unary().simplified()
-            if not isinstance(exponent, Const):
-                raise ParseError(
-                    f"exponent must be a constant in expression {self.text!r}"
-                )
-            return Pow(base, exponent)
-        return base
-
-    def atom(self):
-        kind, val = self.next()
-        if kind == "num":
-            return Const(val)
-        if kind == "name":
-            if val == "x":
-                return Var()
-            if val in _CONSTS:
-                return Const(_CONSTS[val])
-            if val in _FUNCS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Func(val, arg)
-            raise ParseError(f"unknown name {val!r} in expression {self.text!r}")
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ParseError(f"unexpected token in expression {self.text!r}")
+_BINOPS = {ast.Add: Add, ast.Sub: Sub, ast.Mult: Mul, ast.Div: Div, ast.Pow: Pow}
+_MAX_DEPTH = 64  # second derivatives nest up to 9x deeper, within the recursion limit
 
 
 def parse_expression(text):
-    """Parse ``text`` into an :class:`Expr` with symbolic derivatives."""
+    """Parse ``text`` into an :class:`Expr` with symbolic derivatives.
+
+    Python's parser reads it, ``^`` as ``**`` (the grammar's precedence and
+    right associativity); a node the grammar lacks is a :class:`ParseError`.
+    """
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty expression")
-    return _Parser(_tokenize(text), text).parse()
+    # as in the grammar, any Unicode digit is a digit, any whitespace separates
+    # tokens and a NUMBER may start with zeros (a Python integer may not)
+    src = " ".join("".join(str(int(c)) if c.isdecimal() else c for c in text).split())
+    kept, lead = [], True
+    for i, c in enumerate(src):
+        kept.append("" if lead and c == "0" and src[i + 1:i + 2].isdigit() else c)
+        lead = lead and c == "0" or not (c.isalnum() or c in "._")
+    src = "".join(kept).replace("^", "**")
+    # only the characters of the grammar's tokens; no rule accepts its ','
+    if not src.isascii() or not all(c.isalnum() or c in "_.+-*/() " for c in src):
+        raise ParseError(f"unexpected character in {text!r}")
+    try:
+        body = ast.parse(src, mode="eval").body
+    except (SyntaxError, RecursionError):
+        raise ParseError(f"cannot parse {text!r}") from None
+
+    def build(node, depth):
+        if depth > _MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {_MAX_DEPTH} in {text!r}")
+        literal = src[node.col_offset:node.end_col_offset]
+        match node:
+            case ast.BinOp(left, op, right) if type(op) in _BINOPS:
+                a, b = build(left, depth + 1), build(right, depth + 1)
+                if type(op) is ast.Pow and not isinstance(b := b.simplified(), Const):
+                    raise ParseError(f"exponent must be a constant in {text!r}")
+                return _BINOPS[type(op)](a, b)
+            case ast.UnaryOp(ast.USub() | ast.UAdd() as op, operand):
+                a = build(operand, depth + 1)
+                return Sub(Const(0.0), a) if isinstance(op, ast.USub) else a
+            case ast.Constant(int() | float()) if set(literal) <= set("0123456789.eE+-"):
+                return Const(float(literal))  # not 0x10, 1_0 or True
+            case ast.Name(name) if name == "x" or name in _CONSTS:
+                return Var() if name == "x" else Const(_CONSTS[name])
+            case ast.Call(ast.Name(name), [arg]) if name in _FUNCS and literal[0] != "(":
+                return Func(name, build(arg, depth + 1))  # not '(sqrt)(x)'
+        raise ParseError(f"{literal!r} is outside the grammar in {text!r}")
+
+    return build(body, 1).simplified()

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate, optimize
 
-from .errors import AssumptionViolation, DegenerateGrid, OutOfRange, ParseError
+from .errors import AssumptionViolation, DegenerateGrid, OutOfRange
 from .expressions import parse_expression
 
 __all__ = [
@@ -236,11 +236,8 @@ def straight_outlet(c1=-1.0, c2=1.0, amp=0.5, k=4.0):
 def custom(f1, f2):
     """Profile from two wall expressions in x (see :mod:`.expressions`)."""
     f1_expr, f2_expr = f1, f2
-    try:
-        e1 = parse_expression(f1_expr)
-        e2 = parse_expression(f2_expr)
-    except ParseError:
-        raise
+    e1 = parse_expression(f1_expr)
+    e2 = parse_expression(f2_expr)
     e1p, e2p = e1.diff().simplified(), e2.diff().simplified()
     e1pp, e2pp = e1p.diff().simplified(), e2p.diff().simplified()
     return ChannelProfile(

@@ -238,6 +238,17 @@ class TestParsing:
         sc = cli_io.parse_scenario(path, environ={})
         assert float(sc.profile.f2(3.0)) == pytest.approx(2.0)
 
+    def test_too_deep_wall_is_a_located_error(self, tmp_path):
+        body = MINIMAL.format(out=tmp_path).replace(
+            "family = straight\nd0 = 1.0",
+            "family = custom\nf1 = -(1+abs(x))^0.5\nf2 = (1+abs(x))^0.5",
+        )
+        path = write_scenario(tmp_path, body)
+        deep = "+".join(["x"] * 3000)
+        with pytest.raises(ValidationError) as err:
+            cli_io.parse_scenario(path, environ={"CHANNELLAB_PROFILE__F2": deep})
+        assert "CHANNELLAB_PROFILE__F2: [profile] f2: cannot parse 'x+x" in str(err.value)
+
 
 class TestArtifacts:
     def test_csv_deterministic_bytes(self, tmp_path):
@@ -307,6 +318,14 @@ class TestRun:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert "carrier_report.csv" in manifest["outputs"]
         assert manifest["scenario_sha256"]
+
+    def test_carrier_check_passes_across_a_wall_joint(self, tmp_path):
+        # seed 59 samples x1 = 4.00008, one stencil step from bump_outlet's
+        # joint at x1 = k = 4, where the walls' third derivative jumps
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "bump_outlet.scn"
+        sc = cli_io.parse_scenario(path, environ={
+            "CHANNELLAB_OUTPUT__SEED": "59", "CHANNELLAB_OUTPUT__DIR": str(tmp_path)})
+        assert cli_io.run("carrier-check", sc, scenario_path=path, quiet=True) == 0
 
     def test_manifest_merges_every_command(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -21,11 +21,49 @@ def fd(e, x, h=1e-6):
         ("x**2 + 1", 3.0, 10.0),
         ("pi - pi + x", 1.5, 1.5),
         ("sin(x)/cos(x) - x*0", 0.0, 0.0),
+        ("2^-1", 2.0, 0.5),
+        ("x^2^3", 2.0, 256.0),
+        ("x^-2^2", 2.0, 0.0625),
+        ("--x", 3.0, 3.0),
+        ("+x", 3.0, 3.0),
+        (".5e1*x", 2.0, 10.0),
+        ("2.", 5.0, 2.0),
+        ("2*x^3/4", 2.0, 4.0),
+        ("x+\n1", 2.0, 3.0),
+        ("007*x", 2.0, 14.0),
+        ("\u0663*x", 2.0, 6.0),  # NUMBER reads any Unicode digit
     ],
 )
 def test_evaluation(text, x, value):
     e = parse_expression(text)
     assert float(e(x)) == pytest.approx(value, abs=1e-12)
+    assert repr(e) == TREES[text]
+
+
+# the simplified tree of each text above: '^' is right associative, binds
+# tighter than unary minus and takes a unary exponent
+TREES = {
+    "1 + 2*x": "(1 + (2 * x))",
+    "(1+abs(x))^0.5": "((1 + abs(x)) ^ 0.5)",
+    "2*(1+x)^0.5": "(2 * ((1 + x) ^ 0.5))",
+    "exp(0*x)": "1",
+    "sqrt(x)": "sqrt(x)",
+    "-x^2": "(0 - (x ^ 2))",
+    "x**2 + 1": "((x ^ 2) + 1)",
+    "pi - pi + x": "x",
+    "sin(x)/cos(x) - x*0": "(sin(x) / cos(x))",
+    "2^-1": "0.5",
+    "x^2^3": "(x ^ 8)",
+    "x^-2^2": "(x ^ -4)",
+    "--x": "(0 - (0 - x))",
+    "+x": "x",
+    ".5e1*x": "(5 * x)",
+    "2.": "2",
+    "2*x^3/4": "((2 * (x ^ 3)) / 4)",
+    "x+\n1": "(x + 1)",
+    "007*x": "(7 * x)",
+    "\u0663*x": "(3 * x)",
+}
 
 
 @pytest.mark.parametrize(
@@ -54,7 +92,15 @@ def test_vectorized_evaluation():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "x +", "foo(x)", "x ^ x", "(1+x", "1 $ 2", "y + 1"]
+    "bad", ["", "x +", "foo(x)", "x ^ x", "(1+x", "1 $ 2", "y + 1",
+            # Python syntax that the grammar lacks
+            "x % 2", "x // 2", "1 < x", "x if x else 1", "True", "1j", "0x10",
+            "1_0*x", "[x]", "(x, 1)", "x.real", "abs(x, 1)", "sqrt(x=1)",
+            "lambda: x", "x; 1", "e^x", "(sqrt)(x)", "sqrt(x,)", "x # 1",
+            "\uff58 + 1",  # a fullwidth x, which Python's parser reads as x
+            pytest.param("-" * 5000 + "x", id="5000 minus signs"),
+            pytest.param("(" * 300 + "x" + ")" * 300, id="300 parentheses"),
+            pytest.param("-" * 64 + "x", id="65 levels")]
 )
 def test_parse_errors(bad):
     with pytest.raises(ParseError):

@@ -238,12 +238,14 @@ class TestFluxAndSupport:
                                            rng=np.random.default_rng(3))
         assert (rep.n_support_points, rep.sup_f_g, rep.sup_f2_grad_g) == (
             checked, sup_fg, sup_f2dg)
+        assert rep.violations == 0
 
     def test_sup_f_g_independent_of_window(self, straight):
         # translation invariance: the straight-channel carrier is uniform
         params = fc.CarrierParams(1.0, 0.5)
         r1 = fc.support_and_bounds_report(params, straight, (-3, 3))
         r2 = fc.support_and_bounds_report(params, straight, (-9, 9))
+        assert r1.violations == r2.violations == 0
         assert r1.sup_f_g == pytest.approx(r2.sup_f_g, rel=1e-6)
 
 
