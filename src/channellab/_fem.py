@@ -5,7 +5,7 @@ Nodes are the mapped-grid nodes ordered idx = i*ny + j; elements are the
 grid cells, integrated isoparametrically with 2x2 Gauss.  Also holds the
 one eigen helper behind every inequality constant (shift-invert Lanczos
 with a residual-checked acceptance) and its wrapper for the tridiagonal
-1D P1 pencils of the slice constants.
+1D P1 pencils of the carrier's slice constant.
 """
 
 from __future__ import annotations

@@ -175,7 +175,11 @@ class Pow(Binary):
     def simplified(self):
         a, b = self.a.simplified(), self.b.simplified()
         if isinstance(a, Const):
-            return Const(a.value ** b.value)
+            try:  # 2^2^2^2^2 overflows, 0^-1 divides by zero, (-1)^0.5 is complex
+                return Const(a.value ** b.value)
+            except (ArithmeticError, TypeError):
+                raise ParseError(
+                    f"{a!r} to the power {b!r} is not a finite real number") from None
         if b.value == 1.0:
             return a
         if b.value == 0.0:
@@ -228,8 +232,10 @@ def parse_expression(text):
     Python's parser reads it, ``^`` as ``**`` (the grammar's precedence and
     right associativity); a node the grammar lacks is a :class:`ParseError`.
     """
+    if isinstance(text, (int, float)) and not isinstance(text, bool):
+        text = str(text)  # a bare number, as a scenario reads it: a constant
     if not isinstance(text, str) or not text.strip():
-        raise ParseError("empty expression")
+        raise ParseError(f"a wall must be an expression in x, got {text!r}")
     # as in the grammar, any Unicode digit is a digit, any whitespace separates
     # tokens and a NUMBER may start with zeros (a Python integer may not)
     src = " ".join("".join(str(int(c)) if c.isdecimal() else c for c in text).split())

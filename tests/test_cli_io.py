@@ -327,6 +327,62 @@ class TestRun:
             "CHANNELLAB_OUTPUT__SEED": "59", "CHANNELLAB_OUTPUT__DIR": str(tmp_path)})
         assert cli_io.run("carrier-check", sc, scenario_path=path, quiet=True) == 0
 
+    def test_gradient_check_redraws_stencils_across_a_kink(self):
+        # custom_walls' abs walls turn at x1 = 0: a stencil of step h around
+        # x1 = +-0.5h misses the slope there by O(1), whatever h is
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "custom_walls.scn"
+        sc = cli_io.parse_scenario(path, environ={})
+        a, b = sc.grid_window[:2]
+        h = 1e-5
+
+        class Draws:
+            """The given unit draws first, then a seeded stream's."""
+
+            def __init__(self, first):
+                self.first = list(first)
+                self.rng = np.random.default_rng(0)
+                self.taken = 0
+
+            def random(self, shape=()):
+                n = int(np.prod(shape))
+                head, self.first = self.first[:n], self.first[n:]
+                self.taken += n
+                return np.concatenate(
+                    [head, self.rng.random(n - len(head))]).reshape(shape)
+
+            def uniform(self, lo, hi):
+                return lo + (hi - lo) * float(self.random())
+
+        draws = Draws([(0.5 * h - a) / (b - a), 0.5, (-0.5 * h - a) / (b - a), 0.5])
+        err = cli_io._grad_fd_spot_check(sc.params, sc.profile, (a, b), draws)
+        assert err <= 1e-6
+        assert draws.taken == 2 * (40 + 2)  # both kink points drawn again
+
+    @pytest.mark.parametrize("wall, message", [
+        ("2^2^2^2^2", "2 to the power 65536 is not a finite real number"),
+        ("0^-1", "0 to the power -1 is not a finite real number"),
+    ])
+    def test_unfoldable_constant_power_is_a_located_error(
+            self, tmp_path, monkeypatch, capsys, wall, message):
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "custom_walls.scn"
+        monkeypatch.setenv("CHANNELLAB_PROFILE__F1", wall)
+        status = cli_io.main(["carrier-check", "--scenario", str(path),
+                              "--out", str(tmp_path), "--quiet"])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "CHANNELLAB_PROFILE__F1: [profile] f1" in err and message in err
+        assert "Traceback" not in err
+
+    def test_bare_number_wall_is_constant(self, tmp_path, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "custom_walls.scn"
+        sc = cli_io.parse_scenario(path, environ={"CHANNELLAB_PROFILE__F1": "-1"})
+        x = np.linspace(-3.0, 3.0, 7)
+        assert np.array_equal(sc.profile.f1(x), np.full(7, -1.0))
+        assert np.array_equal(sc.profile.f1p(x), np.zeros(7))
+        monkeypatch.setenv("CHANNELLAB_PROFILE__F1", "-1")
+        assert cli_io.main(["carrier-check", "--scenario", str(path),
+                            "--out", str(tmp_path), "--quiet"]) == 0
+
     def test_manifest_merges_every_command(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         path = self.scenario(tmp_path)

@@ -100,8 +100,21 @@ def test_vectorized_evaluation():
             "\uff58 + 1",  # a fullwidth x, which Python's parser reads as x
             pytest.param("-" * 5000 + "x", id="5000 minus signs"),
             pytest.param("(" * 300 + "x" + ")" * 300, id="300 parentheses"),
-            pytest.param("-" * 64 + "x", id="65 levels")]
+            pytest.param("-" * 64 + "x", id="65 levels"),
+            # constant powers that fold to no finite real number
+            "2^2^2^2^2", "0^-1", "(-1)^0.5", "x + 10^400",
+            # scenario values that are not text or a number
+            pytest.param(True, id="bool"), pytest.param([1, 2], id="list"),
+            pytest.param(None, id="none")]
 )
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_expression(bad)
+
+
+@pytest.mark.parametrize("number", [-1, 2.5, 1e20])
+def test_bare_number_is_a_constant(number):
+    e = parse_expression(number)
+    x = np.linspace(-2.0, 2.0, 5)
+    assert np.array_equal(e(x), np.full(5, float(number)))
+    assert np.array_equal(e.diff().simplified()(x), np.zeros(5))

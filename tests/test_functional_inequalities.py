@@ -9,8 +9,14 @@ from scipy.sparse.linalg import splu
 
 from channellab import functional_inequalities as fi
 from channellab import geometry as geo
-from channellab._fem import assemble_div, assemble_q1, smallest_eigenpair
+from channellab._fem import (
+    assemble_div,
+    assemble_q1,
+    smallest_eigenpair,
+    tridiagonal_pencil_max,
+)
 from channellab.cli_io import parse_scenario
+from channellab.errors import AscentStagnation
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # stem -> (profile, a, b) of the bundled walls, on the window `constants` uses
@@ -71,6 +77,24 @@ class TestPoincareM0:
         b = fi.poincare_m0(power_half, -5, 5)
         assert abs(a.value - b.value) / a.value < 0.05
 
+    @pytest.mark.parametrize("n", [fi.M0_NODES, fi.M0_NODES // 2 + 1])
+    @pytest.mark.parametrize("width", [1.0, 7.3])
+    def test_closed_form_matches_slice_pencil(self, n, width):
+        # the Dirichlet P1 pencil of one slice, as it was assembled and
+        # handed to the eigen helper slice by slice
+        h = np.full(n - 1, width / (n - 1))
+        dK = np.zeros(n)
+        dK[:-1] += 1.0 / h
+        dK[1:] += 1.0 / h
+        dM = np.zeros(n)
+        dM[:-1] += h / 3.0
+        dM[1:] += h / 3.0
+        oK, oM = -1.0 / h, h / 6.0
+        dM /= width**2
+        oM /= width**2
+        lam = tridiagonal_pencil_max(dK[1:-1], oK[1:-1], dM[1:-1], oM[1:-1])
+        assert fi._slice_m0(n) == pytest.approx(math.sqrt(lam), rel=1e-11)
+
     def test_random_fields_below_constant(self, straight):
         # the maximizer property: any wall-vanishing discrete field has
         # ratio at most M0 (up to discretization)
@@ -103,9 +127,11 @@ class TestSobolevM4:
         large = fi.sobolev_m4(power_half, -6, 6, resolution=(81, 25))
         assert large.value >= small.value * (1 - 1e-6)
 
-    @pytest.mark.parametrize("profile, a, b", bundled("custom_walls", "widening"))
+    @pytest.mark.parametrize("profile, a, b", bundled())
     def test_matches_power_reference(self, profile, a, b):
-        # the ascent as it read with integer array powers and a COLAMD factor
+        # the ascent as it read one start at a time, with integer array powers
+        # and a COLAMD factor; bump_outlet has a start stopped by the step
+        # cap, straight has starts that settle in different basins
         nx, ny = 49, 33
         _, x, y = fi._grid_nodes(profile, a, b, nx, ny)
         K, _, lumped = assemble_q1(x, y, nx, ny)
@@ -129,6 +155,19 @@ class TestSobolevM4:
             best = max(best, ratio_old)
         est = fi.sobolev_m4(profile, a, b, resolution=(nx, ny))
         assert est.value == pytest.approx(best, rel=1e-12)
+
+    def test_zero_fields_stagnate(self, straight, monkeypatch):
+        # every start's first step is the zero field: no start has a ratio
+        class ZeroSolve:
+            def __init__(self, matrix, **kwargs):
+                pass
+
+            def solve(self, rhs):
+                return np.zeros_like(rhs)
+
+        monkeypatch.setattr(fi, "splu", ZeroSolve)
+        with pytest.raises(AscentStagnation):
+            fi.sobolev_m4(straight, 0, 2, resolution=(17, 9))
 
     def test_fitted_constant_stable_against_reference(self):
         # M4 / [(b-a)^-1 M1 + 1]^(1/2) |Omega|^(1/4) is one number across a
