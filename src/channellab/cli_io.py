@@ -219,6 +219,9 @@ def parse_scenario(path, environ=None):
         kwargs = {k: fetch("profile", k) for k in sections["profile"] if k in accepted}
         try:
             profile = geo.make_profile(family, **kwargs)
+        except ValidationError as exc:  # a custom wall names itself
+            errors.append(ValidationError(located("profile", exc.field),
+                                          exc.constraint))
         except (ChannelLabError, TypeError, ValueError) as exc:
             # the factory names no key: locate every wall value it was given
             where = ", ".join(located("profile", k) for k in kwargs)

@@ -387,7 +387,7 @@ def _perturbed_solve(profile, params, a, b, nx, ny, config, seed):
     psi = state.psi + scale * envelope[None, :] * modes
     state = ns._state_from_fields(grid, profile, params, psi, state.omega)
 
-    state.residual_history.append((0, ns.residual_norm(state)))
+    state.residual_history.append((0, ns.residual_norm(state, ws)))
     return ns._picard(state, config, ws)[0]
 
 

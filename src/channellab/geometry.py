@@ -15,7 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate, optimize
 
-from .errors import AssumptionViolation, DegenerateGrid, OutOfRange
+from .errors import (AssumptionViolation, DegenerateGrid, OutOfRange,
+                     ParseError, ValidationError)
 from .expressions import parse_expression
 
 __all__ = [
@@ -234,22 +235,20 @@ def straight_outlet(c1=-1.0, c2=1.0, amp=0.5, k=4.0):
 
 
 def custom(f1, f2):
-    """Profile from two wall expressions in x (see :mod:`.expressions`)."""
-    f1_expr, f2_expr = f1, f2
-    e1 = parse_expression(f1_expr)
-    e2 = parse_expression(f2_expr)
-    e1p, e2p = e1.diff().simplified(), e2.diff().simplified()
-    e1pp, e2pp = e1p.diff().simplified(), e2p.diff().simplified()
-    return ChannelProfile(
-        Family.CUSTOM,
-        {"f1": f1_expr, "f2": f2_expr},
-        f1=e1,
-        f2=e2,
-        f1p=e1p,
-        f2p=e2p,
-        f1pp=e1pp,
-        f2pp=e2pp,
-    )
+    """Profile from two wall expressions in x (see :mod:`.expressions`).
+
+    A wall that does not parse raises :class:`ValidationError` whose
+    ``field`` names it (``"f1"`` or ``"f2"``).
+    """
+    walls = {}
+    for key, text in (("f1", f1), ("f2", f2)):
+        try:
+            e = parse_expression(text)
+            ep = e.diff().simplified()
+            walls.update({key: e, key + "p": ep, key + "pp": ep.diff().simplified()})
+        except ParseError as exc:
+            raise ValidationError(key, str(exc)) from exc
+    return ChannelProfile(Family.CUSTOM, {"f1": f1, "f2": f2}, **walls)
 
 
 _FACTORIES = {

@@ -12,6 +12,11 @@ order of the grid nodes, psi and omega of a node side by side, and keeps
 its pivots on the diagonal so that the order's low fill survives.  The
 wall vorticity closure is a second-order one-sided formula built into the
 matrix.
+
+The discretisation is written once, as the matrix A(u): each state has one
+residual r = b - A(u) x.  Its interior and wall-closure rows give
+:func:`residual_norm`, its Dirichlet rows :func:`boundary_defect`, and the
+chord step from the state takes the same r as its right-hand side.
 """
 
 from __future__ import annotations
@@ -72,51 +77,6 @@ class FlowState:
 # ---------------------------------------------------------------------------
 # Discrete operators on the mapped grid
 # ---------------------------------------------------------------------------
-
-
-def _lap_coeffs(grid):
-    """Coefficient fields of Delta = d_xx + 2 J1 d_xe + (J1^2 + 1/f^2) d_ee
-    + S d_e in mapped coordinates."""
-    cxy = 2.0 * grid.j1
-    cyy = grid.j1**2 + 1.0 / grid.f[:, None] ** 2
-    cy = grid.lap_s
-    return cxy, cyy, cy
-
-
-def apply_laplacian(grid, phi):
-    """Mapped Laplacian at interior nodes; boundary entries are zero."""
-    hx, hy = grid.hx, grid.hy
-    cxy, cyy, cy = _lap_coeffs(grid)
-    out = np.zeros_like(phi)
-    pxx = (phi[2:, 1:-1] - 2.0 * phi[1:-1, 1:-1] + phi[:-2, 1:-1]) / hx**2
-    pee = (phi[1:-1, 2:] - 2.0 * phi[1:-1, 1:-1] + phi[1:-1, :-2]) / hy**2
-    pxe = (phi[2:, 2:] - phi[2:, :-2] - phi[:-2, 2:] + phi[:-2, :-2]) / (4 * hx * hy)
-    pe = (phi[1:-1, 2:] - phi[1:-1, :-2]) / (2 * hy)
-    out[1:-1, 1:-1] = (
-        pxx
-        + cxy[1:-1, 1:-1] * pxe
-        + cyy[1:-1, 1:-1] * pee
-        + cy[1:-1, 1:-1] * pe
-    )
-    return out
-
-
-def _advection_coeffs(grid, u1, u2):
-    """Mapped advection u.grad = a1 d_xi + a2 d_eta."""
-    a1 = u1
-    a2 = u1 * grid.j1 + u2 / grid.f[:, None]
-    return a1, a2
-
-
-def apply_advection(grid, phi, u1, u2):
-    """Central-difference advection at interior nodes."""
-    hx, hy = grid.hx, grid.hy
-    a1, a2 = _advection_coeffs(grid, u1, u2)
-    out = np.zeros_like(phi)
-    px = (phi[2:, 1:-1] - phi[:-2, 1:-1]) / (2 * hx)
-    pe = (phi[1:-1, 2:] - phi[1:-1, :-2]) / (2 * hy)
-    out[1:-1, 1:-1] = a1[1:-1, 1:-1] * px + a2[1:-1, 1:-1] * pe
-    return out
 
 
 def _d1(values, h, axis):
@@ -223,6 +183,17 @@ class _Workspace:
         # adjacent, the nodes in nested-dissection order
         order = _nested_dissection(grid.nx, grid.ny)
         self.perm = np.column_stack([order, order + self.n]).ravel()
+        # advection pattern: the omega row of each interior node holds the
+        # omega columns of its four neighbours, in ascending order
+        inner = self.n + np.arange(self.n).reshape(grid.nx, grid.ny)[1:-1, 1:-1].ravel()
+        counts = np.zeros(2 * self.n, dtype=int)
+        counts[inner] = 4
+        self._adv_pattern = sparse.csr_matrix(
+            (np.ones(4 * inner.size),
+             np.column_stack([inner - grid.ny, inner - 1, inner + 1,
+                              inner + grid.ny]).ravel(),
+             np.concatenate([[0], np.cumsum(counts)])),
+            shape=(2 * self.n, 2 * self.n))
         self.set_params(params)
 
     def set_params(self, params):
@@ -232,24 +203,19 @@ class _Workspace:
         constant block serves every continuation level on the grid.
         """
         grid, profile = self.grid, self.profile
-        x1_left = np.full(grid.ny, grid.a)
-        x1_right = np.full(grid.ny, grid.b)
-        self.psi_left = fc.stream_G((x1_left, grid.x2[0, :]), params, profile)
-        self.psi_right = fc.stream_G((x1_right, grid.x2[-1, :]), params, profile)
-        self.omega_left = fc.carrier_vorticity(
-            (x1_left, grid.x2[0, :]), params, profile
-        )
-        self.omega_right = fc.carrier_vorticity(
-            (x1_right, grid.x2[-1, :]), params, profile
-        )
+        left = (np.full(grid.ny, grid.a), grid.x2[0, :])
+        right = (np.full(grid.ny, grid.b), grid.x2[-1, :])
         # Dirichlet psi on the ends, then the walls (walls win at corners);
         # carrier vorticity on the ends; every other row is homogeneous
         psi = np.zeros((grid.nx, grid.ny))
-        psi[0, :], psi[-1, :] = self.psi_left, self.psi_right
+        psi[0, :] = fc.stream_G(left, params, profile)
+        psi[-1, :] = fc.stream_G(right, params, profile)
         psi[:, 0], psi[:, -1] = 0.0, params.phi
         omega = np.zeros((grid.nx, grid.ny))
-        omega[0, :], omega[-1, :] = self.omega_left, self.omega_right
+        omega[0, :] = fc.carrier_vorticity(left, params, profile)
+        omega[-1, :] = fc.carrier_vorticity(right, params, profile)
         self.rhs = np.concatenate([psi.ravel(), omega.ravel()])
+        self._residual_of = self._residual = None
 
     def _idx(self, i, j):
         return i * self.grid.ny + j
@@ -259,7 +225,11 @@ class _Workspace:
         nx, ny = grid.nx, grid.ny
         n = self.n
         hx, hy = grid.hx, grid.hy
-        cxy, cyy, cy = _lap_coeffs(grid)
+        # Delta = d_xx + 2 J1 d_xe + (J1^2 + 1/f^2) d_ee + S d_e in mapped
+        # coordinates
+        cxy = 2.0 * grid.j1
+        cyy = grid.j1**2 + 1.0 / grid.f[:, None] ** 2
+        cy = grid.lap_s
 
         rows, cols, vals = [], [], []
 
@@ -343,32 +313,30 @@ class _Workspace:
         return a
 
     def advection_matrix(self, u1, u2):
+        """-u.grad on the omega rows of the interior nodes, central in the
+        mapped coordinates: u.grad = u1 d_xi + (u1 J1 + u2/f) d_eta.  The
+        values fill the grid's fixed pattern."""
         grid = self.grid
-        nx, ny = grid.nx, grid.ny
-        n = self.n
-        hx, hy = grid.hx, grid.hy
-        a1, a2 = _advection_coeffs(grid, u1, u2)
-        ii, jj = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1), indexing="ij")
-        ii = ii.ravel()
-        jj = jj.ravel()
-        center = self._idx(ii, jj)
-        a1i = a1[ii, jj]
-        a2i = a2[ii, jj]
-        rows, cols, vals = [], [], []
-        entries = [
-            (self._idx(ii + 1, jj), -a1i / (2 * hx)),
-            (self._idx(ii - 1, jj), a1i / (2 * hx)),
-            (self._idx(ii, jj + 1), -a2i / (2 * hy)),
-            (self._idx(ii, jj - 1), a2i / (2 * hy)),
-        ]
-        for col, val in entries:
-            rows.append(n + center)
-            cols.append(n + col)
-            vals.append(val)
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
+        a1 = u1[1:-1, 1:-1].ravel() / (2 * grid.hx)
+        a2 = (u1 * grid.j1 + u2 / grid.f[:, None])[1:-1, 1:-1].ravel() / (2 * grid.hy)
+        pattern = self._adv_pattern
+        return sparse.csr_matrix(
+            (np.column_stack([a1, a2, -a2, -a1]).ravel(), pattern.indices,
+             pattern.indptr), shape=pattern.shape)
+
+    def residual(self, state):
+        """r = b - A(u) x at the fields x and the velocity u of ``state``.
+
+        The last state's r is kept, so its two defects and the chord step
+        from it share one evaluation.
+        """
+        if state is not self._residual_of:
+            x = np.concatenate([state.psi.ravel(), state.omega.ravel()])
+            self._residual = (self.rhs - self.a_const @ x
+                              - self.advection_matrix(state.u1, state.u2) @ x)
+            self._residual.setflags(write=False)  # shared by every reader
+            self._residual_of = state
+        return self._residual
 
     def factor(self, u1, u2):
         """SuperLU factor of A(u) at a frozen advecting velocity.
@@ -401,57 +369,35 @@ class _Workspace:
         return x[:n].reshape(nx, ny), x[n:].reshape(nx, ny)
 
 
-def _closure_defect(grid, psi, omega):
-    _, cyy, _ = _lap_coeffs(grid)
-    hy = grid.hy
-    lo = omega[1:-1, 0] + cyy[1:-1, 0] * (
-        8.0 * psi[1:-1, 1] - psi[1:-1, 2] - 7.0 * psi[1:-1, 0]
-    ) / (2 * hy**2)
-    hi = omega[1:-1, -1] + cyy[1:-1, -1] * (
-        8.0 * psi[1:-1, -2] - psi[1:-1, -3] - 7.0 * psi[1:-1, -1]
-    ) / (2 * hy**2)
-    return max(float(np.abs(lo).max()), float(np.abs(hi).max()))
+def residual_norm(state, workspace):
+    """Max-norm of the interior and wall-closure rows of r = b - A(u) x.
 
-
-def residual_norm(state):
-    """Max-norm defect of the steady system at the current fields.
-
-    Covers the vorticity transport equation, the psi-omega coupling, and
-    the wall closure, relative to the vorticity scale.
+    These rows are the psi-omega coupling, the vorticity transport equation
+    and the wall closure; the norm is relative to the vorticity scale.
+    ``workspace`` holds the grid's matrix and the data of ``state.params``.
     """
     grid = state.grid
-    transport = apply_laplacian(grid, state.omega) - apply_advection(
-        grid, state.omega, state.u1, state.u2
-    )
-    poisson = apply_laplacian(grid, state.psi) + state.omega
-    r = max(
-        float(np.abs(transport[1:-1, 1:-1]).max()),
-        float(np.abs(poisson[1:-1, 1:-1]).max()),
-        _closure_defect(grid, state.psi, state.omega),
-    )
-    scale = max(1.0, float(np.abs(state.omega).max()))
-    return r / scale
+    r_psi, r_omega = workspace.residual(state).reshape(2, grid.nx, grid.ny)
+    r = max(float(np.abs(r_psi[1:-1, 1:-1]).max()),
+            float(np.abs(r_omega[1:-1, :]).max()))
+    return r / max(1.0, float(np.abs(state.omega).max()))
 
 
 def boundary_defect(state, workspace):
-    """Max mismatch of the imposed boundary data at the current fields.
+    """Max-norm of the Dirichlet rows of r = b - A(u) x.
 
-    The interior residual is blind to the flux (it only enters through the
-    boundary rows), so convergence checks that step the flux up combine
-    both defects.  ``workspace`` holds the boundary data of ``state.params``.
+    The psi rows of walls and ends count relative to the psi scale, the
+    omega end rows relative to the vorticity scale.  The interior residual
+    is blind to the flux (it only enters through these rows), so
+    convergence checks that step the flux up combine both defects.
     """
-    ws = workspace
-    psi_scale = max(1.0, float(np.abs(state.psi).max()))
-    om_scale = max(1.0, float(np.abs(state.omega).max()))
-    d = max(
-        float(np.abs(state.psi[:, 0]).max()) / psi_scale,
-        float(np.abs(state.psi[:, -1] - state.params.phi).max()) / psi_scale,
-        float(np.abs(state.psi[0, :] - ws.psi_left).max()) / psi_scale,
-        float(np.abs(state.psi[-1, :] - ws.psi_right).max()) / psi_scale,
-        float(np.abs(state.omega[0, :] - ws.omega_left).max()) / om_scale,
-        float(np.abs(state.omega[-1, :] - ws.omega_right).max()) / om_scale,
-    )
-    return d
+    grid = state.grid
+    r_psi, r_omega = workspace.residual(state).reshape(2, grid.nx, grid.ny)
+    psi_rows = max(float(np.abs(r_psi[[0, -1], :]).max()),
+                   float(np.abs(r_psi[:, [0, -1]]).max()))
+    omega_rows = float(np.abs(r_omega[[0, -1], :]).max())
+    return max(psi_rows / max(1.0, float(np.abs(state.psi).max())),
+               omega_rows / max(1.0, float(np.abs(state.omega).max())))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +418,7 @@ def solve_stokes(grid, params, profile, workspace=None):
     ws = workspace or _Workspace(grid, params, profile)
     psi, omega = ws.apply(ws.factor(None, None), ws.rhs)
     state = _state_from_fields(grid, profile, params, psi, omega)
-    state.residual_history.append((0, residual_norm(state)))
+    state.residual_history.append((0, residual_norm(state, ws)))
     return state
 
 
@@ -491,20 +437,14 @@ def picard_step(state, workspace=None, lu=None, chord=False):
     if lu is None:
         lu = ws.factor(state.u1, state.u2)
     if chord:
-        # b - A(u) x without assembling A(u): the advection block acts on
-        # the vorticity rows as -u.grad omega
-        x = np.concatenate([state.psi.ravel(), state.omega.ravel()])
-        r = ws.rhs - ws.a_const @ x
-        r[ws.n:] += apply_advection(state.grid, state.omega, state.u1,
-                                    state.u2).ravel()
-        dpsi, domega = ws.apply(lu, r)
+        dpsi, domega = ws.apply(lu, ws.residual(state))
         psi, omega = state.psi + dpsi, state.omega + domega
     else:
         psi, omega = ws.apply(lu, ws.rhs)
     new = _state_from_fields(state.grid, state.profile, state.params, psi,
                              omega)
     new.residual_history = list(state.residual_history)
-    res = residual_norm(new)
+    res = residual_norm(new, ws)
     new.residual_history.append((len(new.residual_history), res))
     return new, res
 
@@ -603,7 +543,7 @@ def solve_steady(profile, params, a, b, nx, ny, config=None):
             ws.set_params(params_k)
             psi, omega = state.psi, state.omega
         state = _state_from_fields(grid, profile, params_k, psi, omega)
-        state.residual_history.append((0, residual_norm(state)))
+        state.residual_history.append((0, residual_norm(state, ws)))
         state, lu, factorizations = _picard(state, config, ws, lu,
                                             factorizations)
     del lu, ws  # free the factor before the energy diagnostics

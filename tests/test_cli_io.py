@@ -249,6 +249,17 @@ class TestParsing:
             cli_io.parse_scenario(path, environ={"CHANNELLAB_PROFILE__F2": deep})
         assert "CHANNELLAB_PROFILE__F2: [profile] f2: cannot parse 'x+x" in str(err.value)
 
+    def test_rejected_custom_wall_names_only_its_line(self, tmp_path):
+        # the custom factory says which wall failed, so the other wall's
+        # line is not named
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "custom_walls.scn"
+        assert path.read_text(encoding="utf-8").splitlines()[6] == "f2 = (1+abs(x))^0.5"
+        body = path.read_text(encoding="utf-8").replace("f2 = (1+abs(x))^0.5", "f2 = 0^-1")
+        with pytest.raises(ValidationError) as err:
+            cli_io.parse_scenario(write_scenario(tmp_path, body), environ={})
+        assert str(err.value).startswith("scenario: line 7: [profile] f2: ")
+        assert "f1" not in str(err.value)
+
 
 class TestArtifacts:
     def test_csv_deterministic_bytes(self, tmp_path):
@@ -370,7 +381,7 @@ class TestRun:
                               "--out", str(tmp_path), "--quiet"])
         assert status == 1
         err = capsys.readouterr().err
-        assert "CHANNELLAB_PROFILE__F1: [profile] f1" in err and message in err
+        assert f"CHANNELLAB_PROFILE__F1: [profile] f1: {message}" in err
         assert "Traceback" not in err
 
     def test_bare_number_wall_is_constant(self, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from channellab import flux_carrier as fc
@@ -42,7 +43,8 @@ class TestPicard:
         psi = poiseuille_psi(grid.x2)
         omega = 1.5 * grid.x2
         state = ns._state_from_fields(grid, straight, carrier_unit, psi, omega)
-        assert ns.residual_norm(state) < 1e-12
+        ws = ns._Workspace(grid, carrier_unit, straight)
+        assert ns.residual_norm(state, ws) < 1e-12
 
     def test_fixed_point_state_unchanged(self, poiseuille_state):
         new, res = ns.picard_step(poiseuille_state)
@@ -56,6 +58,123 @@ class TestPicard:
         new, res = ns.picard_step(st)
         assert np.abs(new.psi).max() == 0.0
         assert res == 0.0
+
+
+class TestResidual:
+    def test_blocks_exact_on_quadratic_fields(self):
+        # central differences are exact on fields quadratic in (xi, eta), so
+        # every block of r = b - A(u) x has a closed form on the curved grid
+        bump = geo.straight_outlet(c1=-1, c2=1, amp=0.5, k=4)
+        grid = geo.make_grid(bump, -6, 6, 49, 13)
+        ws = ns._Workspace(grid, fc.CarrierParams(2.0), bump)
+        hy = grid.hy
+        xi = grid.xi[:, None] * np.ones(grid.ny)
+        eta = grid.eta[None, :] * np.ones((grid.nx, 1))
+        psi = 0.3 + 0.2 * xi - 0.7 * eta + 0.05 * xi**2 + 0.4 * xi * eta + 1.1 * eta**2
+        psi_e = -0.7 + 0.4 * xi + 2.2 * eta
+        psi_xx, psi_xe, psi_ee = 0.1, 0.4, 2.2
+        omega = -0.5 + 0.3 * xi + 0.9 * eta - 0.02 * xi**2 - 0.6 * xi * eta + 0.8 * eta**2
+        om_x, om_e = 0.3 - 0.04 * xi - 0.6 * eta, 0.9 - 0.6 * xi + 1.6 * eta
+        om_xx, om_xe, om_ee = -0.04, -0.6, 1.6
+        rng = np.random.default_rng(3)
+        u1, u2 = rng.standard_normal((2, grid.nx, grid.ny))
+        state = ns.FlowState(grid=grid, profile=ws.profile, params=fc.CarrierParams(2.0),
+                             psi=psi, omega=omega, u1=u1, u2=u2)
+
+        cxy = 2.0 * grid.j1
+        cyy = grid.j1**2 + 1.0 / grid.f[:, None] ** 2
+        lap_psi = psi_xx + cxy * psi_xe + cyy * psi_ee + grid.lap_s * psi_e
+        lap_om = om_xx + cxy * om_xe + cyy * om_ee + grid.lap_s * om_e
+        adv = u1 * om_x + (u1 * grid.j1 + u2 / grid.f[:, None]) * om_e
+        want_psi = -(lap_psi + omega)
+        want_om = -(lap_om - adv)
+        # one-sided closure on a quadratic: (8 psi_1 - psi_2 - 7 psi_0)/(2 hy^2)
+        # is psi_ee + 3 psi_e/hy at eta = 0 and psi_ee - 3 psi_e/hy at eta = 1
+        want_om[:, 0] = -(omega[:, 0] + cyy[:, 0] * (psi_ee + 3 * psi_e[:, 0] / hy))
+        want_om[:, -1] = -(omega[:, -1] + cyy[:, -1] * (psi_ee - 3 * psi_e[:, -1] / hy))
+        left = (np.full(grid.ny, grid.a), grid.x2[0])
+        right = (np.full(grid.ny, grid.b), grid.x2[-1])
+        want_psi[0] = fc.stream_G(left, state.params, ws.profile) - psi[0]
+        want_psi[-1] = fc.stream_G(right, state.params, ws.profile) - psi[-1]
+        want_psi[:, 0] = -psi[:, 0]
+        want_psi[:, -1] = 2.0 - psi[:, -1]
+        want_om[0] = fc.carrier_vorticity(left, state.params, ws.profile) - omega[0]
+        want_om[-1] = fc.carrier_vorticity(right, state.params, ws.profile) - omega[-1]
+
+        r_psi, r_om = ws.residual(state).reshape(2, grid.nx, grid.ny)
+        blocks = {
+            "interior psi": (r_psi[1:-1, 1:-1], want_psi[1:-1, 1:-1]),
+            "interior omega": (r_om[1:-1, 1:-1], want_om[1:-1, 1:-1]),
+            "closure": (r_om[1:-1, [0, -1]], want_om[1:-1, [0, -1]]),
+            "psi walls": (r_psi[:, [0, -1]], want_psi[:, [0, -1]]),
+            "psi ends": (r_psi[[0, -1]], want_psi[[0, -1]]),
+            "omega ends": (r_om[[0, -1]], want_om[[0, -1]]),
+        }
+        for name, (got, want) in blocks.items():
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+        scale = max(1.0, float(np.abs(omega).max()))
+        assert ns.residual_norm(state, ws) == pytest.approx(max(
+            np.abs(want_psi[1:-1, 1:-1]).max(), np.abs(want_om[1:-1]).max()) / scale,
+            rel=1e-12)
+
+    def test_norms_partition_the_rows(self, straight):
+        # each row of b moves one row of r: an end psi row only the boundary
+        # defect, a wall-closure row only the residual norm
+        params = fc.CarrierParams(1.0, 0.5)
+        state = ns.solve_steady(straight, params, -4, 4, 65, 17,
+                                ns.SolverConfig(tol=1e-12))
+        grid = state.grid
+        ws = ns._Workspace(grid, params, straight)
+        res, bd = ns.residual_norm(state, ws), ns.boundary_defect(state, ws)
+        assert res < 1e-12 and bd < 1e-12
+        delta = 1e-6
+        psi_scale = max(1.0, float(np.abs(state.psi).max()))
+        om_scale = max(1.0, float(np.abs(state.omega).max()))
+        ny, n = grid.ny, ws.n
+        rows = [
+            (ny // 2, "boundary", psi_scale),         # psi end (0, ny // 2)
+            (7 * ny, "boundary", psi_scale),          # psi wall (7, 0)
+            (n + ny // 2, "boundary", om_scale),      # omega end (0, ny // 2)
+            (n + 7 * ny, "interior", om_scale),       # wall closure (7, 0)
+        ]
+        for row, moved, scale in rows:
+            offset = ns._Workspace(grid, params, straight)
+            offset.rhs[row] += delta
+            got_res = ns.residual_norm(state, offset)
+            got_bd = ns.boundary_defect(state, offset)
+            if moved == "boundary":
+                assert got_res == res
+                assert got_bd == pytest.approx(delta / scale, rel=1e-6)
+            else:
+                assert got_bd == bd
+                assert got_res == pytest.approx(delta / scale, rel=1e-6)
+
+    def test_one_residual_evaluation_per_state(self, straight, monkeypatch):
+        # the two defects and the chord step from a state share one product
+        # with the constant block; each state gets one history entry
+        products, states = [], []
+        assemble = ns._Workspace._assemble_constant
+        residual_norm = ns.residual_norm
+
+        class Counted(sparse.csr_matrix):
+            def __matmul__(self, other):
+                products.append(1)
+                return super().__matmul__(other)
+
+        def norm(state, workspace):
+            states.append(state)
+            return residual_norm(state, workspace)
+
+        monkeypatch.setattr(ns._Workspace, "_assemble_constant",
+                            lambda self: Counted(assemble(self)))
+        monkeypatch.setattr(ns, "residual_norm", norm)
+        st = ns.solve_steady(straight, fc.CarrierParams(8.0), -6, 6, 97, 17)
+        assert st.converged
+        assert len(products) == len(states) == len({id(s) for s in states})
+        # the returned history is that of the last continuation level
+        last = [s for s in states if s.params.phi == 8.0]
+        assert len(last) == len(st.residual_history)
+        assert len(products) > len(st.residual_history)
 
 
 class TestSolveSteady:
