@@ -1,11 +1,11 @@
 """Minimal bilinear (Q1) finite elements on mapped quadrilateral grids.
 
-Shared by the pressure recovery and the functional-inequality estimators.
-Nodes are the mapped-grid nodes ordered idx = i*ny + j; elements are the
-grid cells, integrated isoparametrically with 2x2 Gauss.  Also holds the
-one eigen helper behind every inequality constant (shift-invert Lanczos
-with a residual-checked acceptance) and its wrapper for the tridiagonal
-1D P1 pencils of the carrier's slice constant.
+Used by the functional-inequality estimators.  Nodes are the mapped-grid
+nodes ordered idx = i*ny + j; elements are the grid cells, integrated
+isoparametrically with 2x2 Gauss.  Also holds the one eigen helper behind
+every inequality constant (shift-invert Lanczos with a residual-checked
+acceptance) and its wrapper for the tridiagonal 1D P1 pencils of the
+carrier's slice constant.
 """
 
 from __future__ import annotations
@@ -100,6 +100,7 @@ def assemble_q1(x, y, nx, ny):
     return K, M, np.asarray(M.sum(axis=1)).ravel()
 
 
+# no caller in the package: kept as a patch point of bench/spans.py
 def assemble_grad_load(x, y, nx, ny, fx, fy):
     """Load vector b_A = integral (fx, fy) . grad(phi_A) dx, fields nodal."""
     conn = element_connectivity(nx, ny)

@@ -159,15 +159,19 @@ class Scenario:
         return eh.GridPolicy(self.target_hx, self.grid_window[3], self.pad_factor)
 
 
-# Retired [solver] keys, the one value each still accepts (None: no value)
-# so that existing scenario files keep working, and what was removed
-_RETIRED_SOLVER_KEYS = {
-    "linear_solver": ("banded_direct", "the Krylov path (krylov_ilu) was removed, "
-                      "only banded_direct (sparse LU) remains"),
-    "relax": (1.0, "under-relaxation was removed, only relax = 1 remains"),
-    "convection": ("central", "the upwind scheme was removed, only central remains"),
-    "continuation": (None, "user-set continuation was removed, the levels come "
-                     "from the flux"),
+# Retired (section, key) pairs, the one value each still accepts (None: no
+# value) so that existing scenario files keep working, and what was removed
+_RETIRED_KEYS = {
+    ("solver", "linear_solver"): (
+        "banded_direct", "the Krylov path (krylov_ilu) was removed, "
+        "only banded_direct (sparse LU) remains"),
+    ("solver", "relax"): (1.0, "under-relaxation was removed, only relax = 1 remains"),
+    ("solver", "convection"): (
+        "central", "the upwind scheme was removed, only central remains"),
+    ("solver", "continuation"): (
+        None, "user-set continuation was removed, the levels come from the flux"),
+    ("carrier", "cutoff"): (
+        "quintic", "the other cutoffs were removed, only quintic remains"),
 }
 
 
@@ -236,15 +240,7 @@ def parse_scenario(path, environ=None):
 
     flux = number("carrier", "flux", 1.0)
     epsilon = number("carrier", "epsilon", None)
-    cutoff_name = str(fetch("carrier", "cutoff", default="quintic")).lower()
     params = None
-    try:
-        cutoff = fc.Cutoff(fc.CutoffKind(cutoff_name))
-    except ValueError:
-        errors.append(ValidationError(
-            located("carrier", "cutoff"),
-            f"unknown cutoff {cutoff_name!r}; known: quintic, exp_bump"))
-        cutoff = fc.Cutoff()
     if epsilon is not None and not (0.0 < epsilon < 1.0):
         errors.append(ValidationError(
             located("carrier", "epsilon"), "must lie in (0,1)"))
@@ -252,7 +248,7 @@ def parse_scenario(path, environ=None):
         errors.append(ValidationError(
             located("carrier", "flux"), "must be nonnegative"))
     else:
-        params = fc.CarrierParams(flux, epsilon, cutoff)
+        params = fc.CarrierParams(flux, epsilon)
 
     solver = None
     try:
@@ -262,11 +258,11 @@ def parse_scenario(path, environ=None):
         )
     except ChannelLabError as exc:  # SolverConfig checks only tol
         errors.append(ValidationError(located("solver", "tol"), str(exc)))
-    for key, (kept, removed) in _RETIRED_SOLVER_KEYS.items():
-        value = fetch("solver", key, default=kept)
+    for (section, key), (kept, removed) in _RETIRED_KEYS.items():
+        value = fetch(section, key, default=kept)
         if value != kept and str(value).lower() != kept:
             errors.append(ValidationError(
-                located("solver", key), f"unsupported value {value!r}; {removed}"))
+                located(section, key), f"unsupported value {value!r}; {removed}"))
 
     thresholds = eh.HarnessThresholds(
         growth_ratio_bound=number("harness", "growth_ratio_bound", 3.0),

@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy import optimize
@@ -25,7 +25,6 @@ from .errors import (
     LemmaViolation,
     NonMonotoneSamples,
     OutOfRange,
-    RootBracketFailure,
 )
 
 __all__ = [
@@ -43,30 +42,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PsiSpec:
-    """Monotone-in-s comparison function Psi(t, s) with Psi(t, 0) = 0.
+    """Separable comparison function Psi(t, s) = c1 s + c2 s^m, Psi(t, 0) = 0.
 
-    The separable form carries closed-form coefficients; a time-dependent
-    one wraps a callable.  The inverse in s is analytic where possible and
-    a bracketed root otherwise.
+    Psi does not depend on t; the argument keeps the lemma's Psi(t, s)
+    signature.  The inverse in s is analytic when one coefficient vanishes
+    and a bracketed root, Newton-polished, otherwise.
     """
 
     c1: float = 0.0
     c2: float = 0.0
     exponent: float = 1.5
-    fn: Optional[Callable] = None  # fn(t, s), overrides the separable form
 
     def __post_init__(self):
-        if self.fn is None:
-            if self.c1 < 0 or self.c2 < 0 or (self.c2 > 0 and self.exponent <= 1):
-                raise OutOfRange(
-                    "separable Psi needs c1, c2 >= 0 and exponent > 1"
-                )
-            if self.c1 == 0 and self.c2 == 0:
-                raise OutOfRange("Psi must be nontrivial")
+        if self.c1 < 0 or self.c2 < 0 or (self.c2 > 0 and self.exponent <= 1):
+            raise OutOfRange("separable Psi needs c1, c2 >= 0 and exponent > 1")
+        if self.c1 == 0 and self.c2 == 0:
+            raise OutOfRange("Psi must be nontrivial")
 
     def __call__(self, t, s):
-        if self.fn is not None:
-            return self.fn(t, s)
         s = np.asarray(s, dtype=float)
         return self.c1 * s + self.c2 * s**self.exponent
 
@@ -77,33 +70,22 @@ class PsiSpec:
             raise OutOfRange("Psi inverse needs y >= 0")
         if y == 0.0:
             return 0.0
-        if self.fn is None:
-            c1, c2, m = float(self.c1), float(self.c2), float(self.exponent)
-            if c2 == 0.0:
-                return y / c1
-            if c1 == 0.0:
-                return (y / c2) ** (1.0 / m)
-            resid = lambda s: c1 * s + c2 * s**m - y
-            # at the root each term is <= y and one is >= y/2; widened by
-            # 1e-12 so rounding cannot put a root-side end on the wrong side
-            lo = min(y / (2.0 * c1), (y / (2.0 * c2)) ** (1.0 / m)) * (1.0 - 1e-12)
-            hi = min(y / c1, (y / c2) ** (1.0 / m)) * (1.0 + 1e-12)
-        else:
-            resid = lambda s: self(t, s) - y
-            lo, hi = 0.0, 1.0
-            for _ in range(400):
-                if self(t, hi) >= y:
-                    break
-                hi *= 2.0
-            else:
-                raise RootBracketFailure(f"could not bracket Psi(t,s)={y}")
+        c1, c2, m = float(self.c1), float(self.c2), float(self.exponent)
+        if c2 == 0.0:
+            return y / c1
+        if c1 == 0.0:
+            return (y / c2) ** (1.0 / m)
+        resid = lambda s: c1 * s + c2 * s**m - y
+        # at the root each term is <= y and one is >= y/2; widened by
+        # 1e-12 so rounding cannot put a root-side end on the wrong side
+        lo = min(y / (2.0 * c1), (y / (2.0 * c2)) ** (1.0 / m)) * (1.0 - 1e-12)
+        hi = min(y / c1, (y / c2) ** (1.0 / m)) * (1.0 + 1e-12)
         root = optimize.brentq(
             resid, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=300
         )
-        if self.fn is None:
-            # Newton polish against the closed form
-            for _ in range(2):
-                root -= resid(root) / (c1 + c2 * m * root ** (m - 1.0))
+        # Newton polish against the closed form
+        for _ in range(2):
+            root -= resid(root) / (c1 + c2 * m * root ** (m - 1.0))
         return root
 
 

@@ -48,10 +48,6 @@ class NonMonotoneSamples(ChannelLabError):
     """Sample sequence expected to be nondecreasing is not."""
 
 
-class RootBracketFailure(ChannelLabError):
-    """Failed to bracket a root for monotone inversion."""
-
-
 class InsufficientTail(ChannelLabError):
     """Too few tail samples for an asymptotic fit."""
 

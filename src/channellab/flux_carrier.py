@@ -9,9 +9,8 @@ tests guards the hand-derived gradient.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +19,9 @@ from .errors import OutOfRange
 from .geometry import _GL8_NODES, _GL8_WEIGHTS
 
 __all__ = [
-    "CutoffKind",
-    "Cutoff",
+    "mu",
+    "mup",
+    "mupp",
     "CarrierParams",
     "default_epsilon",
     "stream_G",
@@ -35,87 +35,29 @@ __all__ = [
 ]
 
 
-class CutoffKind(enum.Enum):
-    QUINTIC = "quintic"
-    EXP_BUMP = "exp_bump"
+def mu(t):
+    """Quintic cutoff: mu = 1 for t <= 0, mu = 0 for t >= 1, monotone."""
+    tc = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    return 1.0 - tc * tc * tc * (10.0 + tc * (-15.0 + 6.0 * tc))
 
 
-@dataclass(frozen=True)
-class Cutoff:
-    """Smooth transition: mu = 1 for t <= 0, mu = 0 for t >= 1, monotone."""
-
-    kind: CutoffKind = CutoffKind.QUINTIC
-
-    def mu(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind is CutoffKind.QUINTIC:
-            tc = np.clip(t, 0.0, 1.0)
-            s = tc * tc * tc * (10.0 + tc * (-15.0 + 6.0 * tc))
-            return 1.0 - s
-        return _expbump_mu(t)
-
-    def mup(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind is CutoffKind.QUINTIC:
-            inside = (t > 0.0) & (t < 1.0)
-            out = np.zeros_like(t)
-            ti = t[inside]
-            out[inside] = -30.0 * ti * ti * (1.0 - ti) ** 2
-            return out
-        return _expbump_mup(t)
-
-    def mupp(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind is CutoffKind.QUINTIC:
-            inside = (t > 0.0) & (t < 1.0)
-            out = np.zeros_like(t)
-            ti = t[inside]
-            out[inside] = -60.0 * ti * (1.0 - ti) * (1.0 - 2.0 * ti)
-            return out
-        return _expbump_mupp(t)
-
-
-def _expbump_q(t):
-    # logistic exponent 1/(1-t) - 1/t, +-inf outside (0,1)
-    q = np.empty_like(t)
+def mup(t):
+    """mu'(t): -30 t^2 (1-t)^2 on (0, 1), 0 outside."""
+    t = np.asarray(t, dtype=float)
     inside = (t > 0.0) & (t < 1.0)
-    q[~inside] = np.where(t[~inside] <= 0.0, -np.inf, np.inf)
+    out = np.zeros_like(t)
     ti = t[inside]
-    q[inside] = 1.0 / (1.0 - ti) - 1.0 / ti
-    return q, inside
-
-
-def _expbump_mu(t):
-    q, _ = _expbump_q(t)
-    out = np.empty_like(t)
-    neg = q <= 0
-    out[neg] = 1.0 / (1.0 + np.exp(q[neg]))
-    eq = np.exp(-q[~neg])
-    out[~neg] = eq / (1.0 + eq)
+    out[inside] = -30.0 * ti * ti * (1.0 - ti) ** 2
     return out
 
 
-def _expbump_mup(t):
-    # mu(1-mu) decays like exp(-1/t) at the edges: cut before 1/t^2 overflows
-    inside = (t > 1e-6) & (t < 1.0 - 1e-6)
+def mupp(t):
+    """mu''(t): -60 t (1-t) (1-2t) on (0, 1), 0 outside."""
+    t = np.asarray(t, dtype=float)
+    inside = (t > 0.0) & (t < 1.0)
     out = np.zeros_like(t)
     ti = t[inside]
-    mu = _expbump_mu(np.asarray(ti))
-    qp = 1.0 / (1.0 - ti) ** 2 + 1.0 / ti**2
-    out[inside] = -mu * (1.0 - mu) * qp
-    return out
-
-
-def _expbump_mupp(t):
-    inside = (t > 1e-6) & (t < 1.0 - 1e-6)
-    out = np.zeros_like(t)
-    ti = t[inside]
-    mu = _expbump_mu(np.asarray(ti))
-    mup = _expbump_mup(np.asarray(ti))
-    qp = 1.0 / (1.0 - ti) ** 2 + 1.0 / ti**2
-    r = 1.0 - ti
-    qpp = 2.0 / (r * r * r) - 2.0 / (ti * ti * ti)  # products, not pow calls
-    out[inside] = -mup * (1.0 - 2.0 * mu) * qp - mu * (1.0 - mu) * qpp
+    out[inside] = -60.0 * ti * (1.0 - ti) * (1.0 - 2.0 * ti)
     return out
 
 
@@ -129,7 +71,6 @@ def default_epsilon(phi):
 class CarrierParams:
     phi: float
     epsilon: float = None
-    cutoff: Cutoff = field(default_factory=Cutoff)
 
     def __post_init__(self):
         if self.phi < 0.0:
@@ -170,7 +111,7 @@ def stream_G(x, params, profile):
         pos = Au > 0.0
         s[pos] = 1.0 + params.epsilon * (np.log(Au[pos]) - np.log(Bu[pos]))
         s[~pos] = -np.inf  # at/above the top wall the cutoff saturates at 1
-        out[upper] = params.phi * params.cutoff.mu(s)
+        out[upper] = params.phi * mu(s)
     return out if out.ndim else float(out)
 
 
@@ -193,14 +134,14 @@ def velocity_g(x, params, profile):
     g1 = np.zeros_like(A)
     g2 = np.zeros_like(A)
     if np.any(inside):
-        mup = params.cutoff.mup(s[inside])
+        dmu = mup(s[inside])
         f2p = np.asarray(profile.f2p(x1), dtype=float)
         fbp = np.asarray(profile.centerp(x1), dtype=float)
         f2p = np.broadcast_to(f2p, A.shape)[inside]
         fbp = np.broadcast_to(fbp, A.shape)[inside]
         Ai, Bi = A[inside], B[inside]
-        g1[inside] = eps * phi * mup * (-1.0 / Ai - 1.0 / Bi)
-        g2[inside] = -eps * phi * mup * (f2p / Ai + fbp / Bi)
+        g1[inside] = eps * phi * dmu * (-1.0 / Ai - 1.0 / Bi)
+        g2[inside] = -eps * phi * dmu * (f2p / Ai + fbp / Bi)
     if g1.ndim:
         return np.stack([g1, g2], axis=-1)
     return np.array([float(g1), float(g2)])
@@ -215,8 +156,8 @@ def grad_g(x, params, profile):
     if np.any(inside):
         Ai, Bi = A[inside], B[inside]
         si = s[inside]
-        mup = params.cutoff.mup(si)
-        mupp = params.cutoff.mupp(si)
+        dmu = mup(si)
+        d2mu = mupp(si)
         f2p = np.broadcast_to(np.asarray(profile.f2p(x1), dtype=float), A.shape)[inside]
         fbp = np.broadcast_to(np.asarray(profile.centerp(x1), dtype=float), A.shape)[inside]
         f2pp = np.broadcast_to(np.asarray(profile.f2pp(x1), dtype=float), A.shape)[inside]
@@ -231,10 +172,10 @@ def grad_g(x, params, profile):
         )
 
         # g1 = phi * mu'(s) * s2 ; g2 = -phi * mu'(s) * s1
-        d1g1 = phi * (mupp * s1 * s2 + mup * s12)
-        d2g1 = phi * (mupp * s2 * s2 + mup * s22)
-        d1g2 = -phi * (mupp * s1 * s1 + mup * s11)
-        d2g2 = -phi * (mupp * s2 * s1 + mup * s12)
+        d1g1 = phi * (d2mu * s1 * s2 + dmu * s12)
+        d2g1 = phi * (d2mu * s2 * s2 + dmu * s22)
+        d1g2 = -phi * (d2mu * s1 * s1 + dmu * s11)
+        d2g2 = -phi * (d2mu * s2 * s1 + dmu * s12)
 
         out[inside, 0, 0] = d1g1
         out[inside, 0, 1] = d2g1
@@ -439,13 +380,12 @@ def weighted_inequality_constant(params, profile, x1):
     off_K[i0 : i0 + n_band] += scale * d_lr
 
     gauss_x = np.array([-1.0, 1.0]) / math.sqrt(3.0)
-    co = Cutoff(params.cutoff.kind)
     for gx in gauss_x:
         tq = 0.5 * (tl + tr) + 0.5 * h_b * gx
         ratio = np.exp(-tq) / (1.0 - np.exp(-tq))  # A/B
         s = 1.0 + eps * np.log(ratio)
-        mup = co.mup(s)
-        dens = (eps**2) * mup**2 * (1.0 + ratio) ** 2 / half  # A*q*phi^2/phi_flux^2
+        dmu = mup(s)
+        dens = (eps**2) * dmu**2 * (1.0 + ratio) ** 2 / half  # A*q*phi^2/phi_flux^2
         wq = 0.5 * h_b
         phi_l = 0.5 * (1.0 - gx)
         phi_r = 0.5 * (1.0 + gx)

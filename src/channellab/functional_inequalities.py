@@ -86,7 +86,7 @@ def _wall_mask(nx, ny, dirichlet_ends=False):
     return mask
 
 
-def _laplace_eigenvalue(profile, a, b, nx, ny, dirichlet_ends):
+def _laplace_eigenvalue(profile, a, b, nx, ny, dirichlet_ends=False):
     """Smallest Laplace eigenvalue on the free nodes of an nx x ny grid."""
     _, x, y = _grid_nodes(profile, a, b, nx, ny)
     K, M, _ = assemble_q1(x, y, nx, ny)
@@ -99,16 +99,15 @@ def _laplace_eigenvalue(profile, a, b, nx, ny, dirichlet_ends):
     return lam
 
 
-def poincare_m1(profile, a, b, resolution=(129, 65), dirichlet_ends=False):
+def poincare_m1(profile, a, b, resolution=(129, 65)):
     """M1 = lam_min^(-1/2), Laplace eigenvalue with Dirichlet walls.
 
     Natural (do-nothing) conditions at the truncation ends model functions
-    vanishing on the walls only; dirichlet_ends=True is the diagnostic
-    all-Dirichlet mode.
+    vanishing on the walls only.
     """
     nx, ny = resolution
     value, coarse = (
-        _laplace_eigenvalue(profile, a, b, n1, n2, dirichlet_ends) ** -0.5
+        _laplace_eigenvalue(profile, a, b, n1, n2) ** -0.5
         for n1, n2 in ((nx, ny), (nx // 2 + 1, ny // 2 + 1))
     )
     return ConstantEstimate(

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+# integrate is not called here: bench/spans.py patches integrate.quad
 from scipy import integrate, optimize
 
 from .errors import (AssumptionViolation, DegenerateGrid, OutOfRange,
@@ -528,15 +529,8 @@ TAIL_WINDOWS = 36
 def _tail_increments(profile, p, side):
     """Partial-integral increments of f^p over dyadic windows on one side."""
     edges = TAIL_T0 * 2.0 ** np.arange(TAIL_WINDOWS + 1)
-    incs = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if side < 0:
-            lo, hi = -hi, -lo
-        val, _ = integrate.quad(
-            lambda x: profile.width(x) ** p, lo, hi, epsabs=0.0, epsrel=1e-10,
-            limit=200,
-        )
-        incs.append(val)
+    lo, hi = (edges[:-1], edges[1:]) if side > 0 else (-edges[1:], -edges[:-1])
+    incs = [weight_integral(profile, a, b, p) for a, b in zip(lo, hi)]
     return edges, np.asarray(incs)
 
 

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from . import flux_carrier as fc
+# neither is called here: both are patch points of bench/spans.py
 from ._fem import assemble_q1, assemble_grad_load
 from .errors import LinearSolveFailure, NonConvergence, OutOfRange
 from .geometry import Grid, make_grid, window_weights
@@ -44,8 +44,6 @@ __all__ = [
     "dirichlet_energy",
     "weighted_energy",
     "slice_flux_profile",
-    "pressure_recover",
-    "momentum_residual",
 ]
 
 
@@ -68,7 +66,6 @@ class FlowState:
     omega: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
-    p: Optional[np.ndarray] = None
     converged: bool = False
     residual_history: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
@@ -517,10 +514,12 @@ def solve_steady(profile, params, a, b, nx, ny, config=None):
     Fluxes above 2 pass through linspace(2, phi, ceil(log2(phi / 2)) + 2),
     each level started from the previous one's solution and factor; the
     Stokes factor seeds the first.  The constant block is assembled once;
-    each level replaces only the boundary data and right-hand side.  Raises :class:`NonConvergence` rather
-    than returning an unconverged state.  Diagnostics report the Dirichlet
-    energy of v = u - g and the ratio against the carrier volume integral,
-    which stays bounded uniformly in the truncation.
+    each level replaces only the boundary data and right-hand side.  The
+    residual history holds every level's entries, each level numbered from
+    0.  Raises :class:`NonConvergence` rather than returning an unconverged
+    state.  Diagnostics report the Dirichlet energy of v = u - g and the
+    ratio against the carrier volume integral, which stays bounded
+    uniformly in the truncation.
     """
     config = config or SolverConfig()
     grid = make_grid(profile, a, b, nx, ny)
@@ -533,8 +532,9 @@ def solve_steady(profile, params, a, b, nx, ny, config=None):
         phis = [target]
 
     state = ws = None
+    history = []
     for phi_k in phis:
-        params_k = fc.CarrierParams(phi_k, params.epsilon, params.cutoff)
+        params_k = fc.CarrierParams(phi_k, params.epsilon)
         if ws is None:
             ws = _Workspace(grid, params_k, profile)
             lu, factorizations = ws.factor(None, None), 1
@@ -546,8 +546,10 @@ def solve_steady(profile, params, a, b, nx, ny, config=None):
         state.residual_history.append((0, residual_norm(state, ws)))
         state, lu, factorizations = _picard(state, config, ws, lu,
                                             factorizations)
+        history += state.residual_history
     del lu, ws  # free the factor before the energy diagnostics
     state.params = params
+    state.residual_history = history
 
     energy_v = dirichlet_energy(state, a, b, of_perturbation=True)
     carrier = fc.carrier_volume_integral(params, profile, a, b)
@@ -627,90 +629,3 @@ def slice_flux_profile(state):
         w = np.full(ny, grid.hy)
         w[0] = w[-1] = grid.hy / 2.0
     return pe @ w
-
-
-# ---------------------------------------------------------------------------
-# Pressure recovery
-# ---------------------------------------------------------------------------
-
-
-def _laplacian_from_gradients(state):
-    """Lap u by differencing the psi-based gradient fields.
-
-    Differencing the u arrays directly would mix their uniform O(h^2)
-    stencil bias with the exact wall zeros and kink at the wall; the
-    gradient fields are smooth nodal samples, so this stays consistent up
-    to the boundary.
-    """
-    grid = state.grid
-    f = grid.f[:, None]
-    d1u1, d2u1, d1u2, d2u2 = velocity_gradients(state)
-
-    def ddx(v):
-        return _d1(v, grid.hx, 0) + grid.j1 * _d1(v, grid.hy, 1)
-
-    def ddy(v):
-        return _d1(v, grid.hy, 1) / f
-
-    return ddx(d1u1) + ddy(d2u1), ddx(d1u2) + ddy(d2u2)
-
-
-def pressure_recover(state):
-    """Pressure from the weak projection of the momentum balance.
-
-    Solves integral grad p . grad q = integral (Lap u - u.grad u) . grad q
-    for all bilinear test functions q, normalized to zero lumped mean; the
-    natural boundary condition carries the momentum-balance Neumann data.
-    The load sums to zero (q = 1 has no gradient), so pinning p at node 0
-    leaves an SPD system with the same solution up to the constant.
-    """
-    grid = state.grid
-    nx, ny = grid.nx, grid.ny
-    x = np.broadcast_to(grid.xi[:, None], (nx, ny)).ravel()
-    y = grid.x2.ravel()
-
-    lap_u1, lap_u2 = _laplacian_from_gradients(state)
-    d1u1, d2u1, d1u2, d2u2 = velocity_gradients(state)
-    f1 = lap_u1 - (state.u1 * d1u1 + state.u2 * d2u1)
-    f2 = lap_u2 - (state.u1 * d1u2 + state.u2 * d2u2)
-
-    K, _, lumped = assemble_q1(x, y, nx, ny)
-    b = assemble_grad_load(x, y, nx, ny, f1.ravel(), f2.ravel())
-
-    p = np.zeros(x.size)
-    try:
-        lu = splu(K[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A")
-        p[1:] = lu.solve(b[1:])
-    except RuntimeError as exc:
-        raise LinearSolveFailure(str(exc)) from exc
-    p -= (lumped @ p) / lumped.sum()
-    p = p.reshape(nx, ny)
-    state.p = p
-    return p
-
-
-def momentum_residual(state, a=None, b=None):
-    """Max-norm defect of grad p + u.grad u - Lap u on an interior window.
-
-    The window defaults to the whole truncation minus two cells; pass a, b
-    to stay clear of the carrier end layers, which carry steep analytic
-    data the grid only resolves to O(1).
-    """
-    if state.p is None:
-        pressure_recover(state)
-    grid = state.grid
-    px = _d1(state.p, grid.hx, 0)
-    pe = _d1(state.p, grid.hy, 1)
-    dp1 = px + grid.j1 * pe
-    dp2 = pe / grid.f[:, None]
-    lap_u1, lap_u2 = _laplacian_from_gradients(state)
-    d1u1, d2u1, d1u2, d2u2 = velocity_gradients(state)
-    r1 = dp1 + state.u1 * d1u1 + state.u2 * d2u1 - lap_u1
-    r2 = dp2 + state.u1 * d1u2 + state.u2 * d2u2 - lap_u2
-    cols = np.arange(2, grid.nx - 2)
-    if a is not None:
-        cols = cols[grid.xi[cols] >= a]
-    if b is not None:
-        cols = cols[grid.xi[cols] <= b]
-    sl = np.ix_(cols, np.arange(2, grid.ny - 2))
-    return max(float(np.abs(r1[sl]).max()), float(np.abs(r2[sl]).max()))

@@ -177,7 +177,8 @@ class TestParsing:
                 "need b > a") in msg
         assert f"line {at['tol = -1']}: [solver] tol: tol must be positive" in msg
         assert f"line {at['relax = 0.5']}: [solver] relax: unsupported value" in msg
-        assert f"line {at['cutoff = box']}: [carrier] cutoff: unknown cutoff" in msg
+        assert (f"line {at['cutoff = box']}: [carrier] cutoff: unsupported value "
+                "'box'") in msg
         assert "CHANNELLAB_CARRIER__FLUX: [carrier] flux: must be nonnegative" in msg
         body = MINIMAL.format(out=tmp_path / "o") + "[carrier]\nepsilon = 1.5\n"
         eps_line = body.splitlines().index("epsilon = 1.5") + 1
@@ -228,6 +229,18 @@ class TestParsing:
         assert "[solver] relax" in msg and "under-relaxation" in msg
         assert "[solver] convection" in msg and "upwind" in msg
         assert "[solver] continuation" in msg
+
+    def test_retired_cutoff_key(self, tmp_path):
+        body = MINIMAL.format(out=tmp_path / "o") + "\n[carrier]\n"
+        path = write_scenario(tmp_path, body + "cutoff = quintic\n")
+        assert cli_io.parse_scenario(path, environ={}).params.phi == 1.0
+        body += "cutoff = exp_bump\n"
+        line = body.splitlines().index("cutoff = exp_bump") + 1
+        with pytest.raises(ValidationError) as err:
+            cli_io.parse_scenario(write_scenario(tmp_path, body), environ={})
+        assert (f"line {line}: [carrier] cutoff: unsupported value 'exp_bump'; "
+                "the other cutoffs were removed, only quintic remains"
+                in str(err.value))
 
     def test_custom_profile_expressions(self, tmp_path):
         body = MINIMAL.format(out=tmp_path).replace(

@@ -21,30 +21,24 @@ def band_point(profile, params, x1, s):
 
 
 class TestCutoffs:
-    @pytest.mark.parametrize("kind", list(fc.CutoffKind))
-    def test_plateaus_and_monotonicity(self, kind):
-        co = fc.Cutoff(kind)
+    def test_plateaus_and_monotonicity(self):
         t = np.linspace(-0.5, 1.5, 401)
-        mu = co.mu(t)
+        mu = fc.mu(t)
         assert np.all(mu[t <= 0] == 1.0)
         assert np.all(mu[t >= 1] == 0.0)
         assert np.all(np.diff(mu) <= 1e-15)
 
-    @pytest.mark.parametrize("kind", list(fc.CutoffKind))
-    def test_derivatives_vanish_at_plateau_edges(self, kind):
-        co = fc.Cutoff(kind)
+    def test_derivatives_vanish_at_plateau_edges(self):
         edges = np.array([0.0, 1.0])
-        assert np.all(co.mup(edges) == 0.0)
-        assert np.all(co.mupp(edges) == 0.0)
+        assert np.all(fc.mup(edges) == 0.0)
+        assert np.all(fc.mupp(edges) == 0.0)
 
-    @pytest.mark.parametrize("kind", list(fc.CutoffKind))
-    def test_derivative_consistency(self, kind):
-        co = fc.Cutoff(kind)
+    def test_derivative_consistency(self):
         t = np.linspace(0.05, 0.95, 37)
         h = 1e-6
-        assert np.abs((co.mu(t + h) - co.mu(t - h)) / (2 * h) - co.mup(t)).max() < 1e-7
+        assert np.abs((fc.mu(t + h) - fc.mu(t - h)) / (2 * h) - fc.mup(t)).max() < 1e-7
         assert (
-            np.abs((co.mup(t + h) - co.mup(t - h)) / (2 * h) - co.mupp(t)).max() < 1e-4
+            np.abs((fc.mup(t + h) - fc.mup(t - h)) / (2 * h) - fc.mupp(t)).max() < 1e-4
         )
 
 
@@ -68,7 +62,7 @@ class TestStreamfunction:
         s = 1.0 + 0.5 * math.log(0.25)
         assert s == pytest.approx(0.30685, abs=1e-5)
         G = fc.stream_G((0.0, 0.8), params, straight)
-        assert G == pytest.approx(float(params.cutoff.mu(s)), abs=1e-14)
+        assert G == pytest.approx(float(fc.mu(s)), abs=1e-14)
 
     def test_branches(self, straight):
         params = fc.CarrierParams(1.0, 0.5)
@@ -93,7 +87,7 @@ class TestVelocity:
         params = fc.CarrierParams(1.0, 0.5)
         g = fc.velocity_g((0.0, 0.8), params, straight)
         s = 1.0 + 0.5 * math.log(0.25)
-        expected = 0.5 * float(params.cutoff.mup(s)) * (-1.0 / 0.2 - 1.0 / 0.8)
+        expected = 0.5 * float(fc.mup(s)) * (-1.0 / 0.2 - 1.0 / 0.8)
         assert expected == pytest.approx(4.2411, abs=2e-4)
         assert g[0] == pytest.approx(expected, rel=1e-12)
 

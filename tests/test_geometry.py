@@ -197,7 +197,41 @@ class TestHParameterization:
         assert t_star is not None and t_star > 0
 
 
+TAIL_PROFILES = QUAD_PROFILES[:-1] + [
+    ("linear_widen_0.5", geo.linear_widen(d0=1.0, slope=0.5)),
+    ("power_law_0.2", geo.power_law(d0=1.0, alpha=0.2)),
+]
+
+# each bundled wall's report: case, right and left divergence, conditions
+# 16 and 17
+BUNDLED_REPORTS = {
+    "bump_outlet": (geo.KRangeCase.BOTH_INFINITE, True, True, True, False),
+    "custom_walls": (geo.KRangeCase.BOTH_INFINITE, True, True, False, True),
+    "straight": (geo.KRangeCase.BOTH_INFINITE, True, True, True, False),
+    "widening": (geo.KRangeCase.BOTH_INFINITE, True, True, False, True),
+}
+
+
 class TestClassify:
+    @pytest.mark.parametrize("name,profile", TAIL_PROFILES, ids=[n for n, _ in TAIL_PROFILES])
+    @pytest.mark.parametrize("p", [-5.0 / 3.0, -3.0])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_tail_increments_match_quad(self, name, profile, p, side):
+        edges, incs = geo._tail_increments(profile, p, side)
+        for lo, hi, got in zip(edges[:-1], edges[1:], incs):
+            if side < 0:
+                lo, hi = -hi, -lo
+            ref = integrate.quad(lambda x: profile.width(x) ** p, lo, hi,
+                                 epsabs=0.0, epsrel=1e-10, limit=200)[0]
+            assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("name,profile", QUAD_PROFILES[:-1],
+                             ids=[n for n, _ in QUAD_PROFILES[:-1]])
+    def test_bundled_wall_reports(self, name, profile):
+        rep = geo.classify(profile)
+        assert (rep.case, rep.right_diverges, rep.left_diverges, rep.condition_16,
+                rep.condition_17) == BUNDLED_REPORTS[name]
+
     def test_straight_both_infinite_and_condition_16(self, straight):
         rep = geo.classify(straight)
         assert rep.case is geo.KRangeCase.BOTH_INFINITE

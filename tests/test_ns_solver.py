@@ -6,7 +6,6 @@ from scipy.sparse.linalg import splu
 from channellab import flux_carrier as fc
 from channellab import geometry as geo
 from channellab import ns_solver as ns
-from channellab._fem import assemble_q1
 from channellab.errors import NonConvergence, OutOfRange
 
 from conftest import poiseuille_psi, poiseuille_u1
@@ -151,7 +150,8 @@ class TestResidual:
 
     def test_one_residual_evaluation_per_state(self, straight, monkeypatch):
         # the two defects and the chord step from a state share one product
-        # with the constant block; each state gets one history entry
+        # with the constant block; each state gets one history entry, and
+        # the history covers every continuation level
         products, states = [], []
         assemble = ns._Workspace._assemble_constant
         residual_norm = ns.residual_norm
@@ -171,10 +171,11 @@ class TestResidual:
         st = ns.solve_steady(straight, fc.CarrierParams(8.0), -6, 6, 97, 17)
         assert st.converged
         assert len(products) == len(states) == len({id(s) for s in states})
-        # the returned history is that of the last continuation level
-        last = [s for s in states if s.params.phi == 8.0]
-        assert len(last) == len(st.residual_history)
-        assert len(products) > len(st.residual_history)
+        assert len(states) == len(st.residual_history)
+        # flux 8 steps through 4 levels, each numbered from iteration 0
+        iterations = [i for i, _ in st.residual_history]
+        assert iterations[0] == 0 and iterations.count(0) == 4
+        assert all(i in (0, prev + 1) for prev, i in zip(iterations, iterations[1:]))
 
 
 class TestSolveSteady:
@@ -362,7 +363,8 @@ class TestNestedDissection:
         st = ns.solve_steady(straight, fc.CarrierParams(flux), -6, 6, 97, 17)
         assert st.converged
         assert len(splu_calls) <= factors
-        assert len(st.residual_history) <= history
+        # the bound is on the last continuation level, numbered from 0
+        assert st.residual_history[-1][0] + 1 <= history
 
 
 class TestEnergies:
@@ -442,40 +444,7 @@ class TestGridConvergence:
         assert np.log2(d1 / d2) >= 1.5
 
 
-class TestPressure:
-    def test_poiseuille_pressure_slope(self, poiseuille_state):
-        p = ns.pressure_recover(poiseuille_state)
-        grid = poiseuille_state.grid
-        i0, i1 = np.searchsorted(grid.xi, [-4.0, 4.0])
-        jc = grid.ny // 2
-        slope = np.polyfit(grid.xi[i0:i1], p[i0:i1, jc], 1)[0]
-        assert slope == pytest.approx(-1.5, rel=1e-4)
-
-    def test_zero_field_zero_pressure(self, straight):
-        st = ns.solve_steady(
-            straight, fc.CarrierParams(0.0, 0.5), -4, 4, 65, 17
-        )
-        p = ns.pressure_recover(st)
-        assert np.abs(p).max() < 1e-12
-
-    def test_lumped_mean_zero(self, power_state):
-        # the pinned-node solve is shifted to zero lumped-mass mean
-        p = ns.pressure_recover(power_state)
-        grid = power_state.grid
-        x = np.broadcast_to(grid.xi[:, None], p.shape).ravel()
-        _, _, lumped = assemble_q1(x, grid.x2.ravel(), grid.nx, grid.ny)
-        assert abs(lumped @ p.ravel()) / lumped.sum() < 1e-12
-
-    def test_momentum_residual_second_order(self, straight, carrier_unit):
-        cfg = ns.SolverConfig(tol=1e-10)
-        res = []
-        for nx, ny in [(129, 17), (257, 33)]:
-            st = ns.solve_steady(straight, carrier_unit, -8, 8, nx, ny, cfg)
-            res.append(ns.momentum_residual(st, -4.0, 4.0))
-        assert res[0] / res[1] > 3.0
-
-
-class TestKrylovAndUpwind:
+class TestContinuation:
     def test_continuation_for_large_flux(self, straight):
         params = fc.CarrierParams(5.0, 0.2)
         cfg = ns.SolverConfig(tol=1e-8, max_iter=120)
