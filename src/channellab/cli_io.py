@@ -1,10 +1,11 @@
 """Scenario configuration, command-line entry points, and artifact output.
 
 Scenario files are INI-style text (``key = value`` lines under
-``[section]`` headers, ``#`` comments, UTF-8).  Values are numbers,
-booleans, strings, or comma-separated lists; profile expressions use the
-grammar documented in :mod:`.expressions`.  Any key can be overridden from
-the environment as ``CHANNELLAB_<SECTION>__<KEY>``; a key that no command
+``[section]`` headers, ``#`` comments, UTF-8).  A value's type comes from
+the key that reads it: a number, an integer, a comma-separated list of
+numbers, or text kept as written; profile expressions use the grammar
+documented in :mod:`.expressions`.  Any key can be overridden from the
+environment as ``CHANNELLAB_<SECTION>__<KEY>``; a key that no command
 reads, in the file or the environment, is an error.
 
 Artifacts are deterministic: CSV floats are printed with repr-faithful
@@ -24,7 +25,7 @@ import os
 import sys
 import time
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,28 +67,20 @@ KNOWN_FAMILIES = [f.value for f in geo.Family]
 # ---------------------------------------------------------------------------
 
 
-def _parse_value(text):
-    text = text.strip()
-    if "," in text:
-        return [_parse_value(part) for part in text.split(",") if part.strip()]
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
+def _read_number(text, kind):
+    """``text`` as ``kind``: integer text reads exactly, and integral float
+    text (``65.0``, ``1e3``) also reads as an int; ValueError otherwise."""
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
+        value = float(text)
+        if kind is int and value.is_integer():
+            return int(value)
+        raise
 
 
 def _read_sections(path):
-    """Raw sections and each key's line, or raise ParseError listing lines."""
+    """Each key's value text and line, or raise ParseError listing lines."""
     sections = {"": {}}
     origins = {}
     current = ""
@@ -112,7 +105,7 @@ def _read_sections(path):
         if not key:
             errors.append((lineno, "empty key"))
             continue
-        sections[current][key] = _parse_value(value)
+        sections[current][key] = value.strip()
         origins[(current, key)] = f"line {lineno}"
     if errors:
         msgs = "; ".join(f"line {ln}: {msg}" for ln, msg in errors)
@@ -130,7 +123,7 @@ def _apply_env_overrides(sections, origins, environ=None):
             section, _, name = rest.partition("__")
         else:
             section, name = "", rest
-        sections.setdefault(section, {})[name] = _parse_value(value)
+        sections.setdefault(section, {})[name] = value.strip()
         origins[(section, name)] = key
     return sections, origins
 
@@ -197,32 +190,43 @@ def parse_scenario(path, environ=None):
         return default
 
     def number(section, key, default, kind=float):
-        """The value as kind (a list if the default is a list); a non-number,
-        or a fraction for kind int, is an error and the default stands in."""
-        value = fetch(section, key, default)
-        if value is None:
-            return None
+        """The value read as kind (a comma list of kind if the default is a
+        list); text that does not read so is an error, the default stands in."""
+        text = fetch(section, key)
+        if text is None:
+            return default
         many = isinstance(default, list)
-        items = value if many and isinstance(value, list) else [value]
-        if items and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            and (kind is float or float(v).is_integer()) for v in items
-        ):
-            return [kind(v) for v in items] if many else kind(value)
+        items = [t.strip() for t in text.split(",") if t.strip()] if many else [text]
+        try:
+            values = [_read_number(t, kind) for t in items]
+        except ValueError:
+            values = []
+        if values:
+            return values if many else values[0]
         expected = "an integer" if kind is int else "a number"
         errors.append(ValidationError(
-            located(section, key), f"expected {expected}, got {value!r}"))
+            located(section, key), f"expected {expected}, got {text!r}"))
         return default
+
+    def dataclass_fields(cls, section):
+        """Each field of cls read from section, the field's default standing in."""
+        return {f.name: number(section, f.name, f.default, type(f.default))
+                for f in fields(cls)}
 
     name = fetch("", "name", Path(path).stem)
 
-    family = str(fetch("profile", "family", required=True) or "").lower()
+    family = (fetch("profile", "family", required=True) or "").lower()
     profile = None
     if family in KNOWN_FAMILIES:
-        accepted = inspect.signature(geo._FACTORIES[geo.Family(family)]).parameters
-        kwargs = {k: fetch("profile", k) for k in sections["profile"] if k in accepted}
+        factory = geo._FACTORIES[geo.Family(family)]
+        accepted = inspect.signature(factory).parameters
+        kwargs = {k: fetch("profile", k) if factory is geo.custom  # wall text
+                  else number("profile", k, None)
+                  for k in sections["profile"] if k in accepted}
         try:
-            profile = geo.make_profile(family, **kwargs)
+            # a value that is not a number is reported at its line already
+            if None not in kwargs.values():
+                profile = factory(**kwargs)
         except ValidationError as exc:  # a custom wall names itself
             errors.append(ValidationError(located("profile", exc.field),
                                           exc.constraint))
@@ -252,25 +256,21 @@ def parse_scenario(path, environ=None):
 
     solver = None
     try:
-        solver = ns.SolverConfig(
-            tol=number("solver", "tol", 1e-9),
-            max_iter=number("solver", "max_iter", 60, int),
-        )
+        solver = ns.SolverConfig(**dataclass_fields(ns.SolverConfig, "solver"))
     except ChannelLabError as exc:  # SolverConfig checks only tol
         errors.append(ValidationError(located("solver", "tol"), str(exc)))
     for (section, key), (kept, removed) in _RETIRED_KEYS.items():
-        value = fetch(section, key, default=kept)
-        if value != kept and str(value).lower() != kept:
+        text = fetch(section, key)
+        try:
+            same = text is None or text.lower() == kept or float(text) == kept
+        except ValueError:
+            same = False
+        if not same:
             errors.append(ValidationError(
-                located(section, key), f"unsupported value {value!r}; {removed}"))
+                located(section, key), f"unsupported value {text!r}; {removed}"))
 
     thresholds = eh.HarnessThresholds(
-        growth_ratio_bound=number("harness", "growth_ratio_bound", 3.0),
-        growth_lower_bound=number("harness", "growth_lower_bound", 0.5),
-        decay_ratio_bound=number("harness", "decay_ratio_bound", 4.0),
-        plateau_fraction=number("harness", "plateau_fraction", 0.1),
-        wall_delta=number("harness", "wall_delta", 0.1),
-    )
+        **dataclass_fields(eh.HarnessThresholds, "harness"))
     grid_window = (
         number("grid", "a", -10.0),
         number("grid", "b", 10.0),
@@ -280,15 +280,21 @@ def parse_scenario(path, environ=None):
     if grid_window[1] <= grid_window[0]:
         errors.append(ValidationError(
             f"{located('grid', 'a')}, {located('grid', 'b')}", "need b > a"))
-    target_hx = number("harness", "target_hx", 0.125)
-    pad_factor = number("harness", "pad_factor", 2.0)
+    target_hx = number("harness", "target_hx", eh.GridPolicy.target_hx)
+    if not target_hx > 0:
+        errors.append(ValidationError(
+            located("harness", "target_hx"), "must be positive"))
+    pad_factor = number("harness", "pad_factor", eh.GridPolicy.pad_factor)
+    if not pad_factor >= 0:
+        errors.append(ValidationError(
+            located("harness", "pad_factor"), "must be nonnegative"))
 
     t_list = number("harness", "t_list", [5.0, 10.0, 20.0, 40.0])
     t_range = number("harness", "t_range", [10.0, 40.0])
     x_max = number("harness", "x_max", 8.0)
     outlet_k = number("harness", "outlet_k", 4.0)
 
-    out_dir = Path(str(fetch("output", "dir", "out")))
+    out_dir = Path(fetch("output", "dir", "out"))
     seed = number("output", "seed", 1234, int)
 
     comparison = {"file": fetch("comparison", "file")}
@@ -304,7 +310,7 @@ def parse_scenario(path, environ=None):
             "scenario", "; ".join(str(e) for e in errors)
         )
     return Scenario(
-        name=str(name),
+        name=name,
         profile=profile,
         params=params,
         solver=solver,
@@ -339,12 +345,17 @@ def _fmt(value):
     return str(value)
 
 
-def write_csv(path, header, rows):
-    """Deterministic CSV: schema comment, header, %.17g floats."""
+def write_csv(path, rows):
+    """Deterministic CSV: schema comment, header, %.17g floats.
+
+    ``rows`` is a nonempty iterable of dicts; the header is the first row's
+    keys, in order, and every row gives a value for each of them.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# channellab csv v{CSV_SCHEMA_VERSION}"]
-    lines.append(",".join(header))
+    rows = list(rows)
+    header = list(rows[0])
+    lines = [f"# channellab csv v{CSV_SCHEMA_VERSION}", ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(row[h]) for h in header))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -586,9 +597,7 @@ def _run_carrier_check(sc, out, quiet):
                      "status": "PASS" if passed else "FAIL"})
         if not quiet:
             print(f"  {name}: {'PASS' if passed else 'FAIL'} ({value:.3g})")
-    artifacts.append(
-        write_csv(out / "carrier_report.csv", ["check", "value", "status"], rows)
-    )
+    artifacts.append(write_csv(out / "carrier_report.csv", rows))
     return ok, artifacts
 
 
@@ -637,16 +646,12 @@ def _run_solve(sc, out, quiet):
     rows = [
         {"iteration": i, "residual": r} for i, r in state.residual_history
     ]
-    artifacts.append(
-        write_csv(out / "residual_history.csv", ["iteration", "residual"], rows)
-    )
+    artifacts.append(write_csv(out / "residual_history.csv", rows))
     diag_rows = [
         {"quantity": k, "value": v} for k, v in sorted(state.diagnostics.items())
     ]
     diag_rows.append({"quantity": "converged", "value": state.converged})
-    artifacts.append(
-        write_csv(out / "solve_summary.csv", ["quantity", "value"], diag_rows)
-    )
+    artifacts.append(write_csv(out / "solve_summary.csv", diag_rows))
     if not quiet:
         print(f"  converged in {len(state.residual_history)} iterations; "
               f"residual {state.residual_history[-1][1]:.3e}")
@@ -731,11 +736,7 @@ def _run_growth(sc, out, quiet):
     state = _padded_state(sc, out, max(sc.t_list), quiet)
     rep = eh.growth_scan(state, sc.t_list, thresholds=sc.thresholds)
     artifacts = [
-        write_csv(
-            out / "growth.csv",
-            ["t", "dirichlet", "weight_integral", "upper_ratio", "lower_ratio"],
-            rep.rows(),
-        ),
+        write_csv(out / "growth.csv", rep.rows()),
         write_svg_plot(
             out / "growth.svg",
             [
@@ -758,7 +759,7 @@ def _run_growth(sc, out, quiet):
         hat = None
     if hat is not None:
         artifacts.append(
-            write_csv(out / "hat_energy.csv", ["t", "y_hat"], hat.rows())
+            write_csv(out / "hat_energy.csv", hat.rows())
         )
         artifacts.append(
             write_svg_plot(
@@ -786,7 +787,7 @@ def _write_verdicts(path, verdicts, quiet):
         {"verdict": k, "status": "PASS" if v else "FAIL"}
         for k, v in sorted(verdicts.items())
     ]
-    written = write_csv(path, ["verdict", "status"], rows)
+    written = write_csv(path, rows)
     if not quiet:
         for k, v in verdicts.items():
             print(f"  {k}: {'PASS' if v else 'FAIL'}")
@@ -797,18 +798,11 @@ def _run_decay(sc, out, quiet):
     state = _padded_state(sc, out, sc.t_range[-1], quiet)
     rep = eh.decay_scan(state, sc.t_range, thresholds=sc.thresholds)
     artifacts = [
-        write_csv(
-            out / "decay.csv",
-            ["x1", "f_sup_u", "f_sup_u_interior", "f_sup_u_wall"],
-            rep.rows(),
-        ),
+        write_csv(out / "decay.csv", rep.rows()),
         write_csv(
             out / "decay_windows.csv",
-            ["t", "window_energy_f2"],
-            (
-                {"t": t, "window_energy_f2": e}
-                for t, e in zip(rep.window_t, rep.window_energy)
-            ),
+            ({"t": t, "window_energy_f2": e}
+             for t, e in zip(rep.window_t, rep.window_energy)),
         ),
         write_svg_plot(
             out / "decay.svg",
@@ -834,9 +828,7 @@ def _run_poiseuille(sc, out, quiet):
         state, sc.outlet_k, sc.t_list, thresholds=sc.thresholds
     )
     artifacts = [
-        write_csv(
-            out / "poiseuille.csv", ["T", "h1_error", "scaled_tail"], rep.rows()
-        ),
+        write_csv(out / "poiseuille.csv", rep.rows()),
         write_svg_plot(
             out / "poiseuille.svg",
             [("E(T)", rep.T, rep.h1_error)],
@@ -872,15 +864,7 @@ def _run_constants(sc, out, quiet):
         )
         if not quiet:
             print(f"  {est.name.value} = {est.value:.6g}")
-    artifacts = [
-        write_csv(
-            out / "constants.csv",
-            ["name", "value", "domain", "method", "resolution",
-             "self_consistency"],
-            rows,
-        )
-    ]
-    return True, artifacts
+    return True, [write_csv(out / "constants.csv", rows)]
 
 
 def _run_comparison(sc, out, quiet):
@@ -900,7 +884,7 @@ def _run_comparison(sc, out, quiet):
         {"quantity": "endpoint_gap", "value": report.endpoint_gap},
         {"quantity": "verdict", "value": verdict.value},
     ]
-    artifacts = [write_csv(out / "comparison.csv", ["quantity", "value"], rows)]
+    artifacts = [write_csv(out / "comparison.csv", rows)]
     ok = verdict is cl.Verdict.DOMINATED
     if not quiet:
         print(f"  verdict: {verdict.value}")
@@ -917,9 +901,7 @@ def _run_report(sc, out, quiet):
             )
     if not rows:
         rows.append({"source": "none", "verdict": "none", "status": "PASS"})
-    artifacts = [
-        write_csv(out / "summary.csv", ["source", "verdict", "status"], rows)
-    ]
+    artifacts = [write_csv(out / "summary.csv", rows)]
     ok = all(r["status"] == "PASS" for r in rows)
     if not quiet:
         print(f"  {len(rows)} verdicts aggregated; "

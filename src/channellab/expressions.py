@@ -232,8 +232,6 @@ def parse_expression(text):
     Python's parser reads it, ``^`` as ``**`` (the grammar's precedence and
     right associativity); a node the grammar lacks is a :class:`ParseError`.
     """
-    if isinstance(text, (int, float)) and not isinstance(text, bool):
-        text = str(text)  # a bare number, as a scenario reads it: a constant
     if not isinstance(text, str) or not text.strip():
         raise ParseError(f"a wall must be an expression in x, got {text!r}")
     # as in the grammar, any Unicode digit is a digit, any whitespace separates

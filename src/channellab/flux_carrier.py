@@ -89,41 +89,26 @@ def _split_point(x):
     return np.broadcast_arrays(x1, x2)
 
 
-def _band_quantities(x1, x2, profile):
-    """A = f2-x2, B = x2-fbar on the upper half; mask of x2 > fbar."""
-    f2 = np.asarray(profile.f2(x1), dtype=float)
-    fbar = np.asarray(profile.center(x1), dtype=float)
-    A = f2 - x2
-    B = x2 - fbar
-    upper = B > 0.0
-    return A, B, upper, f2, fbar
-
-
-def stream_G(x, params, profile):
-    """Carrier streamfunction G at points x = (x1, x2)."""
-    x1, x2 = _split_point(x)
-    A, B, upper, _, _ = _band_quantities(x1, x2, profile)
-    out = np.zeros_like(A)
-    if np.any(upper):
-        Au = A[upper]
-        Bu = B[upper]
-        s = np.empty_like(Au)
-        pos = Au > 0.0
-        s[pos] = 1.0 + params.epsilon * (np.log(Au[pos]) - np.log(Bu[pos]))
-        s[~pos] = -np.inf  # at/above the top wall the cutoff saturates at 1
-        out[upper] = params.phi * mu(s)
-    return out if out.ndim else float(out)
-
-
 def _s_and_derivs(x1, x2, params, profile):
-    """Cutoff argument s and the pieces shared by g and grad g."""
-    eps = params.epsilon
-    A, B, upper, _, _ = _band_quantities(x1, x2, profile)
+    """Cutoff argument s, A = f2-x2, B = x2-fbar and the mask where s is finite.
+
+    s = +inf at and below the center line (mu = 0) and -inf at and above the
+    top wall (mu = 1).
+    """
+    A = np.asarray(profile.f2(x1), dtype=float) - x2
+    B = x2 - np.asarray(profile.center(x1), dtype=float)
+    upper = B > 0.0
     inside = upper & (A > 0.0)
     s = np.full_like(A, np.inf)
     s[upper & ~(A > 0.0)] = -np.inf
-    s[inside] = 1.0 + eps * (np.log(A[inside]) - np.log(B[inside]))
+    s[inside] = 1.0 + params.epsilon * (np.log(A[inside]) - np.log(B[inside]))
     return A, B, inside, s
+
+
+def stream_G(x, params, profile):
+    """Carrier streamfunction G = phi * mu(s) at points x = (x1, x2)."""
+    out = params.phi * mu(_s_and_derivs(*_split_point(x), params, profile)[3])
+    return out if out.ndim else float(out)
 
 
 def velocity_g(x, params, profile):

@@ -105,6 +105,13 @@ class ChannelMetrics:
 # ---------------------------------------------------------------------------
 
 
+def _symmetric(family, params, f2, f2p, f2pp):
+    """Profile whose lower wall mirrors the upper one: f1 = -f2."""
+    return ChannelProfile(
+        family, params, f1=lambda x: -f2(x), f2=f2, f1p=lambda x: -f2p(x),
+        f2p=f2p, f1pp=lambda x: -f2pp(x), f2pp=f2pp)
+
+
 def straight(d0=1.0, c1=None, c2=None):
     """Straight channel.  Either half-width d0 (walls at +-d0) or walls c1<c2."""
     if c1 is None and c2 is None:
@@ -142,16 +149,7 @@ def linear_widen(d0=1.0, slope=0.25):
         x = np.asarray(x, dtype=float)
         return s / (1.0 + x * x) ** 1.5
 
-    return ChannelProfile(
-        Family.LINEAR_WIDEN,
-        {"d0": d0, "slope": s},
-        f1=lambda x: -f2(x),
-        f2=f2,
-        f1p=lambda x: -f2p(x),
-        f2p=f2p,
-        f1pp=lambda x: -f2pp(x),
-        f2pp=f2pp,
-    )
+    return _symmetric(Family.LINEAR_WIDEN, {"d0": d0, "slope": s}, f2, f2p, f2pp)
 
 
 def power_law(d0=1.0, alpha=0.5):
@@ -172,16 +170,7 @@ def power_law(d0=1.0, alpha=0.5):
         x = np.asarray(x, dtype=float)
         return d0 * a * (a - 1.0) * (1.0 + np.abs(x)) ** (a - 2.0)
 
-    return ChannelProfile(
-        Family.POWER_LAW,
-        {"d0": d0, "alpha": a},
-        f1=lambda x: -f2(x),
-        f2=f2,
-        f1p=lambda x: -f2p(x),
-        f2p=f2p,
-        f1pp=lambda x: -f2pp(x),
-        f2pp=f2pp,
-    )
+    return _symmetric(Family.POWER_LAW, {"d0": d0, "alpha": a}, f2, f2p, f2pp)
 
 
 def _bump(x, half_len):
@@ -259,12 +248,6 @@ _FACTORIES = {
     Family.STRAIGHT_OUTLET: straight_outlet,
     Family.CUSTOM: custom,
 }
-
-
-def make_profile(family, **params):
-    """Construct a profile by family name (string or :class:`Family`)."""
-    fam = Family(family) if not isinstance(family, Family) else family
-    return _FACTORIES[fam](**params)
 
 
 # ---------------------------------------------------------------------------

@@ -52,12 +52,48 @@ seed = 11
 
 class TestParsing:
     def test_minimal_scenario_fills_defaults(self, tmp_path):
-        path = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "o"))
-        sc = cli_io.parse_scenario(path, environ={})
+        body = MINIMAL.format(out=tmp_path / "o").replace("target_hx = 0.25\n", "")
+        sc = cli_io.parse_scenario(write_scenario(tmp_path, body), environ={})
         assert sc.name == "minimal"
         assert sc.params.epsilon == 0.5  # default rule at flux 1
-        assert sc.solver.tol == 1e-9
+        assert sc.solver == ns.SolverConfig()
+        assert sc.thresholds == cli_io.eh.HarnessThresholds()
+        assert (sc.target_hx, sc.pad_factor) == (
+            cli_io.eh.GridPolicy.target_hx, cli_io.eh.GridPolicy.pad_factor)
         assert sc.grid_window == (-4.0, 4.0, 65, 17)
+
+    def test_text_keys_are_read_verbatim(self, tmp_path):
+        body = MINIMAL.format(out="1e3").replace("name = minimal", "name = on")
+        path = write_scenario(tmp_path, body)
+        sc = cli_io.parse_scenario(path, environ={})
+        assert (sc.name, sc.out_dir) == ("on", Path("1e3"))
+        sc = cli_io.parse_scenario(path, environ={"CHANNELLAB_OUTPUT__DIR": "runs/a,b"})
+        assert sc.out_dir == Path("runs/a,b")
+
+    def test_non_numeric_profile_value_is_reported_at_its_line(self, tmp_path):
+        body = MINIMAL.format(out=tmp_path / "o").replace("d0 = 1.0", "d0 = abc")
+        line = body.splitlines().index("d0 = abc") + 1
+        with pytest.raises(ValidationError) as err:
+            cli_io.parse_scenario(write_scenario(tmp_path, body), environ={})
+        msg = str(err.value)
+        assert f"line {line}: [profile] d0: expected a number, got 'abc'" in msg
+        assert msg.count("d0") == 1
+
+    @pytest.mark.parametrize("new, message", [
+        ("target_hx = 0", "[harness] target_hx: must be positive"),
+        ("target_hx = -1", "[harness] target_hx: must be positive"),
+        ("pad_factor = -0.5", "[harness] pad_factor: must be nonnegative"),
+    ], ids=["zero_hx", "negative_hx", "negative_pad"])
+    def test_scan_grid_values_are_rejected_at_their_line(
+            self, tmp_path, capsys, new, message):
+        body = MINIMAL.format(out=tmp_path / "o").replace("target_hx = 0.25", new)
+        line = body.splitlines().index(new) + 1
+        path = write_scenario(tmp_path, body)
+        assert cli_io.main(["growth-scan", "--scenario", str(path), "--quiet"]) == 1
+        assert f"line {line}: {message}" in capsys.readouterr().err
+        body = body.replace(new, "pad_factor = 0")
+        assert cli_io.parse_scenario(
+            write_scenario(tmp_path, body), environ={}).pad_factor == 0.0
 
     def test_epsilon_out_of_range(self, tmp_path):
         body = MINIMAL.format(out=tmp_path) + "\n[carrier]\nepsilon = 1.5\n"
@@ -96,7 +132,7 @@ class TestParsing:
         msg = str(err.value)
         assert "[grid] nx: expected an integer, got 'abc'" in msg
         assert "[carrier] flux: expected a number, got 'abc'" in msg
-        assert "[harness] t_list: expected a number, got [1, 'x']" in msg
+        assert "[harness] t_list: expected a number, got '1, x'" in msg
         assert cli_io.main(["solve", "--scenario", str(path), "--quiet"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         body = MINIMAL.format(out=tmp_path / "o").replace("nx = 65", "nx = 65.5")
@@ -112,9 +148,11 @@ class TestParsing:
     def test_env_override(self, tmp_path):
         path = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "o"))
         sc = cli_io.parse_scenario(
-            path, environ={"CHANNELLAB_SOLVER__TOL": "1e-7"}
+            path, environ={"CHANNELLAB_SOLVER__TOL": "1e-7",
+                           "CHANNELLAB_OUTPUT__SEED": str(2**53 + 1)}
         )
         assert sc.solver.tol == 1e-7
+        assert sc.seed == 2**53 + 1  # integer text is not read through a float
 
     def test_unknown_keys_reported_together(self, tmp_path):
         body = MINIMAL.format(out=tmp_path / "o") + (
@@ -217,8 +255,10 @@ class TestParsing:
 
     def test_retired_solver_keys(self, tmp_path):
         body = MINIMAL.format(out=tmp_path / "o") + "\n[solver]\n"
-        path = write_scenario(tmp_path, body + "relax = 1.0\nconvection = central\n")
-        assert cli_io.parse_scenario(path, environ={}).solver.max_iter == 60
+        for relax in ("1.0", "1"):
+            path = write_scenario(
+                tmp_path, body + f"relax = {relax}\nconvection = central\n")
+            assert cli_io.parse_scenario(path, environ={}).solver.max_iter == 60
         path = write_scenario(
             tmp_path,
             body + "relax = 0.8\nconvection = upwind\ncontinuation = 1, 2\n",
@@ -277,9 +317,10 @@ class TestParsing:
 class TestArtifacts:
     def test_csv_deterministic_bytes(self, tmp_path):
         rows = [{"a": 1.0 / 3.0, "b": 2}, {"a": np.float64(0.1), "b": -1}]
-        p1 = cli_io.write_csv(tmp_path / "x.csv", ["a", "b"], rows)
-        p2 = cli_io.write_csv(tmp_path / "y.csv", ["a", "b"], rows)
+        p1 = cli_io.write_csv(tmp_path / "x.csv", rows)
+        p2 = cli_io.write_csv(tmp_path / "y.csv", iter(rows))
         assert p1.read_bytes() == p2.read_bytes()
+        assert p1.read_text().splitlines()[1:3] == ["a,b", "0.33333333333333331,2"]
 
     def test_field_file_round_trip(self, straight, tmp_path):
         params = fc.CarrierParams(1.0, 0.5)

@@ -32,8 +32,8 @@ def fd(e, x, h=1e-6):
         ("x+\n1", 2.0, 3.0),
         ("007*x", 2.0, 14.0),
         ("\u0663*x", 2.0, 6.0),  # NUMBER reads any Unicode digit
-        (-1, 3.0, -1.0),  # a bare number, as a scenario value reads it
-        (2.5, 3.0, 2.5),
+        ("-1", 3.0, -1.0),  # a bare number is a constant wall
+        ("2.5", 3.0, 2.5),
     ],
 )
 def test_evaluation(text, x, value):
@@ -65,8 +65,8 @@ TREES = {
     "x+\n1": "(x + 1)",
     "007*x": "(7 * x)",
     "\u0663*x": "(3 * x)",
-    -1: "-1",
-    2.5: "2.5",
+    "-1": "-1",
+    "2.5": "2.5",
 }
 
 
