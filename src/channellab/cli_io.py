@@ -215,7 +215,8 @@ def parse_scenario(path, environ=None):
 
     name = fetch("", "name", Path(path).stem)
 
-    family = (fetch("profile", "family", required=True) or "").lower()
+    family_text = fetch("profile", "family", required=True)
+    family = (family_text or "").lower()
     profile = None
     if family in KNOWN_FAMILIES:
         factory = geo._FACTORIES[geo.Family(family)]
@@ -237,7 +238,7 @@ def parse_scenario(path, environ=None):
     else:
         # no family, no known keys: the family error speaks for the section
         read.update(("profile", k) for k in sections.get("profile", {}))
-        if family:
+        if family_text is not None:  # a missing family is reported by fetch
             errors.append(ValidationError(
                 located("profile", "family"),
                 f"unknown family {family!r}; known: {', '.join(KNOWN_FAMILIES)}"))

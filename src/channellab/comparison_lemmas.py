@@ -160,11 +160,13 @@ class ComparisonProblem:
         """
         if callable(self.phi):
             return np.zeros_like(np.asarray(ts, dtype=float))
-        samples = np.asarray(self.phi, dtype=float)
-        alt = np.gradient(samples, self.t)
-        main = self._phi_slope(self.t)
-        band = np.abs(alt - main)
-        return np.interp(ts, self.t, band)
+        return _slope_band(self.t, np.asarray(self.phi, dtype=float),
+                           self._phi_slope, ts)
+
+
+def _slope_band(t, samples, slope, ts):
+    """|centered differences of the samples - slope(t)| on t, interpolated to ts."""
+    return np.interp(ts, t, np.abs(np.gradient(samples, t) - slope(t)))
 
 
 # relative slack for hypothesis margins: saturating majorants sit at exact
@@ -204,11 +206,7 @@ def check_hypotheses(problem):
     band = problem.phi_derivative_band(ts)
 
     # z' carries the same sampled-derivative ambiguity as phi'
-    z_samples = np.maximum.accumulate(problem.z)
-    z_band = np.interp(
-        ts, problem.t,
-        np.abs(np.gradient(z_samples, problem.t) - dzi(problem.t)),
-    )
+    z_band = _slope_band(problem.t, np.maximum.accumulate(problem.z), dzi, ts)
 
     psi_z = problem.psi(ts, zp + z_band)
     lhs_scale = np.maximum(1.0, np.abs(z).max())

@@ -282,6 +282,14 @@ def plateau_windows(k, t_list):
     return t_list
 
 
+def _difference_squares(state, ref):
+    """Nodal |u - u_ref|^2 and the four squared velocity-gradient differences."""
+    l2 = (state.u1 - ref.u1) ** 2 + (state.u2 - ref.u2) ** 2
+    grads = [(g - r) ** 2 for g, r in zip(ns.velocity_gradients(state),
+                                          ns.velocity_gradients(ref))]
+    return l2, grads
+
+
 def poiseuille_convergence(state, k, t_list, thresholds=HarnessThresholds()):
     """H1 distance to the outlet shear flow on growing windows of ``state``.
 
@@ -304,16 +312,8 @@ def poiseuille_convergence(state, k, t_list, thresholds=HarnessThresholds()):
     ref = ns._state_from_fields(grid, profile, state.params, psi_ref,
                                 np.zeros_like(psi_ref))
 
-    d1u1, d2u1, d1u2, d2u2 = ns.velocity_gradients(state)
-    r1u1, r2u1, r1u2, r2u2 = ns.velocity_gradients(ref)
-    diff2 = (
-        (state.u1 - ref.u1) ** 2
-        + (state.u2 - ref.u2) ** 2
-        + (d1u1 - r1u1) ** 2
-        + (d2u1 - r2u1) ** 2
-        + (d1u2 - r1u2) ** 2
-        + (d2u2 - r2u2) ** 2
-    )
+    l2, grads = _difference_squares(state, ref)
+    diff2 = sum(grads, l2)  # from l2 on: the order of additions fixes the last bits
 
     h1 = []
     tails = []
@@ -405,12 +405,11 @@ def uniqueness_probe(profile, phi, a, b, nx=257, ny=65, seed=7):
                              seed)
 
     wq = base.grid.wq
-    du1 = base.u1 - other.u1
-    du2 = base.u2 - other.u2
-    l2_diff = math.sqrt(float((wq * (du1**2 + du2**2)).sum()))
+    l2_field, grads = _difference_squares(base, other)
+    l2_diff = math.sqrt(float((wq * l2_field).sum()))
     l2_base = math.sqrt(float((wq * (base.u1**2 + base.u2**2)).sum()))
 
-    e_diff = _gradient_distance(base, other)
+    e_diff = math.sqrt(float((wq * sum(grads)).sum()))
     e_base = math.sqrt(max(ns.dirichlet_energy(base, a, b), 1e-300))
 
     if phi == 0.0:
@@ -427,13 +426,6 @@ def uniqueness_probe(profile, phi, a, b, nx=257, ny=65, seed=7):
         dirichlet_distance=dd,
         unique=unique,
     )
-
-
-def _gradient_distance(a_state, b_state):
-    ga = ns.velocity_gradients(a_state)
-    gb = ns.velocity_gradients(b_state)
-    total = sum((x - y) ** 2 for x, y in zip(ga, gb))
-    return math.sqrt(float((a_state.grid.wq * total).sum()))
 
 
 # ---------------------------------------------------------------------------

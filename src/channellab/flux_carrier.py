@@ -16,7 +16,7 @@ import numpy as np
 
 from ._fem import tridiagonal_pencil_max
 from .errors import OutOfRange
-from .geometry import _GL8_NODES, _GL8_WEIGHTS
+from .geometry import _GL8_NODES, _GL8_WEIGHTS, weight_integral
 
 __all__ = [
     "mu",
@@ -41,24 +41,23 @@ def mu(t):
     return 1.0 - tc * tc * tc * (10.0 + tc * (-15.0 + 6.0 * tc))
 
 
-def mup(t):
-    """mu'(t): -30 t^2 (1-t)^2 on (0, 1), 0 outside."""
+def _on_unit_interval(t, poly):
+    """poly(t) on 0 < t < 1, 0 outside."""
     t = np.asarray(t, dtype=float)
     inside = (t > 0.0) & (t < 1.0)
     out = np.zeros_like(t)
-    ti = t[inside]
-    out[inside] = -30.0 * ti * ti * (1.0 - ti) ** 2
+    out[inside] = poly(t[inside])
     return out
+
+
+def mup(t):
+    """mu'(t): -30 t^2 (1-t)^2 on (0, 1), 0 outside."""
+    return _on_unit_interval(t, lambda t: -30.0 * t * t * (1.0 - t) ** 2)
 
 
 def mupp(t):
     """mu''(t): -60 t (1-t) (1-2t) on (0, 1), 0 outside."""
-    t = np.asarray(t, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
-    out = np.zeros_like(t)
-    ti = t[inside]
-    out[inside] = -60.0 * ti * (1.0 - ti) * (1.0 - 2.0 * ti)
-    return out
+    return _on_unit_interval(t, lambda t: -60.0 * t * (1.0 - t) * (1.0 - 2.0 * t))
 
 
 def default_epsilon(phi):
@@ -111,62 +110,52 @@ def stream_G(x, params, profile):
     return out if out.ndim else float(out)
 
 
+def _band(x, params, profile, *walls):
+    """The carrier band at points x = (x1, x2): the shape of x, the in-band
+    mask, s, A and B on it, and each wall function of x1 on it."""
+    x1, x2 = _split_point(x)
+    A, B, inside, s = _s_and_derivs(x1, x2, params, profile)
+    on_band = [np.broadcast_to(np.asarray(w(x1), dtype=float), A.shape)[inside]
+               for w in walls]
+    return A.shape, inside, s[inside], A[inside], B[inside], on_band
+
+
 def velocity_g(x, params, profile):
     """Carrier velocity (g1, g2) from the closed-form derivatives of G."""
-    x1, x2 = _split_point(x)
     eps, phi = params.epsilon, params.phi
-    A, B, inside, s = _s_and_derivs(x1, x2, params, profile)
-    g1 = np.zeros_like(A)
-    g2 = np.zeros_like(A)
-    if np.any(inside):
-        dmu = mup(s[inside])
-        f2p = np.asarray(profile.f2p(x1), dtype=float)
-        fbp = np.asarray(profile.centerp(x1), dtype=float)
-        f2p = np.broadcast_to(f2p, A.shape)[inside]
-        fbp = np.broadcast_to(fbp, A.shape)[inside]
-        Ai, Bi = A[inside], B[inside]
-        g1[inside] = eps * phi * dmu * (-1.0 / Ai - 1.0 / Bi)
-        g2[inside] = -eps * phi * dmu * (f2p / Ai + fbp / Bi)
-    if g1.ndim:
-        return np.stack([g1, g2], axis=-1)
-    return np.array([float(g1), float(g2)])
+    shape, inside, si, Ai, Bi, (f2p, fbp) = _band(
+        x, params, profile, profile.f2p, profile.centerp)
+    dmu = mup(si)
+    out = np.zeros(shape + (2,))
+    out[inside, 0] = eps * phi * dmu * (-1.0 / Ai - 1.0 / Bi)
+    out[inside, 1] = -eps * phi * dmu * (f2p / Ai + fbp / Bi)
+    return out
 
 
 def grad_g(x, params, profile):
     """Jacobian of g: entry [i, j] = d g_i / d x_j (hand-derived chain rule)."""
-    x1, x2 = _split_point(x)
     eps, phi = params.epsilon, params.phi
-    A, B, inside, s = _s_and_derivs(x1, x2, params, profile)
-    out = np.zeros(A.shape + (2, 2))
-    if np.any(inside):
-        Ai, Bi = A[inside], B[inside]
-        si = s[inside]
-        dmu = mup(si)
-        d2mu = mupp(si)
-        f2p = np.broadcast_to(np.asarray(profile.f2p(x1), dtype=float), A.shape)[inside]
-        fbp = np.broadcast_to(np.asarray(profile.centerp(x1), dtype=float), A.shape)[inside]
-        f2pp = np.broadcast_to(np.asarray(profile.f2pp(x1), dtype=float), A.shape)[inside]
-        fbpp = np.broadcast_to(np.asarray(profile.centerpp(x1), dtype=float), A.shape)[inside]
+    shape, inside, si, Ai, Bi, (f2p, fbp, f2pp, fbpp) = _band(
+        x, params, profile, profile.f2p, profile.centerp, profile.f2pp,
+        profile.centerpp)
+    dmu = mup(si)
+    d2mu = mupp(si)
 
-        s1 = eps * (f2p / Ai + fbp / Bi)              # d s / d x1
-        s2 = eps * (-1.0 / Ai - 1.0 / Bi)             # d s / d x2
-        s12 = eps * (f2p / Ai**2 - fbp / Bi**2)       # d2 s / dx1 dx2
-        s22 = eps * (-1.0 / Ai**2 + 1.0 / Bi**2)      # d2 s / dx2^2
-        s11 = eps * (
-            f2pp / Ai - f2p**2 / Ai**2 + fbpp / Bi + fbp**2 / Bi**2
-        )
+    s1 = eps * (f2p / Ai + fbp / Bi)              # d s / d x1
+    s2 = eps * (-1.0 / Ai - 1.0 / Bi)             # d s / d x2
+    s12 = eps * (f2p / Ai**2 - fbp / Bi**2)       # d2 s / dx1 dx2
+    s22 = eps * (-1.0 / Ai**2 + 1.0 / Bi**2)      # d2 s / dx2^2
+    s11 = eps * (
+        f2pp / Ai - f2p**2 / Ai**2 + fbpp / Bi + fbp**2 / Bi**2
+    )
 
-        # g1 = phi * mu'(s) * s2 ; g2 = -phi * mu'(s) * s1
-        d1g1 = phi * (d2mu * s1 * s2 + dmu * s12)
-        d2g1 = phi * (d2mu * s2 * s2 + dmu * s22)
-        d1g2 = -phi * (d2mu * s1 * s1 + dmu * s11)
-        d2g2 = -phi * (d2mu * s2 * s1 + dmu * s12)
-
-        out[inside, 0, 0] = d1g1
-        out[inside, 0, 1] = d2g1
-        out[inside, 1, 0] = d1g2
-        out[inside, 1, 1] = d2g2
-    return out if A.ndim else out.reshape(2, 2)
+    # g1 = phi * mu'(s) * s2 ; g2 = -phi * mu'(s) * s1
+    out = np.zeros(shape + (2, 2))
+    out[inside, 0, 0] = phi * (d2mu * s1 * s2 + dmu * s12)
+    out[inside, 0, 1] = phi * (d2mu * s2 * s2 + dmu * s22)
+    out[inside, 1, 0] = -phi * (d2mu * s1 * s1 + dmu * s11)
+    out[inside, 1, 1] = -phi * (d2mu * s2 * s1 + dmu * s12)
+    return out
 
 
 def carrier_vorticity(x, params, profile):
@@ -287,8 +276,6 @@ def support_and_bounds_report(params, profile, window, rng=None):
         sup_f2dg = max(sup_f2dg, float(np.max(f * f * dg, where=on_supp, initial=0.0)))
 
     vol = carrier_volume_integral(params, profile, a, b, n_x=64)
-    from .geometry import weight_integral
-
     wint = weight_integral(profile, a, b, -3.0)
 
     return CarrierReport(

@@ -112,10 +112,15 @@ def _symmetric(family, params, f2, f2p, f2pp):
         f2p=f2p, f1pp=lambda x: -f2pp(x), f2pp=f2pp)
 
 
-def straight(d0=1.0, c1=None, c2=None):
-    """Straight channel.  Either half-width d0 (walls at +-d0) or walls c1<c2."""
+def straight(d0=None, c1=None, c2=None):
+    """Straight channel: walls at +-d0 (d0 = 1 by default) or at c1 < c2."""
     if c1 is None and c2 is None:
-        c1, c2 = -float(d0), float(d0)
+        d0 = 1.0 if d0 is None else float(d0)
+        c1, c2 = -d0, d0
+    elif d0 is not None or c1 is None or c2 is None:
+        raise AssumptionViolation(
+            "straight takes either d0 or both walls c1 and c2, "
+            f"got d0={d0}, c1={c1}, c2={c2}")
     if not c2 > c1:
         raise AssumptionViolation(f"straight walls need c2 > c1, got ({c1}, {c2})")
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
@@ -173,36 +178,28 @@ def power_law(d0=1.0, alpha=0.5):
     return _symmetric(Family.POWER_LAW, {"d0": d0, "alpha": a}, f2, f2p, f2pp)
 
 
-def _bump(x, half_len):
-    """C^2 compactly supported bump (1-(x/k)^2)^3 on |x| < k, 0 outside."""
-    x = np.asarray(x, dtype=float)
-    s = x / half_len
+def _on_bump(x, half_len, poly):
+    """poly(s) at s = x/half_len on |s| < 1, 0 outside."""
+    s = np.asarray(x, dtype=float) / half_len
     inside = np.abs(s) < 1.0
     out = np.zeros_like(s)
-    q = 1.0 - s[inside] ** 2
-    out[inside] = q * q * q  # q**3 is a libm pow call per element
+    out[inside] = poly(s[inside])
     return out
+
+
+def _bump(x, half_len):
+    """C^2 compactly supported bump (1-(x/k)^2)^3 on |x| < k, 0 outside."""
+    # a square times once more: **3 would be a libm pow call per element
+    return _on_bump(x, half_len, lambda s: (1.0 - s**2) ** 2 * (1.0 - s**2))
 
 
 def _bump_p(x, half_len):
-    x = np.asarray(x, dtype=float)
-    s = x / half_len
-    inside = np.abs(s) < 1.0
-    out = np.zeros_like(s)
-    si = s[inside]
-    out[inside] = -6.0 * si * (1.0 - si**2) ** 2 / half_len
-    return out
+    return _on_bump(x, half_len, lambda s: -6.0 * s * (1.0 - s**2) ** 2 / half_len)
 
 
 def _bump_pp(x, half_len):
-    x = np.asarray(x, dtype=float)
-    s = x / half_len
-    inside = np.abs(s) < 1.0
-    out = np.zeros_like(s)
-    si = s[inside]
-    q = 1.0 - si**2
-    out[inside] = (-6.0 * q**2 + 24.0 * si**2 * q) / half_len**2
-    return out
+    return _on_bump(x, half_len, lambda s: (
+        -6.0 * (1.0 - s**2) ** 2 + 24.0 * s**2 * (1.0 - s**2)) / half_len**2)
 
 
 def straight_outlet(c1=-1.0, c2=1.0, amp=0.5, k=4.0):
@@ -258,8 +255,13 @@ _BETA_FLOOR = 0.25  # keeps beta* = 1/(4*beta_eff) <= 1 for flat walls
 _SAMPLES = 4096
 
 
-def _refined_extremum(fn, xs, vals, mode):
-    """Refine the sampled extremum of fn with a bounded scalar search."""
+def _refined_extremum(fn, xs, mode, not_finite):
+    """Extremum of the vectorised fn sampled on xs, refined by a bounded scalar
+    search around the extreme sample; a sample that is not finite raises
+    :class:`AssumptionViolation` with the message ``not_finite``."""
+    vals = fn(xs)
+    if not np.all(np.isfinite(vals)):
+        raise AssumptionViolation(not_finite)
     idx = int(np.argmin(vals) if mode == "min" else np.argmax(vals))
     lo = xs[max(idx - 1, 0)]
     hi = xs[min(idx + 1, len(xs) - 1)]
@@ -287,41 +289,23 @@ def validate(profile, window):
         raise OutOfRange(f"window must be finite with b > a, got ({a}, {b})")
     xs = np.linspace(a, b, _SAMPLES)
 
-    width = profile.width(xs)
-    if not np.all(np.isfinite(width)):
-        raise AssumptionViolation("width is not finite on the window")
-    d_lower = _refined_extremum(profile.width, xs, width, "min")
+    def slope(x):
+        return np.maximum(np.abs(profile.f1p(x)), np.abs(profile.f2p(x)))
+
+    def curvature(x):  # |f''| f on either wall
+        f = profile.width(x)
+        return np.maximum(np.abs(profile.f1pp(x) * f), np.abs(profile.f2pp(x) * f))
+
+    d_lower = _refined_extremum(profile.width, xs, "min",
+                                "width is not finite on the window")
     if d_lower <= 0.0:
         raise AssumptionViolation(
             f"width must stay positive: inf f = {d_lower:.3e} on [{a}, {b}]"
         )
-
-    slopes = np.maximum(np.abs(profile.f1p(xs)), np.abs(profile.f2p(xs)))
-    if not np.all(np.isfinite(slopes)):
-        raise AssumptionViolation("wall slope is unbounded on the window")
-    beta = _refined_extremum(
-        lambda x: max(abs(float(profile.f1p(x))), abs(float(profile.f2p(x)))),
-        xs,
-        slopes,
-        "max",
-    )
+    beta = _refined_extremum(slope, xs, "max", "wall slope is unbounded on the window")
     if beta > 1e6:
         raise AssumptionViolation(f"wall slope bound beta = {beta:.3e} is unbounded")
-
-    curv = np.maximum(
-        np.abs(profile.f1pp(xs) * width), np.abs(profile.f2pp(xs) * width)
-    )
-    if not np.all(np.isfinite(curv)):
-        raise AssumptionViolation("f''*f is unbounded on the window")
-    gamma = _refined_extremum(
-        lambda x: max(
-            abs(float(profile.f1pp(x) * profile.width(x))),
-            abs(float(profile.f2pp(x) * profile.width(x))),
-        ),
-        xs,
-        curv,
-        "max",
-    )
+    gamma = _refined_extremum(curvature, xs, "max", "f''*f is unbounded on the window")
     if gamma > 1e6:
         raise AssumptionViolation(f"curvature bound gamma = {gamma:.3e} is unbounded")
 
@@ -681,19 +665,16 @@ def window_weights(profile, xi, ny, a, b):
 
     ``xi`` are the uniform x1 nodes and ``ny`` the eta node count of a
     mapped grid.  A node's column mass integrates f over its xi-cell,
-    clipped to the window and the grid, by 8-point Gauss-Legendre (exact to
-    rounding); the eta factor is the trapezoid rule.  Nodes whose cell
+    clipped to the window and the grid, by the 8-point Gauss-Legendre
+    panel rule of :func:`weight_integral` (exact to rounding); the eta factor is the trapezoid rule.  Nodes whose cell
     misses the window get weight zero.
     """
     hx = (xi[-1] - xi[0]) / (len(xi) - 1)
     lo = np.maximum(xi - 0.5 * hx, max(a, xi[0]))
     hi = np.minimum(xi + 0.5 * hx, min(b, xi[-1]))
     inside = hi > lo
-    mid = 0.5 * (lo[inside] + hi[inside])
-    half = 0.5 * (hi[inside] - lo[inside])
-    width = profile.width(mid[:, None] + half[:, None] * _GL8_NODES)
     masses = np.zeros(len(xi))
-    masses[inside] = half * (width @ _GL8_WEIGHTS)
+    masses[inside] = _gl8_panels(profile, lo[inside], hi[inside], 1)
     wy = np.full(ny, 1.0 / (ny - 1))
     wy[0] *= 0.5
     wy[-1] *= 0.5

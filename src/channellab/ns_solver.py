@@ -123,7 +123,7 @@ def velocity_gradients(state):
     pe = _d1(psi, grid.hy, 1)
     pee = _d2(psi, grid.hy, 1)
     pxx = _d2(psi, grid.hx, 0)
-    pxe = _d1(_d1(psi, grid.hy, 1), grid.hx, 0)
+    pxe = _d1(pe, grid.hx, 0)
 
     d2u1 = pee / f**2
     d1u1 = pxe / f - pe * fp / f**2 + j1 * pee / f

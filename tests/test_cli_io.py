@@ -111,6 +111,28 @@ class TestParsing:
             cli_io.parse_scenario(path, environ={})
         assert "straight" in str(err.value) and "power_law" in str(err.value)
 
+    def test_empty_family_is_reported_at_its_line(self, tmp_path, capsys):
+        body = MINIMAL.format(out=tmp_path / "o").replace(
+            "family = straight", "family =")
+        line = body.splitlines().index("family =") + 1
+        path = write_scenario(tmp_path, body)
+        assert cli_io.main(["carrier-check", "--scenario", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"line {line}: [profile] family: unknown family ''; known: straight" in err
+
+    @pytest.mark.parametrize("walls", [
+        "c1 = -1", "c2 = 1", "d0 = 1.0\nc1 = -1\nc2 = 1",
+    ], ids=["lower_only", "upper_only", "d0_and_walls"])
+    def test_straight_needs_d0_or_both_walls(self, tmp_path, capsys, walls):
+        body = MINIMAL.format(out=tmp_path / "o").replace("d0 = 1.0", walls)
+        lines = body.splitlines()
+        where = ", ".join(f"line {lines.index(w) + 1}: [profile] {w[:2]}"
+                          for w in walls.split("\n"))
+        path = write_scenario(tmp_path, body)
+        assert cli_io.main(["carrier-check", "--scenario", str(path), "--quiet"]) == 1
+        assert (f"{where}: straight takes either d0 or both walls c1 and c2"
+                in capsys.readouterr().err)
+
     def test_all_errors_reported_at_once(self, tmp_path):
         body = MINIMAL.format(out=tmp_path)
         body = body.replace("family = straight", "family = wiggly")

@@ -83,13 +83,31 @@ class TestStreamfunction:
 
 
 class TestVelocity:
-    def test_worked_example(self, straight):
+    def test_worked_example(self, straight, power_half):
         params = fc.CarrierParams(1.0, 0.5)
         g = fc.velocity_g((0.0, 0.8), params, straight)
         s = 1.0 + 0.5 * math.log(0.25)
         expected = 0.5 * float(fc.mup(s)) * (-1.0 / 0.2 - 1.0 / 0.8)
         assert expected == pytest.approx(4.2411, abs=2e-4)
         assert g[0] == pytest.approx(expected, rel=1e-12)
+
+        # a scalar point is its row of the array call: two points in the
+        # band, one on the center line, one below it, one above the top wall
+        params = fc.CarrierParams(2.0, 0.4)
+        x1 = np.array([0.0, 1.7, -2.3, 0.5, 3.1])
+        for profile in (straight, power_half):
+            x2 = np.array([band_point(profile, params, x1[0], 0.3),
+                           band_point(profile, params, x1[1], 0.8),
+                           float(profile.center(x1[2])), -0.4,
+                           float(profile.f2(x1[4])) + 0.1])
+            g = fc.velocity_g((x1, x2), params, profile)
+            J = fc.grad_g((x1, x2), params, profile)
+            assert np.any(g[:2] != 0.0) and np.all(g[2:] == 0.0)
+            for i in range(len(x1)):
+                gi = fc.velocity_g((x1[i], x2[i]), params, profile)
+                Ji = fc.grad_g((x1[i], x2[i]), params, profile)
+                assert gi.shape == (2,) and Ji.shape == (2, 2)
+                assert np.array_equal(gi, g[i]) and np.array_equal(Ji, J[i])
 
     def test_zero_outside_support(self, straight):
         params = fc.CarrierParams(1.0, 0.5)

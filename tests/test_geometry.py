@@ -59,6 +59,28 @@ class TestValidate:
         with pytest.raises(AssumptionViolation):
             geo.validate(p, (-40, 40))  # width -> 0 at the far field
 
+    @pytest.mark.parametrize("f1, f2, window, message", [
+        ("-1", "1/x", (0, 1), "width is not finite on the window"),
+        ("-1", "1+sqrt(x)", (0, 1), "wall slope is unbounded on the window"),
+        ("-1", "1+1e7*x", (0, 1), "wall slope bound beta = 1.000e+07 is unbounded"),
+        ("-1", "1+x^1.5", (0, 1), "f''*f is unbounded on the window"),
+        ("0", "1e7+x^2", (-1, 1), "curvature bound gamma = 2.000e+07 is unbounded"),
+    ], ids=["width_not_finite", "slope_not_finite", "slope_above_1e6",
+            "curvature_not_finite", "curvature_above_1e6"])
+    def test_each_bound_rejects(self, f1, f2, window, message):
+        # a non-finite sample sits at x = 0, the window's first node
+        with np.errstate(divide="ignore"), pytest.raises(AssumptionViolation) as err:
+            geo.validate(geo.custom(f1, f2), window)
+        assert str(err.value) == message
+
+    def test_straight_takes_d0_or_both_walls(self):
+        assert (float(geo.straight().f1(0.0)), float(geo.straight().f2(0.0))) == (-1.0, 1.0)
+        assert geo.straight(d0=2.0).params == {"c1": -2.0, "c2": 2.0}
+        assert geo.straight(c1=0.0, c2=1.0).params == {"c1": 0.0, "c2": 1.0}
+        for kwargs in ({"c1": -1.0}, {"c2": 1.0}, {"d0": 1.0, "c1": -1.0, "c2": 1.0}):
+            with pytest.raises(AssumptionViolation, match="either d0 or both walls c1 and c2"):
+                geo.straight(**kwargs)
+
     def test_infinite_window_rejected(self, straight):
         with pytest.raises(OutOfRange):
             geo.validate(straight, (0, math.inf))
