@@ -272,6 +272,9 @@ def parse_scenario(path, environ=None):
 
     thresholds = eh.HarnessThresholds(
         **dataclass_fields(eh.HarnessThresholds, "harness"))
+    if not 0.0 < thresholds.wall_delta < 0.5:
+        errors.append(ValidationError(
+            located("harness", "wall_delta"), "must lie in (0, 0.5)"))
     grid_window = (
         number("grid", "a", -10.0),
         number("grid", "b", 10.0),
@@ -298,7 +301,8 @@ def parse_scenario(path, environ=None):
     out_dir = Path(fetch("output", "dir", "out"))
     seed = number("output", "seed", 1234, int)
 
-    comparison = {"file": fetch("comparison", "file")}
+    comparison = {"file": fetch("comparison", "file"),
+                  "source": located("comparison", "file")}
     for key, default in (("c1", 0.0), ("c2", 1.0), ("exponent", 1.5),
                          ("delta1", 0.5)):
         comparison[key] = number("comparison", key, default)
@@ -548,11 +552,18 @@ def _package_version():
 
 
 def load_comparison_csv(path, psi, delta1):
-    """Comparison problem from CSV columns t, z[, phi]."""
+    """Comparison problem from CSV columns t, z[, phi]; a missing file or
+    column raises :class:`ValidationError` naming the file."""
+    if not Path(path).is_file():
+        raise ValidationError(str(path), "no such file")
     raw = np.genfromtxt(path, delimiter=",", names=True, comments="#")
+    names = raw.dtype.names or ()
+    missing = [c for c in ("t", "z") if c not in names]
+    if missing:
+        raise ValidationError(
+            str(path), f"no column {', '.join(missing)} (columns t, z[, phi])")
     t = np.asarray(raw["t"], dtype=float)
     z = np.asarray(raw["z"], dtype=float)
-    names = raw.dtype.names or ()
     if "phi" in names:
         phi = np.asarray(raw["phi"], dtype=float)
     else:
@@ -654,7 +665,11 @@ def _run_solve(sc, out, quiet):
     diag_rows.append({"quantity": "converged", "value": state.converged})
     artifacts.append(write_csv(out / "solve_summary.csv", diag_rows))
     if not quiet:
-        print(f"  converged in {len(state.residual_history)} iterations; "
+        # each flux level's history counts its steps from its start state, 0
+        counts = [i for i, _ in state.residual_history]
+        steps = [i for i, nxt in zip(counts, counts[1:] + [0]) if nxt == 0]
+        levels = f" over {len(steps)} flux levels" if len(steps) > 1 else ""
+        print(f"  converged in {' + '.join(map(str, steps))} steps{levels}; "
               f"residual {state.residual_history[-1][1]:.3e}")
     return bool(state.converged), artifacts
 
@@ -873,7 +888,10 @@ def _run_comparison(sc, out, quiet):
     psi = cl.separable_psi(c1=cfg["c1"], c2=cfg["c2"], exponent=cfg["exponent"])
     delta1 = cfg["delta1"]
     if cfg["file"] is not None:
-        problem = load_comparison_csv(cfg["file"], psi, delta1)
+        try:
+            problem = load_comparison_csv(cfg["file"], psi, delta1)
+        except ValidationError as exc:  # it names the file, not the line
+            raise ValidationError(cfg["source"], str(exc)) from None
     else:
         ts, phi = cl.solve_majorant(psi, delta1, 2.0, 0.0, 2.0, step=1e-3)
         problem = cl.ComparisonProblem(psi, delta1, ts, (1 - delta1) * phi, phi)

@@ -200,6 +200,11 @@ def decay_scan(state, t_range, thresholds=HarnessThresholds()):
     delta = thresholds.wall_delta
 
     grid = state.grid
+    interior = (grid.eta >= delta) & (grid.eta <= 1.0 - delta)
+    if interior.all() or not interior.any():
+        raise OutOfRange(
+            f"wall_delta {delta} leaves no eta node on one side of it at "
+            f"ny = {grid.ny}")
     speed = np.hypot(state.u1, state.u2)
     xs = np.concatenate(
         [np.linspace(-t_hi, -t_lo, _DECAY_SLICES // 2 + 1),
@@ -210,7 +215,6 @@ def decay_scan(state, t_range, thresholds=HarnessThresholds()):
         i = int(np.argmin(np.abs(grid.xi - x)))
         fx = float(profile.width(grid.xi[i]))
         col = speed[i, :]
-        interior = (grid.eta >= delta) & (grid.eta <= 1.0 - delta)
         sup_all.append(fx * float(col.max()))
         sup_int.append(fx * float(col[interior].max()))
         sup_wall.append(fx * float(col[~interior].max()))

@@ -11,7 +11,9 @@ continuation levels.  The factor takes the unknowns in a nested-dissection
 order of the grid nodes, psi and omega of a node side by side, and keeps
 its pivots on the diagonal so that the order's low fill survives.  The
 wall vorticity closure is a second-order one-sided formula built into the
-matrix.
+matrix.  Every difference stencil, and the uniform spacing, lives in one
+place: the 1-D first- and second-difference matrices of each axis
+(``_differences``), from which A(u) and the velocity are built.
 
 The discretisation is written once, as the matrix A(u): each state has one
 residual r = b - A(u) x.  Its interior and wall-closure rows give
@@ -21,6 +23,7 @@ chord step from the state takes the same r as its right-hand side.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -76,24 +79,31 @@ class FlowState:
 # ---------------------------------------------------------------------------
 
 
-def _d1(values, h, axis):
-    """Second-order first derivative with one-sided edges."""
-    v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2 * h)
-    return np.moveaxis(out, 0, axis)
+@functools.lru_cache(maxsize=16)
+def _differences(n, h):
+    """``(D1, 2h, D2, h^2)`` on n nodes of step h: D1 v / 2h and D2 v / h^2
+    are the first and second derivatives of v.
+
+    Central (-1, 0, 1) and (1, -2, 1) inside; one-sided second-order
+    (-3, 4, -1) and (2, -5, 4, -1) at the ends, mirrored at the far end.
+    These are the one place the scheme's stencils and its uniform spacing
+    live.  The stencils stay integers, so a coefficient over 2h is rounded
+    once.  The cached matrices are shared: callers must not modify them.
+    """
+    d1 = sparse.diags([-1.0, 1.0], [-1, 1], shape=(n, n), format="lil")
+    d2 = sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="lil")
+    for d, end, mirror in ((d1, [-3.0, 4.0, -1.0], -1.0),
+                           (d2, [2.0, -5.0, 4.0, -1.0], 1.0)):
+        d[0, :len(end)] = end
+        d[n - 1, n - 1 - np.arange(len(end))] = mirror * np.array(end)
+    return d1.tocsr(), 2 * h, d2.tocsr(), h**2
 
 
-def _d2(values, h, axis):
-    """Second derivative, one-sided second-order at the edges."""
-    v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
-    return np.moveaxis(out, 0, axis)
+def _axis_differences(grid):
+    """:func:`_differences` of the xi and the eta axis of ``grid``: a xi
+    matrix D acts on an (nx, ny) array as ``D @ psi``, an eta one as
+    ``psi @ D.T``."""
+    return _differences(grid.nx, grid.hx), _differences(grid.ny, grid.hy)
 
 
 def velocity_from_psi(grid, psi):
@@ -104,10 +114,10 @@ def velocity_from_psi(grid, psi):
     against the biased interior and cost an order in wall-adjacent
     differences.
     """
-    pe = _d1(psi, grid.hy, 1)
-    px = _d1(psi, grid.hx, 0)
+    (d1x, s1x, _, _), (d1y, s1y, _, _) = _axis_differences(grid)
+    pe = psi @ d1y.T / s1y
     u1 = pe / grid.f[:, None]
-    u2 = -(px + grid.j1 * pe)
+    u2 = -(d1x @ psi / s1x + grid.j1 * pe)
     return u1, u2
 
 
@@ -119,11 +129,12 @@ def velocity_gradients(state):
     fp = grid.fp[:, None]
     j1 = grid.j1
     j1_eta = -fp / f
+    (d1x, s1x, d2x, s2x), (d1y, s1y, d2y, s2y) = _axis_differences(grid)
 
-    pe = _d1(psi, grid.hy, 1)
-    pee = _d2(psi, grid.hy, 1)
-    pxx = _d2(psi, grid.hx, 0)
-    pxe = _d1(pe, grid.hx, 0)
+    pe = psi @ d1y.T / s1y
+    pee = psi @ d2y.T / s2y
+    pxx = d2x @ psi / s2x
+    pxe = d1x @ pe / s1x
 
     d2u1 = pee / f**2
     d1u1 = pxe / f - pe * fp / f**2 + j1 * pee / f
@@ -168,6 +179,13 @@ def _nested_dissection(nx, ny):
     return np.concatenate(parts)
 
 
+def _scaled_rows(weights, matrix):
+    """diag(weights) @ matrix in CSR; the product stores no zeros, so rows
+    of weight 0 drop out.  ``weights`` are per node, in an (nx, ny) array
+    or its ravel."""
+    return (sparse.diags(np.ravel(weights).astype(float)) @ matrix).tocsr()
+
+
 class _Workspace:
     """Constant matrix block of a grid, and the boundary data of one flux."""
 
@@ -175,22 +193,27 @@ class _Workspace:
         self.grid = grid
         self.profile = profile
         self.n = grid.nx * grid.ny
+        self._interior = np.pad(np.ones((grid.nx - 2, grid.ny - 2), bool),
+                                1).ravel()
         self.a_const = self._assemble_constant()
         # factor order of the 2n unknowns: psi and omega of each node
         # adjacent, the nodes in nested-dissection order
         order = _nested_dissection(grid.nx, grid.ny)
         self.perm = np.column_stack([order, order + self.n]).ravel()
-        # advection pattern: the omega row of each interior node holds the
-        # omega columns of its four neighbours, in ascending order
-        inner = self.n + np.arange(self.n).reshape(grid.nx, grid.ny)[1:-1, 1:-1].ravel()
-        counts = np.zeros(2 * self.n, dtype=int)
-        counts[inner] = 4
+        # advection pattern: the omega rows of the interior nodes, a slot for
+        # each entry of their xi and (imaginary) eta difference stencils,
+        # holding its weight in -u.grad; _adv_eta marks the eta slots
+        (d1x, _, _, _), (d1y, _, _, _) = _axis_differences(grid)
+        eye_x, eye_y = sparse.identity(grid.nx), sparse.identity(grid.ny)
+        slots = _scaled_rows(self._interior, sparse.kron(d1x, eye_y)
+                             + 1j * sparse.kron(eye_x, d1y))
+        slots.sort_indices()  # a row's products sum in column order
+        n = self.n
+        self._adv_eta = slots.data.imag != 0.0
         self._adv_pattern = sparse.csr_matrix(
-            (np.ones(4 * inner.size),
-             np.column_stack([inner - grid.ny, inner - 1, inner + 1,
-                              inner + grid.ny]).ravel(),
-             np.concatenate([[0], np.cumsum(counts)])),
-            shape=(2 * self.n, 2 * self.n))
+            (-(slots.data.real + slots.data.imag), slots.indices + n,
+             np.concatenate([np.zeros(n, int), slots.indptr])),
+            shape=(2 * n, 2 * n))
         self.set_params(params)
 
     def set_params(self, params):
@@ -214,111 +237,51 @@ class _Workspace:
         self.rhs = np.concatenate([psi.ravel(), omega.ravel()])
         self._residual_of = self._residual = None
 
-    def _idx(self, i, j):
-        return i * self.grid.ny + j
-
     def _assemble_constant(self):
+        """A(0): node i * ny + j holds (xi_i, eta_j), so a xi matrix D acts
+        as D x I and an eta one as I x D.
+
+        Interior rows are Delta psi + omega = 0 and Delta omega = 0, with
+        Delta = d_xx + 2 J1 d_xe + (J1^2 + 1/f^2) d_ee + S d_e in mapped
+        coordinates.  Boundary psi rows and end omega rows are Dirichlet
+        identities.  Wall omega rows close with the one-sided second-order
+        omega + (J1^2 + 1/f^2)(8 psi_1 - psi_2 - 7 psi_0) / 2hy^2 = 0, which
+        takes psi_eta = 0 at the wall.
+        """
         grid = self.grid
         nx, ny = grid.nx, grid.ny
-        n = self.n
-        hx, hy = grid.hx, grid.hy
-        # Delta = d_xx + 2 J1 d_xe + (J1^2 + 1/f^2) d_ee + S d_e in mapped
-        # coordinates
-        cxy = 2.0 * grid.j1
+        (d1x, s1x, d2x, s2x), (d1y, s1y, d2y, s2y) = _axis_differences(grid)
+        eye_x, eye_y = sparse.identity(nx), sparse.identity(ny)
         cyy = grid.j1**2 + 1.0 / grid.f[:, None] ** 2
-        cy = grid.lap_s
-
-        rows, cols, vals = [], [], []
-
-        ii, jj = np.meshgrid(
-            np.arange(1, nx - 1), np.arange(1, ny - 1), indexing="ij"
-        )
-        ii = ii.ravel()
-        jj = jj.ravel()
-        center = self._idx(ii, jj)
-
-        def lap_entries(row_offset, col_offset):
-            cxy_i = cxy[ii, jj]
-            cyy_i = cyy[ii, jj]
-            cy_i = cy[ii, jj]
-            xx = np.full(center.shape, 1.0 / hx**2)
-            stencil = [
-                (self._idx(ii + 1, jj), xx),
-                (self._idx(ii - 1, jj), xx),
-                (self._idx(ii, jj + 1), cyy_i / hy**2 + cy_i / (2 * hy)),
-                (self._idx(ii, jj - 1), cyy_i / hy**2 - cy_i / (2 * hy)),
-                (center, -2.0 / hx**2 - 2.0 * cyy_i / hy**2),
-                (self._idx(ii + 1, jj + 1), cxy_i / (4 * hx * hy)),
-                (self._idx(ii - 1, jj - 1), cxy_i / (4 * hx * hy)),
-                (self._idx(ii + 1, jj - 1), -cxy_i / (4 * hx * hy)),
-                (self._idx(ii - 1, jj + 1), -cxy_i / (4 * hx * hy)),
-            ]
-            for col, val in stencil:
-                rows.append(row_offset + center)
-                cols.append(col_offset + col)
-                vals.append(np.broadcast_to(val, center.shape).astype(float))
-
-        # psi rows: Delta psi + omega = 0 at interior
-        lap_entries(0, 0)
-        rows.append(center)
-        cols.append(n + center)
-        vals.append(np.ones_like(center, dtype=float))
-
-        # omega rows: Delta omega (advection added separately)
-        lap_entries(n, n)
-
-        # Dirichlet psi: walls then ends (walls win at corners)
-        wall_lo = self._idx(np.arange(nx), 0)
-        wall_hi = self._idx(np.arange(nx), ny - 1)
-        ends = np.concatenate(
-            [self._idx(0, np.arange(1, ny - 1)), self._idx(nx - 1, np.arange(1, ny - 1))]
-        )
-        for rr in (wall_lo, wall_hi, ends):
-            rows.append(rr)
-            cols.append(rr)
-            vals.append(np.ones(rr.size))
-
-        # omega ends: carrier vorticity
-        om_ends = np.concatenate(
-            [self._idx(0, np.arange(ny)), self._idx(nx - 1, np.arange(ny))]
-        )
-        rows.append(n + om_ends)
-        cols.append(n + om_ends)
-        vals.append(np.ones(om_ends.size))
-
-        # omega wall closure: omega + c*(8 psi_1 - psi_2 - 7 psi_0) = 0,
-        # c = Cyy/(2 hy^2), one-sided second order with psi_eta = 0 at walls
-        im = np.arange(1, nx - 1)
-        for j0, j1_, j2_ in [(0, 1, 2), (ny - 1, ny - 2, ny - 3)]:
-            c = cyy[im, j0] / (2.0 * hy**2)
-            r = n + self._idx(im, j0)
-            for col_j, coef in [(j0, -7.0), (j1_, 8.0), (j2_, -1.0)]:
-                rows.append(r)
-                cols.append(self._idx(im, col_j))
-                vals.append(coef * c)
-            rows.append(r)
-            cols.append(r)
-            vals.append(np.ones(im.size))
-
-        rows = np.concatenate([np.asarray(r).ravel() for r in rows])
-        cols = np.concatenate([np.asarray(c).ravel() for c in cols])
-        vals = np.concatenate([np.asarray(v, dtype=float).ravel() for v in vals])
-        a = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
-        # cxy and cy vanish where the wall is straight; SuperLU would
-        # count those stored zeros as structural nonzeros
-        a.eliminate_zeros()
-        return a
+        interior = self._interior
+        lap = _scaled_rows(
+            interior, sparse.kron(d2x, eye_y) / s2x
+            + _scaled_rows(2.0 * grid.j1 / (s1x * s1y), sparse.kron(d1x, d1y))
+            + _scaled_rows(cyy / s2y, sparse.kron(eye_x, d2y))
+            + _scaled_rows(grid.lap_s / s1y, sparse.kron(eye_x, d1y)))
+        diagonal = lap + sparse.diags((~interior).astype(float))
+        wall = sparse.lil_matrix((ny, ny))
+        wall[0, [0, 1, 2]] = wall[ny - 1, [ny - 1, ny - 2, ny - 3]] = [-7, 8, -1]
+        closure = np.zeros((nx, ny))  # the corners are end rows
+        closure[1:-1, [0, -1]] = cyy[1:-1, [0, -1]] / (2.0 * s2y)
+        return sparse.bmat(
+            [[diagonal, sparse.diags(interior.astype(float))],
+             [_scaled_rows(closure, sparse.kron(eye_x, wall)), diagonal]],
+            format="csr")
 
     def advection_matrix(self, u1, u2):
         """-u.grad on the omega rows of the interior nodes, central in the
         mapped coordinates: u.grad = u1 d_xi + (u1 J1 + u2/f) d_eta.  The
         values fill the grid's fixed pattern."""
         grid = self.grid
-        a1 = u1[1:-1, 1:-1].ravel() / (2 * grid.hx)
-        a2 = (u1 * grid.j1 + u2 / grid.f[:, None])[1:-1, 1:-1].ravel() / (2 * grid.hy)
+        (_, s1x, _, _), (_, s1y, _, _) = _axis_differences(grid)
         pattern = self._adv_pattern
+        slots = np.diff(pattern.indptr)[self.n:]  # of each node's omega row
+        a1 = np.repeat((u1 / s1x).ravel(), slots)
+        a2 = np.repeat(((u1 * grid.j1 + u2 / grid.f[:, None]) / s1y).ravel(),
+                       slots)
         return sparse.csr_matrix(
-            (np.column_stack([a1, a2, -a2, -a1]).ravel(), pattern.indices,
+            (np.where(self._adv_eta, a2, a1) * pattern.data, pattern.indices,
              pattern.indptr), shape=pattern.shape)
 
     def residual(self, state):

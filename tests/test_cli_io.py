@@ -83,7 +83,10 @@ class TestParsing:
         ("target_hx = 0", "[harness] target_hx: must be positive"),
         ("target_hx = -1", "[harness] target_hx: must be positive"),
         ("pad_factor = -0.5", "[harness] pad_factor: must be nonnegative"),
-    ], ids=["zero_hx", "negative_hx", "negative_pad"])
+        ("wall_delta = 0.6", "[harness] wall_delta: must lie in (0, 0.5)"),
+        ("wall_delta = -0.1", "[harness] wall_delta: must lie in (0, 0.5)"),
+    ], ids=["zero_hx", "negative_hx", "negative_pad", "wide_wall_delta",
+            "negative_wall_delta"])
     def test_scan_grid_values_are_rejected_at_their_line(
             self, tmp_path, capsys, new, message):
         body = MINIMAL.format(out=tmp_path / "o").replace("target_hx = 0.25", new)
@@ -380,6 +383,25 @@ class TestArtifacts:
         prob = cli_io.load_comparison_csv(path, cl.separable_psi(c1=1.0), 0.5)
         assert cl.comparison_conclude(prob) is cl.Verdict.DOMINATED
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "no such file"),
+        ("t,phi\n0,1\n1,2\n", "no column z"),
+        ("x,y\n0,1\n", "no column t, z"),
+    ], ids=["missing_file", "missing_z", "missing_t_and_z"])
+    def test_bad_comparison_file_is_a_located_error(self, tmp_path, capsys,
+                                                    text, message):
+        csv = tmp_path / "problem.csv"
+        if text is not None:
+            csv.write_text(text)
+        body = (MINIMAL.format(out=tmp_path / "out")
+                + f"[comparison]\nfile = {csv}\n")
+        line = body.splitlines().index(f"file = {csv}") + 1
+        path = write_scenario(tmp_path, body)
+        assert cli_io.main(["comparison", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"line {line}: [comparison] file: {csv}: {message}" in err
+        assert "Traceback" not in err
+
     def test_comparison_csv_loader(self, tmp_path):
         t = np.linspace(0, 2, 30)
         z = np.exp(t)
@@ -558,6 +580,24 @@ class TestRun:
         assert (out / "flow.field").exists()
         hist = (out / "residual_history.csv").read_text().splitlines()
         assert hist[1] == "iteration,residual"
+
+    @pytest.mark.parametrize("flux, levels", [("1.0", 1), ("4.0", 3)])
+    def test_solve_prints_the_steps_of_each_level(self, tmp_path, capsys,
+                                                  flux, levels):
+        # each level's history starts with its start state, which is no step
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "flux = 1.0", f"flux = {flux}")
+        path = write_scenario(tmp_path, body)
+        assert cli_io.main(["solve", "--scenario", str(path)]) == 0
+        rows = (tmp_path / "out" / "residual_history.csv").read_text()
+        counts = [int(r.split(",")[0]) for r in rows.splitlines()[2:]]
+        assert counts.count(0) == levels
+        steps = [i for i, nxt in zip(counts, counts[1:] + [0]) if nxt == 0]
+        assert sum(steps) == len(counts) - levels
+        printed = f"converged in {' + '.join(map(str, steps))} steps"
+        if levels > 1:
+            printed += f" over {levels} flux levels"
+        assert f"{printed}; residual" in capsys.readouterr().out
 
     def test_invalid_profile_gives_exit_1(self, tmp_path):
         # width hits zero inside the grid window: AssumptionViolation -> 1

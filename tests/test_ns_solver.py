@@ -17,6 +17,63 @@ class TestConfig:
             ns.SolverConfig(tol=0.0)
 
 
+class TestOperators:
+    """The 1-D difference matrices against a field they differentiate
+    exactly: psi biquadratic in (xi, eta) on a curved mapped grid."""
+
+    @pytest.fixture
+    def field(self, power_half):
+        grid = geo.make_grid(power_half, -3, 3, 33, 17)
+        x, e = np.meshgrid(grid.xi, grid.eta, indexing="ij")
+        c = [0.3, -1.1, 0.7, 0.45, -0.8, 1.3, 0.25, -0.6, 0.9]
+        psi = (c[0] + c[1] * x + c[2] * e + c[3] * x**2 + c[4] * x * e
+               + c[5] * e**2 + c[6] * x**2 * e + c[7] * x * e**2
+               + c[8] * x**2 * e**2)
+        derivatives = {
+            "x": c[1] + 2 * c[3] * x + c[4] * e + 2 * c[6] * x * e
+                 + c[7] * e**2 + 2 * c[8] * x * e**2,
+            "e": c[2] + c[4] * x + 2 * c[5] * e + c[6] * x**2
+                 + 2 * c[7] * x * e + 2 * c[8] * x**2 * e,
+            "xx": 2 * c[3] + 2 * c[6] * e + 2 * c[8] * e**2,
+            "xe": c[4] + 2 * c[6] * x + 2 * c[7] * e + 4 * c[8] * x * e,
+            "ee": 2 * c[5] + 2 * c[7] * x + 2 * c[8] * x**2,
+        }
+        return grid, psi, derivatives
+
+    def test_constant_block_interior_rows_are_the_mapped_laplacian(self, field,
+                                                                   power_half):
+        grid, psi, d = field
+        ws = ns._Workspace(grid, fc.CarrierParams(1.0), power_half)
+        n = ws.n
+        rows = (ws.a_const @ np.concatenate([psi.ravel(), np.zeros(n)]))[:n]
+        lap = (d["xx"] + 2 * grid.j1 * d["xe"]
+               + (grid.j1**2 + 1 / grid.f[:, None]**2) * d["ee"]
+               + grid.lap_s * d["e"])
+        got = rows.reshape(grid.nx, grid.ny)[1:-1, 1:-1]
+        want = lap[1:-1, 1:-1]
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_velocity_and_gradients_at_every_node(self, field, power_half):
+        grid, psi, d = field
+        f, fp, j1 = grid.f[:, None], grid.fp[:, None], grid.j1
+        u1, u2 = ns.velocity_from_psi(grid, psi)
+        state = ns.FlowState(grid=grid, profile=power_half,
+                             params=fc.CarrierParams(1.0), psi=psi,
+                             omega=np.zeros_like(psi), u1=u1, u2=u2)
+        got = (u1, u2) + ns.velocity_gradients(state)
+        want = (
+            d["e"] / f,
+            -(d["x"] + j1 * d["e"]),
+            d["xe"] / f - d["e"] * fp / f**2 + j1 * d["ee"] / f,
+            d["ee"] / f**2,
+            -(d["xx"] + 2 * j1 * d["xe"] + j1**2 * d["ee"]
+              + grid.lap_s * d["e"]),
+            -(d["xe"] - fp / f * d["e"] + j1 * d["ee"]) / f,
+        )
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max()
+
+
 class TestStokes:
     def test_poiseuille_recovered_in_interior(self, straight, carrier_unit):
         grid = geo.make_grid(straight, -8, 8, 257, 33)
@@ -332,12 +389,24 @@ class TestNestedDissection:
         assert np.array_equal(np.sort(perm), np.arange(2 * n))
         assert np.array_equal(perm[1::2], perm[0::2] + n)
 
+    @staticmethod
+    def _stokes_counts(profile, a, b, nx, ny):
+        """Entries of A(0) and of its L+U: a stored zero or a changed
+        pattern in A(0) moves them."""
+        grid = geo.make_grid(profile, a, b, nx, ny)
+        ws = ns._Workspace(grid, fc.CarrierParams(0.5), profile)
+        lu = ws.factor(None, None)
+        return ws.a_const.nnz, lu.L.nnz + lu.U.nnz
+
     def test_stokes_fill_of_bump_grid(self):
         # COLAMD with partial pivoting fills L+U to 4,661,240 entries here
         bump = geo.straight_outlet(c1=-1, c2=1, amp=0.5, k=4)
-        grid = geo.make_grid(bump, -12, 12, 385, 49)
-        lu = ns._Workspace(grid, fc.CarrierParams(0.5), bump).factor(None, None)
-        assert lu.L.nnz + lu.U.nnz <= 3_400_000
+        assert self._stokes_counts(bump, -12, 12, 385, 49) == (248_405,
+                                                              3_258_329)
+
+    def test_stokes_fill_of_straight_grid(self, straight):
+        assert self._stokes_counts(straight, -6, 6, 97, 17) == (16_693,
+                                                               156_890)
 
     @pytest.mark.parametrize("case", ["bump", "straight"])
     def test_solution_matches_colamd_partial_pivoting(self, straight, case,
@@ -397,8 +466,9 @@ class TestEnergies:
         for nx, ny in [(129, 17), (257, 33)]:
             st = ns.solve_steady(power_half, carrier_unit, -6, 6, nx, ny, cfg)
             grid = st.grid
-            du1 = ns._d1(st.u1, grid.hx, 0) + grid.j1 * ns._d1(st.u1, grid.hy, 1)
-            du2 = ns._d1(st.u2, grid.hy, 1) / grid.f[:, None]
+            (d1x, s1x, _, _), (d1y, s1y, _, _) = ns._axis_differences(grid)
+            du1 = d1x @ st.u1 / s1x + grid.j1 * (st.u1 @ d1y.T / s1y)
+            du2 = st.u2 @ d1y.T / s1y / grid.f[:, None]
             mask = np.abs(grid.xi) <= 3.0
             divs.append(float(np.abs((du1 + du2)[mask, 1:-1]).max()))
         assert divs[0] / divs[1] > 3.0  # observed order ~ 2
