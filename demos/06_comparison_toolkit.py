@@ -21,9 +21,7 @@ def main():
     print("== linear comparison: z = e^t against phi = 4 e^(t/2) ==")
     psi = cl.separable_psi(c1=1.0)
     t = np.linspace(0.0, 2.0, 80)
-    prob = cl.ComparisonProblem(
-        psi, 0.5, t, np.exp(t), lambda s: 4.0 * np.exp(np.asarray(s) / 2.0)
-    )
+    prob = cl.ComparisonProblem(psi, 0.5, t, np.exp(t), 4.0 * np.exp(t / 2.0))
     rep = cl.check_hypotheses(prob)
     print(f"  growth margin {rep.growth_margin:+.3f}, "
           f"majorant margin {rep.majorant_margin:+.1e}, "
@@ -31,9 +29,7 @@ def main():
     print(f"  verdict: {cl.comparison_conclude(prob, rep).value}")
     print("  ... and on [0, 3] the endpoint fails (e^3 > 4 e^1.5):")
     t3 = np.linspace(0.0, 3.0, 120)
-    prob3 = cl.ComparisonProblem(
-        psi, 0.5, t3, np.exp(t3), lambda s: 4.0 * np.exp(np.asarray(s) / 2.0)
-    )
+    prob3 = cl.ComparisonProblem(psi, 0.5, t3, np.exp(t3), 4.0 * np.exp(t3 / 2.0))
     print(f"  verdict: {cl.comparison_conclude(prob3).value}")
 
     print("\n== cubic saturator for Psi(s) = s^(3/2) ==")

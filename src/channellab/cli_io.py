@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -85,7 +86,12 @@ def _read_sections(path):
     origins = {}
     current = ""
     errors = []
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {lineno}: not UTF-8 text") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -134,10 +140,8 @@ class Scenario:
     profile: geo.ChannelProfile
     params: fc.CarrierParams
     solver: ns.SolverConfig
-    thresholds: eh.HarnessThresholds
-    grid_window: tuple       # (a, b, nx, ny); ny also sizes the scans' grids
-    target_hx: float
-    pad_factor: float
+    grid_window: tuple       # (a, b, nx, ny)
+    policy: eh.GridPolicy    # the scans' grids: nx from target_hx, ny as above
     t_list: list
     t_range: tuple
     x_max: float
@@ -145,27 +149,6 @@ class Scenario:
     out_dir: Path
     seed: int
     comparison: dict = field(default_factory=dict)
-
-    @property
-    def policy(self):
-        """The scans' grids: nx from target_hx, ny from the grid window."""
-        return eh.GridPolicy(self.target_hx, self.grid_window[3], self.pad_factor)
-
-
-# Retired (section, key) pairs, the one value each still accepts (None: no
-# value) so that existing scenario files keep working, and what was removed
-_RETIRED_KEYS = {
-    ("solver", "linear_solver"): (
-        "banded_direct", "the Krylov path (krylov_ilu) was removed, "
-        "only banded_direct (sparse LU) remains"),
-    ("solver", "relax"): (1.0, "under-relaxation was removed, only relax = 1 remains"),
-    ("solver", "convection"): (
-        "central", "the upwind scheme was removed, only central remains"),
-    ("solver", "continuation"): (
-        None, "user-set continuation was removed, the levels come from the flux"),
-    ("carrier", "cutoff"): (
-        "quintic", "the other cutoffs were removed, only quintic remains"),
-}
 
 
 def parse_scenario(path, environ=None):
@@ -207,11 +190,6 @@ def parse_scenario(path, environ=None):
         errors.append(ValidationError(
             located(section, key), f"expected {expected}, got {text!r}"))
         return default
-
-    def dataclass_fields(cls, section):
-        """Each field of cls read from section, the field's default standing in."""
-        return {f.name: number(section, f.name, f.default, type(f.default))
-                for f in fields(cls)}
 
     name = fetch("", "name", Path(path).stem)
 
@@ -257,24 +235,12 @@ def parse_scenario(path, environ=None):
 
     solver = None
     try:
-        solver = ns.SolverConfig(**dataclass_fields(ns.SolverConfig, "solver"))
+        solver = ns.SolverConfig(**{  # each field's default stands in
+            f.name: number("solver", f.name, f.default, type(f.default))
+            for f in fields(ns.SolverConfig)})
     except ChannelLabError as exc:  # SolverConfig checks only tol
         errors.append(ValidationError(located("solver", "tol"), str(exc)))
-    for (section, key), (kept, removed) in _RETIRED_KEYS.items():
-        text = fetch(section, key)
-        try:
-            same = text is None or text.lower() == kept or float(text) == kept
-        except ValueError:
-            same = False
-        if not same:
-            errors.append(ValidationError(
-                located(section, key), f"unsupported value {text!r}; {removed}"))
 
-    thresholds = eh.HarnessThresholds(
-        **dataclass_fields(eh.HarnessThresholds, "harness"))
-    if not 0.0 < thresholds.wall_delta < 0.5:
-        errors.append(ValidationError(
-            located("harness", "wall_delta"), "must lie in (0, 0.5)"))
     grid_window = (
         number("grid", "a", -10.0),
         number("grid", "b", 10.0),
@@ -319,10 +285,8 @@ def parse_scenario(path, environ=None):
         profile=profile,
         params=params,
         solver=solver,
-        thresholds=thresholds,
         grid_window=grid_window,
-        target_hx=target_hx,
-        pad_factor=pad_factor,
+        policy=eh.GridPolicy(target_hx, grid_window[3], pad_factor),
         t_list=t_list,
         t_range=(t_range[0], t_range[-1]),
         x_max=x_max,
@@ -552,16 +516,30 @@ def _package_version():
 
 
 def load_comparison_csv(path, psi, delta1):
-    """Comparison problem from CSV columns t, z[, phi]; a missing file or
-    column raises :class:`ValidationError` naming the file."""
+    """Comparison problem from CSV columns t, z[, phi] under leading ``#``
+    lines; a missing file or column, too few rows or a value that is not a
+    finite number raises :class:`ValidationError` naming the file."""
     if not Path(path).is_file():
         raise ValidationError(str(path), "no such file")
-    raw = np.genfromtxt(path, delimiter=",", names=True, comments="#")
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise ValidationError(str(path), "not UTF-8 text") from None
+    lines = list(itertools.dropwhile(lambda line: line.startswith("#"), lines))
+    if not lines:
+        raise ValidationError(str(path), "no header line (columns t, z[, phi])")
+    raw = np.genfromtxt(lines, delimiter=",", names=True, comments="#", ndmin=1)
     names = raw.dtype.names or ()
     missing = [c for c in ("t", "z") if c not in names]
     if missing:
         raise ValidationError(
             str(path), f"no column {', '.join(missing)} (columns t, z[, phi])")
+    if raw.size < 4:
+        raise ValidationError(str(path), f"{raw.size} data rows; need at least 4")
+    bad = [c for c in ("t", "z", "phi") if c in names and not np.isfinite(raw[c]).all()]
+    if bad:
+        raise ValidationError(
+            str(path), f"non-numeric or missing value in column {', '.join(bad)}")
     t = np.asarray(raw["t"], dtype=float)
     z = np.asarray(raw["z"], dtype=float)
     if "phi" in names:
@@ -750,7 +728,7 @@ def _padded_state(sc, out, t_max, quiet):
 
 def _run_growth(sc, out, quiet):
     state = _padded_state(sc, out, max(sc.t_list), quiet)
-    rep = eh.growth_scan(state, sc.t_list, thresholds=sc.thresholds)
+    rep = eh.growth_scan(state, sc.t_list)
     artifacts = [
         write_csv(out / "growth.csv", rep.rows()),
         write_svg_plot(
@@ -812,7 +790,7 @@ def _write_verdicts(path, verdicts, quiet):
 
 def _run_decay(sc, out, quiet):
     state = _padded_state(sc, out, sc.t_range[-1], quiet)
-    rep = eh.decay_scan(state, sc.t_range, thresholds=sc.thresholds)
+    rep = eh.decay_scan(state, sc.t_range)
     artifacts = [
         write_csv(out / "decay.csv", rep.rows()),
         write_csv(
@@ -840,9 +818,7 @@ def _run_decay(sc, out, quiet):
 def _run_poiseuille(sc, out, quiet):
     eh.plateau_windows(sc.outlet_k, sc.t_list)  # rejects empty windows unsolved
     state = _padded_state(sc, out, max(sc.t_list), quiet)
-    rep = eh.poiseuille_convergence(
-        state, sc.outlet_k, sc.t_list, thresholds=sc.thresholds
-    )
+    rep = eh.poiseuille_convergence(state, sc.outlet_k, sc.t_list)
     artifacts = [
         write_csv(out / "poiseuille.csv", rep.rows()),
         write_svg_plot(
@@ -966,7 +942,6 @@ def main(argv=None):
     parser.add_argument("command", choices=list(_PIPELINES))
     parser.add_argument("--scenario", required=True, help="scenario file path")
     parser.add_argument("--out", default=None, help="override output directory")
-    parser.add_argument("--grid", default=None, help="override grid as nx,ny")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
@@ -977,14 +952,6 @@ def main(argv=None):
         return 1
     if args.out:
         scenario.out_dir = Path(args.out)
-    if args.grid:
-        try:
-            nx, ny = (int(v) for v in args.grid.split(","))
-        except ValueError:
-            print("error: --grid expects nx,ny", file=sys.stderr)
-            return 1
-        a, b, _, _ = scenario.grid_window
-        scenario.grid_window = (a, b, nx, ny)
     if not args.quiet:
         print(f"{args.command}: scenario {scenario.name!r}")
     return run(

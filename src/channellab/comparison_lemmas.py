@@ -14,7 +14,6 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
 
 import numpy as np
 from scipy import optimize
@@ -93,8 +92,6 @@ def separable_psi(c1=0.0, c2=0.0, exponent=1.5):
     return PsiSpec(c1=c1, c2=c2, exponent=exponent)
 
 
-FunctionLike = Union[Callable, np.ndarray]
-
 # relative slack for decreasing jitter in sampled z
 MONOTONE_TOL = 1e-9
 # fine grid on which the hypotheses and the conclusion are evaluated
@@ -107,11 +104,12 @@ class ComparisonProblem:
     delta1: float
     t: np.ndarray
     z: np.ndarray
-    phi: FunctionLike  # callable phi(t) or samples on the same grid
+    phi: np.ndarray  # samples on the same grid
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
         self.z = np.asarray(self.z, dtype=float)
+        self.phi = np.asarray(self.phi, dtype=float)
         if not (0.0 < self.delta1 < 1.0):
             raise OutOfRange("delta1 must lie in (0,1)")
         if self.t.ndim != 1 or self.t.size < 4:
@@ -134,38 +132,17 @@ class ComparisonProblem:
 
     @cached_property
     def _phi_interp(self):
-        return PchipInterpolator(self.t, np.asarray(self.phi, dtype=float))
-
-    @cached_property
-    def _phi_slope(self):
-        return self._phi_interp.derivative()
-
-    def phi_values(self, ts):
-        if callable(self.phi):
-            return np.asarray(self.phi(ts), dtype=float)
-        return self._phi_interp(ts)
-
-    def phi_derivative(self, ts):
-        if callable(self.phi):
-            h = 1e-6 * max(1.0, float(self.t[-1] - self.t[0]))
-            return (self.phi_values(ts + h) - self.phi_values(ts - h)) / (2 * h)
-        return self._phi_slope(ts)
-
-    def phi_derivative_band(self, ts):
-        """Derivative reconstruction ambiguity of sampled phi.
-
-        Two independent estimators (shape-preserving interpolant vs plain
-        centered differences) disagree by the sampling error; hypothesis
-        margins give saturated inequalities the benefit of that band.
-        """
-        if callable(self.phi):
-            return np.zeros_like(np.asarray(ts, dtype=float))
-        return _slope_band(self.t, np.asarray(self.phi, dtype=float),
-                           self._phi_slope, ts)
+        return PchipInterpolator(self.t, self.phi)
 
 
 def _slope_band(t, samples, slope, ts):
-    """|centered differences of the samples - slope(t)| on t, interpolated to ts."""
+    """|centered differences of the samples - slope(t)| on t, interpolated to ts.
+
+    Two independent estimators of a sampled derivative (shape-preserving
+    interpolant vs plain centered differences) disagree by the sampling
+    error; hypothesis margins give saturated inequalities the benefit of
+    that band.
+    """
     return np.interp(ts, t, np.abs(np.gradient(samples, t) - slope(t)))
 
 
@@ -201,9 +178,11 @@ def check_hypotheses(problem):
     dzi = zi.derivative()
     z = zi(ts)
     zp = np.maximum(dzi(ts), 0.0)
-    phi = problem.phi_values(ts)
-    phip = problem.phi_derivative(ts)
-    band = problem.phi_derivative_band(ts)
+    phii = problem._phi_interp
+    dphii = phii.derivative()
+    phi = phii(ts)
+    phip = dphii(ts)
+    band = _slope_band(problem.t, problem.phi, dphii, ts)
 
     # z' carries the same sampled-derivative ambiguity as phi'
     z_band = _slope_band(problem.t, np.maximum.accumulate(problem.z), dzi, ts)
@@ -218,7 +197,7 @@ def check_hypotheses(problem):
     maj_scale = np.maximum(1.0, np.abs(phi).max())
     majorant_margin = float(np.min(phi - psi_phi / problem.delta1) / maj_scale)
 
-    gap = float(problem.phi_values(problem.t[-1]) - zi(problem.t[-1]))
+    gap = float(phii(problem.t[-1]) - zi(problem.t[-1]))
     endpoint_ok = bool(gap >= -MARGIN_TOL * maj_scale)
     return HypothesisReport(
         growth_margin=growth_margin,
@@ -245,7 +224,7 @@ def comparison_conclude(problem, report=None):
 
     ts = np.linspace(problem.t[0], problem.t[-1], N_FINE)
     z = problem._z_interp(ts)
-    phi = problem.phi_values(ts)
+    phi = problem._phi_interp(ts)
     scale = max(1.0, float(np.abs(phi).max()))
     worst = float(np.min(phi - z))
     if worst < -1e-8 * scale:

@@ -5,8 +5,9 @@ flux from that state, and extracts windowed energies, slice suprema, and
 ratio verdicts.  :func:`padded_solve` solves the state on a truncation
 padded past the reporting windows (the truncation ends carry carrier data,
 so verification windows stay clear of the end layers by a multiple of the
-local window scale beta* f).  Thresholds quantify "bounded with
-unspecified constant" at desk scale and live in :class:`HarnessThresholds`.
+local window scale beta* f).  The module constants below quantify
+"bounded with unspecified constant" at desk scale; the raw sequences always
+ship next to the verdicts.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import HypothesisNotMet, LemmaViolation, OutOfRange
 
 __all__ = [
     "GridPolicy",
-    "HarnessThresholds",
     "GrowthReport",
     "DecayReport",
     "PoiseuilleReport",
@@ -56,15 +56,13 @@ class GridPolicy:
         return nx
 
 
-@dataclass(frozen=True)
-class HarnessThresholds:
-    """Desk-scale quantifications of 'bounded'; raw sequences always ship."""
-
-    growth_ratio_bound: float = 3.0
-    growth_lower_bound: float = 0.5
-    decay_ratio_bound: float = 4.0
-    plateau_fraction: float = 0.1
-    wall_delta: float = 0.1
+# Desk-scale quantifications of "bounded": fixed, so no scenario can loosen
+# a verdict
+GROWTH_RATIO_BOUND = 3.0   # max/min of D / (1 + I) over the t values
+GROWTH_LOWER_BOUND = 0.5   # min of D / (phi^2 I) must exceed this
+DECAY_RATIO_BOUND = 4.0    # max/min of the slice and window products
+PLATEAU_FRACTION = 0.1     # last increment of E(T) relative to the previous E
+WALL_DELTA = 0.1           # near-wall band: eta < 0.1 or eta > 0.9
 
 
 def padded_solve(profile, params, t_max, policy, config=ns.SolverConfig()):
@@ -114,7 +112,7 @@ class GrowthReport:
             }
 
 
-def growth_scan(state, t_list, thresholds=HarnessThresholds()):
+def growth_scan(state, t_list):
     """D(t) against 1 + I(t) and phi^2 I(t) on the converged ``state``."""
     t_list = sorted(float(t) for t in t_list)
     if any(t <= 0 for t in t_list):
@@ -133,9 +131,9 @@ def growth_scan(state, t_list, thresholds=HarnessThresholds()):
     spread = max(upper) / min(upper) if min(upper) > 0 else math.inf
 
     verdicts = {
-        "upper_bounded": spread <= thresholds.growth_ratio_bound,
+        "upper_bounded": spread <= GROWTH_RATIO_BOUND,
         "lower_positive": (phi == 0.0)
-        or (lower_min > thresholds.growth_lower_bound),
+        or (lower_min > GROWTH_LOWER_BOUND),
         "monotone": all(np.diff(d_vals) >= -1e-12 * max(d_vals)),
     }
     return GrowthReport(
@@ -185,7 +183,7 @@ class DecayReport:
 _DECAY_SLICES, _DECAY_WINDOWS = 17, 7  # sampled slices, energy windows
 
 
-def decay_scan(state, t_range, thresholds=HarnessThresholds()):
+def decay_scan(state, t_range):
     """f * sup|u| per slice and f^2-weighted window energies on ``state``.
 
     Requires the uniqueness-condition hypotheses; if they fail the scan
@@ -197,14 +195,10 @@ def decay_scan(state, t_range, thresholds=HarnessThresholds()):
     hypothesis = classification.condition_16 or classification.condition_17
     metrics = geo.validate(profile, (-t_hi - 1.0, t_hi + 1.0))
     bs = metrics.beta_star
-    delta = thresholds.wall_delta
 
     grid = state.grid
-    interior = (grid.eta >= delta) & (grid.eta <= 1.0 - delta)
-    if interior.all() or not interior.any():
-        raise OutOfRange(
-            f"wall_delta {delta} leaves no eta node on one side of it at "
-            f"ny = {grid.ny}")
+    # ny >= 8 puts eta = 1/7 ... 6/7 inside and eta = 0 outside: both sides
+    interior = (grid.eta >= WALL_DELTA) & (grid.eta <= 1.0 - WALL_DELTA)
     speed = np.hypot(state.u1, state.u2)
     xs = np.concatenate(
         [np.linspace(-t_hi, -t_lo, _DECAY_SLICES // 2 + 1),
@@ -230,8 +224,8 @@ def decay_scan(state, t_range, thresholds=HarnessThresholds()):
     win_spread = max(win_e) / min(win_e) if min(win_e) > 0 else math.inf
     verdicts = {
         "hypothesis_met": hypothesis,
-        "pointwise_bounded": sup_spread <= thresholds.decay_ratio_bound,
-        "local_energy_bounded": win_spread <= thresholds.decay_ratio_bound,
+        "pointwise_bounded": sup_spread <= DECAY_RATIO_BOUND,
+        "local_energy_bounded": win_spread <= DECAY_RATIO_BOUND,
     }
     return DecayReport(
         profile=profile.label(),
@@ -294,14 +288,14 @@ def _difference_squares(state, ref):
     return l2, grads
 
 
-def poiseuille_convergence(state, k, t_list, thresholds=HarnessThresholds()):
+def poiseuille_convergence(state, k, t_list):
     """H1 distance to the outlet shear flow on growing windows of ``state``.
 
     The reference flow is carried by its streamfunction and differentiated
     with the same discrete operators as the computed state, so the shared
     O(h^2) representation bias cancels and the windows measure the genuine
     field difference.  The verdict is a plateau: the increment from the
-    second-largest to the largest window stays below plateau_fraction of
+    second-largest to the largest window stays below PLATEAU_FRACTION of
     the former.
     """
     t_list = plateau_windows(k, t_list)
@@ -332,7 +326,7 @@ def poiseuille_convergence(state, k, t_list, thresholds=HarnessThresholds()):
         # a fully converged E sits at the discretization floor everywhere;
         # measure the plateau relative to max(previous value, that floor)
         floor = 1e-6 * phi**2 * max(1.0, t_list[-1] - k)
-        plateau_ok = (h1[-1] - h1[-2]) <= thresholds.plateau_fraction * max(
+        plateau_ok = (h1[-1] - h1[-2]) <= PLATEAU_FRACTION * max(
             h1[-2], floor
         )
     tail_dec = all(np.diff(tails) <= 1e-12)

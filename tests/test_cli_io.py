@@ -57,10 +57,8 @@ class TestParsing:
         assert sc.name == "minimal"
         assert sc.params.epsilon == 0.5  # default rule at flux 1
         assert sc.solver == ns.SolverConfig()
-        assert sc.thresholds == cli_io.eh.HarnessThresholds()
-        assert (sc.target_hx, sc.pad_factor) == (
-            cli_io.eh.GridPolicy.target_hx, cli_io.eh.GridPolicy.pad_factor)
         assert sc.grid_window == (-4.0, 4.0, 65, 17)
+        assert sc.policy == cli_io.eh.GridPolicy(ny=17)
 
     def test_text_keys_are_read_verbatim(self, tmp_path):
         body = MINIMAL.format(out="1e3").replace("name = minimal", "name = on")
@@ -83,12 +81,20 @@ class TestParsing:
         ("target_hx = 0", "[harness] target_hx: must be positive"),
         ("target_hx = -1", "[harness] target_hx: must be positive"),
         ("pad_factor = -0.5", "[harness] pad_factor: must be nonnegative"),
-        ("wall_delta = 0.6", "[harness] wall_delta: must lie in (0, 0.5)"),
-        ("wall_delta = -0.1", "[harness] wall_delta: must lie in (0, 0.5)"),
+        ("wall_delta = 0.6", "[harness] wall_delta: unknown key"),
+        ("wall_delta = -0.1", "[harness] wall_delta: unknown key"),
+        ("growth_ratio_bound = 1e9", "[harness] growth_ratio_bound: unknown key"),
+        ("growth_lower_bound = -1", "[harness] growth_lower_bound: unknown key"),
+        ("decay_ratio_bound = 1e9", "[harness] decay_ratio_bound: unknown key"),
+        ("plateau_fraction = 1e9", "[harness] plateau_fraction: unknown key"),
     ], ids=["zero_hx", "negative_hx", "negative_pad", "wide_wall_delta",
-            "negative_wall_delta"])
+            "negative_wall_delta", "growth_ratio_bound", "growth_lower_bound",
+            "decay_ratio_bound", "plateau_fraction"])
     def test_scan_grid_values_are_rejected_at_their_line(
             self, tmp_path, capsys, new, message):
+        # the verdict bounds are constants, so a scenario cannot loosen them:
+        # any value of theirs, even one that would pass every flow, is an
+        # unknown key
         body = MINIMAL.format(out=tmp_path / "o").replace("target_hx = 0.25", new)
         line = body.splitlines().index(new) + 1
         path = write_scenario(tmp_path, body)
@@ -96,7 +102,7 @@ class TestParsing:
         assert f"line {line}: {message}" in capsys.readouterr().err
         body = body.replace(new, "pad_factor = 0")
         assert cli_io.parse_scenario(
-            write_scenario(tmp_path, body), environ={}).pad_factor == 0.0
+            write_scenario(tmp_path, body), environ={}).policy.pad_factor == 0.0
 
     def test_epsilon_out_of_range(self, tmp_path):
         body = MINIMAL.format(out=tmp_path) + "\n[carrier]\nepsilon = 1.5\n"
@@ -239,9 +245,8 @@ class TestParsing:
         assert (f"line {at['a = -4']}: [grid] a, line {at['b = -5']}: [grid] b: "
                 "need b > a") in msg
         assert f"line {at['tol = -1']}: [solver] tol: tol must be positive" in msg
-        assert f"line {at['relax = 0.5']}: [solver] relax: unsupported value" in msg
-        assert (f"line {at['cutoff = box']}: [carrier] cutoff: unsupported value "
-                "'box'") in msg
+        assert f"line {at['relax = 0.5']}: [solver] relax: unknown key" in msg
+        assert f"line {at['cutoff = box']}: [carrier] cutoff: unknown key" in msg
         assert "CHANNELLAB_CARRIER__FLUX: [carrier] flux: must be nonnegative" in msg
         body = MINIMAL.format(out=tmp_path / "o") + "[carrier]\nepsilon = 1.5\n"
         eps_line = body.splitlines().index("epsilon = 1.5") + 1
@@ -268,44 +273,50 @@ class TestParsing:
         for path in paths:
             cli_io.parse_scenario(path, environ={})
 
-    def test_linear_solver_key(self, tmp_path):
-        body = MINIMAL.format(out=tmp_path / "o") + "\n[solver]\n"
-        path = write_scenario(tmp_path, body + "linear_solver = banded_direct\n")
-        assert cli_io.parse_scenario(path, environ={}).solver.tol == 1e-9
-        path = write_scenario(tmp_path, body + "linear_solver = krylov_ilu\n")
-        with pytest.raises(ValidationError) as err:
-            cli_io.parse_scenario(path, environ={})
-        assert "linear_solver" in str(err.value)
-        assert "Krylov path" in str(err.value)
-
-    def test_retired_solver_keys(self, tmp_path):
-        body = MINIMAL.format(out=tmp_path / "o") + "\n[solver]\n"
-        for relax in ("1.0", "1"):
-            path = write_scenario(
-                tmp_path, body + f"relax = {relax}\nconvection = central\n")
-            assert cli_io.parse_scenario(path, environ={}).solver.max_iter == 60
-        path = write_scenario(
-            tmp_path,
-            body + "relax = 0.8\nconvection = upwind\ncontinuation = 1, 2\n",
-        )
-        with pytest.raises(ValidationError) as err:
-            cli_io.parse_scenario(path, environ={})
-        msg = str(err.value)
-        assert "[solver] relax" in msg and "under-relaxation" in msg
-        assert "[solver] convection" in msg and "upwind" in msg
-        assert "[solver] continuation" in msg
-
-    def test_retired_cutoff_key(self, tmp_path):
-        body = MINIMAL.format(out=tmp_path / "o") + "\n[carrier]\n"
-        path = write_scenario(tmp_path, body + "cutoff = quintic\n")
-        assert cli_io.parse_scenario(path, environ={}).params.phi == 1.0
-        body += "cutoff = exp_bump\n"
-        line = body.splitlines().index("cutoff = exp_bump") + 1
+    def unknown_at_their_lines(self, tmp_path, section, lines):
+        """Parse MINIMAL plus ``lines`` under ``[section]``; each line's key
+        must be reported as an unknown key at that line."""
+        body = MINIMAL.format(out=tmp_path / "o") + f"\n[{section}]\n"
+        body += "".join(f"{line}\n" for line in lines)
+        at = body.splitlines()
         with pytest.raises(ValidationError) as err:
             cli_io.parse_scenario(write_scenario(tmp_path, body), environ={})
-        assert (f"line {line}: [carrier] cutoff: unsupported value 'exp_bump'; "
-                "the other cutoffs were removed, only quintic remains"
-                in str(err.value))
+        for line in lines:
+            key = line.partition(" =")[0]
+            assert (f"line {at.index(line) + 1}: [{section}] {key}: unknown key"
+                    in str(err.value))
+
+    def test_linear_solver_key(self, tmp_path):
+        # the one value it used to accept is rejected too: the key is gone
+        self.unknown_at_their_lines(tmp_path, "solver",
+                                    ["linear_solver = banded_direct"])
+
+    def test_retired_solver_keys(self, tmp_path):
+        self.unknown_at_their_lines(
+            tmp_path, "solver",
+            ["relax = 1", "convection = central", "continuation = 1, 2"])
+
+    def test_retired_cutoff_key(self, tmp_path):
+        self.unknown_at_their_lines(tmp_path, "carrier", ["cutoff = quintic"])
+
+    def test_non_utf8_scenario_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.scn"
+        path.write_bytes(MINIMAL.format(out=tmp_path / "o").replace(
+            "name = minimal", "name = caf\xe9").encode("latin-1"))
+        with pytest.raises(ParseError, match=f"{path}: line 2: not UTF-8"):
+            cli_io.parse_scenario(path, environ={})
+        assert cli_io.main(["solve", "--scenario", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: line 2: not UTF-8 text" in err and "Traceback" not in err
+
+    def test_readme_scenario_example_parses(self, tmp_path):
+        # the annotated example lists every key it shows; none may be unknown
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        example = text.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert "[harness]" in example and "[comparison]" in example
+        sc = cli_io.parse_scenario(write_scenario(tmp_path, example), environ={})
+        assert sc.name == "widening"
 
     def test_custom_profile_expressions(self, tmp_path):
         body = MINIMAL.format(out=tmp_path).replace(
@@ -387,7 +398,14 @@ class TestArtifacts:
         (None, "no such file"),
         ("t,phi\n0,1\n1,2\n", "no column z"),
         ("x,y\n0,1\n", "no column t, z"),
-    ], ids=["missing_file", "missing_z", "missing_t_and_z"])
+        ("", "no header line (columns t, z[, phi])"),
+        ("# channellab csv v1\n", "no header line (columns t, z[, phi])"),
+        ("t,z\n", "0 data rows; need at least 4"),
+        ("t,z\n0,1\n", "1 data rows; need at least 4"),
+        ("t,z,note\n0,0.1,a\n1,abc,b\n2,0.3,c\n3,,d\n",
+         "non-numeric or missing value in column z"),
+    ], ids=["missing_file", "missing_z", "missing_t_and_z", "empty",
+            "comment_only", "header_only", "one_row", "non_numeric"])
     def test_bad_comparison_file_is_a_located_error(self, tmp_path, capsys,
                                                     text, message):
         csv = tmp_path / "problem.csv"
@@ -401,6 +419,19 @@ class TestArtifacts:
         err = capsys.readouterr().err
         assert f"line {line}: [comparison] file: {csv}: {message}" in err
         assert "Traceback" not in err
+
+    def test_comparison_file_may_start_with_comment_lines(self, tmp_path):
+        # a CSV channellab wrote, schema line first, loads back
+        t = np.linspace(0, 2, 30)
+        rows = [{"t": a, "z": np.exp(a), "phi": 4 * np.exp(a / 2)} for a in t]
+        csv = cli_io.write_csv(tmp_path / "problem.csv", rows)
+        assert csv.read_text().startswith("# channellab csv v1\nt,z,phi\n")
+        body = (MINIMAL.format(out=tmp_path / "out")
+                + f"[comparison]\nfile = {csv}\nc1 = 1.0\nc2 = 0.0\n")
+        path = write_scenario(tmp_path, body)
+        assert cli_io.main(["comparison", "--scenario", str(path), "--quiet"]) == 0
+        summary = (tmp_path / "out" / "comparison.csv").read_text()
+        assert "verdict,dominated" in summary
 
     def test_comparison_csv_loader(self, tmp_path):
         t = np.linspace(0, 2, 30)
@@ -543,7 +574,7 @@ class TestRun:
         assert cli_io.run("growth-scan", sc, scenario_path=path, quiet=True) == 1
 
     def test_grid_option_sizes_scans(self, tmp_path, monkeypatch):
-        # --grid nx,ny: the scans keep nx from target_hx and take the ny
+        # CHANNELLAB_GRID__NY: the scans keep nx from target_hx and take the ny
         policies = []
 
         def capture(profile, params, t_max, policy, config):
@@ -553,10 +584,18 @@ class TestRun:
         monkeypatch.setattr(cli_io.eh, "padded_solve", capture)
         body = MINIMAL.format(out=tmp_path / "out") + "\n[harness]\noutlet_k = 0.5\n"
         path = write_scenario(tmp_path, body)
+        monkeypatch.setenv("CHANNELLAB_GRID__NY", "9")
         for command in ("growth-scan", "decay-scan", "poiseuille"):
-            argv = [command, "--scenario", str(path), "--grid", "65,9", "--quiet"]
+            argv = [command, "--scenario", str(path), "--quiet"]
             assert cli_io.main(argv) == 1
         assert policies == [cli_io.eh.GridPolicy(target_hx=0.25, ny=9)] * 3
+
+    def test_grid_flag_is_not_an_option(self, tmp_path, capsys):
+        path = self.scenario(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            cli_io.main(["solve", "--scenario", str(path), "--grid", "65,9"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --grid 65,9" in capsys.readouterr().err
 
     def test_poiseuille_rejects_t_list_before_solving(self, tmp_path,
                                                       monkeypatch, capsys):
@@ -653,8 +692,8 @@ class TestSessionSolves:
         text = self.BODY.format(out=tmp_path / out)
         return write_scenario(tmp_path, text, name=f"{out}.scn")
 
-    def command(self, command, path, *extra):
-        return cli_io.main([command, "--scenario", str(path), "--quiet", *extra])
+    def command(self, command, path):
+        return cli_io.main([command, "--scenario", str(path), "--quiet"])
 
     def states(self, out):
         return sorted(p.name for p in out.glob(".padded-*"))
@@ -695,20 +734,20 @@ class TestSessionSolves:
         assert len(solve_calls) == 2
 
     @pytest.mark.parametrize(
-        "edit, env, extra",
+        "edit, env",
         [
-            (("flux = 1.0", "flux = 0.5"), {}, ()),
-            (None, {"CHANNELLAB_SOLVER__TOL": "1e-10"}, ()),
-            (None, {}, ("--grid", "65,13")),
-            (("target_hx = 0.25", "target_hx = 0.2"), {}, ()),
-            (None, {"CHANNELLAB_PROFILE__D0": "1.5"}, ()),
-            (("d0 = 1.0", "d0 = 1.25"), {}, ()),
+            (("flux = 1.0", "flux = 0.5"), {}),
+            (None, {"CHANNELLAB_SOLVER__TOL": "1e-10"}),
+            (None, {"CHANNELLAB_GRID__NY": "13"}),
+            (("target_hx = 0.25", "target_hx = 0.2"), {}),
+            (None, {"CHANNELLAB_PROFILE__D0": "1.5"}),
+            (("d0 = 1.0", "d0 = 1.25"), {}),
         ],
         ids=["flux", "tol", "grid-ny", "target-hx", "profile-env",
              "profile-file"],
     )
     def test_changed_input_solves_again(self, tmp_path, monkeypatch, solve_calls,
-                                        edit, env, extra):
+                                        edit, env):
         path = self.scenario(tmp_path)
         assert self.command("growth-scan", path) == 0
         first = self.states(tmp_path / "out")
@@ -716,7 +755,7 @@ class TestSessionSolves:
             path.write_text(path.read_text().replace(*edit))
         for key, value in env.items():
             monkeypatch.setenv(key, value)
-        self.command("growth-scan", path, *extra)
+        self.command("growth-scan", path)
         assert len(solve_calls) == 2
         # the new session's state replaced the old one
         second = self.states(tmp_path / "out")

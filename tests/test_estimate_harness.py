@@ -96,14 +96,6 @@ class TestDecayScan:
         rep = eh.decay_scan(state, (2, 4))
         assert max(rep.slice_sup) == 0.0
 
-    @pytest.mark.parametrize("ny, delta", [(8, 0.45), (9, 0.0), (9, 0.6)])
-    def test_wall_delta_must_split_the_nodes(self, straight, ny, delta):
-        # ny 8 has no node in [0.45, 0.55]; delta 0 leaves no wall side
-        state = ns.solve_steady(straight, fc.CarrierParams(1.0), -4, 4, 33, ny)
-        thresholds = eh.HarnessThresholds(wall_delta=delta)
-        with pytest.raises(OutOfRange, match="wall_delta"):
-            eh.decay_scan(state, (1, 2), thresholds)
-
     def test_interior_wall_split(self, power_half, small_power_report):
         rep = eh.decay_scan(small_power_report, (3, 8))
         for full, inner, wall in zip(
