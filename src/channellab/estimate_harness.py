@@ -357,36 +357,51 @@ class UniquenessReport:
     unique: bool
 
 
-def _perturbed_solve(profile, params, a, b, nx, ny, config, seed):
-    """Solve with a randomly perturbed initial streamfunction.
+def _perturbed_start(stokes, seed):
+    """The Stokes state ``stokes`` with a random streamfunction perturbation.
 
     The perturbation is 20 percent of the streamfunction scale, vanishes
     at the walls, and only changes the starting point of the Picard
-    iteration; boundary data are untouched.  The chord loop starts
-    without a factor, so it factors at the perturbed iterate and takes a
-    plain first solve: at flux 0 that solve is exactly 0.
+    iteration; boundary data are untouched.
     """
-    grid = ns.make_grid(profile, a, b, nx, ny)
-    ws = ns._Workspace(grid, params, profile)
-    state = ns.solve_stokes(grid, params, profile, ws)
+    grid, params = stokes.grid, stokes.params
     rng = np.random.default_rng(seed)
     envelope = (grid.eta * (1.0 - grid.eta)) ** 2 * 16.0
     modes = np.zeros((grid.nx, grid.ny))
     xi_n = (grid.xi - grid.a) / (grid.b - grid.a)
     for kx in range(1, 4):
         for ky in range(1, 4):
-            amp = rng.standard_normal()
-            modes += amp * np.outer(
-                np.sin(np.pi * kx * xi_n), np.sin(np.pi * ky * grid.eta)
-            )
+            modes += rng.standard_normal() * np.outer(
+                np.sin(np.pi * kx * xi_n), np.sin(np.pi * ky * grid.eta))
     if np.abs(modes).max() > 0:
         modes /= np.abs(modes).max()
-    scale = 0.2 * max(float(np.abs(state.psi).max()), params.phi, 1e-12)
-    psi = state.psi + scale * envelope[None, :] * modes
-    state = ns._state_from_fields(grid, profile, params, psi, state.omega)
+    scale = 0.2 * max(float(np.abs(stokes.psi).max()), params.phi, 1e-12)
+    psi = stokes.psi + scale * envelope[None, :] * modes
+    return ns._state_from_fields(grid, stokes.profile, params, psi,
+                                 stokes.omega)
 
-    state.residual_history.append((0, ns.residual_norm(state, ws)))
-    return ns._picard(state, config, ws)[0]
+
+def _probe_solutions(profile, params, a, b, nx, ny, config, seed):
+    """The Stokes-started and the perturbation-started solution.
+
+    Both share one grid, constant block and Stokes factor.  The perturbed
+    start is built first; the Stokes-started loop then replaces the factor
+    through the continuation levels, and its last factor is released
+    before the perturbed loop factors afresh at its start.  That first
+    step is a plain solve, so at flux 0 it is exactly 0.
+    """
+    grid = ns.make_grid(profile, a, b, nx, ny)
+    levels = ns._flux_levels(params)
+    ws = ns._Workspace(grid, params, profile)
+    ws.factor(None, None)
+    stokes = ns._stokes_start(ws, params)
+    other = _perturbed_start(stokes, seed)
+    if len(levels) > 1:
+        ws.set_params(levels[0])
+        stokes = ns._stokes_start(ws, levels[0])
+    base = ns._continuation(stokes, ws, levels, config)
+    ws.lu = None  # the last level's data are those of params
+    return base, ns._picard(other, config, ws)[0]
 
 
 # both starts are solved far below the distance bound, so a distance above
@@ -396,34 +411,23 @@ _UNIQUENESS_TOL = 1e-6
 
 
 def uniqueness_probe(profile, phi, a, b, nx=257, ny=65, seed=7):
-    """Compare the Stokes-started and perturbation-started solutions."""
-    params = fc.CarrierParams(phi)
-    base = ns.solve_steady(profile, params, a, b, nx, ny, _UNIQUENESS_SOLVER)
-    other = _perturbed_solve(profile, params, a, b, nx, ny, _UNIQUENESS_SOLVER,
-                             seed)
-
+    """Compare the Stokes-started and perturbation-started solutions
+    (:func:`_probe_solutions`)."""
+    base, other = _probe_solutions(profile, fc.CarrierParams(phi), a, b, nx,
+                                   ny, _UNIQUENESS_SOLVER, seed)
     wq = base.grid.wq
     l2_field, grads = _difference_squares(base, other)
     l2_diff = math.sqrt(float((wq * l2_field).sum()))
     l2_base = math.sqrt(float((wq * (base.u1**2 + base.u2**2)).sum()))
-
     e_diff = math.sqrt(float((wq * sum(grads)).sum()))
     e_base = math.sqrt(max(ns.dirichlet_energy(base, a, b), 1e-300))
 
-    if phi == 0.0:
-        l2 = l2_diff
-        dd = e_diff
-    else:
-        l2 = l2_diff / max(l2_base, 1e-300)
-        dd = e_diff / max(e_base, 1e-300)
-    unique = bool(max(l2, dd) <= _UNIQUENESS_TOL)
-    return UniquenessReport(
-        profile=profile.label(),
-        phi=phi,
-        l2_distance=l2,
-        dirichlet_distance=dd,
-        unique=unique,
-    )
+    l2, dd = l2_diff, e_diff
+    if phi != 0.0:
+        l2, dd = l2 / max(l2_base, 1e-300), dd / max(e_base, 1e-300)
+    return UniquenessReport(profile=profile.label(), phi=phi, l2_distance=l2,
+                            dirichlet_distance=dd,
+                            unique=bool(max(l2, dd) <= _UNIQUENESS_TOL))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ there up to the tangential component carried through the omega data.  The
 nonlinear loop is a chord iteration on the coupled linear (psi, omega)
 system with the advecting velocity frozen: one SuperLU factor serves
 several steps, starting with the Stokes factor A(0) and carried across
-continuation levels.  The factor takes the unknowns in a nested-dissection
-order of the grid nodes, psi and omega of a node side by side, and keeps
-its pivots on the diagonal so that the order's low fill survives.  The
+continuation levels; a refresh releases the old factor before it builds
+the new one.  The factor takes the unknowns in a nested-dissection order
+of the grid nodes, psi and omega of a node side by side, and keeps its
+pivots on the diagonal so that the order's low fill survives.  The
 wall vorticity closure is a second-order one-sided formula built into the
 matrix.  Every difference stencil, and the uniform spacing, lives in one
 place: the 1-D first- and second-difference matrices of each axis
@@ -187,10 +188,11 @@ def _scaled_rows(weights, matrix):
 
 
 class _Workspace:
-    """Constant matrix block of a grid, and the boundary data of one flux."""
+    """A grid's constant block, one flux's boundary data, one live ``lu``."""
 
     def __init__(self, grid, params, profile):
         self.grid = grid
+        self.lu = None
         self.profile = profile
         self.n = grid.nx * grid.ny
         self._interior = np.pad(np.ones((grid.nx - 2, grid.ny - 2), bool),
@@ -299,7 +301,8 @@ class _Workspace:
         return self._residual
 
     def factor(self, u1, u2):
-        """SuperLU factor of A(u) at a frozen advecting velocity.
+        """Replace ``lu`` by the SuperLU factor of A(u) at a frozen
+        advecting velocity, releasing the old factor first.
 
         Rows and columns are both permuted by ``perm``, and SuperLU keeps
         that order (``permc_spec="NATURAL"``) with diagonal pivots
@@ -308,25 +311,24 @@ class _Workspace:
         where a diagonal pivot is exactly zero.  The factor is of the
         permuted matrix; :meth:`apply` maps in and out of that order.
         """
+        self.lu = None
         a = self.a_const
         if u1 is not None:
             a = a + self.advection_matrix(u1, u2)
         p = self.perm
         try:
-            return splu(a[p][:, p].tocsc(), permc_spec="NATURAL",
-                        diag_pivot_thresh=0.0)
+            self.lu = splu(a[p][:, p].tocsc(), permc_spec="NATURAL",
+                           diag_pivot_thresh=0.0)
         except RuntimeError as exc:  # singular factorization
             raise LinearSolveFailure(str(exc)) from exc
 
-    def apply(self, lu, rhs):
-        """(psi, omega) from the back-solve LU^-1 rhs, in natural order."""
+    def apply(self, rhs):
+        """(psi, omega) from the back-solve lu^-1 rhs, in natural order."""
         x = np.empty_like(rhs)
-        x[self.perm] = lu.solve(rhs[self.perm])
+        x[self.perm] = self.lu.solve(rhs[self.perm])
         if not np.all(np.isfinite(x)):
             raise LinearSolveFailure("linear solve produced non-finite values")
-        n = self.n
-        nx, ny = self.grid.nx, self.grid.ny
-        return x[:n].reshape(nx, ny), x[n:].reshape(nx, ny)
+        return x.reshape(2, self.grid.nx, self.grid.ny)
 
 
 def residual_norm(state, workspace):
@@ -366,41 +368,44 @@ def boundary_defect(state, workspace):
 
 
 def _state_from_fields(grid, profile, params, psi, omega):
-    u1, u2 = velocity_from_psi(grid, psi)
-    return FlowState(
-        grid=grid, profile=profile, params=params, psi=psi, omega=omega,
-        u1=u1, u2=u2,
-    )
+    return FlowState(grid, profile, params, psi, omega,
+                     *velocity_from_psi(grid, psi))
 
 
-def solve_stokes(grid, params, profile, workspace=None):
-    """Linear Stokes solve (no advection); the Picard initializer."""
-    ws = workspace or _Workspace(grid, params, profile)
-    psi, omega = ws.apply(ws.factor(None, None), ws.rhs)
-    state = _state_from_fields(grid, profile, params, psi, omega)
+def _stokes_start(workspace, params):
+    """Stokes state of ``params``, whose data the workspace holds, by a
+    back-solve with the held factor of A(0)."""
+    return _state_from_fields(workspace.grid, workspace.profile, params,
+                              *workspace.apply(workspace.rhs))
+
+
+def solve_stokes(grid, params, profile):
+    """Linear Stokes solve (no advection): the start of the chord loops."""
+    ws = _Workspace(grid, params, profile)
+    ws.factor(None, None)
+    state = _stokes_start(ws, params)
     state.residual_history.append((0, residual_norm(state, ws)))
     return state
 
 
-def picard_step(state, workspace=None, lu=None, chord=False):
+def picard_step(state, workspace=None, chord=False):
     """One Picard iteration; returns (new_state, residual).
 
-    The plain step solves A(u) x = b at the velocity u of ``state``,
-    factoring A(u) unless ``lu`` already holds that factor.  With
-    ``chord=True`` the step is the chord correction
-    x + LU^-1 (b - A(u) x) from the fields x of ``state``, where ``lu``
-    may factor A at an earlier iterate.  The flux and the end data are
-    those of ``state.params`` and ``state.profile``; a ``workspace`` passed
-    in must hold them, and without one the step builds it from the state.
+    The plain step factors A(u) at the velocity u of ``state`` into the
+    workspace, replacing the factor it held, and solves A(u) x = b.  With
+    ``chord=True`` the step is the chord correction x + LU^-1 (b - A(u) x)
+    from the fields x of ``state``, where the held factor LU may be of A
+    at an earlier iterate.  The flux and the end data are those of
+    ``state.params`` and ``state.profile``; a ``workspace`` passed in must
+    hold them, and without one the step builds it from the state.
     """
     ws = workspace or _Workspace(state.grid, state.params, state.profile)
-    if lu is None:
-        lu = ws.factor(state.u1, state.u2)
     if chord:
-        dpsi, domega = ws.apply(lu, ws.residual(state))
+        dpsi, domega = ws.apply(ws.residual(state))
         psi, omega = state.psi + dpsi, state.omega + domega
     else:
-        psi, omega = ws.apply(lu, ws.rhs)
+        ws.factor(state.u1, state.u2)
+        psi, omega = ws.apply(ws.rhs)
     new = _state_from_fields(state.grid, state.profile, state.params, psi,
                              omega)
     new.residual_history = list(state.residual_history)
@@ -413,40 +418,37 @@ def picard_step(state, workspace=None, lu=None, chord=False):
 _STALL_STEPS = 3
 
 
-def _picard(state, config, workspace, lu=None, factorizations=0):
+def _picard(state, config, workspace, factorizations=0):
     """Chord iteration from ``state`` until both defects drop below tol.
 
     Steps with a factor in hand are chord corrections x + LU^-1 (b - A(u) x)
     that evaluate the full nonlinear residual, so they also refine away
-    the round-off of the factored solve.  ``lu`` may factor A at any
-    iterate and flux on the grid, because the flux enters only the
-    right-hand side: ``solve_steady`` passes the Stokes factor A(0), then
-    the last factor of the previous continuation level.  Whenever a step
-    shrinks the defect max(residual_norm, boundary_defect) by less than
-    2x, or when ``lu`` is None, A(u) is factored at the current iterate
-    and the step is the plain Picard solve, which keeps flux-0 fields
-    exactly 0.
+    the round-off of the factored solve.  The workspace's factor may be of
+    A at any iterate and flux on the grid, because the flux enters only
+    the right-hand side: :func:`_continuation` starts with the Stokes
+    factor A(0), then the last factor of the previous continuation level.
+    Whenever a step shrinks the defect max(residual_norm, boundary_defect)
+    by less than 2x, or when the workspace holds no factor, the step is the
+    plain Picard solve, which refactors A(u) at the current iterate and
+    keeps flux-0 fields exactly 0.
 
-    ``state.residual_history`` must end with the residual of ``state``;
-    ``workspace`` carries the boundary data of ``state.params``, which
-    every step keeps.  Returns
-    ``(state, lu, factorizations)``: the converged state, the last factor
-    and the factor count, which goes on from ``factorizations``.  Raises
-    :class:`NonConvergence` with the smallest defect reached as soon as
-    the defect has not halved over ``_STALL_STEPS`` steps after the first,
-    or after max_iter steps.
+    The start's residual is history entry 0.  ``workspace`` carries the
+    boundary data of ``state.params``, which every step keeps.  Returns
+    ``(state, factorizations)``: the converged state and the factor count,
+    which goes on from ``factorizations``.  Raises :class:`NonConvergence`
+    with the smallest defect reached as soon as the defect has not halved
+    over ``_STALL_STEPS`` steps after the first, or after max_iter steps.
     """
-    res = state.residual_history[-1][1]
+    res = residual_norm(state, workspace)
+    state.residual_history = [(0, res)]
     stalled = 0
     best = prev = math.inf
     for steps in range(config.max_iter + 1):
         defect = max(res, boundary_defect(state, workspace))
         if defect < config.tol:
             state.converged = True
-            return state, lu, factorizations
+            return state, factorizations
         best = min(best, defect)
-        if defect > 0.5 * prev:
-            lu = None
         # count stalls from the first solve on: a start at a new flux is
         # off only in its boundary rows, and that solve may raise the
         # interior residual well above their defect
@@ -456,11 +458,11 @@ def _picard(state, config, workspace, lu=None, factorizations=0):
             stalled += 1
         if stalled == _STALL_STEPS or steps == config.max_iter:
             break
-        prev, chord = defect, lu is not None
+        chord = workspace.lu is not None and defect <= 0.5 * prev
+        prev = defect
         if not chord:
-            lu = workspace.factor(state.u1, state.u2)
             factorizations += 1
-        state, res = picard_step(state, workspace, lu, chord)
+        state, res = picard_step(state, workspace, chord)
     raise NonConvergence(
         f"Picard stalled at flux {state.params.phi}: residual {best:.3e} after "
         f"{steps} iterations and {factorizations} factorizations "
@@ -471,58 +473,62 @@ def _picard(state, config, workspace, lu=None, factorizations=0):
     )
 
 
+def _flux_levels(params):
+    """Continuation levels up to ``params``: above flux 2, linspace(2, phi,
+    ceil(log2(phi / 2)) + 2) at the epsilon of ``params``."""
+    if params.phi <= 2.0:
+        return [params]
+    steps = int(math.ceil(math.log2(params.phi / 2.0))) + 2
+    return [fc.CarrierParams(phi, params.epsilon)
+            for phi in np.linspace(2.0, params.phi, steps)]
+
+
+def _continuation(state, workspace, levels, config):
+    """Chord loops through the flux ``levels`` from ``state``, the Stokes
+    state of ``levels[0]``, whose data and factor A(0) the workspace holds.
+
+    Each later level replaces only the boundary data and starts from the
+    previous level's solution and last factor.  The residual history holds
+    every level's entries, each numbered from 0.
+    """
+    history = []
+    factorizations = 1  # the Stokes factor
+    for k, params_k in enumerate(levels):
+        if k:
+            workspace.set_params(params_k)
+            state = _state_from_fields(state.grid, state.profile, params_k,
+                                       state.psi, state.omega)
+        state, factorizations = _picard(state, config, workspace,
+                                        factorizations)
+        history += state.residual_history
+    state.residual_history = history
+    return state
+
+
 def solve_steady(profile, params, a, b, nx, ny, config=None):
     """Stokes initialize, then Picard to tolerance, stepping the flux up.
 
-    Fluxes above 2 pass through linspace(2, phi, ceil(log2(phi / 2)) + 2),
-    each level started from the previous one's solution and factor; the
-    Stokes factor seeds the first.  The constant block is assembled once;
-    each level replaces only the boundary data and right-hand side.  The
-    residual history holds every level's entries, each level numbered from
-    0.  Raises :class:`NonConvergence` rather than returning an unconverged
-    state.  Diagnostics report the Dirichlet energy of v = u - g and the
-    ratio against the carrier volume integral, which stays bounded
-    uniformly in the truncation.
+    The grid's constant block is assembled and A(0) factored once for all
+    of :func:`_flux_levels`, and the last factor is released when the
+    loops end.  Raises :class:`NonConvergence` rather than returning an
+    unconverged state.  Diagnostics report the Dirichlet energy of
+    v = u - g and the ratio against the carrier volume integral, which
+    stays bounded uniformly in the truncation.
     """
     config = config or SolverConfig()
     grid = make_grid(profile, a, b, nx, ny)
-
-    target = params.phi
-    if target > 2.0:
-        steps = int(math.ceil(math.log2(target / 2.0))) + 2
-        phis = list(np.linspace(2.0, target, steps))
-    else:
-        phis = [target]
-
-    state = ws = None
-    history = []
-    for phi_k in phis:
-        params_k = fc.CarrierParams(phi_k, params.epsilon)
-        if ws is None:
-            ws = _Workspace(grid, params_k, profile)
-            lu, factorizations = ws.factor(None, None), 1
-            psi, omega = ws.apply(lu, ws.rhs)
-        else:
-            ws.set_params(params_k)
-            psi, omega = state.psi, state.omega
-        state = _state_from_fields(grid, profile, params_k, psi, omega)
-        state.residual_history.append((0, residual_norm(state, ws)))
-        state, lu, factorizations = _picard(state, config, ws, lu,
-                                            factorizations)
-        history += state.residual_history
-    del lu, ws  # free the factor before the energy diagnostics
+    levels = _flux_levels(params)
+    ws = _Workspace(grid, levels[0], profile)
+    ws.factor(None, None)
+    state = _continuation(_stokes_start(ws, levels[0]), ws, levels, config)
+    del ws  # free the factor before the energy diagnostics
     state.params = params
-    state.residual_history = history
 
     energy_v = dirichlet_energy(state, a, b, of_perturbation=True)
     carrier = fc.carrier_volume_integral(params, profile, a, b)
     state.diagnostics.update(
-        {
-            "dirichlet_energy_v": energy_v,
-            "carrier_volume_integral": carrier,
-            "energy_ratio_c0": energy_v / carrier if carrier > 0 else 0.0,
-        }
-    )
+        dirichlet_energy_v=energy_v, carrier_volume_integral=carrier,
+        energy_ratio_c0=energy_v / carrier if carrier > 0 else 0.0)
     return state
 
 

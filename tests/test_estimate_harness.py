@@ -145,19 +145,35 @@ class TestUniqueness:
         assert rep.dirichlet_distance <= 1e-6
 
     def test_small_flux_probe_factorizations(self, straight, splu_calls):
-        # two solves at tol 1e-12: the Stokes-started one runs its chord
-        # loop on the Stokes factor, the perturbed one factors A(0) for its
-        # scale and once more at the perturbed iterate; refactoring at
-        # every Picard step would take dozens
+        # two solves at tol 1e-12 on one Stokes factor: the Stokes-started
+        # one runs its whole chord loop on it, and the perturbed one factors
+        # once at the perturbed iterate; refactoring at every Picard step
+        # would take dozens
         rep = eh.uniqueness_probe(straight, 0.1, -6, 6, nx=129, ny=33)
         assert rep.unique
-        assert len(splu_calls) <= 3
+        assert len(splu_calls) == 2
+
+    @pytest.mark.parametrize("phi, a, b, nx, ny", [
+        (0.1, -6, 6, 129, 33), (3.0, -4, 4, 65, 17)])
+    def test_base_start_is_solve_steady(self, straight, phi, a, b, nx, ny):
+        # flux 3 runs three continuation levels from the shared factor
+        params = fc.CarrierParams(phi)
+        cfg = eh._UNIQUENESS_SOLVER
+        base, _ = eh._probe_solutions(straight, params, a, b, nx, ny, cfg,
+                                      seed=7)
+        ref = ns.solve_steady(straight, params, a, b, nx, ny, cfg)
+        assert np.array_equal(base.psi, ref.psi)
+        assert np.array_equal(base.omega, ref.omega)
+        assert base.residual_history == ref.residual_history
 
     def test_perturbed_start_reports_nonconvergence(self, straight):
         cfg = ns.SolverConfig(tol=1e-12, max_iter=2)
+        params = fc.CarrierParams(1.0, 0.5)
+        grid = geo.make_grid(straight, -4, 4, 65, 17)
+        start = eh._perturbed_start(ns.solve_stokes(grid, params, straight),
+                                    seed=7)
         with pytest.raises(NonConvergence) as err:
-            eh._perturbed_solve(straight, fc.CarrierParams(1.0, 0.5),
-                                -4, 4, 65, 17, cfg, seed=7)
+            ns._picard(start, cfg, ns._Workspace(grid, params, straight))
         assert "Picard stalled" in str(err.value)
         assert err.value.iterations == 2
         assert cfg.tol <= err.value.best_residual < np.inf

@@ -1,8 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from channellab import estimate_harness as eh
 from channellab import flux_carrier as fc
 from channellab import geometry as geo
 from channellab import ns_solver as ns
@@ -349,9 +352,11 @@ class TestFactorReuse:
         a = ns._Workspace(grid, fc.CarrierParams(0.5), profile).a_const
         assert np.count_nonzero(a.data) == a.nnz
 
-    def test_constant_block_assembled_once(self, straight, monkeypatch):
+    @pytest.mark.parametrize("run", ["solve_steady", "probe"])
+    def test_constant_block_assembled_once(self, straight, monkeypatch, run):
         # flux 8 passes through 4 continuation levels; the flux enters only
-        # the right-hand side, so the grid's constant block is assembled once
+        # the right-hand side, so the grid's constant block is assembled
+        # once.  The probe's two starts at flux 3 share one block as well.
         assemble = ns._Workspace._assemble_constant
         calls = []
 
@@ -360,21 +365,62 @@ class TestFactorReuse:
             return assemble(self)
 
         monkeypatch.setattr(ns._Workspace, "_assemble_constant", counting)
-        st = ns.solve_steady(straight, fc.CarrierParams(8.0), -6, 6, 97, 17)
-        assert st.converged
-        assert calls == [97]
+        if run == "probe":
+            assert eh.uniqueness_probe(straight, 3.0, -4, 4, nx=65,
+                                       ny=17).unique
+            assert calls == [65]
+        else:
+            st = ns.solve_steady(straight, fc.CarrierParams(8.0), -6, 6, 97,
+                                 17)
+            assert st.converged
+            assert calls == [97]
+
+    @pytest.mark.parametrize("run", ["solve_steady", "probe-0.1", "probe-3"])
+    def test_one_live_factor(self, straight, monkeypatch, run):
+        # the factor being replaced is released before the new one is
+        # built: no factor is live when SuperLU starts another
+        live, at_factor = weakref.WeakSet(), []
+        splu_ = ns.splu
+
+        class Factor:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                return self.lu.solve(rhs)
+
+        def tracked(*args, **kwargs):
+            at_factor.append(len(live))
+            factor = Factor(splu_(*args, **kwargs))
+            live.add(factor)
+            return factor
+
+        monkeypatch.setattr(ns, "splu", tracked)
+        if run == "solve_steady":
+            st = ns.solve_steady(straight, fc.CarrierParams(8.0), -6, 6, 97,
+                                 17)
+            assert st.converged
+        elif run == "probe-0.1":
+            assert eh.uniqueness_probe(straight, 0.1, -6, 6, nx=129,
+                                       ny=33).unique
+        else:
+            assert eh.uniqueness_probe(straight, 3.0, -4, 4, nx=65,
+                                       ny=17).unique
+        assert len(at_factor) >= 2
+        assert at_factor == [0] * len(at_factor)
 
 
 def _colamd_factor(self, u1, u2):
     """Reference factor: COLAMD column order with partial pivoting."""
+    self.lu = None
     a = self.a_const
     if u1 is not None:
         a = a + self.advection_matrix(u1, u2)
-    return splu(a.tocsc())
+    self.lu = splu(a.tocsc())
 
 
-def _natural_apply(self, lu, rhs):
-    x = lu.solve(rhs)
+def _natural_apply(self, rhs):
+    x = self.lu.solve(rhs)
     n = self.n
     return (x[:n].reshape(self.grid.nx, self.grid.ny),
             x[n:].reshape(self.grid.nx, self.grid.ny))
@@ -395,8 +441,8 @@ class TestNestedDissection:
         pattern in A(0) moves them."""
         grid = geo.make_grid(profile, a, b, nx, ny)
         ws = ns._Workspace(grid, fc.CarrierParams(0.5), profile)
-        lu = ws.factor(None, None)
-        return ws.a_const.nnz, lu.L.nnz + lu.U.nnz
+        ws.factor(None, None)
+        return ws.a_const.nnz, ws.lu.L.nnz + ws.lu.U.nnz
 
     def test_stokes_fill_of_bump_grid(self):
         # COLAMD with partial pivoting fills L+U to 4,661,240 entries here
