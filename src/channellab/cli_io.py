@@ -545,11 +545,11 @@ def load_comparison_csv(path, psi, delta1):
     if "phi" in names:
         phi = np.asarray(raw["phi"], dtype=float)
     else:
-        _, phi = cl.solve_majorant(
+        ts, phi = cl.solve_majorant(
             psi, delta1, max(float(z.max()) * 2.0, 1.0), float(t[0]),
             float(t[-1]), step=(t[-1] - t[0]) / max(len(t) * 4, 64),
         )
-        phi = np.interp(t, np.linspace(t[0], t[-1], len(phi)), phi)
+        phi = np.interp(t, ts, phi)
     return cl.ComparisonProblem(psi, delta1, t, z, phi)
 
 

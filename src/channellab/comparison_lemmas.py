@@ -4,8 +4,9 @@ The growth estimates all reduce to one pattern: a nondecreasing energy
 z(t) satisfying z <= Psi(t, z') + (1 - delta1)*phi(t) stays below any
 majorant phi with phi >= Psi(t, phi')/delta1 and z(T) <= phi(T).  This
 module checks those hypotheses on sampled data, builds saturating
-majorants by integrating phi' = Psi^(-1)(delta1*phi), and classifies
-blow-up rates for the pure inequality z <= Psi(z').
+majorants phi' = Psi^(-1)(delta1*phi) by integrating s = phi' in
+s' = delta1 s / Psi'(s) (Psi independent of t), and classifies blow-up
+rates for the pure inequality z <= Psi(z').
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ class PsiSpec:
         s = np.asarray(s, dtype=float)
         return self.c1 * s + self.c2 * s**self.exponent
 
+    def slope(self, s):
+        """Psi'(s) = c1 + c2 m s^(m-1) for one float s > 0."""
+        m = float(self.exponent)
+        return float(self.c1) + float(self.c2) * m * s ** (m - 1.0)
+
     def inverse(self, t, y):
         """Solve Psi(t, s) = y for s >= 0."""
         y = float(y)
@@ -84,7 +90,7 @@ class PsiSpec:
         )
         # Newton polish against the closed form
         for _ in range(2):
-            root -= resid(root) / (c1 + c2 * m * root ** (m - 1.0))
+            root -= resid(root) / self.slope(root)
         return root
 
 
@@ -237,8 +243,10 @@ def comparison_conclude(problem, report=None):
 def solve_majorant(psi, delta1, phi0, t0, t1, step=1e-3):
     """Integrate the saturating majorant phi' = Psi^(-1)(delta1 * phi).
 
-    Classic fourth-order Runge-Kutta with the monotone inverse at each
-    stage; returns (t, phi) samples including both endpoints.
+    Psi does not depend on t, so s = phi' obeys s' = delta1 s / Psi'(s):
+    classic fourth-order Runge-Kutta on s from the one inverse
+    s0 = Psi^(-1)(delta1 phi0); returns (t, phi = Psi(s)/delta1) samples
+    including both endpoints, with phi[0] = phi0 exactly.
     """
     if phi0 <= 0:
         raise OutOfRange("phi0 must be positive")
@@ -246,20 +254,21 @@ def solve_majorant(psi, delta1, phi0, t0, t1, step=1e-3):
         raise OutOfRange("delta1 must lie in (0,1)")
     n = max(2, int(math.ceil((t1 - t0) / step)) + 1)
     ts = np.linspace(t0, t1, n)
-    h = ts[1] - ts[0]
-    phi = np.empty(n)
+    h = float(ts[1] - ts[0])
+    s = [psi.inverse(t0, delta1 * phi0)]
+
+    def rate(y):
+        return delta1 * y / psi.slope(y)
+
+    for _ in range(n - 1):
+        y = s[-1]
+        k1 = rate(y)
+        k2 = rate(y + h * k1 / 2)
+        k3 = rate(y + h * k2 / 2)
+        k4 = rate(y + h * k3)
+        s.append(y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0)
+    phi = psi(ts, s) / delta1
     phi[0] = phi0
-
-    def rate(t, y):
-        return psi.inverse(t, delta1 * max(y, 0.0))
-
-    for k in range(n - 1):
-        t, y = ts[k], phi[k]
-        k1 = rate(t, y)
-        k2 = rate(t + h / 2, y + h * k1 / 2)
-        k3 = rate(t + h / 2, y + h * k2 / 2)
-        k4 = rate(t + h, y + h * k3)
-        phi[k + 1] = y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
     return ts, phi
 
 

@@ -80,6 +80,16 @@ class TestConclusion:
         assert len(built) <= 2
 
 
+def _refined(psi, delta1, phi0, ts, factor=64):
+    """The majorant at step h/factor, sampled on the nodes ts of step h."""
+    h = (ts[-1] - ts[0]) / (len(ts) - 1)
+    # the widened step keeps ceil() from adding a node to the fine grid
+    tf, phi = cl.solve_majorant(psi, delta1, phi0, ts[0], ts[-1],
+                                step=h / factor * (1 + 1e-12))
+    assert len(tf) - 1 == factor * (len(ts) - 1)
+    return phi[::factor]
+
+
 class TestMajorant:
     def test_linear_psi_gives_exponential(self):
         psi = cl.separable_psi(c1=1.0)
@@ -112,6 +122,32 @@ class TestMajorant:
     def test_invalid_start(self):
         with pytest.raises(OutOfRange):
             cl.solve_majorant(cl.separable_psi(c1=1.0), 0.5, 0.0, 0.0, 1.0)
+
+    def test_one_inverse_and_exact_start(self, monkeypatch):
+        # the loop integrates s = Psi^(-1)(delta1 phi) and never inverts Psi
+        psi = cl.separable_psi(c1=0.3, c2=1.2, exponent=1.7)
+        calls = []
+        inverse = cl.PsiSpec.inverse
+
+        def counting_inverse(self, t, y):
+            calls.append(y)
+            return inverse(self, t, y)
+
+        monkeypatch.setattr(cl.PsiSpec, "inverse", counting_inverse)
+        ts, phi = cl.solve_majorant(psi, 0.4, 1.3, 0.0, 1.5, step=1e-2)
+        assert calls == [0.4 * 1.3]
+        assert phi[0] == 1.3
+        assert len(ts) == len(phi)
+
+    def test_fourth_order(self):
+        # no closed form: errors at h and h/2 against h/64 fall by 2^4
+        psi = cl.separable_psi(c1=0.3, c2=1.2, exponent=1.7)
+        h = 1.5 / 8
+        errors = []
+        for step in (h, h / 2):
+            ts, phi = cl.solve_majorant(psi, 0.4, 1.0, 0.0, 1.5, step=step)
+            errors.append(np.abs(phi - _refined(psi, 0.4, 1.0, ts)).max())
+        assert 12.0 <= errors[0] / errors[1] <= 20.0
 
 
 class TestBlowup:
@@ -210,3 +246,17 @@ class TestFuzz:
             rep = cl.check_hypotheses(prob)
             verdict = cl.comparison_conclude(prob, rep)  # raises on violation
             assert verdict is cl.Verdict.DOMINATED
+
+    def test_majorant_matches_refined_reference(self):
+        """100 random majorants at step t1/60 against step t1/3840."""
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            c1 = rng.uniform(0, 2.0) * (rng.random() < 0.7)
+            psi = cl.separable_psi(c1=c1, c2=rng.uniform(0.1, 2.0),
+                                   exponent=rng.uniform(1.1, 3.0))
+            d1 = rng.uniform(0.1, 0.9)
+            phi0 = rng.uniform(0.1, 10.0)
+            t1 = rng.uniform(0.5, 3.0)
+            ts, phi = cl.solve_majorant(psi, d1, phi0, 0.0, t1, step=t1 / 60)
+            ref = _refined(psi, d1, phi0, ts)
+            assert np.max(np.abs(phi - ref) / ref) <= 2e-7
