@@ -50,12 +50,12 @@ def main():
     ts = np.linspace(0.2, 2.2, 9)
     hs, hls, hrs = [], [], []
     for t in ts:
-        h, h_l, h_r = geo.h_parameterization(p, t, m.beta_star)
+        h_m, h, h_l, h_r = geo.h_window(p, t, m.beta_star)
         hs.append(h)
         hls.append(h_l)
         hrs.append(h_r)
         print(f"  t = {t:4.2f}: window [{h_l:7.3f}, {h_r:7.3f}] inside "
-              f"[{-h:7.3f}, {h:7.3f}]")
+              f"[{h_m:7.3f}, {h:7.3f}]")
     write_svg_plot(
         f"{OUT}/geometry_windows.svg",
         [("h(t)", ts, hs), ("h_R(t)", ts, hrs), ("h_L(t)", ts, hls)],

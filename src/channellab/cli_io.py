@@ -26,7 +26,7 @@ import os
 import sys
 import time
 import zipfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +139,6 @@ class Scenario:
     name: str
     profile: geo.ChannelProfile
     params: fc.CarrierParams
-    solver: ns.SolverConfig
     grid_window: tuple       # (a, b, nx, ny)
     policy: eh.GridPolicy    # the scans' grids: nx from target_hx, ny as above
     t_list: list
@@ -174,7 +173,8 @@ def parse_scenario(path, environ=None):
 
     def number(section, key, default, kind=float):
         """The value read as kind (a comma list of kind if the default is a
-        list); text that does not read so is an error, the default stands in."""
+        list); text that does not read so, or reads as a number that is not
+        finite, is an error, and the default stands in."""
         text = fetch(section, key)
         if text is None:
             return default
@@ -184,9 +184,10 @@ def parse_scenario(path, environ=None):
             values = [_read_number(t, kind) for t in items]
         except ValueError:
             values = []
-        if values:
+        if values and all(map(math.isfinite, values)):
             return values if many else values[0]
-        expected = "an integer" if kind is int else "a number"
+        expected = ("an integer" if kind is int
+                    else "a finite number" if values else "a number")
         errors.append(ValidationError(
             located(section, key), f"expected {expected}, got {text!r}"))
         return default
@@ -197,7 +198,7 @@ def parse_scenario(path, environ=None):
     family = (family_text or "").lower()
     profile = None
     if family in KNOWN_FAMILIES:
-        factory = geo._FACTORIES[geo.Family(family)]
+        factory = geo.FACTORIES[geo.Family(family)]
         accepted = inspect.signature(factory).parameters
         kwargs = {k: fetch("profile", k) if factory is geo.custom  # wall text
                   else number("profile", k, None)
@@ -233,14 +234,6 @@ def parse_scenario(path, environ=None):
     else:
         params = fc.CarrierParams(flux, epsilon)
 
-    solver = None
-    try:
-        solver = ns.SolverConfig(**{  # each field's default stands in
-            f.name: number("solver", f.name, f.default, type(f.default))
-            for f in fields(ns.SolverConfig)})
-    except ChannelLabError as exc:  # SolverConfig checks only tol
-        errors.append(ValidationError(located("solver", "tol"), str(exc)))
-
     grid_window = (
         number("grid", "a", -10.0),
         number("grid", "b", 10.0),
@@ -254,10 +247,6 @@ def parse_scenario(path, environ=None):
     if not target_hx > 0:
         errors.append(ValidationError(
             located("harness", "target_hx"), "must be positive"))
-    pad_factor = number("harness", "pad_factor", eh.GridPolicy.pad_factor)
-    if not pad_factor >= 0:
-        errors.append(ValidationError(
-            located("harness", "pad_factor"), "must be nonnegative"))
 
     t_list = number("harness", "t_list", [5.0, 10.0, 20.0, 40.0])
     t_range = number("harness", "t_range", [10.0, 40.0])
@@ -284,9 +273,8 @@ def parse_scenario(path, environ=None):
         name=name,
         profile=profile,
         params=params,
-        solver=solver,
         grid_window=grid_window,
-        policy=eh.GridPolicy(target_hx, grid_window[3], pad_factor),
+        policy=eh.GridPolicy(target_hx, grid_window[3]),
         t_list=t_list,
         t_range=(t_range[0], t_range[-1]),
         x_max=x_max,
@@ -631,7 +619,7 @@ def _grad_fd_spot_check(params, profile, window, rng):
 
 def _run_solve(sc, out, quiet):
     a, b, nx, ny = sc.grid_window
-    state = ns.solve_steady(sc.profile, sc.params, a, b, nx, ny, sc.solver)
+    state = ns.solve_steady(sc.profile, sc.params, a, b, nx, ny)
     artifacts = [write_field_file(out / "flow.field", state)]
     rows = [
         {"iteration": i, "residual": r} for i, r in state.residual_history
@@ -703,7 +691,7 @@ def _padded_state(sc, out, t_max, quiet):
     removes the states of other sessions.  The fields are read-only.
     """
     kwargs = dict(profile=sc.profile, params=sc.params, t_max=t_max,
-                  policy=sc.policy, config=sc.solver)
+                  policy=sc.policy)
     session = {**kwargs, "profile": sc.profile.label(), "t_max": None,
                "code": _code_version()}
     name = hashlib.sha256(repr(session).encode()).hexdigest()[:16]

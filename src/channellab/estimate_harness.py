@@ -12,6 +12,7 @@ ship next to the verdicts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,7 +47,6 @@ class GridPolicy:
 
     target_hx: float = 0.125
     ny: int = 65
-    pad_factor: float = 2.0
 
     def nx_for(self, length):
         nx = int(math.ceil(length / self.target_hx)) + 1
@@ -56,31 +56,32 @@ class GridPolicy:
         return nx
 
 
-# Desk-scale quantifications of "bounded": fixed, so no scenario can loosen
-# a verdict
+# Desk-scale quantifications of "bounded", and the pad of the states they
+# are judged on: fixed, so no scenario can loosen a verdict
 GROWTH_RATIO_BOUND = 3.0   # max/min of D / (1 + I) over the t values
 GROWTH_LOWER_BOUND = 0.5   # min of D / (phi^2 I) must exceed this
 DECAY_RATIO_BOUND = 4.0    # max/min of the slice and window products
 PLATEAU_FRACTION = 0.1     # last increment of E(T) relative to the previous E
 WALL_DELTA = 0.1           # near-wall band: eta < 0.1 or eta > 0.9
+PAD_FACTOR = 2.0           # end pads of padded_solve, in window scales beta* f
 
 
-def padded_solve(profile, params, t_max, policy, config=ns.SolverConfig()):
+def padded_solve(profile, params, t_max, policy):
     """Converged solve on a truncation padded beyond the reporting window.
 
-    The pad is pad_factor * beta* f at each end, so windows up to +-t_max
+    The pad is PAD_FACTOR * beta* f at each end, so windows up to +-t_max
     sit at least one window scale inside the carrier end layers.  beta*
     comes from (-t_max-1, t_max+1); the padded window [a, b] that is solved
     on is checked too, so no assumption fails unchecked inside a pad.
     """
     bs = geo.validate(profile, (-t_max - 1.0, t_max + 1.0)).beta_star
     lo, hi = -t_max, t_max
-    pad_lo = policy.pad_factor * bs * float(profile.width(lo))
-    pad_hi = policy.pad_factor * bs * float(profile.width(hi))
+    pad_lo = PAD_FACTOR * bs * float(profile.width(lo))
+    pad_hi = PAD_FACTOR * bs * float(profile.width(hi))
     a, b = lo - pad_lo, hi + pad_hi
     geo.validate(profile, (a, b))
     nx = policy.nx_for(b - a)
-    return ns.solve_steady(profile, params, a, b, nx, policy.ny, config)
+    return ns.solve_steady(profile, params, a, b, nx, policy.ny)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +308,8 @@ def poiseuille_convergence(state, k, t_list):
     cen = 0.5 * (c1 + c2)
     zeta = (grid.x2 - cen) / hw
     psi_ref = phi * (0.75 * (zeta - zeta**3 / 3.0) + 0.5)
-    ref = ns._state_from_fields(grid, profile, state.params, psi_ref,
-                                np.zeros_like(psi_ref))
+    ref = ns.state_from_fields(grid, profile, state.params, psi_ref,
+                               np.zeros_like(psi_ref))
 
     l2, grads = _difference_squares(state, ref)
     diff2 = sum(grads, l2)  # from l2 on: the order of additions fixes the last bits
@@ -377,31 +378,8 @@ def _perturbed_start(stokes, seed):
         modes /= np.abs(modes).max()
     scale = 0.2 * max(float(np.abs(stokes.psi).max()), params.phi, 1e-12)
     psi = stokes.psi + scale * envelope[None, :] * modes
-    return ns._state_from_fields(grid, stokes.profile, params, psi,
-                                 stokes.omega)
-
-
-def _probe_solutions(profile, params, a, b, nx, ny, config, seed):
-    """The Stokes-started and the perturbation-started solution.
-
-    Both share one grid, constant block and Stokes factor.  The perturbed
-    start is built first; the Stokes-started loop then replaces the factor
-    through the continuation levels, and its last factor is released
-    before the perturbed loop factors afresh at its start.  That first
-    step is a plain solve, so at flux 0 it is exactly 0.
-    """
-    grid = ns.make_grid(profile, a, b, nx, ny)
-    levels = ns._flux_levels(params)
-    ws = ns._Workspace(grid, params, profile)
-    ws.factor(None, None)
-    stokes = ns._stokes_start(ws, params)
-    other = _perturbed_start(stokes, seed)
-    if len(levels) > 1:
-        ws.set_params(levels[0])
-        stokes = ns._stokes_start(ws, levels[0])
-    base = ns._continuation(stokes, ws, levels, config)
-    ws.lu = None  # the last level's data are those of params
-    return base, ns._picard(other, config, ws)[0]
+    return ns.state_from_fields(grid, stokes.profile, params, psi,
+                                stokes.omega)
 
 
 # both starts are solved far below the distance bound, so a distance above
@@ -411,10 +389,11 @@ _UNIQUENESS_TOL = 1e-6
 
 
 def uniqueness_probe(profile, phi, a, b, nx=257, ny=65, seed=7):
-    """Compare the Stokes-started and perturbation-started solutions
-    (:func:`_probe_solutions`)."""
-    base, other = _probe_solutions(profile, fc.CarrierParams(phi), a, b, nx,
-                                   ny, _UNIQUENESS_SOLVER, seed)
+    """Compare the Stokes-started solution with the one started from
+    :func:`_perturbed_start` (:func:`ns_solver.solve_two_starts`)."""
+    base, other = ns.solve_two_starts(
+        profile, fc.CarrierParams(phi), a, b, nx, ny,
+        functools.partial(_perturbed_start, seed=seed), _UNIQUENESS_SOLVER)
     wq = base.grid.wq
     l2_field, grads = _difference_squares(base, other)
     l2_diff = math.sqrt(float((wq * l2_field).sum()))
@@ -504,13 +483,13 @@ def hat_energy_inequality(state, x_max):
         )
     bs = geo.validate(profile, (-x_max - 1.0, x_max + 1.0)).beta_star
 
-    t_star = geo._try_t_star(profile, bs)
+    t_star = geo.try_t_star(profile, bs)
     t_max = geo.k_of(profile, x_max)
     t_min = (t_star or 0.0) * 1.05 + 1e-6
     if t_min >= t_max:
         raise OutOfRange("x_max too small: no room above t*")
     ts = np.linspace(t_min, t_max, _HAT_SAMPLES)
-    windows = [geo._h_window(profile, t, bs) for t in ts]
+    windows = [geo.h_window(profile, t, bs) for t in ts]
 
     y = np.array([ns.weighted_energy(state, _hat_weight(profile, t, bs, w))
                   for t, w in zip(ts, windows)])

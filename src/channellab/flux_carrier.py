@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry as geo
 from ._fem import tridiagonal_pencil_max
 from .errors import OutOfRange
-from .geometry import _GL8_NODES, _GL8_WEIGHTS, weight_integral
 
 __all__ = [
     "mu",
@@ -186,8 +186,8 @@ def _band_gauss_nodes(params, profile, x1):
     tau_hi = 1.0 / eps + math.log1p(math.exp(-1.0 / eps))  # argument = 0
     edges = np.linspace(tau_lo, tau_hi, 33)  # 32 panels
     mid, rad = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    tau = (mid[:, None] + rad[:, None] * _GL8_NODES).ravel()
-    w = (rad[:, None] * _GL8_WEIGHTS).ravel()
+    tau = (mid[:, None] + rad[:, None] * geo.GL8_NODES).ravel()
+    w = (rad[:, None] * geo.GL8_WEIGHTS).ravel()
     jac = half * np.exp(-tau)  # = A = f2 - x2
     return f2 - jac, w * jac
 
@@ -210,13 +210,13 @@ def carrier_volume_integral(params, profile, a, b, n_x=256):
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        x1 = mid + rad * _GL8_NODES
+        x1 = mid + rad * geo.GL8_NODES
         x2, w = _band_gauss_nodes(params, profile, x1)
         pts = (np.broadcast_to(x1[:, None], x2.shape), x2)
         g = velocity_g(pts, params, profile)
         J = grad_g(pts, params, profile)
         dens = (J**2).sum(axis=(-2, -1)) + (g**2).sum(axis=-1) ** 2
-        total += rad * float(_GL8_WEIGHTS @ (dens * w).sum(axis=-1))
+        total += rad * float(geo.GL8_WEIGHTS @ (dens * w).sum(axis=-1))
     return total
 
 
@@ -276,7 +276,7 @@ def support_and_bounds_report(params, profile, window, rng=None):
         sup_f2dg = max(sup_f2dg, float(np.max(f * f * dg, where=on_supp, initial=0.0)))
 
     vol = carrier_volume_integral(params, profile, a, b, n_x=64)
-    wint = weight_integral(profile, a, b, -3.0)
+    wint = geo.weight_integral(profile, a, b, -3.0)
 
     return CarrierReport(
         n_support_points=checked,

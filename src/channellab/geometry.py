@@ -31,9 +31,11 @@ __all__ = [
     "power_law",
     "straight_outlet",
     "custom",
+    "FACTORIES",
     "validate",
     "weight_integral",
-    "h_parameterization",
+    "h_window",
+    "try_t_star",
     "inverse_k",
     "classify",
     "make_grid",
@@ -238,7 +240,8 @@ def custom(f1, f2):
     return ChannelProfile(Family.CUSTOM, {"f1": f1, "f2": f2}, **walls)
 
 
-_FACTORIES = {
+# the factory of each family, called with a scenario's [profile] keys
+FACTORIES = {
     Family.STRAIGHT: straight,
     Family.LINEAR_WIDEN: linear_widen,
     Family.POWER_LAW: power_law,
@@ -323,7 +326,9 @@ def validate(profile, window):
 # ---------------------------------------------------------------------------
 
 _QUAD_RTOL = 1e-13
-_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# 8-point Gauss-Legendre rule on [-1, 1]: the panels of weight_integral and
+# the carrier quadratures of flux_carrier
+GL8_NODES, GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def weight_integral(profile, a, b, p):
@@ -364,8 +369,8 @@ def weight_integral(profile, a, b, p):
 def _gl8_panels(profile, lo, hi, p):
     """8-point Gauss-Legendre value of integral f^p on each panel [lo, hi]."""
     half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL8_NODES
-    return half * (profile.width(x) ** p @ _GL8_WEIGHTS)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * GL8_NODES
+    return half * (profile.width(x) ** p @ GL8_WEIGHTS)
 
 
 def _dyadic_blocks(lo, hi):
@@ -435,17 +440,12 @@ def inverse_k(profile, t):
     return sign * h
 
 
-def h_parameterization(profile, t, beta_star):
-    """Return (h(t), h_L(t), h_R(t)) for the reparameterized windows.
+def h_window(profile, t, beta_star):
+    """(h(-t), h(t), h_L(t), h_R(t)) for the reparameterized windows.
 
-    h inverts k; h_L(t) = h(-t) + beta* f(h(-t)) and
+    h inverts k, once at each end; h_L(t) = h(-t) + beta* f(h(-t)) and
     h_R(t) = h(t) - beta* f(h(t)).
     """
-    return _h_window(profile, t, beta_star)[1:]
-
-
-def _h_window(profile, t, beta_star):
-    """(h(-t), h(t), h_L(t), h_R(t)), inverting k once at each end."""
     hm = inverse_k(profile, -t)
     hp = inverse_k(profile, t)
     h_L = hm + beta_star * float(profile.width(hm))
@@ -453,11 +453,11 @@ def _h_window(profile, t, beta_star):
     return hm, hp, h_L, h_R
 
 
-def _try_t_star(profile, beta_star):
+def try_t_star(profile, beta_star):
     """sup{t>0 : h_L(t) >= h_R(t)} by bracketed root-finding, None if out of range."""
 
     def gap(t):
-        _, hl, hr = h_parameterization(profile, t, beta_star)
+        _, _, hl, hr = h_window(profile, t, beta_star)
         return hl - hr
 
     try:

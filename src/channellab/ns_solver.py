@@ -41,9 +41,11 @@ from .geometry import Grid, make_grid, window_weights
 __all__ = [
     "SolverConfig",
     "FlowState",
+    "state_from_fields",
     "solve_stokes",
     "picard_step",
     "solve_steady",
+    "solve_two_starts",
     "velocity_gradients",
     "dirichlet_energy",
     "weighted_energy",
@@ -57,8 +59,8 @@ class SolverConfig:
     max_iter: int = 60
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise OutOfRange("tol must be positive")
+        if not self.tol > 0.0 or self.max_iter < 0:
+            raise OutOfRange("tol must be positive, max_iter nonnegative")
 
 
 @dataclass
@@ -367,22 +369,29 @@ def boundary_defect(state, workspace):
 # ---------------------------------------------------------------------------
 
 
-def _state_from_fields(grid, profile, params, psi, omega):
+def state_from_fields(grid, profile, params, psi, omega):
+    """The state of the fields ``psi`` and ``omega``, with their velocity."""
     return FlowState(grid, profile, params, psi, omega,
                      *velocity_from_psi(grid, psi))
+
+
+def _stokes_workspace(grid, params, profile):
+    """The workspace of ``grid`` and ``params``, holding the factor of A(0)."""
+    ws = _Workspace(grid, params, profile)
+    ws.factor(None, None)
+    return ws
 
 
 def _stokes_start(workspace, params):
     """Stokes state of ``params``, whose data the workspace holds, by a
     back-solve with the held factor of A(0)."""
-    return _state_from_fields(workspace.grid, workspace.profile, params,
-                              *workspace.apply(workspace.rhs))
+    return state_from_fields(workspace.grid, workspace.profile, params,
+                             *workspace.apply(workspace.rhs))
 
 
 def solve_stokes(grid, params, profile):
     """Linear Stokes solve (no advection): the start of the chord loops."""
-    ws = _Workspace(grid, params, profile)
-    ws.factor(None, None)
+    ws = _stokes_workspace(grid, params, profile)
     state = _stokes_start(ws, params)
     state.residual_history.append((0, residual_norm(state, ws)))
     return state
@@ -406,8 +415,8 @@ def picard_step(state, workspace=None, chord=False):
     else:
         ws.factor(state.u1, state.u2)
         psi, omega = ws.apply(ws.rhs)
-    new = _state_from_fields(state.grid, state.profile, state.params, psi,
-                             omega)
+    new = state_from_fields(state.grid, state.profile, state.params, psi,
+                            omega)
     new.residual_history = list(state.residual_history)
     res = residual_norm(new, ws)
     new.residual_history.append((len(new.residual_history), res))
@@ -496,8 +505,8 @@ def _continuation(state, workspace, levels, config):
     for k, params_k in enumerate(levels):
         if k:
             workspace.set_params(params_k)
-            state = _state_from_fields(state.grid, state.profile, params_k,
-                                       state.psi, state.omega)
+            state = state_from_fields(state.grid, state.profile, params_k,
+                                      state.psi, state.omega)
         state, factorizations = _picard(state, config, workspace,
                                         factorizations)
         history += state.residual_history
@@ -518,8 +527,7 @@ def solve_steady(profile, params, a, b, nx, ny, config=None):
     config = config or SolverConfig()
     grid = make_grid(profile, a, b, nx, ny)
     levels = _flux_levels(params)
-    ws = _Workspace(grid, levels[0], profile)
-    ws.factor(None, None)
+    ws = _stokes_workspace(grid, levels[0], profile)
     state = _continuation(_stokes_start(ws, levels[0]), ws, levels, config)
     del ws  # free the factor before the energy diagnostics
     state.params = params
@@ -530,6 +538,29 @@ def solve_steady(profile, params, a, b, nx, ny, config=None):
         dirichlet_energy_v=energy_v, carrier_volume_integral=carrier,
         energy_ratio_c0=energy_v / carrier if carrier > 0 else 0.0)
     return state
+
+
+def solve_two_starts(profile, params, a, b, nx, ny, perturb, config):
+    """The Stokes-started solution and the one started from
+    ``perturb(stokes)``, with ``stokes`` the Stokes state of ``params``.
+
+    Both share one grid, constant block and Stokes factor.  The
+    Stokes-started loop runs through :func:`_flux_levels`; its last factor
+    is released, and the perturbed loop factors afresh at its start, a
+    plain solve that keeps flux-0 fields exactly 0.  Neither state carries
+    the energy diagnostics of :func:`solve_steady`.
+    """
+    grid = make_grid(profile, a, b, nx, ny)
+    levels = _flux_levels(params)
+    ws = _stokes_workspace(grid, params, profile)
+    stokes = _stokes_start(ws, params)
+    other = perturb(stokes)
+    if len(levels) > 1:
+        ws.set_params(levels[0])
+        stokes = _stokes_start(ws, levels[0])
+    base = _continuation(stokes, ws, levels, config)
+    ws.lu = None  # the last level's data are those of params
+    return base, _picard(other, config, ws)[0]
 
 
 # ---------------------------------------------------------------------------

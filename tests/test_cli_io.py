@@ -56,7 +56,7 @@ class TestParsing:
         sc = cli_io.parse_scenario(write_scenario(tmp_path, body), environ={})
         assert sc.name == "minimal"
         assert sc.params.epsilon == 0.5  # default rule at flux 1
-        assert sc.solver == ns.SolverConfig()
+        assert not hasattr(sc, "solver")  # solves use ns.SolverConfig()
         assert sc.grid_window == (-4.0, 4.0, 65, 17)
         assert sc.policy == cli_io.eh.GridPolicy(ny=17)
 
@@ -80,7 +80,7 @@ class TestParsing:
     @pytest.mark.parametrize("new, message", [
         ("target_hx = 0", "[harness] target_hx: must be positive"),
         ("target_hx = -1", "[harness] target_hx: must be positive"),
-        ("pad_factor = -0.5", "[harness] pad_factor: must be nonnegative"),
+        ("pad_factor = -0.5", "[harness] pad_factor: unknown key"),
         ("wall_delta = 0.6", "[harness] wall_delta: unknown key"),
         ("wall_delta = -0.1", "[harness] wall_delta: unknown key"),
         ("growth_ratio_bound = 1e9", "[harness] growth_ratio_bound: unknown key"),
@@ -92,17 +92,18 @@ class TestParsing:
             "decay_ratio_bound", "plateau_fraction"])
     def test_scan_grid_values_are_rejected_at_their_line(
             self, tmp_path, capsys, new, message):
-        # the verdict bounds are constants, so a scenario cannot loosen them:
-        # any value of theirs, even one that would pass every flow, is an
-        # unknown key
+        # the verdict bounds and the pad are constants, so a scenario cannot
+        # loosen them: any value of theirs, even one that would pass every
+        # flow, is an unknown key
         body = MINIMAL.format(out=tmp_path / "o").replace("target_hx = 0.25", new)
         line = body.splitlines().index(new) + 1
         path = write_scenario(tmp_path, body)
         assert cli_io.main(["growth-scan", "--scenario", str(path), "--quiet"]) == 1
         assert f"line {line}: {message}" in capsys.readouterr().err
-        body = body.replace(new, "pad_factor = 0")
-        assert cli_io.parse_scenario(
-            write_scenario(tmp_path, body), environ={}).policy.pad_factor == 0.0
+        body = body.replace(new, "pad_factor = 0")  # once accepted
+        with pytest.raises(ValidationError) as err:
+            cli_io.parse_scenario(write_scenario(tmp_path, body), environ={})
+        assert f"line {line}: [harness] pad_factor: unknown key" in str(err.value)
 
     def test_epsilon_out_of_range(self, tmp_path):
         body = MINIMAL.format(out=tmp_path) + "\n[carrier]\nepsilon = 1.5\n"
@@ -179,11 +180,19 @@ class TestParsing:
     def test_env_override(self, tmp_path):
         path = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "o"))
         sc = cli_io.parse_scenario(
-            path, environ={"CHANNELLAB_SOLVER__TOL": "1e-7",
+            path, environ={"CHANNELLAB_CARRIER__FLUX": "0.25",
                            "CHANNELLAB_OUTPUT__SEED": str(2**53 + 1)}
         )
-        assert sc.solver.tol == 1e-7
+        assert sc.params.phi == 0.25
         assert sc.seed == 2**53 + 1  # integer text is not read through a float
+        # keys that are gone are unknown at their variable, at any value
+        for var, value, key in (
+                ("CHANNELLAB_SOLVER__TOL", "1e-7", "[solver] tol"),
+                ("CHANNELLAB_SOLVER__MAX_ITER", "60", "[solver] max_iter"),
+                ("CHANNELLAB_HARNESS__PAD_FACTOR", "2.0", "[harness] pad_factor")):
+            with pytest.raises(ValidationError) as err:
+                cli_io.parse_scenario(path, environ={var: value})
+            assert f"{var}: {key}: unknown key" in str(err.value)
 
     def test_unknown_keys_reported_together(self, tmp_path):
         body = MINIMAL.format(out=tmp_path / "o") + (
@@ -200,7 +209,8 @@ class TestParsing:
         for key in ("[solver] tolerance", "[solvr] tol", "[profile] d1",
                     "[harness] uniqueness_tol"):
             assert f"{key}: unknown key" in msg
-        assert "epsilon" in msg and "[solver] tol:" not in msg
+        assert "epsilon" in msg
+        assert "CHANNELLAB_SOLVER__TOL: [solver] tol: unknown key" in msg
 
     def test_errors_name_the_line_of_the_key(self, tmp_path):
         body = MINIMAL.format(out=tmp_path / "o").replace("nx = 65", "nx = abc")
@@ -244,7 +254,7 @@ class TestParsing:
         assert f"line {at['family = wiggly']}: [profile] family: unknown family" in msg
         assert (f"line {at['a = -4']}: [grid] a, line {at['b = -5']}: [grid] b: "
                 "need b > a") in msg
-        assert f"line {at['tol = -1']}: [solver] tol: tol must be positive" in msg
+        assert f"line {at['tol = -1']}: [solver] tol: unknown key" in msg
         assert f"line {at['relax = 0.5']}: [solver] relax: unknown key" in msg
         assert f"line {at['cutoff = box']}: [carrier] cutoff: unknown key" in msg
         assert "CHANNELLAB_CARRIER__FLUX: [carrier] flux: must be nonnegative" in msg
@@ -292,9 +302,12 @@ class TestParsing:
                                     ["linear_solver = banded_direct"])
 
     def test_retired_solver_keys(self, tmp_path):
+        # solves use ns.SolverConfig(): the tolerance and the step cap are
+        # no scenario keys, whatever their value
         self.unknown_at_their_lines(
             tmp_path, "solver",
-            ["relax = 1", "convection = central", "continuation = 1, 2"])
+            ["relax = 1", "convection = central", "continuation = 1, 2",
+             "tol = 1e-9", "max_iter = 60"])
 
     def test_retired_cutoff_key(self, tmp_path):
         self.unknown_at_their_lines(tmp_path, "carrier", ["cutoff = quintic"])
@@ -577,7 +590,7 @@ class TestRun:
         # CHANNELLAB_GRID__NY: the scans keep nx from target_hx and take the ny
         policies = []
 
-        def capture(profile, params, t_max, policy, config):
+        def capture(profile, params, t_max, policy):
             policies.append(policy)
             raise OutOfRange("captured")
 
@@ -647,6 +660,55 @@ class TestRun:
         path = write_scenario(tmp_path, body)
         sc = cli_io.parse_scenario(path, environ={})
         assert cli_io.run("growth-scan", sc, scenario_path=path, quiet=True) == 1
+
+    def test_solver_tolerance_cannot_be_set(self, tmp_path, monkeypatch, capsys,
+                                            solve_calls):
+        # a loose tolerance once stopped widening's solve after one step
+        # (residual 3.85e-2) and still wrote converged,true
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "widening.scn"
+        monkeypatch.setenv("CHANNELLAB_SOLVER__TOL", "0.5")
+        assert cli_io.main(["solve", "--scenario", str(path), "--out",
+                            str(tmp_path / "out"), "--quiet"]) == 1
+        assert ("CHANNELLAB_SOLVER__TOL: [solver] tol: unknown key"
+                in capsys.readouterr().err)
+        assert solve_calls == []
+
+    @pytest.mark.parametrize("line, new, env, command", [
+        ("b = 10", "b = inf", {}, "solve"),
+        ("flux = 1.0", "flux = nan", {}, "solve"),
+        ("flux = 1.0", "flux = inf", {}, "growth-scan"),
+        ("x_max = 6", "x_max = nan", {}, "growth-scan"),
+        ("a = -10", "a = nan", {}, "carrier-check"),
+        ("t_list = 2, 4, 6, 8", "t_list = 2, 4, nan, 8", {}, "decay-scan"),
+        ("d0 = 1.0", "d0 = inf", {}, "constants"),
+        (None, None, {"CHANNELLAB_HARNESS__T_RANGE": "2, inf"}, "decay-scan"),
+        (None, None, {"CHANNELLAB_COMPARISON__DELTA1": "-inf"}, "comparison"),
+    ], ids=["grid-b-inf", "flux-nan", "flux-inf", "x-max-nan", "grid-a-nan",
+            "t-list-nan", "profile-d0-inf", "t-range-env-inf",
+            "delta1-env-inf"])
+    def test_non_finite_number_is_a_located_error(self, tmp_path, monkeypatch,
+                                                  capsys, line, new, env,
+                                                  command):
+        # each once ran on: nan results, a traceback, or verdicts missing
+        src = Path(__file__).resolve().parents[1] / "scenarios" / "straight.scn"
+        body = src.read_text(encoding="utf-8")
+        if line is None:
+            (var, text), = env.items()
+            monkeypatch.setenv(var, text)
+            section, key = var[len("CHANNELLAB_"):].lower().split("__")
+            where = f"{var}: [{section}] {key}"
+        else:
+            lines = body.splitlines()
+            section = next(s for s in reversed(lines[:lines.index(line)])
+                           if s.startswith("["))
+            where = f"line {lines.index(line) + 1}: {section} {line.split()[0]}"
+            text = new.partition("= ")[2]
+            body = body.replace(line, new)
+        path = write_scenario(tmp_path, body)
+        assert cli_io.main([command, "--scenario", str(path), "--out",
+                            str(tmp_path / "out"), "--quiet"]) == 1
+        assert (f"{where}: expected a finite number, got {text!r}"
+                in capsys.readouterr().err)
 
     def test_main_cli_round_trip(self, tmp_path, capsys):
         path = self.scenario(tmp_path)
@@ -734,20 +796,21 @@ class TestSessionSolves:
         assert len(solve_calls) == 2
 
     @pytest.mark.parametrize(
-        "edit, env",
+        "edit, env, solves",
         [
-            (("flux = 1.0", "flux = 0.5"), {}),
-            (None, {"CHANNELLAB_SOLVER__TOL": "1e-10"}),
-            (None, {"CHANNELLAB_GRID__NY": "13"}),
-            (("target_hx = 0.25", "target_hx = 0.2"), {}),
-            (None, {"CHANNELLAB_PROFILE__D0": "1.5"}),
-            (("d0 = 1.0", "d0 = 1.25"), {}),
+            (("flux = 1.0", "flux = 0.5"), {}, 2),
+            # the tolerance is no scenario key: the command is refused
+            (None, {"CHANNELLAB_SOLVER__TOL": "1e-10"}, 1),
+            (None, {"CHANNELLAB_GRID__NY": "13"}, 2),
+            (("target_hx = 0.25", "target_hx = 0.2"), {}, 2),
+            (None, {"CHANNELLAB_PROFILE__D0": "1.5"}, 2),
+            (("d0 = 1.0", "d0 = 1.25"), {}, 2),
         ],
         ids=["flux", "tol", "grid-ny", "target-hx", "profile-env",
              "profile-file"],
     )
     def test_changed_input_solves_again(self, tmp_path, monkeypatch, solve_calls,
-                                        edit, env):
+                                        edit, env, solves):
         path = self.scenario(tmp_path)
         assert self.command("growth-scan", path) == 0
         first = self.states(tmp_path / "out")
@@ -755,11 +818,14 @@ class TestSessionSolves:
             path.write_text(path.read_text().replace(*edit))
         for key, value in env.items():
             monkeypatch.setenv(key, value)
-        self.command("growth-scan", path)
-        assert len(solve_calls) == 2
-        # the new session's state replaced the old one
+        status = self.command("growth-scan", path)
+        assert len(solve_calls) == solves
         second = self.states(tmp_path / "out")
-        assert len(first) == len(second) == 1 and first != second
+        assert len(first) == len(second) == 1
+        if solves == 2:  # the new session's state replaced the old one
+            assert first != second
+        else:  # a refused scenario leaves the session's state alone
+            assert status == 1 and first == second
 
     def test_changed_code_solves_again(self, tmp_path, monkeypatch, solve_calls):
         path = self.scenario(tmp_path)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -159,8 +160,9 @@ class TestUniqueness:
         # flux 3 runs three continuation levels from the shared factor
         params = fc.CarrierParams(phi)
         cfg = eh._UNIQUENESS_SOLVER
-        base, _ = eh._probe_solutions(straight, params, a, b, nx, ny, cfg,
-                                      seed=7)
+        base, _ = ns.solve_two_starts(
+            straight, params, a, b, nx, ny,
+            functools.partial(eh._perturbed_start, seed=7), cfg)
         ref = ns.solve_steady(straight, params, a, b, nx, ny, cfg)
         assert np.array_equal(base.psi, ref.psi)
         assert np.array_equal(base.omega, ref.omega)
@@ -187,7 +189,7 @@ class TestUniqueness:
 
 def hat_weight(profile, t, beta_star):
     return eh._hat_weight(profile, t, beta_star,
-                          geo._h_window(profile, t, beta_star))
+                          geo.h_window(profile, t, beta_star))
 
 
 class TestHatWeight:
@@ -195,7 +197,7 @@ class TestHatWeight:
         m = geo.validate(power_half, (-40, 40))
         bs = m.beta_star
         t = 1.0
-        h_t, h_l, h_r = geo.h_parameterization(power_half, t, bs)
+        _, h_t, h_l, h_r = geo.h_window(power_half, t, bs)
         w = hat_weight(power_half, t, bs)
         assert w(np.array([h_t + 1.0]))[0] == 0.0
         assert w(np.array([0.5 * (h_l + h_r)]))[0] == pytest.approx(bs)
@@ -207,7 +209,7 @@ class TestHatWeight:
 
     def test_undefined_below_crossing(self, power_half):
         m = geo.validate(power_half, (-40, 40))
-        t_star = geo._try_t_star(power_half, m.beta_star)
+        t_star = geo.try_t_star(power_half, m.beta_star)
         assert t_star is not None
         with pytest.raises(OutOfRange):
             hat_weight(power_half, 0.5 * t_star, m.beta_star)
@@ -216,7 +218,7 @@ class TestHatWeight:
                                                 small_power_report):
         # dt zeta_hat >= 0: the weighted energy grows with the window
         m = geo.validate(power_half, (-40, 40))
-        t_star = geo._try_t_star(power_half, m.beta_star)
+        t_star = geo.try_t_star(power_half, m.beta_star)
         ts = np.linspace(1.05 * t_star, geo.k_of(power_half, 6.0), 8)
         ys = [
             ns.weighted_energy(
@@ -241,7 +243,7 @@ def counted_hat(power_half, small_power_report):
         mp.setattr(geo, "inverse_k", counting)
         rep = eh.hat_energy_inequality(small_power_report, 6.0)
         n_report = len(calls)
-        geo._try_t_star(power_half, geo.validate(power_half, (-7, 7)).beta_star)
+        geo.try_t_star(power_half, geo.validate(power_half, (-7, 7)).beta_star)
     return rep, n_report, len(calls) - n_report
 
 

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +19,67 @@ def test_module_exports_resolve(module):
     mod = importlib.import_module(f"channellab.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+SOURCES = sorted(Path(channellab.__file__).parent.glob("*.py"))
+SIBLINGS = {path.stem for path in SOURCES}
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def private_accesses(tree):
+    """``(line, text)`` of each read of a sibling module's private name:
+    ``from .mod import _name`` or ``alias._name`` with ``alias`` bound to a
+    sibling module.  Dunders and the import of a module such as ``_fem``
+    itself are allowed."""
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level <= 1:
+            source = ".".join(filter(None, [
+                "channellab" if node.level else None, node.module]))
+            package = source == "channellab"
+            sibling = source.partition("channellab.")[2] in SIBLINGS
+            for a in node.names:
+                if package and a.name in SIBLINGS:
+                    modules.add(a.asname or a.name)
+                elif (package or sibling) and _private(a.name):
+                    found.append((node.lineno, f"from {source} import {a.name}"))
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                parts = a.name.split(".")
+                if a.asname and parts[0] == "channellab" and parts[-1] in SIBLINGS:
+                    modules.add(a.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_private_name_of_a_sibling_module(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert private_accesses(tree) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from . import ns_solver as ns\nns._picard(1)\n", [(2, "ns._picard")]),
+    ("from . import geometry\ngeometry._FACTORIES\n",
+     [(2, "geometry._FACTORIES")]),
+    ("from .geometry import _GL8_NODES, weight_integral\n",
+     [(1, "from channellab.geometry import _GL8_NODES")]),
+    ("from channellab.ns_solver import _Workspace\n",
+     [(1, "from channellab.ns_solver import _Workspace")]),
+    ("import channellab.geometry as geo\ngeo._h_window(1)\n",
+     [(2, "geo._h_window")]),
+    ("from . import _fem\nfrom ._fem import assemble_q1\n_fem.assemble_q1\n", []),
+    ("from . import __version__\nfrom . import geometry as geo\ngeo.__name__\n",
+     []),
+    ("import numpy as np\nnp._NoValue\n", []),
+], ids=["attribute", "unaliased", "from_import", "absolute", "import_as",
+        "private_module", "dunders", "not_a_sibling"])
+def test_private_access_guard(source, found):
+    assert private_accesses(ast.parse(source)) == found

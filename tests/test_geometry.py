@@ -141,14 +141,15 @@ class TestHParameterization:
         # k(t) = t * 2^(-5/3), so h(t) = 2^(5/3) t
         t = 0.7
         bs = geo.validate(straight, (-8, 8)).beta_star
-        h, h_l, h_r = geo.h_parameterization(straight, t, bs)
+        h_m, h, h_l, h_r = geo.h_window(straight, t, bs)
+        assert h_m == pytest.approx(-h, rel=1e-12)
         assert h == pytest.approx(2.0 ** (5.0 / 3.0) * t, rel=1e-9)
         assert h_r == pytest.approx(h - 2.0, rel=1e-9)  # beta* f = 2
 
     def test_origin(self, straight):
         bs = geo.validate(straight, (-8, 8)).beta_star
-        h, h_l, h_r = geo.h_parameterization(straight, 0.0, bs)
-        assert h == 0.0
+        h_m, h, h_l, h_r = geo.h_window(straight, 0.0, bs)
+        assert h_m == h == 0.0
         assert h_r == -2.0  # -beta* f(0) < 0
         assert h_l == 2.0
 
@@ -179,7 +180,7 @@ class TestHParameterization:
         hl = []
         hr = []
         for t in ts:
-            _, l, r = geo.h_parameterization(power_half, t, m.beta_star)
+            _, _, l, r = geo.h_window(power_half, t, m.beta_star)
             hl.append(l)
             hr.append(r)
         dhl = np.diff(hl) / np.diff(ts)
@@ -215,7 +216,7 @@ class TestHParameterization:
 
     def test_t_star_straight(self, straight):
         m = geo.validate(straight, (-10, 10))
-        t_star = geo._try_t_star(straight, m.beta_star)
+        t_star = geo.try_t_star(straight, m.beta_star)
         assert t_star is not None and t_star > 0
 
 

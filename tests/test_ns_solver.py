@@ -19,6 +19,14 @@ class TestConfig:
         with pytest.raises(OutOfRange):
             ns.SolverConfig(tol=0.0)
 
+    @pytest.mark.parametrize("kwargs", [{"tol": float("nan")},
+                                        {"max_iter": -1}])
+    def test_no_step_or_no_stop_is_rejected(self, kwargs):
+        # max_iter -1 once ended solve_steady in an UnboundLocalError, and a
+        # nan tol can never be met
+        with pytest.raises(OutOfRange):
+            ns.SolverConfig(**kwargs)
+
 
 class TestOperators:
     """The 1-D difference matrices against a field they differentiate
@@ -101,7 +109,7 @@ class TestPicard:
         grid = geo.make_grid(straight, -6, 6, 97, 25)
         psi = poiseuille_psi(grid.x2)
         omega = 1.5 * grid.x2
-        state = ns._state_from_fields(grid, straight, carrier_unit, psi, omega)
+        state = ns.state_from_fields(grid, straight, carrier_unit, psi, omega)
         ws = ns._Workspace(grid, carrier_unit, straight)
         assert ns.residual_norm(state, ws) < 1e-12
 
