@@ -173,8 +173,9 @@ def parse_scenario(path, environ=None):
 
     def number(section, key, default, kind=float):
         """The value read as kind (a comma list of kind if the default is a
-        list); text that does not read so, or reads as a number that is not
-        finite, is an error, and the default stands in."""
+        list), or the default if the key is not given; text that does not
+        read so, or reads as a number that is not finite, is an error, and
+        None stands in, so no check that follows judges it again."""
         text = fetch(section, key)
         if text is None:
             return default
@@ -190,7 +191,7 @@ def parse_scenario(path, environ=None):
                     else "a finite number" if values else "a number")
         errors.append(ValidationError(
             located(section, key), f"expected {expected}, got {text!r}"))
-        return default
+        return None
 
     name = fetch("", "name", Path(path).stem)
 
@@ -228,10 +229,10 @@ def parse_scenario(path, environ=None):
     if epsilon is not None and not (0.0 < epsilon < 1.0):
         errors.append(ValidationError(
             located("carrier", "epsilon"), "must lie in (0,1)"))
-    elif flux < 0:
+    elif flux is not None and flux < 0:
         errors.append(ValidationError(
             located("carrier", "flux"), "must be nonnegative"))
-    else:
+    elif flux is not None:
         params = fc.CarrierParams(flux, epsilon)
 
     grid_window = (
@@ -240,11 +241,11 @@ def parse_scenario(path, environ=None):
         number("grid", "nx", 513, int),
         number("grid", "ny", 65, int),
     )
-    if grid_window[1] <= grid_window[0]:
+    if None not in grid_window[:2] and grid_window[1] <= grid_window[0]:
         errors.append(ValidationError(
             f"{located('grid', 'a')}, {located('grid', 'b')}", "need b > a"))
     target_hx = number("harness", "target_hx", eh.GridPolicy.target_hx)
-    if not target_hx > 0:
+    if target_hx is not None and not target_hx > 0:
         errors.append(ValidationError(
             located("harness", "target_hx"), "must be positive"))
 
@@ -625,8 +626,9 @@ def _run_solve(sc, out, quiet):
         {"iteration": i, "residual": r} for i, r in state.residual_history
     ]
     artifacts.append(write_csv(out / "residual_history.csv", rows))
+    diagnostics = ns.energy_diagnostics(state, a, b)
     diag_rows = [
-        {"quantity": k, "value": v} for k, v in sorted(state.diagnostics.items())
+        {"quantity": k, "value": v} for k, v in sorted(diagnostics.items())
     ]
     diag_rows.append({"quantity": "converged", "value": state.converged})
     artifacts.append(write_csv(out / "solve_summary.csv", diag_rows))
@@ -659,8 +661,6 @@ def _save_state(path, state):
         np.savez(fh, window=[g.a, g.b], shape=[g.nx, g.ny],
                  converged=state.converged,
                  residual_history=np.reshape(state.residual_history, (-1, 2)),
-                 diagnostics=list(state.diagnostics),
-                 diagnostic_values=list(state.diagnostics.values()),
                  **{name: getattr(state, name) for name in _FIELDS})
     tmp.replace(path)
 
@@ -675,8 +675,6 @@ def _load_state(path, profile, params):
             converged=bool(z["converged"]),
             residual_history=[(int(i), float(r))
                               for i, r in z["residual_history"]],
-            diagnostics=dict(zip(z["diagnostics"].tolist(),
-                                 z["diagnostic_values"].tolist())),
             **{name: z[name] for name in _FIELDS},
         )
 

@@ -8,13 +8,17 @@ nonlinear loop is a chord iteration on the coupled linear (psi, omega)
 system with the advecting velocity frozen: one SuperLU factor serves
 several steps, starting with the Stokes factor A(0) and carried across
 continuation levels; a refresh releases the old factor before it builds
-the new one.  The factor takes the unknowns in a nested-dissection order
-of the grid nodes, psi and omega of a node side by side, and keeps its
-pivots on the diagonal so that the order's low fill survives.  The
-wall vorticity closure is a second-order one-sided formula built into the
-matrix.  Every difference stencil, and the uniform spacing, lives in one
-place: the 1-D first- and second-difference matrices of each axis
-(``_differences``), from which A(u) and the velocity are built.
+the new one.  The factor keeps its pivots on the diagonal, so that the
+low fill of a symmetric order survives, and the order follows the
+stencil: SuperLU's minimum degree where the grid has no cross derivative
+(a five-point stencil, as on a straight channel), and elsewhere a
+nested-dissection order of the grid nodes, psi and omega of a node side
+by side.  The energy diagnostics of a solve are computed only on request
+(:func:`energy_diagnostics`).  The wall vorticity closure is a
+second-order one-sided formula built into the matrix.  Every difference
+stencil, and the uniform spacing, lives in one place: the 1-D first- and
+second-difference matrices of each axis (``_differences``), from which
+A(u) and the velocity are built.
 
 The discretisation is written once, as the matrix A(u): each state has one
 residual r = b - A(u) x.  Its interior and wall-closure rows give
@@ -48,6 +52,7 @@ __all__ = [
     "solve_two_starts",
     "velocity_gradients",
     "dirichlet_energy",
+    "energy_diagnostics",
     "weighted_energy",
     "slice_flux_profile",
 ]
@@ -74,7 +79,6 @@ class FlowState:
     u2: np.ndarray
     converged: bool = False
     residual_history: list = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +204,13 @@ class _Workspace:
         self._interior = np.pad(np.ones((grid.nx - 2, grid.ny - 2), bool),
                                 1).ravel()
         self.a_const = self._assemble_constant()
-        # factor order of the 2n unknowns: psi and omega of each node
-        # adjacent, the nodes in nested-dissection order
-        order = _nested_dissection(grid.nx, grid.ny)
-        self.perm = np.column_stack([order, order + self.n]).ravel()
+        # factor order of the 2n unknowns on a grid with cross-derivative
+        # rows: psi and omega of each node adjacent, the nodes in
+        # nested-dissection order; a five-point grid (J1 = 0) has none
+        self.perm = None
+        if np.any(grid.j1):
+            order = _nested_dissection(grid.nx, grid.ny)
+            self.perm = np.column_stack([order, order + self.n]).ravel()
         # advection pattern: the omega rows of the interior nodes, a slot for
         # each entry of their xi and (imaginary) eta difference stencils,
         # holding its weight in -u.grad; _adv_eta marks the eta slots
@@ -306,12 +313,16 @@ class _Workspace:
         """Replace ``lu`` by the SuperLU factor of A(u) at a frozen
         advecting velocity, releasing the old factor first.
 
-        Rows and columns are both permuted by ``perm``, and SuperLU keeps
-        that order (``permc_spec="NATURAL"``) with diagonal pivots
-        (``diag_pivot_thresh=0``): a row swap would undo the symmetric
-        nested-dissection order and its fill.  SuperLU still swaps a row
-        where a diagonal pivot is exactly zero.  The factor is of the
-        permuted matrix; :meth:`apply` maps in and out of that order.
+        Both orders keep the pivots on the diagonal
+        (``diag_pivot_thresh=0``), since a row swap would undo a symmetric
+        order and its fill; SuperLU still swaps a row where a diagonal
+        pivot is exactly zero.  On a five-point grid SuperLU orders A(u)
+        itself, by minimum degree on A^T + A in symmetric mode (Liu, ACM
+        TOMS 11, 1985).  Elsewhere rows and columns are both permuted by
+        ``perm`` and SuperLU keeps that order (``permc_spec="NATURAL"``):
+        minimum degree fills more than nested dissection once the cross
+        derivatives make the stencil nine-point.  That factor is of the
+        permuted matrix; :meth:`apply` maps in and out of its order.
         """
         self.lu = None
         a = self.a_const
@@ -319,15 +330,23 @@ class _Workspace:
             a = a + self.advection_matrix(u1, u2)
         p = self.perm
         try:
-            self.lu = splu(a[p][:, p].tocsc(), permc_spec="NATURAL",
-                           diag_pivot_thresh=0.0)
+            if p is None:
+                self.lu = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                               diag_pivot_thresh=0.0,
+                               options={"SymmetricMode": True})
+            else:
+                self.lu = splu(a[p][:, p].tocsc(), permc_spec="NATURAL",
+                               diag_pivot_thresh=0.0)
         except RuntimeError as exc:  # singular factorization
             raise LinearSolveFailure(str(exc)) from exc
 
     def apply(self, rhs):
         """(psi, omega) from the back-solve lu^-1 rhs, in natural order."""
-        x = np.empty_like(rhs)
-        x[self.perm] = self.lu.solve(rhs[self.perm])
+        if self.perm is None:
+            x = self.lu.solve(rhs)
+        else:
+            x = np.empty_like(rhs)
+            x[self.perm] = self.lu.solve(rhs[self.perm])
         if not np.all(np.isfinite(x)):
             raise LinearSolveFailure("linear solve produced non-finite values")
         return x.reshape(2, self.grid.nx, self.grid.ny)
@@ -520,23 +539,14 @@ def solve_steady(profile, params, a, b, nx, ny, config=None):
     The grid's constant block is assembled and A(0) factored once for all
     of :func:`_flux_levels`, and the last factor is released when the
     loops end.  Raises :class:`NonConvergence` rather than returning an
-    unconverged state.  Diagnostics report the Dirichlet energy of
-    v = u - g and the ratio against the carrier volume integral, which
-    stays bounded uniformly in the truncation.
+    unconverged state.
     """
     config = config or SolverConfig()
     grid = make_grid(profile, a, b, nx, ny)
     levels = _flux_levels(params)
     ws = _stokes_workspace(grid, levels[0], profile)
     state = _continuation(_stokes_start(ws, levels[0]), ws, levels, config)
-    del ws  # free the factor before the energy diagnostics
     state.params = params
-
-    energy_v = dirichlet_energy(state, a, b, of_perturbation=True)
-    carrier = fc.carrier_volume_integral(params, profile, a, b)
-    state.diagnostics.update(
-        dirichlet_energy_v=energy_v, carrier_volume_integral=carrier,
-        energy_ratio_c0=energy_v / carrier if carrier > 0 else 0.0)
     return state
 
 
@@ -547,8 +557,7 @@ def solve_two_starts(profile, params, a, b, nx, ny, perturb, config):
     Both share one grid, constant block and Stokes factor.  The
     Stokes-started loop runs through :func:`_flux_levels`; its last factor
     is released, and the perturbed loop factors afresh at its start, a
-    plain solve that keeps flux-0 fields exactly 0.  Neither state carries
-    the energy diagnostics of :func:`solve_steady`.
+    plain solve that keeps flux-0 fields exactly 0.
     """
     grid = make_grid(profile, a, b, nx, ny)
     levels = _flux_levels(params)
@@ -585,6 +594,16 @@ def dirichlet_energy(state, a, b, of_perturbation=False):
     e = _grad_square(state, of_perturbation)
     w = window_weights(state.profile, state.grid.xi, state.grid.ny, a, b)
     return float((w * e).sum())
+
+
+def energy_diagnostics(state, a, b):
+    """The Dirichlet energy of v = u - g on Omega_{a,b}, the carrier volume
+    integral there, and their ratio, which stays bounded uniformly in the
+    truncation; by name."""
+    energy_v = dirichlet_energy(state, a, b, of_perturbation=True)
+    carrier = fc.carrier_volume_integral(state.params, state.profile, a, b)
+    return dict(dirichlet_energy_v=energy_v, carrier_volume_integral=carrier,
+                energy_ratio_c0=energy_v / carrier if carrier > 0 else 0.0)
 
 
 def weighted_energy(state, weight):

@@ -77,6 +77,31 @@ class TestParsing:
         assert f"line {line}: [profile] d0: expected a number, got 'abc'" in msg
         assert msg.count("d0") == 1
 
+    @pytest.mark.parametrize("edits, where, text", [
+        ({"a = -10": "a = 15", "b = 10": "b = nan"}, "b = 10", "nan"),
+        ({"a = -10": "a = 15", "b = 10": "b = abc"}, "b = 10", "abc"),
+        ({"a = -10": "a = abc", "b = 10": "b = -20"}, "a = -10", "abc"),
+        ({"flux = 1.0": "flux = abc"}, "flux = 1.0", "abc"),
+        ({"epsilon = 0.5": "epsilon = nan"}, "epsilon = 0.5", "nan"),
+        ({"target_hx = 0.125": "target_hx = abc"}, "target_hx = 0.125", "abc"),
+    ], ids=["b-nan-below-a", "b-text-below-a", "a-text-above-b", "flux-text",
+            "epsilon-nan", "target-hx-text"])
+    def test_rejected_value_reads_one_error(self, tmp_path, edits, where, text):
+        # a rejected value's default once stood in for the range checks:
+        # a = 15, b = nan also read "need b > a" against b's default 10
+        src = Path(__file__).resolve().parents[1] / "scenarios" / "straight.scn"
+        body = src.read_text(encoding="utf-8")
+        lines = body.splitlines()
+        line = lines.index(where) + 1
+        section = next(s for s in reversed(lines[:line]) if s.startswith("["))
+        for old, new in edits.items():
+            body = body.replace(old, new)
+        with pytest.raises(ValidationError) as err:
+            cli_io.parse_scenario(write_scenario(tmp_path, body), environ={})
+        assert err.value.constraint == (
+            f"line {line}: {section} {where.split()[0]}: expected "
+            f"{'a number' if text == 'abc' else 'a finite number'}, got {text!r}")
+
     @pytest.mark.parametrize("new, message", [
         ("target_hx = 0", "[harness] target_hx: must be positive"),
         ("target_hx = -1", "[harness] target_hx: must be positive"),

@@ -306,7 +306,8 @@ class TestSolveSteady:
     def test_converged_flag_and_history(self, poiseuille_state):
         assert poiseuille_state.converged
         assert poiseuille_state.residual_history[-1][1] < 1e-10
-        assert poiseuille_state.diagnostics["energy_ratio_c0"] > 0
+        assert ns.energy_diagnostics(poiseuille_state, -8.0,
+                                     8.0)["energy_ratio_c0"] > 0
 
     def test_wall_streamfunction_values(self, power_state):
         # the flux constraint is Dirichlet data on psi
@@ -322,7 +323,7 @@ class TestSolveSteady:
             st = ns.solve_steady(
                 straight, carrier_unit, -T, T, int(16 * T) + 1, 33, cfg
             )
-            ratios.append(st.diagnostics["energy_ratio_c0"])
+            ratios.append(ns.energy_diagnostics(st, -T, T)["energy_ratio_c0"])
         assert abs(ratios[1] - ratios[0]) <= 0.5 * ratios[0]
 
 
@@ -435,10 +436,13 @@ def _natural_apply(self, rhs):
 
 
 class TestNestedDissection:
+    """The factor order: nested dissection where the cross derivatives make
+    the stencil nine-point, SuperLU's minimum degree on five-point grids."""
+
     @pytest.mark.parametrize("nx, ny", [(8, 9), (65, 17), (96, 16), (385, 49)])
-    def test_order_pairs_psi_and_omega_of_every_node(self, straight, nx, ny):
-        grid = geo.make_grid(straight, -4, 4, nx, ny)
-        perm = ns._Workspace(grid, fc.CarrierParams(0.5), straight).perm
+    def test_order_pairs_psi_and_omega_of_every_node(self, power_half, nx, ny):
+        grid = geo.make_grid(power_half, -4, 4, nx, ny)
+        perm = ns._Workspace(grid, fc.CarrierParams(0.5), power_half).perm
         n = nx * ny
         assert np.array_equal(np.sort(perm), np.arange(2 * n))
         assert np.array_equal(perm[1::2], perm[0::2] + n)
@@ -459,8 +463,21 @@ class TestNestedDissection:
                                                               3_258_329)
 
     def test_stokes_fill_of_straight_grid(self, straight):
+        # nested dissection fills L+U to 156,890 entries here
         assert self._stokes_counts(straight, -6, 6, 97, 17) == (16_693,
-                                                               156_890)
+                                                               96_973)
+
+    @pytest.mark.parametrize("wall, fill", [("straight", 279_542),
+                                            ("power_half", 474_385)])
+    def test_order_follows_the_stencil(self, request, wall, fill):
+        # straight: five-point, minimum degree (nested dissection: 400,091);
+        # power_law: nine-point, nested dissection (minimum degree: 627,882)
+        profile = request.getfixturevalue(wall)
+        grid = geo.make_grid(profile, -6, 6, 97, 33)
+        ws = ns._Workspace(grid, fc.CarrierParams(0.5), profile)
+        assert (ws.perm is None) == (wall == "straight")
+        ws.factor(None, None)
+        assert ws.lu.L.nnz + ws.lu.U.nnz == fill
 
     @pytest.mark.parametrize("case", ["bump", "straight"])
     def test_solution_matches_colamd_partial_pivoting(self, straight, case,
