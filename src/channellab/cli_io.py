@@ -19,14 +19,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import inspect
-import itertools
 import json
 import math
 import os
 import sys
 import time
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +53,6 @@ __all__ = [
     "write_csv",
     "write_svg_plot",
     "write_field_file",
-    "load_comparison_csv",
 ]
 
 ENV_PREFIX = "CHANNELLAB_"
@@ -147,7 +145,6 @@ class Scenario:
     outlet_k: float
     out_dir: Path
     seed: int
-    comparison: dict = field(default_factory=dict)
 
 
 def parse_scenario(path, environ=None):
@@ -249,19 +246,26 @@ def parse_scenario(path, environ=None):
         errors.append(ValidationError(
             located("harness", "target_hx"), "must be positive"))
 
+    # the scans judge spreads across t_list's windows and t_range's slices,
+    # so one window or one slice passes by construction; decay-scan pads its
+    # state out to t_range's hi only
     t_list = number("harness", "t_list", [5.0, 10.0, 20.0, 40.0])
+    if t_list is not None and (min(t_list) <= 0 or len(set(t_list)) < 2):
+        errors.append(ValidationError(located("harness", "t_list"),
+                                      "need two or more distinct values, all > 0"))
     t_range = number("harness", "t_range", [10.0, 40.0])
+    if t_range is not None and not (len(t_range) == 2
+                                    and 0 < t_range[0] < t_range[1]):
+        errors.append(ValidationError(located("harness", "t_range"),
+                                      "need two numbers lo, hi with 0 < lo < hi"))
     x_max = number("harness", "x_max", 8.0)
+    if x_max is not None and not x_max > 0:
+        errors.append(ValidationError(
+            located("harness", "x_max"), "must be positive"))
     outlet_k = number("harness", "outlet_k", 4.0)
 
     out_dir = Path(fetch("output", "dir", "out"))
     seed = number("output", "seed", 1234, int)
-
-    comparison = {"file": fetch("comparison", "file"),
-                  "source": located("comparison", "file")}
-    for key, default in (("c1", 0.0), ("c2", 1.0), ("exponent", 1.5),
-                         ("delta1", 0.5)):
-        comparison[key] = number("comparison", key, default)
 
     errors += [ValidationError(located(sec, key), "unknown key")
                for sec, keys in sections.items() for key in keys
@@ -277,12 +281,11 @@ def parse_scenario(path, environ=None):
         grid_window=grid_window,
         policy=eh.GridPolicy(target_hx, grid_window[3]),
         t_list=t_list,
-        t_range=(t_range[0], t_range[-1]),
+        t_range=tuple(t_range),
         x_max=x_max,
         outlet_k=outlet_k,
         out_dir=out_dir,
         seed=seed,
-        comparison=comparison,
     )
 
 
@@ -504,44 +507,6 @@ def _package_version():
     return __version__
 
 
-def load_comparison_csv(path, psi, delta1):
-    """Comparison problem from CSV columns t, z[, phi] under leading ``#``
-    lines; a missing file or column, too few rows or a value that is not a
-    finite number raises :class:`ValidationError` naming the file."""
-    if not Path(path).is_file():
-        raise ValidationError(str(path), "no such file")
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError:
-        raise ValidationError(str(path), "not UTF-8 text") from None
-    lines = list(itertools.dropwhile(lambda line: line.startswith("#"), lines))
-    if not lines:
-        raise ValidationError(str(path), "no header line (columns t, z[, phi])")
-    raw = np.genfromtxt(lines, delimiter=",", names=True, comments="#", ndmin=1)
-    names = raw.dtype.names or ()
-    missing = [c for c in ("t", "z") if c not in names]
-    if missing:
-        raise ValidationError(
-            str(path), f"no column {', '.join(missing)} (columns t, z[, phi])")
-    if raw.size < 4:
-        raise ValidationError(str(path), f"{raw.size} data rows; need at least 4")
-    bad = [c for c in ("t", "z", "phi") if c in names and not np.isfinite(raw[c]).all()]
-    if bad:
-        raise ValidationError(
-            str(path), f"non-numeric or missing value in column {', '.join(bad)}")
-    t = np.asarray(raw["t"], dtype=float)
-    z = np.asarray(raw["z"], dtype=float)
-    if "phi" in names:
-        phi = np.asarray(raw["phi"], dtype=float)
-    else:
-        ts, phi = cl.solve_majorant(
-            psi, delta1, max(float(z.max()) * 2.0, 1.0), float(t[0]),
-            float(t[-1]), step=(t[-1] - t[0]) / max(len(t) * 4, 64),
-        )
-        phi = np.interp(t, ts, phi)
-    return cl.ComparisonProblem(psi, delta1, t, z, phi)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand pipelines
 # ---------------------------------------------------------------------------
@@ -735,8 +700,10 @@ def _run_growth(sc, out, quiet):
     # reaches past t*); any other error is a failure of the command
     try:
         hat = eh.hat_energy_inequality(state, min(sc.x_max, max(sc.t_list)))
-    except (HypothesisNotMet, OutOfRange):
+    except (HypothesisNotMet, OutOfRange) as exc:
         hat = None
+        if not quiet:
+            print(f"  hat_energy_inequality skipped: {exc}")
     if hat is not None:
         artifacts.append(
             write_csv(out / "hat_energy.csv", hat.rows())
@@ -846,17 +813,11 @@ def _run_constants(sc, out, quiet):
 
 
 def _run_comparison(sc, out, quiet):
-    cfg = sc.comparison
-    psi = cl.separable_psi(c1=cfg["c1"], c2=cfg["c2"], exponent=cfg["exponent"])
-    delta1 = cfg["delta1"]
-    if cfg["file"] is not None:
-        try:
-            problem = load_comparison_csv(cfg["file"], psi, delta1)
-        except ValidationError as exc:  # it names the file, not the line
-            raise ValidationError(cfg["source"], str(exc)) from None
-    else:
-        ts, phi = cl.solve_majorant(psi, delta1, 2.0, 0.0, 2.0, step=1e-3)
-        problem = cl.ComparisonProblem(psi, delta1, ts, (1 - delta1) * phi, phi)
+    # one fixed problem, Psi(s) = s^(3/2) and delta1 = 1/2, whose z is built
+    # from its own majorant: it is dominated by construction
+    psi, delta1 = cl.separable_psi(c2=1.0, exponent=1.5), 0.5
+    ts, phi = cl.solve_majorant(psi, delta1, 2.0, 0.0, 2.0, step=1e-3)
+    problem = cl.ComparisonProblem(psi, delta1, ts, (1 - delta1) * phi, phi)
     report = cl.check_hypotheses(problem)
     verdict = cl.comparison_conclude(problem, report)
     rows = [
@@ -881,7 +842,7 @@ def _run_report(sc, out, quiet):
                 {"source": csv_path.name, "verdict": verdict, "status": status}
             )
     if not rows:
-        rows.append({"source": "none", "verdict": "none", "status": "PASS"})
+        raise ChannelLabError(f"{out}: no *_verdicts.csv to aggregate")
     artifacts = [write_csv(out / "summary.csv", rows)]
     ok = all(r["status"] == "PASS" for r in rows)
     if not quiet:

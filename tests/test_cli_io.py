@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from channellab import cli_io
-from channellab import comparison_lemmas as cl
 from channellab import flux_carrier as fc
 from channellab import geometry as geo
 from channellab import ns_solver as ns
@@ -50,6 +49,10 @@ seed = 11
 """
 
 
+RANGE = "need two numbers lo, hi with 0 < lo < hi"
+DISTINCT = "need two or more distinct values, all > 0"
+
+
 class TestParsing:
     def test_minimal_scenario_fills_defaults(self, tmp_path):
         body = MINIMAL.format(out=tmp_path / "o").replace("target_hx = 0.25\n", "")
@@ -84,8 +87,12 @@ class TestParsing:
         ({"flux = 1.0": "flux = abc"}, "flux = 1.0", "abc"),
         ({"epsilon = 0.5": "epsilon = nan"}, "epsilon = 0.5", "nan"),
         ({"target_hx = 0.125": "target_hx = abc"}, "target_hx = 0.125", "abc"),
+        ({"t_list = 2, 4, 6, 8": "t_list = 8, nan"}, "t_list = 2, 4, 6, 8", "8, nan"),
+        ({"t_range = 2, 8": "t_range = 8, nan"}, "t_range = 2, 8", "8, nan"),
+        ({"x_max = 6": "x_max = abc"}, "x_max = 6", "abc"),
     ], ids=["b-nan-below-a", "b-text-below-a", "a-text-above-b", "flux-text",
-            "epsilon-nan", "target-hx-text"])
+            "epsilon-nan", "target-hx-text", "t-list-nan", "t-range-nan",
+            "x-max-text"])
     def test_rejected_value_reads_one_error(self, tmp_path, edits, where, text):
         # a rejected value's default once stood in for the range checks:
         # a = 15, b = nan also read "need b > a" against b's default 10
@@ -112,14 +119,27 @@ class TestParsing:
         ("growth_lower_bound = -1", "[harness] growth_lower_bound: unknown key"),
         ("decay_ratio_bound = 1e9", "[harness] decay_ratio_bound: unknown key"),
         ("plateau_fraction = 1e9", "[harness] plateau_fraction: unknown key"),
+        ("t_range = 40, 10", f"[harness] t_range: {RANGE}"),
+        ("t_range = 8", f"[harness] t_range: {RANGE}"),
+        ("t_range = 10, 20, 40", f"[harness] t_range: {RANGE}"),
+        ("t_range = 0, 2", f"[harness] t_range: {RANGE}"),
+        ("t_list = 8", f"[harness] t_list: {DISTINCT}"),
+        ("t_list = 2, 2", f"[harness] t_list: {DISTINCT}"),
+        ("t_list = -1, 2", f"[harness] t_list: {DISTINCT}"),
+        ("x_max = -5", "[harness] x_max: must be positive"),
+        ("x_max = 0", "[harness] x_max: must be positive"),
     ], ids=["zero_hx", "negative_hx", "negative_pad", "wide_wall_delta",
             "negative_wall_delta", "growth_ratio_bound", "growth_lower_bound",
-            "decay_ratio_bound", "plateau_fraction"])
+            "decay_ratio_bound", "plateau_fraction", "reversed_t_range",
+            "one_t_range", "three_t_range", "zero_t_range", "one_t_list",
+            "repeated_t_list", "negative_t_list", "negative_x_max",
+            "zero_x_max"])
     def test_scan_grid_values_are_rejected_at_their_line(
             self, tmp_path, capsys, new, message):
         # the verdict bounds and the pad are constants, so a scenario cannot
         # loosen them: any value of theirs, even one that would pass every
-        # flow, is an unknown key
+        # flow, is an unknown key.  A scan window that passes by construction
+        # (one slice range, one t) or reaches past the padded state is refused
         body = MINIMAL.format(out=tmp_path / "o").replace("target_hx = 0.25", new)
         line = body.splitlines().index(new) + 1
         path = write_scenario(tmp_path, body)
@@ -337,6 +357,19 @@ class TestParsing:
     def test_retired_cutoff_key(self, tmp_path):
         self.unknown_at_their_lines(tmp_path, "carrier", ["cutoff = quintic"])
 
+    def test_retired_comparison_keys(self, tmp_path):
+        # `comparison` judges one fixed problem: a scenario chooses neither
+        # its Psi and delta1 nor a file of its own
+        keys = ["c1 = 0.0", "c2 = 1.0", "exponent = 1.5", "delta1 = 0.5",
+                "file = problem.csv"]
+        self.unknown_at_their_lines(tmp_path, "comparison", keys)
+        path = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "o"))
+        for key, _, value in (k.partition(" = ") for k in keys):
+            var = f"CHANNELLAB_COMPARISON__{key.upper()}"
+            with pytest.raises(ValidationError) as err:
+                cli_io.parse_scenario(path, environ={var: value})
+            assert f"{var}: [comparison] {key}: unknown key" in str(err.value)
+
     def test_non_utf8_scenario_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.scn"
         path.write_bytes(MINIMAL.format(out=tmp_path / "o").replace(
@@ -352,7 +385,7 @@ class TestParsing:
         readme = Path(__file__).resolve().parents[1] / "README.md"
         text = readme.read_text(encoding="utf-8")
         example = text.split("```ini\n", 1)[1].split("```", 1)[0]
-        assert "[harness]" in example and "[comparison]" in example
+        assert "[harness]" in example
         sc = cli_io.parse_scenario(write_scenario(tmp_path, example), environ={})
         assert sc.name == "widening"
 
@@ -422,66 +455,6 @@ class TestArtifacts:
         )
         text = p.read_text()
         assert text.startswith("<svg") and "polyline" in text
-
-    def test_comparison_csv_without_phi_builds_majorant(self, tmp_path):
-        t = np.linspace(0, 1.5, 40)
-        z = 0.2 * np.exp(t / 2)
-        lines = ["t,z"] + [f"{a:.17g},{b:.17g}" for a, b in zip(t, z)]
-        path = tmp_path / "prob2.csv"
-        path.write_text("\n".join(lines))
-        prob = cli_io.load_comparison_csv(path, cl.separable_psi(c1=1.0), 0.5)
-        assert cl.comparison_conclude(prob) is cl.Verdict.DOMINATED
-
-    @pytest.mark.parametrize("text, message", [
-        (None, "no such file"),
-        ("t,phi\n0,1\n1,2\n", "no column z"),
-        ("x,y\n0,1\n", "no column t, z"),
-        ("", "no header line (columns t, z[, phi])"),
-        ("# channellab csv v1\n", "no header line (columns t, z[, phi])"),
-        ("t,z\n", "0 data rows; need at least 4"),
-        ("t,z\n0,1\n", "1 data rows; need at least 4"),
-        ("t,z,note\n0,0.1,a\n1,abc,b\n2,0.3,c\n3,,d\n",
-         "non-numeric or missing value in column z"),
-    ], ids=["missing_file", "missing_z", "missing_t_and_z", "empty",
-            "comment_only", "header_only", "one_row", "non_numeric"])
-    def test_bad_comparison_file_is_a_located_error(self, tmp_path, capsys,
-                                                    text, message):
-        csv = tmp_path / "problem.csv"
-        if text is not None:
-            csv.write_text(text)
-        body = (MINIMAL.format(out=tmp_path / "out")
-                + f"[comparison]\nfile = {csv}\n")
-        line = body.splitlines().index(f"file = {csv}") + 1
-        path = write_scenario(tmp_path, body)
-        assert cli_io.main(["comparison", "--scenario", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert f"line {line}: [comparison] file: {csv}: {message}" in err
-        assert "Traceback" not in err
-
-    def test_comparison_file_may_start_with_comment_lines(self, tmp_path):
-        # a CSV channellab wrote, schema line first, loads back
-        t = np.linspace(0, 2, 30)
-        rows = [{"t": a, "z": np.exp(a), "phi": 4 * np.exp(a / 2)} for a in t]
-        csv = cli_io.write_csv(tmp_path / "problem.csv", rows)
-        assert csv.read_text().startswith("# channellab csv v1\nt,z,phi\n")
-        body = (MINIMAL.format(out=tmp_path / "out")
-                + f"[comparison]\nfile = {csv}\nc1 = 1.0\nc2 = 0.0\n")
-        path = write_scenario(tmp_path, body)
-        assert cli_io.main(["comparison", "--scenario", str(path), "--quiet"]) == 0
-        summary = (tmp_path / "out" / "comparison.csv").read_text()
-        assert "verdict,dominated" in summary
-
-    def test_comparison_csv_loader(self, tmp_path):
-        t = np.linspace(0, 2, 30)
-        z = np.exp(t)
-        phi = 4 * np.exp(t / 2)
-        lines = ["t,z,phi"] + [
-            f"{a:.17g},{b:.17g},{c:.17g}" for a, b, c in zip(t, z, phi)
-        ]
-        path = tmp_path / "prob.csv"
-        path.write_text("\n".join(lines))
-        prob = cli_io.load_comparison_csv(path, cl.separable_psi(c1=1.0), 0.5)
-        assert cl.comparison_conclude(prob) is cl.Verdict.DOMINATED
 
 
 class TestRun:
@@ -601,6 +574,30 @@ class TestRun:
         summary = (tmp_path / "out" / "summary.csv").read_text()
         assert "PASS" in summary and "FAIL" not in summary
 
+    def test_report_without_verdicts_is_an_error(self, tmp_path, capsys):
+        # it once wrote a none,none,PASS row and exited 0
+        path = self.scenario(tmp_path)
+        assert cli_io.main(["report", "--scenario", str(path)]) == 1
+        out = tmp_path / "out"
+        assert f"{out}: no *_verdicts.csv to aggregate" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
+
+    def test_growth_scan_judges_the_hat_inequality(self, tmp_path, capsys):
+        # MINIMAL's window ends at k(2) = 0.630, not above 1.05 t* (t* =
+        # 0.630): the skip is said, not silent
+        path = self.scenario(tmp_path)
+        assert cli_io.main(["growth-scan", "--scenario", str(path)]) == 0
+        assert ("hat_energy_inequality skipped: x_max too small: no room above t*"
+                in capsys.readouterr().out)
+        body = MINIMAL.format(out=tmp_path / "hat").replace(
+            "t_list = 1, 2", "t_list = 1, 3\nx_max = 3")
+        path = write_scenario(tmp_path, body, name="hat.scn")
+        assert cli_io.main(["growth-scan", "--scenario", str(path)]) == 0
+        assert "skipped" not in capsys.readouterr().out
+        rows = (tmp_path / "hat" / "growth_verdicts.csv").read_text().splitlines()
+        assert {"hat_dominated,PASS", "hat_monotone,PASS"} <= set(rows)
+        assert (tmp_path / "hat" / "hat_energy.csv").exists()
+
     def test_hat_inequality_bug_fails_growth_scan(self, tmp_path, monkeypatch):
         # a LemmaViolation is an implementation bug, not a skipped check
         def broken(*args, **kwargs):
@@ -707,10 +704,10 @@ class TestRun:
         ("t_list = 2, 4, 6, 8", "t_list = 2, 4, nan, 8", {}, "decay-scan"),
         ("d0 = 1.0", "d0 = inf", {}, "constants"),
         (None, None, {"CHANNELLAB_HARNESS__T_RANGE": "2, inf"}, "decay-scan"),
-        (None, None, {"CHANNELLAB_COMPARISON__DELTA1": "-inf"}, "comparison"),
+        (None, None, {"CHANNELLAB_HARNESS__X_MAX": "-inf"}, "growth-scan"),
     ], ids=["grid-b-inf", "flux-nan", "flux-inf", "x-max-nan", "grid-a-nan",
             "t-list-nan", "profile-d0-inf", "t-range-env-inf",
-            "delta1-env-inf"])
+            "x-max-env-inf"])
     def test_non_finite_number_is_a_located_error(self, tmp_path, monkeypatch,
                                                   capsys, line, new, env,
                                                   command):
