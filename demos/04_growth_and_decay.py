@@ -32,7 +32,8 @@ def main():
     print("\n== growth of the Dirichlet energy ==")
     for t, d, i, lo in zip(rep.t, rep.dirichlet, rep.weight, rep.lower_ratio):
         print(f"  t = {t:4.1f}: D = {d:7.4f}  I = {i:6.4f}  D/(phi^2 I) = {lo:6.2f}")
-    print(f"  upper-ratio spread {rep.upper_spread:.3f}, verdicts {rep.verdicts}")
+    for v in rep.verdicts:
+        print(f"  {v}")
     write_svg_plot(
         f"{OUT}/growth.svg",
         [("D(t)", rep.t, rep.dirichlet),
@@ -43,8 +44,8 @@ def main():
 
     drep = eh.decay_scan(state, (4, 16))
     print("\n== pointwise decay products ==")
-    print(f"  f * sup|u| spread over slices: {drep.sup_spread:.3f}")
-    print(f"  windowed energy * f^2 spread:  {drep.window_spread:.3f}")
+    for v in drep.verdicts:  # the spreads of f * sup|u| and of energy * f^2
+        print(f"  {v}")
     write_svg_plot(
         f"{OUT}/decay.svg",
         [("f * sup|u|", drep.slice_x, drep.slice_sup)],
@@ -56,7 +57,8 @@ def main():
     print("\n== weighted-energy comparison ==")
     print(f"  fitted inequality constants: C11 = {hrep.c11:.3g}, "
           f"C12 = {hrep.c12:.3g}")
-    print(f"  verdict: {hrep.verdict.value} (the majorant dominates)")
+    for v in hrep.verdicts:  # hat_dominated: the majorant dominates
+        print(f"  {v}")
     print(f"\nwrote {OUT}/growth.svg and {OUT}/decay.svg")
 
 

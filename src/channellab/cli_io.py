@@ -512,10 +512,22 @@ def _package_version():
 # ---------------------------------------------------------------------------
 
 
+def _by_name(verdicts):
+    return sorted(verdicts, key=lambda v: v.name)
+
+
+def _write_verdicts(path, verdicts, quiet, cells=lambda v: {"verdict": v.name}):
+    """One CSV row per ``eh.Verdict``, its ``cells`` then its status, and
+    unless ``quiet`` one line each.  Returns whether none reads FAIL, and
+    the CSV in a list."""
+    written = write_csv(path, ({**cells(v), "status": v.status} for v in verdicts))
+    if not quiet:
+        for v in verdicts:
+            print(f"  {v}")
+    return all(v.status != "FAIL" for v in verdicts), [written]
+
+
 def _run_carrier_check(sc, out, quiet):
-    artifacts = []
-    rows = []
-    ok = True
     rng = np.random.default_rng(sc.seed)
     a, b = sc.grid_window[0], sc.grid_window[1]
     rep = fc.support_and_bounds_report(sc.params, sc.profile, (a, b), rng=rng)
@@ -525,24 +537,17 @@ def _run_carrier_check(sc, out, quiet):
             flux_err, abs(fc.slice_flux(sc.params, sc.profile, x1) - sc.params.phi)
         )
     fd_err = _grad_fd_spot_check(sc.params, sc.profile, (a, b), rng)
+    # the sizes are nonnegative: below inf is finite
     checks = [
-        ("support_bounds", rep.violations == 0, float(rep.violations)),
-        ("slice_flux_1e-8", flux_err <= 1e-8, flux_err),
-        ("gradient_fd_1e-6", fd_err <= 1e-6, fd_err),
-        ("sup_f_g_finite", math.isfinite(rep.sup_f_g), rep.sup_f_g),
-        ("sup_f2_grad_g_finite", math.isfinite(rep.sup_f2_grad_g),
-         rep.sup_f2_grad_g),
-        ("volume_ratio_finite", math.isfinite(rep.volume_ratio),
-         rep.volume_ratio),
+        eh.Verdict("support_bounds", float(rep.violations), 0.0, "<="),
+        eh.Verdict("slice_flux_1e-8", flux_err, 1e-8, "<="),
+        eh.Verdict("gradient_fd_1e-6", fd_err, 1e-6, "<="),
+        eh.Verdict("sup_f_g_finite", rep.sup_f_g, math.inf, "<"),
+        eh.Verdict("sup_f2_grad_g_finite", rep.sup_f2_grad_g, math.inf, "<"),
+        eh.Verdict("volume_ratio_finite", rep.volume_ratio, math.inf, "<"),
     ]
-    for name, passed, value in checks:
-        ok &= bool(passed)
-        rows.append({"check": name, "value": value,
-                     "status": "PASS" if passed else "FAIL"})
-        if not quiet:
-            print(f"  {name}: {'PASS' if passed else 'FAIL'} ({value:.3g})")
-    artifacts.append(write_csv(out / "carrier_report.csv", rows))
-    return ok, artifacts
+    return _write_verdicts(out / "carrier_report.csv", checks, quiet,
+                           cells=lambda v: {"check": v.name, "value": v.value})
 
 
 def _grad_fd_spot_check(params, profile, window, rng):
@@ -693,18 +698,16 @@ def _run_growth(sc, out, quiet):
             ylabel="energy",
         ),
     ]
-    verdicts = dict(rep.verdicts)
-
     # weighted-energy inequality on the same solve (only meaningful when
     # both tails of the window parameterization are infinite and the window
     # reaches past t*); any other error is a failure of the command
     try:
         hat = eh.hat_energy_inequality(state, min(sc.x_max, max(sc.t_list)))
     except (HypothesisNotMet, OutOfRange) as exc:
-        hat = None
-        if not quiet:
-            print(f"  hat_energy_inequality skipped: {exc}")
-    if hat is not None:
+        hat_verdicts = [eh.Verdict(name, math.nan, math.nan, "==", str(exc))
+                        for name in ("hat_dominated", "hat_monotone")]
+    else:
+        hat_verdicts = hat.verdicts
         artifacts.append(
             write_csv(out / "hat_energy.csv", hat.rows())
         )
@@ -720,25 +723,9 @@ def _run_growth(sc, out, quiet):
                 ylabel="energy",
             )
         )
-        verdicts.update(
-            {f"hat_{k}": v for k, v in hat.verdicts.items()}
-        )
-
-    artifacts.append(_write_verdicts(out / "growth_verdicts.csv", verdicts, quiet))
-    return all(verdicts.values()), artifacts
-
-
-def _write_verdicts(path, verdicts, quiet):
-    """Verdict CSV (sorted by name), then one PASS/FAIL line per verdict."""
-    rows = [
-        {"verdict": k, "status": "PASS" if v else "FAIL"}
-        for k, v in sorted(verdicts.items())
-    ]
-    written = write_csv(path, rows)
-    if not quiet:
-        for k, v in verdicts.items():
-            print(f"  {k}: {'PASS' if v else 'FAIL'}")
-    return written
+    ok, written = _write_verdicts(out / "growth_verdicts.csv",
+                                  _by_name(rep.verdicts + hat_verdicts), quiet)
+    return ok, artifacts + written
 
 
 def _run_decay(sc, out, quiet):
@@ -759,13 +746,9 @@ def _run_decay(sc, out, quiet):
             ylabel="f * sup|u|",
         ),
     ]
-    verdicts = dict(rep.verdicts)
-    informational = not rep.hypothesis_met
-    ok = informational or all(
-        v for k, v in verdicts.items() if k != "hypothesis_met"
-    )
-    artifacts.append(_write_verdicts(out / "decay_verdicts.csv", verdicts, quiet))
-    return ok, artifacts
+    ok, written = _write_verdicts(out / "decay_verdicts.csv",
+                                  _by_name(rep.verdicts), quiet)
+    return ok, artifacts + written
 
 
 def _run_poiseuille(sc, out, quiet):
@@ -782,9 +765,10 @@ def _run_poiseuille(sc, out, quiet):
             ylabel="H1 error",
             logy=True,
         ),
-        _write_verdicts(out / "poiseuille_verdicts.csv", rep.verdicts, quiet),
     ]
-    return all(rep.verdicts.values()), artifacts
+    ok, written = _write_verdicts(out / "poiseuille_verdicts.csv",
+                                  _by_name(rep.verdicts), quiet)
+    return ok, artifacts + written
 
 
 def _run_constants(sc, out, quiet):
@@ -827,10 +811,10 @@ def _run_comparison(sc, out, quiet):
         {"quantity": "verdict", "value": verdict.value},
     ]
     artifacts = [write_csv(out / "comparison.csv", rows)]
-    ok = verdict is cl.Verdict.DOMINATED
+    judged = eh.Verdict("verdict", verdict, cl.Verdict.DOMINATED, "==")
     if not quiet:
         print(f"  verdict: {verdict.value}")
-    return ok, artifacts
+    return judged.status != "FAIL", artifacts
 
 
 def _run_report(sc, out, quiet):
@@ -844,10 +828,10 @@ def _run_report(sc, out, quiet):
     if not rows:
         raise ChannelLabError(f"{out}: no *_verdicts.csv to aggregate")
     artifacts = [write_csv(out / "summary.csv", rows)]
-    ok = all(r["status"] == "PASS" for r in rows)
+    ok = all(r["status"] != "FAIL" for r in rows)
     if not quiet:
         print(f"  {len(rows)} verdicts aggregated; "
-              f"{'all PASS' if ok else 'FAILURES present'}")
+              f"{'no FAIL' if ok else 'FAILURES present'}")
     return ok, artifacts
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from . import ns_solver as ns
 from .errors import HypothesisNotMet, LemmaViolation, OutOfRange
 
 __all__ = [
+    "Verdict",
     "GridPolicy",
     "GrowthReport",
     "DecayReport",
@@ -66,6 +68,38 @@ WALL_DELTA = 0.1           # near-wall band: eta < 0.1 or eta > 0.9
 PAD_FACTOR = 2.0           # end pads of padded_solve, in window scales beta* f
 
 
+_SENSES = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+           ">=": operator.ge, ">": operator.gt}
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """One judged quantity: ``value`` must stand in ``sense`` to ``bound``.
+
+    ``status`` is PASS or FAIL by that comparison (a NaN value fails), or
+    SKIPPED when the check does not apply; ``skipped`` then says why.
+    """
+
+    name: str
+    value: object
+    bound: object
+    sense: str
+    skipped: str | None = None
+
+    @property
+    def status(self):
+        if self.skipped is not None:
+            return "SKIPPED"
+        return "PASS" if _SENSES[self.sense](self.value, self.bound) else "FAIL"
+
+    def __str__(self):
+        """``name: STATUS``, then why: the reason it was skipped, or a
+        numeric value against its bound."""
+        why = self.skipped or (f"{self.value:.3g} {self.sense} {self.bound:.3g}"
+                               if isinstance(self.value, float) else "")
+        return f"{self.name}: {self.status}" + (f" ({why})" if why else "")
+
+
 def padded_solve(profile, params, t_max, policy):
     """Converged solve on a truncation padded beyond the reporting window.
 
@@ -98,9 +132,7 @@ class GrowthReport:
     weight: list               # I(t) = int_{-t}^{t} f^-3
     upper_ratio: list          # D / (1 + I)
     lower_ratio: list          # D / (phi^2 I)
-    upper_spread: float
-    lower_min: float
-    verdicts: dict = field(default_factory=dict)
+    verdicts: list             # Verdict records
 
     def rows(self):
         for k in range(len(self.t)):
@@ -125,18 +157,17 @@ def growth_scan(state, t_list):
     upper = [d / (1.0 + i) for d, i in zip(d_vals, i_vals)]
     if phi > 0:
         lower = [d / (phi**2 * i) for d, i in zip(d_vals, i_vals)]
-        lower_min = min(lower)
     else:
         lower = [math.nan] * len(t_list)
-        lower_min = math.nan
     spread = max(upper) / min(upper) if min(upper) > 0 else math.inf
 
-    verdicts = {
-        "upper_bounded": spread <= GROWTH_RATIO_BOUND,
-        "lower_positive": (phi == 0.0)
-        or (lower_min > GROWTH_LOWER_BOUND),
-        "monotone": all(np.diff(d_vals) >= -1e-12 * max(d_vals)),
-    }
+    verdicts = [
+        Verdict("lower_positive", min(lower), GROWTH_LOWER_BOUND, ">",
+                skipped="flux 0: D has no lower bound" if phi == 0.0 else None),
+        Verdict("monotone", float(np.min(np.diff(d_vals), initial=math.inf)),
+                -1e-12 * max(d_vals), ">="),
+        Verdict("upper_bounded", spread, GROWTH_RATIO_BOUND, "<="),
+    ]
     return GrowthReport(
         profile=profile.label(),
         phi=phi,
@@ -145,8 +176,6 @@ def growth_scan(state, t_list):
         weight=i_vals,
         upper_ratio=upper,
         lower_ratio=lower,
-        upper_spread=spread,
-        lower_min=lower_min,
         verdicts=verdicts,
     )
 
@@ -160,16 +189,13 @@ def growth_scan(state, t_list):
 class DecayReport:
     profile: str
     phi: float
-    hypothesis_met: bool
     slice_x: list              # sampled x1 locations
     slice_sup: list            # f(x1) * sup over the slice of |u|
     slice_sup_interior: list   # away from the walls (distance > delta f)
     slice_sup_wall: list       # near-wall complement
     window_t: list
     window_energy: list        # ||grad u||^2 on Omega_{t - beta* f, t} * f^2
-    sup_spread: float
-    window_spread: float
-    verdicts: dict = field(default_factory=dict)
+    verdicts: list             # Verdict records
 
     def rows(self):
         for k in range(len(self.slice_x)):
@@ -188,7 +214,7 @@ def decay_scan(state, t_range):
     """f * sup|u| per slice and f^2-weighted window energies on ``state``.
 
     Requires the uniqueness-condition hypotheses; if they fail the scan
-    still runs and the verdicts are informational only.
+    still runs and its verdicts read SKIPPED.
     """
     profile = state.profile
     t_lo, t_hi = float(t_range[0]), float(t_range[-1])
@@ -221,25 +247,21 @@ def decay_scan(state, t_range):
         e = ns.dirichlet_energy(state, t - w, t)
         win_e.append(e * float(profile.width(t)) ** 2)
 
-    sup_spread = max(sup_all) / min(sup_all) if min(sup_all) > 0 else math.inf
-    win_spread = max(win_e) / min(win_e) if min(win_e) > 0 else math.inf
-    verdicts = {
-        "hypothesis_met": hypothesis,
-        "pointwise_bounded": sup_spread <= DECAY_RATIO_BOUND,
-        "local_energy_bounded": win_spread <= DECAY_RATIO_BOUND,
-    }
+    skipped = None if hypothesis else "neither condition (16) nor (17) holds"
+    verdicts = [Verdict("hypothesis_met", hypothesis, True, "==", skipped)]
+    for name, products in (("local_energy_bounded", win_e),
+                           ("pointwise_bounded", sup_all)):
+        spread = max(products) / min(products) if min(products) > 0 else math.inf
+        verdicts.append(Verdict(name, spread, DECAY_RATIO_BOUND, "<=", skipped))
     return DecayReport(
         profile=profile.label(),
         phi=state.params.phi,
-        hypothesis_met=hypothesis,
         slice_x=list(xs),
         slice_sup=sup_all,
         slice_sup_interior=sup_int,
         slice_sup_wall=sup_wall,
         window_t=win_t,
         window_energy=win_e,
-        sup_spread=sup_spread,
-        window_spread=win_spread,
         verdicts=verdicts,
     )
 
@@ -257,9 +279,7 @@ class PoiseuilleReport:
     T: list
     h1_error: list             # ||u - U||^2_{H^1} on k < x1 < T
     scaled_tail: list          # t^-3 * D+(t)
-    plateau_ok: bool
-    tail_decreasing: bool
-    verdicts: dict = field(default_factory=dict)
+    verdicts: list             # Verdict records
 
     def rows(self):
         for i in range(len(self.T)):
@@ -322,15 +342,11 @@ def poiseuille_convergence(state, k, t_list):
         d_plus = ns.dirichlet_energy(state, 0.0, T)
         tails.append(d_plus / T**3)
 
-    plateau_ok = True
-    if len(h1) >= 2:
-        # a fully converged E sits at the discretization floor everywhere;
-        # measure the plateau relative to max(previous value, that floor)
-        floor = 1e-6 * phi**2 * max(1.0, t_list[-1] - k)
-        plateau_ok = (h1[-1] - h1[-2]) <= PLATEAU_FRACTION * max(
-            h1[-2], floor
-        )
-    tail_dec = all(np.diff(tails) <= 1e-12)
+    # a fully converged E sits at the discretization floor everywhere;
+    # measure the plateau relative to max(previous value, that floor)
+    floor = 1e-6 * phi**2 * max(1.0, t_list[-1] - k)
+    prev = h1[-2] if len(h1) >= 2 else math.nan
+    skipped = None if len(h1) >= 2 else "one window: no increment"
     return PoiseuilleReport(
         profile=profile.label(),
         phi=phi,
@@ -338,9 +354,13 @@ def poiseuille_convergence(state, k, t_list):
         T=t_list,
         h1_error=h1,
         scaled_tail=tails,
-        plateau_ok=plateau_ok,
-        tail_decreasing=tail_dec,
-        verdicts={"plateau": plateau_ok, "tail_decreasing": tail_dec},
+        verdicts=[
+            Verdict("plateau", h1[-1] - prev,
+                    PLATEAU_FRACTION * max(prev, floor), "<=", skipped),
+            Verdict("tail_decreasing",
+                    float(np.max(np.diff(tails), initial=-math.inf)),
+                    1e-12, "<=", skipped),
+        ],
     )
 
 
@@ -453,9 +473,7 @@ class HatEnergyReport:
     c12: float
     c13: float
     c14: float
-    monotone: bool
-    verdict: cl.Verdict
-    verdicts: dict = field(default_factory=dict)
+    verdicts: list             # Verdict records
 
     def rows(self):
         for i in range(len(self.t)):
@@ -509,8 +527,6 @@ def hat_energy_inequality(state, x_max):
 
     phi_fn_vals = c13 + c14 * i_vals
     prob = cl.ComparisonProblem(psi, 0.5, ts, y, phi_fn_vals)
-    verdict = cl.comparison_conclude(prob)
-    monotone = bool(np.all(np.diff(y) >= -1e-9 * max(float(y.max()), 1e-300)))
     return HatEnergyReport(
         profile=profile.label(),
         phi=state.params.phi,
@@ -521,12 +537,12 @@ def hat_energy_inequality(state, x_max):
         c12=c12,
         c13=c13,
         c14=c14,
-        monotone=monotone,
-        verdict=verdict,
-        verdicts={
-            "dominated": verdict is cl.Verdict.DOMINATED,
-            "monotone": monotone,
-        },
+        verdicts=[
+            Verdict("hat_dominated", cl.comparison_conclude(prob),
+                    cl.Verdict.DOMINATED, "=="),
+            Verdict("hat_monotone", float(np.min(np.diff(y))),
+                    -1e-9 * max(float(y.max()), 1e-300), ">="),
+        ],
     )
 
 

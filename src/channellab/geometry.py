@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -485,7 +485,6 @@ class ClassificationReport:
     left_diverges: Optional[bool]
     condition_16: bool
     condition_17: bool
-    details: dict = field(default_factory=dict)
 
 
 # classify: TAIL_WINDOWS dyadic windows on each side, the first at TAIL_T0
@@ -591,11 +590,6 @@ def classify(profile):
         left_diverges=left,
         condition_16=cond16,
         condition_17=cond17,
-        details={
-            "f3_right_diverges": div3_r,
-            "f3_left_diverges": div3_l,
-            "sup_slope_last": float(sup_slope[-1]),
-        },
     )
 
 

@@ -156,17 +156,18 @@ class TestCriterion3:
         )
         flux_drift = float(np.abs(fl[inner] - 1.0).max())
         runtime = time.time() - t0
+        value = {v.name: v.value for v in rep.verdicts}
         ok = (
-            rep.upper_spread <= 3.0
-            and rep.lower_min > 0.5
+            value["upper_bounded"] <= 3.0
+            and value["lower_positive"] > 0.5
             and flux_drift <= 1e-6
             and runtime <= 300
         )
         _line(
             3,
             ok,
-            f"upper-ratio spread {rep.upper_spread:.3f} (<= 3), "
-            f"min lower ratio {rep.lower_min:.2f} (> 0.5), "
+            f"upper-ratio spread {value['upper_bounded']:.3f} (<= 3), "
+            f"min lower ratio {value['lower_positive']:.2f} (> 0.5), "
             f"interior flux drift {flux_drift:.1e} (<= 1e-6), "
             f"scan {runtime:.0f}s",
         )
@@ -176,16 +177,17 @@ class TestCriterion4:
     def test_pointwise_decay(self, big_power_state):
         profile, state = big_power_state
         rep = eh.decay_scan(state, (10, 40))
+        value = {v.name: v.value for v in rep.verdicts}
         ok = (
-            rep.hypothesis_met
-            and rep.sup_spread <= 4.0
-            and rep.window_spread <= 4.0
+            value["hypothesis_met"] is True
+            and value["pointwise_bounded"] <= 4.0
+            and value["local_energy_bounded"] <= 4.0
         )
         _line(
             4,
             ok,
-            f"f*sup|u| max/min {rep.sup_spread:.3f} (<= 4), "
-            f"windowed energy*f^2 spread {rep.window_spread:.3f} (<= 4)",
+            f"f*sup|u| max/min {value['pointwise_bounded']:.3f} (<= 4), "
+            f"windowed energy*f^2 spread {value['local_energy_bounded']:.3f} (<= 4)",
         )
 
 

@@ -587,16 +587,36 @@ class TestRun:
         # 0.630): the skip is said, not silent
         path = self.scenario(tmp_path)
         assert cli_io.main(["growth-scan", "--scenario", str(path)]) == 0
-        assert ("hat_energy_inequality skipped: x_max too small: no room above t*"
+        assert ("hat_dominated: SKIPPED (x_max too small: no room above t*)"
                 in capsys.readouterr().out)
+        rows = (tmp_path / "out" / "growth_verdicts.csv").read_text().splitlines()
+        assert {"hat_dominated,SKIPPED", "hat_monotone,SKIPPED"} <= set(rows)
         body = MINIMAL.format(out=tmp_path / "hat").replace(
             "t_list = 1, 2", "t_list = 1, 3\nx_max = 3")
         path = write_scenario(tmp_path, body, name="hat.scn")
         assert cli_io.main(["growth-scan", "--scenario", str(path)]) == 0
-        assert "skipped" not in capsys.readouterr().out
+        assert "SKIPPED" not in capsys.readouterr().out
         rows = (tmp_path / "hat" / "growth_verdicts.csv").read_text().splitlines()
         assert {"hat_dominated,PASS", "hat_monotone,PASS"} <= set(rows)
         assert (tmp_path / "hat" / "hat_energy.csv").exists()
+
+    def test_checks_that_do_not_apply_read_skipped(self, tmp_path):
+        # linear walls: conditions (16)/(17) fail and both tails of f^(-5/3)
+        # converge.  decay-scan once wrote hypothesis_met,FAIL and exited 0,
+        # and report then exited 2 on the same directory
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "family = straight", "family = linear_widen\nslope = 0.3")
+        path = write_scenario(tmp_path, body)
+        for command in ("decay-scan", "growth-scan", "report"):
+            assert cli_io.main([command, "--scenario", str(path), "--quiet"]) == 0
+        out = tmp_path / "out"
+        decay = (out / "decay_verdicts.csv").read_text().splitlines()[2:]
+        assert decay == ["hypothesis_met,SKIPPED", "local_energy_bounded,SKIPPED",
+                         "pointwise_bounded,SKIPPED"]
+        growth = (out / "growth_verdicts.csv").read_text().splitlines()[2:]
+        assert growth[:2] == ["hat_dominated,SKIPPED", "hat_monotone,SKIPPED"]
+        summary = (out / "summary.csv").read_text()
+        assert summary.count(",SKIPPED") == 5 and ",FAIL" not in summary
 
     def test_hat_inequality_bug_fails_growth_scan(self, tmp_path, monkeypatch):
         # a LemmaViolation is an implementation bug, not a skipped check

@@ -20,6 +20,54 @@ from channellab.errors import (
 SMALL = eh.GridPolicy(target_hx=0.125, ny=33)
 
 
+def judged(rep):
+    """The report's verdict records by name."""
+    return {v.name: v for v in rep.verdicts}
+
+
+def statuses(rep):
+    return {v.name: v.status for v in rep.verdicts}
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("sense, at, below, above", [
+        ("<=", "PASS", "PASS", "FAIL"),
+        ("<", "FAIL", "PASS", "FAIL"),
+        (">=", "PASS", "FAIL", "PASS"),
+        (">", "FAIL", "FAIL", "PASS"),
+        ("==", "PASS", "FAIL", "FAIL"),
+    ])
+    def test_status_at_and_one_ulp_across_the_bound(self, sense, at, below,
+                                                    above):
+        # the inline comparisons the records replace: spread <= 3.0,
+        # lower_min > 0.5, diff >= -1e-12 max D, err <= 1e-8, x < inf
+        for bound in (3.0, 0.5, -1e-12, 1e-8):
+            down, up = np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)
+            got = [eh.Verdict("v", x, bound, sense).status
+                   for x in (bound, down, up)]
+            assert got == [at, below, above], bound
+
+    @pytest.mark.parametrize("sense", ["<=", "<", ">=", ">", "=="])
+    def test_nan_fails(self, sense):
+        assert eh.Verdict("v", np.nan, 3.0, sense).status == "FAIL"
+        assert eh.Verdict("v", 1.0, np.nan, sense).status == "FAIL"
+
+    def test_finite_means_below_infinity(self):
+        assert eh.Verdict("v", 1e308, np.inf, "<").status == "PASS"
+        assert eh.Verdict("v", np.inf, np.inf, "<").status == "FAIL"
+
+    def test_skipped_whatever_the_value(self):
+        v = eh.Verdict("v", np.nan, 3.0, "<=", skipped="does not apply")
+        assert v.status == "SKIPPED"
+        assert str(v) == "v: SKIPPED (does not apply)"
+        assert str(eh.Verdict("v", 1.0, 3.0, "<=")) == "v: PASS (1 <= 3)"
+
+    def test_records_are_frozen(self):
+        v = eh.Verdict("v", 1.0, 3.0, "<=")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.value = 4.0
+
+
 @pytest.fixture(scope="module")
 def small_power_report(power_half):
     return eh.padded_solve(power_half, fc.CarrierParams(1.0, 0.5), 8.0, SMALL)
@@ -52,23 +100,24 @@ class TestGrowthScan:
         state = eh.padded_solve(straight, fc.CarrierParams(1.0), 6.0, SMALL)
         rep = eh.growth_scan(state, [2, 4, 6])
         assert rep.lower_ratio[-1] == pytest.approx(12.0, rel=0.02)
-        assert all(rep.verdicts.values())
+        assert set(statuses(rep).values()) == {"PASS"}
 
     def test_dirichlet_and_weight_monotone(self, power_half,
                                            small_power_report):
         rep = eh.growth_scan(small_power_report, [2, 4, 8])
         assert np.all(np.diff(rep.dirichlet) > 0)
         assert np.all(np.diff(rep.weight) > 0)
-        assert rep.upper_spread <= 3.0
-        assert rep.lower_min > 0.5
+        assert judged(rep)["upper_bounded"].value <= 3.0
+        assert judged(rep)["lower_positive"].value > 0.5
 
     def test_zero_flux_skips_lower_bound(self, straight):
         state = ns.solve_steady(
             straight, fc.CarrierParams(0.0, 0.5), -6, 6, 97, 17
         )
         rep = eh.growth_scan(state, [2, 4])
-        assert np.isnan(rep.lower_min)
-        assert rep.verdicts["lower_positive"]
+        # it once passed by construction
+        assert np.isnan(judged(rep)["lower_positive"].value)
+        assert statuses(rep)["lower_positive"] == "SKIPPED"
 
     def test_invalid_t(self, straight):
         with pytest.raises(OutOfRange):
@@ -81,14 +130,15 @@ class TestDecayScan:
         state = eh.padded_solve(straight, fc.CarrierParams(1.0), 5.0, SMALL)
         rep = eh.decay_scan(state, (2, 5))
         assert rep.slice_sup[0] == pytest.approx(1.5, rel=0.02)
-        assert rep.sup_spread <= 1.05
+        assert judged(rep)["pointwise_bounded"].value <= 1.05
 
     def test_power_law_bounded_products(self, power_half, small_power_report):
         rep = eh.decay_scan(small_power_report, (3, 8))
-        assert rep.hypothesis_met
-        assert rep.sup_spread <= 4.0
-        assert rep.window_spread <= 4.0
-        assert all(rep.verdicts.values())
+        assert judged(rep)["pointwise_bounded"].value <= 4.0
+        assert judged(rep)["local_energy_bounded"].value <= 4.0
+        assert statuses(rep) == dict.fromkeys(
+            ["hypothesis_met", "local_energy_bounded", "pointwise_bounded"],
+            "PASS")
 
     def test_zero_flux_zero_products(self, straight):
         state = ns.solve_steady(
@@ -112,8 +162,7 @@ class TestPoiseuilleConvergence:
             p, fc.CarrierParams(0.5), 14.0, eh.GridPolicy(0.1, 33)
         )
         rep = eh.poiseuille_convergence(state, 4.0, [6, 10, 14])
-        assert rep.plateau_ok
-        assert rep.tail_decreasing
+        assert statuses(rep) == {"plateau": "PASS", "tail_decreasing": "PASS"}
 
     def test_straight_everywhere_error_is_floor(self, straight):
         state = eh.padded_solve(
@@ -121,7 +170,10 @@ class TestPoiseuilleConvergence:
         )
         rep = eh.poiseuille_convergence(state, 0.0, [4, 8])
         assert max(rep.h1_error) < 1e-6
-        assert rep.plateau_ok
+        assert statuses(rep)["plateau"] == "PASS"
+        # one window has no increment to judge
+        rep = eh.poiseuille_convergence(state, 0.0, [8])
+        assert set(statuses(rep).values()) == {"SKIPPED"}
 
     def test_zero_flux(self, straight):
         state = eh.padded_solve(
@@ -250,8 +302,8 @@ def counted_hat(power_half, small_power_report):
 class TestHatEnergyInequality:
     def test_dominated_on_power_law(self, counted_hat):
         rep = counted_hat[0]
-        assert rep.verdict is cl.Verdict.DOMINATED
-        assert rep.monotone
+        assert judged(rep)["hat_dominated"].value is cl.Verdict.DOMINATED
+        assert statuses(rep) == {"hat_dominated": "PASS", "hat_monotone": "PASS"}
         assert rep.c11 > 0
 
     def test_window_ends_inverted_once_per_sample(self, counted_hat):
@@ -274,7 +326,7 @@ class TestHatEnergyInequality:
             straight, fc.CarrierParams(0.0, 0.5), -8, 8, 129, 17
         )
         rep = eh.hat_energy_inequality(state, 4.0)
-        assert rep.verdict is cl.Verdict.DOMINATED
+        assert judged(rep)["hat_dominated"].value is cl.Verdict.DOMINATED
         assert max(rep.y_hat) == 0.0
 
     def test_requires_case_one(self):

@@ -83,3 +83,43 @@ def test_no_private_name_of_a_sibling_module(path):
         "private_module", "dunders", "not_a_sibling"])
 def test_private_access_guard(source, found):
     assert private_accesses(ast.parse(source)) == found
+
+
+# each desk-scale bound is compared in one place, by the one record that
+# judges it; the acceptance tests keep their own literal thresholds
+BOUNDS = ("GROWTH_RATIO_BOUND", "GROWTH_LOWER_BOUND", "DECAY_RATIO_BOUND",
+          "PLATEAU_FRACTION")
+
+
+def bound_reads(tree):
+    """How often each of ``BOUNDS`` is read, by name or as an attribute."""
+    reads = dict.fromkeys(BOUNDS, 0)
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name in reads:
+                reads[name] += 1
+    return reads
+
+
+def test_each_bound_is_read_once():
+    reads = dict.fromkeys(BOUNDS, 0)
+    for path in SOURCES:
+        for name, n in bound_reads(ast.parse(path.read_text(encoding="utf-8"))).items():
+            reads[name] += n
+    assert reads == dict.fromkeys(BOUNDS, 1)
+
+
+def test_bound_guard_counts_reads_not_assignments():
+    source = ("PLATEAU_FRACTION = 0.1\nx = PLATEAU_FRACTION * 2\n"
+              "eh.DECAY_RATIO_BOUND\nDECAY_RATIO_BOUND\neh.GROWTH_LOWER_BOUND = 1\n")
+    assert bound_reads(ast.parse(source)) == {
+        "GROWTH_RATIO_BOUND": 0, "GROWTH_LOWER_BOUND": 0,
+        "DECAY_RATIO_BOUND": 2, "PLATEAU_FRACTION": 1}
+
+
+def test_acceptance_tests_do_not_read_the_bounds():
+    tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(
+        encoding="utf-8"))
+    assert bound_reads(tree) == dict.fromkeys(BOUNDS, 0)
