@@ -2,8 +2,10 @@
 
 Used by the functional-inequality estimators.  Nodes are the mapped-grid
 nodes ordered idx = i*ny + j; elements are the grid cells, integrated
-isoparametrically with 2x2 Gauss.  Also holds the one eigen helper behind
-every inequality constant (shift-invert Lanczos with a residual-checked
+isoparametrically with 2x2 Gauss.  Also holds the nested-dissection order
+of the grid nodes that the sparse factors of ``ns_solver`` and
+``functional_inequalities`` keep, the one eigen helper behind every
+inequality constant (shift-invert Lanczos with a residual-checked
 acceptance) and its wrapper for the tridiagonal 1D P1 pencils of the
 carrier's slice constant.
 """
@@ -70,6 +72,37 @@ def _gauss_points(xe, ye):
         yield n, det, bx, by
 
 
+# nested dissection stops at boxes of at most this many nodes a side
+_LEAF_NODES = 4
+
+
+def nested_dissection(nx, ny):
+    """Grid nodes ``i * ny + j`` in nested-dissection order.
+
+    Each box larger than a leaf is cut across its longer side by one full
+    grid line; both halves come first, then the separating line, so every
+    separator follows the nodes it decouples (George, SIAM J. Numer.
+    Anal. 10, 1973).
+    """
+    parts = []
+
+    def visit(box):
+        m, k = box.shape
+        if max(m, k) <= _LEAF_NODES:
+            parts.append(box.ravel())
+            return
+        if m < k:
+            box = box.T
+            m = k
+        c = m // 2
+        visit(box[:c])
+        visit(box[c + 1:])
+        parts.append(box[c])
+
+    visit(np.arange(nx * ny).reshape(nx, ny))
+    return np.concatenate(parts)
+
+
 def _scatter(conn, ndof, *blocks):
     """CSR matrices from (n_elem, 4, 4) element blocks (duplicates summed)."""
     rows = np.repeat(conn, 4, axis=1).ravel()
@@ -129,17 +162,19 @@ def assemble_div(x, y, nx, ny):
     return B1, B2
 
 
-def smallest_eigenpair(M, solve):
+def smallest_eigenpair(M, solve, v0=None):
     """Smallest lam of K v = lam M v, given M and solve = K^(-1).
 
-    Shift-invert Lanczos (ARPACK mode 3, sigma 0) from a seeded start, so
-    reruns are byte-identical; only solve and M are applied, never K.  The
-    pair is accepted only if ||lam solve(M v) - v|| <= 1e-10 ||v||;
-    otherwise, and on any ARPACK error, :class:`EigenFailure` is raised.
+    Shift-invert Lanczos (ARPACK mode 3, sigma 0) from the start ``v0``,
+    by default a seeded random vector, so reruns are byte-identical; only
+    solve and M are applied, never K.  The pair is accepted only if
+    ||lam solve(M v) - v|| <= 1e-10 ||v||; otherwise, and on any ARPACK
+    error, :class:`EigenFailure` is raised.
     """
     n = M.shape[0]
     op = LinearOperator((n, n), matvec=solve, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(n)
+    if v0 is None:
+        v0 = np.random.default_rng(0).standard_normal(n)
     try:
         # in shift-invert mode the first argument is read for its shape only
         vals, vecs = eigsh(M, k=1, M=M, sigma=0.0, OPinv=op, v0=v0)

@@ -437,8 +437,9 @@ def write_field_file(path, state):
         ("u2", state.u2),
     ]:
         lines.append(f"[{name}]")
-        for row in arr:
-            lines.append(" ".join(format(v, ".17g") for v in row))
+        # one %-template per row: the text of format(v, ".17g") per number
+        template = " ".join(["%.17g"] * arr.shape[1])
+        lines.extend(template % tuple(row) for row in arr.tolist())
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

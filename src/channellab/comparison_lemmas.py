@@ -18,7 +18,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy import optimize
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     InsufficientTail,
@@ -98,6 +97,59 @@ def separable_psi(c1=0.0, c2=0.0, exponent=1.5):
     return PsiSpec(c1=c1, c2=c2, exponent=exponent)
 
 
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end, kept to the shape of the data:
+    0 if its sign is not the end secant's, 3 times that secant if the
+    secants change sign and it overshoots."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class _Pchip:
+    """Monotone piecewise cubic Hermite interpolant of samples ``(x, y)``.
+
+    An inner node takes the weighted harmonic mean of its two secants, or
+    0 where they differ in sign or one vanishes (Fritsch & Carlson, SIAM J.
+    Numer. Anal. 17, 1980); the ends take :func:`_end_slope`, and two
+    samples give their line.  Coefficients and evaluation repeat
+    ``scipy.interpolate.PchipInterpolator`` operation for operation, so
+    both give the same numbers.
+    """
+
+    def __init__(self, x, y):
+        self.x = x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = np.full(y.size, m[0])
+        if y.size > 2:
+            ml, mr = m[:-1], m[1:]
+            mean = (np.sign(ml) == np.sign(mr)) & (ml != 0) & (mr != 0)
+            w1, w2 = (2 * h[1:] + h[:-1])[mean], (h[1:] + 2 * h[:-1])[mean]
+            d[1:-1] = 0.0
+            d[1:-1][mean] = 1.0 / ((w1 / ml[mean] + w2 / mr[mean]) / (w1 + w2))
+            d[0] = _end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        # on interval k, the coefficients of 1, s, s^2, s^3 for s = x - x_k
+        self._c = (y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)
+
+    def __call__(self, xq):
+        """Values and slopes at ``xq``, each point in the interval ``[x_k,
+        x_k+1)`` that holds it (the last one closed, the ends extended)."""
+        k = np.clip(np.searchsorted(self.x, xq, side="right") - 1,
+                    0, self.x.size - 2)
+        s = xq - self.x[k]
+        c0, c1, c2, c3 = (c[k] for c in self._c)
+        s2 = s * s
+        value = c0 + c1 * s + c2 * s2 + c3 * (s2 * s)
+        return value, c1 + 2.0 * c2 * s + 3.0 * c3 * s2
+
+
 # relative slack for decreasing jitter in sampled z
 MONOTONE_TOL = 1e-9
 # fine grid on which the hypotheses and the conclusion are evaluated
@@ -134,22 +186,22 @@ class ComparisonProblem:
     def _z_interp(self):
         # clip tiny decreasing jitter so the shape-preserving interpolant
         # cannot manufacture negative slopes
-        return PchipInterpolator(self.t, np.maximum.accumulate(self.z))
+        return _Pchip(self.t, np.maximum.accumulate(self.z))
 
     @cached_property
     def _phi_interp(self):
-        return PchipInterpolator(self.t, self.phi)
+        return _Pchip(self.t, self.phi)
 
 
 def _slope_band(t, samples, slope, ts):
-    """|centered differences of the samples - slope(t)| on t, interpolated to ts.
+    """|centered differences of the samples - slope| on t, interpolated to ts.
 
     Two independent estimators of a sampled derivative (shape-preserving
     interpolant vs plain centered differences) disagree by the sampling
     error; hypothesis margins give saturated inequalities the benefit of
     that band.
     """
-    return np.interp(ts, t, np.abs(np.gradient(samples, t) - slope(t)))
+    return np.interp(ts, t, np.abs(np.gradient(samples, t) - slope))
 
 
 # relative slack for hypothesis margins: saturating majorants sit at exact
@@ -180,18 +232,15 @@ def check_hypotheses(problem):
     saturated majorant count as holding.
     """
     ts = np.linspace(problem.t[0], problem.t[-1], N_FINE)
-    zi = problem._z_interp
-    dzi = zi.derivative()
-    z = zi(ts)
-    zp = np.maximum(dzi(ts), 0.0)
-    phii = problem._phi_interp
-    dphii = phii.derivative()
-    phi = phii(ts)
-    phip = dphii(ts)
-    band = _slope_band(problem.t, problem.phi, dphii, ts)
+    zi, phii = problem._z_interp, problem._phi_interp
+    z, zp = zi(ts)
+    zp = np.maximum(zp, 0.0)
+    phi, phip = phii(ts)
+    band = _slope_band(problem.t, problem.phi, phii(problem.t)[1], ts)
 
     # z' carries the same sampled-derivative ambiguity as phi'
-    z_band = _slope_band(problem.t, np.maximum.accumulate(problem.z), dzi, ts)
+    z_band = _slope_band(problem.t, np.maximum.accumulate(problem.z),
+                         zi(problem.t)[1], ts)
 
     psi_z = problem.psi(ts, zp + z_band)
     lhs_scale = np.maximum(1.0, np.abs(z).max())
@@ -203,7 +252,7 @@ def check_hypotheses(problem):
     maj_scale = np.maximum(1.0, np.abs(phi).max())
     majorant_margin = float(np.min(phi - psi_phi / problem.delta1) / maj_scale)
 
-    gap = float(phii(problem.t[-1]) - zi(problem.t[-1]))
+    gap = float(phi[-1] - z[-1])  # ts ends on t[-1] exactly
     endpoint_ok = bool(gap >= -MARGIN_TOL * maj_scale)
     return HypothesisReport(
         growth_margin=growth_margin,
@@ -229,8 +278,8 @@ def comparison_conclude(problem, report=None):
         return Verdict.HYPOTHESIS_FAILED_ENDPOINT
 
     ts = np.linspace(problem.t[0], problem.t[-1], N_FINE)
-    z = problem._z_interp(ts)
-    phi = problem._phi_interp(ts)
+    z, _ = problem._z_interp(ts)
+    phi, _ = problem._phi_interp(ts)
     scale = max(1.0, float(np.abs(phi).max()))
     worst = float(np.min(phi - z))
     if worst < -1e-8 * scale:
@@ -310,8 +359,7 @@ def blowup_rate(t, z, psi):
     tt, zz = t[tail], z[tail]
     if np.any(zz <= 0):
         raise OutOfRange("tail samples must be positive for a log-log fit")
-    interp = PchipInterpolator(tt, zz)
-    zp = np.maximum(interp.derivative()(tt), 0.0)
+    zp = np.maximum(_Pchip(tt, zz)(tt)[1], 0.0)
     margin = float(np.min((psi(tt, zp) - zz) / np.maximum(zz, 1e-300)))
     holds = margin >= -BLOWUP_HYP_TOL
 

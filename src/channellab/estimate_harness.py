@@ -161,12 +161,15 @@ def growth_scan(state, t_list):
         lower = [math.nan] * len(t_list)
     spread = max(upper) / min(upper) if min(upper) > 0 else math.inf
 
+    # at flux 0 the flow is at rest: D vanishes and neither bound applies
+    at_rest = phi == 0.0
     verdicts = [
         Verdict("lower_positive", min(lower), GROWTH_LOWER_BOUND, ">",
-                skipped="flux 0: D has no lower bound" if phi == 0.0 else None),
+                skipped="flux 0: D has no lower bound" if at_rest else None),
         Verdict("monotone", float(np.min(np.diff(d_vals), initial=math.inf)),
                 -1e-12 * max(d_vals), ">="),
-        Verdict("upper_bounded", spread, GROWTH_RATIO_BOUND, "<="),
+        Verdict("upper_bounded", spread, GROWTH_RATIO_BOUND, "<=",
+                skipped="flux 0: D vanishes, no spread" if at_rest else None),
     ]
     return GrowthReport(
         profile=profile.label(),
@@ -214,7 +217,8 @@ def decay_scan(state, t_range):
     """f * sup|u| per slice and f^2-weighted window energies on ``state``.
 
     Requires the uniqueness-condition hypotheses; if they fail the scan
-    still runs and its verdicts read SKIPPED.
+    still runs and its verdicts read SKIPPED.  At flux 0 the two spreads
+    read SKIPPED: every product vanishes.
     """
     profile = state.profile
     t_lo, t_hi = float(t_range[0]), float(t_range[-1])
@@ -249,6 +253,8 @@ def decay_scan(state, t_range):
 
     skipped = None if hypothesis else "neither condition (16) nor (17) holds"
     verdicts = [Verdict("hypothesis_met", hypothesis, True, "==", skipped)]
+    if skipped is None and state.params.phi == 0.0:
+        skipped = "flux 0: the products vanish, no spread"
     for name, products in (("local_energy_bounded", win_e),
                            ("pointwise_bounded", sup_all)):
         spread = max(products) / min(products) if min(products) > 0 else math.inf

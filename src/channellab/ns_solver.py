@@ -37,6 +37,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from . import flux_carrier as fc
+from ._fem import nested_dissection
 # neither is called here: both are patch points of bench/spans.py
 from ._fem import assemble_q1, assemble_grad_load
 from .errors import LinearSolveFailure, NonConvergence, OutOfRange
@@ -155,37 +156,6 @@ def velocity_gradients(state):
 # ---------------------------------------------------------------------------
 
 
-# nested dissection stops at boxes of at most this many nodes a side
-_LEAF_NODES = 4
-
-
-def _nested_dissection(nx, ny):
-    """Grid nodes ``i * ny + j`` in nested-dissection order.
-
-    Each box larger than a leaf is cut across its longer side by one full
-    grid line; both halves come first, then the separating line, so every
-    separator follows the nodes it decouples (George, SIAM J. Numer.
-    Anal. 10, 1973).
-    """
-    parts = []
-
-    def visit(box):
-        m, k = box.shape
-        if max(m, k) <= _LEAF_NODES:
-            parts.append(box.ravel())
-            return
-        if m < k:
-            box = box.T
-            m = k
-        c = m // 2
-        visit(box[:c])
-        visit(box[c + 1:])
-        parts.append(box[c])
-
-    visit(np.arange(nx * ny).reshape(nx, ny))
-    return np.concatenate(parts)
-
-
 def _scaled_rows(weights, matrix):
     """diag(weights) @ matrix in CSR; the product stores no zeros, so rows
     of weight 0 drop out.  ``weights`` are per node, in an (nx, ny) array
@@ -209,7 +179,7 @@ class _Workspace:
         # nested-dissection order; a five-point grid (J1 = 0) has none
         self.perm = None
         if np.any(grid.j1):
-            order = _nested_dissection(grid.nx, grid.ny)
+            order = nested_dissection(grid.nx, grid.ny)
             self.perm = np.column_stack([order, order + self.n]).ravel()
         # advection pattern: the omega rows of the interior nodes, a slot for
         # each entry of their xi and (imaginary) eta difference stencils,

@@ -447,6 +447,26 @@ class TestArtifacts:
         for name, arr in [("psi", state.psi), ("u1", state.u1)]:
             assert np.array_equal(np.array(arrays[name]), arr)
 
+    def test_field_file_text_is_per_number_format(self, straight, tmp_path):
+        # the row templates write exactly format(v, ".17g") of each number
+        grid = geo.make_grid(straight, -1, 1, 9, 8)
+        rng = np.random.default_rng(3)
+        psi = rng.standard_normal((9, 8)) * 10.0 ** rng.integers(-30, 30, (9, 8))
+        psi[0, :3] = [0.0, -0.0, 5e-310]
+        omega = -psi.T.ravel().reshape(9, 8)
+        state = ns.state_from_fields(grid, straight, fc.CarrierParams(1.0, 0.5),
+                                     psi, omega)
+        path = cli_io.write_field_file(tmp_path / "f.field", state)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        body = lines[lines.index("[psi]"):]
+        want = []
+        for name, arr in [("psi", psi), ("omega", omega), ("u1", state.u1),
+                          ("u2", state.u2)]:
+            want.append(f"[{name}]")
+            want.extend(" ".join(format(v, ".17g") for v in row) for row in arr)
+        assert body == want
+        assert body[1].split()[:2] == ["0", "-0"]
+
     def test_svg_written(self, tmp_path):
         p = cli_io.write_svg_plot(
             tmp_path / "p.svg",
@@ -617,6 +637,23 @@ class TestRun:
         assert growth[:2] == ["hat_dominated,SKIPPED", "hat_monotone,SKIPPED"]
         summary = (out / "summary.csv").read_text()
         assert summary.count(",SKIPPED") == 5 and ",FAIL" not in summary
+
+    def test_flux_zero_spreads_read_skipped(self, tmp_path):
+        # at rest every energy and product is 0: the spreads once read
+        # inf and FAIL, so both scans exited 2 on a flow meeting every bound
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "flux = 1.0", "flux = 0.0")
+        path = write_scenario(tmp_path, body)
+        for command in ("growth-scan", "decay-scan"):
+            assert cli_io.main([command, "--scenario", str(path), "--quiet"]) == 0
+        out = tmp_path / "out"
+        growth = (out / "growth_verdicts.csv").read_text().splitlines()[2:]
+        assert "lower_positive,SKIPPED" in growth
+        assert "upper_bounded,SKIPPED" in growth
+        assert "monotone,PASS" in growth
+        decay = (out / "decay_verdicts.csv").read_text().splitlines()[2:]
+        assert decay == ["hypothesis_met,PASS", "local_energy_bounded,SKIPPED",
+                         "pointwise_bounded,SKIPPED"]
 
     def test_hat_inequality_bug_fails_growth_scan(self, tmp_path, monkeypatch):
         # a LemmaViolation is an implementation bug, not a skipped check

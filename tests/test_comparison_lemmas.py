@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import optimize
+from scipy.interpolate import PchipInterpolator
 
 from channellab import comparison_lemmas as cl
 from channellab.errors import InsufficientTail, NonMonotoneSamples, OutOfRange
@@ -68,16 +69,78 @@ class TestConclusion:
         psi = cl.separable_psi(c2=1.0)
         ts, phi = cl.solve_majorant(psi, 0.5, 2.0, 0.0, 1.0, step=1 / 60)
         built = []
-        pchip = cl.PchipInterpolator
+        pchip = cl._Pchip
 
         def counted(*args, **kwargs):
             built.append(1)
             return pchip(*args, **kwargs)
 
-        monkeypatch.setattr(cl, "PchipInterpolator", counted)
+        monkeypatch.setattr(cl, "_Pchip", counted)
         prob = cl.ComparisonProblem(psi, 0.5, ts, 0.25 * phi, phi)
         assert cl.comparison_conclude(prob) is cl.Verdict.DOMINATED
         assert len(built) <= 2
+
+
+def seeded_problems(seed=1, n=200):
+    """(t, z, phi) of n majorant-built problems, drawn as the
+    constants-comparison benchmark draws them (bench/workloads.py): 70 % of
+    the Psi with c1 > 0, z a random share of (1 - delta1) phi."""
+    rng = np.random.default_rng(seed)
+    with_c1 = np.zeros(n, dtype=bool)
+    with_c1[: int(round(0.7 * n))] = True
+    rng.shuffle(with_c1)
+    for k in range(n):
+        c1 = float(rng.uniform(0.0, 2.0)) if with_c1[k] else 0.0
+        c2, m, d1, phi0, t1, share = (
+            float(rng.uniform(lo, hi)) for lo, hi in
+            ((0.1, 2.0), (1.1, 3.0), (0.1, 0.9), (0.1, 10.0), (0.5, 3.0),
+             (0.05, 1.0)))
+        psi = cl.separable_psi(c1=c1, c2=c2, exponent=m)
+        ts, phi = cl.solve_majorant(psi, d1, phi0, 0.0, t1, step=t1 / 60)
+        yield ts, share * (1.0 - d1) * phi, phi
+
+
+def assert_matches_scipy(x, y, xq):
+    value, slope = cl._Pchip(x, y)(xq)
+    ref = PchipInterpolator(x, y)
+    for got, want in ((value, ref(xq)), (slope, ref.derivative()(xq))):
+        scale = max(np.abs(want).max(), 1e-300)
+        assert np.abs(got - want).max() <= 1e-14 * scale
+    return value, slope
+
+
+class TestPchip:
+    def test_matches_scipy_on_seeded_problems(self):
+        # both interpolants of each problem, on the fine grid of the
+        # hypotheses and on the samples, where the slope bands read them
+        count = 0
+        for ts, z, phi in seeded_problems():
+            fine = np.linspace(ts[0], ts[-1], cl.N_FINE)
+            for y in (np.maximum.accumulate(z), phi):
+                assert_matches_scipy(ts, y, fine)
+                assert_matches_scipy(ts, y, ts)
+            count += 1
+        assert count == 200
+
+    # on x = 0, 1, 1.5, 3.5, 4.5: the slopes the rules give at some nodes
+    @pytest.mark.parametrize("y, slopes", [
+        pytest.param([1.0, 5.0], {0: 4.0, 1: 4.0}, id="two_samples"),
+        pytest.param([0.0, 1.0, 1.0, 1.0, 2.0], {1: 0.0, 2: 0.0, 3: 0.0},
+                     id="flat_segment"),
+        pytest.param([0.0, 1.0, 0.5, 2.0, 1.5], {1: 0.0, 2: 0.0, 3: 0.0},
+                     id="sign_change"),
+        # one-sided (2.5 m0 - m1) / 1.5 = 15 overshoots where the secants
+        # 1 and -20 change sign: 3 m0
+        pytest.param([0.0, 1.0, -9.0], {0: 3.0}, id="end_clamped_to_3m"),
+        # secants 1 and 8: (2.5 - 8) / 1.5 has the wrong sign
+        pytest.param([0.0, 1.0, 5.0], {0: 0.0}, id="end_set_to_0"),
+    ])
+    def test_edge_cases(self, y, slopes):
+        x = np.array([0.0, 1.0, 1.5, 3.5, 4.5][: len(y)])
+        xq = np.linspace(x[0] - 0.5, x[-1] + 0.5, 201)
+        assert_matches_scipy(x, np.array(y), xq)
+        _, at_nodes = assert_matches_scipy(x, np.array(y), x)
+        assert {k: at_nodes[k] for k in slopes} == slopes
 
 
 def _refined(psi, delta1, phi0, ts, factor=64):

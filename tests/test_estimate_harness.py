@@ -118,6 +118,8 @@ class TestGrowthScan:
         # it once passed by construction
         assert np.isnan(judged(rep)["lower_positive"].value)
         assert statuses(rep)["lower_positive"] == "SKIPPED"
+        # D vanishes: the spread once read inf and FAIL
+        assert statuses(rep)["upper_bounded"] == "SKIPPED"
 
     def test_invalid_t(self, straight):
         with pytest.raises(OutOfRange):
@@ -146,6 +148,10 @@ class TestDecayScan:
         )
         rep = eh.decay_scan(state, (2, 4))
         assert max(rep.slice_sup) == 0.0
+        # the spreads once read inf and FAIL
+        assert statuses(rep) == {"hypothesis_met": "PASS",
+                                 "local_energy_bounded": "SKIPPED",
+                                 "pointwise_bounded": "SKIPPED"}
 
     def test_interior_wall_split(self, power_half, small_power_report):
         rep = eh.decay_scan(small_power_report, (3, 8))

@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,3 +126,18 @@ def test_acceptance_tests_do_not_read_the_bounds():
     tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(
         encoding="utf-8"))
     assert bound_reads(tree) == dict.fromkeys(BOUNDS, 0)
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # the comparison interpolant is numpy, so the package's import time and
+    # memory include no scipy.interpolate
+    src = str(Path(channellab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, channellab; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

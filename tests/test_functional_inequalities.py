@@ -60,6 +60,31 @@ class TestPoincareM1:
         large = fi.poincare_m1(power_half, -10, 10, resolution=(129, 33))
         assert large.value >= small.value - 1e-9
 
+    @pytest.mark.parametrize("profile, a, b", bundled())
+    def test_coarse_start_matches_seeded_start(self, profile, a, b, monkeypatch):
+        # the full-grid Lanczos run from the interpolated coarse eigenvector
+        # lands on the eigenvalue of the seeded run, in fewer back-solves
+        runs = {}
+        for start in ("coarse", "seeded"):
+            solves = []
+
+            def counting(M, solve, v0=None):
+                def counted(rhs):
+                    solves.append(M.shape[0])
+                    return solve(rhs)
+
+                return smallest_eigenpair(M, counted,
+                                          v0 if start == "coarse" else None)
+
+            monkeypatch.setattr(fi, "smallest_eigenpair", counting)
+            value = fi.poincare_m1(profile, a, b).value
+            runs[start] = value, solves.count(max(solves))
+        (value, fine), (seeded, fine_seeded) = runs["coarse"], runs["seeded"]
+        assert value == pytest.approx(seeded, rel=1e-13, abs=0.0)
+        assert fine <= fine_seeded
+        if profile.label().startswith("straight"):
+            assert fine < fine_seeded
+
     def test_eigen_refinement_order(self, straight):
         exact = 2.0 / math.pi
         e1 = abs(fi.poincare_m1(straight, 0, 2, resolution=(33, 33)).value - exact)
@@ -275,6 +300,26 @@ class TestBogovskii:
         a1, a2, p = fi._saddle_apply(pinned, nf, lumped, load)
         got = np.concatenate([a1, a2, p - (lumped @ p) / lumped.sum()])
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("profile, a, b", bundled())
+    def test_saddle_factor_keeps_its_order(self, profile, a, b, monkeypatch):
+        # nested dissection with diagonal pivots: SuperLU keeps the given
+        # order, swaps no row and fills L+U to 343-344k entries (COLAMD with
+        # partial pivoting: 479-483k)
+        factors = []
+
+        def recording(matrix, *args, **kwargs):
+            factors.append(splu(matrix, *args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(fi, "splu", recording)
+        _, x, y = fi._grid_nodes(profile, a, b, 33, 33)
+        fi._saddle_factor(x, y, 33, 33)
+        (lu,) = factors
+        identity = np.arange(lu.shape[0])
+        assert np.array_equal(lu.perm_c, identity)
+        assert np.array_equal(lu.perm_r, identity)
+        assert lu.L.nnz + lu.U.nnz <= 360_000
 
     def test_saddle_matrix_has_no_dense_border(self, monkeypatch):
         # Q1 couplings give at most 9 + 9 + 9 entries in a pressure row; a
