@@ -5,6 +5,10 @@ Four constants back the channel estimates: the slicewise Poincare constant
 max width), the L4 embedding constant, and the divergence-problem constant
 with its star-shaped decomposition bound.  Everything here is a numerical
 estimate at a stated resolution, not a certified enclosure.
+
+M1 and M4 back-solve positive definite Q1 stiffnesses by banded Cholesky
+(``_fem.spd_solve``); only M5's indefinite saddle system is factored by
+SuperLU.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ from ._fem import (
     assemble_q1,
     nested_dissection,
     smallest_eigenpair,
+    spd_solve,
 )
-from .errors import AscentStagnation, EigenFailure, SaddleSolveFailure
+from .errors import AscentStagnation, SaddleSolveFailure
 from .geometry import make_grid
 
 __all__ = [
@@ -87,27 +92,20 @@ def _wall_mask(nx, ny, dirichlet_ends=False):
     return mask
 
 
-def _laplace_eigenpair(profile, a, b, nx, ny, dirichlet_ends=False, v0=None):
-    """Smallest Laplace eigenvalue on the free nodes of an nx x ny grid and
-    its eigenvector as (nx, ny) nodal values, 0 on the fixed nodes; the
-    Lanczos run starts from the free values of the nodal array ``v0``."""
+def _laplace_eigenpair(profile, a, b, nx, ny, v0=None):
+    """Smallest Laplace eigenvalue of an nx x ny grid with Dirichlet walls
+    and natural ends, and its eigenvector as (nx, ny) nodal values, 0 on
+    the walls; the Lanczos run starts from the free values of the nodal
+    array ``v0``."""
     _, x, y = _grid_nodes(profile, a, b, nx, ny)
     K, M, _ = assemble_q1(x, y, nx, ny)
-    free = ~_wall_mask(nx, ny, dirichlet_ends)
-    try:
-        lu = splu(K[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise EigenFailure(str(exc)) from exc
+    free = ~_wall_mask(nx, ny)
     start = None if v0 is None else v0.ravel()[free]
-    lam, v_free = smallest_eigenpair(M[free][:, free].tocsr(), lu.solve, start)
+    lam, v_free = smallest_eigenpair(M[free][:, free], spd_solve(K[free][:, free]),
+                                     start)
     v = np.zeros(nx * ny)
     v[free] = v_free
     return lam, v.reshape(nx, ny)
-
-
-def _laplace_eigenvalue(profile, a, b, nx, ny, dirichlet_ends=False):
-    """Smallest Laplace eigenvalue on the free nodes of an nx x ny grid."""
-    return _laplace_eigenpair(profile, a, b, nx, ny, dirichlet_ends)[0]
 
 
 def _index_interpolation(m, n):
@@ -183,7 +181,7 @@ def poincare_m0(profile, a, b):
 # M4 ascent: seeded random starts, each capped at M4_MAX_STEPS steps; the
 # start set decides the basin the ascent lands in, so it is fixed
 M4_STARTS = 16
-M4_MAX_STEPS = 200
+M4_MAX_STEPS = 500
 M4_SEED = 0
 
 
@@ -194,39 +192,44 @@ def sobolev_m4(profile, a, b, resolution=(65, 65)):
     random starts.  The ascent can only stop short of the discrete
     supremum, but the lumped-mass L4 quadrature is no bound on the
     continuous one: at 49x33 on straight [-10, 10] the value lies 2.1 %
-    above its refined value.
+    above its refined value.  A start that has not settled after
+    M4_MAX_STEPS steps raises :class:`AscentStagnation` naming it, and so
+    does a run in which no start reaches a positive ratio.
     """
     nx, ny = resolution
     _, x, y = _grid_nodes(profile, a, b, nx, ny)
     K, _, lumped = assemble_q1(x, y, nx, ny)
     free = ~_wall_mask(nx, ny)
-    Kf = K[free][:, free].tocsc()
+    Kf = K[free][:, free]
     lump_f = lumped[free]
-    try:
-        lu = splu(Kf, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise EigenFailure(str(exc)) from exc
+    solve = spd_solve(Kf)
 
     # one standard_normal draw per start, the columns of one Fortran-ordered
     # block: each step back-solves the live ones in one call
     rng = np.random.default_rng(M4_SEED)
     W = rng.standard_normal((M4_STARTS, lump_f.size)).T
     W = W / np.sqrt(np.einsum("ij,ij->j", W, Kf @ W))
+    live = np.arange(M4_STARTS)
     ratio_old = np.zeros(M4_STARTS)
     best = 0.0
     for _ in range(M4_MAX_STEPS):
-        W = lu.solve(lump_f[:, None] * (W * W * W))  # W**3 is a pow call per entry
-        nrm = np.sqrt(np.einsum("ij,ij->j", W, Kf @ W))
+        load = lump_f[:, None] * (W * W * W)  # W**3 is a pow call per entry
+        W = solve(load)
+        nrm = np.sqrt(np.einsum("ij,ij->j", W, load))  # w.Kw = w.r for K w = r
         W /= np.where(nrm > 0.0, nrm, 1.0)
         ratio = (lump_f @ np.square(W * W)) ** 0.25  # ||grad w|| normalized to 1
         # a start stops at a zero field or a settled ratio, keeping its last one
         settled = np.abs(ratio - ratio_old) <= 1e-10 * np.maximum(ratio, 1e-300)
         done = settled | (nrm == 0.0)
         best = max(best, ratio_old[done].max(initial=0.0))
-        W, ratio_old = W[:, ~done], ratio[~done]
-        if not ratio_old.size:
+        W, ratio_old, live = W[:, ~done], ratio[~done], live[~done]
+        if not live.size:
             break
-    best = float(max(best, ratio_old.max(initial=0.0)))
+    if live.size:
+        raise AscentStagnation(
+            f"M4 ascent starts {', '.join(map(str, live))} of {M4_STARTS} "
+            f"did not settle in {M4_MAX_STEPS} steps")
+    best = float(best)
     if not best > 0.0:
         raise AscentStagnation("no ascent start produced a positive ratio")
     return ConstantEstimate(

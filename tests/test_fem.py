@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import eigh
 
-from channellab._fem import smallest_eigenpair, tridiagonal_pencil_max
+from channellab._fem import smallest_eigenpair, spd_solve, tridiagonal_pencil_max
 from channellab.errors import EigenFailure
 
 
@@ -54,3 +55,14 @@ class TestSmallestEigenpair:
         with pytest.raises(EigenFailure) as err:
             smallest_eigenpair(dense(dM, oM), lambda r: np.linalg.solve(K, r))
         assert "residual" in str(err.value)
+
+
+class TestSpdSolve:
+    def test_indefinite_matrix_raises(self):
+        # a shift between the extreme eigenvalues leaves K symmetric but
+        # indefinite
+        dK, oK, _, _ = random_pencil(50, seed=3)
+        lam = eigh(dense(dK, oK), eigvals_only=True)
+        shifted = dense(dK - 0.5 * (lam[0] + lam[-1]), oK)
+        with pytest.raises(EigenFailure):
+            spd_solve(sparse.csr_matrix(shifted))

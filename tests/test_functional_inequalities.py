@@ -13,10 +13,11 @@ from channellab._fem import (
     assemble_div,
     assemble_q1,
     smallest_eigenpair,
+    spd_solve,
     tridiagonal_pencil_max,
 )
 from channellab.cli_io import parse_scenario
-from channellab.errors import AscentStagnation
+from channellab.errors import AscentStagnation, EigenFailure
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # stem -> (profile, a, b) of the bundled walls, on the window `constants` uses
@@ -45,8 +46,11 @@ class TestPoincareM1:
 
     def test_all_dirichlet_unit_square(self):
         p = geo.straight(c1=0.0, c2=1.0)
-        m1 = fi._laplace_eigenvalue(p, 0, 1, 65, 65, True) ** -0.5
-        assert m1 == pytest.approx(1.0 / (math.pi * math.sqrt(2)), rel=0.02)
+        _, x, y = fi._grid_nodes(p, 0, 1, 65, 65)
+        K, M, _ = assemble_q1(x, y, 65, 65)
+        free = ~fi._wall_mask(65, 65, dirichlet_ends=True)
+        lam, _ = smallest_eigenpair(M[free][:, free], spd_solve(K[free][:, free]))
+        assert lam ** -0.5 == pytest.approx(1.0 / (math.pi * math.sqrt(2)), rel=0.02)
 
     def test_fitted_universal_constant_stable(self, straight):
         # M1 / ||f||_inf is the same across widths
@@ -90,6 +94,50 @@ class TestPoincareM1:
         e1 = abs(fi.poincare_m1(straight, 0, 2, resolution=(33, 33)).value - exact)
         e2 = abs(fi.poincare_m1(straight, 0, 2, resolution=(65, 65)).value - exact)
         assert math.log2(e1 / e2) >= 1.5
+
+
+def wall_stiffness(profile, a, b, nx, ny, walls_free=False):
+    """Q1 stiffness of the nx x ny grid, wall rows dropped unless walls_free."""
+    _, x, y = fi._grid_nodes(profile, a, b, nx, ny)
+    K = assemble_q1(x, y, nx, ny)[0]
+    if walls_free:
+        return K
+    free = ~fi._wall_mask(nx, ny)
+    return K[free][:, free]
+
+
+class TestSpdSolve:
+    @pytest.mark.parametrize("nx, ny", [(129, 65), (65, 33), (49, 33)])
+    @pytest.mark.parametrize("profile, a, b", bundled())
+    def test_matches_superlu(self, profile, a, b, nx, ny):
+        # the M1 stiffnesses (129x65, 65x33) and the M4 one (49x33)
+        K = wall_stiffness(profile, a, b, nx, ny)
+        rhs = np.random.default_rng(2).standard_normal((K.shape[0], 3))
+        want = splu(K.tocsc()).solve(rhs)
+        solve = spd_solve(K)
+        for got, ref in ((solve(rhs), want), (solve(rhs[:, 0]), want[:, 0])):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("nx, ny", [(129, 65), (49, 33)])
+    @pytest.mark.parametrize("profile, a, b", bundled())
+    def test_singular_stiffness_raises(self, profile, a, b, nx, ny):
+        # with the wall rows left free the constants span K's null space
+        with pytest.raises(EigenFailure):
+            spd_solve(wall_stiffness(profile, a, b, nx, ny, walls_free=True))
+
+    def test_only_the_saddle_uses_superlu(self, straight, monkeypatch):
+        factored = []
+
+        def recording(matrix, *args, **kwargs):
+            factored.append(matrix.shape[0])
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(fi, "splu", recording)
+        fi.poincare_m1(straight, 0, 2, resolution=(33, 17))
+        fi.sobolev_m4(straight, 0, 2, resolution=(33, 17))
+        assert factored == []
+        fi.bogovskii_m5(straight, 0, 2, resolution=(17, 17))
+        assert len(factored) == 1
 
 
 class TestPoincareM0:
@@ -154,9 +202,10 @@ class TestSobolevM4:
 
     @pytest.mark.parametrize("profile, a, b", bundled())
     def test_matches_power_reference(self, profile, a, b):
-        # the ascent as it read one start at a time, with integer array powers
-        # and a COLAMD factor; bump_outlet has a start stopped by the step
-        # cap, straight has starts that settle in different basins
+        # the ascent as it read one start at a time, with integer array powers,
+        # K-norms from K and a COLAMD factor; every start settles below the
+        # step cap (bump_outlet's start 13 only on its 269th step), straight
+        # has starts that settle in different basins
         nx, ny = 49, 33
         _, x, y = fi._grid_nodes(profile, a, b, nx, ny)
         K, _, lumped = assemble_q1(x, y, nx, ny)
@@ -170,29 +219,32 @@ class TestSobolevM4:
             w = rng.standard_normal(lump_f.size)
             w /= math.sqrt(w @ (Kf @ w))
             ratio_old = 0.0
-            for _ in range(200):
+            for _ in range(fi.M4_MAX_STEPS):
                 w = lu.solve(lump_f * w**3)
                 w /= math.sqrt(w @ (Kf @ w))
                 ratio = float(lump_f @ w**4) ** 0.25
                 if abs(ratio - ratio_old) <= 1e-10 * ratio:
                     break
                 ratio_old = ratio
+            else:
+                pytest.fail("a start reached the step cap")
             best = max(best, ratio_old)
         est = fi.sobolev_m4(profile, a, b, resolution=(nx, ny))
         assert est.value == pytest.approx(best, rel=1e-12)
 
+    def test_step_cap_names_unsettled_starts(self, straight, monkeypatch):
+        monkeypatch.setattr(fi, "M4_MAX_STEPS", 2)
+        with pytest.raises(AscentStagnation) as err:
+            fi.sobolev_m4(straight, 0, 2, resolution=(17, 9))
+        assert "starts 0, 1, 2" in str(err.value)
+        assert "did not settle in 2 steps" in str(err.value)
+
     def test_zero_fields_stagnate(self, straight, monkeypatch):
         # every start's first step is the zero field: no start has a ratio
-        class ZeroSolve:
-            def __init__(self, matrix, **kwargs):
-                pass
-
-            def solve(self, rhs):
-                return np.zeros_like(rhs)
-
-        monkeypatch.setattr(fi, "splu", ZeroSolve)
-        with pytest.raises(AscentStagnation):
+        monkeypatch.setattr(fi, "spd_solve", lambda matrix: np.zeros_like)
+        with pytest.raises(AscentStagnation) as err:
             fi.sobolev_m4(straight, 0, 2, resolution=(17, 9))
+        assert "positive ratio" in str(err.value)
 
     def test_fitted_constant_stable_against_reference(self):
         # M4 / [(b-a)^-1 M1 + 1]^(1/2) |Omega|^(1/4) is one number across a
