@@ -2,13 +2,16 @@
 
 Used by the functional-inequality estimators.  Nodes are the mapped-grid
 nodes ordered idx = i*ny + j; elements are the grid cells, integrated
-isoparametrically with 2x2 Gauss.  Also holds the nested-dissection order
-of the grid nodes that the indefinite sparse factors of ``ns_solver`` and
-``functional_inequalities`` keep, the banded Cholesky back-solve of every
-positive definite stiffness (``spd_solve``), the one eigen helper behind
-every inequality constant (shift-invert Lanczos with a residual-checked
-acceptance) and its wrapper for the tridiagonal 1D P1 pencils of the
-carrier's slice constant.
+isoparametrically with 2x2 Gauss.  Holds the one copy of each element rule:
+the 2-point Gauss nodes and 1-D P1 shapes (which the carrier's slice pencil
+also reads), the Q1 shapes as their products, one element loop behind every
+assembly, and the wall and end node mask.  Also holds the nested-dissection
+order of the grid nodes that the indefinite sparse factors of ``ns_solver``
+and ``functional_inequalities`` keep, the banded Cholesky back-solve of
+every positive definite stiffness (``spd_solve``), the one eigen helper
+behind every inequality constant (shift-invert Lanczos with a
+residual-checked acceptance) and its wrapper for the tridiagonal 1D P1
+pencils of the carrier's slice constant.
 """
 
 from __future__ import annotations
@@ -20,46 +23,40 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import EigenFailure
 
-_G = 1.0 / np.sqrt(3.0)
-_GAUSS = [(-_G, -_G), (_G, -_G), (_G, _G), (-_G, _G)]
+# 2-point Gauss-Legendre nodes on [-1, 1]; both weights are 1
+GAUSS2_NODES = np.array([-1.0, 1.0]) / np.sqrt(3.0)
+# slopes of the two 1-D P1 shape functions on [-1, 1], left then right
+P1_SLOPES = np.array([-0.5, 0.5])
+# the (xi, eta) P1 factor of each Q1 corner, counterclockwise
+_CORNERS = ([0, 1, 1, 0], [0, 0, 1, 1])
 _EIGEN_RTOL = 1e-10
 
 
+def p1_values(s):
+    """The two 1-D P1 shape functions on [-1, 1] at s, left then right."""
+    return np.array([0.5 * (1.0 - s), 0.5 * (1.0 + s)])
+
+
 def _shape(xi, eta):
-    n = np.array(
-        [
-            0.25 * (1 - xi) * (1 - eta),
-            0.25 * (1 + xi) * (1 - eta),
-            0.25 * (1 + xi) * (1 + eta),
-            0.25 * (1 - xi) * (1 + eta),
-        ]
-    )
-    dn_dxi = np.array(
-        [-0.25 * (1 - eta), 0.25 * (1 - eta), 0.25 * (1 + eta), -0.25 * (1 + eta)]
-    )
-    dn_deta = np.array(
-        [-0.25 * (1 - xi), -0.25 * (1 + xi), 0.25 * (1 + xi), 0.25 * (1 - xi)]
-    )
-    return n, dn_dxi, dn_deta
+    """Q1 shape values and xi and eta derivatives at (xi, eta): products of
+    P1 factors, each rounded once, as 0.25 (1 -+ xi)(1 -+ eta) would be."""
+    vx, vy = p1_values(xi), p1_values(eta)
+    return (np.outer(vx, vy)[_CORNERS], np.outer(P1_SLOPES, vy)[_CORNERS],
+            np.outer(vx, P1_SLOPES)[_CORNERS])
 
 
 def element_connectivity(nx, ny):
-    """(n_elem, 4) node indices of each cell, counterclockwise."""
+    """(n_elem, 4) node indices of each cell, corners in ``_CORNERS`` order."""
     i, j = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="ij")
-    i = i.ravel()
-    j = j.ravel()
-    n0 = i * ny + j
-    n1 = (i + 1) * ny + j
-    n2 = (i + 1) * ny + (j + 1)
-    n3 = i * ny + (j + 1)
-    return np.column_stack([n0, n1, n2, n3])
+    di, dj = np.array(_CORNERS)
+    return (i.ravel()[:, None] + di) * ny + (j.ravel()[:, None] + dj)
 
 
 def _gauss_points(xe, ye):
     """Yield (shape values, Jacobian determinant, physical shape gradients
     bx, by) at each 2x2 Gauss point for elements with corners (xe, ye)."""
-    for gx, gy in _GAUSS:
-        n, dxi, deta = _shape(gx, gy)
+    for i, j in zip(*_CORNERS):
+        n, dxi, deta = _shape(GAUSS2_NODES[i], GAUSS2_NODES[j])
         jx_xi = xe @ dxi
         jx_eta = xe @ deta
         jy_xi = ye @ dxi
@@ -115,23 +112,25 @@ def _scatter(conn, ndof, *blocks):
     ]
 
 
+def _element_sums(xe, ye, kernel):
+    """Per element with corners (xe, ye), the sum from 0 of the array
+    ``kernel(n, det, bx, by)`` over the points of :func:`_gauss_points`."""
+    return sum(kernel(*point) for point in _gauss_points(xe, ye))
+
+
 def assemble_q1(x, y, nx, ny):
     """Stiffness K, mass M, and lumped mass for nodes (x, y) flattened.
 
     Returns (K, M, lumped) as CSR / CSR / array.
     """
     conn = element_connectivity(nx, ny)
-    ne = conn.shape[0]
 
-    ke = np.zeros((ne, 4, 4))
-    me = np.zeros((ne, 4, 4))
-    for n, det, bx, by in _gauss_points(x[conn], y[conn]):
-        ke += det[:, None, None] * (
-            bx[:, :, None] * bx[:, None, :] + by[:, :, None] * by[:, None, :]
-        )
-        me += det[:, None, None] * (n[None, :, None] * n[None, None, :])
+    def kernel(n, det, bx, by):
+        w = det[:, None, None]
+        stiffness = bx[:, :, None] * bx[:, None, :] + by[:, :, None] * by[:, None, :]
+        return np.stack([w * stiffness, w * (n[None, :, None] * n[None, None, :])])
 
-    K, M = _scatter(conn, x.size, ke, me)
+    K, M = _scatter(conn, x.size, *_element_sums(x[conn], y[conn], kernel))
     return K, M, np.asarray(M.sum(axis=1)).ravel()
 
 
@@ -141,11 +140,13 @@ def assemble_grad_load(x, y, nx, ny, fx, fy):
     conn = element_connectivity(nx, ny)
     fxe = fx[conn]
     fye = fy[conn]
-    be = np.zeros((conn.shape[0], 4))
-    for n, det, bx, by in _gauss_points(x[conn], y[conn]):
+
+    def kernel(n, det, bx, by):
         fxq = fxe @ n
         fyq = fye @ n
-        be += det[:, None] * (fxq[:, None] * bx + fyq[:, None] * by)
+        return det[:, None] * (fxq[:, None] * bx + fyq[:, None] * by)
+
+    be = _element_sums(x[conn], y[conn], kernel)
     b = np.zeros(x.size)
     np.add.at(b, conn.ravel(), be.ravel())
     return b
@@ -154,14 +155,23 @@ def assemble_grad_load(x, y, nx, ny, fx, fy):
 def assemble_div(x, y, nx, ny):
     """B1, B2 with (B_k a_k)_A = integral phi_A * d(a_k)/d(x_k) dx (Q1-Q1)."""
     conn = element_connectivity(nx, ny)
-    ne = conn.shape[0]
-    b1e = np.zeros((ne, 4, 4))
-    b2e = np.zeros((ne, 4, 4))
-    for n, det, bx, by in _gauss_points(x[conn], y[conn]):
-        b1e += det[:, None, None] * (n[None, :, None] * bx[:, None, :])
-        b2e += det[:, None, None] * (n[None, :, None] * by[:, None, :])
-    B1, B2 = _scatter(conn, x.size, b1e, b2e)
+
+    def kernel(n, det, bx, by):
+        w = det[:, None, None]
+        return np.stack([w * (n[None, :, None] * bx[:, None, :]),
+                         w * (n[None, :, None] * by[:, None, :])])
+
+    B1, B2 = _scatter(conn, x.size, *_element_sums(x[conn], y[conn], kernel))
     return B1, B2
+
+
+def boundary_mask(nx, ny, ends):
+    """Mask of the nodes ``i * ny + j`` on the walls (j = 0 and ny - 1)
+    and, if ``ends``, on the truncation ends (i = 0 and nx - 1)."""
+    mask = np.zeros((nx, ny), dtype=bool)
+    mask[[0, -1], :] = ends
+    mask[:, [0, -1]] = True
+    return mask.ravel()
 
 
 def spd_solve(K):

@@ -25,7 +25,7 @@ import os
 import sys
 import time
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -782,18 +782,11 @@ def _run_constants(sc, out, quiet):
     ]
     rows = []
     for est in estimates:
-        rows.append(
-            {
-                "name": est.name.value,
-                "value": est.value,
-                "domain": est.domain,
-                "method": est.method.value,
-                "resolution": "x".join(str(r) for r in est.resolution),
-                "self_consistency": est.self_consistency,
-            }
-        )
+        # the record's fields, in order, are the columns
+        rows.append({**asdict(est),
+                     "resolution": "x".join(str(r) for r in est.resolution)})
         if not quiet:
-            print(f"  {est.name.value} = {est.value:.6g}")
+            print(f"  {est.name} = {est.value:.6g}")
     return True, [write_csv(out / "constants.csv", rows)]
 
 
@@ -857,8 +850,8 @@ def run(command, scenario, scenario_path=None, quiet=False):
     try:
         ok, artifacts = _PIPELINES[command](scenario, out, quiet)
     except ChannelLabError as exc:
-        if not quiet:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # why a command failed is printed even with quiet
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         write_manifest(out, scenario_path, command, [], 1)
         return 1
     status = 0 if ok else 2

@@ -326,7 +326,6 @@ class BlowupReport:
     exponent: float
     critical_exponent: float
     hypothesis_holds: bool
-    worst_hypothesis_margin: float
     passes: bool
 
 
@@ -369,6 +368,5 @@ def blowup_rate(t, z, psi):
         exponent=slope,
         critical_exponent=critical,
         hypothesis_holds=holds,
-        worst_hypothesis_margin=margin,
         passes=bool((not holds) or slope >= critical - BLOWUP_SLOPE_TOL),
     )

@@ -125,8 +125,6 @@ def padded_solve(profile, params, t_max, policy):
 
 @dataclass
 class GrowthReport:
-    profile: str
-    phi: float
     t: list
     dirichlet: list            # D(t) over Omega_t
     weight: list               # I(t) = int_{-t}^{t} f^-3
@@ -172,8 +170,6 @@ def growth_scan(state, t_list):
                 skipped="flux 0: D vanishes, no spread" if at_rest else None),
     ]
     return GrowthReport(
-        profile=profile.label(),
-        phi=phi,
         t=t_list,
         dirichlet=d_vals,
         weight=i_vals,
@@ -190,8 +186,6 @@ def growth_scan(state, t_list):
 
 @dataclass
 class DecayReport:
-    profile: str
-    phi: float
     slice_x: list              # sampled x1 locations
     slice_sup: list            # f(x1) * sup over the slice of |u|
     slice_sup_interior: list   # away from the walls (distance > delta f)
@@ -260,8 +254,6 @@ def decay_scan(state, t_range):
         spread = max(products) / min(products) if min(products) > 0 else math.inf
         verdicts.append(Verdict(name, spread, DECAY_RATIO_BOUND, "<=", skipped))
     return DecayReport(
-        profile=profile.label(),
-        phi=state.params.phi,
         slice_x=list(xs),
         slice_sup=sup_all,
         slice_sup_interior=sup_int,
@@ -279,9 +271,6 @@ def decay_scan(state, t_range):
 
 @dataclass
 class PoiseuilleReport:
-    profile: str
-    phi: float
-    k: float
     T: list
     h1_error: list             # ||u - U||^2_{H^1} on k < x1 < T
     scaled_tail: list          # t^-3 * D+(t)
@@ -354,9 +343,6 @@ def poiseuille_convergence(state, k, t_list):
     prev = h1[-2] if len(h1) >= 2 else math.nan
     skipped = None if len(h1) >= 2 else "one window: no increment"
     return PoiseuilleReport(
-        profile=profile.label(),
-        phi=phi,
-        k=k,
         T=t_list,
         h1_error=h1,
         scaled_tail=tails,
@@ -377,8 +363,6 @@ def poiseuille_convergence(state, k, t_list):
 
 @dataclass
 class UniquenessReport:
-    profile: str
-    phi: float
     l2_distance: float
     dirichlet_distance: float
     unique: bool
@@ -430,8 +414,7 @@ def uniqueness_probe(profile, phi, a, b, nx=257, ny=65, seed=7):
     l2, dd = l2_diff, e_diff
     if phi != 0.0:
         l2, dd = l2 / max(l2_base, 1e-300), dd / max(e_base, 1e-300)
-    return UniquenessReport(profile=profile.label(), phi=phi, l2_distance=l2,
-                            dirichlet_distance=dd,
+    return UniquenessReport(l2_distance=l2, dirichlet_distance=dd,
                             unique=bool(max(l2, dd) <= _UNIQUENESS_TOL))
 
 
@@ -470,8 +453,6 @@ def _hat_weight(profile, t, beta_star, window):
 
 @dataclass
 class HatEnergyReport:
-    profile: str
-    phi: float
     t: list
     y_hat: list
     majorant: list             # phi(t) = C13 + C14 * I(t) fed to the comparison
@@ -534,8 +515,6 @@ def hat_energy_inequality(state, x_max):
     phi_fn_vals = c13 + c14 * i_vals
     prob = cl.ComparisonProblem(psi, 0.5, ts, y, phi_fn_vals)
     return HatEnergyReport(
-        profile=profile.label(),
-        phi=state.params.phi,
         t=list(ts),
         y_hat=list(y),
         majorant=list(phi_fn_vals),

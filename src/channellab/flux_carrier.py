@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from ._fem import tridiagonal_pencil_max
+from ._fem import GAUSS2_NODES, p1_values, tridiagonal_pencil_max
 from .errors import OutOfRange
 
 __all__ = [
@@ -185,10 +185,9 @@ def _band_gauss_nodes(params, profile, x1):
     tau_lo = math.log(2.0)                       # cutoff argument = 1
     tau_hi = 1.0 / eps + math.log1p(math.exp(-1.0 / eps))  # argument = 0
     edges = np.linspace(tau_lo, tau_hi, 33)  # 32 panels
-    mid, rad = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    tau = (mid[:, None] + rad[:, None] * geo.GL8_NODES).ravel()
+    tau, rad = geo.gl8_nodes(edges[:-1], edges[1:])
     w = (rad[:, None] * geo.GL8_WEIGHTS).ravel()
-    jac = half * np.exp(-tau)  # = A = f2 - x2
+    jac = half * np.exp(-tau.ravel())  # = A = f2 - x2
     return f2 - jac, w * jac
 
 
@@ -208,9 +207,7 @@ def carrier_volume_integral(params, profile, a, b, n_x=256):
     n_panels = max(8, int(n_x // 8))
     edges = np.linspace(a, b, n_panels + 1)
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        x1 = mid + rad * geo.GL8_NODES
+    for x1, rad in zip(*geo.gl8_nodes(edges[:-1], edges[1:])):
         x2, w = _band_gauss_nodes(params, profile, x1)
         pts = (np.broadcast_to(x1[:, None], x2.shape), x2)
         g = velocity_g(pts, params, profile)
@@ -231,8 +228,6 @@ class CarrierReport:
     violations: int
     sup_f_g: float
     sup_f2_grad_g: float
-    volume_integral: float
-    weight_integral_f3: float
     volume_ratio: float
 
 
@@ -283,8 +278,6 @@ def support_and_bounds_report(params, profile, window, rng=None):
         violations=violations,
         sup_f_g=sup_fg,
         sup_f2_grad_g=sup_f2dg,
-        volume_integral=vol,
-        weight_integral_f3=wint,
         volume_ratio=vol / wint if wint > 0 else math.inf,
     )
 
@@ -351,16 +344,14 @@ def weighted_inequality_constant(params, profile, x1):
     diag_K[i0 + 1 : i0 + n_band + 1] += scale * d_rr
     off_K[i0 : i0 + n_band] += scale * d_lr
 
-    gauss_x = np.array([-1.0, 1.0]) / math.sqrt(3.0)
-    for gx in gauss_x:
+    for gx in GAUSS2_NODES:
         tq = 0.5 * (tl + tr) + 0.5 * h_b * gx
         ratio = np.exp(-tq) / (1.0 - np.exp(-tq))  # A/B
         s = 1.0 + eps * np.log(ratio)
         dmu = mup(s)
         dens = (eps**2) * dmu**2 * (1.0 + ratio) ** 2 / half  # A*q*phi^2/phi_flux^2
         wq = 0.5 * h_b
-        phi_l = 0.5 * (1.0 - gx)
-        phi_r = 0.5 * (1.0 + gx)
+        phi_l, phi_r = p1_values(gx)
         diag_M[i0 : i0 + n_band] += wq * dens * phi_l * phi_l
         diag_M[i0 + 1 : i0 + n_band + 1] += wq * dens * phi_r * phi_r
         off_M[i0 : i0 + n_band] += wq * dens * phi_l * phi_r

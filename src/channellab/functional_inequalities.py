@@ -13,7 +13,6 @@ SuperLU.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -24,6 +23,7 @@ from scipy.sparse.linalg import splu
 from ._fem import (
     assemble_div,
     assemble_q1,
+    boundary_mask,
     nested_dissection,
     smallest_eigenpair,
     spd_solve,
@@ -32,8 +32,6 @@ from .errors import AscentStagnation, SaddleSolveFailure
 from .geometry import make_grid
 
 __all__ = [
-    "ConstantName",
-    "Method",
     "ConstantEstimate",
     "poincare_m1",
     "poincare_m0",
@@ -45,26 +43,12 @@ __all__ = [
 ]
 
 
-class ConstantName(enum.Enum):
-    M0 = "M0"
-    M1 = "M1"
-    M4 = "M4"
-    M5 = "M5"
-
-
-class Method(enum.Enum):
-    EIGEN = "eigen"
-    RAYLEIGH_ASCENT = "rayleigh_ascent"
-    INF_SUP = "inf_sup"
-    FORMULA_A5 = "formula_a5"
-
-
 @dataclass(frozen=True)
 class ConstantEstimate:
-    name: ConstantName
+    name: str                  # "M0", "M1", "M4" or "M5"
     value: float
     domain: str
-    method: Method
+    method: str                # "eigen", "rayleigh_ascent" or "inf_sup"
     resolution: tuple
     self_consistency: float = float("nan")
 
@@ -81,17 +65,6 @@ def _grid_nodes(profile, a, b, nx, ny):
     return grid, x, y
 
 
-def _wall_mask(nx, ny, dirichlet_ends=False):
-    mask = np.zeros(nx * ny, dtype=bool)
-    idx = np.arange(nx * ny).reshape(nx, ny)
-    mask[idx[:, 0]] = True
-    mask[idx[:, -1]] = True
-    if dirichlet_ends:
-        mask[idx[0, :]] = True
-        mask[idx[-1, :]] = True
-    return mask
-
-
 def _laplace_eigenpair(profile, a, b, nx, ny, v0=None):
     """Smallest Laplace eigenvalue of an nx x ny grid with Dirichlet walls
     and natural ends, and its eigenvector as (nx, ny) nodal values, 0 on
@@ -99,7 +72,7 @@ def _laplace_eigenpair(profile, a, b, nx, ny, v0=None):
     array ``v0``."""
     _, x, y = _grid_nodes(profile, a, b, nx, ny)
     K, M, _ = assemble_q1(x, y, nx, ny)
-    free = ~_wall_mask(nx, ny)
+    free = ~boundary_mask(nx, ny, ends=False)
     start = None if v0 is None else v0.ravel()[free]
     lam, v_free = smallest_eigenpair(M[free][:, free], spd_solve(K[free][:, free]),
                                      start)
@@ -131,10 +104,10 @@ def poincare_m1(profile, a, b, resolution=(129, 65)):
     lam, _ = _laplace_eigenpair(profile, a, b, nx, ny, v0=start)
     value, coarse = lam ** -0.5, lam_coarse ** -0.5
     return ConstantEstimate(
-        name=ConstantName.M1,
+        name="M1",
         value=value,
         domain=f"{profile.label()}[{a},{b}]",
-        method=Method.EIGEN,
+        method="eigen",
         resolution=resolution,
         self_consistency=abs(value - coarse) / value,
     )
@@ -164,10 +137,10 @@ def poincare_m0(profile, a, b):
     """
     value, coarse = _slice_m0(M0_NODES), _slice_m0(M0_NODES // 2 + 1)
     return ConstantEstimate(
-        name=ConstantName.M0,
+        name="M0",
         value=value,
         domain=f"{profile.label()}[{a},{b}]",
-        method=Method.EIGEN,
+        method="eigen",
         resolution=(M0_NODES,),
         self_consistency=abs(value - coarse) / value,
     )
@@ -199,7 +172,7 @@ def sobolev_m4(profile, a, b, resolution=(65, 65)):
     nx, ny = resolution
     _, x, y = _grid_nodes(profile, a, b, nx, ny)
     K, _, lumped = assemble_q1(x, y, nx, ny)
-    free = ~_wall_mask(nx, ny)
+    free = ~boundary_mask(nx, ny, ends=False)
     Kf = K[free][:, free]
     lump_f = lumped[free]
     solve = spd_solve(Kf)
@@ -233,10 +206,10 @@ def sobolev_m4(profile, a, b, resolution=(65, 65)):
     if not best > 0.0:
         raise AscentStagnation("no ascent start produced a positive ratio")
     return ConstantEstimate(
-        name=ConstantName.M4,
+        name="M4",
         value=best,
         domain=f"{profile.label()}[{a},{b}]",
-        method=Method.RAYLEIGH_ASCENT,
+        method="rayleigh_ascent",
         resolution=resolution,
     )
 
@@ -262,7 +235,7 @@ def _saddle_factor(x, y, nx, ny):
     """
     K, Mp, lumped = assemble_q1(x, y, nx, ny)
     B1, B2 = assemble_div(x, y, nx, ny)
-    free = ~_wall_mask(nx, ny, dirichlet_ends=True)
+    free = ~boundary_mask(nx, ny, ends=True)
 
     Kf = K[free][:, free]
     B1f = B1[1:, free]
@@ -324,10 +297,10 @@ def bogovskii_m5(profile, a, b, resolution=(49, 49)):
 
     lam, _ = smallest_eigenpair(Mp, solve)
     return ConstantEstimate(
-        name=ConstantName.M5,
+        name="M5",
         value=lam ** -0.5,
         domain=f"{profile.label()}[{a},{b}]",
-        method=Method.INF_SUP,
+        method="inf_sup",
         resolution=(nx, ny),
     )
 

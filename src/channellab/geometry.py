@@ -33,6 +33,7 @@ __all__ = [
     "custom",
     "FACTORIES",
     "validate",
+    "gl8_nodes",
     "weight_integral",
     "h_window",
     "try_t_star",
@@ -40,6 +41,7 @@ __all__ = [
     "classify",
     "make_grid",
     "window_weights",
+    "eta_trapezoid",
 ]
 
 
@@ -99,7 +101,6 @@ class ChannelMetrics:
     beta: float
     beta_star: float
     gamma: float
-    window: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +318,6 @@ def validate(profile, window):
         beta=beta,
         beta_star=1.0 / (4.0 * max(beta, _BETA_FLOOR)),
         gamma=gamma,
-        window=(a, b),
     )
 
 
@@ -326,9 +326,18 @@ def validate(profile, window):
 # ---------------------------------------------------------------------------
 
 _QUAD_RTOL = 1e-13
-# 8-point Gauss-Legendre rule on [-1, 1]: the panels of weight_integral and
-# the carrier quadratures of flux_carrier
+# 8-point Gauss-Legendre rule on [-1, 1], mapped to panels only by gl8_nodes:
+# weight_integral, window_weights (every grid's wq) and the carrier's slice
+# and volume quadratures in flux_carrier use it
 GL8_NODES, GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def gl8_nodes(lo, hi):
+    """8-point Gauss-Legendre nodes of the panels [lo, hi] (1-D arrays),
+    one row of 8 per panel, and the panels' half-widths: a panel's integral
+    of g is ``half * (g(nodes) @ GL8_WEIGHTS)``."""
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi))[:, None] + half[:, None] * GL8_NODES, half
 
 
 def weight_integral(profile, a, b, p):
@@ -368,8 +377,7 @@ def weight_integral(profile, a, b, p):
 
 def _gl8_panels(profile, lo, hi, p):
     """8-point Gauss-Legendre value of integral f^p on each panel [lo, hi]."""
-    half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + half[:, None] * GL8_NODES
+    x, half = gl8_nodes(lo, hi)
     return half * (profile.width(x) ** p @ GL8_WEIGHTS)
 
 
@@ -640,7 +648,6 @@ class Grid:
     x2: np.ndarray          # (nx, ny) physical x2
     f: np.ndarray           # (nx,) width at xi
     fp: np.ndarray          # (nx,)
-    f1p: np.ndarray         # (nx,)
     j1: np.ndarray          # (nx, ny) d(eta)/d(x1)
     lap_s: np.ndarray       # (nx, ny) first-order eta coefficient of Delta
     wq: np.ndarray          # (nx, ny) nodal quadrature weights (dx measure)
@@ -660,8 +667,9 @@ def window_weights(profile, xi, ny, a, b):
     ``xi`` are the uniform x1 nodes and ``ny`` the eta node count of a
     mapped grid.  A node's column mass integrates f over its xi-cell,
     clipped to the window and the grid, by the 8-point Gauss-Legendre
-    panel rule of :func:`weight_integral` (exact to rounding); the eta factor is the trapezoid rule.  Nodes whose cell
-    misses the window get weight zero.
+    panel rule of :func:`weight_integral` (exact to rounding); the eta
+    factor is :func:`eta_trapezoid`.  Nodes whose cell misses the window
+    get weight zero.
     """
     hx = (xi[-1] - xi[0]) / (len(xi) - 1)
     lo = np.maximum(xi - 0.5 * hx, max(a, xi[0]))
@@ -669,10 +677,14 @@ def window_weights(profile, xi, ny, a, b):
     inside = hi > lo
     masses = np.zeros(len(xi))
     masses[inside] = _gl8_panels(profile, lo[inside], hi[inside], 1)
-    wy = np.full(ny, 1.0 / (ny - 1))
-    wy[0] *= 0.5
-    wy[-1] *= 0.5
-    return masses[:, None] * wy[None, :]
+    return masses[:, None] * eta_trapezoid(ny)[None, :]
+
+
+def eta_trapezoid(ny):
+    """Trapezoid weights of integral d(eta) over [0, 1] on ny uniform nodes."""
+    w = np.full(ny, 1.0 / (ny - 1))
+    w[[0, -1]] *= 0.5
+    return w
 
 
 def make_grid(profile, a, b, nx, ny):
@@ -716,7 +728,6 @@ def make_grid(profile, a, b, nx, ny):
         x2=x2,
         f=f,
         fp=fp,
-        f1p=f1p,
         j1=j1,
         lap_s=lap_s,
         wq=window_weights(profile, xi, ny, a, b),

@@ -16,9 +16,11 @@ nested-dissection order of the grid nodes, psi and omega of a node side
 by side.  The energy diagnostics of a solve are computed only on request
 (:func:`energy_diagnostics`).  The wall vorticity closure is a
 second-order one-sided formula built into the matrix.  Every difference
-stencil, and the uniform spacing, lives in one place: the 1-D first- and
-second-difference matrices of each axis (``_differences``), from which
-A(u) and the velocity are built.
+stencil of the scheme, and the uniform spacing, lives in one place: the
+1-D first- and second-difference matrices of each axis (``_differences``),
+from which A(u) and the velocity are built.  The one stencil kept apart on
+purpose is :func:`slice_flux_profile`'s fourth-order ``_d1_fourth`` with
+its Simpson weights: that flux check must not share the scheme it checks.
 
 The discretisation is written once, as the matrix A(u): each state has one
 residual r = b - A(u) x.  Its interior and wall-closure rows give
@@ -37,11 +39,11 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from . import flux_carrier as fc
-from ._fem import nested_dissection
+from ._fem import boundary_mask, nested_dissection
 # neither is called here: both are patch points of bench/spans.py
 from ._fem import assemble_q1, assemble_grad_load
 from .errors import LinearSolveFailure, NonConvergence, OutOfRange
-from .geometry import Grid, make_grid, window_weights
+from .geometry import Grid, eta_trapezoid, make_grid, window_weights
 
 __all__ = [
     "SolverConfig",
@@ -171,8 +173,7 @@ class _Workspace:
         self.lu = None
         self.profile = profile
         self.n = grid.nx * grid.ny
-        self._interior = np.pad(np.ones((grid.nx - 2, grid.ny - 2), bool),
-                                1).ravel()
+        self._interior = ~boundary_mask(grid.nx, grid.ny, ends=True)
         self.a_const = self._assemble_constant()
         # factor order of the 2n unknowns on a grid with cross-derivative
         # rows: psi and omega of each node adjacent, the nodes in
@@ -603,18 +604,17 @@ def slice_flux_profile(state):
     """Flux integral of u1 over each cross-section (one value per xi node).
 
     Computed as integral of d(psi)/d(eta) d(eta) with a fourth-order
-    derivative and Simpson quadrature, independent of the psi boundary
-    values it should telescope to.
+    derivative and Simpson quadrature (on an even ny, the grid's eta
+    trapezoid), independent of the psi boundary values it should telescope
+    to and of the scheme's stencils.
     """
     grid = state.grid
     pe = _d1_fourth(state.psi, grid.hy, 1)
     ny = grid.ny
-    if (ny - 1) % 2 == 0:
-        w = np.ones(ny)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w *= grid.hy / 3.0
-    else:
-        w = np.full(ny, grid.hy)
-        w[0] = w[-1] = grid.hy / 2.0
+    if (ny - 1) % 2:
+        return pe @ eta_trapezoid(ny)
+    w = np.ones(ny)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= grid.hy / 3.0
     return pe @ w

@@ -740,6 +740,15 @@ class TestRun:
         sc = cli_io.parse_scenario(path, environ={})
         assert cli_io.run("growth-scan", sc, scenario_path=path, quiet=True) == 1
 
+    def test_quiet_failure_says_why(self, tmp_path, capsys):
+        # custom_walls' windows leave the outlet plateau one window
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "custom_walls.scn"
+        assert cli_io.main(["poiseuille", "--scenario", str(path), "--out",
+                            str(tmp_path / "out"), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the plateau needs two windows beyond k = 4.0" in captured.err
+
     def test_solver_tolerance_cannot_be_set(self, tmp_path, monkeypatch, capsys,
                                             solve_calls):
         # a loose tolerance once stopped widening's solve after one step

@@ -1,10 +1,23 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import eigh
 
-from channellab._fem import smallest_eigenpair, spd_solve, tridiagonal_pencil_max
+from channellab import geometry as geo
+from channellab._fem import (
+    assemble_div,
+    assemble_grad_load,
+    assemble_q1,
+    smallest_eigenpair,
+    spd_solve,
+    tridiagonal_pencil_max,
+)
+from channellab.cli_io import parse_scenario
 from channellab.errors import EigenFailure
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def random_pencil(m, seed):
@@ -66,3 +79,31 @@ class TestSpdSolve:
         shifted = dense(dK - 0.5 * (lam[0] + lam[-1]), oK)
         with pytest.raises(EigenFailure):
             spd_solve(sparse.csr_matrix(shifted))
+
+
+def mapped_nodes(stem, nx, ny):
+    """Flattened nodes (x, y) of an nx x ny mapped grid of a bundled wall."""
+    sc = parse_scenario(SCENARIOS / f"{stem}.scn", environ={})
+    grid = geo.make_grid(sc.profile, *sc.grid_window[:2], nx, ny)
+    return np.broadcast_to(grid.xi[:, None], (nx, ny)).ravel(), grid.x2.ravel()
+
+
+class TestElementLoop:
+    @pytest.mark.parametrize("stem", ["bump_outlet", "widening"])
+    def test_grad_load_is_the_transposed_divergence(self, stem):
+        # both integrate phi_B d(phi_A)/dx_k at the same 2x2 Gauss points
+        nx, ny = 41, 17
+        x, y = mapped_nodes(stem, nx, ny)
+        rng = np.random.default_rng(3)
+        fx, fy = rng.standard_normal((2, x.size))
+        B1, B2 = assemble_div(x, y, nx, ny)
+        want = B1.T @ fx + B2.T @ fy
+        got = assemble_grad_load(x, y, nx, ny, fx, fy)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("stem", ["bump_outlet", "widening"])
+    def test_stiffness_annihilates_constants(self, stem):
+        nx, ny = 41, 17
+        x, y = mapped_nodes(stem, nx, ny)
+        K = assemble_q1(x, y, nx, ny)[0]
+        assert np.abs(K @ np.ones(x.size)).max() <= 1e-12 * np.abs(K).max()

@@ -316,3 +316,11 @@ class TestWeightedInequality:
             fc.CarrierParams(1.0, 0.5), straight, 0.0
         )
         assert 0 < c < 10.0
+
+    def test_constant_pinned(self, straight):
+        # the pencil's Gauss nodes and P1 values are _fem's: a change there
+        # must show here, which the loose bounds above would not
+        c = fc.weighted_inequality_constant(
+            fc.CarrierParams(1.0, 0.5), straight, 0.0
+        )
+        assert c == pytest.approx(0.7421619839260454, rel=1e-12, abs=0.0)

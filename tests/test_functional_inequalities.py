@@ -12,6 +12,7 @@ from channellab import geometry as geo
 from channellab._fem import (
     assemble_div,
     assemble_q1,
+    boundary_mask,
     smallest_eigenpair,
     spd_solve,
     tridiagonal_pencil_max,
@@ -48,7 +49,7 @@ class TestPoincareM1:
         p = geo.straight(c1=0.0, c2=1.0)
         _, x, y = fi._grid_nodes(p, 0, 1, 65, 65)
         K, M, _ = assemble_q1(x, y, 65, 65)
-        free = ~fi._wall_mask(65, 65, dirichlet_ends=True)
+        free = ~boundary_mask(65, 65, ends=True)
         lam, _ = smallest_eigenpair(M[free][:, free], spd_solve(K[free][:, free]))
         assert lam ** -0.5 == pytest.approx(1.0 / (math.pi * math.sqrt(2)), rel=0.02)
 
@@ -102,7 +103,7 @@ def wall_stiffness(profile, a, b, nx, ny, walls_free=False):
     K = assemble_q1(x, y, nx, ny)[0]
     if walls_free:
         return K
-    free = ~fi._wall_mask(nx, ny)
+    free = ~boundary_mask(nx, ny, ends=False)
     return K[free][:, free]
 
 
@@ -209,7 +210,7 @@ class TestSobolevM4:
         nx, ny = 49, 33
         _, x, y = fi._grid_nodes(profile, a, b, nx, ny)
         K, _, lumped = assemble_q1(x, y, nx, ny)
-        free = ~fi._wall_mask(nx, ny)
+        free = ~boundary_mask(nx, ny, ends=False)
         Kf = K[free][:, free].tocsc()
         lump_f = lumped[free]
         lu = splu(Kf)
@@ -319,7 +320,7 @@ class TestBogovskii:
         n = x.size
         K, Mp, lumped = assemble_q1(x, y, nx, ny)
         B1, B2 = assemble_div(x, y, nx, ny)
-        free = ~fi._wall_mask(nx, ny, dirichlet_ends=True)
+        free = ~boundary_mask(nx, ny, ends=True)
         nf = int(free.sum())
         Kf = K[free][:, free]
         C = 0.1 * lumped.sum() / ((nx - 1) * (ny - 1)) * K
