@@ -458,14 +458,15 @@ def _relative_to_cwd(path):
         return str(path)
 
 
-def write_manifest(out_dir, scenario_path, command, artifacts, exit_status):
-    """Merge one command's outputs and exit status into ``manifest.json``.
+def write_manifest(out_dir, scenario_path, command, artifacts, record):
+    """Merge one command's outputs and ``record`` into ``manifest.json``.
 
     Every command shares the scenario's output directory, so the manifest
     accumulates: ``outputs`` hashes every file any command wrote there and
-    ``commands`` holds each command's exit status and output names.  An
-    existing manifest of another scenario file (path or hash) is replaced.
-    The write is atomic.
+    ``commands`` holds each command's record (its ``exit_status``, and the
+    ``error`` that stopped a command with exit status 1) and output names.
+    An existing manifest of another scenario file (path or hash) is
+    replaced.  The write is atomic.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -482,10 +483,7 @@ def write_manifest(out_dir, scenario_path, command, artifacts, exit_status):
         manifest = {"outputs": {}, "commands": {}}
     outputs = {Path(p).name: _sha256(p) for p in map(str, artifacts)}
     manifest["outputs"].update(outputs)
-    manifest["commands"][command] = {
-        "exit_status": exit_status,
-        "outputs": sorted(outputs),
-    }
+    manifest["commands"][command] = {**record, "outputs": sorted(outputs)}
     manifest.update(
         scenario=scenario,
         scenario_sha256=digest,
@@ -819,10 +817,20 @@ def _run_report(sc, out, quiet):
             rows.append(
                 {"source": csv_path.name, "verdict": verdict, "status": status}
             )
+    try:
+        commands = json.loads((out / "manifest.json").read_text())["commands"]
+    except (OSError, ValueError, KeyError):
+        commands = {}
+    # a command that stopped wrote no verdicts; this run replaces report's own entry
+    for command, entry in commands.items():
+        if entry["exit_status"] == 1 and command != "report":
+            rows.append(
+                {"source": "manifest.json", "verdict": command, "status": "ERROR"}
+            )
     if not rows:
         raise ChannelLabError(f"{out}: no *_verdicts.csv to aggregate")
     artifacts = [write_csv(out / "summary.csv", rows)]
-    ok = all(r["status"] != "FAIL" for r in rows)
+    ok = all(r["status"] not in ("FAIL", "ERROR") for r in rows)
     if not quiet:
         print(f"  {len(rows)} verdicts aggregated; "
               f"{'no FAIL' if ok else 'FAILURES present'}")
@@ -851,11 +859,13 @@ def run(command, scenario, scenario_path=None, quiet=False):
         ok, artifacts = _PIPELINES[command](scenario, out, quiet)
     except ChannelLabError as exc:
         # why a command failed is printed even with quiet
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        write_manifest(out, scenario_path, command, [], 1)
+        error = f"{type(exc).__name__}: {exc}"
+        print(f"error: {error}", file=sys.stderr)
+        write_manifest(out, scenario_path, command, [],
+                       {"exit_status": 1, "error": error})
         return 1
     status = 0 if ok else 2
-    write_manifest(out, scenario_path, command, artifacts, status)
+    write_manifest(out, scenario_path, command, artifacts, {"exit_status": status})
     return status
 
 

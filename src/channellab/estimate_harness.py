@@ -534,44 +534,38 @@ def hat_energy_inequality(state, x_max):
 def _fit_inequality(y, yp, i_vals):
     """Smallest (c11, c12) >= 0 with c11*a + c12*b >= y pointwise.
 
-    a = y' + y'^(3/2), b = the weight integral; minimized by scanning the
-    one-dimensional family of binding constraints (a 2-variable LP).
+    a = y' + y'^(3/2), b = the weight integral; a 2-variable LP, minimized
+    over its candidate vertices: single constraints binding at c12 = 0 or
+    c11 = 0, and the intersection of every pair of binding constraints.
     """
     a = yp + yp**1.5
     b = i_vals
-    best = None
-    # candidate vertices: single constraints binding at c12 = 0 or c11 = 0,
-    # plus pairwise intersections
-    cands = []
+    axes = []
     with np.errstate(divide="ignore", invalid="ignore"):
         if np.any(a > 0):
             c11_only = np.nanmax(np.where(a > 0, y / a, np.nan))
             if np.isfinite(c11_only):
-                cands.append((float(c11_only), 0.0))
+                axes.append((float(c11_only), 0.0))
         if np.any(b > 0):
             c12_only = np.nanmax(np.where(b > 0, y / b, np.nan))
             if np.isfinite(c12_only):
-                cands.append((0.0, float(c12_only)))
-    n = len(y)
-    idx = np.argsort(-y)[: min(n, 12)]
-    for i in idx:
-        for j in idx:
-            det = a[i] * b[j] - a[j] * b[i]
-            if abs(det) < 1e-300:
-                continue
-            c11 = (y[i] * b[j] - y[j] * b[i]) / det
-            c12 = (a[i] * y[j] - a[j] * y[i]) / det
-            if c11 >= -1e-12 and c12 >= -1e-12:
-                cands.append((max(c11, 0.0), max(c12, 0.0)))
-    feasible = []
-    for c11, c12 in cands:
-        margin = c11 * a + c12 * b - y
-        if np.all(margin >= -1e-9 * max(1.0, float(np.abs(y).max()))):
-            feasible.append((c11 + c12, c11, c12))
-    if not feasible:
+                axes.append((0.0, float(c12_only)))
+        # entry [i, j] solves constraints i and j binding together
+        det = np.outer(a, b) - np.outer(b, a)
+        c11 = (np.outer(y, b) - np.outer(b, y)) / det
+        c12 = (np.outer(a, y) - np.outer(y, a)) / det
+    vertex = (np.abs(det) >= 1e-300) & (c11 >= -1e-12) & (c12 >= -1e-12)
+    cands = np.concatenate([
+        np.reshape(axes, (-1, 2)),
+        np.maximum(np.column_stack([c11[vertex], c12[vertex]]), 0.0),
+    ])
+    margin = cands[:, :1] * a + cands[:, 1:] * b - y
+    feasible = np.all(margin >= -1e-9 * max(1.0, float(np.abs(y).max())), axis=1)
+    if not feasible.any():
         # the (0, max y/b) vertex is feasible whenever every b > 0
         raise LemmaViolation(
             "no feasible (c11, c12): a weight integral is not positive")
-    _, c11, c12 = min(feasible)
+    c11, c12 = cands[feasible].T
+    _, c11, c12 = min(zip(c11 + c12, c11, c12))
     scale = 1.0 + 1e-9
-    return c11 * scale + 1e-15, c12 * scale + 1e-15
+    return float(c11) * scale + 1e-15, float(c12) * scale + 1e-15

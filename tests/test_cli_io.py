@@ -414,11 +414,15 @@ class TestParsing:
         # line is not named
         path = Path(__file__).resolve().parents[1] / "scenarios" / "custom_walls.scn"
         assert path.read_text(encoding="utf-8").splitlines()[6] == "f2 = (1+abs(x))^0.5"
-        body = path.read_text(encoding="utf-8").replace("f2 = (1+abs(x))^0.5", "f2 = 0^-1")
-        with pytest.raises(ValidationError) as err:
-            cli_io.parse_scenario(write_scenario(tmp_path, body), environ={})
-        assert str(err.value).startswith("scenario: line 7: [profile] f2: ")
-        assert "f1" not in str(err.value)
+        # as for a constant power, so for a constant quotient with no finite value
+        for wall in ("0^-1", "2+1/0*x"):
+            body = path.read_text(encoding="utf-8").replace(
+                "f2 = (1+abs(x))^0.5", f"f2 = {wall}")
+            with pytest.raises(ValidationError) as err:
+                cli_io.parse_scenario(write_scenario(tmp_path, body), environ={})
+            assert str(err.value).startswith("scenario: line 7: [profile] f2: ")
+            assert "not a finite real number" in str(err.value)
+            assert "f1" not in str(err.value)
 
 
 class TestArtifacts:
@@ -601,6 +605,24 @@ class TestRun:
         out = tmp_path / "out"
         assert f"{out}: no *_verdicts.csv to aggregate" in capsys.readouterr().err
         assert not (out / "summary.csv").exists()
+
+    def test_failed_command_is_recorded_and_reported(self, tmp_path, capsys):
+        # custom_walls' t_list leaves no second window beyond its outlet k;
+        # the reason once went to stderr only and report exited 0
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "custom_walls.scn"
+        args = ["--scenario", str(path), "--out", str(tmp_path), "--quiet"]
+        assert cli_io.main(["poiseuille", *args]) == 1
+        reason = capsys.readouterr().err.strip().removeprefix("error: ")
+        assert reason.startswith("OutOfRange: the plateau needs two windows")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["commands"]["poiseuille"] == {
+            "exit_status": 1, "error": reason, "outputs": []}
+        assert cli_io.main(["report", *args]) == 2
+        assert (tmp_path / "summary.csv").read_text().splitlines()[1:] == [
+            "source,verdict,status", "manifest.json,poiseuille,ERROR"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["commands"]["report"] == {
+            "exit_status": 2, "outputs": ["summary.csv"]}
 
     def test_growth_scan_judges_the_hat_inequality(self, tmp_path, capsys):
         # MINIMAL's window ends at k(2) = 0.630, not above 1.05 t* (t* =

@@ -3,6 +3,7 @@ import functools
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from channellab import comparison_lemmas as cl
 from channellab import estimate_harness as eh
@@ -351,6 +352,31 @@ class TestFitInequality:
         c11, c12 = eh._fit_inequality(y, yp, i_vals)
         a = yp + yp**1.5
         assert np.all(c11 * a + c12 * i_vals >= y * (1 - 1e-8))
+
+    def test_smallest_pair_over_every_vertex(self):
+        # samples 0 and 1 have the smallest y, so a scan of the largest y
+        # alone missed the vertex where their two constraints meet
+        y = np.linspace(1.0, 2.0, 25)
+        a_target = np.full(25, 2.0)
+        a_target[:2] = 0.01, 0.02
+        yp = np.array([optimize.brentq(lambda s: s + s**1.5 - t, 0.0, 2.0)
+                       for t in a_target])
+        i_vals = np.full(25, 2.0)
+        i_vals[:2] = 0.02, 0.01
+        a = yp + yp**1.5
+        # brute force: the axis vertices and every pairwise intersection
+        vertices = [(max(y / a), 0.0), (0.0, max(y / i_vals))]
+        for i in range(25):
+            for j in range(25):
+                det = a[i] * i_vals[j] - a[j] * i_vals[i]
+                if det != 0.0:
+                    vertices.append(((y[i] * i_vals[j] - y[j] * i_vals[i]) / det,
+                                     (a[i] * y[j] - a[j] * y[i]) / det))
+        best = min((c11 + c12, c11, c12) for c11, c12 in vertices
+                   if c11 >= 0.0 and c12 >= 0.0
+                   and np.all(c11 * a + c12 * i_vals >= y * (1 - 1e-12)))
+        assert best[0] < 70.0
+        assert eh._fit_inequality(y, yp, i_vals) == pytest.approx(best[1:], rel=1e-8)
 
     def test_no_feasible_vertex_raises(self):
         # a zero weight integral where y' = 0 leaves no (c11, c12) at all

@@ -107,6 +107,8 @@ def test_vectorized_evaluation():
             pytest.param("-" * 64 + "x", id="65 levels"),
             # constant powers that fold to no finite real number
             "2^2^2^2^2", "0^-1", "(-1)^0.5", "x + 10^400",
+            # constant quotients that fold to no finite real number
+            "1/0", "2+1/0*x",
             # scenario values that are not text or a number
             pytest.param(True, id="bool"), pytest.param([1, 2], id="list"),
             pytest.param(None, id="none")]

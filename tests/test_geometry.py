@@ -1,3 +1,4 @@
+import ast
 import math
 from pathlib import Path
 
@@ -370,3 +371,74 @@ class TestCustomProfiles:
         # C2 smooth at the junction: curvature bound finite
         m = geo.validate(p, (-10, 10))
         assert math.isfinite(m.gamma)
+
+    # bit patterns of each wall and its symbolic derivatives, at a point of
+    # each sign, both zeros and past the kink of abs
+    PIN_XS = [-3.7, -0.0, 0.0, 0.5, 9.25]
+    PINNED_WALLS = {
+        "custom_walls": {
+            "f1": ["-0x1.157f54c76d72fp+1", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+                   "-0x1.3988e1409212ep+0", "-0x1.99ccc999fff00p+1"],
+            "f2": ["0x1.157f54c76d72fp+1", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+                   "0x1.3988e1409212ep+0", "0x1.99ccc999fff00p+1"],
+            "f1p": ["0x1.d85602b00bff9p-3", "0x0.0p+0", "0x0.0p+0",
+                    "-0x1.a20bd700c2c3ep-2", "-0x1.3fd8077e70577p-3"],
+            "f2p": ["-0x1.d85602b00bff9p-3", "0x0.0p+0", "0x0.0p+0",
+                    "0x1.a20bd700c2c3ep-2", "0x1.3fd8077e70577p-3"],
+            "f1pp": ["0x1.91fcf1f26c40fp-6", "0x0.0p+0", "0x0.0p+0",
+                     "0x1.16b28f55d72d4p-3", "0x1.f344ba86edcd2p-8"],
+            "f2pp": ["-0x1.91fcf1f26c40fp-6", "-0x0.0p+0", "-0x0.0p+0",
+                     "-0x1.16b28f55d72d4p-3", "-0x1.f344ba86edcd2p-8"],
+        },
+        "tanh_sin": {
+            "f1": ["-0x1.99b9a0af18b17p-1", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+                   "-0x1.17a90fdf786f3p+0", "-0x1.333333235486ep+0"],
+            "f2": ["0x1.cdfed2092dcb0p+0", "0x1.237d37fe5d298p+0", "0x1.237d37fe5d298p+0",
+                   "0x1.6888ef6406346p+0", "0x1.00e1d2987dc9bp+1"],
+            "f1p": ["-0x1.00109a410b59ap-11", "-0x1.999999999999ap-3", "-0x1.999999999999ap-3",
+                    "-0x1.42210594f6944p-3", "-0x1.fbd58b4cccccdp-28"],
+            "f2p": ["-0x1.77ee16fe9f788p-3", "0x1.5555555555555p-1", "0x1.5555555555555p-1",
+                    "0x1.150385c724400p-2", "-0x1.1c01be745f86bp-1"],
+            "f1pp": ["-0x1.ff8106b3e6857p-11", "0x0.0p+0", "0x0.0p+0",
+                     "0x1.29b900bdff4a7p-3", "0x1.fbd58aaf649f8p-27"],
+            "f2pp": ["-0x1.99608c00b680cp+0", "0x1.999999999999ap-3", "0x1.999999999999ap-3",
+                     "-0x1.701895a91a458p+0", "-0x1.918f37e36e868p-1"],
+        },
+    }
+
+    @staticmethod
+    def pinned_profile(name):
+        if name == "custom_walls":
+            return parse_scenario(SCENARIOS / "custom_walls.scn").profile
+        return geo.custom("-1-0.2*tanh(x)", "1+sin(2*x)*cos(x)/3+log(2+x^2)/5")
+
+    @pytest.mark.parametrize("name", sorted(PINNED_WALLS))
+    def test_wall_values_are_pinned(self, name):
+        profile = self.pinned_profile(name)
+        for key, pinned in self.PINNED_WALLS[name].items():
+            wall = getattr(profile, key)
+            assert [float(v).hex() for v in wall(np.array(self.PIN_XS))] == pinned, key
+            scalars = [wall(x) for x in self.PIN_XS]
+            assert all(np.shape(v) == () for v in scalars), key
+            assert [float(v).hex() for v in scalars] == pinned, key
+
+    @pytest.mark.parametrize("name", sorted(PINNED_WALLS))
+    def test_compiled_trees_hold_grammar_nodes_only(self, name):
+        # each wall's tree is compiled and handed to eval: nothing outside
+        # the grammar may reach it
+        ops = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+        funcs = {"sqrt", "exp", "log", "sin", "cos", "tanh", "abs", "_sign"}
+
+        def outside_grammar(node):
+            match node:
+                case ast.BinOp(left, op, right) if type(op) in ops:
+                    return outside_grammar(left) + outside_grammar(right)
+                case ast.Call(ast.Name(fn), [arg], []) if fn in funcs:
+                    return outside_grammar(arg)
+                case ast.Constant(float()) | ast.Name("x"):
+                    return []
+            return [ast.dump(node)]
+
+        profile = self.pinned_profile(name)
+        for key in self.PINNED_WALLS[name]:
+            assert outside_grammar(getattr(profile, key).tree) == [], key
