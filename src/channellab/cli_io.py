@@ -95,7 +95,7 @@ def _read_sections(path):
         if not line:
             continue
         if line.startswith("["):
-            if not line.endswith("]") or len(line) < 3:
+            if not line.endswith("]") or not line[1:-1].strip():
                 errors.append((lineno, f"malformed section header {raw.strip()!r}"))
                 continue
             current = line[1:-1].strip().lower()
@@ -266,6 +266,9 @@ def parse_scenario(path, environ=None):
 
     out_dir = Path(fetch("output", "dir", "out"))
     seed = number("output", "seed", 1234, int)
+    if seed is not None and seed < 0:  # numpy's generators take no negative seed
+        errors.append(ValidationError(
+            located("output", "seed"), "must be nonnegative"))
 
     errors += [ValidationError(located(sec, key), "unknown key")
                for sec, keys in sections.items() for key in keys

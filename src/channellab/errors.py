@@ -63,10 +63,6 @@ class HypothesisNotMet(ChannelLabError):
 class ParseError(ChannelLabError):
     """Scenario or expression text could not be parsed."""
 
-    def __init__(self, message, line=None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
-
 
 class ValidationError(ChannelLabError):
     """Scenario field failed validation."""

@@ -9,15 +9,18 @@ Grammar (infix, one free variable ``x``)::
     atom   := NUMBER | 'x' | 'pi' | 'e' | FUNC '(' expr ')' | '(' expr ')'
     FUNC   := sqrt | exp | log | sin | cos | tanh | abs
 
-Python's parser reads a wall and a wall stays a Python syntax tree: ``x``,
-float constants, the five operators and calls of the grammar's functions,
-nothing else.  Trees differentiate symbolically, so user profiles come with
-closed-form first and second derivatives, and each is compiled once, on its
-first evaluation, and evaluated on numpy arrays with no builtins in reach.
-``abs`` differentiates to ``sign`` (the kink at 0 is the user's
-responsibility, matching profiles like ``(1+abs(x))^0.5``).  Constant parts
-fold at parse time; a constant power or quotient that folds to no finite
-real number, such as ``0^-1`` or ``1/0``, is a :class:`ParseError`.
+Python's parser reads a wall and a wall stays a graph of Python syntax tree
+nodes: ``x``, float constants, the five operators and calls of the grammar's
+functions, nothing else.  Each node folds as it is built: constant parts
+become their number and the operators' identity elements drop, so a constant
+power, quotient or call that folds to no finite real number, such as
+``0^-1``, ``1/0`` or ``log(0)``, is a :class:`ParseError`.  Walls
+differentiate symbolically, so user profiles come with closed-form first and
+second derivatives; a derivative shares the subtrees it repeats, builds the
+derivative of each once, and a call evaluates each distinct node once, with
+numpy's functions and the five operators only.  ``abs`` differentiates to
+``sign`` (the kink at 0 is the user's responsibility, matching profiles like
+``(1+abs(x))^0.5``).
 """
 
 from __future__ import annotations
@@ -37,12 +40,12 @@ _NUMPY = {"sqrt": np.sqrt, "exp": np.exp, "log": np.log, "sin": np.sin,
 _FUNCS = _NUMPY.keys() - {"_sign"}  # abs's derivative, not in the grammar
 _CONSTS = {"pi": math.pi, "e": math.e}
 _SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
-_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub,
-               ast.Mult: operator.mul, ast.Div: operator.truediv}
+_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+               ast.Div: operator.truediv, ast.Pow: operator.pow}
+# the right identity of each operator, a left one too for + and *
+_IDENTITY = {ast.Add: 0.0, ast.Sub: 0.0, ast.Mult: 1.0, ast.Div: 1.0, ast.Pow: 1.0}
 _ADD, _SUB, _MUL, _DIV, _POW = ast.Add(), ast.Sub(), ast.Mult(), ast.Div(), ast.Pow()
 _MAX_DEPTH = 64  # second derivatives nest up to 9x deeper, within the recursion limit
-# what a wall's code can read besides x
-_GLOBALS = {"__builtins__": {}, **_NUMPY}
 
 
 def _num(value):
@@ -50,44 +53,94 @@ def _num(value):
 
 
 def _call(name, arg):
-    return ast.Call(ast.Name(name, ast.Load()), [arg], [])
+    """``name(arg)``, folded to its number if ``arg`` is a constant."""
+    if not isinstance(arg, ast.Constant):
+        return ast.Call(ast.Name(name, ast.Load()), [arg], [])
+    with np.errstate(all="ignore"):
+        value = _NUMPY[name](arg.value)
+    if not np.isfinite(value):
+        raise ParseError(f"{name}({_show(arg)}) is not a finite real number")
+    return _num(value)
 
 
-# d/da of each function, for the chain rule
+def _bin(a, op, b):
+    """``a op b``, folded: constant operands become their number and the
+    operators' identity elements drop."""
+    u, v = (n.value if isinstance(n, ast.Constant) else None for n in (a, b))
+    kind = type(op)
+    if kind is ast.Div and u == 0.0 and not v:  # 0/b and 0/0; 0/-1 folds to -0 below
+        return _num(0.0)
+    if u is not None and v is not None:
+        try:  # 2^2^2^2^2 overflows, 0^-1 and 1/0 divide by 0, (-1)^0.5 is complex
+            return _num(_ARITHMETIC[kind](u, v))
+        except (ArithmeticError, TypeError):
+            how = f"to the power {_show(b)}" if kind is ast.Pow else "divided by 0"
+            raise ParseError(f"{_show(a)} {how} is not a finite real number") from None
+    if kind is ast.Mult and 0.0 in (u, v):
+        return _num(0.0)
+    if kind is ast.Pow and v == 0.0:
+        return _num(1.0)
+    if v == _IDENTITY[kind]:
+        return a
+    if u == _IDENTITY[kind] and kind in (ast.Add, ast.Mult):
+        return b
+    return ast.BinOp(a, op, b)
+
+
+# d/da of each function, for the chain rule, given a and the call node f(a)
 _OUTER = {
-    "sqrt": lambda a: ast.BinOp(_num(0.5), _DIV, _call("sqrt", a)),
-    "exp": lambda a: _call("exp", a),
-    "log": lambda a: ast.BinOp(_num(1.0), _DIV, a),
-    "sin": lambda a: _call("cos", a),
-    "cos": lambda a: ast.BinOp(_num(-1.0), _MUL, _call("sin", a)),
-    "tanh": lambda a: ast.BinOp(
-        _num(1.0), _SUB, ast.BinOp(_call("tanh", a), _MUL, _call("tanh", a))),
-    "abs": lambda a: _call("_sign", a),
-    "_sign": lambda a: _num(0.0),
+    "sqrt": lambda a, f: _bin(_num(0.5), _DIV, f),
+    "exp": lambda a, f: f,
+    "log": lambda a, f: _bin(_num(1.0), _DIV, a),
+    "sin": lambda a, f: _call("cos", a),
+    "cos": lambda a, f: _bin(_num(-1.0), _MUL, _call("sin", a)),
+    "tanh": lambda a, f: _bin(_num(1.0), _SUB, _bin(f, _MUL, f)),
+    "abs": lambda a, f: _call("_sign", a),
+    "_sign": lambda a, f: _num(0.0),
 }
 
 
-def _diff(node):
-    """The derivative tree of ``node`` in x, unfolded."""
+def _diff(node, memo):
+    """The folded derivative of ``node`` in x; ``memo`` maps each node
+    already differentiated to its derivative, so shared subtrees share it."""
+    if node in memo:
+        return memo[node]
     match node:
         case ast.Constant():
-            return _num(0.0)
+            d = _num(0.0)
         case ast.Name():
-            return _num(1.0)
+            d = _num(1.0)
         case ast.Call(ast.Name(name), [a]):
-            return ast.BinOp(_OUTER[name](a), _MUL, _diff(a))
+            d = _bin(_OUTER[name](a, node), _MUL, _diff(a, memo))
         case ast.BinOp(a, ast.Add() | ast.Sub() as op, b):
-            return ast.BinOp(_diff(a), op, _diff(b))
-        case ast.BinOp(a, ast.Mult(), b):
-            da_b, a_db = ast.BinOp(_diff(a), _MUL, b), ast.BinOp(a, _MUL, _diff(b))
-            return ast.BinOp(da_b, _ADD, a_db)
-        case ast.BinOp(a, ast.Div(), b):
-            da_b, a_db = ast.BinOp(_diff(a), _MUL, b), ast.BinOp(a, _MUL, _diff(b))
-            return ast.BinOp(ast.BinOp(da_b, _SUB, a_db), _DIV, ast.BinOp(b, _MUL, b))
+            d = _bin(_diff(a, memo), op, _diff(b, memo))
+        case ast.BinOp(a, ast.Mult() | ast.Div() as op, b):
+            da_b = _bin(_diff(a, memo), _MUL, b)
+            a_db = _bin(a, _MUL, _diff(b, memo))
+            d = (_bin(da_b, _ADD, a_db) if isinstance(op, ast.Mult)
+                 else _bin(_bin(da_b, _SUB, a_db), _DIV, _bin(b, _MUL, b)))
         case ast.BinOp(a, ast.Pow(), ast.Constant(c)):
             # d/dx a^c = c * a^(c-1) * a'; the parser admits constant exponents only
-            power = ast.BinOp(a, _POW, _num(c - 1.0))
-            return ast.BinOp(ast.BinOp(_num(c), _MUL, power), _MUL, _diff(a))
+            power = _bin(a, _POW, _num(c - 1.0))
+            d = _bin(_bin(_num(c), _MUL, power), _MUL, _diff(a, memo))
+    memo[node] = d
+    return d
+
+
+def _value(node, values, x):
+    """``node`` at ``x``; ``values`` keeps each node computed in this call."""
+    match node:
+        case ast.Constant(value):
+            return value
+        case ast.Name():
+            return x
+    if node not in values:
+        if isinstance(node, ast.Call):
+            values[node] = _NUMPY[node.func.id](_value(node.args[0], values, x))
+        else:
+            values[node] = _ARITHMETIC[type(node.op)](
+                _value(node.left, values, x), _value(node.right, values, x))
+    return values[node]
 
 
 def _show(node):
@@ -103,76 +156,21 @@ def _show(node):
             return f"({_show(a)} {_SYMBOLS[type(op)]} {_show(b)})"
 
 
-def _fold(node):
-    """Fold constant subtrees and drop the operators' identity elements."""
-    if isinstance(node, ast.Call):
-        name, arg = node.func.id, _fold(node.args[0])
-        if isinstance(arg, ast.Constant):
-            return _num(_NUMPY[name](arg.value))
-        return node if arg is node.args[0] else _call(name, arg)
-    if not isinstance(node, ast.BinOp):
-        return node
-    a, b = _fold(node.left), _fold(node.right)
-    u, v = (n.value if isinstance(n, ast.Constant) else None for n in (a, b))
-    kind = type(node.op)
-    if kind is ast.Pow:
-        if u is not None:
-            try:  # 2^2^2^2^2 overflows, 0^-1 divides by zero, (-1)^0.5 is complex
-                return _num(u ** v)
-            except (ArithmeticError, TypeError):
-                raise ParseError(f"{_show(a)} to the power {_show(b)} "
-                                 "is not a finite real number") from None
-        if v == 1.0:
-            return a
-        if v == 0.0:
-            return _num(1.0)
-    elif u is not None and v is not None and not (kind is ast.Div and v == 0.0):
-        return _num(_ARITHMETIC[kind](u, v))
-    elif kind is ast.Add:
-        if u == 0.0:
-            return b
-        if v == 0.0:
-            return a
-    elif kind is ast.Sub:
-        if v == 0.0:
-            return a
-    elif kind is ast.Mult:
-        for w, other in ((u, b), (v, a)):
-            if w == 0.0:
-                return _num(0.0)
-            if w == 1.0:
-                return other
-    elif u == 0.0:  # 0/b, 0/0 included
-        return _num(0.0)
-    elif u is not None and v == 0.0:
-        raise ParseError(f"{_show(a)} divided by 0 is not a finite real number")
-    elif v == 1.0:
-        return a
-    # a subtree folding leaves alone is kept, not copied: derivatives repeat large parts
-    return node if a is node.left and b is node.right else ast.BinOp(a, node.op, b)
-
-
 class Expr:
-    """The syntax tree ``tree`` of a wall: evaluates on arrays, differentiates."""
+    """The folded syntax graph ``tree`` of a wall: evaluates on arrays,
+    differentiates."""
 
     def __init__(self, tree):
         self.tree = tree
-        self._code = None
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self._code is None:
-            body = ast.fix_missing_locations(ast.Expression(self.tree))
-            self._code = compile(body, "<wall>", "eval")
-        value = eval(self._code, _GLOBALS, {"x": x + 0.0})
-        # a tree without x gives one number, spread over the shape of x
-        return value if "x" in self._code.co_names else np.full_like(x, value)
+        if isinstance(self.tree, ast.Constant):  # one number, spread over x's shape
+            return np.full_like(x, self.tree.value)
+        return _value(self.tree, {}, x + 0.0)  # a copy, a numpy float if x is 0-d
 
     def diff(self):
-        return Expr(_diff(self.tree))
-
-    def simplified(self):
-        return Expr(_fold(self.tree))
+        return Expr(_diff(self.tree, {}))
 
     def __repr__(self):
         return _show(self.tree)
@@ -203,19 +201,19 @@ def parse_expression(text):
         raise ParseError(f"cannot parse {text!r}") from None
 
     def build(node, depth):
-        """The grammar's tree of ``node``: unary signs as ``0 - a``, floats."""
+        """The grammar's folded tree of ``node``: unary signs as ``0 - a``."""
         if depth > _MAX_DEPTH:
             raise ParseError(f"nesting deeper than {_MAX_DEPTH} in {text!r}")
         literal = src[node.col_offset:node.end_col_offset]
         match node:
             case ast.BinOp(left, op, right) if type(op) in _SYMBOLS:
                 a, b = build(left, depth + 1), build(right, depth + 1)
-                if type(op) is ast.Pow and not isinstance(b := _fold(b), ast.Constant):
+                if type(op) is ast.Pow and not isinstance(b, ast.Constant):
                     raise ParseError(f"exponent must be a constant in {text!r}")
-                return ast.BinOp(a, op, b)
+                return _bin(a, op, b)
             case ast.UnaryOp(ast.USub() | ast.UAdd() as op, operand):
                 a = build(operand, depth + 1)
-                return ast.BinOp(_num(0.0), _SUB, a) if isinstance(op, ast.USub) else a
+                return _bin(_num(0.0), _SUB, a) if isinstance(op, ast.USub) else a
             case ast.Constant(int() | float()) if set(literal) <= set("0123456789.eE+-"):
                 return _num(literal)  # not 0x10, 1_0 or True
             case ast.Name(name) if name == "x" or name in _CONSTS:
@@ -224,4 +222,4 @@ def parse_expression(text):
                 return _call(name, build(arg, depth + 1))  # not '(sqrt)(x)'
         raise ParseError(f"{literal!r} is outside the grammar in {text!r}")
 
-    return Expr(_fold(build(body, 1)))
+    return Expr(build(body, 1))

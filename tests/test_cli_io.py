@@ -222,6 +222,23 @@ class TestParsing:
             cli_io.parse_scenario(path, environ={})
         assert "line 2" in str(err.value)
 
+    def test_blank_section_header_is_malformed(self, tmp_path):
+        body = MINIMAL.format(out=tmp_path / "o").replace("[grid]", "[ ]")
+        with pytest.raises(ParseError) as err:
+            cli_io.parse_scenario(write_scenario(tmp_path, body), environ={})
+        line = body.splitlines().index("[ ]") + 1
+        assert f"line {line}: malformed section header '[ ]'" in str(err.value)
+
+    def test_negative_seed_is_rejected(self, tmp_path, capsys):
+        body = MINIMAL.format(out=tmp_path / "o").replace("seed = 11", "seed = -1")
+        path = write_scenario(tmp_path, body)
+        line = body.splitlines().index("seed = -1") + 1
+        with pytest.raises(ValidationError) as err:
+            cli_io.parse_scenario(path, environ={})
+        assert f"line {line}: [output] seed: must be nonnegative" in str(err.value)
+        assert cli_io.main(["carrier-check", "--scenario", str(path), "--quiet"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_env_override(self, tmp_path):
         path = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "o"))
         sc = cli_io.parse_scenario(
@@ -547,6 +564,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"CHANNELLAB_PROFILE__F1: [profile] f1: {message}" in err
         assert "Traceback" not in err
+
+    def test_wall_with_a_newline_keeps_its_label_on_one_line(
+            self, tmp_path, monkeypatch):
+        # any whitespace separates the grammar's tokens, a newline included;
+        # the label collapses each run to one space, so each row is one line
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "custom_walls.scn"
+        monkeypatch.setenv("CHANNELLAB_PROFILE__F2", "(1+abs(x))^0.5\n+ 0*x")
+        assert cli_io.main(["constants", "--scenario", str(path),
+                            "--out", str(tmp_path), "--quiet"]) == 0
+        lines = (tmp_path / "constants.csv").read_text().splitlines()
+        assert len(lines) == 6  # the version comment, the header, M0 M1 M4 M5
+        assert "f2=(1+abs(x))^0.5 + 0*x)" in lines[2]
 
     def test_bare_number_wall_is_constant(self, tmp_path, monkeypatch):
         path = Path(__file__).resolve().parents[1] / "scenarios" / "custom_walls.scn"

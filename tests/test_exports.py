@@ -88,6 +88,32 @@ def test_private_access_guard(source, found):
     assert private_accesses(ast.parse(source)) == found
 
 
+def code_from_text(tree):
+    """``(line, name)`` of each call of ``eval``, ``exec`` or ``compile``,
+    bare or through ``builtins``."""
+    found = []
+    for node in ast.walk(tree):
+        match node:
+            case (ast.Call(ast.Name(name)) | ast.Call(ast.Attribute(
+                    ast.Name("builtins"), name))) if name in ("eval", "exec", "compile"):
+                found.append((node.lineno, name))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_module_runs_code_from_text(path):
+    # a custom wall is evaluated by walking its syntax graph, never compiled
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert code_from_text(tree) == []
+
+
+def test_code_from_text_guard():
+    source = ("eval(c, g)\nbuiltins.exec(c)\nx = compile(t, '<w>', 'eval')\n"
+              "re.compile('a')\nast.parse(t, mode='eval')\n")
+    assert code_from_text(ast.parse(source)) == [
+        (1, "eval"), (2, "exec"), (3, "compile")]
+
+
 # each desk-scale bound is compared in one place, by the one record that
 # judges it; the acceptance tests keep their own literal thresholds
 BOUNDS = ("GROWTH_RATIO_BOUND", "GROWTH_LOWER_BOUND", "DECAY_RATIO_BOUND",

@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,7 @@ def test_evaluation(text, x, value):
     assert repr(e) == TREES[text]
 
 
-# the simplified tree of each text above: '^' is right associative, binds
+# the folded tree of each text above: '^' is right associative, binds
 # tighter than unary minus and takes a unary exponent
 TREES = {
     "1 + 2*x": "(1 + (2 * x))",
@@ -70,21 +72,65 @@ TREES = {
 }
 
 
-@pytest.mark.parametrize(
-    "text", ["2*(1+x)^0.5", "exp(-x/4)", "x^3 - 2*x", "1/(1+x^2)", "tanh(x)",
-             "log(1+x^2)", "sin(2*x)*cos(x)"]
-)
+# the folded first and second derivative of each text
+DERIVATIVES = {
+    "2*(1+x)^0.5": ("(2 * (0.5 * ((1 + x) ^ -0.5)))",
+                    "(2 * (0.5 * (-0.5 * ((1 + x) ^ -1.5))))"),
+    "exp(-x/4)": ("(exp(((0 - x) / 4)) * -0.25)",
+                  "((exp(((0 - x) / 4)) * -0.25) * -0.25)"),
+    "x^3 - 2*x": ("((3 * (x ^ 2)) - 2)", "(3 * (2 * x))"),
+    "1/(1+x^2)": (
+        "((0 - (2 * x)) / ((1 + (x ^ 2)) * (1 + (x ^ 2))))",
+        "(((-2 * ((1 + (x ^ 2)) * (1 + (x ^ 2)))) - ((0 - (2 * x)) * (((2 * x) "
+        "* (1 + (x ^ 2))) + ((1 + (x ^ 2)) * (2 * x))))) / (((1 + (x ^ 2)) * "
+        "(1 + (x ^ 2))) * ((1 + (x ^ 2)) * (1 + (x ^ 2)))))"),
+    "tanh(x)": ("(1 - (tanh(x) * tanh(x)))",
+                "(0 - (((1 - (tanh(x) * tanh(x))) * tanh(x)) + (tanh(x) * "
+                "(1 - (tanh(x) * tanh(x))))))"),
+    "log(1+x^2)": ("((1 / (1 + (x ^ 2))) * (2 * x))",
+                   "((((0 - (2 * x)) / ((1 + (x ^ 2)) * (1 + (x ^ 2)))) * (2 * x)) "
+                   "+ ((1 / (1 + (x ^ 2))) * 2))"),
+    "sin(2*x)*cos(x)": (
+        "(((cos((2 * x)) * 2) * cos(x)) + (sin((2 * x)) * (-1 * sin(x))))",
+        "((((((-1 * sin((2 * x))) * 2) * 2) * cos(x)) + ((cos((2 * x)) * 2) * "
+        "(-1 * sin(x)))) + (((cos((2 * x)) * 2) * (-1 * sin(x))) + (sin((2 * x)) "
+        "* (-1 * cos(x)))))"),
+}
+
+
+@pytest.mark.parametrize("text", list(DERIVATIVES))
 def test_symbolic_derivatives_match_finite_differences(text):
     e = parse_expression(text)
-    d1 = e.diff().simplified()
-    d2 = d1.diff().simplified()
+    d1 = e.diff()
+    d2 = d1.diff()
+    assert (repr(d1), repr(d2)) == DERIVATIVES[text]
     xs = np.linspace(0.3, 2.7, 11)
     assert np.abs(d1(xs) - fd(e, xs)).max() < 1e-7
     assert np.abs(d2(xs) - fd(d1, xs)).max() < 1e-6
 
 
+def distinct_nodes(tree):
+    seen, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(n for n in ast.iter_child_nodes(node) if isinstance(n, ast.expr))
+    return len(seen)
+
+
+def test_derivatives_share_repeated_subtrees():
+    # tanh' = 1 - tanh(a)^2 names tanh(a) twice, so as a tree the second
+    # derivative of a 63-deep tanh grows like a power of the depth; as a
+    # graph it grows linearly, and each distinct node evaluates once
+    depth = 63
+    f2pp = parse_expression("tanh(" * depth + "x" + ")" * depth).diff().diff()
+    assert distinct_nodes(f2pp.tree) <= 30 * depth
+    assert np.isfinite(f2pp(np.linspace(-3.0, 3.0, 6776))).all()
+
+
 def test_abs_derivative_is_sign():
-    e = parse_expression("abs(x)").diff().simplified()
+    e = parse_expression("abs(x)").diff()
     assert float(e(2.0)) == 1.0
     assert float(e(-2.0)) == -1.0
 
@@ -109,6 +155,8 @@ def test_vectorized_evaluation():
             "2^2^2^2^2", "0^-1", "(-1)^0.5", "x + 10^400",
             # constant quotients that fold to no finite real number
             "1/0", "2+1/0*x",
+            # constant calls that fold to no finite real number
+            "log(0) + x", "exp(1000)*x", "2 + sqrt(-1)",
             # scenario values that are not text or a number
             pytest.param(True, id="bool"), pytest.param([1, 2], id="list"),
             pytest.param(None, id="none")]
@@ -117,3 +165,13 @@ def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_expression(bad)
 
+
+@pytest.mark.parametrize("text, call", [
+    ("log(0) + x", "log(0)"), ("exp(1000)*x", "exp(1000)"),
+    ("2 + sqrt(-1)", "sqrt(-1)"), ("x*sin(2^1023*2)", "sin(inf)"),
+])
+def test_non_finite_constant_call_names_the_call(text, call, recwarn):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert str(err.value) == f"{call} is not a finite real number"
+    assert len(recwarn) == 0  # numpy's RuntimeWarning stays off stderr

@@ -424,8 +424,8 @@ class TestCustomProfiles:
 
     @pytest.mark.parametrize("name", sorted(PINNED_WALLS))
     def test_compiled_trees_hold_grammar_nodes_only(self, name):
-        # each wall's tree is compiled and handed to eval: nothing outside
-        # the grammar may reach it
+        # a wall's graph is evaluated node by node with numpy's functions
+        # and the five operators: no node outside the grammar may be in it
         ops = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
         funcs = {"sqrt", "exp", "log", "sin", "cos", "tanh", "abs", "_sign"}
 
