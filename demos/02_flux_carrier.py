@@ -55,18 +55,6 @@ def main():
     print(f"  sup f^2 |grad g| = {rep.sup_f2_grad_g:.3f}")
     print(f"  volume integral / weight integral = {rep.volume_ratio:.1f}")
 
-    print("\n== the weighted inequality constant shrinks like eps^2 ==")
-    eps_values = [0.04, 0.02, 0.01]
-    cs = [
-        fc.weighted_inequality_constant(
-            fc.CarrierParams(1.0, e), geo.straight(d0=1.0), 0.0
-        )
-        for e in eps_values
-    ]
-    slope = np.polyfit(np.log(eps_values), np.log(cs), 1)[0]
-    for e, c in zip(eps_values, cs):
-        print(f"  eps = {e:5.3f}: best constant = {c:.3e}")
-    print(f"  log-log slope = {slope:.3f} (theory: 2)")
     print(f"\nwrote {OUT}/carrier_profile.svg")
 
 

@@ -47,14 +47,6 @@ def main():
     bound = fi.decomposition_bound([fi.Rect(0, 1, 0, 1)])
     print(f"  closed-form decomposition bound: {bound:.1f}")
 
-    print("\n== uniformity over sliding windows of the widening channel ==")
-    sweep = fi.bogovskii_window_sweep(
-        widening, 0.5, [8.0, 16.0, 24.0, 32.0], resolution=(25, 25)
-    )
-    vals = [e.value for e in sweep]
-    print(f"  values: {['%.3f' % v for v in vals]}  "
-          f"spread {max(vals)/min(vals):.4f}")
-
 
 if __name__ == "__main__":
     main()

@@ -3,15 +3,13 @@
 Used by the functional-inequality estimators.  Nodes are the mapped-grid
 nodes ordered idx = i*ny + j; elements are the grid cells, integrated
 isoparametrically with 2x2 Gauss.  Holds the one copy of each element rule:
-the 2-point Gauss nodes and 1-D P1 shapes (which the carrier's slice pencil
-also reads), the Q1 shapes as their products, one element loop behind every
-assembly, and the wall and end node mask.  Also holds the nested-dissection
-order of the grid nodes that the indefinite sparse factors of ``ns_solver``
-and ``functional_inequalities`` keep, the banded Cholesky back-solve of
-every positive definite stiffness (``spd_solve``), the one eigen helper
-behind every inequality constant (shift-invert Lanczos with a
-residual-checked acceptance) and its wrapper for the tridiagonal 1D P1
-pencils of the carrier's slice constant.
+the 2-point Gauss nodes and 1-D P1 shapes, the Q1 shapes as their products,
+one element loop behind every assembly, and the wall and end node mask.
+Also holds the nested-dissection order of the grid nodes that the
+indefinite sparse factors of ``ns_solver`` and ``functional_inequalities``
+keep, the banded Cholesky back-solve of every positive definite stiffness
+(``spd_solve``) and the one eigen helper behind every inequality constant
+(shift-invert Lanczos with a residual-checked acceptance).
 """
 
 from __future__ import annotations
@@ -235,14 +233,3 @@ def smallest_eigenpair(M, solve, v0=None):
             f"eigenpair residual {residual:.3e} above {_EIGEN_RTOL:.0e} (lam {lam:.6e})"
         )
     return lam, v
-
-
-def tridiagonal_pencil_max(dK, oK, dM, oM):
-    """Largest lam of M v = lam K v for symmetric tridiagonal 1D P1 pencils.
-
-    (dK, oK) and (dM, oM) are diagonals and off-diagonals, K positive definite.
-    """
-    K = sparse.diags([oK, dK, oK], [-1, 0, 1], format="csc")
-    M = sparse.diags([oM, dM, oM], [-1, 0, 1], format="csr")
-    lam, _ = smallest_eigenpair(M, spd_solve(K))
-    return 1.0 / lam

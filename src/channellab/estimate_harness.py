@@ -39,7 +39,6 @@ __all__ = [
     "uniqueness_probe",
     "hat_energy_inequality",
     "padded_solve",
-    "plateau_windows",
 ]
 
 
@@ -285,17 +284,6 @@ class PoiseuilleReport:
             }
 
 
-def plateau_windows(k, t_list):
-    """The sorted window ends T; the plateau needs two of them beyond k."""
-    t_list = sorted(float(t) for t in t_list)
-    if len(t_list) >= 2 and t_list[-2] <= k:
-        raise OutOfRange(
-            f"the plateau needs two windows beyond k = {k}, but the "
-            f"second-largest T is {t_list[-2]}"
-        )
-    return t_list
-
-
 def _difference_squares(state, ref):
     """Nodal |u - u_ref|^2 and the four squared velocity-gradient differences."""
     l2 = (state.u1 - ref.u1) ** 2 + (state.u2 - ref.u2) ** 2
@@ -312,9 +300,11 @@ def poiseuille_convergence(state, k, t_list):
     O(h^2) representation bias cancels and the windows measure the genuine
     field difference.  The verdict is a plateau: the increment from the
     second-largest to the largest window stays below PLATEAU_FRACTION of
-    the former.
+    the former; it is skipped unless two window ends T lie beyond k.
     """
-    t_list = plateau_windows(k, t_list)
+    t_list = sorted(float(t) for t in t_list)
+    if t_list[0] <= 0:  # the tail window 0 < x1 < T would be empty
+        raise OutOfRange("t values must be positive")
     grid, profile, phi = state.grid, state.profile, state.params.phi
 
     c1 = float(profile.f1(t_list[-1]))
@@ -342,13 +332,16 @@ def poiseuille_convergence(state, k, t_list):
     floor = 1e-6 * phi**2 * max(1.0, t_list[-1] - k)
     prev = h1[-2] if len(h1) >= 2 else math.nan
     skipped = None if len(h1) >= 2 else "one window: no increment"
+    plateau_skipped = skipped or (
+        f"the plateau needs two windows beyond k = {k}, but the "
+        f"second-largest T is {t_list[-2]}" if t_list[-2] <= k else None)
     return PoiseuilleReport(
         T=t_list,
         h1_error=h1,
         scaled_tail=tails,
         verdicts=[
             Verdict("plateau", h1[-1] - prev,
-                    PLATEAU_FRACTION * max(prev, floor), "<=", skipped),
+                    PLATEAU_FRACTION * max(prev, floor), "<=", plateau_skipped),
             Verdict("tail_decreasing",
                     float(np.max(np.diff(tails), initial=-math.inf)),
                     1e-12, "<=", skipped),

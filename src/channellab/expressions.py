@@ -12,15 +12,15 @@ Grammar (infix, one free variable ``x``)::
 Python's parser reads a wall and a wall stays a graph of Python syntax tree
 nodes: ``x``, float constants, the five operators and calls of the grammar's
 functions, nothing else.  Each node folds as it is built: constant parts
-become their number and the operators' identity elements drop, so a constant
-power, quotient or call that folds to no finite real number, such as
-``0^-1``, ``1/0`` or ``log(0)``, is a :class:`ParseError`.  Walls
-differentiate symbolically, so user profiles come with closed-form first and
-second derivatives; a derivative shares the subtrees it repeats, builds the
-derivative of each once, and a call evaluates each distinct node once, with
-numpy's functions and the five operators only.  ``abs`` differentiates to
-``sign`` (the kink at 0 is the user's responsibility, matching profiles like
-``(1+abs(x))^0.5``).
+become their number and the operators' identity elements drop, so a literal
+or a constant part that is no finite real number, such as ``1e400``,
+``1e308*10``, ``0^-1``, ``1/0`` or ``log(0)``, is a :class:`ParseError`.
+Walls differentiate symbolically, so user profiles come with closed-form
+first and second derivatives; a derivative shares the subtrees it repeats,
+builds the derivative of each once, and a call evaluates each distinct node
+once, with numpy's functions and the five operators only.  ``abs``
+differentiates to ``sign`` (the kink at 0 is the user's responsibility,
+matching profiles like ``(1+abs(x))^0.5``).
 """
 
 from __future__ import annotations
@@ -48,8 +48,13 @@ _ADD, _SUB, _MUL, _DIV, _POW = ast.Add(), ast.Sub(), ast.Mult(), ast.Div(), ast.
 _MAX_DEPTH = 64  # second derivatives nest up to 9x deeper, within the recursion limit
 
 
-def _num(value):
-    return ast.Constant(float(value))
+def _num(value, text=None):
+    """The constant ``value``; one that is no finite real number is a
+    :class:`ParseError` naming it by ``text``."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ParseError(f"{text} is not a finite real number")
+    return ast.Constant(value)
 
 
 def _call(name, arg):
@@ -57,10 +62,7 @@ def _call(name, arg):
     if not isinstance(arg, ast.Constant):
         return ast.Call(ast.Name(name, ast.Load()), [arg], [])
     with np.errstate(all="ignore"):
-        value = _NUMPY[name](arg.value)
-    if not np.isfinite(value):
-        raise ParseError(f"{name}({_show(arg)}) is not a finite real number")
-    return _num(value)
+        return _num(_NUMPY[name](arg.value), f"{name}({_show(arg)})")
 
 
 def _bin(a, op, b):
@@ -72,7 +74,8 @@ def _bin(a, op, b):
         return _num(0.0)
     if u is not None and v is not None:
         try:  # 2^2^2^2^2 overflows, 0^-1 and 1/0 divide by 0, (-1)^0.5 is complex
-            return _num(_ARITHMETIC[kind](u, v))
+            return _num(_ARITHMETIC[kind](u, v),
+                        f"{_show(a)} {_SYMBOLS[kind]} {_show(b)}")
         except (ArithmeticError, TypeError):
             how = f"to the power {_show(b)}" if kind is ast.Pow else "divided by 0"
             raise ParseError(f"{_show(a)} {how} is not a finite real number") from None
@@ -215,7 +218,7 @@ def parse_expression(text):
                 a = build(operand, depth + 1)
                 return _bin(_num(0.0), _SUB, a) if isinstance(op, ast.USub) else a
             case ast.Constant(int() | float()) if set(literal) <= set("0123456789.eE+-"):
-                return _num(literal)  # not 0x10, 1_0 or True
+                return _num(literal, literal)  # not 0x10, 1_0 or True
             case ast.Name(name) if name == "x" or name in _CONSTS:
                 return ast.Name("x", ast.Load()) if name == "x" else _num(_CONSTS[name])
             case ast.Call(ast.Name(name), [arg]) if name in _FUNCS and literal[0] != "(":

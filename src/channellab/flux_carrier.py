@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from ._fem import GAUSS2_NODES, p1_values, tridiagonal_pencil_max
 from .errors import OutOfRange
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "slice_flux",
     "carrier_volume_integral",
     "support_and_bounds_report",
-    "weighted_inequality_constant",
 ]
 
 
@@ -279,84 +277,4 @@ def support_and_bounds_report(params, profile, window, rng=None):
         sup_f_g=sup_fg,
         sup_f2_grad_g=sup_f2dg,
         volume_ratio=vol / wint if wint > 0 else math.inf,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Weighted (Hardy-type) inequality constant
-# ---------------------------------------------------------------------------
-
-
-def weighted_inequality_constant(params, profile, x1):
-    """Best constant of integral |g|^2 w^2 <= c * phi^2 * integral |d2 w|^2.
-
-    Slicewise 1D generalized eigenproblem over w vanishing at both walls.
-    The carrier concentrates exponentially at the upper wall, so the
-    admissible functions are written as w = phi*v with the ground-state
-    factor phi = sqrt(max(A, f/4)/(f/2)), A = f2 - x2, and the band is
-    discretized in the log coordinate tau = -ln(2A/f).  In these variables
-    every matrix entry is O(1) regardless of epsilon; a direct physical
-    discretization loses the eigenvalue to conditioning once the band gets
-    thin.  Solved by the shift-invert eigen helper on the tridiagonal
-    pencil.
-    """
-    if params.phi <= 0.0:
-        return 0.0
-    eps = params.epsilon
-    f1 = float(profile.f1(x1))
-    f2 = float(profile.f2(x1))
-    f = f2 - f1
-    half = 0.5 * f
-
-    # nodes: physical below the band edge x2 = fbar + f/4, tau inside
-    n_coarse, n_band = 200, 2400  # P1 elements below the band and in tau
-    x_low = np.linspace(f1, f2 - half / 2.0, n_coarse + 1)  # A from f down to f/4
-    tau_end = 1.0 / eps + 8.0
-    tau = np.linspace(math.log(2.0), tau_end, n_band + 1)  # A from f/4 downward
-
-    n_low = x_low.size  # nodes 0 .. n_low-1, node n_low-1 is the interface
-    n_tot = n_low + n_band  # band appends n_band new nodes
-    diag_K = np.zeros(n_tot)
-    off_K = np.zeros(n_tot - 1)
-    diag_M = np.zeros(n_tot)
-    off_M = np.zeros(n_tot - 1)
-
-    # below the band: w = sqrt(1/2) v, carrier vanishes, pure stiffness
-    h_low = np.diff(x_low)
-    diag_K[: n_low - 1] += 0.5 / h_low
-    diag_K[1:n_low] += 0.5 / h_low
-    off_K[: n_low - 1] -= 0.5 / h_low
-
-    # inside the band (element integrals of (2/f)(v_tau - v/2)^2 exactly,
-    # carrier weight by 2-pt Gauss); s, A/B formed from tau with no huge
-    # intermediates
-    h_b = np.diff(tau)
-    tl, tr = tau[:-1], tau[1:]
-    # exact element integrals for linear v:
-    # int v_tau^2 = (vr-vl)^2/h ; int v v_tau = (vr^2-vl^2)/2 ;
-    # int v^2/4 = h (vl^2 + vl vr + vr^2)/12
-    d_ll = 1.0 / h_b + 0.5 + h_b / 12.0
-    d_rr = 1.0 / h_b - 0.5 + h_b / 12.0
-    d_lr = -1.0 / h_b + h_b / 24.0
-    scale = 2.0 / f
-    i0 = n_low - 1
-    diag_K[i0 : i0 + n_band] += scale * d_ll
-    diag_K[i0 + 1 : i0 + n_band + 1] += scale * d_rr
-    off_K[i0 : i0 + n_band] += scale * d_lr
-
-    for gx in GAUSS2_NODES:
-        tq = 0.5 * (tl + tr) + 0.5 * h_b * gx
-        ratio = np.exp(-tq) / (1.0 - np.exp(-tq))  # A/B
-        s = 1.0 + eps * np.log(ratio)
-        dmu = mup(s)
-        dens = (eps**2) * dmu**2 * (1.0 + ratio) ** 2 / half  # A*q*phi^2/phi_flux^2
-        wq = 0.5 * h_b
-        phi_l, phi_r = p1_values(gx)
-        diag_M[i0 : i0 + n_band] += wq * dens * phi_l * phi_l
-        diag_M[i0 + 1 : i0 + n_band + 1] += wq * dens * phi_r * phi_r
-        off_M[i0 : i0 + n_band] += wq * dens * phi_l * phi_r
-
-    # Dirichlet at both ends
-    return tridiagonal_pencil_max(
-        diag_K[1:-1], off_K[1:-1], diag_M[1:-1], off_M[1:-1]
     )

@@ -37,7 +37,6 @@ __all__ = [
     "poincare_m0",
     "sobolev_m4",
     "bogovskii_m5",
-    "bogovskii_window_sweep",
     "Rect",
     "decomposition_bound",
 ]
@@ -303,16 +302,6 @@ def bogovskii_m5(profile, a, b, resolution=(49, 49)):
         method="inf_sup",
         resolution=(nx, ny),
     )
-
-
-def bogovskii_window_sweep(profile, beta_star, t_values, resolution=(33, 33)):
-    """M5 over the sliding windows Omega_{t - beta* f(t), t}."""
-    out = []
-    for t in t_values:
-        width = beta_star * float(profile.width(t))
-        est = bogovskii_m5(profile, t - width, t, resolution=resolution)
-        out.append(est)
-    return out
 
 
 # ---------------------------------------------------------------------------

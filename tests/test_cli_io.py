@@ -635,14 +635,16 @@ class TestRun:
         assert f"{out}: no *_verdicts.csv to aggregate" in capsys.readouterr().err
         assert not (out / "summary.csv").exists()
 
-    def test_failed_command_is_recorded_and_reported(self, tmp_path, capsys):
-        # custom_walls' t_list leaves no second window beyond its outlet k;
-        # the reason once went to stderr only and report exited 0
+    def test_failed_command_is_recorded_and_reported(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # make_grid rejects 5 eta nodes; the reason once went to stderr only
+        # and report exited 0
+        monkeypatch.setenv("CHANNELLAB_GRID__NY", "5")
         path = Path(__file__).resolve().parents[1] / "scenarios" / "custom_walls.scn"
         args = ["--scenario", str(path), "--out", str(tmp_path), "--quiet"]
         assert cli_io.main(["poiseuille", *args]) == 1
         reason = capsys.readouterr().err.strip().removeprefix("error: ")
-        assert reason.startswith("OutOfRange: the plateau needs two windows")
+        assert reason.startswith("DegenerateGrid: ")
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["commands"]["poiseuille"] == {
             "exit_status": 1, "error": reason, "outputs": []}
@@ -745,14 +747,29 @@ class TestRun:
         def no_lookup(*args, **kwargs):
             raise AssertionError("looked up a state before checking t_list")
 
-        # no solve and no reuse of a cached state either
+        # one distinct window end has no increment to judge; no solve and no
+        # reuse of a cached state either
         monkeypatch.setattr(cli_io, "_padded_state", no_lookup)
         body = MINIMAL.format(out=tmp_path / "out").replace(
-            "t_list = 1, 2", "t_list = 2, 4, 8\noutlet_k = 4"
-        )
-        sc = cli_io.parse_scenario(write_scenario(tmp_path, body), environ={})
-        assert cli_io.run("poiseuille", sc) == 1
-        assert "two windows" in capsys.readouterr().err
+            "t_list = 1, 2", "t_list = 4, 4")
+        path = write_scenario(tmp_path, body)
+        assert cli_io.main(["poiseuille", "--scenario", str(path)]) == 1
+        assert DISTINCT in capsys.readouterr().err
+
+    def test_poiseuille_skips_plateau_without_two_windows(self, tmp_path, capsys):
+        # T = 2 and T = 4 leave k < x1 < T empty at k = 4, so the plateau
+        # says why it is skipped; tail_decreasing, over 0 < x1 < T, is judged
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "t_list = 1, 2", "t_list = 8, 2, 4\noutlet_k = 4")
+        path = write_scenario(tmp_path, body)
+        assert cli_io.main(["poiseuille", "--scenario", str(path)]) == 0
+        assert ("plateau: SKIPPED (the plateau needs two windows beyond k = 4.0, "
+                "but the second-largest T is 4.0)" in capsys.readouterr().out)
+        rows = (tmp_path / "out" / "poiseuille_verdicts.csv").read_text().splitlines()
+        assert rows[2:] == ["plateau,SKIPPED", "tail_decreasing,PASS"]
+        T = [r.split(",")[0] for r in
+             (tmp_path / "out" / "poiseuille.csv").read_text().splitlines()[2:]]
+        assert T == ["2", "4", "8"]
 
     def test_solve_writes_field_and_history(self, tmp_path):
         path = self.scenario(tmp_path)
@@ -791,14 +808,15 @@ class TestRun:
         sc = cli_io.parse_scenario(path, environ={})
         assert cli_io.run("growth-scan", sc, scenario_path=path, quiet=True) == 1
 
-    def test_quiet_failure_says_why(self, tmp_path, capsys):
-        # custom_walls' windows leave the outlet plateau one window
+    def test_quiet_failure_says_why(self, tmp_path, capsys, monkeypatch):
+        # make_grid rejects 5 eta nodes
+        monkeypatch.setenv("CHANNELLAB_GRID__NY", "5")
         path = Path(__file__).resolve().parents[1] / "scenarios" / "custom_walls.scn"
         assert cli_io.main(["poiseuille", "--scenario", str(path), "--out",
                             str(tmp_path / "out"), "--quiet"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "the plateau needs two windows beyond k = 4.0" in captured.err
+        assert captured.err.startswith("error: DegenerateGrid: ")
 
     def test_solver_tolerance_cannot_be_set(self, tmp_path, monkeypatch, capsys,
                                             solve_calls):

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +113,61 @@ def test_code_from_text_guard():
               "re.compile('a')\nast.parse(t, mode='eval')\n")
     assert code_from_text(ast.parse(source)) == [
         (1, "eval"), (2, "exec"), (3, "compile")]
+
+
+def public_names(tree):
+    """A module's ``__all__``, or without one its top-level functions and
+    classes whose names have no leading underscore."""
+    for node in tree.body:
+        match node:
+            case ast.Assign([ast.Name("__all__")], ast.List(names)):
+                return [name.value for name in names]
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def uncalled_names(sources, elsewhere):
+    """The public names of the module texts ``sources`` that appear as a
+    word neither in a source, outside their own top-level ``def`` or
+    ``class`` line and every ``__all__``, nor in the text ``elsewhere``."""
+    names, kept = [], []
+    for text in sources:
+        tree = ast.parse(text)
+        names += public_names(tree)
+        lines = text.splitlines()
+        for node in tree.body:
+            match node:
+                case ast.Assign([ast.Name("__all__")]):
+                    del lines[node.lineno - 1:node.end_lineno]
+        kept.append("\n".join(lines))
+    text = "\n".join(kept)
+    missing = []
+    for name in names:
+        own = re.compile(rf"^(?:def|class) {name}\b.*$", re.M)
+        word = re.compile(rf"\b{name}\b")
+        if not (word.search(own.sub("", text)) or word.search(elsewhere)):
+            missing.append(name)
+    return missing
+
+
+def test_every_public_name_has_a_caller():
+    # a name that nothing in the package calls must be a patch point of the
+    # benchmark, where names are strings, or be kept by an acceptance test
+    here = Path(__file__).resolve().parent
+    elsewhere = [*sorted((here.parent / "bench").glob("*.py")),
+                 here / "test_acceptance.py"]
+    assert uncalled_names(
+        [path.read_text(encoding="utf-8") for path in SOURCES],
+        "\n".join(path.read_text(encoding="utf-8") for path in elsewhere)) == []
+
+
+def test_caller_guard():
+    listed = ("__all__ = [\n    'f',\n    'g',\n    'h',\n]\n"
+              "def f():\n    return g()\ndef g():\n    pass\ndef h():\n    pass\n")
+    unlisted = "class K:\n    pass\ndef m():\n    pass\ndef _p():\n    return K\n"
+    assert uncalled_names([listed, unlisted], "patch('mod.f')") == ["h", "m"]
+    assert uncalled_names([listed, unlisted], "") == ["f", "h", "m"]
 
 
 # each desk-scale bound is compared in one place, by the one record that

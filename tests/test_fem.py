@@ -12,7 +12,6 @@ from channellab._fem import (
     assemble_q1,
     smallest_eigenpair,
     spd_solve,
-    tridiagonal_pencil_max,
 )
 from channellab.cli_io import parse_scenario
 from channellab.errors import EigenFailure
@@ -36,19 +35,6 @@ def random_pencil(m, seed):
 
 def dense(d, o):
     return np.diag(d) + np.diag(o, 1) + np.diag(o, -1)
-
-
-class TestTridiagonalPencil:
-    def test_matches_dense_eigh(self):
-        dK, oK, dM, oM = random_pencil(50, seed=5)
-        lam = tridiagonal_pencil_max(dK, oK, dM, oM)
-        ref = eigh(dense(dM, oM), dense(dK, oK), eigvals_only=True)[-1]
-        assert lam == pytest.approx(ref, rel=1e-10)
-
-    def test_zero_mass_collapse_raises(self):
-        dK, oK, dM, oM = random_pencil(10, seed=1)
-        with pytest.raises(EigenFailure):
-            tridiagonal_pencil_max(dK, oK, 0.0 * dM, 0.0 * oM)
 
 
 class TestSmallestEigenpair:

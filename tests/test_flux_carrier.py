@@ -294,33 +294,3 @@ class TestVolumeIntegral:
         assert fc.carrier_volume_integral(sc.params, sc.profile, a, b) == pytest.approx(
             ref, rel=1e-13
         )
-
-
-class TestWeightedInequality:
-    def test_epsilon_scaling_slope(self, straight):
-        # the best constant of int g^2 w^2 <= c phi^2 int |d2 w|^2 scales
-        # like eps^2; the asymptotic regime needs eps below ~0.05
-        eps_values = [0.02, 0.01, 0.005]
-        cs = [
-            fc.weighted_inequality_constant(
-                fc.CarrierParams(1.0, e), straight, 0.0
-            )
-            for e in eps_values
-        ]
-        slope = np.polyfit(np.log(eps_values), np.log(cs), 1)[0]
-        assert slope == pytest.approx(2.0, abs=0.2)
-        assert all(np.diff(cs) < 0)  # monotone in eps
-
-    def test_constant_finite_at_default_epsilon(self, straight):
-        c = fc.weighted_inequality_constant(
-            fc.CarrierParams(1.0, 0.5), straight, 0.0
-        )
-        assert 0 < c < 10.0
-
-    def test_constant_pinned(self, straight):
-        # the pencil's Gauss nodes and P1 values are _fem's: a change there
-        # must show here, which the loose bounds above would not
-        c = fc.weighted_inequality_constant(
-            fc.CarrierParams(1.0, 0.5), straight, 0.0
-        )
-        assert c == pytest.approx(0.7421619839260454, rel=1e-12, abs=0.0)

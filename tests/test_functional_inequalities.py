@@ -15,7 +15,6 @@ from channellab._fem import (
     boundary_mask,
     smallest_eigenpair,
     spd_solve,
-    tridiagonal_pencil_max,
 )
 from channellab.cli_io import parse_scenario
 from channellab.errors import AscentStagnation, EigenFailure
@@ -155,7 +154,7 @@ class TestPoincareM0:
     @pytest.mark.parametrize("width", [1.0, 7.3])
     def test_closed_form_matches_slice_pencil(self, n, width):
         # the Dirichlet P1 pencil of one slice, as it was assembled and
-        # handed to the eigen helper slice by slice
+        # handed to the eigen helper slice by slice, solved densely here
         h = np.full(n - 1, width / (n - 1))
         dK = np.zeros(n)
         dK[:-1] += 1.0 / h
@@ -166,7 +165,9 @@ class TestPoincareM0:
         oK, oM = -1.0 / h, h / 6.0
         dM /= width**2
         oM /= width**2
-        lam = tridiagonal_pencil_max(dK[1:-1], oK[1:-1], dM[1:-1], oM[1:-1])
+        K = np.diag(dK[1:-1]) + np.diag(oK[1:-1], 1) + np.diag(oK[1:-1], -1)
+        M = np.diag(dM[1:-1]) + np.diag(oM[1:-1], 1) + np.diag(oM[1:-1], -1)
+        lam = eigh(M, K, eigvals_only=True)[-1]
         assert fi._slice_m0(n) == pytest.approx(math.sqrt(lam), rel=1e-11)
 
     def test_random_fields_below_constant(self, straight):
@@ -275,13 +276,6 @@ class TestBogovskii:
         est = fi.bogovskii_m5(p, 0, 1, resolution=(33, 33))
         bound = fi.decomposition_bound([fi.Rect(0, 1, 0, 1)])
         assert est.value <= bound
-
-    def test_window_sweep_uniform(self, power_half):
-        sweep = fi.bogovskii_window_sweep(
-            power_half, 0.5, [8.0, 12.0, 20.0, 28.0, 36.0], resolution=(25, 25)
-        )
-        vals = [e.value for e in sweep]
-        assert max(vals) / min(vals) <= 1.10
 
     def test_matches_dense_schur_reference(self):
         # dense reference: the projected multiplier map G (one saddle solve
