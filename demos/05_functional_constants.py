@@ -4,8 +4,7 @@ Four constants feed the channel estimates.  The slicewise Poincare
 constant is universal (1/pi for any width); the domain constant scales
 with the max width (2/pi times the half-width for strips); the L4
 embedding constant scales with the square root of the domain size; the
-divergence-problem constant is bounded by a closed-form expression over
-star-shaped decompositions.
+divergence-problem constant settles under grid refinement.
 
 Run:  python demos/05_functional_constants.py
 """
@@ -44,8 +43,6 @@ def main():
     for res in ((25, 25), (49, 49)):
         est = fi.bogovskii_m5(square, 0, 1, resolution=res)
         print(f"  unit square at {res[0]}x{res[1]}: {est.value:.4f}")
-    bound = fi.decomposition_bound([fi.Rect(0, 1, 0, 1)])
-    print(f"  closed-form decomposition bound: {bound:.1f}")
 
 
 if __name__ == "__main__":

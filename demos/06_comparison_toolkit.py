@@ -3,8 +3,7 @@
 The growth estimates all reduce to: a nondecreasing z with
 z <= Psi(z') + (1-d1) phi stays below any phi with phi >= Psi(phi')/d1
 once it is below at the right endpoint.  This script walks the linear
-case, builds the cubic saturating majorant for Psi(s) = s^(3/2), and fits
-the blow-up exponent 3 that the pure inequality z <= Psi(z') forces.
+case and builds the cubic saturating majorant for Psi(s) = s^(3/2).
 
 Run:  python demos/06_comparison_toolkit.py
 """
@@ -46,17 +45,6 @@ def main():
         xlabel="t", ylabel="phi",
     )
 
-    print("\n== blow-up rate classification ==")
-    tt = np.linspace(1.0, 100.0, 400)
-    sat = cl.blowup_rate(tt, tt**3 / 108.0, cl.separable_psi(c2=2.0, exponent=1.5))
-    print(f"  z = t^3/108: fitted exponent {sat.exponent:.4f} "
-          f"(critical 3), hypothesis holds: {sat.hypothesis_holds}")
-    sub = cl.blowup_rate(
-        np.linspace(1, 200, 800), np.linspace(1, 200, 800) ** 2,
-        cl.separable_psi(c2=1.0, exponent=1.5),
-    )
-    print(f"  z = t^2:     hypothesis holds: {sub.hypothesis_holds} "
-          f"(fails beyond t = 8, correctly flagged)")
     print(f"\nwrote {OUT}/majorant.svg")
 
 

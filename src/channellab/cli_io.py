@@ -329,18 +329,24 @@ def write_csv(path, rows):
 def write_svg_plot(path, series, title="", xlabel="", ylabel="", logy=False):
     """Small hand-rolled SVG line plot (no plotting dependency).
 
-    series: list of (label, xs, ys).
+    series: list of (label, xs, ys).  Only the finite points are drawn, and
+    they alone size the axes; with ``logy`` a y below 1e-300 is drawn there.
     """
     width, height = 640, 420
     ml, mr, mt, mb = 70, 20, 40, 50
     pw, ph = width - ml - mr, height - mt - mb
 
-    xs_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
-    ys_all = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
-    if logy:
-        ys_all = np.log10(np.maximum(ys_all, 1e-300))
-    x0, x1 = float(xs_all.min()), float(xs_all.max())
-    y0, y1 = float(ys_all.min()), float(ys_all.max())
+    drawn = []
+    for label, xs, ys in series:
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        finite = np.isfinite(xs) & np.isfinite(ys)
+        xs, ys = xs[finite], ys[finite]
+        drawn.append((label, xs, np.log10(np.maximum(ys, 1e-300)) if logy else ys))
+    xs_all = np.concatenate([xs for _, xs, _ in drawn])
+    ys_all = np.concatenate([ys for _, _, ys in drawn])
+    # with no finite point the axes span [0, 1]
+    x0, x1 = (float(xs_all.min()), float(xs_all.max())) if xs_all.size else (0.0, 0.0)
+    y0, y1 = (float(ys_all.min()), float(ys_all.max())) if ys_all.size else (0.0, 0.0)
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
@@ -396,11 +402,7 @@ def write_svg_plot(path, series, title="", xlabel="", ylabel="", logy=False):
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 16 {mt+ph/2:.1f})">{ylabel}</text>'
     )
-    for idx, (label, xs, ys) in enumerate(series):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if logy:
-            ys = np.log10(np.maximum(ys, 1e-300))
+    for idx, (label, xs, ys) in enumerate(drawn):
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
         color = colors[idx % len(colors)]
         parts.append(

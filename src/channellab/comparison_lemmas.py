@@ -5,8 +5,7 @@ z(t) satisfying z <= Psi(t, z') + (1 - delta1)*phi(t) stays below any
 majorant phi with phi >= Psi(t, phi')/delta1 and z(T) <= phi(T).  This
 module checks those hypotheses on sampled data, builds saturating
 majorants phi' = Psi^(-1)(delta1*phi) by integrating s = phi' in
-s' = delta1 s / Psi'(s) (Psi independent of t), and classifies blow-up
-rates for the pure inequality z <= Psi(z').
+s' = delta1 s / Psi'(s) (Psi independent of t).
 """
 
 from __future__ import annotations
@@ -19,12 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy import optimize
 
-from .errors import (
-    InsufficientTail,
-    LemmaViolation,
-    NonMonotoneSamples,
-    OutOfRange,
-)
+from .errors import LemmaViolation, NonMonotoneSamples, OutOfRange
 
 __all__ = [
     "PsiSpec",
@@ -35,7 +29,6 @@ __all__ = [
     "check_hypotheses",
     "comparison_conclude",
     "solve_majorant",
-    "blowup_rate",
 ]
 
 
@@ -319,54 +312,3 @@ def solve_majorant(psi, delta1, phi0, t0, t1, step=1e-3):
     phi = psi(ts, s) / delta1
     phi[0] = phi0
     return ts, phi
-
-
-@dataclass(frozen=True)
-class BlowupReport:
-    exponent: float
-    critical_exponent: float
-    hypothesis_holds: bool
-    passes: bool
-
-
-BLOWUP_TAIL_FRACTION = 0.1  # the tail is the final decade of t
-BLOWUP_SLOPE_TOL = 0.05
-BLOWUP_HYP_TOL = 0.02
-
-
-def blowup_rate(t, z, psi):
-    """Fit the tail growth exponent of z and compare with m/(m-1).
-
-    m is the exponent of the separable psi.  The hypothesis z <= Psi(z') is
-    evaluated on the tail; when it holds, the comparison lemma forces
-    liminf t^(-m/(m-1)) z > 0, so the fitted log-log slope must reach
-    m/(m-1) - BLOWUP_SLOPE_TOL.  Needs at least 10 samples in the final
-    decade of t.  BLOWUP_HYP_TOL is the relative slack for the hypothesis
-    margin: exact saturators sit at equality and interpolation of the
-    sampled derivative wobbles around it.
-    """
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(z, dtype=float)
-    m = psi.exponent
-    if m <= 1:
-        raise OutOfRange("need m > 1")
-    tail = t >= t[-1] * BLOWUP_TAIL_FRACTION
-    if np.count_nonzero(tail) < 10:
-        raise InsufficientTail(
-            f"only {np.count_nonzero(tail)} samples in the final decade"
-        )
-    tt, zz = t[tail], z[tail]
-    if np.any(zz <= 0):
-        raise OutOfRange("tail samples must be positive for a log-log fit")
-    zp = np.maximum(_Pchip(tt, zz)(tt)[1], 0.0)
-    margin = float(np.min((psi(tt, zp) - zz) / np.maximum(zz, 1e-300)))
-    holds = margin >= -BLOWUP_HYP_TOL
-
-    slope = float(np.polyfit(np.log(tt), np.log(zz), 1)[0])
-    critical = m / (m - 1.0)
-    return BlowupReport(
-        exponent=slope,
-        critical_exponent=critical,
-        hypothesis_holds=holds,
-        passes=bool((not holds) or slope >= critical - BLOWUP_SLOPE_TOL),
-    )

@@ -48,10 +48,6 @@ class NonMonotoneSamples(ChannelLabError):
     """Sample sequence expected to be nondecreasing is not."""
 
 
-class InsufficientTail(ChannelLabError):
-    """Too few tail samples for an asymptotic fit."""
-
-
 class LemmaViolation(ChannelLabError):
     """A theorem-backed conclusion failed numerically: implementation bug."""
 

@@ -300,7 +300,8 @@ def poiseuille_convergence(state, k, t_list):
     O(h^2) representation bias cancels and the windows measure the genuine
     field difference.  The verdict is a plateau: the increment from the
     second-largest to the largest window stays below PLATEAU_FRACTION of
-    the former; it is skipped unless two window ends T lie beyond k.
+    the former; it is skipped unless two window ends T lie beyond k.  A
+    window end T <= k leaves k < x1 < T empty, and its distance reads NaN.
     """
     t_list = sorted(float(t) for t in t_list)
     if t_list[0] <= 0:  # the tail window 0 < x1 < T would be empty
@@ -323,7 +324,7 @@ def poiseuille_convergence(state, k, t_list):
     tails = []
     for T in t_list:
         w = geo.window_weights(profile, grid.xi, grid.ny, k, T)
-        h1.append(float((w * diff2).sum()))
+        h1.append(float((w * diff2).sum()) if T > k else math.nan)
         d_plus = ns.dirichlet_energy(state, 0.0, T)
         tails.append(d_plus / T**3)
 

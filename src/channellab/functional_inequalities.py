@@ -2,9 +2,9 @@
 
 Four constants back the channel estimates: the slicewise Poincare constant
 (uniform in the domain), the domain Poincare constant (proportional to the
-max width), the L4 embedding constant, and the divergence-problem constant
-with its star-shaped decomposition bound.  Everything here is a numerical
-estimate at a stated resolution, not a certified enclosure.
+max width), the L4 embedding constant, and the divergence-problem
+(Bogovskii) constant.  Everything here is a numerical estimate at a stated
+resolution, not a certified enclosure.
 
 M1 and M4 back-solve positive definite Q1 stiffnesses by banded Cholesky
 (``_fem.spd_solve``); only M5's indefinite saddle system is factored by
@@ -37,8 +37,6 @@ __all__ = [
     "poincare_m0",
     "sobolev_m4",
     "bogovskii_m5",
-    "Rect",
-    "decomposition_bound",
 ]
 
 
@@ -302,100 +300,3 @@ def bogovskii_m5(profile, a, b, resolution=(49, 49)):
         method="inf_sup",
         resolution=(nx, ny),
     )
-
-
-# ---------------------------------------------------------------------------
-# Star-shaped decomposition bound (closed-form evaluation)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Rect:
-    """Axis-aligned rectangle [x0, x1] x [y0, y1]."""
-
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-
-    def area(self):
-        return max(self.x1 - self.x0, 0.0) * max(self.y1 - self.y0, 0.0)
-
-    def ball_radius(self):
-        return 0.5 * min(self.x1 - self.x0, self.y1 - self.y0)
-
-
-def _union_area(rects):
-    if not rects:
-        return 0.0
-    xs = sorted({r.x0 for r in rects} | {r.x1 for r in rects})
-    ys = sorted({r.y0 for r in rects} | {r.y1 for r in rects})
-    total = 0.0
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            cx = 0.5 * (xs[i] + xs[i + 1])
-            cy = 0.5 * (ys[j] + ys[j + 1])
-            if any(r.x0 <= cx <= r.x1 and r.y0 <= cy <= r.y1 for r in rects):
-                total += (xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j])
-    return total
-
-
-def _intersect(r, s):
-    return Rect(
-        max(r.x0, s.x0), min(r.x1, s.x1), max(r.y0, s.y0), min(r.y1, s.y1)
-    )
-
-
-def decomposition_bound(rects):
-    """Evaluate the star-shaped union bound on M5 for rectangle chains.
-
-    For a single rectangle the chain prefactor degenerates; the k = N term
-    uses the domain itself, giving the factor 2 (flagged convention).
-    """
-    if not rects:
-        raise ValueError("need at least one rectangle")
-    n = len(rects)
-    R0 = _union_diameter(rects)
-    R = min(r.ball_radius() for r in rects)
-    if R <= 0:
-        raise ValueError("degenerate rectangle in the decomposition")
-
-    def tilde_area(i):
-        if i == n - 1:
-            return rects[i].area()
-        later = [_intersect(rects[i], rects[j]) for j in range(i + 1, n)]
-        later = [r for r in later if r.area() > 0]
-        return _union_area(later)
-
-    def hat_minus_area(i):
-        later = rects[i + 1 :]
-        hat = _union_area(later)
-        overlap = _union_area(
-            [r for r in (_intersect(s, rects[i]) for s in later) if r.area() > 0]
-        )
-        return hat - overlap
-
-    c_d = 0.0
-    for k in range(n):
-        tk = tilde_area(k)
-        if tk <= 0:
-            raise ValueError(f"rectangle {k} does not meet the later union")
-        term = 1.0 + math.sqrt(rects[k].area() / tk)
-        for i in range(k):
-            ti = tilde_area(i)
-            term *= 1.0 + math.sqrt(max(hat_minus_area(i), 0.0) / ti)
-        c_d = max(c_d, term)
-    return c_d * (R0 / R) ** 2 * (1.0 + R0 / R)
-
-
-def _union_diameter(rects):
-    corners = []
-    for r in rects:
-        corners.extend([(r.x0, r.y0), (r.x0, r.y1), (r.x1, r.y0), (r.x1, r.y1)])
-    best = 0.0
-    for i in range(len(corners)):
-        for j in range(i + 1, len(corners)):
-            dx = corners[i][0] - corners[j][0]
-            dy = corners[i][1] - corners[j][1]
-            best = max(best, math.hypot(dx, dy))
-    return best

@@ -228,17 +228,24 @@ def custom(f1, f2):
     """Profile from two wall expressions in x (see :mod:`.expressions`).
 
     A wall that does not parse raises :class:`ValidationError` whose
-    ``field`` names it (``"f1"`` or ``"f2"``).  The label keeps each wall's
+    ``field`` names it (``"f1"`` or ``"f2"``); when a derivative fails, its
+    message names that derivative (``"f2''"``).  The label keeps each wall's
     text with its whitespace runs collapsed to one space, so it is one line.
     """
     walls, texts = {}, {}
     for key, text in (("f1", f1), ("f2", f2)):
         try:
             e = parse_expression(text)
-            ep = e.diff()  # can fail too: (x/1e-200)' divides by 1e-200^2 = 0
-            walls.update({key: e, key + "p": ep, key + "pp": ep.diff()})
         except ParseError as exc:
             raise ValidationError(key, str(exc)) from exc
+        walls[key] = e
+        # a derivative can fail too: (x/1e-200)' divides by 1e-200^2 = 0
+        for suffix, primes in (("p", "'"), ("pp", "''")):
+            try:
+                e = e.diff()
+            except ParseError as exc:
+                raise ValidationError(key, f"{key}{primes}: {exc}") from exc
+            walls[key + suffix] = e
         texts[key] = " ".join(text.split())
     return ChannelProfile(Family.CUSTOM, texts, **walls)
 

@@ -219,18 +219,12 @@ class TestCriterion5:
             except cl.LemmaViolation:
                 violations += 1
 
-        rep = cl.blowup_rate(t, z, cl.separable_psi(c2=2.0, exponent=1.5))
-        ok = (
-            resid <= 1e-8
-            and violations == 0
-            and abs(rep.exponent - 3.0) <= 0.05
-        )
+        ok = resid <= 1e-8 and violations == 0
         _line(
             5,
             ok,
             f"saturator residual {resid:.1e} (<= 1e-8), "
-            f"fuzz violations {violations}/1000 (= 0), "
-            f"blow-up exponent {rep.exponent:.4f} (3.00 +- 0.05)",
+            f"fuzz violations {violations}/1000 (= 0)",
         )
 
 
@@ -244,7 +238,6 @@ class TestCriterion6:
         sq = geo.straight(c1=0.0, c2=1.0)
         m5_c = fi.bogovskii_m5(sq, 0, 1, resolution=(25, 25))
         m5_f = fi.bogovskii_m5(sq, 0, 1, resolution=(49, 49))
-        bound = fi.decomposition_bound([fi.Rect(0, 1, 0, 1)])
 
         checks = {
             "M1 = 2/pi +- 2%": abs(m1.value - 2 / math.pi) <= 0.02 * 2 / math.pi,
@@ -253,7 +246,6 @@ class TestCriterion6:
             <= 0.02 / math.pi,
             "M0 uniform 5%": abs(m0_a.value - m0_b.value) <= 0.05 * m0_a.value,
             "M5 stable 5%": abs(m5_f.value - m5_c.value) <= 0.05 * m5_f.value,
-            "M5 <= bound": m5_f.value <= bound,
         }
         ok = all(checks.values())
         detail = ", ".join(
@@ -264,7 +256,7 @@ class TestCriterion6:
             ok,
             f"M1={m1.value:.5f}, M1w/M1={m1w.value / m1.value:.4f}, "
             f"M0=({m0_a.value:.5f},{m0_b.value:.5f}), "
-            f"M5=({m5_c.value:.3f}->{m5_f.value:.3f}, bound {bound:.1f}) | "
+            f"M5=({m5_c.value:.3f}->{m5_f.value:.3f}) | "
             + detail,
         )
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -431,13 +433,17 @@ class TestParsing:
         # line is not named
         path = Path(__file__).resolve().parents[1] / "scenarios" / "custom_walls.scn"
         assert path.read_text(encoding="utf-8").splitlines()[6] == "f2 = (1+abs(x))^0.5"
-        # as for a constant power, so for a constant quotient with no finite value
-        for wall in ("0^-1", "2+1/0*x"):
+        # as for a constant power, so for a constant quotient with no finite
+        # value, and for one in a derivative, which the message names
+        for wall, derivative in (("0^-1", ""), ("2+1/0*x", ""),
+                                 ("2 + x/1e-200", "f2': "),
+                                 ("1 + (1e200*x)^2", "f2'': ")):
             body = path.read_text(encoding="utf-8").replace(
                 "f2 = (1+abs(x))^0.5", f"f2 = {wall}")
             with pytest.raises(ValidationError) as err:
                 cli_io.parse_scenario(write_scenario(tmp_path, body), environ={})
-            assert str(err.value).startswith("scenario: line 7: [profile] f2: ")
+            assert str(err.value).startswith(
+                f"scenario: line 7: [profile] f2: {derivative}")
             assert "not a finite real number" in str(err.value)
             assert "f1" not in str(err.value)
 
@@ -758,18 +764,29 @@ class TestRun:
 
     def test_poiseuille_skips_plateau_without_two_windows(self, tmp_path, capsys):
         # T = 2 and T = 4 leave k < x1 < T empty at k = 4, so the plateau
-        # says why it is skipped; tail_decreasing, over 0 < x1 < T, is judged
-        body = MINIMAL.format(out=tmp_path / "out").replace(
-            "t_list = 1, 2", "t_list = 8, 2, 4\noutlet_k = 4")
-        path = write_scenario(tmp_path, body)
-        assert cli_io.main(["poiseuille", "--scenario", str(path)]) == 0
-        assert ("plateau: SKIPPED (the plateau needs two windows beyond k = 4.0, "
-                "but the second-largest T is 4.0)" in capsys.readouterr().out)
-        rows = (tmp_path / "out" / "poiseuille_verdicts.csv").read_text().splitlines()
-        assert rows[2:] == ["plateau,SKIPPED", "tail_decreasing,PASS"]
-        T = [r.split(",")[0] for r in
-             (tmp_path / "out" / "poiseuille.csv").read_text().splitlines()[2:]]
-        assert T == ["2", "4", "8"]
+        # says why it is skipped; tail_decreasing, over 0 < x1 < T, is judged.
+        # The empty windows read NaN, not exact agreement, and are not drawn,
+        # also when no window is left to draw.
+        for t_list, T in (("8, 2, 4", ["2", "4", "8"]), ("4, 2", ["2", "4"])):
+            out = tmp_path / t_list.replace(", ", "-")
+            body = MINIMAL.format(out=out).replace(
+                "t_list = 1, 2", f"t_list = {t_list}\noutlet_k = 4")
+            path = write_scenario(tmp_path, body)
+            assert cli_io.main(["poiseuille", "--scenario", str(path)]) == 0
+            assert ("plateau: SKIPPED (the plateau needs two windows beyond k = "
+                    f"4.0, but the second-largest T is {T[-2]}.0)"
+                    in capsys.readouterr().out)
+            rows = (out / "poiseuille_verdicts.csv").read_text().splitlines()
+            assert rows[2:] == ["plateau,SKIPPED", "tail_decreasing,PASS"]
+            table = [r.split(",") for r in
+                     (out / "poiseuille.csv").read_text().splitlines()[2:]]
+            assert [r[0] for r in table] == T
+            assert [r[1] for r in table[:2]] == ["nan", "nan"]
+            assert all(math.isfinite(float(r[1])) for r in table[2:])
+            svg = (out / "poiseuille.svg").read_text()
+            assert "nan" not in svg
+            labels = re.findall(r'font-size="11">([^<]*)<', svg)
+            assert min(float(v) for v in labels[1::2]) >= 1e-300
 
     def test_solve_writes_field_and_history(self, tmp_path):
         path = self.scenario(tmp_path)

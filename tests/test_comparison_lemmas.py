@@ -6,7 +6,7 @@ from scipy import optimize
 from scipy.interpolate import PchipInterpolator
 
 from channellab import comparison_lemmas as cl
-from channellab.errors import InsufficientTail, NonMonotoneSamples, OutOfRange
+from channellab.errors import NonMonotoneSamples, OutOfRange
 
 
 def exp_pair(T=2.0, n=4000):
@@ -211,31 +211,6 @@ class TestMajorant:
             ts, phi = cl.solve_majorant(psi, 0.4, 1.0, 0.0, 1.5, step=step)
             errors.append(np.abs(phi - _refined(psi, 0.4, 1.0, ts)).max())
         assert 12.0 <= errors[0] / errors[1] <= 20.0
-
-
-class TestBlowup:
-    def test_exact_power_law(self):
-        # z = t^3/108 satisfies z = Psi(z') for Psi(s) = 2 s^(3/2)
-        psi = cl.separable_psi(c2=2.0, exponent=1.5)
-        t = np.linspace(1.0, 100.0, 400)
-        rep = cl.blowup_rate(t, t**3 / 108.0, psi)
-        assert rep.critical_exponent == 3.0
-        assert rep.hypothesis_holds
-        assert rep.exponent == pytest.approx(3.0, abs=0.05)
-        assert rep.passes
-
-    def test_subcritical_growth_flagged(self):
-        # t^2 <= (2t)^(3/2) fails beyond t = 8
-        psi = cl.separable_psi(c2=1.0, exponent=1.5)
-        t = np.linspace(1.0, 200.0, 800)
-        rep = cl.blowup_rate(t, t**2, psi)
-        assert not rep.hypothesis_holds
-
-    def test_insufficient_tail(self):
-        psi = cl.separable_psi(c2=1.0, exponent=1.5)
-        t = np.linspace(1.0, 100.0, 10)  # 9 samples in the final decade < 10
-        with pytest.raises(InsufficientTail):
-            cl.blowup_rate(t, t**3, psi)
 
 
 class TestInverse:

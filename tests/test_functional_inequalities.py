@@ -271,12 +271,6 @@ class TestBogovskii:
         b = fi.bogovskii_m5(p, 0, 1, resolution=(49, 49))
         assert abs(b.value - a.value) / b.value < 0.05
 
-    def test_below_decomposition_bound(self):
-        p = geo.straight(c1=0.0, c2=1.0)
-        est = fi.bogovskii_m5(p, 0, 1, resolution=(33, 33))
-        bound = fi.decomposition_bound([fi.Rect(0, 1, 0, 1)])
-        assert est.value <= bound
-
     def test_matches_dense_schur_reference(self):
         # dense reference: the projected multiplier map G (one saddle solve
         # per column) and eigh of Mp G Mp against Mp on the mean-zero
@@ -382,27 +376,3 @@ class TestBogovskii:
         (s,) = factored
         assert np.diff(s.indptr).max() <= 27
         assert np.diff(s.tocsc().indptr).max() <= 27
-
-
-class TestDecompositionBound:
-    def test_single_rectangle_degenerate_chain(self):
-        # one square: chain prefactor 2, diameter sqrt(2), radius 1/2
-        got = fi.decomposition_bound([fi.Rect(0, 1, 0, 1)])
-        r0 = math.sqrt(2.0)
-        assert got == pytest.approx(2.0 * (r0 / 0.5) ** 2 * (1 + r0 / 0.5))
-
-    def test_two_rectangles_hand_computed(self):
-        # two unit squares overlapping on half their area:
-        # tilde_1 = 1/2, hat_1 minus D_1 = 1/2, tilde_2 = |D_2| = 1
-        # k=1 term: 1 + sqrt(1/(1/2)) = 1 + sqrt(2)
-        # k=2 term: (1 + 1) * (1 + sqrt((1/2)/(1/2))) = 4
-        r1 = fi.Rect(0, 1, 0, 1)
-        r2 = fi.Rect(0.5, 1.5, 0, 1)
-        r0 = math.hypot(1.5, 1.0)
-        expected = 4.0 * (r0 / 0.5) ** 2 * (1 + r0 / 0.5)
-        assert fi.decomposition_bound([r1, r2]) == pytest.approx(expected)
-
-    def test_union_area_exact(self):
-        r1 = fi.Rect(0, 1, 0, 1)
-        r2 = fi.Rect(0.5, 1.5, 0, 1)
-        assert fi._union_area([r1, r2]) == pytest.approx(1.5)
