@@ -331,6 +331,7 @@ def write_svg_plot(path, series, title="", xlabel="", ylabel="", logy=False):
 
     series: list of (label, xs, ys).  Only the finite points are drawn, and
     they alone size the axes; with ``logy`` a y below 1e-300 is drawn there.
+    A series with one finite point is drawn as a marker.
     """
     width, height = 640, 420
     ml, mr, mt, mb = 70, 20, 40, 50
@@ -403,12 +404,14 @@ def write_svg_plot(path, series, title="", xlabel="", ylabel="", logy=False):
         f'transform="rotate(-90 16 {mt+ph/2:.1f})">{ylabel}</text>'
     )
     for idx, (label, xs, ys) in enumerate(drawn):
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
         color = colors[idx % len(colors)]
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.6"/>'
-        )
+        if len(xs) == 1:  # a one-point polyline renders nothing
+            parts.append(f'<circle cx="{sx(xs[0]):.2f}" cy="{sy(ys[0]):.2f}" '
+                         f'r="3" fill="{color}"/>')
+        else:
+            pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+            parts.append(f'<polyline points="{pts}" fill="none" '
+                         f'stroke="{color}" stroke-width="1.6"/>')
         parts.append(
             f'<text x="{ml+10}" y="{mt+16+14*idx}" font-family="sans-serif" '
             f'font-size="11" fill="{color}">{label}</text>'
@@ -616,9 +619,6 @@ def _run_solve(sc, out, quiet):
     return True, artifacts  # solve_steady raises NonConvergence instead
 
 
-_FIELDS = ("psi", "omega", "u1", "u2")
-
-
 def _code_version():
     """Digest of the channellab sources and the numpy and scipy versions."""
     digest = hashlib.sha256(f"{np.__version__} {scipy.__version__}".encode())
@@ -628,29 +628,24 @@ def _code_version():
 
 
 def _save_state(path, state):
-    """Write a converged state's window, fields and solve record, atomically."""
+    """Write a converged state's window, grid shape, psi and omega."""
     g = state.grid
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     with open(tmp, "wb") as fh:
-        np.savez(fh, window=[g.a, g.b], shape=[g.nx, g.ny],
-                 converged=state.converged,
-                 residual_history=np.reshape(state.residual_history, (-1, 2)),
-                 **{name: getattr(state, name) for name in _FIELDS})
+        np.savez(fh, window=[g.a, g.b], shape=[g.nx, g.ny], psi=state.psi,
+                 omega=state.omega)
     tmp.replace(path)
 
 
 def _load_state(path, profile, params):
-    """The state :func:`_save_state` wrote, on the wall it was solved for."""
+    """The converged state :func:`_save_state` wrote, rebuilt on its wall."""
     with np.load(path, allow_pickle=False) as z:
         (a, b), (nx, ny) = z["window"], z["shape"]
-        return ns.FlowState(
-            grid=geo.make_grid(profile, a, b, int(nx), int(ny)),
-            profile=profile, params=params,
-            converged=bool(z["converged"]),
-            residual_history=[(int(i), float(r))
-                              for i, r in z["residual_history"]],
-            **{name: z[name] for name in _FIELDS},
-        )
+        state = ns.state_from_fields(
+            geo.make_grid(profile, a, b, int(nx), int(ny)), profile, params,
+            z["psi"], z["omega"])
+    state.converged = True
+    return state
 
 
 def _padded_state(sc, out, t_max, quiet):
@@ -807,10 +802,9 @@ def _run_comparison(sc, out, quiet):
         {"quantity": "verdict", "value": verdict.value},
     ]
     artifacts = [write_csv(out / "comparison.csv", rows)]
-    judged = eh.Verdict("verdict", verdict, cl.Verdict.DOMINATED, "==")
     if not quiet:
         print(f"  verdict: {verdict.value}")
-    return judged.status != "FAIL", artifacts
+    return verdict is cl.Verdict.DOMINATED, artifacts
 
 
 def _run_report(sc, out, quiet):

@@ -284,14 +284,6 @@ class PoiseuilleReport:
             }
 
 
-def _difference_squares(state, ref):
-    """Nodal |u - u_ref|^2 and the four squared velocity-gradient differences."""
-    l2 = (state.u1 - ref.u1) ** 2 + (state.u2 - ref.u2) ** 2
-    grads = [(g - r) ** 2 for g, r in zip(ns.velocity_gradients(state),
-                                          ns.velocity_gradients(ref))]
-    return l2, grads
-
-
 def poiseuille_convergence(state, k, t_list):
     """H1 distance to the outlet shear flow on growing windows of ``state``.
 
@@ -317,8 +309,9 @@ def poiseuille_convergence(state, k, t_list):
     ref = ns.state_from_fields(grid, profile, state.params, psi_ref,
                                np.zeros_like(psi_ref))
 
-    l2, grads = _difference_squares(state, ref)
-    diff2 = sum(grads, l2)  # from l2 on: the order of additions fixes the last bits
+    l2 = (state.u1 - ref.u1) ** 2 + (state.u2 - ref.u2) ** 2
+    # from l2 on: the order of additions fixes the last bits
+    diff2 = sum(ns.gradient_squares(state, ref.gradients), l2)
 
     h1 = []
     tails = []
@@ -399,10 +392,11 @@ def uniqueness_probe(profile, phi, a, b, nx=257, ny=65, seed=7):
         profile, fc.CarrierParams(phi), a, b, nx, ny,
         functools.partial(_perturbed_start, seed=seed), _UNIQUENESS_SOLVER)
     wq = base.grid.wq
-    l2_field, grads = _difference_squares(base, other)
+    l2_field = (base.u1 - other.u1) ** 2 + (base.u2 - other.u2) ** 2
     l2_diff = math.sqrt(float((wq * l2_field).sum()))
     l2_base = math.sqrt(float((wq * (base.u1**2 + base.u2**2)).sum()))
-    e_diff = math.sqrt(float((wq * sum(grads)).sum()))
+    e_diff = math.sqrt(float(
+        (wq * sum(ns.gradient_squares(base, other.gradients))).sum()))
     e_base = math.sqrt(max(ns.dirichlet_energy(base, a, b), 1e-300))
 
     l2, dd = l2_diff, e_diff
@@ -418,7 +412,9 @@ def uniqueness_probe(profile, phi, a, b, nx=257, ny=65, seed=7):
 
 
 def _hat_weight(profile, t, beta_star, window):
-    """The reparameterized trapezoidal weight at parameter t (callable).
+    """The reparameterized trapezoidal weight at parameter t (callable):
+    the lower of the ramps (x1 - h(-t)) / f(h(-t)) and (h(t) - x1) / f(h(t)),
+    clipped to [0, beta*].
 
     ``window`` is (h(-t), h(t), h_L, h_R) of t.  Defined once the plateau
     exists (t past the crossing of the inner window edges); below that the
@@ -434,13 +430,8 @@ def _hat_weight(profile, t, beta_star, window):
 
     def weight(x1):
         x1 = np.asarray(x1, dtype=float)
-        out = np.zeros_like(x1)
-        out = np.where((x1 > h_l) & (x1 < h_r), beta_star, out)
-        right = (x1 >= h_r) & (x1 <= h_t)
-        out = np.where(right, (h_t - x1) / f_r, out)
-        left = (x1 >= h_m) & (x1 <= h_l)
-        out = np.where(left, (x1 - h_m) / f_l, out)
-        return out
+        return np.clip(np.minimum((x1 - h_m) / f_l, (h_t - x1) / f_r),
+                       0.0, beta_star)
 
     return weight
 

@@ -13,14 +13,15 @@ low fill of a symmetric order survives, and the order follows the
 stencil: SuperLU's minimum degree where the grid has no cross derivative
 (a five-point stencil, as on a straight channel), and elsewhere a
 nested-dissection order of the grid nodes, psi and omega of a node side
-by side.  The energy diagnostics of a solve are computed only on request
-(:func:`energy_diagnostics`).  The wall vorticity closure is a
-second-order one-sided formula built into the matrix.  Every difference
-stencil of the scheme, and the uniform spacing, lives in one place: the
-1-D first- and second-difference matrices of each axis (``_differences``),
-from which A(u) and the velocity are built.  The one stencil kept apart on
-purpose is :func:`slice_flux_profile`'s fourth-order ``_d1_fourth`` with
-its Simpson weights: that flux check must not share the scheme it checks.
+by side.  The wall vorticity closure is a second-order one-sided formula
+built into the matrix.  Every difference stencil of the scheme, and the
+uniform spacing, lives in one place: the 1-D first- and second-difference
+matrices of each axis (``_differences``), from which A(u) and the velocity
+are built.  The one stencil kept apart on purpose is
+:func:`slice_flux_profile`'s fourth-order ``_d1_fourth`` with its Simpson
+weights: that flux check must not share the scheme it checks.  Energies
+are computed only on request (:func:`energy_diagnostics`); a state forms
+its nodal velocity gradients and carrier Jacobian once and keeps them.
 
 The discretisation is written once, as the matrix A(u): each state has one
 residual r = b - A(u) x.  Its interior and wall-closure rows give
@@ -54,6 +55,7 @@ __all__ = [
     "solve_steady",
     "solve_two_starts",
     "velocity_gradients",
+    "gradient_squares",
     "dirichlet_energy",
     "energy_diagnostics",
     "weighted_energy",
@@ -82,6 +84,19 @@ class FlowState:
     u2: np.ndarray
     converged: bool = False
     residual_history: list = field(default_factory=list)
+
+    @functools.cached_property
+    def gradients(self):
+        """:func:`velocity_gradients`, formed on first use and kept: no code
+        changes a state's fields once it is built."""
+        return velocity_gradients(self)
+
+    @functools.cached_property
+    def carrier_gradients(self):
+        """grad g at the nodes as (d1g1, d2g1, d1g2, d2g2), formed once."""
+        x1 = np.broadcast_to(self.grid.xi[:, None], self.psi.shape)
+        J = fc.grad_g((x1, self.grid.x2), self.params, self.profile)
+        return J[..., 0, 0], J[..., 0, 1], J[..., 1, 0], J[..., 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +532,7 @@ def solve_steady(profile, params, a, b, nx, ny, config=None):
     levels = _flux_levels(params)
     ws = _stokes_workspace(grid, levels[0], profile)
     state = _continuation(_stokes_start(ws, levels[0]), ws, levels, config)
-    state.params = params
+    state.params = params  # ahead of any kept carrier gradient
     return state
 
 
@@ -548,21 +563,16 @@ def solve_two_starts(profile, params, a, b, nx, ny, perturb, config):
 # ---------------------------------------------------------------------------
 
 
-def _grad_square(state, of_perturbation):
-    d1u1, d2u1, d1u2, d2u2 = velocity_gradients(state)
-    if of_perturbation:
-        x1 = np.broadcast_to(state.grid.xi[:, None], state.psi.shape)
-        J = fc.grad_g((x1, state.grid.x2), state.params, state.profile)
-        d1u1 = d1u1 - J[..., 0, 0]
-        d2u1 = d2u1 - J[..., 0, 1]
-        d1u2 = d1u2 - J[..., 1, 0]
-        d2u2 = d2u2 - J[..., 1, 1]
-    return d1u1**2 + d2u1**2 + d1u2**2 + d2u2**2
+def gradient_squares(state, reference=None):
+    """The squared entries of grad u - R at the nodes of ``state``, R the
+    carrier's or another state's gradient entries on the grid (None: 0)."""
+    return [(g - r) ** 2 for g, r in zip(state.gradients, reference or (0,) * 4)]
 
 
 def dirichlet_energy(state, a, b, of_perturbation=False):
     """integral over Omega_{a,b} of |grad u|^2 (or |grad(u-g)|^2)."""
-    e = _grad_square(state, of_perturbation)
+    e = sum(gradient_squares(
+        state, state.carrier_gradients if of_perturbation else None))
     w = window_weights(state.profile, state.grid.xi, state.grid.ny, a, b)
     return float((w * e).sum())
 
@@ -579,7 +589,7 @@ def energy_diagnostics(state, a, b):
 
 def weighted_energy(state, weight):
     """integral of weight(x1) * |grad v|^2 with v = u - g."""
-    e = _grad_square(state, True)
+    e = sum(gradient_squares(state, state.carrier_gradients))
     w = np.asarray(weight(state.grid.xi), dtype=float)
     return float((state.grid.wq * w[:, None] * e).sum())
 

@@ -785,6 +785,8 @@ class TestRun:
             assert all(math.isfinite(float(r[1])) for r in table[2:])
             svg = (out / "poiseuille.svg").read_text()
             assert "nan" not in svg
+            # a lone finite window is drawn as a marker
+            assert svg.count("<circle") == len(table) - 2
             labels = re.findall(r'font-size="11">([^<]*)<', svg)
             assert min(float(v) for v in labels[1::2]) >= 1e-300
 
@@ -1036,6 +1038,19 @@ class TestSessionSolves:
         assert len(solve_calls) == 1
         with pytest.raises(ValueError):
             state.psi[1, 1] = 0.0
+
+    def test_reused_state_equals_the_solved_one(self, tmp_path, solve_calls):
+        # the state file keeps psi and omega; the velocity is rebuilt from
+        # psi on the same grid, bit for bit
+        sc = cli_io.parse_scenario(self.scenario(tmp_path), environ={})
+        sc.out_dir.mkdir()
+        args = (sc, sc.out_dir, max(sc.t_list))
+        solved = cli_io._padded_state(*args, quiet=True)
+        reused = cli_io._padded_state(*args, quiet=True)
+        assert len(solve_calls) == 1
+        for name in ("psi", "omega", "u1", "u2"):
+            assert np.array_equal(getattr(reused, name), getattr(solved, name))
+        assert reused.converged
 
     def test_failed_solve_is_not_cached(self, tmp_path, monkeypatch, capsys):
         calls = []

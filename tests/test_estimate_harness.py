@@ -256,9 +256,13 @@ class TestHatWeight:
         m = geo.validate(power_half, (-40, 40))
         bs = m.beta_star
         t = 1.0
-        _, h_t, h_l, h_r = geo.h_window(power_half, t, bs)
+        h_m, h_t, h_l, h_r = geo.h_window(power_half, t, bs)
         w = hat_weight(power_half, t, bs)
         assert w(np.array([h_t + 1.0]))[0] == 0.0
+        # the ramps start at 0 on the window ends and reach beta* at h_L, h_R
+        ends, inner = w(np.array([h_m, h_t])), w(np.array([h_l, h_r]))
+        assert ends.tolist() == [0.0, 0.0]
+        assert inner == pytest.approx([bs, bs], rel=1e-12)
         assert w(np.array([0.5 * (h_l + h_r)]))[0] == pytest.approx(bs)
         # continuity at the joins
         for x in (h_l, h_r):
@@ -341,6 +345,36 @@ class TestHatEnergyInequality:
         state = ns.solve_steady(p, fc.CarrierParams(0.0, 0.5), -4, 4, 65, 17)
         with pytest.raises(HypothesisNotMet):
             eh.hat_energy_inequality(state, 4.0)
+
+
+def test_scans_form_each_state_gradients_once(power_half, small_power_report,
+                                              monkeypatch):
+    # every window and hat sample of the four scans reads the gradients a
+    # state formed once: the velocity gradients of the state and of the
+    # Poiseuille reference, and the carrier Jacobian at the grid nodes
+    state = ns.state_from_fields(
+        small_power_report.grid, power_half, small_power_report.params,
+        small_power_report.psi, small_power_report.omega)
+    gradients, jacobians = [], []
+    velocity_gradients, grad_g = ns.velocity_gradients, fc.grad_g
+
+    def count_gradients(of):
+        gradients.append(of)
+        return velocity_gradients(of)
+
+    def count_jacobians(x, *args):
+        jacobians.append(np.shape(x[0]))
+        return grad_g(x, *args)
+
+    monkeypatch.setattr(ns, "velocity_gradients", count_gradients)
+    monkeypatch.setattr(fc, "grad_g", count_jacobians)
+    eh.growth_scan(state, [2, 4, 8])
+    eh.decay_scan(state, (3, 8))
+    eh.poiseuille_convergence(state, 2.0, [4, 6, 8])
+    eh.hat_energy_inequality(state, 6.0)
+    assert len(gradients) == 2
+    assert gradients[0] is state and gradients[1] is not state
+    assert jacobians == [state.psi.shape]
 
 
 class TestFitInequality:
