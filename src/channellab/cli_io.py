@@ -345,13 +345,14 @@ def write_svg_plot(path, series, title="", xlabel="", ylabel="", logy=False):
         drawn.append((label, xs, np.log10(np.maximum(ys, 1e-300)) if logy else ys))
     xs_all = np.concatenate([xs for _, xs, _ in drawn])
     ys_all = np.concatenate([ys for _, _, ys in drawn])
-    # with no finite point the axes span [0, 1]
-    x0, x1 = (float(xs_all.min()), float(xs_all.max())) if xs_all.size else (0.0, 0.0)
-    y0, y1 = (float(ys_all.min()), float(ys_all.max())) if ys_all.size else (0.0, 0.0)
+    # a range of one value widens to a unit range centred on it, so a lone
+    # point is drawn mid-frame; with no finite point the axes span [0, 1]
+    x0, x1 = (float(xs_all.min()), float(xs_all.max())) if xs_all.size else (0.5, 0.5)
+    y0, y1 = (float(ys_all.min()), float(ys_all.max())) if ys_all.size else (0.5, 0.5)
     if x1 == x0:
-        x1 = x0 + 1.0
+        x0, x1 = x0 - 0.5, x0 + 0.5
     if y1 == y0:
-        y1 = y0 + 1.0
+        y0, y1 = y0 - 0.5, y0 + 0.5
     pad = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
 

@@ -7,15 +7,16 @@ there up to the tangential component carried through the omega data.  The
 nonlinear loop is a chord iteration on the coupled linear (psi, omega)
 system with the advecting velocity frozen: one SuperLU factor serves
 several steps, starting with the Stokes factor A(0) and carried across
-continuation levels; a refresh releases the old factor before it builds
-the new one.  The factor keeps its pivots on the diagonal, so that the
-low fill of a symmetric order survives, and the order follows the
-stencil: SuperLU's minimum degree where the grid has no cross derivative
-(a five-point stencil, as on a straight channel), and elsewhere a
-nested-dissection order of the grid nodes, psi and omega of a node side
-by side.  The wall vorticity closure is a second-order one-sided formula
-built into the matrix.  Every difference stencil of the scheme, and the
-uniform spacing, lives in one place: the 1-D first- and second-difference
+continuation levels and, in the uniqueness probe, on to the perturbed
+start; a refresh releases the old factor before it builds the new one.
+The factor keeps its pivots on the diagonal, so that the low fill of a
+symmetric order survives, and the order follows the stencil: SuperLU's
+minimum degree where the grid has no cross derivative (a five-point
+stencil, as on a straight channel), and elsewhere a nested-dissection
+order of the grid nodes, psi and omega of a node side by side.  The wall
+vorticity closure is a second-order one-sided formula built into the
+matrix.  Every difference stencil of the scheme, and the uniform spacing,
+lives in one place: the 1-D first- and second-difference
 matrices of each axis (``_differences``), from which A(u) and the velocity
 are built.  The one stencil kept apart on purpose is
 :func:`slice_flux_profile`'s fourth-order ``_d1_fourth`` with its Simpson
@@ -540,10 +541,14 @@ def solve_two_starts(profile, params, a, b, nx, ny, perturb, config):
     """The Stokes-started solution and the one started from
     ``perturb(stokes)``, with ``stokes`` the Stokes state of ``params``.
 
-    Both share one grid, constant block and Stokes factor.  The
-    Stokes-started loop runs through :func:`_flux_levels`; its last factor
-    is released, and the perturbed loop factors afresh at its start, a
-    plain solve that keeps flux-0 fields exactly 0.
+    Both share one grid, constant block and live factor.  The
+    Stokes-started loop runs through :func:`_flux_levels` from the Stokes
+    factor A(0); the perturbed loop starts from the perturbed fields with
+    chord steps on that loop's last factor, and refactors only where a step
+    does not halve the defect.  Where all boundary data are zero (flux 0)
+    the factor is released instead, so that the perturbed loop's first step
+    is the plain solve that keeps the fields exactly 0.  The factor goes
+    with the workspace when the probe returns.
     """
     grid = make_grid(profile, a, b, nx, ny)
     levels = _flux_levels(params)
@@ -554,7 +559,10 @@ def solve_two_starts(profile, params, a, b, nx, ny, perturb, config):
         ws.set_params(levels[0])
         stokes = _stokes_start(ws, levels[0])
     base = _continuation(stokes, ws, levels, config)
-    ws.lu = None  # the last level's data are those of params
+    # the last level's data are those of params; where they are all zero,
+    # only a plain first solve keeps the perturbed loop's fields exactly 0
+    if not ws.rhs.any():
+        ws.lu = None
     return base, _picard(other, config, ws)[0]
 
 

@@ -503,6 +503,20 @@ class TestArtifacts:
         text = p.read_text()
         assert text.startswith("<svg") and "polyline" in text
 
+    @pytest.mark.parametrize("logy", [False, True])
+    def test_lone_point_drawn_mid_frame(self, tmp_path, logy):
+        # a one-value axis range widens about the point, not above it
+        p = cli_io.write_svg_plot(tmp_path / "p.svg",
+                                  [("a", [8.0, np.nan], [3e-4, 1.0])],
+                                  logy=logy)
+        text = p.read_text()
+        frame = re.search(r'<rect x="(\d+)" y="(\d+)" width="(\d+)" '
+                          r'height="(\d+)" fill="none"', text)
+        x, y, w, h = map(int, frame.groups())
+        marker = re.search(r'<circle cx="([\d.]+)" cy="([\d.]+)"', text)
+        cx, cy = map(float, marker.groups())
+        assert (cx, cy) == (x + w / 2, y + h / 2)
+
 
 class TestRun:
     def scenario(self, tmp_path):

@@ -206,12 +206,37 @@ class TestUniqueness:
 
     def test_small_flux_probe_factorizations(self, straight, splu_calls):
         # two solves at tol 1e-12 on one Stokes factor: the Stokes-started
-        # one runs its whole chord loop on it, and the perturbed one factors
-        # once at the perturbed iterate; refactoring at every Picard step
-        # would take dozens
+        # one runs its whole chord loop on it, and the perturbed one goes
+        # on with chord steps on the same factor; refactoring at every
+        # Picard step would take dozens
         rep = eh.uniqueness_probe(straight, 0.1, -6, 6, nx=129, ny=33)
         assert rep.unique
-        assert len(splu_calls) == 2
+        assert len(splu_calls) == 1
+
+    @pytest.mark.parametrize("phi, a, b, nx, ny, factors", [
+        (0.0, -4, 4, 65, 17, 2), (0.1, -6, 6, 129, 33, 1),
+        (3.0, -4, 4, 65, 17, 3)])
+    def test_perturbed_loop_on_the_held_factor(self, straight, splu_calls,
+                                               phi, a, b, nx, ny, factors):
+        # the perturbed loop goes on from the Stokes-started loop's last
+        # factor, except at flux 0, where it refactors so that its plain
+        # solve keeps the fields exactly 0; either way its history starts
+        # at the perturbed fields, not at a back-solve that drops them
+        params = fc.CarrierParams(phi)
+        starts = []
+
+        def perturb(stokes):
+            starts.extend([stokes, eh._perturbed_start(stokes, seed=7)])
+            return starts[1]
+
+        base, other = ns.solve_two_starts(straight, params, a, b, nx, ny,
+                                          perturb, eh._UNIQUENESS_SOLVER)
+        assert len(splu_calls) == factors
+        assert base.converged and other.converged
+        ws = ns._Workspace(base.grid, params, straight)
+        stokes_res, start_res = (ns.residual_norm(s, ws) for s in starts)
+        assert other.residual_history[0] == (0, start_res)
+        assert start_res != stokes_res
 
     @pytest.mark.parametrize("phi, a, b, nx, ny", [
         (0.1, -6, 6, 129, 33), (3.0, -4, 4, 65, 17)])

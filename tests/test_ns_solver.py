@@ -384,10 +384,11 @@ class TestFactorReuse:
             assert st.converged
             assert calls == [97]
 
-    @pytest.mark.parametrize("run", ["solve_steady", "probe-0.1", "probe-3"])
+    @pytest.mark.parametrize("run", ["solve_steady", "probe-0", "probe-3"])
     def test_one_live_factor(self, straight, monkeypatch, run):
         # the factor being replaced is released before the new one is
-        # built: no factor is live when SuperLU starts another
+        # built: no factor is live when SuperLU starts another, and none
+        # once the solve returns
         live, at_factor = weakref.WeakSet(), []
         splu_ = ns.splu
 
@@ -409,14 +410,15 @@ class TestFactorReuse:
             st = ns.solve_steady(straight, fc.CarrierParams(8.0), -6, 6, 97,
                                  17)
             assert st.converged
-        elif run == "probe-0.1":
-            assert eh.uniqueness_probe(straight, 0.1, -6, 6, nx=129,
-                                       ny=33).unique
+        elif run == "probe-0":
+            assert eh.uniqueness_probe(straight, 0.0, -4, 4, nx=65,
+                                       ny=17).unique
         else:
             assert eh.uniqueness_probe(straight, 3.0, -4, 4, nx=65,
                                        ny=17).unique
         assert len(at_factor) >= 2
         assert at_factor == [0] * len(at_factor)
+        assert not live
 
 
 def _colamd_factor(self, u1, u2):
