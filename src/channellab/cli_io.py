@@ -17,6 +17,7 @@ each padded solve through a state file there (:func:`_padded_state`).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import inspect
 import json
@@ -849,23 +850,29 @@ _PIPELINES = {
 
 
 def run(command, scenario, scenario_path=None, quiet=False):
-    """Execute one subcommand pipeline; returns the process exit status."""
+    """Execute one subcommand pipeline; returns the process exit status.
+
+    An error, one in making or writing the output directory included,
+    exits 1; it is printed even with ``quiet`` and recorded in the
+    manifest wherever the output directory can take it.
+    """
     if command not in _PIPELINES:
         raise ValidationError("command", f"unknown subcommand {command!r}")
     out = Path(scenario.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        out.mkdir(parents=True, exist_ok=True)
         ok, artifacts = _PIPELINES[command](scenario, out, quiet)
-    except ChannelLabError as exc:
-        # why a command failed is printed even with quiet
+        status = 0 if ok else 2
+        write_manifest(out, scenario_path, command, artifacts,
+                       {"exit_status": status})
+        return status
+    except (ChannelLabError, OSError) as exc:
         error = f"{type(exc).__name__}: {exc}"
-        print(f"error: {error}", file=sys.stderr)
+    print(f"error: {error}", file=sys.stderr)
+    with contextlib.suppress(OSError):  # the error line above says why
         write_manifest(out, scenario_path, command, [],
                        {"exit_status": 1, "error": error})
-        return 1
-    status = 0 if ok else 2
-    write_manifest(out, scenario_path, command, artifacts, {"exit_status": status})
-    return status
+    return 1
 
 
 def main(argv=None):

@@ -203,7 +203,8 @@ class DecayReport:
             }
 
 
-_DECAY_SLICES, _DECAY_WINDOWS = 17, 7  # sampled slices, energy windows
+# sampled slices on each outlet (x1 < 0 and x1 > 0), energy windows
+_DECAY_SLICES_PER_SIDE, _DECAY_WINDOWS = 9, 7
 
 
 def decay_scan(state, t_range):
@@ -225,8 +226,8 @@ def decay_scan(state, t_range):
     interior = (grid.eta >= WALL_DELTA) & (grid.eta <= 1.0 - WALL_DELTA)
     speed = np.hypot(state.u1, state.u2)
     xs = np.concatenate(
-        [np.linspace(-t_hi, -t_lo, _DECAY_SLICES // 2 + 1),
-         np.linspace(t_lo, t_hi, _DECAY_SLICES // 2 + 1)]
+        [np.linspace(-t_hi, -t_lo, _DECAY_SLICES_PER_SIDE),
+         np.linspace(t_lo, t_hi, _DECAY_SLICES_PER_SIDE)]
     )
     sup_all, sup_int, sup_wall = [], [], []
     for x in xs:
@@ -391,13 +392,15 @@ def uniqueness_probe(profile, phi, a, b, nx=257, ny=65, seed=7):
     base, other = ns.solve_two_starts(
         profile, fc.CarrierParams(phi), a, b, nx, ny,
         functools.partial(_perturbed_start, seed=seed), _UNIQUENESS_SOLVER)
-    wq = base.grid.wq
-    l2_field = (base.u1 - other.u1) ** 2 + (base.u2 - other.u2) ** 2
-    l2_diff = math.sqrt(float((wq * l2_field).sum()))
-    l2_base = math.sqrt(float((wq * (base.u1**2 + base.u2**2)).sum()))
-    e_diff = math.sqrt(float(
-        (wq * sum(ns.gradient_squares(base, other.gradients))).sum()))
-    e_base = math.sqrt(max(ns.dirichlet_energy(base, a, b), 1e-300))
+
+    def integral(values):  # over the grid window, by its weights wq
+        return float((base.grid.wq * values).sum())
+
+    l2_diff = math.sqrt(integral((base.u1 - other.u1) ** 2
+                                 + (base.u2 - other.u2) ** 2))
+    l2_base = math.sqrt(integral(base.u1**2 + base.u2**2))
+    e_diff = math.sqrt(integral(sum(ns.gradient_squares(base, other.gradients))))
+    e_base = math.sqrt(max(integral(sum(ns.gradient_squares(base))), 1e-300))
 
     l2, dd = l2_diff, e_diff
     if phi != 0.0:

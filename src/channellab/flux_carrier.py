@@ -10,6 +10,7 @@ tests guards the hand-derived gradient.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,9 @@ class CarrierParams:
     epsilon: float = None
 
     def __post_init__(self):
-        if self.phi < 0.0:
-            raise OutOfRange(f"flux must be nonnegative, got {self.phi}")
+        if not (isinstance(self.phi, numbers.Real) and math.isfinite(self.phi)
+                and self.phi >= 0.0):
+            raise OutOfRange(f"flux must be a finite number >= 0, got {self.phi}")
         eps = self.epsilon
         if eps is None:
             eps = default_epsilon(self.phi)

@@ -9,6 +9,10 @@ system with the advecting velocity frozen: one SuperLU factor serves
 several steps, starting with the Stokes factor A(0) and carried across
 continuation levels and, in the uniqueness probe, on to the perturbed
 start; a refresh releases the old factor before it builds the new one.
+A solve's bookkeeping has one owner each: the workspace holds the flux
+``params`` whose boundary data it carries, its live factor and the count
+of factors it has built; the chord loop :func:`_picard` alone records the
+residual history.
 The factor keeps its pivots on the diagonal, so that the low fill of a
 symmetric order survives, and the order follows the stencil: SuperLU's
 minimum degree where the grid has no cross derivative (a five-point
@@ -182,11 +186,13 @@ def _scaled_rows(weights, matrix):
 
 
 class _Workspace:
-    """A grid's constant block, one flux's boundary data, one live ``lu``."""
+    """A grid's constant block, the boundary data of one flux ``params``,
+    one live ``lu`` and the count of ``factorizations`` it has built."""
 
     def __init__(self, grid, params, profile):
         self.grid = grid
         self.lu = None
+        self.factorizations = 0
         self.profile = profile
         self.n = grid.nx * grid.ny
         self._interior = ~boundary_mask(grid.nx, grid.ny, ends=True)
@@ -215,7 +221,8 @@ class _Workspace:
         self.set_params(params)
 
     def set_params(self, params):
-        """End data and right-hand side of ``params``; ``a_const`` is kept.
+        """Hold ``params``, its end data and right-hand side; ``a_const``
+        is kept.
 
         The flux enters only the Dirichlet rows, so one assembly of the
         constant block serves every continuation level on the grid.
@@ -232,8 +239,15 @@ class _Workspace:
         omega = np.zeros((grid.nx, grid.ny))
         omega[0, :] = fc.carrier_vorticity(left, params, profile)
         omega[-1, :] = fc.carrier_vorticity(right, params, profile)
+        self.params = params
         self.rhs = np.concatenate([psi.ravel(), omega.ravel()])
         self._residual_of = self._residual = None
+
+    def stokes(self):
+        """Stokes state of ``params`` by a back-solve with the held factor
+        of A(0)."""
+        return state_from_fields(self.grid, self.profile, self.params,
+                                 *self.apply(self.rhs))
 
     def _assemble_constant(self):
         """A(0): node i * ny + j holds (xi_i, eta_j), so a xi matrix D acts
@@ -312,6 +326,7 @@ class _Workspace:
         permuted matrix; :meth:`apply` maps in and out of its order.
         """
         self.lu = None
+        self.factorizations += 1
         a = self.a_const
         if u1 is not None:
             a = a + self.advection_matrix(u1, u2)
@@ -388,52 +403,37 @@ def _stokes_workspace(grid, params, profile):
     return ws
 
 
-def _stokes_start(workspace, params):
-    """Stokes state of ``params``, whose data the workspace holds, by a
-    back-solve with the held factor of A(0)."""
-    return state_from_fields(workspace.grid, workspace.profile, params,
-                             *workspace.apply(workspace.rhs))
-
-
 def solve_stokes(grid, params, profile):
     """Linear Stokes solve (no advection): the start of the chord loops."""
-    ws = _stokes_workspace(grid, params, profile)
-    state = _stokes_start(ws, params)
-    state.residual_history.append((0, residual_norm(state, ws)))
-    return state
+    return _stokes_workspace(grid, params, profile).stokes()
 
 
-def picard_step(state, workspace=None, chord=False):
-    """One Picard iteration; returns (new_state, residual).
+def picard_step(state, workspace, chord=False):
+    """One Picard iteration on ``workspace``; returns (new_state, residual).
 
     The plain step factors A(u) at the velocity u of ``state`` into the
     workspace, replacing the factor it held, and solves A(u) x = b.  With
     ``chord=True`` the step is the chord correction x + LU^-1 (b - A(u) x)
     from the fields x of ``state``, where the held factor LU may be of A
-    at an earlier iterate.  The flux and the end data are those of
-    ``state.params`` and ``state.profile``; a ``workspace`` passed in must
-    hold them, and without one the step builds it from the state.
+    at an earlier iterate.  The workspace holds the grid, the end data and
+    the flux ``state.params``.
     """
-    ws = workspace or _Workspace(state.grid, state.params, state.profile)
     if chord:
-        dpsi, domega = ws.apply(ws.residual(state))
+        dpsi, domega = workspace.apply(workspace.residual(state))
         psi, omega = state.psi + dpsi, state.omega + domega
     else:
-        ws.factor(state.u1, state.u2)
-        psi, omega = ws.apply(ws.rhs)
+        workspace.factor(state.u1, state.u2)
+        psi, omega = workspace.apply(workspace.rhs)
     new = state_from_fields(state.grid, state.profile, state.params, psi,
                             omega)
-    new.residual_history = list(state.residual_history)
-    res = residual_norm(new, ws)
-    new.residual_history.append((len(new.residual_history), res))
-    return new, res
+    return new, residual_norm(new, workspace)
 
 
 # steps without halving the defect after which the chord loop gives up
 _STALL_STEPS = 3
 
 
-def _picard(state, config, workspace, factorizations=0):
+def _picard(state, config, workspace, history):
     """Chord iteration from ``state`` until both defects drop below tol.
 
     Steps with a factor in hand are chord corrections x + LU^-1 (b - A(u) x)
@@ -444,25 +444,29 @@ def _picard(state, config, workspace, factorizations=0):
     factor A(0), then the last factor of the previous continuation level.
     Whenever a step shrinks the defect max(residual_norm, boundary_defect)
     by less than 2x, or when the workspace holds no factor, the step is the
-    plain Picard solve, which refactors A(u) at the current iterate and
-    keeps flux-0 fields exactly 0.
+    plain Picard solve, which refactors A(u) at the current iterate.  So is
+    every step where all boundary data are zero (flux 0): only the plain
+    solve keeps the fields exactly 0 there.
 
-    The start's residual is history entry 0.  ``workspace`` carries the
-    boundary data of ``state.params``, which every step keeps.  Returns
-    ``(state, factorizations)``: the converged state and the factor count,
-    which goes on from ``factorizations``.  Raises :class:`NonConvergence`
-    with the smallest defect reached as soon as the defect has not halved
-    over ``_STALL_STEPS`` steps after the first, or after max_iter steps.
+    ``workspace`` carries the boundary data of ``state.params``, which
+    every step keeps, and counts the factorizations.  Each state's
+    ``(step, residual)`` is appended to ``history``, the start's as step 0;
+    the converged state is returned with ``history`` as its
+    ``residual_history``.  Raises :class:`NonConvergence` with the smallest
+    defect reached and every factorization the workspace has made as soon
+    as the defect has not halved over ``_STALL_STEPS`` steps after the
+    first, or after max_iter steps.
     """
     res = residual_norm(state, workspace)
-    state.residual_history = [(0, res)]
+    history.append((0, res))
     stalled = 0
     best = prev = math.inf
     for steps in range(config.max_iter + 1):
         defect = max(res, boundary_defect(state, workspace))
         if defect < config.tol:
             state.converged = True
-            return state, factorizations
+            state.residual_history = history
+            return state
         best = min(best, defect)
         # count stalls from the first solve on: a start at a new flux is
         # off only in its boundary rows, and that solve may raise the
@@ -473,29 +477,30 @@ def _picard(state, config, workspace, factorizations=0):
             stalled += 1
         if stalled == _STALL_STEPS or steps == config.max_iter:
             break
-        chord = workspace.lu is not None and defect <= 0.5 * prev
+        chord = (workspace.lu is not None and defect <= 0.5 * prev
+                 and workspace.rhs.any())
         prev = defect
-        if not chord:
-            factorizations += 1
         state, res = picard_step(state, workspace, chord)
+        history.append((steps + 1, res))
     raise NonConvergence(
         f"Picard stalled at flux {state.params.phi}: residual {best:.3e} after "
-        f"{steps} iterations and {factorizations} factorizations "
+        f"{steps} iterations and {workspace.factorizations} factorizations "
         f"(tol {config.tol:.1e})",
         best_residual=best,
         iterations=steps,
-        factorizations=factorizations,
+        factorizations=workspace.factorizations,
     )
 
 
 def _flux_levels(params):
-    """Continuation levels up to ``params``: above flux 2, linspace(2, phi,
-    ceil(log2(phi / 2)) + 2) at the epsilon of ``params``."""
+    """Continuation levels ending on ``params`` itself: above flux 2,
+    linspace(2, phi, ceil(log2(phi / 2)) + 2) at the epsilon of
+    ``params``."""
     if params.phi <= 2.0:
         return [params]
     steps = int(math.ceil(math.log2(params.phi / 2.0))) + 2
     return [fc.CarrierParams(phi, params.epsilon)
-            for phi in np.linspace(2.0, params.phi, steps)]
+            for phi in np.linspace(2.0, params.phi, steps)[:-1]] + [params]
 
 
 def _continuation(state, workspace, levels, config):
@@ -503,20 +508,16 @@ def _continuation(state, workspace, levels, config):
     state of ``levels[0]``, whose data and factor A(0) the workspace holds.
 
     Each later level replaces only the boundary data and starts from the
-    previous level's solution and last factor.  The residual history holds
-    every level's entries, each numbered from 0.
+    previous level's solution and last factor.  Every level's loop appends
+    to one residual history, each level numbered from 0.
     """
     history = []
-    factorizations = 1  # the Stokes factor
     for k, params_k in enumerate(levels):
         if k:
             workspace.set_params(params_k)
             state = state_from_fields(state.grid, state.profile, params_k,
                                       state.psi, state.omega)
-        state, factorizations = _picard(state, config, workspace,
-                                        factorizations)
-        history += state.residual_history
-    state.residual_history = history
+        state = _picard(state, config, workspace, history)
     return state
 
 
@@ -532,38 +533,32 @@ def solve_steady(profile, params, a, b, nx, ny, config=None):
     grid = make_grid(profile, a, b, nx, ny)
     levels = _flux_levels(params)
     ws = _stokes_workspace(grid, levels[0], profile)
-    state = _continuation(_stokes_start(ws, levels[0]), ws, levels, config)
-    state.params = params  # ahead of any kept carrier gradient
-    return state
+    return _continuation(ws.stokes(), ws, levels, config)
 
 
 def solve_two_starts(profile, params, a, b, nx, ny, perturb, config):
     """The Stokes-started solution and the one started from
     ``perturb(stokes)``, with ``stokes`` the Stokes state of ``params``.
 
-    Both share one grid, constant block and live factor.  The
-    Stokes-started loop runs through :func:`_flux_levels` from the Stokes
-    factor A(0); the perturbed loop starts from the perturbed fields with
-    chord steps on that loop's last factor, and refactors only where a step
-    does not halve the defect.  Where all boundary data are zero (flux 0)
-    the factor is released instead, so that the perturbed loop's first step
-    is the plain solve that keeps the fields exactly 0.  The factor goes
-    with the workspace when the probe returns.
+    Both share one grid, constant block and workspace.  The Stokes-started
+    loop runs through :func:`_flux_levels` from the Stokes factor A(0),
+    which leaves the workspace on the data of ``params``; the perturbed
+    loop starts from the perturbed fields with chord steps on that loop's
+    last factor, under :func:`_picard`'s rules, and has a residual history
+    of its own.  A :class:`NonConvergence` of either loop counts every
+    factorization of the probe.  The factor goes with the workspace when
+    the probe returns.
     """
     grid = make_grid(profile, a, b, nx, ny)
     levels = _flux_levels(params)
     ws = _stokes_workspace(grid, params, profile)
-    stokes = _stokes_start(ws, params)
+    stokes = ws.stokes()
     other = perturb(stokes)
     if len(levels) > 1:
         ws.set_params(levels[0])
-        stokes = _stokes_start(ws, levels[0])
+        stokes = ws.stokes()
     base = _continuation(stokes, ws, levels, config)
-    # the last level's data are those of params; where they are all zero,
-    # only a plain first solve keeps the perturbed loop's fields exactly 0
-    if not ws.rhs.any():
-        ws.lu = None
-    return base, _picard(other, config, ws)[0]
+    return base, _picard(other, config, ws, [])
 
 
 # ---------------------------------------------------------------------------

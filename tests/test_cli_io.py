@@ -675,6 +675,37 @@ class TestRun:
         assert manifest["commands"]["report"] == {
             "exit_status": 2, "outputs": ["summary.csv"]}
 
+    def test_output_path_of_a_file_is_an_error(self, tmp_path, capsys):
+        # the output directory was once made outside the error handling:
+        # a FileExistsError traceback
+        path = self.scenario(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert cli_io.main(["solve", "--scenario", str(path),
+                            "--out", str(taken), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileExistsError: ")
+        assert taken.read_text() == "kept\n"
+
+    def test_unwritable_output_is_recorded(self, tmp_path, capsys):
+        path = self.scenario(tmp_path)
+        out = tmp_path / "out"
+        (out / "carrier_report.csv").mkdir(parents=True)
+        assert cli_io.main(["carrier-check", "--scenario", str(path),
+                            "--quiet"]) == 1
+        reason = capsys.readouterr().err.strip().removeprefix("error: ")
+        assert reason.startswith("IsADirectoryError: ")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["commands"]["carrier-check"] == {
+            "exit_status": 1, "error": reason, "outputs": []}
+
+    def test_unwritable_manifest_is_an_error(self, tmp_path, capsys):
+        path = self.scenario(tmp_path)
+        (tmp_path / "out" / "manifest.json").mkdir(parents=True)
+        assert cli_io.main(["carrier-check", "--scenario", str(path),
+                            "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error: IsADirectoryError: ")
+
     def test_growth_scan_judges_the_hat_inequality(self, tmp_path, capsys):
         # MINIMAL's window ends at k(2) = 0.630, not above 1.05 t* (t* =
         # 0.630): the skip is said, not silent

@@ -259,10 +259,31 @@ class TestUniqueness:
         start = eh._perturbed_start(ns.solve_stokes(grid, params, straight),
                                     seed=7)
         with pytest.raises(NonConvergence) as err:
-            ns._picard(start, cfg, ns._Workspace(grid, params, straight))
+            ns._picard(start, cfg, ns._Workspace(grid, params, straight), [])
         assert "Picard stalled" in str(err.value)
         assert err.value.iterations == 2
         assert cfg.tol <= err.value.best_residual < np.inf
+
+    def test_perturbed_nonconvergence_counts_every_factor(self, straight,
+                                                          splu_calls):
+        # the perturbed loop runs on the workspace of the Stokes-started
+        # one, so its error counts the Stokes factor too; this start, 1e4
+        # times the probe's perturbation, needs more than 15 steps, and the
+        # Stokes-started loop 13
+        cfg = ns.SolverConfig(tol=1e-12, max_iter=15)
+
+        def perturb(stokes):
+            other = eh._perturbed_start(stokes, seed=7)
+            psi = stokes.psi + 1e4 * (other.psi - stokes.psi)
+            return ns.state_from_fields(stokes.grid, stokes.profile,
+                                        stokes.params, psi, stokes.omega)
+
+        with pytest.raises(NonConvergence) as err:
+            ns.solve_two_starts(straight, fc.CarrierParams(1.0), -4, 4, 65,
+                                17, perturb, cfg)
+        assert err.value.iterations == cfg.max_iter
+        assert len(splu_calls) >= 2
+        assert err.value.factorizations == len(splu_calls)
 
     def test_zero_flux_exact_agreement(self, straight):
         rep = eh.uniqueness_probe(straight, 0.0, -4, 4, nx=65, ny=17)

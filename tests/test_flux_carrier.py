@@ -49,6 +49,13 @@ class TestParams:
         with pytest.raises(OutOfRange):
             fc.CarrierParams(-1.0, 0.5)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf])
+    def test_flux_must_be_finite(self, phi):
+        # nan once passed with epsilon 0.5, inf failed on its epsilon 0
+        for eps in (None, 0.5):
+            with pytest.raises(OutOfRange, match=f"flux .*got {phi}$"):
+                fc.CarrierParams(phi, eps)
+
     def test_default_epsilon_rule(self):
         assert fc.CarrierParams(0.1).epsilon == 0.5
         assert fc.CarrierParams(4.0).epsilon == pytest.approx(0.25)

@@ -114,17 +114,30 @@ class TestPicard:
         assert ns.residual_norm(state, ws) < 1e-12
 
     def test_fixed_point_state_unchanged(self, poiseuille_state):
-        new, res = ns.picard_step(poiseuille_state)
+        st = poiseuille_state
+        ws = ns._Workspace(st.grid, st.params, st.profile)
+        new, res = ns.picard_step(st, ws)
         assert res < 1e-9
-        assert np.abs(new.psi - poiseuille_state.psi).max() < 1e-9
+        assert np.abs(new.psi - st.psi).max() < 1e-9
 
     def test_zero_flux_stays_zero(self, straight):
         grid = geo.make_grid(straight, -4, 4, 65, 17)
         params = fc.CarrierParams(0.0, 0.5)
         st = ns.solve_stokes(grid, params, straight)
-        new, res = ns.picard_step(st)
+        new, res = ns.picard_step(st, ns._Workspace(grid, params, straight))
         assert np.abs(new.psi).max() == 0.0
         assert res == 0.0
+
+    @pytest.mark.parametrize("chord", [False, True])
+    def test_step_leaves_the_history_to_the_loop(self, poiseuille_state,
+                                                 chord):
+        # _picard alone records (step, residual); a step copies nothing
+        st = poiseuille_state
+        assert st.residual_history
+        ws = ns._Workspace(st.grid, st.params, st.profile)
+        ws.factor(None, None)
+        new, _ = ns.picard_step(st, ws, chord)
+        assert new.residual_history == []
 
 
 class TestResidual:
@@ -295,8 +308,9 @@ class TestSolveSteady:
         st = ns.solve_steady(power_half, carrier_unit, -8, 8, 129, 33,
                              ns.SolverConfig(tol=1e-12))
         ref = ns.solve_stokes(st.grid, carrier_unit, power_half)
+        ws = ns._Workspace(st.grid, carrier_unit, power_half)
         for _ in range(20):
-            ref, res = ns.picard_step(ref)
+            ref, res = ns.picard_step(ref, ws)
             if res < 1e-11:
                 break
         assert res < 1e-11
@@ -588,6 +602,13 @@ class TestGridConvergence:
 
 
 class TestContinuation:
+    @pytest.mark.parametrize("flux", [2.5, 8.0, 12.0])
+    def test_levels_end_on_the_callers_params(self, flux):
+        params = fc.CarrierParams(flux, 0.2)
+        levels = ns._flux_levels(params)
+        assert len(levels) > 1 and levels[-1] is params
+        assert all(p.epsilon == 0.2 for p in levels)
+
     def test_continuation_for_large_flux(self, straight):
         params = fc.CarrierParams(5.0, 0.2)
         cfg = ns.SolverConfig(tol=1e-8, max_iter=120)
