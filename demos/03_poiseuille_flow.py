@@ -25,7 +25,7 @@ def main():
     print("solving on [-12, 12] at 385 x 49 ...")
     state = ns.solve_steady(profile, params, -12, 12, 385, 49,
                             ns.SolverConfig(tol=1e-10))
-    # flux 1 is one continuation level; its history starts at step 0
+    # one chord loop; its history starts with the Stokes state at step 0
     print(f"  converged in {state.residual_history[-1][0]} steps, "
           f"residual {state.residual_history[-1][1]:.2e}")
 

@@ -80,7 +80,8 @@ def _read_number(text, kind):
 
 
 def _read_sections(path):
-    """Each key's value text and line, or raise ParseError listing lines."""
+    """Each key's value text and line, or raise ParseError listing lines;
+    a repeated section header merges, a repeated key is an error."""
     sections = {"": {}}
     origins = {}
     current = ""
@@ -109,6 +110,10 @@ def _read_sections(path):
         key = key.strip().lower()
         if not key:
             errors.append((lineno, "empty key"))
+            continue
+        if (current, key) in origins:
+            errors.append((lineno, f"[{current}] {key}: already given on "
+                                   f"{origins[(current, key)]}"))
             continue
         sections[current][key] = value.strip()
         origins[(current, key)] = f"line {lineno}"
@@ -612,12 +617,8 @@ def _run_solve(sc, out, quiet):
     diag_rows.append({"quantity": "converged", "value": state.converged})
     artifacts.append(write_csv(out / "solve_summary.csv", diag_rows))
     if not quiet:
-        # each flux level's history counts its steps from its start state, 0
-        counts = [i for i, _ in state.residual_history]
-        steps = [i for i, nxt in zip(counts, counts[1:] + [0]) if nxt == 0]
-        levels = f" over {len(steps)} flux levels" if len(steps) > 1 else ""
-        print(f"  converged in {' + '.join(map(str, steps))} steps{levels}; "
-              f"residual {state.residual_history[-1][1]:.3e}")
+        steps, residual = state.residual_history[-1]
+        print(f"  converged in {steps} steps; residual {residual:.3e}")
     return True, artifacts  # solve_steady raises NonConvergence instead
 
 
@@ -812,17 +813,27 @@ def _run_comparison(sc, out, quiet):
 def _run_report(sc, out, quiet):
     rows = []
     for csv_path in sorted(out.glob("*_verdicts.csv")):
-        for line in csv_path.read_text().splitlines()[2:]:
+        lines = csv_path.read_text().splitlines()
+        if lines[1:2] != ["verdict,status"]:
+            raise ChannelLabError(f"{csv_path}: header is not verdict,status")
+        for lineno, line in enumerate(lines[2:], start=3):
+            if line.count(",") != 1:
+                raise ChannelLabError(f"{csv_path}: line {lineno}: expected "
+                                      f"two cells, got {line!r}")
             verdict, status = line.split(",")
             rows.append(
                 {"source": csv_path.name, "verdict": verdict, "status": status}
             )
+    manifest = out / "manifest.json"
     try:
-        commands = json.loads((out / "manifest.json").read_text())["commands"]
+        commands = json.loads(manifest.read_text())["commands"]
     except (OSError, ValueError, KeyError):
         commands = {}
     # a command that stopped wrote no verdicts; this run replaces report's own entry
     for command, entry in commands.items():
+        if not isinstance(entry, dict) or "exit_status" not in entry:
+            raise ChannelLabError(
+                f"{manifest}: entry {command!r} has no exit_status")
         if entry["exit_status"] == 1 and command != "report":
             rows.append(
                 {"source": "manifest.json", "verdict": command, "status": "ERROR"}

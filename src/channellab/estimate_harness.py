@@ -382,7 +382,7 @@ def _perturbed_start(stokes, seed):
 
 # both starts are solved far below the distance bound, so a distance above
 # it is a second solution, not solver noise
-_UNIQUENESS_SOLVER = ns.SolverConfig(tol=1e-12, max_iter=120)
+_UNIQUENESS_SOLVER = ns.SolverConfig(tol=1e-12)
 _UNIQUENESS_TOL = 1e-6
 
 

@@ -4,11 +4,11 @@ The flux constraint is exact Dirichlet data (psi = 0 on the lower wall,
 psi = flux on the upper wall); truncation ends carry the carrier data
 psi = G, omega = curl g, so the zero-flux perturbation v = u - g vanishes
 there up to the tangential component carried through the omega data.  The
-nonlinear loop is a chord iteration on the coupled linear (psi, omega)
-system with the advecting velocity frozen: one SuperLU factor serves
-several steps, starting with the Stokes factor A(0) and carried across
-continuation levels and, in the uniqueness probe, on to the perturbed
-start; a refresh releases the old factor before it builds the new one.
+nonlinear loop is one chord iteration at the requested flux on the
+coupled linear (psi, omega) system with the advecting velocity frozen: one
+SuperLU factor serves several steps, starting with the Stokes factor A(0)
+and, in the uniqueness probe, carried on to the perturbed start; a
+refresh releases the old factor before it builds the new one.
 A solve's bookkeeping has one owner each: the workspace holds the flux
 ``params`` whose boundary data it carries, its live factor and the count
 of factors it has built; the chord loop :func:`_picard` alone records the
@@ -71,7 +71,7 @@ __all__ = [
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-9
-    max_iter: int = 60
+    max_iter: int = 120
 
     def __post_init__(self):
         if not self.tol > 0.0 or self.max_iter < 0:
@@ -186,8 +186,10 @@ def _scaled_rows(weights, matrix):
 
 
 class _Workspace:
-    """A grid's constant block, the boundary data of one flux ``params``,
-    one live ``lu`` and the count of ``factorizations`` it has built."""
+    """A grid's constant block, the boundary data of one flux ``params``
+    (its right-hand side ``rhs``), one live ``lu`` and the count of
+    ``factorizations`` it has built.  The flux enters only the Dirichlet
+    rows of ``rhs``."""
 
     def __init__(self, grid, params, profile):
         self.grid = grid
@@ -218,16 +220,6 @@ class _Workspace:
             (-(slots.data.real + slots.data.imag), slots.indices + n,
              np.concatenate([np.zeros(n, int), slots.indptr])),
             shape=(2 * n, 2 * n))
-        self.set_params(params)
-
-    def set_params(self, params):
-        """Hold ``params``, its end data and right-hand side; ``a_const``
-        is kept.
-
-        The flux enters only the Dirichlet rows, so one assembly of the
-        constant block serves every continuation level on the grid.
-        """
-        grid, profile = self.grid, self.profile
         left = (np.full(grid.ny, grid.a), grid.x2[0, :])
         right = (np.full(grid.ny, grid.b), grid.x2[-1, :])
         # Dirichlet psi on the ends, then the walls (walls win at corners);
@@ -373,8 +365,8 @@ def boundary_defect(state, workspace):
 
     The psi rows of walls and ends count relative to the psi scale, the
     omega end rows relative to the vorticity scale.  The interior residual
-    is blind to the flux (it only enters through these rows), so
-    convergence checks that step the flux up combine both defects.
+    is blind to the flux (it only enters through these rows), so the
+    chord loop's convergence check combines both defects.
     """
     grid = state.grid
     r_psi, r_omega = workspace.residual(state).reshape(2, grid.nx, grid.ny)
@@ -433,32 +425,31 @@ def picard_step(state, workspace, chord=False):
 _STALL_STEPS = 3
 
 
-def _picard(state, config, workspace, history):
+def _picard(state, config, workspace):
     """Chord iteration from ``state`` until both defects drop below tol.
 
     Steps with a factor in hand are chord corrections x + LU^-1 (b - A(u) x)
     that evaluate the full nonlinear residual, so they also refine away
     the round-off of the factored solve.  The workspace's factor may be of
-    A at any iterate and flux on the grid, because the flux enters only
-    the right-hand side: :func:`_continuation` starts with the Stokes
-    factor A(0), then the last factor of the previous continuation level.
-    Whenever a step shrinks the defect max(residual_norm, boundary_defect)
-    by less than 2x, or when the workspace holds no factor, the step is the
-    plain Picard solve, which refactors A(u) at the current iterate.  So is
-    every step where all boundary data are zero (flux 0): only the plain
-    solve keeps the fields exactly 0 there.
+    A at any iterate on the grid: a solve starts with the Stokes factor
+    A(0), and the uniqueness probe's perturbed start with the last factor
+    of the Stokes-started loop.  Whenever a step shrinks the defect
+    max(residual_norm, boundary_defect) by less than 2x, or when the
+    workspace holds no factor, the step is the plain Picard solve, which
+    refactors A(u) at the current iterate.  So is every step where all
+    boundary data are zero (flux 0): only the plain solve keeps the fields
+    exactly 0 there.
 
     ``workspace`` carries the boundary data of ``state.params``, which
-    every step keeps, and counts the factorizations.  Each state's
-    ``(step, residual)`` is appended to ``history``, the start's as step 0;
-    the converged state is returned with ``history`` as its
-    ``residual_history``.  Raises :class:`NonConvergence` with the smallest
-    defect reached and every factorization the workspace has made as soon
-    as the defect has not halved over ``_STALL_STEPS`` steps after the
-    first, or after max_iter steps.
+    every step keeps, and counts the factorizations.  The converged state
+    is returned with each state's ``(step, residual)`` as its
+    ``residual_history``, the start's as step 0.  Raises
+    :class:`NonConvergence` with the smallest defect reached and every
+    factorization the workspace has made as soon as the defect has not
+    halved over ``_STALL_STEPS`` steps, or after max_iter steps.
     """
     res = residual_norm(state, workspace)
-    history.append((0, res))
+    history = [(0, res)]
     stalled = 0
     best = prev = math.inf
     for steps in range(config.max_iter + 1):
@@ -468,10 +459,7 @@ def _picard(state, config, workspace, history):
             state.residual_history = history
             return state
         best = min(best, defect)
-        # count stalls from the first solve on: a start at a new flux is
-        # off only in its boundary rows, and that solve may raise the
-        # interior residual well above their defect
-        if steps <= 1 or defect <= 0.5 * anchor:
+        if steps == 0 or defect <= 0.5 * anchor:
             anchor, stalled = defect, 0
         else:
             stalled += 1
@@ -492,48 +480,15 @@ def _picard(state, config, workspace, history):
     )
 
 
-def _flux_levels(params):
-    """Continuation levels ending on ``params`` itself: above flux 2,
-    linspace(2, phi, ceil(log2(phi / 2)) + 2) at the epsilon of
-    ``params``."""
-    if params.phi <= 2.0:
-        return [params]
-    steps = int(math.ceil(math.log2(params.phi / 2.0))) + 2
-    return [fc.CarrierParams(phi, params.epsilon)
-            for phi in np.linspace(2.0, params.phi, steps)[:-1]] + [params]
-
-
-def _continuation(state, workspace, levels, config):
-    """Chord loops through the flux ``levels`` from ``state``, the Stokes
-    state of ``levels[0]``, whose data and factor A(0) the workspace holds.
-
-    Each later level replaces only the boundary data and starts from the
-    previous level's solution and last factor.  Every level's loop appends
-    to one residual history, each level numbered from 0.
-    """
-    history = []
-    for k, params_k in enumerate(levels):
-        if k:
-            workspace.set_params(params_k)
-            state = state_from_fields(state.grid, state.profile, params_k,
-                                      state.psi, state.omega)
-        state = _picard(state, config, workspace, history)
-    return state
-
-
 def solve_steady(profile, params, a, b, nx, ny, config=None):
-    """Stokes initialize, then Picard to tolerance, stepping the flux up.
+    """Stokes initialize, then one chord loop to tolerance at ``params``.
 
-    The grid's constant block is assembled and A(0) factored once for all
-    of :func:`_flux_levels`, and the last factor is released when the
-    loops end.  Raises :class:`NonConvergence` rather than returning an
-    unconverged state.
+    The grid's constant block is assembled and A(0) factored once; the
+    last factor is released when the loop ends.  Raises
+    :class:`NonConvergence` rather than returning an unconverged state.
     """
-    config = config or SolverConfig()
-    grid = make_grid(profile, a, b, nx, ny)
-    levels = _flux_levels(params)
-    ws = _stokes_workspace(grid, levels[0], profile)
-    return _continuation(ws.stokes(), ws, levels, config)
+    ws = _stokes_workspace(make_grid(profile, a, b, nx, ny), params, profile)
+    return _picard(ws.stokes(), config or SolverConfig(), ws)
 
 
 def solve_two_starts(profile, params, a, b, nx, ny, perturb, config):
@@ -541,24 +496,16 @@ def solve_two_starts(profile, params, a, b, nx, ny, perturb, config):
     ``perturb(stokes)``, with ``stokes`` the Stokes state of ``params``.
 
     Both share one grid, constant block and workspace.  The Stokes-started
-    loop runs through :func:`_flux_levels` from the Stokes factor A(0),
-    which leaves the workspace on the data of ``params``; the perturbed
-    loop starts from the perturbed fields with chord steps on that loop's
-    last factor, under :func:`_picard`'s rules, and has a residual history
-    of its own.  A :class:`NonConvergence` of either loop counts every
-    factorization of the probe.  The factor goes with the workspace when
-    the probe returns.
+    loop runs from the Stokes factor A(0); the perturbed loop starts from
+    the perturbed fields with chord steps on that loop's last factor,
+    under :func:`_picard`'s rules, and has a residual history of its own.
+    A :class:`NonConvergence` of either loop counts every factorization of
+    the probe.  The factor goes with the workspace when the probe returns.
     """
-    grid = make_grid(profile, a, b, nx, ny)
-    levels = _flux_levels(params)
-    ws = _stokes_workspace(grid, params, profile)
+    ws = _stokes_workspace(make_grid(profile, a, b, nx, ny), params, profile)
     stokes = ws.stokes()
     other = perturb(stokes)
-    if len(levels) > 1:
-        ws.set_params(levels[0])
-        stokes = ws.stokes()
-    base = _continuation(stokes, ws, levels, config)
-    return base, _picard(other, config, ws, [])
+    return _picard(stokes, config, ws), _picard(other, config, ws)
 
 
 # ---------------------------------------------------------------------------

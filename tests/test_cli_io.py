@@ -141,8 +141,13 @@ class TestParsing:
         # the verdict bounds and the pad are constants, so a scenario cannot
         # loosen them: any value of theirs, even one that would pass every
         # flow, is an unknown key.  A scan window that passes by construction
-        # (one slice range, one t) or reaches past the padded state is refused
-        body = MINIMAL.format(out=tmp_path / "o").replace("target_hx = 0.25", new)
+        # (one slice range, one t) or reaches past the padded state is refused.
+        # A key stands once: the value replaces MINIMAL's own line of it
+        body = MINIMAL.format(out=tmp_path / "o")
+        key = new.partition(" =")[0]
+        if f"\n{key} = " not in body:
+            key = "target_hx"
+        body = re.sub(rf"^{key} = .*$", new, body, count=1, flags=re.M)
         line = body.splitlines().index(new) + 1
         path = write_scenario(tmp_path, body)
         assert cli_io.main(["growth-scan", "--scenario", str(path), "--quiet"]) == 1
@@ -223,6 +228,22 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             cli_io.parse_scenario(path, environ={})
         assert "line 2" in str(err.value)
+
+    def test_key_given_twice_in_a_section(self, tmp_path):
+        # the second flux once replaced the first silently; a repeated
+        # header merges, and an override still replaces the file's value
+        body = MINIMAL.format(out=tmp_path / "o")
+        twice = body.replace("flux = 1.0", "flux = 1.0\nflux = 50")
+        lines = twice.splitlines()
+        first, second = lines.index("flux = 1.0") + 1, lines.index("flux = 50") + 1
+        with pytest.raises(ParseError) as err:
+            cli_io.parse_scenario(write_scenario(tmp_path, twice), environ={})
+        assert (f"line {second}: [carrier] flux: already given on line {first}"
+                in str(err.value))
+        merged = write_scenario(tmp_path, body + "[carrier]\nepsilon = 0.25\n")
+        sc = cli_io.parse_scenario(
+            merged, environ={"CHANNELLAB_CARRIER__FLUX": "0.5"})
+        assert (sc.params.phi, sc.params.epsilon) == (0.5, 0.25)
 
     def test_blank_section_header_is_malformed(self, tmp_path):
         body = MINIMAL.format(out=tmp_path / "o").replace("[grid]", "[ ]")
@@ -655,6 +676,41 @@ class TestRun:
         assert f"{out}: no *_verdicts.csv to aggregate" in capsys.readouterr().err
         assert not (out / "summary.csv").exists()
 
+    @pytest.mark.parametrize("text, where", [
+        ("# channellab csv v1\nname,status\nx,PASS\n", ""),
+        ("# channellab csv v1\nverdict,status\nx,PASS\ny,PASS,1\n",
+         ": line 4"),
+    ], ids=["header", "row"])
+    def test_report_on_a_malformed_verdict_file(self, tmp_path, capsys, text,
+                                                where):
+        # line.split(",") once raised a ValueError traceback
+        path = self.scenario(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "odd_verdicts.csv").write_text(text)
+        assert cli_io.main(["report", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ChannelLabError: {out / 'odd_verdicts.csv'}"
+                              f"{where}: ")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["commands"]["report"]["exit_status"] == 1
+
+    def test_report_on_a_manifest_entry_without_status(self, tmp_path,
+                                                       capsys):
+        # the missing key once raised a KeyError traceback
+        path = self.scenario(tmp_path)
+        args = ["--scenario", str(path), "--quiet"]
+        assert cli_io.main(["growth-scan", *args]) == 0
+        manifest_path = tmp_path / "out" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["commands"]["growth-scan"]["exit_status"]
+        manifest_path.write_text(json.dumps(manifest))
+        assert cli_io.main(["report", *args]) == 1
+        assert (f"error: ChannelLabError: {manifest_path}: entry 'growth-scan' "
+                "has no exit_status") in capsys.readouterr().err
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["commands"]["report"]["exit_status"] == 1
+
     def test_failed_command_is_recorded_and_reported(self, tmp_path, capsys,
                                                      monkeypatch):
         # make_grid rejects 5 eta nodes; the reason once went to stderr only
@@ -844,23 +900,18 @@ class TestRun:
         hist = (out / "residual_history.csv").read_text().splitlines()
         assert hist[1] == "iteration,residual"
 
-    @pytest.mark.parametrize("flux, levels", [("1.0", 1), ("4.0", 3)])
-    def test_solve_prints_the_steps_of_each_level(self, tmp_path, capsys,
-                                                  flux, levels):
-        # each level's history starts with its start state, which is no step
+    @pytest.mark.parametrize("flux", ["1.0", "4.0"])
+    def test_solve_prints_the_steps_of_the_loop(self, tmp_path, capsys, flux):
+        # the history starts with the Stokes state, which is no step
         body = MINIMAL.format(out=tmp_path / "out").replace(
             "flux = 1.0", f"flux = {flux}")
         path = write_scenario(tmp_path, body)
         assert cli_io.main(["solve", "--scenario", str(path)]) == 0
         rows = (tmp_path / "out" / "residual_history.csv").read_text()
         counts = [int(r.split(",")[0]) for r in rows.splitlines()[2:]]
-        assert counts.count(0) == levels
-        steps = [i for i, nxt in zip(counts, counts[1:] + [0]) if nxt == 0]
-        assert sum(steps) == len(counts) - levels
-        printed = f"converged in {' + '.join(map(str, steps))} steps"
-        if levels > 1:
-            printed += f" over {levels} flux levels"
-        assert f"{printed}; residual" in capsys.readouterr().out
+        assert counts == list(range(len(counts)))
+        printed = f"converged in {len(counts) - 1} steps; residual"
+        assert printed in capsys.readouterr().out
 
     def test_invalid_profile_gives_exit_1(self, tmp_path):
         # width hits zero inside the grid window: AssumptionViolation -> 1
