@@ -480,8 +480,9 @@ def write_manifest(out_dir, scenario_path, command, artifacts, record):
     accumulates: ``outputs`` hashes every file any command wrote there and
     ``commands`` holds each command's record (its ``exit_status``, and the
     ``error`` that stopped a command with exit status 1) and output names.
-    An existing manifest of another scenario file (path or hash) is
-    replaced.  The write is atomic.
+    An existing manifest of another scenario file (path or hash), or one
+    whose ``outputs`` or ``commands`` is not an object, is replaced.  The
+    write is atomic.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -492,9 +493,11 @@ def write_manifest(out_dir, scenario_path, command, artifacts, record):
         manifest = json.loads(path.read_text())
     except (OSError, ValueError):
         manifest = {}
-    if "commands" not in manifest or (
-        manifest.get("scenario"), manifest.get("scenario_sha256")
-    ) != (scenario, digest):
+    if not isinstance(manifest, dict) or any(
+        not isinstance(manifest.get(key), dict) for key in ("outputs", "commands")
+    ) or (manifest.get("scenario"), manifest.get("scenario_sha256")) != (
+        scenario, digest
+    ):
         manifest = {"outputs": {}, "commands": {}}
     outputs = {Path(p).name: _sha256(p) for p in map(str, artifacts)}
     manifest["outputs"].update(outputs)
@@ -618,8 +621,15 @@ def _run_solve(sc, out, quiet):
     artifacts.append(write_csv(out / "solve_summary.csv", diag_rows))
     if not quiet:
         steps, residual = state.residual_history[-1]
+        print(f"  window {_grid_line(state.grid)}")
         print(f"  converged in {steps} steps; residual {residual:.3e}")
     return True, artifacts  # solve_steady raises NonConvergence instead
+
+
+def _grid_line(grid):
+    """The window, node counts and xi step of ``grid``, as a run prints them."""
+    return (f"[{grid.a:.6g}, {grid.b:.6g}], {grid.nx}x{grid.ny}, "
+            f"hx {grid.xi_axis.h:.4g}")
 
 
 def _code_version():
@@ -678,9 +688,7 @@ def _padded_state(sc, out, t_max, quiet):
     for values in (state.psi, state.omega, state.u1, state.u2):
         values.setflags(write=False)
     if not quiet:
-        g = state.grid
-        print(f"  padded window [{g.a:.6g}, {g.b:.6g}], {g.nx}x{g.ny}, "
-              f"hx {g.hx:.4g}: {how}")
+        print(f"  padded window {_grid_line(state.grid)}: {how}")
     return state
 
 
@@ -813,7 +821,10 @@ def _run_comparison(sc, out, quiet):
 def _run_report(sc, out, quiet):
     rows = []
     for csv_path in sorted(out.glob("*_verdicts.csv")):
-        lines = csv_path.read_text().splitlines()
+        try:
+            lines = csv_path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ChannelLabError(f"{csv_path}: not UTF-8 text") from exc
         if lines[1:2] != ["verdict,status"]:
             raise ChannelLabError(f"{csv_path}: header is not verdict,status")
         for lineno, line in enumerate(lines[2:], start=3):
@@ -826,9 +837,14 @@ def _run_report(sc, out, quiet):
             )
     manifest = out / "manifest.json"
     try:
-        commands = json.loads(manifest.read_text())["commands"]
-    except (OSError, ValueError, KeyError):
-        commands = {}
+        recorded = json.loads(manifest.read_text())
+    except (OSError, ValueError):
+        recorded = {}
+    if not isinstance(recorded, dict):
+        raise ChannelLabError(f"{manifest}: top level is not an object")
+    commands = recorded.get("commands", {})
+    if not isinstance(commands, dict):
+        raise ChannelLabError(f"{manifest}: commands is not an object")
     # a command that stopped wrote no verdicts; this run replaces report's own entry
     for command, entry in commands.items():
         if not isinstance(entry, dict) or "exit_status" not in entry:

@@ -317,7 +317,7 @@ def poiseuille_convergence(state, k, t_list):
     h1 = []
     tails = []
     for T in t_list:
-        w = geo.window_weights(profile, grid.xi, grid.ny, k, T)
+        w = geo.window_weights(profile, grid.xi_axis, grid.eta_axis, k, T)
         h1.append(float((w * diff2).sum()) if T > k else math.nan)
         d_plus = ns.dirichlet_energy(state, 0.0, T)
         tails.append(d_plus / T**3)

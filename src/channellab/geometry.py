@@ -8,13 +8,14 @@ wall evaluators and their first two derivatives.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 # integrate is not called here: bench/spans.py patches integrate.quad
-from scipy import integrate, optimize
+from scipy import integrate, optimize, sparse
 
 from .errors import (AssumptionViolation, DegenerateGrid, OutOfRange,
                      ParseError, ValidationError)
@@ -25,6 +26,7 @@ __all__ = [
     "KRangeCase",
     "ChannelProfile",
     "ChannelMetrics",
+    "Axis",
     "Grid",
     "straight",
     "linear_widen",
@@ -41,7 +43,6 @@ __all__ = [
     "classify",
     "make_grid",
     "window_weights",
-    "eta_trapezoid",
 ]
 
 
@@ -638,22 +639,62 @@ def _ratio_limit_zero(inc3, sup_slope, edges):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class Axis:
+    """One uniform axis of a mapped grid: its nodes, its step ``h``, its
+    difference stencils and its trapezoid weights, the last two formed on
+    first use and shared (callers must not modify them)."""
+
+    nodes: np.ndarray
+
+    @property
+    def h(self):
+        return float(self.nodes[-1] - self.nodes[0]) / (len(self.nodes) - 1)
+
+    @functools.cached_property
+    def differences(self):
+        """``(D1, 2h, D2, h^2)``: D1 v / 2h and D2 v / h^2 are the first and
+        second derivatives of v on the nodes.
+
+        Central (-1, 0, 1) and (1, -2, 1) inside; one-sided second-order
+        (-3, 4, -1) and (2, -5, 4, -1) at the ends, mirrored at the far end.
+        The stencils stay integers, so a coefficient over 2h is rounded
+        once.  On a grid a xi matrix D acts on an (nx, ny) array as
+        ``D @ psi``, an eta one as ``psi @ D.T``.
+        """
+        n = len(self.nodes)
+        d1 = sparse.diags([-1.0, 1.0], [-1, 1], shape=(n, n), format="lil")
+        d2 = sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="lil")
+        for d, end, mirror in ((d1, [-3.0, 4.0, -1.0], -1.0),
+                               (d2, [2.0, -5.0, 4.0, -1.0], 1.0)):
+            d[0, :len(end)] = end
+            d[n - 1, n - 1 - np.arange(len(end))] = mirror * np.array(end)
+        return d1.tocsr(), 2 * self.h, d2.tocsr(), self.h**2
+
+    @functools.cached_property
+    def weights(self):
+        """Trapezoid weights of the integral over the axis on its nodes."""
+        w = np.full(len(self.nodes), self.h)
+        w[[0, -1]] *= 0.5
+        w.setflags(write=False)
+        return w
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid in mapped coordinates (xi, eta) over Omega_{a,b}.
 
-    xi = x1 in [a, b]; eta = (x2 - f1(xi)) / f(xi) in [0, 1].  Arrays are
-    indexed [i, j] = [xi, eta].  Metric terms are the analytic chain-rule
-    factors at the nodes; ``wq`` holds the :func:`window_weights` of the
-    whole grid, so quadrature of a constant reproduces the area.
+    The nodes of ``xi_axis`` are xi = x1 in [a, b], those of ``eta_axis``
+    eta = (x2 - f1(xi)) / f(xi) in [0, 1]; arrays are indexed [i, j] = [xi,
+    eta].  Metric terms are the analytic chain-rule factors at the nodes;
+    ``wq`` holds the :func:`window_weights` of the whole grid, so
+    quadrature of a constant reproduces the area.
     """
 
     a: float
     b: float
-    nx: int
-    ny: int
-    xi: np.ndarray          # (nx,)
-    eta: np.ndarray         # (ny,)
+    xi_axis: Axis
+    eta_axis: Axis
     x2: np.ndarray          # (nx, ny) physical x2
     f: np.ndarray           # (nx,) width at xi
     fp: np.ndarray          # (nx,)
@@ -662,38 +703,38 @@ class Grid:
     wq: np.ndarray          # (nx, ny) nodal quadrature weights (dx measure)
 
     @property
-    def hx(self):
-        return (self.b - self.a) / (self.nx - 1)
+    def xi(self):
+        return self.xi_axis.nodes
 
     @property
-    def hy(self):
-        return 1.0 / (self.ny - 1)
+    def eta(self):
+        return self.eta_axis.nodes
+
+    @property
+    def nx(self):
+        return len(self.xi)
+
+    @property
+    def ny(self):
+        return len(self.eta)
 
 
-def window_weights(profile, xi, ny, a, b):
+def window_weights(profile, xi_axis, eta_axis, a, b):
     """Nodal weights of integral dx over the window a <= x1 <= b.
 
-    ``xi`` are the uniform x1 nodes and ``ny`` the eta node count of a
-    mapped grid.  A node's column mass integrates f over its xi-cell,
-    clipped to the window and the grid, by the 8-point Gauss-Legendre
-    panel rule of :func:`weight_integral` (exact to rounding); the eta
-    factor is :func:`eta_trapezoid`.  Nodes whose cell misses the window
-    get weight zero.
+    ``xi_axis`` and ``eta_axis`` are the axes of a mapped grid.  A node's
+    column mass integrates f over its xi-cell, clipped to the window and
+    the grid, by the 8-point Gauss-Legendre panel rule of
+    :func:`weight_integral` (exact to rounding); the eta factor is the eta
+    axis's ``weights``.  Nodes whose cell misses the window get weight zero.
     """
-    hx = (xi[-1] - xi[0]) / (len(xi) - 1)
+    xi, hx = xi_axis.nodes, xi_axis.h
     lo = np.maximum(xi - 0.5 * hx, max(a, xi[0]))
     hi = np.minimum(xi + 0.5 * hx, min(b, xi[-1]))
     inside = hi > lo
     masses = np.zeros(len(xi))
     masses[inside] = _gl8_panels(profile, lo[inside], hi[inside], 1)
-    return masses[:, None] * eta_trapezoid(ny)[None, :]
-
-
-def eta_trapezoid(ny):
-    """Trapezoid weights of integral d(eta) over [0, 1] on ny uniform nodes."""
-    w = np.full(ny, 1.0 / (ny - 1))
-    w[[0, -1]] *= 0.5
-    return w
+    return masses[:, None] * eta_axis.weights[None, :]
 
 
 def make_grid(profile, a, b, nx, ny):
@@ -704,8 +745,9 @@ def make_grid(profile, a, b, nx, ny):
     if nx < 8 or ny < 8:
         raise DegenerateGrid(f"need nx, ny >= 8, got ({nx}, {ny})")
 
-    xi = np.linspace(a, b, nx)
-    eta = np.linspace(0.0, 1.0, ny)
+    xi_axis = Axis(np.linspace(a, b, nx))
+    eta_axis = Axis(np.linspace(0.0, 1.0, ny))
+    xi, eta = xi_axis.nodes, eta_axis.nodes
     f = np.asarray(profile.width(xi), dtype=float)
     if np.any(f <= 0.0):
         raise AssumptionViolation("width vanishes inside the grid window")
@@ -730,14 +772,12 @@ def make_grid(profile, a, b, nx, ny):
     return Grid(
         a=a,
         b=b,
-        nx=nx,
-        ny=ny,
-        xi=xi,
-        eta=eta,
+        xi_axis=xi_axis,
+        eta_axis=eta_axis,
         x2=x2,
         f=f,
         fp=fp,
         j1=j1,
         lap_s=lap_s,
-        wq=window_weights(profile, xi, ny, a, b),
+        wq=window_weights(profile, xi_axis, eta_axis, a, b),
     )

@@ -19,14 +19,15 @@ minimum degree where the grid has no cross derivative (a five-point
 stencil, as on a straight channel), and elsewhere a nested-dissection
 order of the grid nodes, psi and omega of a node side by side.  The wall
 vorticity closure is a second-order one-sided formula built into the
-matrix.  Every difference stencil of the scheme, and the uniform spacing,
-lives in one place: the 1-D first- and second-difference
-matrices of each axis (``_differences``), from which A(u) and the velocity
-are built.  The one stencil kept apart on purpose is
-:func:`slice_flux_profile`'s fourth-order ``_d1_fourth`` with its Simpson
-weights: that flux check must not share the scheme it checks.  Energies
-are computed only on request (:func:`energy_diagnostics`); a state forms
-its nodal velocity gradients and carrier Jacobian once and keeps them.
+matrix.  Every difference stencil of the scheme, its uniform spacing and
+its eta weights live in one place, the grid's two ``geometry.Axis``
+objects, whose 1-D first- and second-difference matrices build A(u) and
+the velocity.  Kept apart on purpose are the wall closure's (-7, 8, -1)
+rows and :func:`slice_flux_profile`'s fourth-order ``_d1_fourth`` with
+its Simpson weights: that flux check must not share the scheme it
+checks.  Energies are computed only on request (:func:`energy_diagnostics`);
+a state forms its nodal velocity gradients and carrier Jacobian once and
+keeps them.
 
 The discretisation is written once, as the matrix A(u): each state has one
 residual r = b - A(u) x.  Its interior and wall-closure rows give
@@ -49,7 +50,7 @@ from ._fem import boundary_mask, nested_dissection
 # neither is called here: both are patch points of bench/spans.py
 from ._fem import assemble_q1, assemble_grad_load
 from .errors import LinearSolveFailure, NonConvergence, OutOfRange
-from .geometry import Grid, eta_trapezoid, make_grid, window_weights
+from .geometry import Grid, make_grid, window_weights
 
 __all__ = [
     "SolverConfig",
@@ -109,33 +110,6 @@ class FlowState:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=16)
-def _differences(n, h):
-    """``(D1, 2h, D2, h^2)`` on n nodes of step h: D1 v / 2h and D2 v / h^2
-    are the first and second derivatives of v.
-
-    Central (-1, 0, 1) and (1, -2, 1) inside; one-sided second-order
-    (-3, 4, -1) and (2, -5, 4, -1) at the ends, mirrored at the far end.
-    These are the one place the scheme's stencils and its uniform spacing
-    live.  The stencils stay integers, so a coefficient over 2h is rounded
-    once.  The cached matrices are shared: callers must not modify them.
-    """
-    d1 = sparse.diags([-1.0, 1.0], [-1, 1], shape=(n, n), format="lil")
-    d2 = sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="lil")
-    for d, end, mirror in ((d1, [-3.0, 4.0, -1.0], -1.0),
-                           (d2, [2.0, -5.0, 4.0, -1.0], 1.0)):
-        d[0, :len(end)] = end
-        d[n - 1, n - 1 - np.arange(len(end))] = mirror * np.array(end)
-    return d1.tocsr(), 2 * h, d2.tocsr(), h**2
-
-
-def _axis_differences(grid):
-    """:func:`_differences` of the xi and the eta axis of ``grid``: a xi
-    matrix D acts on an (nx, ny) array as ``D @ psi``, an eta one as
-    ``psi @ D.T``."""
-    return _differences(grid.nx, grid.hx), _differences(grid.ny, grid.hy)
-
-
 def velocity_from_psi(grid, psi):
     """u = (d2 psi, -d1 psi) through the metric chain rule.
 
@@ -144,7 +118,8 @@ def velocity_from_psi(grid, psi):
     against the biased interior and cost an order in wall-adjacent
     differences.
     """
-    (d1x, s1x, _, _), (d1y, s1y, _, _) = _axis_differences(grid)
+    d1x, s1x, _, _ = grid.xi_axis.differences
+    d1y, s1y, _, _ = grid.eta_axis.differences
     pe = psi @ d1y.T / s1y
     u1 = pe / grid.f[:, None]
     u2 = -(d1x @ psi / s1x + grid.j1 * pe)
@@ -159,7 +134,8 @@ def velocity_gradients(state):
     fp = grid.fp[:, None]
     j1 = grid.j1
     j1_eta = -fp / f
-    (d1x, s1x, d2x, s2x), (d1y, s1y, d2y, s2y) = _axis_differences(grid)
+    d1x, s1x, d2x, s2x = grid.xi_axis.differences
+    d1y, s1y, d2y, s2y = grid.eta_axis.differences
 
     pe = psi @ d1y.T / s1y
     pee = psi @ d2y.T / s2y
@@ -209,7 +185,7 @@ class _Workspace:
         # advection pattern: the omega rows of the interior nodes, a slot for
         # each entry of their xi and (imaginary) eta difference stencils,
         # holding its weight in -u.grad; _adv_eta marks the eta slots
-        (d1x, _, _, _), (d1y, _, _, _) = _axis_differences(grid)
+        d1x, d1y = grid.xi_axis.differences[0], grid.eta_axis.differences[0]
         eye_x, eye_y = sparse.identity(grid.nx), sparse.identity(grid.ny)
         slots = _scaled_rows(self._interior, sparse.kron(d1x, eye_y)
                              + 1j * sparse.kron(eye_x, d1y))
@@ -254,7 +230,8 @@ class _Workspace:
         """
         grid = self.grid
         nx, ny = grid.nx, grid.ny
-        (d1x, s1x, d2x, s2x), (d1y, s1y, d2y, s2y) = _axis_differences(grid)
+        d1x, s1x, d2x, s2x = grid.xi_axis.differences
+        d1y, s1y, d2y, s2y = grid.eta_axis.differences
         eye_x, eye_y = sparse.identity(nx), sparse.identity(ny)
         cyy = grid.j1**2 + 1.0 / grid.f[:, None] ** 2
         interior = self._interior
@@ -278,7 +255,7 @@ class _Workspace:
         mapped coordinates: u.grad = u1 d_xi + (u1 J1 + u2/f) d_eta.  The
         values fill the grid's fixed pattern."""
         grid = self.grid
-        (_, s1x, _, _), (_, s1y, _, _) = _axis_differences(grid)
+        s1x, s1y = grid.xi_axis.differences[1], grid.eta_axis.differences[1]
         pattern = self._adv_pattern
         slots = np.diff(pattern.indptr)[self.n:]  # of each node's omega row
         a1 = np.repeat((u1 / s1x).ravel(), slots)
@@ -523,7 +500,7 @@ def dirichlet_energy(state, a, b, of_perturbation=False):
     """integral over Omega_{a,b} of |grad u|^2 (or |grad(u-g)|^2)."""
     e = sum(gradient_squares(
         state, state.carrier_gradients if of_perturbation else None))
-    w = window_weights(state.profile, state.grid.xi, state.grid.ny, a, b)
+    w = window_weights(state.profile, state.grid.xi_axis, state.grid.eta_axis, a, b)
     return float((w * e).sum())
 
 
@@ -564,17 +541,16 @@ def slice_flux_profile(state):
     """Flux integral of u1 over each cross-section (one value per xi node).
 
     Computed as integral of d(psi)/d(eta) d(eta) with a fourth-order
-    derivative and Simpson quadrature (on an even ny, the grid's eta
-    trapezoid), independent of the psi boundary values it should telescope
-    to and of the scheme's stencils.
+    derivative and Simpson quadrature (on an even ny, the eta axis's
+    trapezoid weights), independent of the psi boundary values it should
+    telescope to and of the scheme's stencils.
     """
-    grid = state.grid
-    pe = _d1_fourth(state.psi, grid.hy, 1)
-    ny = grid.ny
+    eta, ny = state.grid.eta_axis, state.grid.ny
+    pe = _d1_fourth(state.psi, eta.h, 1)
     if (ny - 1) % 2:
-        return pe @ eta_trapezoid(ny)
+        return pe @ eta.weights
     w = np.ones(ny)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    w *= grid.hy / 3.0
+    w *= eta.h / 3.0
     return pe @ w

@@ -677,17 +677,19 @@ class TestRun:
         assert not (out / "summary.csv").exists()
 
     @pytest.mark.parametrize("text, where", [
-        ("# channellab csv v1\nname,status\nx,PASS\n", ""),
-        ("# channellab csv v1\nverdict,status\nx,PASS\ny,PASS,1\n",
+        (b"# channellab csv v1\nname,status\nx,PASS\n", ""),
+        (b"# channellab csv v1\nverdict,status\nx,PASS\ny,PASS,1\n",
          ": line 4"),
-    ], ids=["header", "row"])
+        (b"# channellab csv v1\nverdict,status\n\xff\xfe,PASS\n", ""),
+    ], ids=["header", "row", "not_utf8"])
     def test_report_on_a_malformed_verdict_file(self, tmp_path, capsys, text,
                                                 where):
-        # line.split(",") once raised a ValueError traceback
+        # line.split(",") once raised a ValueError traceback, and bytes that
+        # are not UTF-8 a UnicodeDecodeError one
         path = self.scenario(tmp_path)
         out = tmp_path / "out"
         out.mkdir()
-        (out / "odd_verdicts.csv").write_text(text)
+        (out / "odd_verdicts.csv").write_bytes(text)
         assert cli_io.main(["report", "--scenario", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: ChannelLabError: {out / 'odd_verdicts.csv'}"
@@ -710,6 +712,50 @@ class TestRun:
                 "has no exit_status") in capsys.readouterr().err
         manifest = json.loads(manifest_path.read_text())
         assert manifest["commands"]["report"]["exit_status"] == 1
+
+    @pytest.mark.parametrize("manifest, reason", [
+        ([1], "top level is not an object"),
+        ("x", "top level is not an object"),
+        ({"commands": ["a"]}, "commands is not an object"),
+        ({"commands": None}, "commands is not an object"),
+    ], ids=["list", "string", "commands_list", "commands_null"])
+    def test_report_on_a_malformed_manifest(self, tmp_path, capsys, manifest,
+                                            reason):
+        # these once raised a TypeError or an AttributeError traceback
+        path = self.scenario(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "ok_verdicts.csv").write_text(
+            "# channellab csv v1\nverdict,status\nx,PASS\n")
+        manifest_path = out / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest))
+        assert cli_io.main(["report", "--scenario", str(path)]) == 1
+        assert (f"error: ChannelLabError: {manifest_path}: {reason}"
+                in capsys.readouterr().err)
+        recorded = json.loads(manifest_path.read_text())
+        assert recorded["commands"]["report"]["exit_status"] == 1
+
+    @pytest.mark.parametrize("key, value", [("outputs", None),
+                                            ("commands", ["a"])],
+                             ids=["no_outputs", "commands_list"])
+    def test_manifest_without_an_object_is_replaced(self, tmp_path, key,
+                                                    value):
+        # a manifest of this scenario without these objects once stopped
+        # the next command with a KeyError or a TypeError traceback
+        path = self.scenario(tmp_path)
+        args = ["carrier-check", "--scenario", str(path), "--quiet"]
+        assert cli_io.main(args) == 0
+        manifest_path = tmp_path / "out" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        assert cli_io.main(args) == 0
+        manifest = json.loads(manifest_path.read_text())
+        assert list(manifest["commands"]) == ["carrier-check"]
+        assert list(manifest["outputs"]) == ["carrier_report.csv"]
 
     def test_failed_command_is_recorded_and_reported(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -910,8 +956,10 @@ class TestRun:
         rows = (tmp_path / "out" / "residual_history.csv").read_text()
         counts = [int(r.split(",")[0]) for r in rows.splitlines()[2:]]
         assert counts == list(range(len(counts)))
-        printed = f"converged in {len(counts) - 1} steps; residual"
-        assert printed in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert f"converged in {len(counts) - 1} steps; residual" in printed
+        # the grid it solved on, read from the xi axis: 8 / 64 = 0.125
+        assert "  window [-4, 4], 65x17, hx 0.125\n" in printed
 
     def test_invalid_profile_gives_exit_1(self, tmp_path):
         # width hits zero inside the grid window: AssumptionViolation -> 1

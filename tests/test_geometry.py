@@ -294,26 +294,27 @@ class TestGrid:
 
     def test_window_weights_of_whole_grid_are_wq(self, power_half):
         g = geo.make_grid(power_half, -3, 3, 33, 16)
-        w = geo.window_weights(power_half, g.xi, g.ny, g.a, g.b)
+        w = geo.window_weights(power_half, g.xi_axis, g.eta_axis, g.a, g.b)
         assert np.array_equal(w, g.wq)
 
     def test_window_weights_partial_end_cells(self, straight):
         # both window ends cut through a cell of the width-2 strip
         g = geo.make_grid(straight, -4, 8, 97, 17)
-        w = geo.window_weights(straight, g.xi, g.ny, -3.03, 7.77)
+        w = geo.window_weights(straight, g.xi_axis, g.eta_axis, -3.03, 7.77)
         assert abs(w.sum() - 21.6) <= 1e-12
-        outside = (g.xi < -3.03 - 0.5 * g.hx) | (g.xi > 7.77 + 0.5 * g.hx)
+        hx = g.xi_axis.h
+        outside = (g.xi < -3.03 - 0.5 * hx) | (g.xi > 7.77 + 0.5 * hx)
         assert np.all(w[outside] == 0.0)
 
     def test_window_weights_match_cellwise_quad(self):
         p = geo.linear_widen(d0=1.0, slope=0.3)
         g = geo.make_grid(p, -2, 3, 41, 9)
         a, b = -1.3, 2.2
-        cols = geo.window_weights(p, g.xi, g.ny, a, b).sum(axis=1)
+        cols = geo.window_weights(p, g.xi_axis, g.eta_axis, a, b).sum(axis=1)
         ref = []
         for x in g.xi:
-            lo = max(a, x - 0.5 * g.hx)
-            hi = min(b, x + 0.5 * g.hx)
+            lo = max(a, x - 0.5 * g.xi_axis.h)
+            hi = min(b, x + 0.5 * g.xi_axis.h)
             ref.append(integrate.quad(p.width, lo, hi)[0] if hi > lo else 0.0)
         assert np.allclose(cols, ref, rtol=1e-12, atol=0.0)
 
@@ -338,6 +339,30 @@ class TestGrid:
         g = geo.make_grid(power_half, -2, 2, 16, 16)
         assert np.all(np.diff(g.xi) > 0)
         assert np.all(np.diff(g.x2, axis=1) > 0)
+
+
+# a 9-node xi axis of step 3/8 and make_grid's eta axis at ny 17; another
+# discretisation of an axis joins as one more entry
+AXES = {
+    "xi_9": geo.Axis(np.linspace(-1.0, 2.0, 9)),
+    "eta_17": geo.make_grid(geo.straight(), 0, 1, 9, 17).eta_axis,
+}
+
+
+@pytest.mark.parametrize("axis", AXES.values(), ids=AXES.keys())
+def test_axis_is_exact_on_low_degree(axis):
+    # a stencil of at most 4 terms, |coefficients| summing to at most 12,
+    # rounds by at most 4 * 12 eps max|v| before its division
+    x = axis.nodes
+    lo, hi = x[0], x[-1]
+    d1, s1, d2, s2 = axis.differences
+    v = 0.3 - 1.7 * x + 2.5 * x**2
+    floor = 48 * np.finfo(float).eps * np.abs(v).max()
+    assert np.all(np.abs(d1 @ v / s1 - (-1.7 + 5.0 * x)) <= floor / s1)
+    assert np.all(np.abs(d2 @ v / s2 - 5.0) <= floor / s2)
+    exact = 0.4 * (hi - lo) + 0.65 * (hi**2 - lo**2)
+    assert axis.weights @ (0.4 + 1.3 * x) == pytest.approx(exact, rel=1e-14)
+    assert axis.weights.sum() == pytest.approx(hi - lo, rel=1e-14)
 
 
 class TestBump:

@@ -147,7 +147,7 @@ class TestResidual:
         bump = geo.straight_outlet(c1=-1, c2=1, amp=0.5, k=4)
         grid = geo.make_grid(bump, -6, 6, 49, 13)
         ws = ns._Workspace(grid, fc.CarrierParams(2.0), bump)
-        hy = grid.hy
+        hy = grid.eta_axis.h
         xi = grid.xi[:, None] * np.ones(grid.ny)
         eta = grid.eta[None, :] * np.ones((grid.nx, 1))
         psi = 0.3 + 0.2 * xi - 0.7 * eta + 0.05 * xi**2 + 0.4 * xi * eta + 1.1 * eta**2
@@ -561,7 +561,8 @@ class TestEnergies:
         for nx, ny in [(129, 17), (257, 33)]:
             st = ns.solve_steady(power_half, carrier_unit, -6, 6, nx, ny, cfg)
             grid = st.grid
-            (d1x, s1x, _, _), (d1y, s1y, _, _) = ns._axis_differences(grid)
+            d1x, s1x, _, _ = grid.xi_axis.differences
+            d1y, s1y, _, _ = grid.eta_axis.differences
             du1 = d1x @ st.u1 / s1x + grid.j1 * (st.u1 @ d1y.T / s1y)
             du2 = st.u2 @ d1y.T / s1y / grid.f[:, None]
             mask = np.abs(grid.xi) <= 3.0
