@@ -5,9 +5,10 @@ nodes ordered idx = i*ny + j; elements are the grid cells, integrated
 isoparametrically with 2x2 Gauss.  Holds the one copy of each element rule:
 the 2-point Gauss nodes and 1-D P1 shapes, the Q1 shapes as their products,
 one element loop behind every assembly, and the wall and end node mask.
-Also holds the nested-dissection order of the grid nodes that the
-indefinite sparse factors of ``ns_solver`` and ``functional_inequalities``
-keep, the banded Cholesky back-solve of every positive definite stiffness
+Also holds the nested-dissection order of the grid nodes that M5's
+saddle factor in ``functional_inequalities`` keeps (its only user;
+``ns_solver`` factors a psi-only Schur complement in minimum-degree
+order), the banded Cholesky back-solve of every positive definite stiffness
 (``spd_solve``) and the one eigen helper behind every inequality constant
 (shift-invert Lanczos with a residual-checked acceptance).
 """
@@ -74,7 +75,8 @@ _LEAF_NODES = 4
 
 
 def nested_dissection(nx, ny):
-    """Grid nodes ``i * ny + j`` in nested-dissection order.
+    """Grid nodes ``i * ny + j`` in nested-dissection order, the factor
+    order of M5's saddle system (no other factor uses it).
 
     Each box larger than a leaf is cut across its longer side by one full
     grid line; both halves come first, then the separating line, so every

@@ -13,11 +13,12 @@ A solve's bookkeeping has one owner each: the workspace holds the flux
 ``params`` whose boundary data it carries, its live factor and the count
 of factors it has built; the chord loop :func:`_picard` alone records the
 residual history.
-The factor keeps its pivots on the diagonal, so that the low fill of a
-symmetric order survives, and the order follows the stencil: SuperLU's
-minimum degree where the grid has no cross derivative (a five-point
-stencil, as on a straight channel), and elsewhere a nested-dissection
-order of the grid nodes, psi and omega of a node side by side.  The wall
+SuperLU never sees the coupled matrix.  Every row of A(u) but the omega
+rows of the interior nodes has a unit coefficient on one unknown that is
+not an interior psi, so those rows eliminate omega and the Dirichlet
+unknowns exactly, and the factor is of the psi-only Schur complement on
+the interior nodes: one order on every grid, minimum degree on A^T + A
+in symmetric mode, with the pivots kept on the diagonal.  The wall
 vorticity closure is a second-order one-sided formula built into the
 matrix.  Every difference stencil of the scheme, its uniform spacing and
 its eta weights live in one place, the grid's two ``geometry.Axis``
@@ -46,7 +47,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from . import flux_carrier as fc
-from ._fem import boundary_mask, nested_dissection
+from ._fem import boundary_mask
 # neither is called here: both are patch points of bench/spans.py
 from ._fem import assemble_q1, assemble_grad_load
 from .errors import LinearSolveFailure, NonConvergence, OutOfRange
@@ -162,26 +163,42 @@ def _scaled_rows(weights, matrix):
 
 
 class _Workspace:
-    """A grid's constant block, the boundary data of one flux ``params``
-    (its right-hand side ``rhs``), one live ``lu`` and the count of
-    ``factorizations`` it has built.  The flux enters only the Dirichlet
-    rows of ``rhs``."""
+    """A grid's constant block and its block split, the boundary data of
+    one flux ``params`` (its right-hand side ``rhs``), one live ``lu`` and
+    the count of ``factorizations`` it has built.  The flux enters only
+    the Dirichlet rows of ``rhs``.
+
+    The split is fixed per grid.  ``keep`` are the psi unknowns of the
+    interior nodes, and ``rows`` and ``cols`` pair every other row with
+    the unknown it has a unit coefficient on: the psi row of a boundary
+    node with its psi, the psi row of an interior node with its omega,
+    and the omega row of a boundary node (end data or wall closure) with
+    its omega.  So A[rows][:, cols] = I + N, where N couples interior psi
+    rows and wall closures to boundary psi, whose own rows are identities:
+    N @ N = 0 and the inverse is I - N.  Advection enters only the omega
+    rows of the interior nodes, so I - N and W = (I - N) A[rows][:, keep]
+    are held once per grid.
+    """
 
     def __init__(self, grid, params, profile):
         self.grid = grid
-        self.lu = None
+        self.lu = self._a1 = None
         self.factorizations = 0
         self.profile = profile
-        self.n = grid.nx * grid.ny
+        self.n = n = grid.nx * grid.ny
         self._interior = ~boundary_mask(grid.nx, grid.ny, ends=True)
         self.a_const = self._assemble_constant()
-        # factor order of the 2n unknowns on a grid with cross-derivative
-        # rows: psi and omega of each node adjacent, the nodes in
-        # nested-dissection order; a five-point grid (J1 = 0) has none
-        self.perm = None
-        if np.any(grid.j1):
-            order = nested_dissection(grid.nx, grid.ny)
-            self.perm = np.column_stack([order, order + self.n]).ravel()
+        interior = self._interior.ravel()
+        self.keep = np.flatnonzero(interior)
+        boundary_omega = n + np.flatnonzero(~interior)
+        self.rows = np.concatenate([np.arange(n), boundary_omega])
+        self.cols = np.concatenate([np.arange(n) + n * interior,
+                                    boundary_omega])
+        outer = self.a_const[self.rows]
+        eye = sparse.identity(len(self.rows), format="csr")
+        # 2I - (I + N) = I - N
+        self._unit_inverse = (2 * eye - outer[:, self.cols]).tocsr()
+        self._w = (self._unit_inverse @ outer[:, self.keep]).tocsr()
         # advection pattern: the omega rows of the interior nodes, a slot for
         # each entry of their xi and (imaginary) eta difference stencils,
         # holding its weight in -u.grad; _adv_eta marks the eta slots
@@ -280,44 +297,45 @@ class _Workspace:
         return self._residual
 
     def factor(self, u1, u2):
-        """Replace ``lu`` by the SuperLU factor of A(u) at a frozen
-        advecting velocity, releasing the old factor first.
+        """Replace ``lu`` by the SuperLU factor of the psi-only Schur
+        complement of A(u) at a frozen advecting velocity, releasing the
+        old factor first.
 
-        Both orders keep the pivots on the diagonal
-        (``diag_pivot_thresh=0``), since a row swap would undo a symmetric
-        order and its fill; SuperLU still swaps a row where a diagonal
-        pivot is exactly zero.  On a five-point grid SuperLU orders A(u)
-        itself, by minimum degree on A^T + A in symmetric mode (Liu, ACM
-        TOMS 11, 1985).  Elsewhere rows and columns are both permuted by
-        ``perm`` and SuperLU keeps that order (``permc_spec="NATURAL"``):
-        minimum degree fills more than nested dissection once the cross
-        derivatives make the stencil nine-point.  That factor is of the
-        permuted matrix; :meth:`apply` maps in and out of its order.
+        With A1 = A(u)[n + keep][:, cols], the omega rows of the interior
+        nodes on the eliminated unknowns, the complement is
+        S(u) = A(u)[n + keep][:, keep] - A1 W.  Its first block is zero
+        in the frozen-velocity matrix; a Newton Jacobian would fill it.
+        SuperLU orders S by minimum degree
+        on A^T + A in symmetric mode (Liu, ACM TOMS 11, 1985) and keeps
+        the pivots on the diagonal (``diag_pivot_thresh=0``), since a row
+        swap would undo that symmetric order and its fill; it still swaps
+        a row where a diagonal pivot is exactly zero.  A1 is held with the
+        factor for :meth:`apply`.
         """
-        self.lu = None
+        self.lu = self._a1 = None
         self.factorizations += 1
         a = self.a_const
         if u1 is not None:
             a = a + self.advection_matrix(u1, u2)
-        p = self.perm
+        inner = a[self.n + self.keep]
+        self._a1 = inner[:, self.cols]
+        s = inner[:, self.keep] - self._a1 @ self._w
         try:
-            if p is None:
-                self.lu = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                               diag_pivot_thresh=0.0,
-                               options={"SymmetricMode": True})
-            else:
-                self.lu = splu(a[p][:, p].tocsc(), permc_spec="NATURAL",
-                               diag_pivot_thresh=0.0)
+            self.lu = splu(s.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
         except RuntimeError as exc:  # singular factorization
             raise LinearSolveFailure(str(exc)) from exc
 
     def apply(self, rhs):
-        """(psi, omega) from the back-solve lu^-1 rhs, in natural order."""
-        if self.perm is None:
-            x = self.lu.solve(rhs)
-        else:
-            x = np.empty_like(rhs)
-            x[self.perm] = self.lu.solve(rhs[self.perm])
+        """(psi, omega) solving A(u) x = rhs at the factored u, in natural
+        order, by exact block elimination: y = (I - N) rhs[rows], then
+        x[keep] = S^-1 (rhs[n + keep] - A1 y) and x[cols] = y - W x[keep]."""
+        y = self._unit_inverse @ rhs[self.rows]
+        x = np.empty_like(rhs)
+        x[self.keep] = x_keep = self.lu.solve(rhs[self.n + self.keep]
+                                              - self._a1 @ y)
+        x[self.cols] = y - self._w @ x_keep
         if not np.all(np.isfinite(x)):
             raise LinearSolveFailure("linear solve produced non-finite values")
         return x.reshape(2, self.grid.nx, self.grid.ny)

@@ -231,22 +231,28 @@ class TestResidual:
 
     def test_one_residual_evaluation_per_state(self, straight, monkeypatch):
         # the two defects and the chord step from a state share one product
-        # with the constant block, and each state gets one history entry
-        products, states = [], []
+        # with the constant block, and each state gets one history entry.
+        # Only the block itself counts: the slices of the factor's block
+        # split inherit its class but are no residual products.
+        products, states, blocks = [], [], []
         assemble = ns._Workspace._assemble_constant
         residual_norm = ns.residual_norm
 
         class Counted(sparse.csr_matrix):
             def __matmul__(self, other):
-                products.append(1)
+                if any(self is block for block in blocks):
+                    products.append(1)
                 return super().__matmul__(other)
+
+        def counted(self):
+            blocks.append(Counted(assemble(self)))
+            return blocks[-1]
 
         def norm(state, workspace):
             states.append(state)
             return residual_norm(state, workspace)
 
-        monkeypatch.setattr(ns._Workspace, "_assemble_constant",
-                            lambda self: Counted(assemble(self)))
+        monkeypatch.setattr(ns._Workspace, "_assemble_constant", counted)
         monkeypatch.setattr(ns, "residual_norm", norm)
         st = ns.solve_steady(straight, fc.CarrierParams(8.0), -6, 6, 97, 17)
         assert st.converged
@@ -301,11 +307,16 @@ class TestSolveSteady:
         assert err.best_residual > cfg.tol
         assert 1 <= err.factorizations <= err.iterations
 
-    def test_chord_matches_plain_picard(self, power_half, carrier_unit):
+    def test_chord_matches_plain_picard(self, power_half, carrier_unit,
+                                        monkeypatch):
         # the chord loop converges to the fixed point of plain Picard steps
-        # that factor afresh every time
+        # that factor afresh every time.  Those steps have no refinement,
+        # so they run on the coupled reference factor, whose one solve
+        # lands nearer round-off than the Schur complement's back-solve.
         st = ns.solve_steady(power_half, carrier_unit, -8, 8, 129, 33,
                              ns.SolverConfig(tol=1e-12))
+        monkeypatch.setattr(ns._Workspace, "factor", _colamd_factor)
+        monkeypatch.setattr(ns._Workspace, "apply", _natural_apply)
         ref = ns.solve_stokes(st.grid, carrier_unit, power_half)
         ws = ns._Workspace(st.grid, carrier_unit, power_half)
         for _ in range(20):
@@ -315,6 +326,20 @@ class TestSolveSteady:
         assert res < 1e-11
         scale = np.abs(ref.psi).max()
         assert np.abs(st.psi - ref.psi).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("wall, params, b, nx, ny, entries", [
+        ("straight", fc.CarrierParams(8.0), 6, 97, 17, 34),
+        ("power_half", fc.CarrierParams(1.0, 0.5), 8, 129, 33, 14)])
+    def test_tight_tol_stays_above_the_round_off_floor(
+            self, request, wall, params, b, nx, ny, entries):
+        # the uniqueness probe's tol 1e-12 converges in as many steps as on
+        # the coupled factor: the Schur back-solve's round-off floor (at tol
+        # 1e-14 it stalls at 4.6e-13 and 3.3e-14 here, against 6.9e-14 and
+        # 3.0e-14 coupled) stays below it
+        st = ns.solve_steady(request.getfixturevalue(wall), params, -b, b, nx,
+                             ny, ns.SolverConfig(tol=1e-12))
+        assert st.converged
+        assert len(st.residual_history) == entries
 
     def test_converged_flag_and_history(self, poiseuille_state):
         assert poiseuille_state.converged
@@ -451,48 +476,67 @@ def _natural_apply(self, rhs):
 
 
 class TestNestedDissection:
-    """The factor order: nested dissection where the cross derivatives make
-    the stencil nine-point, SuperLU's minimum degree on five-point grids."""
+    """The psi-only Schur factor that replaced the nested-dissection order
+    of the coupled matrix: its block split, its fill, and its solutions and
+    counts against the coupled factors."""
 
-    @pytest.mark.parametrize("nx, ny", [(8, 9), (65, 17), (96, 16), (385, 49)])
-    def test_order_pairs_psi_and_omega_of_every_node(self, power_half, nx, ny):
-        grid = geo.make_grid(power_half, -4, 4, nx, ny)
-        perm = ns._Workspace(grid, fc.CarrierParams(0.5), power_half).perm
-        n = nx * ny
-        assert np.array_equal(np.sort(perm), np.arange(2 * n))
-        assert np.array_equal(perm[1::2], perm[0::2] + n)
+    @pytest.mark.parametrize("moving", [False, True])
+    @pytest.mark.parametrize("wall", ["straight", "power_half", "bump"])
+    def test_split_is_unit_plus_nilpotent(self, request, wall, moving):
+        # A(u)[rows][:, cols] = I + N with N @ N = 0, so I - N inverts it;
+        # advection enters none of those rows, so W holds at every u
+        if wall == "bump":
+            profile = geo.straight_outlet(c1=-1, c2=1, amp=0.5, k=4)
+        else:
+            profile = request.getfixturevalue(wall)
+        grid = geo.make_grid(profile, -6, 6, 97, 17)
+        ws = ns._stokes_workspace(grid, fc.CarrierParams(2.0), profile)
+        n, a = ws.n, ws.a_const
+        if moving:
+            st = ws.stokes()
+            adv = ws.advection_matrix(st.u1, st.u2)
+            assert np.count_nonzero(adv.data) > 0
+            assert np.count_nonzero(adv[ws.rows].data) == 0
+            a = a + adv
+        block = a[ws.rows][:, ws.cols]
+        assert np.array_equal(block.diagonal(), np.ones(len(ws.rows)))
+        nil = block - sparse.identity(len(ws.rows))
+        assert np.count_nonzero(nil.data) > 0
+        assert np.count_nonzero((nil @ nil).data) == 0
+        # every unknown is kept or paired once, every row is split once
+        assert np.array_equal(np.sort(np.concatenate([ws.cols, ws.keep])),
+                              np.arange(2 * n))
+        assert np.array_equal(np.sort(np.concatenate([ws.rows, n + ws.keep])),
+                              np.arange(2 * n))
+        # the block elimination solves A(u) x = b at the factored u, up to
+        # the round-off of the biharmonic-like complement (1.0e-11 relative
+        # on the power_law grid; the chord steps refine it away)
+        ws.factor(*((st.u1, st.u2) if moving else (None, None)))
+        x = ws.apply(ws.rhs).ravel()
+        assert np.abs(a @ x - ws.rhs).max() <= 1e-10 * np.abs(ws.rhs).max()
 
     @staticmethod
     def _stokes_counts(profile, a, b, nx, ny):
-        """Entries of A(0) and of its L+U: a stored zero or a changed
+        """Entries of A(0) and of the L+U of its Schur complement, which
+        SuperLU factors with no row swapped: a stored zero or a changed
         pattern in A(0) moves them."""
         grid = geo.make_grid(profile, a, b, nx, ny)
         ws = ns._Workspace(grid, fc.CarrierParams(0.5), profile)
         ws.factor(None, None)
+        assert np.array_equal(ws.lu.perm_r, ws.lu.perm_c)
         return ws.a_const.nnz, ws.lu.L.nnz + ws.lu.U.nnz
 
     def test_stokes_fill_of_bump_grid(self):
-        # COLAMD with partial pivoting fills L+U to 4,661,240 entries here
+        # the coupled A(0) filled L+U to 3,258,329 entries in nested
+        # dissection and to 4,661,240 under COLAMD with partial pivoting
         bump = geo.straight_outlet(c1=-1, c2=1, amp=0.5, k=4)
         assert self._stokes_counts(bump, -12, 12, 385, 49) == (248_405,
-                                                              3_258_329)
+                                                              2_340_723)
 
     def test_stokes_fill_of_straight_grid(self, straight):
-        # nested dissection fills L+U to 156,890 entries here
+        # the coupled A(0) filled L+U to 96,973 entries under minimum degree
         assert self._stokes_counts(straight, -6, 6, 97, 17) == (16_693,
-                                                               96_973)
-
-    @pytest.mark.parametrize("wall, fill", [("straight", 279_542),
-                                            ("power_half", 474_385)])
-    def test_order_follows_the_stencil(self, request, wall, fill):
-        # straight: five-point, minimum degree (nested dissection: 400,091);
-        # power_law: nine-point, nested dissection (minimum degree: 627,882)
-        profile = request.getfixturevalue(wall)
-        grid = geo.make_grid(profile, -6, 6, 97, 33)
-        ws = ns._Workspace(grid, fc.CarrierParams(0.5), profile)
-        assert (ws.perm is None) == (wall == "straight")
-        ws.factor(None, None)
-        assert ws.lu.L.nnz + ws.lu.U.nnz == fill
+                                                               74_922)
 
     @pytest.mark.parametrize("case", ["bump", "straight"])
     def test_solution_matches_colamd_partial_pivoting(self, straight, case,
