@@ -5,7 +5,7 @@ pinched between multiples of the weight integral I(t) = int f^(-3), the
 per-slice product f * sup|u| stays bounded, and the zeta-hat weighted
 energy obeys a differential inequality whose comparison majorant it never
 crosses.  One converged solve feeds all three diagnostics, which read the
-profile and the flux from that solve.
+wall from its grid and the flux from that solve.
 
 Run:  python demos/04_growth_and_decay.py
 """
@@ -21,10 +21,9 @@ OUT = "demos/output"
 def main():
     profile = geo.power_law(d0=1.0, alpha=0.5)
     params = fc.CarrierParams(1.0, 0.5)
-    policy = eh.GridPolicy(target_hx=0.125, ny=33)
 
     print("solving once on the padded truncation ...")
-    state = eh.padded_solve(profile, params, 16.0, policy)
+    state = eh.padded_solve(profile, params, 16.0, target_hx=0.125, ny=33)
     print(f"  grid {state.grid.nx} x {state.grid.ny} on "
           f"[{state.grid.a:.1f}, {state.grid.b:.1f}]")
 

@@ -8,10 +8,11 @@ documented in :mod:`.expressions`.  Any key can be overridden from the
 environment as ``CHANNELLAB_<SECTION>__<KEY>``; a key that no command
 reads, in the file or the environment, is an error.
 
-Artifacts are deterministic: CSV floats are printed with repr-faithful
-%.17g, row order is fixed, and the manifest hashes the scenario file plus
-every numeric output.  Scan commands writing one output directory share
-each padded solve through a state file there (:func:`_padded_state`).
+Artifacts are deterministic: this module lays out every CSV's columns,
+floats are printed with repr-faithful %.17g, row order is fixed, and the
+manifest hashes the scenario file plus every numeric output.  Scan
+commands writing one output directory share each padded solve through a
+state file there (:func:`_padded_state`).
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ class Scenario:
     name: str
     profile: geo.ChannelProfile
     params: fc.CarrierParams
-    grid_window: tuple       # (a, b, nx, ny)
-    policy: eh.GridPolicy    # the scans' grids: nx from target_hx, ny as above
+    grid_window: tuple       # (a, b, nx, ny); ny also sizes the scans' grids
+    target_hx: float         # the largest xi step of the scans' grids
     t_list: list
     t_range: tuple
     x_max: float
@@ -247,7 +248,7 @@ def parse_scenario(path, environ=None):
     if None not in grid_window[:2] and grid_window[1] <= grid_window[0]:
         errors.append(ValidationError(
             f"{located('grid', 'a')}, {located('grid', 'b')}", "need b > a"))
-    target_hx = number("harness", "target_hx", eh.GridPolicy.target_hx)
+    target_hx = number("harness", "target_hx", 0.125)
     if target_hx is not None and not target_hx > 0:
         errors.append(ValidationError(
             located("harness", "target_hx"), "must be positive"))
@@ -288,7 +289,7 @@ def parse_scenario(path, environ=None):
         profile=profile,
         params=params,
         grid_window=grid_window,
-        policy=eh.GridPolicy(target_hx, grid_window[3]),
+        target_hx=target_hx,
         t_list=t_list,
         t_range=tuple(t_range),
         x_max=x_max,
@@ -437,7 +438,7 @@ def write_field_file(path, state):
     grid = state.grid
     lines = [
         "# channellab field v1",
-        f"profile = {state.profile.label()}",
+        f"profile = {state.grid.profile.label()}",
         f"a = {_fmt(grid.a)}",
         f"b = {_fmt(grid.b)}",
         f"nx = {grid.nx}",
@@ -529,6 +530,12 @@ def _package_version():
 # ---------------------------------------------------------------------------
 
 
+def _columns(**columns):
+    """CSV rows from equal-length ``columns``: row k holds entry k of each,
+    under the column's name, in the order given."""
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
+
+
 def _by_name(verdicts):
     return sorted(verdicts, key=lambda v: v.name)
 
@@ -617,13 +624,14 @@ def _run_solve(sc, out, quiet):
     diag_rows = [
         {"quantity": k, "value": v} for k, v in sorted(diagnostics.items())
     ]
-    diag_rows.append({"quantity": "converged", "value": state.converged})
+    # solve_steady raises NonConvergence rather than return an unconverged state
+    diag_rows.append({"quantity": "converged", "value": True})
     artifacts.append(write_csv(out / "solve_summary.csv", diag_rows))
     if not quiet:
         steps, residual = state.residual_history[-1]
         print(f"  window {_grid_line(state.grid)}")
         print(f"  converged in {steps} steps; residual {residual:.3e}")
-    return True, artifacts  # solve_steady raises NonConvergence instead
+    return True, artifacts
 
 
 def _grid_line(grid):
@@ -654,11 +662,9 @@ def _load_state(path, profile, params):
     """The converged state :func:`_save_state` wrote, rebuilt on its wall."""
     with np.load(path, allow_pickle=False) as z:
         (a, b), (nx, ny) = z["window"], z["shape"]
-        state = ns.state_from_fields(
-            geo.make_grid(profile, a, b, int(nx), int(ny)), profile, params,
-            z["psi"], z["omega"])
-    state.converged = True
-    return state
+        return ns.state_from_fields(
+            geo.make_grid(profile, a, b, int(nx), int(ny)), params, z["psi"],
+            z["omega"])
 
 
 def _padded_state(sc, out, t_max, quiet):
@@ -671,7 +677,7 @@ def _padded_state(sc, out, t_max, quiet):
     removes the states of other sessions.  The fields are read-only.
     """
     kwargs = dict(profile=sc.profile, params=sc.params, t_max=t_max,
-                  policy=sc.policy)
+                  target_hx=sc.target_hx, ny=sc.grid_window[3])
     session = {**kwargs, "profile": sc.profile.label(), "t_max": None,
                "code": _code_version()}
     name = hashlib.sha256(repr(session).encode()).hexdigest()[:16]
@@ -696,7 +702,9 @@ def _run_growth(sc, out, quiet):
     state = _padded_state(sc, out, max(sc.t_list), quiet)
     rep = eh.growth_scan(state, sc.t_list)
     artifacts = [
-        write_csv(out / "growth.csv", rep.rows()),
+        write_csv(out / "growth.csv", _columns(
+            t=rep.t, dirichlet=rep.dirichlet, weight_integral=rep.weight,
+            upper_ratio=rep.upper_ratio, lower_ratio=rep.lower_ratio)),
         write_svg_plot(
             out / "growth.svg",
             [
@@ -718,9 +726,8 @@ def _run_growth(sc, out, quiet):
                         for name in ("hat_dominated", "hat_monotone")]
     else:
         hat_verdicts = hat.verdicts
-        artifacts.append(
-            write_csv(out / "hat_energy.csv", hat.rows())
-        )
+        artifacts.append(write_csv(out / "hat_energy.csv",
+                                   _columns(t=hat.t, y_hat=hat.y_hat)))
         artifacts.append(
             write_svg_plot(
                 out / "hat_energy.svg",
@@ -742,12 +749,12 @@ def _run_decay(sc, out, quiet):
     state = _padded_state(sc, out, sc.t_range[-1], quiet)
     rep = eh.decay_scan(state, sc.t_range)
     artifacts = [
-        write_csv(out / "decay.csv", rep.rows()),
-        write_csv(
-            out / "decay_windows.csv",
-            ({"t": t, "window_energy_f2": e}
-             for t, e in zip(rep.window_t, rep.window_energy)),
-        ),
+        write_csv(out / "decay.csv", _columns(
+            x1=rep.slice_x, f_sup_u=rep.slice_sup,
+            f_sup_u_interior=rep.slice_sup_interior,
+            f_sup_u_wall=rep.slice_sup_wall)),
+        write_csv(out / "decay_windows.csv", _columns(
+            t=rep.window_t, window_energy_f2=rep.window_energy)),
         write_svg_plot(
             out / "decay.svg",
             [("f * sup|u|", rep.slice_x, rep.slice_sup)],
@@ -765,7 +772,8 @@ def _run_poiseuille(sc, out, quiet):
     state = _padded_state(sc, out, max(sc.t_list), quiet)
     rep = eh.poiseuille_convergence(state, sc.outlet_k, sc.t_list)
     artifacts = [
-        write_csv(out / "poiseuille.csv", rep.rows()),
+        write_csv(out / "poiseuille.csv", _columns(
+            T=rep.T, h1_error=rep.h1_error, scaled_tail=rep.scaled_tail)),
         write_svg_plot(
             out / "poiseuille.svg",
             [("E(T)", rep.T, rep.h1_error)],

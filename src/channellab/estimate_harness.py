@@ -1,10 +1,11 @@
 """Scenario-level scans that verify the channel-flow estimates at desk scale.
 
-Each scan measures one given converged state, takes the profile and the
-flux from that state, and extracts windowed energies, slice suprema, and
-ratio verdicts.  :func:`padded_solve` solves the state on a truncation
-padded past the reporting windows (the truncation ends carry carrier data,
-so verification windows stay clear of the end layers by a multiple of the
+Each scan measures one given converged state, takes the wall from its
+grid and the flux from its params, and extracts windowed energies, slice
+suprema, and ratio verdicts; :mod:`.cli_io` lays out their CSV rows.
+:func:`padded_solve` solves the state on a truncation padded past the
+reporting windows (the truncation ends carry carrier data, so
+verification windows stay clear of the end layers by a multiple of the
 local window scale beta* f).  The module constants below quantify
 "bounded with unspecified constant" at desk scale; the raw sequences always
 ship next to the verdicts.
@@ -27,7 +28,6 @@ from .errors import HypothesisNotMet, LemmaViolation, OutOfRange
 
 __all__ = [
     "Verdict",
-    "GridPolicy",
     "GrowthReport",
     "DecayReport",
     "PoiseuilleReport",
@@ -40,21 +40,6 @@ __all__ = [
     "hat_energy_inequality",
     "padded_solve",
 ]
-
-
-@dataclass(frozen=True)
-class GridPolicy:
-    """How scans size their grids: target xi spacing, fixed eta count."""
-
-    target_hx: float = 0.125
-    ny: int = 65
-
-    def nx_for(self, length):
-        nx = int(math.ceil(length / self.target_hx)) + 1
-        nx = max(nx, 65)
-        if nx % 2 == 0:
-            nx += 1
-        return nx
 
 
 # Desk-scale quantifications of "bounded", and the pad of the states they
@@ -99,13 +84,15 @@ class Verdict:
         return f"{self.name}: {self.status}" + (f" ({why})" if why else "")
 
 
-def padded_solve(profile, params, t_max, policy):
+def padded_solve(profile, params, t_max, target_hx, ny):
     """Converged solve on a truncation padded beyond the reporting window.
 
     The pad is PAD_FACTOR * beta* f at each end, so windows up to +-t_max
     sit at least one window scale inside the carrier end layers.  beta*
     comes from (-t_max-1, t_max+1); the padded window [a, b] that is solved
-    on is checked too, so no assumption fails unchecked inside a pad.
+    on is checked too, so no assumption fails unchecked inside a pad.  The
+    grid has ``ny`` eta nodes and the fewest xi nodes, odd and at least
+    65, whose spacing is at most ``target_hx``.
     """
     bs = geo.validate(profile, (-t_max - 1.0, t_max + 1.0)).beta_star
     lo, hi = -t_max, t_max
@@ -113,8 +100,10 @@ def padded_solve(profile, params, t_max, policy):
     pad_hi = PAD_FACTOR * bs * float(profile.width(hi))
     a, b = lo - pad_lo, hi + pad_hi
     geo.validate(profile, (a, b))
-    nx = policy.nx_for(b - a)
-    return ns.solve_steady(profile, params, a, b, nx, policy.ny)
+    nx = max(int(math.ceil((b - a) / target_hx)) + 1, 65)
+    if nx % 2 == 0:
+        nx += 1
+    return ns.solve_steady(profile, params, a, b, nx, ny)
 
 
 # ---------------------------------------------------------------------------
@@ -131,23 +120,13 @@ class GrowthReport:
     lower_ratio: list          # D / (phi^2 I)
     verdicts: list             # Verdict records
 
-    def rows(self):
-        for k in range(len(self.t)):
-            yield {
-                "t": self.t[k],
-                "dirichlet": self.dirichlet[k],
-                "weight_integral": self.weight[k],
-                "upper_ratio": self.upper_ratio[k],
-                "lower_ratio": self.lower_ratio[k],
-            }
-
 
 def growth_scan(state, t_list):
     """D(t) against 1 + I(t) and phi^2 I(t) on the converged ``state``."""
     t_list = sorted(float(t) for t in t_list)
     if any(t <= 0 for t in t_list):
         raise OutOfRange("t values must be positive")
-    profile, phi = state.profile, state.params.phi
+    profile, phi = state.grid.profile, state.params.phi
 
     d_vals = [ns.dirichlet_energy(state, -t, t) for t in t_list]
     i_vals = [geo.weight_integral(profile, -t, t, -3.0) for t in t_list]
@@ -193,15 +172,6 @@ class DecayReport:
     window_energy: list        # ||grad u||^2 on Omega_{t - beta* f, t} * f^2
     verdicts: list             # Verdict records
 
-    def rows(self):
-        for k in range(len(self.slice_x)):
-            yield {
-                "x1": self.slice_x[k],
-                "f_sup_u": self.slice_sup[k],
-                "f_sup_u_interior": self.slice_sup_interior[k],
-                "f_sup_u_wall": self.slice_sup_wall[k],
-            }
-
 
 # sampled slices on each outlet (x1 < 0 and x1 > 0), energy windows
 _DECAY_SLICES_PER_SIDE, _DECAY_WINDOWS = 9, 7
@@ -214,7 +184,7 @@ def decay_scan(state, t_range):
     still runs and its verdicts read SKIPPED.  At flux 0 the two spreads
     read SKIPPED: every product vanishes.
     """
-    profile = state.profile
+    profile = state.grid.profile
     t_lo, t_hi = float(t_range[0]), float(t_range[-1])
     classification = geo.classify(profile)
     hypothesis = classification.condition_16 or classification.condition_17
@@ -276,14 +246,6 @@ class PoiseuilleReport:
     scaled_tail: list          # t^-3 * D+(t)
     verdicts: list             # Verdict records
 
-    def rows(self):
-        for i in range(len(self.T)):
-            yield {
-                "T": self.T[i],
-                "h1_error": self.h1_error[i],
-                "scaled_tail": self.scaled_tail[i],
-            }
-
 
 def poiseuille_convergence(state, k, t_list):
     """H1 distance to the outlet shear flow on growing windows of ``state``.
@@ -299,15 +261,15 @@ def poiseuille_convergence(state, k, t_list):
     t_list = sorted(float(t) for t in t_list)
     if t_list[0] <= 0:  # the tail window 0 < x1 < T would be empty
         raise OutOfRange("t values must be positive")
-    grid, profile, phi = state.grid, state.profile, state.params.phi
+    grid, phi = state.grid, state.params.phi
 
-    c1 = float(profile.f1(t_list[-1]))
-    c2 = float(profile.f2(t_list[-1]))
+    c1 = float(grid.profile.f1(t_list[-1]))
+    c2 = float(grid.profile.f2(t_list[-1]))
     hw = 0.5 * (c2 - c1)
     cen = 0.5 * (c1 + c2)
     zeta = (grid.x2 - cen) / hw
     psi_ref = phi * (0.75 * (zeta - zeta**3 / 3.0) + 0.5)
-    ref = ns.state_from_fields(grid, profile, state.params, psi_ref,
+    ref = ns.state_from_fields(grid, state.params, psi_ref,
                                np.zeros_like(psi_ref))
 
     l2 = (state.u1 - ref.u1) ** 2 + (state.u2 - ref.u2) ** 2
@@ -317,7 +279,7 @@ def poiseuille_convergence(state, k, t_list):
     h1 = []
     tails = []
     for T in t_list:
-        w = geo.window_weights(profile, grid.xi_axis, grid.eta_axis, k, T)
+        w = grid.window_weights(k, T)
         h1.append(float((w * diff2).sum()) if T > k else math.nan)
         d_plus = ns.dirichlet_energy(state, 0.0, T)
         tails.append(d_plus / T**3)
@@ -376,8 +338,7 @@ def _perturbed_start(stokes, seed):
         modes /= np.abs(modes).max()
     scale = 0.2 * max(float(np.abs(stokes.psi).max()), params.phi, 1e-12)
     psi = stokes.psi + scale * envelope[None, :] * modes
-    return ns.state_from_fields(grid, stokes.profile, params, psi,
-                                stokes.omega)
+    return ns.state_from_fields(grid, params, psi, stokes.omega)
 
 
 # both starts are solved far below the distance bound, so a distance above
@@ -450,10 +411,6 @@ class HatEnergyReport:
     c14: float
     verdicts: list             # Verdict records
 
-    def rows(self):
-        for i in range(len(self.t)):
-            yield {"t": self.t[i], "y_hat": self.y_hat[i]}
-
 
 _HAT_SAMPLES = 25
 
@@ -467,7 +424,7 @@ def hat_energy_inequality(state, x_max):
     come from a tiny linear program; the induced majorant (in the report) is
     handed to the comparison module, which must conclude domination.
     """
-    profile = state.profile
+    profile = state.grid.profile
     classification = geo.classify(profile)
     if classification.case is not geo.KRangeCase.BOTH_INFINITE:
         raise HypothesisNotMet(

@@ -42,7 +42,6 @@ __all__ = [
     "inverse_k",
     "classify",
     "make_grid",
-    "window_weights",
 ]
 
 
@@ -337,8 +336,8 @@ def validate(profile, window):
 
 _QUAD_RTOL = 1e-13
 # 8-point Gauss-Legendre rule on [-1, 1], mapped to panels only by gl8_nodes:
-# weight_integral, window_weights (every grid's wq) and the carrier's slice
-# and volume quadratures in flux_carrier use it
+# weight_integral, Grid.window_weights (and so every grid's wq) and the
+# carrier's slice and volume quadratures in flux_carrier use it
 GL8_NODES, GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
@@ -505,17 +504,21 @@ class ClassificationReport:
     condition_17: bool
 
 
-# classify: TAIL_WINDOWS dyadic windows on each side, the first at TAIL_T0
-TAIL_T0 = 64.0
-TAIL_WINDOWS = 36
+# classify's dyadic windows, 36 on each side, the first at 64
+TAIL_EDGES = 64.0 * 2.0 ** np.arange(37)
+
+
+def _tail_windows(side):
+    """(lo, hi) of the dyadic windows between TAIL_EDGES on one side: the
+    right (side > 0) or their mirror images on the left."""
+    edges = TAIL_EDGES
+    return (edges[:-1], edges[1:]) if side > 0 else (-edges[1:], -edges[:-1])
 
 
 def _tail_increments(profile, p, side):
-    """Partial-integral increments of f^p over dyadic windows on one side."""
-    edges = TAIL_T0 * 2.0 ** np.arange(TAIL_WINDOWS + 1)
-    lo, hi = (edges[:-1], edges[1:]) if side > 0 else (-edges[1:], -edges[:-1])
-    incs = [weight_integral(profile, a, b, p) for a, b in zip(lo, hi)]
-    return edges, np.asarray(incs)
+    """Partial-integral increments of f^p over the dyadic windows of one side."""
+    return np.asarray([weight_integral(profile, a, b, p)
+                       for a, b in zip(*_tail_windows(side))])
 
 
 def _diverges(incs):
@@ -560,10 +563,20 @@ def classify(profile):
     uniqueness conditions compare sup f' against the tail of integral f^(-3).
     Results are finite-window surrogates of asymptotic statements.
     """
-    edges_r, inc53_r = _tail_increments(profile, -5.0 / 3.0, +1)
-    edges_l, inc53_l = _tail_increments(profile, -5.0 / 3.0, -1)
-    right = _diverges(inc53_r)
-    left = _diverges(inc53_l)
+    diverges, cond16, cond17 = [], True, True
+    # one pass per side, right then left: no symmetry is assumed
+    for side in (+1, -1):
+        diverges.append(_diverges(_tail_increments(profile, -5.0 / 3.0, side)))
+        inc3 = _tail_increments(profile, -3.0, side)
+        div3 = _diverges(inc3)
+        xs = np.linspace(*_tail_windows(side), 257, axis=-1)
+        sup_slope = np.max(np.maximum(np.abs(profile.f1p(xs)),
+                                      np.abs(profile.f2p(xs))), axis=-1)
+        cond16 = (cond16 and div3 is True
+                  and _slope_limit_zero(TAIL_EDGES, sup_slope))
+        cond17 = (cond17 and div3 is False
+                  and _ratio_limit_zero(inc3, sup_slope, TAIL_EDGES))
+    right, left = diverges
 
     if right is None or left is None:
         case = KRangeCase.INCONCLUSIVE
@@ -575,32 +588,6 @@ def classify(profile):
         case = KRangeCase.FINITE_LEFT
     else:
         case = KRangeCase.FINITE_RIGHT
-
-    _, inc3_r = _tail_increments(profile, -3.0, +1)
-    _, inc3_l = _tail_increments(profile, -3.0, -1)
-    div3_r = _diverges(inc3_r)
-    div3_l = _diverges(inc3_l)
-
-    def window_sup_slope(lo, hi):
-        xs = np.linspace(lo, hi, 257, axis=-1)
-        return np.max(np.maximum(np.abs(profile.f1p(xs)), np.abs(profile.f2p(xs))), axis=-1)
-
-    # symmetric-profile shortcut is not assumed: sample the left too
-    sup_slope = window_sup_slope(edges_r[:-1], edges_r[1:])
-    sup_slope_l = window_sup_slope(-edges_l[1:], -edges_l[:-1])
-
-    cond16 = bool(
-        div3_r is True
-        and div3_l is True
-        and _slope_limit_zero(edges_r, sup_slope)
-        and _slope_limit_zero(edges_l, sup_slope_l)
-    )
-
-    cond17 = False
-    if div3_r is False and div3_l is False:
-        cond17 = _ratio_limit_zero(inc3_r, sup_slope, edges_r) and _ratio_limit_zero(
-            inc3_l, sup_slope_l, edges_l
-        )
 
     return ClassificationReport(
         case=case,
@@ -680,17 +667,17 @@ class Axis:
         return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
-    """Uniform grid in mapped coordinates (xi, eta) over Omega_{a,b}.
+    """Uniform grid in mapped coordinates (xi, eta) over Omega_{a,b} of the
+    channel ``profile``, the wall it was built on.
 
     The nodes of ``xi_axis`` are xi = x1 in [a, b], those of ``eta_axis``
     eta = (x2 - f1(xi)) / f(xi) in [0, 1]; arrays are indexed [i, j] = [xi,
-    eta].  Metric terms are the analytic chain-rule factors at the nodes;
-    ``wq`` holds the :func:`window_weights` of the whole grid, so
-    quadrature of a constant reproduces the area.
+    eta].  Metric terms are the analytic chain-rule factors at the nodes.
     """
 
+    profile: ChannelProfile
     a: float
     b: float
     xi_axis: Axis
@@ -700,7 +687,6 @@ class Grid:
     fp: np.ndarray          # (nx,)
     j1: np.ndarray          # (nx, ny) d(eta)/d(x1)
     lap_s: np.ndarray       # (nx, ny) first-order eta coefficient of Delta
-    wq: np.ndarray          # (nx, ny) nodal quadrature weights (dx measure)
 
     @property
     def xi(self):
@@ -718,23 +704,28 @@ class Grid:
     def ny(self):
         return len(self.eta)
 
+    @functools.cached_property
+    def wq(self):
+        """(nx, ny) nodal weights of the whole grid, formed on first use and
+        shared: quadrature of a constant reproduces the area."""
+        return self.window_weights(self.a, self.b)
 
-def window_weights(profile, xi_axis, eta_axis, a, b):
-    """Nodal weights of integral dx over the window a <= x1 <= b.
+    def window_weights(self, a, b):
+        """Nodal weights of integral dx over the window a <= x1 <= b.
 
-    ``xi_axis`` and ``eta_axis`` are the axes of a mapped grid.  A node's
-    column mass integrates f over its xi-cell, clipped to the window and
-    the grid, by the 8-point Gauss-Legendre panel rule of
-    :func:`weight_integral` (exact to rounding); the eta factor is the eta
-    axis's ``weights``.  Nodes whose cell misses the window get weight zero.
-    """
-    xi, hx = xi_axis.nodes, xi_axis.h
-    lo = np.maximum(xi - 0.5 * hx, max(a, xi[0]))
-    hi = np.minimum(xi + 0.5 * hx, min(b, xi[-1]))
-    inside = hi > lo
-    masses = np.zeros(len(xi))
-    masses[inside] = _gl8_panels(profile, lo[inside], hi[inside], 1)
-    return masses[:, None] * eta_axis.weights[None, :]
+        A node's column mass integrates f over its xi-cell, clipped to the
+        window and the grid, by the 8-point Gauss-Legendre panel rule of
+        :func:`weight_integral` (exact to rounding); the eta factor is the
+        eta axis's ``weights``.  Nodes whose cell misses the window get
+        weight zero.
+        """
+        xi, hx = self.xi, self.xi_axis.h
+        lo = np.maximum(xi - 0.5 * hx, max(a, xi[0]))
+        hi = np.minimum(xi + 0.5 * hx, min(b, xi[-1]))
+        inside = hi > lo
+        masses = np.zeros(len(xi))
+        masses[inside] = _gl8_panels(self.profile, lo[inside], hi[inside], 1)
+        return masses[:, None] * self.eta_axis.weights[None, :]
 
 
 def make_grid(profile, a, b, nx, ny):
@@ -770,6 +761,7 @@ def make_grid(profile, a, b, nx, ny):
     )
 
     return Grid(
+        profile=profile,
         a=a,
         b=b,
         xi_axis=xi_axis,
@@ -779,5 +771,4 @@ def make_grid(profile, a, b, nx, ny):
         fp=fp,
         j1=j1,
         lap_s=lap_s,
-        wq=window_weights(profile, xi_axis, eta_axis, a, b),
     )

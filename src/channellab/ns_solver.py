@@ -9,10 +9,11 @@ coupled linear (psi, omega) system with the advecting velocity frozen: one
 SuperLU factor serves several steps, starting with the Stokes factor A(0)
 and, in the uniqueness probe, carried on to the perturbed start; a
 refresh releases the old factor before it builds the new one.
-A solve's bookkeeping has one owner each: the workspace holds the flux
-``params`` whose boundary data it carries, its live factor and the count
-of factors it has built; the chord loop :func:`_picard` alone records the
-residual history.
+A solve's bookkeeping has one owner each: the grid holds the wall, the
+workspace the flux ``params`` whose boundary data it carries, its live
+factor and the count of factors it has built; the chord loop
+:func:`_picard` alone records the residual history, and a loop that does
+not converge raises :class:`NonConvergence`.
 SuperLU never sees the coupled matrix.  Every row of A(u) but the omega
 rows of the interior nodes has a unit coefficient on one unknown that is
 not an interior psi, so those rows eliminate omega and the Dirichlet
@@ -51,7 +52,7 @@ from ._fem import boundary_mask
 # neither is called here: both are patch points of bench/spans.py
 from ._fem import assemble_q1, assemble_grad_load
 from .errors import LinearSolveFailure, NonConvergence, OutOfRange
-from .geometry import Grid, make_grid, window_weights
+from .geometry import Grid, make_grid
 
 __all__ = [
     "SolverConfig",
@@ -82,14 +83,15 @@ class SolverConfig:
 
 @dataclass
 class FlowState:
+    """The fields of one flux ``params`` on ``grid``, whose ``profile`` is
+    the wall.  A solve returns only converged states, or raises."""
+
     grid: Grid
-    profile: object
     params: fc.CarrierParams
     psi: np.ndarray
     omega: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
-    converged: bool = False
     residual_history: list = field(default_factory=list)
 
     @functools.cached_property
@@ -102,7 +104,7 @@ class FlowState:
     def carrier_gradients(self):
         """grad g at the nodes as (d1g1, d2g1, d1g2, d2g2), formed once."""
         x1 = np.broadcast_to(self.grid.xi[:, None], self.psi.shape)
-        J = fc.grad_g((x1, self.grid.x2), self.params, self.profile)
+        J = fc.grad_g((x1, self.grid.x2), self.params, self.grid.profile)
         return J[..., 0, 0], J[..., 0, 1], J[..., 1, 0], J[..., 1, 1]
 
 
@@ -180,11 +182,10 @@ class _Workspace:
     are held once per grid.
     """
 
-    def __init__(self, grid, params, profile):
+    def __init__(self, grid, params):
         self.grid = grid
         self.lu = self._a1 = None
         self.factorizations = 0
-        self.profile = profile
         self.n = n = grid.nx * grid.ny
         self._interior = ~boundary_mask(grid.nx, grid.ny, ends=True)
         self.a_const = self._assemble_constant()
@@ -218,12 +219,12 @@ class _Workspace:
         # Dirichlet psi on the ends, then the walls (walls win at corners);
         # carrier vorticity on the ends; every other row is homogeneous
         psi = np.zeros((grid.nx, grid.ny))
-        psi[0, :] = fc.stream_G(left, params, profile)
-        psi[-1, :] = fc.stream_G(right, params, profile)
+        psi[0, :] = fc.stream_G(left, params, grid.profile)
+        psi[-1, :] = fc.stream_G(right, params, grid.profile)
         psi[:, 0], psi[:, -1] = 0.0, params.phi
         omega = np.zeros((grid.nx, grid.ny))
-        omega[0, :] = fc.carrier_vorticity(left, params, profile)
-        omega[-1, :] = fc.carrier_vorticity(right, params, profile)
+        omega[0, :] = fc.carrier_vorticity(left, params, grid.profile)
+        omega[-1, :] = fc.carrier_vorticity(right, params, grid.profile)
         self.params = params
         self.rhs = np.concatenate([psi.ravel(), omega.ravel()])
         self._residual_of = self._residual = None
@@ -231,8 +232,7 @@ class _Workspace:
     def stokes(self):
         """Stokes state of ``params`` by a back-solve with the held factor
         of A(0)."""
-        return state_from_fields(self.grid, self.profile, self.params,
-                                 *self.apply(self.rhs))
+        return state_from_fields(self.grid, self.params, *self.apply(self.rhs))
 
     def _assemble_constant(self):
         """A(0): node i * ny + j holds (xi_i, eta_j), so a xi matrix D acts
@@ -377,22 +377,21 @@ def boundary_defect(state, workspace):
 # ---------------------------------------------------------------------------
 
 
-def state_from_fields(grid, profile, params, psi, omega):
+def state_from_fields(grid, params, psi, omega):
     """The state of the fields ``psi`` and ``omega``, with their velocity."""
-    return FlowState(grid, profile, params, psi, omega,
-                     *velocity_from_psi(grid, psi))
+    return FlowState(grid, params, psi, omega, *velocity_from_psi(grid, psi))
 
 
-def _stokes_workspace(grid, params, profile):
+def _stokes_workspace(grid, params):
     """The workspace of ``grid`` and ``params``, holding the factor of A(0)."""
-    ws = _Workspace(grid, params, profile)
+    ws = _Workspace(grid, params)
     ws.factor(None, None)
     return ws
 
 
-def solve_stokes(grid, params, profile):
+def solve_stokes(grid, params):
     """Linear Stokes solve (no advection): the start of the chord loops."""
-    return _stokes_workspace(grid, params, profile).stokes()
+    return _stokes_workspace(grid, params).stokes()
 
 
 def picard_step(state, workspace, chord=False):
@@ -411,8 +410,7 @@ def picard_step(state, workspace, chord=False):
     else:
         workspace.factor(state.u1, state.u2)
         psi, omega = workspace.apply(workspace.rhs)
-    new = state_from_fields(state.grid, state.profile, state.params, psi,
-                            omega)
+    new = state_from_fields(state.grid, state.params, psi, omega)
     return new, residual_norm(new, workspace)
 
 
@@ -450,7 +448,6 @@ def _picard(state, config, workspace):
     for steps in range(config.max_iter + 1):
         defect = max(res, boundary_defect(state, workspace))
         if defect < config.tol:
-            state.converged = True
             state.residual_history = history
             return state
         best = min(best, defect)
@@ -482,7 +479,7 @@ def solve_steady(profile, params, a, b, nx, ny, config=None):
     last factor is released when the loop ends.  Raises
     :class:`NonConvergence` rather than returning an unconverged state.
     """
-    ws = _stokes_workspace(make_grid(profile, a, b, nx, ny), params, profile)
+    ws = _stokes_workspace(make_grid(profile, a, b, nx, ny), params)
     return _picard(ws.stokes(), config or SolverConfig(), ws)
 
 
@@ -497,7 +494,7 @@ def solve_two_starts(profile, params, a, b, nx, ny, perturb, config):
     A :class:`NonConvergence` of either loop counts every factorization of
     the probe.  The factor goes with the workspace when the probe returns.
     """
-    ws = _stokes_workspace(make_grid(profile, a, b, nx, ny), params, profile)
+    ws = _stokes_workspace(make_grid(profile, a, b, nx, ny), params)
     stokes = ws.stokes()
     other = perturb(stokes)
     return _picard(stokes, config, ws), _picard(other, config, ws)
@@ -518,8 +515,7 @@ def dirichlet_energy(state, a, b, of_perturbation=False):
     """integral over Omega_{a,b} of |grad u|^2 (or |grad(u-g)|^2)."""
     e = sum(gradient_squares(
         state, state.carrier_gradients if of_perturbation else None))
-    w = window_weights(state.profile, state.grid.xi_axis, state.grid.eta_axis, a, b)
-    return float((w * e).sum())
+    return float((state.grid.window_weights(a, b) * e).sum())
 
 
 def energy_diagnostics(state, a, b):
@@ -527,7 +523,7 @@ def energy_diagnostics(state, a, b):
     integral there, and their ratio, which stays bounded uniformly in the
     truncation; by name."""
     energy_v = dirichlet_energy(state, a, b, of_perturbation=True)
-    carrier = fc.carrier_volume_integral(state.params, state.profile, a, b)
+    carrier = fc.carrier_volume_integral(state.params, state.grid.profile, a, b)
     return dict(dirichlet_energy_v=energy_v, carrier_volume_integral=carrier,
                 energy_ratio_c0=energy_v / carrier if carrier > 0 else 0.0)
 

@@ -33,8 +33,7 @@ def big_power_state():
     """One converged solve shared by the growth and decay criteria."""
     profile = geo.power_law(d0=1.0, alpha=0.5)
     params = fc.CarrierParams(1.0, 0.5)
-    policy = eh.GridPolicy(target_hx=0.125, ny=65)
-    state = eh.padded_solve(profile, params, 40.0, policy)
+    state = eh.padded_solve(profile, params, 40.0, target_hx=0.125, ny=65)
     return profile, state
 
 

@@ -63,7 +63,7 @@ class TestParsing:
         assert sc.params.epsilon == 0.5  # default rule at flux 1
         assert not hasattr(sc, "solver")  # solves use ns.SolverConfig()
         assert sc.grid_window == (-4.0, 4.0, 65, 17)
-        assert sc.policy == cli_io.eh.GridPolicy(ny=17)
+        assert sc.target_hx == 0.125
 
     def test_text_keys_are_read_verbatim(self, tmp_path):
         body = MINIMAL.format(out="1e3").replace("name = minimal", "name = on")
@@ -502,8 +502,8 @@ class TestArtifacts:
         psi = rng.standard_normal((9, 8)) * 10.0 ** rng.integers(-30, 30, (9, 8))
         psi[0, :3] = [0.0, -0.0, 5e-310]
         omega = -psi.T.ravel().reshape(9, 8)
-        state = ns.state_from_fields(grid, straight, fc.CarrierParams(1.0, 0.5),
-                                     psi, omega)
+        state = ns.state_from_fields(grid, fc.CarrierParams(1.0, 0.5), psi,
+                                     omega)
         path = cli_io.write_field_file(tmp_path / "f.field", state)
         lines = path.read_text(encoding="utf-8").splitlines()
         body = lines[lines.index("[psi]"):]
@@ -875,8 +875,8 @@ class TestRun:
         # CHANNELLAB_GRID__NY: the scans keep nx from target_hx and take the ny
         policies = []
 
-        def capture(profile, params, t_max, policy):
-            policies.append(policy)
+        def capture(profile, params, t_max, target_hx, ny):
+            policies.append((target_hx, ny))
             raise OutOfRange("captured")
 
         monkeypatch.setattr(cli_io.eh, "padded_solve", capture)
@@ -886,7 +886,7 @@ class TestRun:
         for command in ("growth-scan", "decay-scan", "poiseuille"):
             argv = [command, "--scenario", str(path), "--quiet"]
             assert cli_io.main(argv) == 1
-        assert policies == [cli_io.eh.GridPolicy(target_hx=0.25, ny=9)] * 3
+        assert policies == [(0.25, 9)] * 3
 
     def test_grid_flag_is_not_an_option(self, tmp_path, capsys):
         path = self.scenario(tmp_path)
@@ -1194,7 +1194,6 @@ class TestSessionSolves:
         assert len(solve_calls) == 1
         for name in ("psi", "omega", "u1", "u2"):
             assert np.array_equal(getattr(reused, name), getattr(solved, name))
-        assert reused.converged
 
     def test_failed_solve_is_not_cached(self, tmp_path, monkeypatch, capsys):
         calls = []

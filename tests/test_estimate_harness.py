@@ -18,7 +18,7 @@ from channellab.errors import (
     OutOfRange,
 )
 
-SMALL = eh.GridPolicy(target_hx=0.125, ny=33)
+SMALL = dict(target_hx=0.125, ny=33)
 
 
 def judged(rep):
@@ -71,7 +71,7 @@ class TestVerdict:
 
 @pytest.fixture(scope="module")
 def small_power_report(power_half):
-    return eh.padded_solve(power_half, fc.CarrierParams(1.0, 0.5), 8.0, SMALL)
+    return eh.padded_solve(power_half, fc.CarrierParams(1.0, 0.5), 8.0, **SMALL)
 
 
 class TestPaddedSolve:
@@ -89,16 +89,34 @@ class TestPaddedSolve:
         solves = []
         monkeypatch.setattr(ns, "solve_steady", lambda *args: solves.append(args))
         with pytest.raises(AssumptionViolation):
-            eh.padded_solve(bad, fc.CarrierParams(1.0), t_max, SMALL)
+            eh.padded_solve(bad, fc.CarrierParams(1.0), t_max, **SMALL)
         assert solves == []
-        eh.padded_solve(straight, fc.CarrierParams(1.0), t_max, SMALL)
+        eh.padded_solve(straight, fc.CarrierParams(1.0), t_max, **SMALL)
         assert len(solves) == 1
+
+    @pytest.mark.parametrize("t_max, target_hx, nx", [
+        (2.0, 0.5, 65),      # 25 nodes would do: the floor of 65 holds
+        (6.0, 0.3, 69),      # ceil(20 / 0.3) + 1 = 68 is even: one more
+        (6.0, 0.125, 161)])
+    def test_grid_size_rule(self, straight, monkeypatch, t_max, target_hx,
+                            nx):
+        # the straight pads are 4 long: [a, b] = [-t_max - 4, t_max + 4].
+        # nx is the fewest odd count, at least 65, of spacing at most
+        # target_hx; ny passes through
+        solves = []
+        monkeypatch.setattr(ns, "solve_steady", lambda *args: solves.append(args))
+        eh.padded_solve(straight, fc.CarrierParams(1.0), t_max, target_hx, 23)
+        [(_, _, a, b, got, ny)] = solves
+        assert (a, b, got, ny) == (-t_max - 4.0, t_max + 4.0, nx, 23)
+        assert got % 2 == 1 and got >= 65
+        assert (b - a) / (got - 1) <= target_hx
+        assert got == 65 or (b - a) / (got - 3) > target_hx
 
 
 class TestGrowthScan:
     def test_straight_channel_matches_analytic_ratio(self, straight):
         # per unit length: dissipation 3/2 phi^2, weight 1/8 -> ratio 12
-        state = eh.padded_solve(straight, fc.CarrierParams(1.0), 6.0, SMALL)
+        state = eh.padded_solve(straight, fc.CarrierParams(1.0), 6.0, **SMALL)
         rep = eh.growth_scan(state, [2, 4, 6])
         assert rep.lower_ratio[-1] == pytest.approx(12.0, rel=0.02)
         assert set(statuses(rep).values()) == {"PASS"}
@@ -130,7 +148,7 @@ class TestGrowthScan:
 class TestDecayScan:
     def test_straight_channel_constant_product(self, straight):
         # Poiseuille maximum 3 phi/4 at the center, width 2: product 3/2
-        state = eh.padded_solve(straight, fc.CarrierParams(1.0), 5.0, SMALL)
+        state = eh.padded_solve(straight, fc.CarrierParams(1.0), 5.0, **SMALL)
         rep = eh.decay_scan(state, (2, 5))
         assert rep.slice_sup[0] == pytest.approx(1.5, rel=0.02)
         assert judged(rep)["pointwise_bounded"].value <= 1.05
@@ -166,14 +184,14 @@ class TestPoiseuilleConvergence:
     def test_bump_profile_plateaus(self):
         p = geo.straight_outlet(c1=-1, c2=1, amp=0.5, k=4.0)
         state = eh.padded_solve(
-            p, fc.CarrierParams(0.5), 14.0, eh.GridPolicy(0.1, 33)
+            p, fc.CarrierParams(0.5), 14.0, 0.1, 33
         )
         rep = eh.poiseuille_convergence(state, 4.0, [6, 10, 14])
         assert statuses(rep) == {"plateau": "PASS", "tail_decreasing": "PASS"}
 
     def test_straight_everywhere_error_is_floor(self, straight):
         state = eh.padded_solve(
-            straight, fc.CarrierParams(0.5), 8.0, eh.GridPolicy(0.1, 33)
+            straight, fc.CarrierParams(0.5), 8.0, 0.1, 33
         )
         rep = eh.poiseuille_convergence(state, 0.0, [4, 8])
         assert max(rep.h1_error) < 1e-6
@@ -184,7 +202,7 @@ class TestPoiseuilleConvergence:
 
     def test_zero_flux(self, straight):
         state = eh.padded_solve(
-            straight, fc.CarrierParams(0.0), 6.0, eh.GridPolicy(0.125, 17)
+            straight, fc.CarrierParams(0.0), 6.0, 0.125, 17
         )
         rep = eh.poiseuille_convergence(state, 0.0, [3, 6])
         assert max(rep.h1_error) == 0.0
@@ -232,8 +250,7 @@ class TestUniqueness:
         base, other = ns.solve_two_starts(straight, params, a, b, nx, ny,
                                           perturb, eh._UNIQUENESS_SOLVER)
         assert len(splu_calls) == factors
-        assert base.converged and other.converged
-        ws = ns._Workspace(base.grid, params, straight)
+        ws = ns._Workspace(base.grid, params)
         stokes_res, start_res = (ns.residual_norm(s, ws) for s in starts)
         assert other.residual_history[0] == (0, start_res)
         assert start_res != stokes_res
@@ -255,10 +272,10 @@ class TestUniqueness:
         cfg = ns.SolverConfig(tol=1e-12, max_iter=2)
         params = fc.CarrierParams(1.0, 0.5)
         grid = geo.make_grid(straight, -4, 4, 65, 17)
-        start = eh._perturbed_start(ns.solve_stokes(grid, params, straight),
+        start = eh._perturbed_start(ns.solve_stokes(grid, params),
                                     seed=7)
         with pytest.raises(NonConvergence) as err:
-            ns._picard(start, cfg, ns._Workspace(grid, params, straight))
+            ns._picard(start, cfg, ns._Workspace(grid, params))
         assert "Picard stalled" in str(err.value)
         assert err.value.iterations == 2
         assert cfg.tol <= err.value.best_residual < np.inf
@@ -274,8 +291,8 @@ class TestUniqueness:
         def perturb(stokes):
             other = eh._perturbed_start(stokes, seed=7)
             psi = stokes.psi + 1e4 * (other.psi - stokes.psi)
-            return ns.state_from_fields(stokes.grid, stokes.profile,
-                                        stokes.params, psi, stokes.omega)
+            return ns.state_from_fields(stokes.grid, stokes.params, psi,
+                                        stokes.omega)
 
         with pytest.raises(NonConvergence) as err:
             ns.solve_two_starts(straight, fc.CarrierParams(1.0), -4, 4, 65,
@@ -398,7 +415,7 @@ def test_scans_form_each_state_gradients_once(power_half, small_power_report,
     # state formed once: the velocity gradients of the state and of the
     # Poiseuille reference, and the carrier Jacobian at the grid nodes
     state = ns.state_from_fields(
-        small_power_report.grid, power_half, small_power_report.params,
+        small_power_report.grid, small_power_report.params,
         small_power_report.psi, small_power_report.omega)
     gradients, jacobians = [], []
     velocity_gradients, grad_g = ns.velocity_gradients, fc.grad_g

@@ -241,7 +241,8 @@ class TestClassify:
     @pytest.mark.parametrize("p", [-5.0 / 3.0, -3.0])
     @pytest.mark.parametrize("side", [1, -1])
     def test_tail_increments_match_quad(self, name, profile, p, side):
-        edges, incs = geo._tail_increments(profile, p, side)
+        edges = geo.TAIL_EDGES
+        incs = geo._tail_increments(profile, p, side)
         for lo, hi, got in zip(edges[:-1], edges[1:], incs):
             if side < 0:
                 lo, hi = -hi, -lo
@@ -294,13 +295,13 @@ class TestGrid:
 
     def test_window_weights_of_whole_grid_are_wq(self, power_half):
         g = geo.make_grid(power_half, -3, 3, 33, 16)
-        w = geo.window_weights(power_half, g.xi_axis, g.eta_axis, g.a, g.b)
+        w = g.window_weights(g.a, g.b)
         assert np.array_equal(w, g.wq)
 
     def test_window_weights_partial_end_cells(self, straight):
         # both window ends cut through a cell of the width-2 strip
         g = geo.make_grid(straight, -4, 8, 97, 17)
-        w = geo.window_weights(straight, g.xi_axis, g.eta_axis, -3.03, 7.77)
+        w = g.window_weights(-3.03, 7.77)
         assert abs(w.sum() - 21.6) <= 1e-12
         hx = g.xi_axis.h
         outside = (g.xi < -3.03 - 0.5 * hx) | (g.xi > 7.77 + 0.5 * hx)
@@ -310,7 +311,7 @@ class TestGrid:
         p = geo.linear_widen(d0=1.0, slope=0.3)
         g = geo.make_grid(p, -2, 3, 41, 9)
         a, b = -1.3, 2.2
-        cols = geo.window_weights(p, g.xi_axis, g.eta_axis, a, b).sum(axis=1)
+        cols = g.window_weights(a, b).sum(axis=1)
         ref = []
         for x in g.xi:
             lo = max(a, x - 0.5 * g.xi_axis.h)
