@@ -626,6 +626,18 @@ def _ratio_limit_zero(inc3, sup_slope, edges):
 # ---------------------------------------------------------------------------
 
 
+def csr_slots(cols, vals):
+    """Square CSR matrix whose row r holds vals[r] at the columns cols[r],
+    given in increasing order; slots holding 0 are dropped, and their
+    columns are clipped into range first, so they may point anywhere."""
+    rows, width = vals.shape
+    m = sparse.csr_matrix(
+        (vals.ravel(), np.clip(cols, 0, rows - 1).ravel(),
+         np.arange(0, rows * width + 1, width, dtype=np.int32)), (rows, rows))
+    m.eliminate_zeros()
+    return m.copy()  # compact arrays, not views of the slots
+
+
 @dataclass(frozen=True, eq=False)
 class Axis:
     """One uniform axis of a mapped grid: its nodes, its step ``h``, its
@@ -638,25 +650,28 @@ class Axis:
     def h(self):
         return float(self.nodes[-1] - self.nodes[0]) / (len(self.nodes) - 1)
 
+    # the integer stencils of D1 and D2 on node offsets (-1, 0, 1)
+    central = (np.array([-1.0, 0.0, 1.0]), np.array([1.0, -2.0, 1.0]))
+
     @functools.cached_property
     def differences(self):
         """``(D1, 2h, D2, h^2)``: D1 v / 2h and D2 v / h^2 are the first and
         second derivatives of v on the nodes.
 
         Central (-1, 0, 1) and (1, -2, 1) inside; one-sided second-order
-        (-3, 4, -1) and (2, -5, 4, -1) at the ends, mirrored at the far end.
-        The stencils stay integers, so a coefficient over 2h is rounded
-        once.  On a grid a xi matrix D acts on an (nx, ny) array as
-        ``D @ psi``, an eta one as ``psi @ D.T``.
+        (-3, 4, -1) and (2, -5, 4, -1) at the ends, mirrored at the far end,
+        built straight into CSR.  The stencils stay integers, so a
+        coefficient over 2h is rounded once.  On a grid a xi matrix D acts
+        on an (nx, ny) array as ``D @ psi``, an eta one as ``psi @ D.T``.
         """
         n = len(self.nodes)
-        d1 = sparse.diags([-1.0, 1.0], [-1, 1], shape=(n, n), format="lil")
-        d2 = sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="lil")
-        for d, end, mirror in ((d1, [-3.0, 4.0, -1.0], -1.0),
-                               (d2, [2.0, -5.0, 4.0, -1.0], 1.0)):
-            d[0, :len(end)] = end
-            d[n - 1, n - 1 - np.arange(len(end))] = mirror * np.array(end)
-        return d1.tocsr(), 2 * self.h, d2.tocsr(), self.h**2
+        vals = np.zeros((2, n, 4))  # D1, D2 from column 0, i - 1, n - 4
+        vals[:, 1:-1, :3] = np.array(self.central)[:, None]
+        vals[0, 0, :3], vals[1, 0] = [-3.0, 4.0, -1.0], [2.0, -5.0, 4.0, -1.0]
+        vals[:, -1] = vals[:, 0, ::-1] * [[-1.0], [1.0]]  # D1 is odd
+        cols = np.r_[0, :n - 2, n - 4][:, None] + np.arange(4)
+        d1, d2 = (csr_slots(cols, v) for v in vals)
+        return d1, 2 * self.h, d2, self.h**2
 
     @functools.cached_property
     def weights(self):

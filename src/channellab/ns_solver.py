@@ -23,11 +23,11 @@ in symmetric mode, with the pivots kept on the diagonal.  The wall
 vorticity closure is a second-order one-sided formula built into the
 matrix.  Every difference stencil of the scheme, its uniform spacing and
 its eta weights live in one place, the grid's two ``geometry.Axis``
-objects, whose 1-D first- and second-difference matrices build A(u) and
-the velocity.  Kept apart on purpose are the wall closure's (-7, 8, -1)
-rows and :func:`slice_flux_profile`'s fourth-order ``_d1_fourth`` with
-its Simpson weights: that flux check must not share the scheme it
-checks.  Energies are computed only on request (:func:`energy_diagnostics`);
+objects, whose stencils build A(u) and the velocity.  Kept apart on
+purpose are the wall closure's (-7, 8, -1) rows and
+:func:`slice_flux_profile`'s fourth-order ``_d1_fourth`` with its
+Simpson weights: that flux check must not share the scheme it checks.
+Energies are computed only on request (:func:`energy_diagnostics`);
 a state forms its nodal velocity gradients and carrier Jacobian once and
 keeps them.
 
@@ -52,7 +52,7 @@ from ._fem import boundary_mask
 # neither is called here: both are patch points of bench/spans.py
 from ._fem import assemble_q1, assemble_grad_load
 from .errors import LinearSolveFailure, NonConvergence, OutOfRange
-from .geometry import Grid, make_grid
+from .geometry import Grid, csr_slots, make_grid
 
 __all__ = [
     "SolverConfig",
@@ -157,18 +157,12 @@ def velocity_gradients(state):
 # ---------------------------------------------------------------------------
 
 
-def _scaled_rows(weights, matrix):
-    """diag(weights) @ matrix in CSR; the product stores no zeros, so rows
-    of weight 0 drop out.  ``weights`` are per node, in an (nx, ny) array
-    or its ravel."""
-    return (sparse.diags(np.ravel(weights).astype(float)) @ matrix).tocsr()
-
-
 class _Workspace:
-    """A grid's constant block and its block split, the boundary data of
-    one flux ``params`` (its right-hand side ``rhs``), one live ``lu`` and
-    the count of ``factorizations`` it has built.  The flux enters only
-    the Dirichlet rows of ``rhs``.
+    """A grid's constant block and advection pattern, both built straight
+    from the axes' stencils, and its block split; the boundary data of one
+    flux ``params`` (its right-hand side ``rhs``), one live ``lu`` and the
+    count of ``factorizations`` it has built.  The flux enters only the
+    Dirichlet rows of ``rhs``.
 
     The split is fixed per grid.  ``keep`` are the psi unknowns of the
     interior nodes, and ``rows`` and ``cols`` pair every other row with
@@ -187,9 +181,8 @@ class _Workspace:
         self.lu = self._a1 = None
         self.factorizations = 0
         self.n = n = grid.nx * grid.ny
-        self._interior = ~boundary_mask(grid.nx, grid.ny, ends=True)
+        self._interior = interior = ~boundary_mask(grid.nx, grid.ny, True)
         self.a_const = self._assemble_constant()
-        interior = self._interior.ravel()
         self.keep = np.flatnonzero(interior)
         boundary_omega = n + np.flatnonzero(~interior)
         self.rows = np.concatenate([np.arange(n), boundary_omega])
@@ -200,20 +193,16 @@ class _Workspace:
         # 2I - (I + N) = I - N
         self._unit_inverse = (2 * eye - outer[:, self.cols]).tocsr()
         self._w = (self._unit_inverse @ outer[:, self.keep]).tocsr()
-        # advection pattern: the omega rows of the interior nodes, a slot for
-        # each entry of their xi and (imaginary) eta difference stencils,
-        # holding its weight in -u.grad; _adv_eta marks the eta slots
-        d1x, d1y = grid.xi_axis.differences[0], grid.eta_axis.differences[0]
-        eye_x, eye_y = sparse.identity(grid.nx), sparse.identity(grid.ny)
-        slots = _scaled_rows(self._interior, sparse.kron(d1x, eye_y)
-                             + 1j * sparse.kron(eye_x, d1y))
-        slots.sort_indices()  # a row's products sum in column order
-        n = self.n
-        self._adv_eta = slots.data.imag != 0.0
-        self._adv_pattern = sparse.csr_matrix(
-            (-(slots.data.real + slots.data.imag), slots.indices + n,
-             np.concatenate([np.zeros(n, int), slots.indptr])),
-            shape=(2 * n, 2 * n))
+        # advection pattern: on the omega row of each interior node, slots at
+        # (i - 1, j), (i, j - 1), (i, j + 1), (i + 1, j) with the weights of
+        # the central first differences in -u.grad; _adv_eta marks eta slots
+        (c1x, _), (c1y, _) = grid.xi_axis.central, grid.eta_axis.central
+        slots = np.cumsum(np.r_[np.zeros(n + 1, int), 4 * interior])
+        self._adv_pattern = sparse.csr_matrix((np.tile(
+            -np.array([c1x[0], c1y[0], c1y[2], c1x[2]]), len(self.keep)),
+            (n + self.keep[:, None] + [-grid.ny, -1, 1, grid.ny]).ravel(),
+            slots), (2 * n, 2 * n))
+        self._adv_eta = np.tile([False, True, True, False], len(self.keep))
         left = (np.full(grid.ny, grid.a), grid.x2[0, :])
         right = (np.full(grid.ny, grid.b), grid.x2[-1, :])
         # Dirichlet psi on the ends, then the walls (walls win at corners);
@@ -235,37 +224,40 @@ class _Workspace:
         return state_from_fields(self.grid, self.params, *self.apply(self.rhs))
 
     def _assemble_constant(self):
-        """A(0): node i * ny + j holds (xi_i, eta_j), so a xi matrix D acts
-        as D x I and an eta one as I x D.
+        """A(0): psi and omega of node p = i * ny + j are columns p and n + p.
 
         Interior rows are Delta psi + omega = 0 and Delta omega = 0, with
         Delta = d_xx + 2 J1 d_xe + (J1^2 + 1/f^2) d_ee + S d_e in mapped
-        coordinates.  Boundary psi rows and end omega rows are Dirichlet
-        identities.  Wall omega rows close with the one-sided second-order
-        omega + (J1^2 + 1/f^2)(8 psi_1 - psi_2 - 7 psi_0) / 2hy^2 = 0, which
-        takes psi_eta = 0 at the wall.
+        coordinates, summed in that order from the axes' central stencils on
+        the nodes (i + di, j + dj).  Boundary psi rows and end omega rows
+        are Dirichlet identities.  Wall omega rows close with the one-sided
+        second-order omega + (J1^2 + 1/f^2)(8 psi_1 - psi_2 - 7 psi_0) /
+        2hy^2 = 0, which takes psi_eta = 0 at the wall.
         """
-        grid = self.grid
-        nx, ny = grid.nx, grid.ny
-        d1x, s1x, d2x, s2x = grid.xi_axis.differences
-        d1y, s1y, d2y, s2y = grid.eta_axis.differences
-        eye_x, eye_y = sparse.identity(nx), sparse.identity(ny)
+        grid, n, nx, ny = self.grid, self.n, self.grid.nx, self.grid.ny
+        _, s1x, _, s2x = grid.xi_axis.differences
+        _, s1y, _, s2y = grid.eta_axis.differences
+        (c1x, c2x), (c1y, c2y) = grid.xi_axis.central, grid.eta_axis.central
+        one, outer = np.array([0.0, 1.0, 0.0]), np.multiply.outer
         cyy = grid.j1**2 + 1.0 / grid.f[:, None] ** 2
-        interior = self._interior
-        lap = _scaled_rows(
-            interior, sparse.kron(d2x, eye_y) / s2x
-            + _scaled_rows(2.0 * grid.j1 / (s1x * s1y), sparse.kron(d1x, d1y))
-            + _scaled_rows(cyy / s2y, sparse.kron(eye_x, d2y))
-            + _scaled_rows(grid.lap_s / s1y, sparse.kron(eye_x, d1y)))
-        diagonal = lap + sparse.diags((~interior).astype(float))
-        wall = sparse.lil_matrix((ny, ny))
-        wall[0, [0, 1, 2]] = wall[ny - 1, [ny - 1, ny - 2, ny - 3]] = [-7, 8, -1]
-        closure = np.zeros((nx, ny))  # the corners are end rows
-        closure[1:-1, [0, -1]] = cyy[1:-1, [0, -1]] / (2.0 * s2y)
-        return sparse.bmat(
-            [[diagonal, sparse.diags(interior.astype(float))],
-             [_scaled_rows(closure, sparse.kron(eye_x, wall)), diagonal]],
-            format="csr")
+        xe, ee, e = (w[1:-1, 1:-1, None, None] for w in (
+            2.0 * grid.j1 / (s1x * s1y), cyy / s2y, grid.lap_s / s1y))
+        # slots of each psi row, then omega row: psi at (i, j - 2..j + 2),
+        # the row's own field at the nine nodes (i + di, j + dj), omega (i, j)
+        lap = ((outer(c2x / s2x, one) + xe * outer(c1x, c1y))
+               + ee * outer(one, c2y)) + e * outer(one, c1y)
+        vals = np.zeros((2, nx, ny, 15))
+        vals[:, 1:-1, 1:-1, 5:14] = lap.reshape(nx - 2, ny - 2, 9)
+        interior = self._interior.reshape(nx, ny)
+        vals[:, ~interior, 9] = 1.0  # boundary rows: identities
+        vals[0, ..., 14] = interior
+        vals[1, 1:-1, 0, 2:5] = cyy[1:-1, 0, None] / (2.0 * s2y) * [-7, 8, -1]
+        vals[1, 1:-1, -1, :3] = cyy[1:-1, -1, None] / (2.0 * s2y) * [-1, 8, -7]
+        step = np.arange(-1, 2)
+        at = np.r_[-2:3, (ny * step[:, None] + step).ravel(), n]
+        cols = np.arange(n, dtype=np.int32)[:, None] + np.array(
+            [at, np.r_[at[:5], n + at[5:]]], np.int32)[:, None]
+        return csr_slots(cols.reshape(2 * n, 15), vals.reshape(2 * n, 15))
 
     def advection_matrix(self, u1, u2):
         """-u.grad on the omega rows of the interior nodes, central in the
@@ -319,9 +311,10 @@ class _Workspace:
             a = a + self.advection_matrix(u1, u2)
         inner = a[self.n + self.keep]
         self._a1 = inner[:, self.cols]
-        s = inner[:, self.keep] - self._a1 @ self._w
+        s = (inner[:, self.keep] - self._a1 @ self._w).tocsc()
+        del a, inner  # freed before SuperLU runs
         try:
-            self.lu = splu(s.tocsc(), permc_spec="MMD_AT_PLUS_A",
+            self.lu = splu(s, permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.0,
                            options={"SymmetricMode": True})
         except RuntimeError as exc:  # singular factorization
@@ -398,7 +391,8 @@ def picard_step(state, workspace, chord=False):
     """One Picard iteration on ``workspace``; returns (new_state, residual).
 
     The plain step factors A(u) at the velocity u of ``state`` into the
-    workspace, replacing the factor it held, and solves A(u) x = b.  With
+    workspace, replacing the factor it held, and solves A(u) x = b; where
+    b = 0 (flux 0) it keeps a held factor, as any factor gives x = 0.  With
     ``chord=True`` the step is the chord correction x + LU^-1 (b - A(u) x)
     from the fields x of ``state``, where the held factor LU may be of A
     at an earlier iterate.  The workspace holds the grid, the end data and
@@ -408,7 +402,8 @@ def picard_step(state, workspace, chord=False):
         dpsi, domega = workspace.apply(workspace.residual(state))
         psi, omega = state.psi + dpsi, state.omega + domega
     else:
-        workspace.factor(state.u1, state.u2)
+        if workspace.lu is None or workspace.rhs.any():
+            workspace.factor(state.u1, state.u2)
         psi, omega = workspace.apply(workspace.rhs)
     new = state_from_fields(state.grid, state.params, psi, omega)
     return new, residual_norm(new, workspace)
@@ -430,8 +425,8 @@ def _picard(state, config, workspace):
     max(residual_norm, boundary_defect) by less than 2x, or when the
     workspace holds no factor, the step is the plain Picard solve, which
     refactors A(u) at the current iterate.  So is every step where all
-    boundary data are zero (flux 0): only the plain solve keeps the fields
-    exactly 0 there.
+    boundary data are zero (flux 0), which keeps the fields exactly 0 and
+    the factor held.
 
     ``workspace`` carries the boundary data of ``state.params``, which
     every step keeps, and counts the factorizations.  The converged state

@@ -232,14 +232,15 @@ class TestUniqueness:
         assert len(splu_calls) == 1
 
     @pytest.mark.parametrize("phi, a, b, nx, ny, factors", [
-        (0.0, -4, 4, 65, 17, 2), (0.1, -6, 6, 129, 33, 1),
+        (0.0, -4, 4, 65, 17, 1), (0.1, -6, 6, 129, 33, 1),
         (5.0, -4, 4, 65, 17, 5)])
     def test_perturbed_loop_on_the_held_factor(self, straight, splu_calls,
                                                phi, a, b, nx, ny, factors):
         # the perturbed loop goes on from the Stokes-started loop's last
-        # factor, except at flux 0, where it refactors so that its plain
-        # solve keeps the fields exactly 0; either way its history starts
-        # at the perturbed fields, not at a back-solve that drops them
+        # factor; at flux 0 its plain step back-solves the zero data with
+        # that factor, which keeps the fields exactly 0 without a refactor;
+        # either way its history starts at the perturbed fields, not at a
+        # back-solve that drops them
         params = fc.CarrierParams(phi)
         starts = []
 

@@ -1,10 +1,12 @@
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from channellab import cli_io
 from channellab import estimate_harness as eh
 from channellab import flux_carrier as fc
 from channellab import geometry as geo
@@ -125,6 +127,22 @@ class TestPicard:
         st = ns.solve_stokes(grid, params)
         new, res = ns.picard_step(st, ns._Workspace(grid, params))
         assert np.abs(new.psi).max() == 0.0
+        assert res == 0.0
+
+    def test_zero_data_step_keeps_the_held_factor(self, straight, splu_calls):
+        # A x = 0 is solved exactly by x = 0 with any factor, so a plain
+        # step on zero data back-solves with the factor of A(0) it holds
+        grid = geo.make_grid(straight, -4, 4, 65, 17)
+        params = fc.CarrierParams(0.0, 0.5)
+        ws = ns._stokes_workspace(grid, params)
+        rng = np.random.default_rng(3)
+        st = ns.state_from_fields(grid, params, rng.normal(size=(65, 17)),
+                                  rng.normal(size=(65, 17)))
+        lu = ws.lu
+        new, res = ns.picard_step(st, ws)
+        assert len(splu_calls) == 1 and ws.lu is lu
+        assert np.abs(new.psi).max() == 0.0
+        assert np.abs(new.omega).max() == 0.0
         assert res == 0.0
 
     @pytest.mark.parametrize("chord", [False, True])
@@ -446,9 +464,115 @@ class TestFactorReuse:
         else:
             assert eh.uniqueness_probe(straight, 5.0, -4, 4, nx=65,
                                        ny=17).unique
-        assert len(at_factor) >= 2
+        # flux 0 has no data, so its one factor, A(0), solves every step
+        assert len(at_factor) == 1 if run == "probe-0" else len(at_factor) >= 2
         assert at_factor == [0] * len(at_factor)
         assert not live
+
+
+def _kron_rows(weights, matrix):
+    """diag(weights) @ matrix in CSR, weights per node."""
+    return (sparse.diags(np.ravel(weights).astype(float)) @ matrix).tocsr()
+
+
+def _kron_constant(ws):
+    """Reference A(0) from Kronecker products of the 1-D difference
+    matrices, rows scaled by the metric, and a LIL wall block."""
+    grid = ws.grid
+    nx, ny = grid.nx, grid.ny
+    d1x, s1x, d2x, s2x = grid.xi_axis.differences
+    d1y, s1y, d2y, s2y = grid.eta_axis.differences
+    eye_x, eye_y = sparse.identity(nx), sparse.identity(ny)
+    cyy = grid.j1**2 + 1.0 / grid.f[:, None] ** 2
+    interior = ws._interior
+    lap = _kron_rows(
+        interior, sparse.kron(d2x, eye_y) / s2x
+        + _kron_rows(2.0 * grid.j1 / (s1x * s1y), sparse.kron(d1x, d1y))
+        + _kron_rows(cyy / s2y, sparse.kron(eye_x, d2y))
+        + _kron_rows(grid.lap_s / s1y, sparse.kron(eye_x, d1y)))
+    diagonal = lap + sparse.diags((~interior).astype(float))
+    wall = sparse.lil_matrix((ny, ny))
+    wall[0, [0, 1, 2]] = wall[ny - 1, [ny - 1, ny - 2, ny - 3]] = [-7, 8, -1]
+    closure = np.zeros((nx, ny))
+    closure[1:-1, [0, -1]] = cyy[1:-1, [0, -1]] / (2.0 * s2y)
+    return sparse.bmat(
+        [[diagonal, sparse.diags(interior.astype(float))],
+         [_kron_rows(closure, sparse.kron(eye_x, wall)), diagonal]],
+        format="csr")
+
+
+def _kron_advection(ws):
+    """Reference advection pattern and eta-slot mask from the complex
+    Kronecker sum D1x x I + i I x D1y on the interior rows."""
+    grid, n = ws.grid, ws.n
+    d1x, d1y = grid.xi_axis.differences[0], grid.eta_axis.differences[0]
+    eye_x, eye_y = sparse.identity(grid.nx), sparse.identity(grid.ny)
+    slots = _kron_rows(ws._interior, sparse.kron(d1x, eye_y)
+                       + 1j * sparse.kron(eye_x, d1y))
+    slots.sort_indices()
+    pattern = sparse.csr_matrix(
+        (-(slots.data.real + slots.data.imag), slots.indices + n,
+         np.concatenate([np.zeros(n, int), slots.indptr])),
+        shape=(2 * n, 2 * n))
+    return pattern, slots.data.imag != 0.0
+
+
+def _lil_differences(axis):
+    n = len(axis.nodes)
+    d1 = sparse.diags([-1.0, 1.0], [-1, 1], shape=(n, n), format="lil")
+    d2 = sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="lil")
+    for d, end, mirror in ((d1, [-3.0, 4.0, -1.0], -1.0),
+                           (d2, [2.0, -5.0, 4.0, -1.0], 1.0)):
+        d[0, :len(end)] = end
+        d[n - 1, n - 1 - np.arange(len(end))] = mirror * np.array(end)
+    return d1.tocsr(), 2 * axis.h, d2.tocsr(), axis.h**2
+
+
+def _assert_same_csr(got, want):
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+class TestAssembly:
+    """The constant block and the advection pattern, built from the axes'
+    stencils, bit for bit against the Kronecker assembly."""
+
+    WINDOWS = {
+        "straight-257x65": (geo.straight(d0=1.0), -8, 8, 257, 65),
+        "straight-97x33": (geo.straight(d0=1.0), -6, 6, 97, 33),
+        # a wall corner at x1 = 0
+        "power_law-97x33": (geo.power_law(d0=1.0, alpha=0.5), -6, 6, 97, 33),
+    }
+
+    @pytest.fixture(params=["bump_outlet", "custom_walls", "straight",
+                            "widening", *WINDOWS])
+    def grid(self, request):
+        if request.param in self.WINDOWS:
+            return geo.make_grid(*self.WINDOWS[request.param])
+        sc = cli_io.parse_scenario(SCENARIOS / f"{request.param}.scn",
+                                   environ={})
+        return geo.make_grid(sc.profile, *sc.grid_window)
+
+    def test_constant_block_matches_kronecker(self, grid):
+        ws = ns._Workspace(grid, fc.CarrierParams(1.0))
+        _assert_same_csr(ws.a_const, _kron_constant(ws))
+
+    def test_advection_pattern_matches_kronecker(self, grid):
+        ws = ns._Workspace(grid, fc.CarrierParams(1.0))
+        pattern, eta = _kron_advection(ws)
+        _assert_same_csr(ws._adv_pattern, pattern)
+        assert np.array_equal(ws._adv_eta, eta)
+
+    @pytest.mark.parametrize("n", [8, 9, 33, 65, 385])
+    def test_axis_differences_match_lil(self, n):
+        axis = geo.Axis(np.linspace(-2.0, 3.0, n))
+        got, want = axis.differences, _lil_differences(axis)
+        for g, w in zip(got[::2], want[::2]):
+            _assert_same_csr(g, w)
+        assert got[1::2] == want[1::2]
 
 
 def _colamd_factor(self, u1, u2):
