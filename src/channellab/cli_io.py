@@ -479,8 +479,9 @@ def write_manifest(out_dir, scenario_path, command, artifacts, record):
 
     Every command shares the scenario's output directory, so the manifest
     accumulates: ``outputs`` hashes every file any command wrote there and
-    ``commands`` holds each command's record (its ``exit_status``, and the
-    ``error`` that stopped a command with exit status 1) and output names.
+    ``commands`` holds each command's record (its ``exit_status``, its
+    ``wall_s``, and the ``error`` that stopped a command with exit status
+    1) and output names.
     An existing manifest of another scenario file (path or hash), or one
     whose ``outputs`` or ``commands`` is not an object, is replaced.  The
     write is atomic.
@@ -887,26 +888,31 @@ _PIPELINES = {
 def run(command, scenario, scenario_path=None, quiet=False):
     """Execute one subcommand pipeline; returns the process exit status.
 
-    An error, one in making or writing the output directory included,
-    exits 1; it is printed even with ``quiet`` and recorded in the
-    manifest wherever the output directory can take it.
+    The command's manifest record holds its ``wall_s``, the seconds from
+    the start of the run to its manifest write, to the microsecond.  An
+    error, one in making or writing the output directory included, exits
+    1; it is printed even with ``quiet`` and recorded in the manifest
+    wherever the output directory can take it.
     """
     if command not in _PIPELINES:
         raise ValidationError("command", f"unknown subcommand {command!r}")
+    start = time.perf_counter()
     out = Path(scenario.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         ok, artifacts = _PIPELINES[command](scenario, out, quiet)
         status = 0 if ok else 2
+        wall_s = round(time.perf_counter() - start, 6)
         write_manifest(out, scenario_path, command, artifacts,
-                       {"exit_status": status})
+                       {"exit_status": status, "wall_s": wall_s})
         return status
     except (ChannelLabError, OSError) as exc:
         error = f"{type(exc).__name__}: {exc}"
+    wall_s = round(time.perf_counter() - start, 6)
     print(f"error: {error}", file=sys.stderr)
     with contextlib.suppress(OSError):  # the error line above says why
         write_manifest(out, scenario_path, command, [],
-                       {"exit_status": 1, "error": error})
+                       {"exit_status": 1, "error": error, "wall_s": wall_s})
     return 1
 
 

@@ -163,8 +163,9 @@ def sobolev_m4(profile, a, b, resolution=(65, 65)):
     supremum, but the lumped-mass L4 quadrature is no bound on the
     continuous one: at 49x33 on straight [-10, 10] the value lies 2.1 %
     above its refined value.  A start that has not settled after
-    M4_MAX_STEPS steps raises :class:`AscentStagnation` naming it, and so
-    does a run in which no start reaches a positive ratio.
+    M4_MAX_STEPS steps raises :class:`AscentStagnation` naming it with its
+    last ratio and relative change, and the best ratio a start settled at;
+    so does a run in which no start reaches a positive ratio.
     """
     nx, ny = resolution
     _, x, y = _grid_nodes(profile, a, b, nx, ny)
@@ -179,26 +180,37 @@ def sobolev_m4(profile, a, b, resolution=(65, 65)):
     rng = np.random.default_rng(M4_SEED)
     W = rng.standard_normal((M4_STARTS, lump_f.size)).T
     W = W / np.sqrt(np.einsum("ij,ij->j", W, Kf @ W))
+    W2 = W * W  # formed once per step: W**3 and w**4 are pow calls per entry
     live = np.arange(M4_STARTS)
     ratio_old = np.zeros(M4_STARTS)
     best = 0.0
     for _ in range(M4_MAX_STEPS):
-        load = lump_f[:, None] * (W * W * W)  # W**3 is a pow call per entry
+        load = lump_f[:, None] * (W2 * W)
         W = solve(load)
         nrm = np.sqrt(np.einsum("ij,ij->j", W, load))  # w.Kw = w.r for K w = r
         W /= np.where(nrm > 0.0, nrm, 1.0)
-        ratio = (lump_f @ np.square(W * W)) ** 0.25  # ||grad w|| normalized to 1
+        W2 = W * W
+        ratio = (lump_f @ np.square(W2)) ** 0.25  # ||grad w|| normalized to 1
         # a start stops at a zero field or a settled ratio, keeping its last one
-        settled = np.abs(ratio - ratio_old) <= 1e-10 * np.maximum(ratio, 1e-300)
+        change = np.abs(ratio - ratio_old)
+        settled = change <= 1e-10 * np.maximum(ratio, 1e-300)
         done = settled | (nrm == 0.0)
-        best = max(best, ratio_old[done].max(initial=0.0))
-        W, ratio_old, live = W[:, ~done], ratio[~done], live[~done]
-        if not live.size:
-            break
+        if done.any():
+            best = max(best, ratio_old[done].max())
+            W, W2, ratio, change, live = (
+                W[:, ~done], W2[:, ~done], ratio[~done], change[~done], live[~done])
+            if not live.size:
+                break
+        ratio_old = ratio
     if live.size:
+        last = "; ".join(
+            f"start {i} at ratio {r:.6g} (last relative change {c / r:.2e})"
+            for i, r, c in zip(live, ratio, change))
+        settled_at = (f"the best settled ratio is {best:.6g}" if best > 0.0
+                      else "no start settled")
         raise AscentStagnation(
             f"M4 ascent starts {', '.join(map(str, live))} of {M4_STARTS} "
-            f"did not settle in {M4_MAX_STEPS} steps")
+            f"did not settle in {M4_MAX_STEPS} steps: {last}; {settled_at}")
     best = float(best)
     if not best > 0.0:
         raise AscentStagnation("no ascent start produced a positive ratio")

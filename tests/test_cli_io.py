@@ -642,6 +642,9 @@ class TestRun:
         assert {
             cmd: entry["exit_status"] for cmd, entry in manifest["commands"].items()
         } == statuses
+        # each command's own wall time, whatever its exit status
+        for entry in manifest["commands"].values():
+            assert 0.0 < entry["wall_s"] < 600.0
         written = [p.name for p in out.glob("*.csv")] + ["flow.field"]
         assert len(written) > 8
         for name in written:
@@ -768,14 +771,16 @@ class TestRun:
         reason = capsys.readouterr().err.strip().removeprefix("error: ")
         assert reason.startswith("DegenerateGrid: ")
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["commands"]["poiseuille"] == {
-            "exit_status": 1, "error": reason, "outputs": []}
+        record = manifest["commands"]["poiseuille"]
+        assert record.pop("wall_s") > 0.0  # an exit-1 record is timed too
+        assert record == {"exit_status": 1, "error": reason, "outputs": []}
         assert cli_io.main(["report", *args]) == 2
         assert (tmp_path / "summary.csv").read_text().splitlines()[1:] == [
             "source,verdict,status", "manifest.json,poiseuille,ERROR"]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["commands"]["report"] == {
-            "exit_status": 2, "outputs": ["summary.csv"]}
+        record = manifest["commands"]["report"]
+        assert record.pop("wall_s") > 0.0
+        assert record == {"exit_status": 2, "outputs": ["summary.csv"]}
 
     def test_output_path_of_a_file_is_an_error(self, tmp_path, capsys):
         # the output directory was once made outside the error handling:
@@ -798,8 +803,9 @@ class TestRun:
         reason = capsys.readouterr().err.strip().removeprefix("error: ")
         assert reason.startswith("IsADirectoryError: ")
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["commands"]["carrier-check"] == {
-            "exit_status": 1, "error": reason, "outputs": []}
+        record = manifest["commands"]["carrier-check"]
+        assert record.pop("wall_s") > 0.0
+        assert record == {"exit_status": 1, "error": reason, "outputs": []}
 
     def test_unwritable_manifest_is_an_error(self, tmp_path, capsys):
         path = self.scenario(tmp_path)

@@ -5,11 +5,13 @@ import pytest
 from scipy import sparse
 from scipy.linalg import eigh
 
+from channellab import _fem
 from channellab import geometry as geo
 from channellab._fem import (
     assemble_div,
     assemble_grad_load,
     assemble_q1,
+    boundary_mask,
     smallest_eigenpair,
     spd_solve,
 )
@@ -65,6 +67,56 @@ class TestSpdSolve:
         shifted = dense(dK - 0.5 * (lam[0] + lam[-1]), oK)
         with pytest.raises(EigenFailure):
             spd_solve(sparse.csr_matrix(shifted))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("columns", [1, 2, 5, 16])
+    @pytest.mark.parametrize("kind", ["wall_17x9", "diagonal", "one_block"])
+    def test_block_matches_column_solves(self, kind, columns, order):
+        # wall_17x9: n 119 in blocks of 9, the last one padded with 7 rows;
+        # diagonal: width 0, blocks of one row; one_block: a dense matrix,
+        # one block and no coupling
+        K = spd_matrix(kind)
+        rhs = np.random.default_rng(4).standard_normal((K.shape[0], columns))
+        solve = spd_solve(K)
+        got = solve(np.asarray(rhs, order=order))
+        want = np.column_stack([solve(column) for column in rhs.T])
+        assert got.shape == rhs.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        residual = K @ got - rhs
+        assert np.abs(residual).max() <= 1e-12 * np.abs(rhs).max()
+
+    def test_blocks_formed_by_the_first_block_solve(self, monkeypatch):
+        formed = []
+
+        def recording(cb):
+            formed.append(cb.shape)
+            return sweep_blocks(cb)
+
+        sweep_blocks = _fem._sweep_blocks
+        monkeypatch.setattr(_fem, "_sweep_blocks", recording)
+        K = spd_matrix("wall_17x9")
+        rhs = np.ones((K.shape[0], 3))
+        solve = spd_solve(K)
+        solve(rhs[:, 0])
+        solve(rhs[:, :1])
+        assert formed == []
+        solve(rhs)
+        solve(rhs[:, :2])
+        assert formed == [(9, 119)]
+
+
+def spd_matrix(kind):
+    """A sparse symmetric positive definite matrix of the block tests."""
+    if kind == "wall_17x9":
+        nx, ny = 17, 9
+        x, y = mapped_nodes("bump_outlet", nx, ny)
+        free = ~boundary_mask(nx, ny, ends=False)
+        return assemble_q1(x, y, nx, ny)[0][free][:, free]
+    rng = np.random.default_rng(6)
+    if kind == "diagonal":
+        return sparse.diags(rng.uniform(0.5, 2.0, 13), format="csr")
+    a = rng.standard_normal((5, 5))
+    return sparse.csr_matrix(a @ a.T + 5.0 * np.eye(5))
 
 
 def mapped_nodes(stem, nx, ny):

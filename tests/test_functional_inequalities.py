@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy import sparse
 from scipy.linalg import eigh, null_space
 from scipy.sparse.linalg import splu
 
+from channellab import _fem
 from channellab import functional_inequalities as fi
 from channellab import geometry as geo
 from channellab._fem import (
@@ -139,6 +141,22 @@ class TestSpdSolve:
         fi.bogovskii_m5(straight, 0, 2, resolution=(17, 17))
         assert len(factored) == 1
 
+    def test_only_m4_forms_sweep_blocks(self, straight, monkeypatch):
+        # M1's Lanczos solves vectors: its factors never hold the blocks
+        formed = []
+
+        def recording(cb):
+            formed.append(cb.shape)
+            return sweep_blocks(cb)
+
+        sweep_blocks = _fem._sweep_blocks
+        monkeypatch.setattr(_fem, "_sweep_blocks", recording)
+        fi.poincare_m1(straight, 0, 2, resolution=(33, 17))
+        assert formed == []
+        fi.sobolev_m4(straight, 0, 2, resolution=(33, 17))
+        # 15 free nodes a grid line: width 16, so one factor with blocks of 17
+        assert formed == [(17, 33 * 15)]
+
 
 class TestPoincareM0:
     def test_analytic_value(self, straight):
@@ -238,8 +256,54 @@ class TestSobolevM4:
         monkeypatch.setattr(fi, "M4_MAX_STEPS", 2)
         with pytest.raises(AscentStagnation) as err:
             fi.sobolev_m4(straight, 0, 2, resolution=(17, 9))
-        assert "starts 0, 1, 2" in str(err.value)
-        assert "did not settle in 2 steps" in str(err.value)
+        message = str(err.value)
+        assert "starts 0, 1, 2" in message
+        assert "did not settle in 2 steps: start 0 at ratio " in message
+        # each unsettled start's last ratio and relative change, in order
+        last = re.findall(r"start (\d+) at ratio (\S+) \(last relative change "
+                          r"(\S+)\)", message)
+        assert [int(start) for start, _, _ in last] == list(range(fi.M4_STARTS))
+        assert all(float(ratio) > 0.0 and float(change) > 1e-10
+                   for _, ratio, change in last)
+        assert message.endswith("; no start settled")
+
+    def test_step_cap_names_the_best_settled_ratio(self, straight, monkeypatch):
+        # with the cap one step short of the slowest start, the others settle
+        settled = fi.sobolev_m4(straight, 0, 2, resolution=(17, 9)).value
+        steps = self.steps_to_settle(straight)
+        monkeypatch.setattr(fi, "M4_MAX_STEPS", max(steps) - 1)
+        with pytest.raises(AscentStagnation) as err:
+            fi.sobolev_m4(straight, 0, 2, resolution=(17, 9))
+        message = str(err.value)
+        slowest = [i for i, s in enumerate(steps) if s == max(steps)]
+        assert f"starts {', '.join(map(str, slowest))} of 16 " in message
+        best = float(message.rsplit("the best settled ratio is ", 1)[1])
+        assert best <= settled and best == pytest.approx(settled, rel=1e-5)
+
+    @staticmethod
+    def steps_to_settle(profile):
+        """Steps each M4 start takes on [0, 2] at 17x9, run one at a time."""
+        nx, ny = 17, 9
+        _, x, y = fi._grid_nodes(profile, 0, 2, nx, ny)
+        K, _, lumped = assemble_q1(x, y, nx, ny)
+        free = ~boundary_mask(nx, ny, ends=False)
+        Kf, lump_f = K[free][:, free].tocsc(), lumped[free]
+        lu = splu(Kf)
+        draws = np.random.default_rng(fi.M4_SEED).standard_normal(
+            (fi.M4_STARTS, lump_f.size))
+        steps = []
+        for w in draws:
+            w = w / math.sqrt(w @ (Kf @ w))
+            ratio_old = 0.0
+            for step in range(1, fi.M4_MAX_STEPS + 1):
+                w = lu.solve(lump_f * w**3)
+                w /= math.sqrt(w @ (Kf @ w))
+                ratio = float(lump_f @ w**4) ** 0.25
+                if abs(ratio - ratio_old) <= 1e-10 * ratio:
+                    break
+                ratio_old = ratio
+            steps.append(step)
+        return steps
 
     def test_zero_fields_stagnate(self, straight, monkeypatch):
         # every start's first step is the zero field: no start has a ratio
