@@ -13,9 +13,10 @@ order), the banded Cholesky back-solve of every positive definite stiffness
 (shift-invert Lanczos with a residual-checked acceptance).
 
 ``spd_solve`` keeps one banded factor and two back-solve kernels: LAPACK's
-``DPBTRS`` for a vector or a one-column block, and for a block of two or
-more columns two level-3 sweeps over the factor cut into diagonal blocks
-(``_sweep_blocks``, ``_sweeps``), formed by the first block solve only.
+``DPBTRS`` for a vector or a block of up to three columns, and for a block
+of four or more columns two level-3 sweeps over the factor cut into
+diagonal blocks (``_sweep_blocks``, ``_sweeps``), formed by the first such
+block solve only.
 """
 
 from __future__ import annotations
@@ -180,6 +181,10 @@ def boundary_mask(nx, ny, ends):
     return mask.ravel()
 
 
+# blocks of at least this many columns go through the level-3 sweeps
+_SWEEP_COLUMNS = 4
+
+
 def spd_solve(K):
     """Back-solve of the sparse symmetric positive definite K, for one
     right-hand side or a block of them as columns.
@@ -195,14 +200,16 @@ def spd_solve(K):
     its zero pivot to either sign; on a non-positive pivot
     :class:`EigenFailure` is raised.
 
-    A vector or a one-column block is back-solved by ``DPBTRS``.  It solves
-    a block one column at a time with the level-2 ``DTBSV``, so a block of
-    two or more columns goes through the level-3 sweeps of :func:`_sweeps`
-    instead: on the 49x33 M4 stiffness 16 columns take 0.30 ms there
-    against 0.92 ms in ``DPBTRS``, but one column takes 0.20 ms against
-    0.07 ms.  The sweeps' blocks are formed by the first block solve, so
-    a factor that only ever solves vectors (M1's Lanczos) never holds them:
-    at 129x65 they would take 17 MB.
+    A vector or a block of up to three columns is back-solved by
+    ``DPBTRS``.  It solves a block one column at a time with the level-2
+    ``DTBSV``, so a block of ``_SWEEP_COLUMNS`` = 4 or more columns goes
+    through the level-3 sweeps of :func:`_sweeps` instead: on the 49x33 M4
+    stiffness 16 columns take 0.30 ms there against 0.92 ms in ``DPBTRS``,
+    4 columns break even (0.24 against 0.23 ms), and 2 columns take
+    0.21 ms there against 0.13 ms.  The sweeps' blocks are formed by the
+    first solve of four or more columns, so a factor that never solves
+    such a block (M1's Lanczos) never holds them: at 129x65 they would
+    take 17 MB.
     """
     n = K.shape[0]
     lower = sparse.tril(K, format="coo")
@@ -221,7 +228,7 @@ def spd_solve(K):
     blocks = []  # the sweep blocks, once a block solve has formed them
 
     def solve(rhs):
-        if rhs.ndim == 1 or rhs.shape[1] == 1:
+        if rhs.ndim == 1 or rhs.shape[1] < _SWEEP_COLUMNS:
             return cho_solve_banded((cb, True), rhs, check_finite=False)
         if not blocks:
             blocks.extend(_sweep_blocks(cb))

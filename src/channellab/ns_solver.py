@@ -8,7 +8,9 @@ nonlinear loop is one chord iteration at the requested flux on the
 coupled linear (psi, omega) system with the advecting velocity frozen: one
 SuperLU factor serves several steps, starting with the Stokes factor A(0)
 and, in the uniqueness probe, carried on to the perturbed start; a
-refresh releases the old factor before it builds the new one.
+refresh releases the old factor before it builds the new one.  A factor
+is built only to solve nonzero data: where all boundary data are zero
+(flux 0), x = 0 solves every step and no factor is built at all.
 A solve's bookkeeping has one owner each: the grid holds the wall, the
 workspace the flux ``params`` whose boundary data it carries, its live
 factor and the count of factors it has built; the chord loop
@@ -31,10 +33,14 @@ Energies are computed only on request (:func:`energy_diagnostics`);
 a state forms its nodal velocity gradients and carrier Jacobian once and
 keeps them.
 
-The discretisation is written once, as the matrix A(u): each state has one
-residual r = b - A(u) x.  Its interior and wall-closure rows give
-:func:`residual_norm`, its Dirichlet rows :func:`boundary_defect`, and the
-chord step from the state takes the same r as its right-hand side.
+The discretisation is written once, as A(u) = A(0) + advection, with A(0)
+a matrix and the advection -u.grad omega the axes' central stencils.  A
+refresh assembles A(u) as a matrix to factor it; a residual applies the
+advection as an action on the fields, to the bit what the matrix gives.
+Each state has one residual r = b - A(u) x.  Its interior and wall-closure
+rows give :func:`residual_norm`, its Dirichlet rows
+:func:`boundary_defect`, and the chord step from the state takes the same
+r as its right-hand side.
 """
 
 from __future__ import annotations
@@ -158,11 +164,15 @@ def velocity_gradients(state):
 
 
 class _Workspace:
-    """A grid's constant block and advection pattern, both built straight
-    from the axes' stencils, and its block split; the boundary data of one
-    flux ``params`` (its right-hand side ``rhs``), one live ``lu`` and the
-    count of ``factorizations`` it has built.  The flux enters only the
-    Dirichlet rows of ``rhs``.
+    """A grid's constant block, built straight from the axes' stencils, and
+    its block split; the boundary data of one flux ``params`` (its
+    right-hand side ``rhs``), at most one live ``lu`` and the count of
+    ``factorizations`` it has built.  The flux enters only the Dirichlet
+    rows of ``rhs``.  The advection is applied from the stencils in
+    :meth:`residual`; its matrix, and the pattern it fills, are built only
+    when :meth:`factor` refreshes A(u) at a moving velocity.  No factor is
+    held until nonzero data need one: :meth:`apply` solves all-zero data
+    without it.
 
     The split is fixed per grid.  ``keep`` are the psi unknowns of the
     interior nodes, and ``rows`` and ``cols`` pair every other row with
@@ -193,16 +203,6 @@ class _Workspace:
         # 2I - (I + N) = I - N
         self._unit_inverse = (2 * eye - outer[:, self.cols]).tocsr()
         self._w = (self._unit_inverse @ outer[:, self.keep]).tocsr()
-        # advection pattern: on the omega row of each interior node, slots at
-        # (i - 1, j), (i, j - 1), (i, j + 1), (i + 1, j) with the weights of
-        # the central first differences in -u.grad; _adv_eta marks eta slots
-        (c1x, _), (c1y, _) = grid.xi_axis.central, grid.eta_axis.central
-        slots = np.cumsum(np.r_[np.zeros(n + 1, int), 4 * interior])
-        self._adv_pattern = sparse.csr_matrix((np.tile(
-            -np.array([c1x[0], c1y[0], c1y[2], c1x[2]]), len(self.keep)),
-            (n + self.keep[:, None] + [-grid.ny, -1, 1, grid.ny]).ravel(),
-            slots), (2 * n, 2 * n))
-        self._adv_eta = np.tile([False, True, True, False], len(self.keep))
         left = (np.full(grid.ny, grid.a), grid.x2[0, :])
         right = (np.full(grid.ny, grid.b), grid.x2[-1, :])
         # Dirichlet psi on the ends, then the walls (walls win at corners);
@@ -220,7 +220,7 @@ class _Workspace:
 
     def stokes(self):
         """Stokes state of ``params`` by a back-solve with the held factor
-        of A(0)."""
+        of A(0), or exactly 0 where the data are zero and none is held."""
         return state_from_fields(self.grid, self.params, *self.apply(self.rhs))
 
     def _assemble_constant(self):
@@ -259,17 +259,40 @@ class _Workspace:
             [at, np.r_[at[:5], n + at[5:]]], np.int32)[:, None]
         return csr_slots(cols.reshape(2 * n, 15), vals.reshape(2 * n, 15))
 
-    def advection_matrix(self, u1, u2):
-        """-u.grad on the omega rows of the interior nodes, central in the
-        mapped coordinates: u.grad = u1 d_xi + (u1 J1 + u2/f) d_eta.  The
-        values fill the grid's fixed pattern."""
+    def _advection_weights(self, u1, u2):
+        """The weights (u1 / 2hx, (u1 J1 + u2 / f) / 2hy) of the xi and eta
+        central differences in u.grad = u1 d_xi + (u1 J1 + u2/f) d_eta, at
+        every node."""
         grid = self.grid
         s1x, s1y = grid.xi_axis.differences[1], grid.eta_axis.differences[1]
+        return u1 / s1x, (u1 * grid.j1 + u2 / grid.f[:, None]) / s1y
+
+    @functools.cached_property
+    def _adv_pattern(self):
+        """The advection pattern: on the omega row of each interior node,
+        slots at (i - 1, j), (i, j - 1), (i, j + 1), (i + 1, j) with the
+        weights of the central first differences in -u.grad.  Built by the
+        first refresh that factors A(u) at a moving velocity."""
+        grid, n = self.grid, self.n
+        (c1x, _), (c1y, _) = grid.xi_axis.central, grid.eta_axis.central
+        slots = np.cumsum(np.r_[np.zeros(n + 1, int), 4 * self._interior])
+        return sparse.csr_matrix((np.tile(
+            -np.array([c1x[0], c1y[0], c1y[2], c1x[2]]), len(self.keep)),
+            (n + self.keep[:, None] + [-grid.ny, -1, 1, grid.ny]).ravel(),
+            slots), (2 * n, 2 * n))
+
+    @functools.cached_property
+    def _adv_eta(self):
+        """Which slots of :attr:`_adv_pattern` are eta slots."""
+        return np.tile([False, True, True, False], len(self.keep))
+
+    def advection_matrix(self, u1, u2):
+        """-u.grad on the omega rows of the interior nodes as a matrix, for a
+        refresh to factor; its values fill the grid's fixed pattern."""
         pattern = self._adv_pattern
         slots = np.diff(pattern.indptr)[self.n:]  # of each node's omega row
-        a1 = np.repeat((u1 / s1x).ravel(), slots)
-        a2 = np.repeat(((u1 * grid.j1 + u2 / grid.f[:, None]) / s1y).ravel(),
-                       slots)
+        a1, a2 = (np.repeat(a.ravel(), slots)
+                  for a in self._advection_weights(u1, u2))
         return sparse.csr_matrix(
             (np.where(self._adv_eta, a2, a1) * pattern.data, pattern.indices,
              pattern.indptr), shape=pattern.shape)
@@ -277,15 +300,28 @@ class _Workspace:
     def residual(self, state):
         """r = b - A(u) x at the fields x and the velocity u of ``state``.
 
-        The last state's r is kept, so its two defects and the chord step
-        from it share one evaluation.
+        A(0) x is a product with the constant block; -u.grad omega on the
+        omega rows of the interior nodes is applied straight from the axes'
+        central stencils, its four products added in the slot order of
+        :meth:`advection_matrix`, so r is the same to the bit as with that
+        matrix.  The last state's r is kept, so its two defects and the
+        chord step from it share one evaluation.
         """
         if state is not self._residual_of:
             x = np.concatenate([state.psi.ravel(), state.omega.ravel()])
-            self._residual = (self.rhs - self.a_const @ x
-                              - self.advection_matrix(state.u1, state.u2) @ x)
-            self._residual.setflags(write=False)  # shared by every reader
-            self._residual_of = state
+            r = self.rhs - self.a_const @ x
+            a1, a2 = (a[1:-1, 1:-1]
+                      for a in self._advection_weights(state.u1, state.u2))
+            (c1x, _), (c1y, _) = (self.grid.xi_axis.central,
+                                  self.grid.eta_axis.central)
+            w = state.omega
+            adv = (-c1x[0] * a1) * w[:-2, 1:-1]
+            adv += (-c1y[0] * a2) * w[1:-1, :-2]
+            adv += (-c1y[2] * a2) * w[1:-1, 2:]
+            adv += (-c1x[2] * a1) * w[2:, 1:-1]
+            r[self.n:].reshape(w.shape)[1:-1, 1:-1] -= adv
+            r.setflags(write=False)  # shared by every reader
+            self._residual, self._residual_of = r, state
         return self._residual
 
     def factor(self, u1, u2):
@@ -323,7 +359,11 @@ class _Workspace:
     def apply(self, rhs):
         """(psi, omega) solving A(u) x = rhs at the factored u, in natural
         order, by exact block elimination: y = (I - N) rhs[rows], then
-        x[keep] = S^-1 (rhs[n + keep] - A1 y) and x[cols] = y - W x[keep]."""
+        x[keep] = S^-1 (rhs[n + keep] - A1 y) and x[cols] = y - W x[keep].
+        With no factor held, an all-zero rhs gives x = 0 exactly; a NaN in
+        rhs is not zero and needs the factor."""
+        if self.lu is None and not rhs.any():
+            return np.zeros((2, self.grid.nx, self.grid.ny))
         y = self._unit_inverse @ rhs[self.rows]
         x = np.empty_like(rhs)
         x[self.keep] = x_keep = self.lu.solve(rhs[self.n + self.keep]
@@ -376,9 +416,12 @@ def state_from_fields(grid, params, psi, omega):
 
 
 def _stokes_workspace(grid, params):
-    """The workspace of ``grid`` and ``params``, holding the factor of A(0)."""
+    """The workspace of ``grid`` and ``params``, holding the factor of A(0)
+    unless all boundary data are zero (flux 0), whose solution x = 0 needs
+    none."""
     ws = _Workspace(grid, params)
-    ws.factor(None, None)
+    if ws.rhs.any():
+        ws.factor(None, None)
     return ws
 
 
@@ -392,7 +435,7 @@ def picard_step(state, workspace, chord=False):
 
     The plain step factors A(u) at the velocity u of ``state`` into the
     workspace, replacing the factor it held, and solves A(u) x = b; where
-    b = 0 (flux 0) it keeps a held factor, as any factor gives x = 0.  With
+    b = 0 (flux 0) it factors nothing, as x = 0 solves A(u) x = 0.  With
     ``chord=True`` the step is the chord correction x + LU^-1 (b - A(u) x)
     from the fields x of ``state``, where the held factor LU may be of A
     at an earlier iterate.  The workspace holds the grid, the end data and
@@ -402,7 +445,7 @@ def picard_step(state, workspace, chord=False):
         dpsi, domega = workspace.apply(workspace.residual(state))
         psi, omega = state.psi + dpsi, state.omega + domega
     else:
-        if workspace.lu is None or workspace.rhs.any():
+        if workspace.rhs.any():
             workspace.factor(state.u1, state.u2)
         psi, omega = workspace.apply(workspace.rhs)
     new = state_from_fields(state.grid, state.params, psi, omega)
@@ -424,9 +467,9 @@ def _picard(state, config, workspace):
     of the Stokes-started loop.  Whenever a step shrinks the defect
     max(residual_norm, boundary_defect) by less than 2x, or when the
     workspace holds no factor, the step is the plain Picard solve, which
-    refactors A(u) at the current iterate.  So is every step where all
-    boundary data are zero (flux 0), which keeps the fields exactly 0 and
-    the factor held.
+    refactors A(u) at the current iterate.  Where all boundary data are
+    zero (flux 0) the workspace never holds a factor, so every step is the
+    plain one, which sets the fields to exactly 0 without factoring.
 
     ``workspace`` carries the boundary data of ``state.params``, which
     every step keeps, and counts the factorizations.  The converged state
@@ -452,8 +495,7 @@ def _picard(state, config, workspace):
             stalled += 1
         if stalled == _STALL_STEPS or steps == config.max_iter:
             break
-        chord = (workspace.lu is not None and defect <= 0.5 * prev
-                 and workspace.rhs.any())
+        chord = workspace.lu is not None and defect <= 0.5 * prev
         prev = defect
         state, res = picard_step(state, workspace, chord)
         history.append((steps + 1, res))
@@ -470,8 +512,8 @@ def _picard(state, config, workspace):
 def solve_steady(profile, params, a, b, nx, ny, config=None):
     """Stokes initialize, then one chord loop to tolerance at ``params``.
 
-    The grid's constant block is assembled and A(0) factored once; the
-    last factor is released when the loop ends.  Raises
+    The grid's constant block is assembled and A(0) factored once (not at
+    all at flux 0); the last factor is released when the loop ends.  Raises
     :class:`NonConvergence` rather than returning an unconverged state.
     """
     ws = _stokes_workspace(make_grid(profile, a, b, nx, ny), params)
@@ -486,8 +528,10 @@ def solve_two_starts(profile, params, a, b, nx, ny, perturb, config):
     loop runs from the Stokes factor A(0); the perturbed loop starts from
     the perturbed fields with chord steps on that loop's last factor,
     under :func:`_picard`'s rules, and has a residual history of its own.
-    A :class:`NonConvergence` of either loop counts every factorization of
-    the probe.  The factor goes with the workspace when the probe returns.
+    At flux 0 both loops end at fields that are exactly 0 and the probe
+    factors nothing.  A :class:`NonConvergence` of either loop counts
+    every factorization of the probe.  The factor goes with the workspace
+    when the probe returns.
     """
     ws = _stokes_workspace(make_grid(profile, a, b, nx, ny), params)
     stokes = ws.stokes()

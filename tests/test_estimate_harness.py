@@ -232,14 +232,14 @@ class TestUniqueness:
         assert len(splu_calls) == 1
 
     @pytest.mark.parametrize("phi, a, b, nx, ny, factors", [
-        (0.0, -4, 4, 65, 17, 1), (0.1, -6, 6, 129, 33, 1),
+        (0.0, -4, 4, 65, 17, 0), (0.1, -6, 6, 129, 33, 1),
         (5.0, -4, 4, 65, 17, 5)])
     def test_perturbed_loop_on_the_held_factor(self, straight, splu_calls,
                                                phi, a, b, nx, ny, factors):
         # the perturbed loop goes on from the Stokes-started loop's last
-        # factor; at flux 0 its plain step back-solves the zero data with
-        # that factor, which keeps the fields exactly 0 without a refactor;
-        # either way its history starts at the perturbed fields, not at a
+        # factor; at flux 0 no loop factors at all, since x = 0 solves the
+        # zero data, so its plain step keeps the fields exactly 0; either
+        # way its history starts at the perturbed fields, not at a
         # back-solve that drops them
         params = fc.CarrierParams(phi)
         starts = []
@@ -307,6 +307,20 @@ class TestUniqueness:
         assert rep.l2_distance == 0.0
         assert rep.dirichlet_distance == 0.0
         assert rep.unique
+
+    def test_zero_flux_needs_no_factor(self, straight, splu_calls):
+        # x = 0 solves zero data, so neither loop of the flux-0 probe
+        # factors, and both end at fields that are exactly 0
+        base, other = ns.solve_two_starts(
+            straight, fc.CarrierParams(0.0), -4, 4, 65, 17,
+            functools.partial(eh._perturbed_start, seed=7),
+            eh._UNIQUENESS_SOLVER)
+        assert len(splu_calls) == 0
+        for state in (base, other):
+            assert not state.psi.any() and not state.omega.any()
+        rep = eh.uniqueness_probe(straight, 0.0, -4, 4, nx=65, ny=17)
+        assert len(splu_calls) == 0
+        assert rep.l2_distance == rep.dirichlet_distance == 0.0
 
 
 def hat_weight(profile, t, beta_star):

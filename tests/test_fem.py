@@ -94,14 +94,17 @@ class TestSpdSolve:
 
         sweep_blocks = _fem._sweep_blocks
         monkeypatch.setattr(_fem, "_sweep_blocks", recording)
+        # blocks of up to three columns stay on DPBTRS and form none
         K = spd_matrix("wall_17x9")
-        rhs = np.ones((K.shape[0], 3))
+        rhs = np.ones((K.shape[0], 4))
         solve = spd_solve(K)
         solve(rhs[:, 0])
-        solve(rhs[:, :1])
+        for columns in (1, 2, 3):
+            solve(rhs[:, :columns])
         assert formed == []
         solve(rhs)
         solve(rhs[:, :2])
+        solve(rhs)
         assert formed == [(9, 119)]
 
 

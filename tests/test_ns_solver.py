@@ -11,7 +11,7 @@ from channellab import estimate_harness as eh
 from channellab import flux_carrier as fc
 from channellab import geometry as geo
 from channellab import ns_solver as ns
-from channellab.errors import NonConvergence, OutOfRange
+from channellab.errors import LinearSolveFailure, NonConvergence, OutOfRange
 
 from conftest import poiseuille_psi, poiseuille_u1
 
@@ -130,8 +130,9 @@ class TestPicard:
         assert res == 0.0
 
     def test_zero_data_step_keeps_the_held_factor(self, straight, splu_calls):
-        # A x = 0 is solved exactly by x = 0 with any factor, so a plain
-        # step on zero data back-solves with the factor of A(0) it holds
+        # A x = 0 is solved exactly by x = 0, so neither the Stokes
+        # workspace nor a plain step on zero data factors anything: the
+        # workspace holds no factor before the step or after it
         grid = geo.make_grid(straight, -4, 4, 65, 17)
         params = fc.CarrierParams(0.0, 0.5)
         ws = ns._stokes_workspace(grid, params)
@@ -140,7 +141,7 @@ class TestPicard:
                                   rng.normal(size=(65, 17)))
         lu = ws.lu
         new, res = ns.picard_step(st, ws)
-        assert len(splu_calls) == 1 and ws.lu is lu
+        assert len(splu_calls) == 0 and ws.lu is lu is None
         assert np.abs(new.psi).max() == 0.0
         assert np.abs(new.omega).max() == 0.0
         assert res == 0.0
@@ -464,10 +465,59 @@ class TestFactorReuse:
         else:
             assert eh.uniqueness_probe(straight, 5.0, -4, 4, nx=65,
                                        ny=17).unique
-        # flux 0 has no data, so its one factor, A(0), solves every step
-        assert len(at_factor) == 1 if run == "probe-0" else len(at_factor) >= 2
+        # flux 0 has no data, so x = 0 solves every step without a factor
+        assert len(at_factor) == 0 if run == "probe-0" else len(at_factor) >= 2
         assert at_factor == [0] * len(at_factor)
         assert not live
+
+    def test_first_solve_with_data_factors_once(self, straight, splu_calls):
+        # the factor is lazy only for zero data: the Stokes workspace and a
+        # plain step on a workspace without a factor each factor once
+        grid = geo.make_grid(straight, -4, 4, 65, 17)
+        params = fc.CarrierParams(0.5)
+        st = ns._stokes_workspace(grid, params).stokes()
+        assert len(splu_calls) == 1
+        assert np.abs(st.psi).max() > 0.0
+        ws = ns._Workspace(grid, params)
+        ns.picard_step(st, ws)
+        assert len(splu_calls) == 2 and ws.lu is not None
+
+    def test_nan_data_reach_the_non_finite_check(self, straight, splu_calls):
+        # a NaN is not zero data: the step factors and the solve rejects it
+        grid = geo.make_grid(straight, -4, 4, 65, 17)
+        params = fc.CarrierParams(0.0)
+        ws = ns._Workspace(grid, params)
+        ws.rhs = np.where(np.arange(len(ws.rhs)) == 0, np.nan, ws.rhs)
+        st = ns.state_from_fields(grid, params, np.zeros((65, 17)),
+                                  np.zeros((65, 17)))
+        with pytest.raises(LinearSolveFailure):
+            ns.picard_step(st, ws)
+        assert len(splu_calls) == 1
+
+    @pytest.mark.parametrize("run, built", [("probe-0.1", False),
+                                            ("solve-8", True)])
+    def test_advection_matrix_only_for_a_refresh(self, straight, monkeypatch,
+                                                 splu_calls, run, built):
+        # the residual applies advection from the stencils, so only a
+        # refresh, which factors A(u) at a moving velocity, builds the
+        # advection pattern
+        workspaces = []
+        init = ns._Workspace.__init__
+
+        def recording(self, *args):
+            workspaces.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(ns._Workspace, "__init__", recording)
+        if run == "probe-0.1":
+            assert eh.uniqueness_probe(straight, 0.1, -6, 6, nx=129,
+                                       ny=33).unique
+            assert len(splu_calls) == 1
+        else:
+            ns.solve_steady(straight, fc.CarrierParams(8.0), -6, 6, 97, 17)
+            assert len(splu_calls) > 1
+        assert len(workspaces) == 1
+        assert ("_adv_pattern" in vars(workspaces[0])) == built
 
 
 def _kron_rows(weights, matrix):
@@ -565,6 +615,18 @@ class TestAssembly:
         pattern, eta = _kron_advection(ws)
         _assert_same_csr(ws._adv_pattern, pattern)
         assert np.array_equal(ws._adv_eta, eta)
+
+    def test_residual_matches_advection_matrix(self, grid):
+        # the residual's stencil advection against the advection matrix,
+        # bit for bit, at seeded random fields
+        ws = ns._Workspace(grid, fc.CarrierParams(1.0))
+        rng = np.random.default_rng(11)
+        st = ns.state_from_fields(grid, ws.params,
+                                  *rng.standard_normal((2, grid.nx, grid.ny)))
+        x = np.concatenate([st.psi.ravel(), st.omega.ravel()])
+        want = (ws.rhs - ws.a_const @ x
+                - ws.advection_matrix(st.u1, st.u2) @ x)
+        assert np.array_equal(ws.residual(st), want)
 
     @pytest.mark.parametrize("n", [8, 9, 33, 65, 385])
     def test_axis_differences_match_lil(self, n):
