@@ -793,9 +793,9 @@ def _run_constants(sc, out, quiet):
     a, b = sc.grid_window[0], sc.grid_window[1]
     estimates = [
         fi.poincare_m0(sc.profile, a, b),
-        fi.poincare_m1(sc.profile, a, b, resolution=(129, 65)),
-        fi.sobolev_m4(sc.profile, a, b, resolution=(49, 33)),
-        fi.bogovskii_m5(sc.profile, a, b, resolution=(33, 33)),
+        fi.poincare_m1(sc.profile, a, b),
+        fi.sobolev_m4(sc.profile, a, b),
+        fi.bogovskii_m5(sc.profile, a, b),
     ]
     rows = []
     for est in estimates:

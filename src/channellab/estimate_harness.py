@@ -84,6 +84,11 @@ class Verdict:
         return f"{self.name}: {self.status}" + (f" ({why})" if why else "")
 
 
+def _window_beta_star(profile, t):
+    """beta* of the reporting window +-t, validated on (-t - 1, t + 1)."""
+    return geo.validate(profile, (-t - 1.0, t + 1.0)).beta_star
+
+
 def padded_solve(profile, params, t_max, target_hx, ny):
     """Converged solve on a truncation padded beyond the reporting window.
 
@@ -94,7 +99,7 @@ def padded_solve(profile, params, t_max, target_hx, ny):
     grid has ``ny`` eta nodes and the fewest xi nodes, odd and at least
     65, whose spacing is at most ``target_hx``.
     """
-    bs = geo.validate(profile, (-t_max - 1.0, t_max + 1.0)).beta_star
+    bs = _window_beta_star(profile, t_max)
     lo, hi = -t_max, t_max
     pad_lo = PAD_FACTOR * bs * float(profile.width(lo))
     pad_hi = PAD_FACTOR * bs * float(profile.width(hi))
@@ -188,8 +193,7 @@ def decay_scan(state, t_range):
     t_lo, t_hi = float(t_range[0]), float(t_range[-1])
     classification = geo.classify(profile)
     hypothesis = classification.condition_16 or classification.condition_17
-    metrics = geo.validate(profile, (-t_hi - 1.0, t_hi + 1.0))
-    bs = metrics.beta_star
+    bs = _window_beta_star(profile, t_hi)
 
     grid = state.grid
     # ny >= 8 puts eta = 1/7 ... 6/7 inside and eta = 0 outside: both sides
@@ -431,7 +435,7 @@ def hat_energy_inequality(state, x_max):
             f"weight parameterization needs both tails infinite, got "
             f"{classification.case.value}"
         )
-    bs = geo.validate(profile, (-x_max - 1.0, x_max + 1.0)).beta_star
+    bs = _window_beta_star(profile, x_max)
 
     t_star = geo.try_t_star(profile, bs)
     t_max = geo.k_of(profile, x_max)

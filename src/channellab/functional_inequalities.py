@@ -155,7 +155,7 @@ M4_MAX_STEPS = 500
 M4_SEED = 0
 
 
-def sobolev_m4(profile, a, b, resolution=(65, 65)):
+def sobolev_m4(profile, a, b, resolution=(49, 33)):
     """Best ratio ||w||_L4 / ||grad w||_L2 over wall-vanishing fields.
 
     Normalized fixed-point ascent w <- K^(-1) M(w^3) from M4_STARTS seeded
@@ -286,7 +286,7 @@ def _saddle_apply(solve, nf, lumped, w_times_mass):
     return sol[:nf], sol[nf : 2 * nf], np.concatenate([[0.0], sol[2 * nf :]])
 
 
-def bogovskii_m5(profile, a, b, resolution=(49, 49)):
+def bogovskii_m5(profile, a, b, resolution=(33, 33)):
     """Estimate M5(D) = sup ||grad a|| / ||w|| over mean-zero w.
 
     M5^2 is the largest eigenvalue of w -> -p(Mp w), the pressure of one

@@ -8,14 +8,14 @@ nonlinear loop is one chord iteration at the requested flux on the
 coupled linear (psi, omega) system with the advecting velocity frozen: one
 SuperLU factor serves several steps, starting with the Stokes factor A(0)
 and, in the uniqueness probe, carried on to the perturbed start; a
-refresh releases the old factor before it builds the new one.  A factor
-is built only to solve nonzero data: where all boundary data are zero
-(flux 0), x = 0 solves every step and no factor is built at all.
-A solve's bookkeeping has one owner each: the grid holds the wall, the
-workspace the flux ``params`` whose boundary data it carries, its live
-factor and the count of factors it has built; the chord loop
-:func:`_picard` alone records the residual history, and a loop that does
-not converge raises :class:`NonConvergence`.
+refresh releases the old factor before it builds the new one.  Each
+solver decision has one owner.  The grid holds the wall.  The workspace
+holds the flux ``params`` whose boundary data it carries, starts itself
+from Stokes, holds its live factor and counts the factors it builds; its
+``factor`` alone rules that zero data (flux 0) need none, as x = 0 solves
+every step.  ``_ADVECTION_SLOTS`` alone holds the advection stencil.  The
+chord loop :func:`_picard` alone records the residual history, stops
+after ``_MAX_STEPS`` steps, and raises :class:`NonConvergence`.
 SuperLU never sees the coupled matrix.  Every row of A(u) but the omega
 rows of the interior nodes has a unit coefficient on one unknown that is
 not an interior psi, so those rows eliminate omega and the Dirichlet
@@ -29,14 +29,14 @@ objects, whose stencils build A(u) and the velocity.  Kept apart on
 purpose are the wall closure's (-7, 8, -1) rows and
 :func:`slice_flux_profile`'s fourth-order ``_d1_fourth`` with its
 Simpson weights: that flux check must not share the scheme it checks.
-Energies are computed only on request (:func:`energy_diagnostics`);
-a state forms its nodal velocity gradients and carrier Jacobian once and
-keeps them.
+Energies are computed only on request (:func:`energy_diagnostics`); a
+state forms its nodal velocity gradients and carrier Jacobian once.
 
 The discretisation is written once, as A(u) = A(0) + advection, with A(0)
-a matrix and the advection -u.grad omega the axes' central stencils.  A
-refresh assembles A(u) as a matrix to factor it; a residual applies the
-advection as an action on the fields, to the bit what the matrix gives.
+a matrix and the advection -u.grad omega the four slots of
+``_ADVECTION_SLOTS`` on the axes' central stencils.  A refresh stacks
+their weights into a matrix to factor A(u); a residual applies the same
+weights to the omega field, to the bit what the matrix gives.
 Each state has one residual r = b - A(u) x.  Its interior and wall-closure
 rows give :func:`residual_norm`, its Dirichlet rows
 :func:`boundary_defect`, and the chord step from the state takes the same
@@ -80,11 +80,10 @@ __all__ = [
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-9
-    max_iter: int = 120
 
     def __post_init__(self):
-        if not self.tol > 0.0 or self.max_iter < 0:
-            raise OutOfRange("tol must be positive, max_iter nonnegative")
+        if not self.tol > 0.0:
+            raise OutOfRange("tol must be positive")
 
 
 @dataclass
@@ -162,17 +161,22 @@ def velocity_gradients(state):
 # System assembly
 # ---------------------------------------------------------------------------
 
+# the advection's slots on the omega row of node (i, j), in CSR column
+# order: (axis, di, dj, entry of the axis's central D1) at (i + di, j + dj)
+_ADVECTION_SLOTS = ((0, -1, 0, 0), (1, 0, -1, 0), (1, 0, 1, 2), (0, 1, 0, 2))
+
 
 class _Workspace:
     """A grid's constant block, built straight from the axes' stencils, and
     its block split; the boundary data of one flux ``params`` (its
     right-hand side ``rhs``), at most one live ``lu`` and the count of
     ``factorizations`` it has built.  The flux enters only the Dirichlet
-    rows of ``rhs``.  The advection is applied from the stencils in
-    :meth:`residual`; its matrix, and the pattern it fills, are built only
-    when :meth:`factor` refreshes A(u) at a moving velocity.  No factor is
-    held until nonzero data need one: :meth:`apply` solves all-zero data
-    without it.
+    rows of ``rhs``.  :meth:`stokes` factors A(0) and back-solves it.  The
+    weights of :meth:`_advection` are applied to the fields by
+    :meth:`residual`, and stacked into a matrix, on an index the first
+    refresh builds, only when :meth:`factor` refreshes A(u) at a moving
+    velocity.  :meth:`factor` builds nothing on all-zero data, which
+    :meth:`apply` solves without a factor.
 
     The split is fixed per grid.  ``keep`` are the psi unknowns of the
     interior nodes, and ``rows`` and ``cols`` pair every other row with
@@ -219,8 +223,9 @@ class _Workspace:
         self._residual_of = self._residual = None
 
     def stokes(self):
-        """Stokes state of ``params`` by a back-solve with the held factor
-        of A(0), or exactly 0 where the data are zero and none is held."""
+        """The Stokes state of ``params``: A(0) factored, then back-solved
+        (exactly 0, with no factor, where the data are zero)."""
+        self.factor(None, None)
         return state_from_fields(self.grid, self.params, *self.apply(self.rhs))
 
     def _assemble_constant(self):
@@ -259,75 +264,63 @@ class _Workspace:
             [at, np.r_[at[:5], n + at[5:]]], np.int32)[:, None]
         return csr_slots(cols.reshape(2 * n, 15), vals.reshape(2 * n, 15))
 
-    def _advection_weights(self, u1, u2):
-        """The weights (u1 / 2hx, (u1 J1 + u2 / f) / 2hy) of the xi and eta
-        central differences in u.grad = u1 d_xi + (u1 J1 + u2/f) d_eta, at
-        every node."""
+    def _advection(self, u1, u2):
+        """The weights of -u.grad omega on the omega rows of the interior
+        nodes, one (nx - 2, ny - 2) array per slot of ``_ADVECTION_SLOTS``:
+        the slot's central D1 entry, negated, times u1 / 2hx on a xi slot
+        and (u1 J1 + u2 / f) / 2hy on an eta slot, the two speeds of
+        u.grad = u1 d_xi + (u1 J1 + u2 / f) d_eta."""
         grid = self.grid
-        s1x, s1y = grid.xi_axis.differences[1], grid.eta_axis.differences[1]
-        return u1 / s1x, (u1 * grid.j1 + u2 / grid.f[:, None]) / s1y
+        axes = grid.xi_axis, grid.eta_axis
+        s1x, s1y = (axis.differences[1] for axis in axes)
+        speeds = u1 / s1x, (u1 * grid.j1 + u2 / grid.f[:, None]) / s1y
+        return [-axes[axis].central[0][entry] * speeds[axis][1:-1, 1:-1]
+                for axis, _, _, entry in _ADVECTION_SLOTS]
 
     @functools.cached_property
-    def _adv_pattern(self):
-        """The advection pattern: on the omega row of each interior node,
-        slots at (i - 1, j), (i, j - 1), (i, j + 1), (i + 1, j) with the
-        weights of the central first differences in -u.grad.  Built by the
-        first refresh that factors A(u) at a moving velocity."""
-        grid, n = self.grid, self.n
-        (c1x, _), (c1y, _) = grid.xi_axis.central, grid.eta_axis.central
-        slots = np.cumsum(np.r_[np.zeros(n + 1, int), 4 * self._interior])
-        return sparse.csr_matrix((np.tile(
-            -np.array([c1x[0], c1y[0], c1y[2], c1x[2]]), len(self.keep)),
-            (n + self.keep[:, None] + [-grid.ny, -1, 1, grid.ny]).ravel(),
-            slots), (2 * n, 2 * n))
-
-    @functools.cached_property
-    def _adv_eta(self):
-        """Which slots of :attr:`_adv_pattern` are eta slots."""
-        return np.tile([False, True, True, False], len(self.keep))
+    def _advection_index(self):
+        """Column indices and row pointers of the advection matrix, built by
+        the first refresh that factors A(u) at a moving velocity."""
+        n, ny = self.n, self.grid.ny
+        offsets = [di * ny + dj for _, di, dj, _ in _ADVECTION_SLOTS]
+        return ((n + self.keep[:, None] + offsets).ravel(),
+                np.cumsum(np.r_[np.zeros(n + 1, int),
+                                len(offsets) * self._interior]))
 
     def advection_matrix(self, u1, u2):
         """-u.grad on the omega rows of the interior nodes as a matrix, for a
-        refresh to factor; its values fill the grid's fixed pattern."""
-        pattern = self._adv_pattern
-        slots = np.diff(pattern.indptr)[self.n:]  # of each node's omega row
-        a1, a2 = (np.repeat(a.ravel(), slots)
-                  for a in self._advection_weights(u1, u2))
+        refresh to factor: the weights of :meth:`_advection` in CSR."""
         return sparse.csr_matrix(
-            (np.where(self._adv_eta, a2, a1) * pattern.data, pattern.indices,
-             pattern.indptr), shape=pattern.shape)
+            (np.stack(self._advection(u1, u2), axis=-1).ravel(),
+             *self._advection_index), shape=(2 * self.n, 2 * self.n))
 
     def residual(self, state):
         """r = b - A(u) x at the fields x and the velocity u of ``state``.
 
         A(0) x is a product with the constant block; -u.grad omega on the
-        omega rows of the interior nodes is applied straight from the axes'
-        central stencils, its four products added in the slot order of
-        :meth:`advection_matrix`, so r is the same to the bit as with that
-        matrix.  The last state's r is kept, so its two defects and the
-        chord step from it share one evaluation.
+        omega rows of the interior nodes applies the weights of
+        :meth:`_advection` to the omega field, its products added in the
+        order of ``_ADVECTION_SLOTS``, so r is the same to the bit as with
+        :meth:`advection_matrix`.  The last state's r is kept, so its two
+        defects and the chord step from it share one evaluation.
         """
         if state is not self._residual_of:
             x = np.concatenate([state.psi.ravel(), state.omega.ravel()])
             r = self.rhs - self.a_const @ x
-            a1, a2 = (a[1:-1, 1:-1]
-                      for a in self._advection_weights(state.u1, state.u2))
-            (c1x, _), (c1y, _) = (self.grid.xi_axis.central,
-                                  self.grid.eta_axis.central)
-            w = state.omega
-            adv = (-c1x[0] * a1) * w[:-2, 1:-1]
-            adv += (-c1y[0] * a2) * w[1:-1, :-2]
-            adv += (-c1y[2] * a2) * w[1:-1, 2:]
-            adv += (-c1x[2] * a1) * w[2:, 1:-1]
-            r[self.n:].reshape(w.shape)[1:-1, 1:-1] -= adv
+            w, nx, ny = state.omega, self.grid.nx, self.grid.ny
+            adv = [a * w[1 + di:nx - 1 + di, 1 + dj:ny - 1 + dj]
+                   for a, (_, di, dj, _) in zip(
+                       self._advection(state.u1, state.u2), _ADVECTION_SLOTS)]
+            r[self.n:].reshape(w.shape)[1:-1, 1:-1] -= sum(adv[1:], adv[0])
             r.setflags(write=False)  # shared by every reader
             self._residual, self._residual_of = r, state
         return self._residual
 
     def factor(self, u1, u2):
         """Replace ``lu`` by the SuperLU factor of the psi-only Schur
-        complement of A(u) at a frozen advecting velocity, releasing the
-        old factor first.
+        complement of A(u) at a frozen advecting velocity (u1 None: A(0)),
+        releasing the old factor first.  All-zero data need no factor, as
+        x = 0 solves A(u) x = 0: then nothing is factored or counted.
 
         With A1 = A(u)[n + keep][:, cols], the omega rows of the interior
         nodes on the eliminated unknowns, the complement is
@@ -340,6 +333,8 @@ class _Workspace:
         a row where a diagonal pivot is exactly zero.  A1 is held with the
         factor for :meth:`apply`.
         """
+        if not self.rhs.any():
+            return
         self.lu = self._a1 = None
         self.factorizations += 1
         a = self.a_const
@@ -360,8 +355,8 @@ class _Workspace:
         """(psi, omega) solving A(u) x = rhs at the factored u, in natural
         order, by exact block elimination: y = (I - N) rhs[rows], then
         x[keep] = S^-1 (rhs[n + keep] - A1 y) and x[cols] = y - W x[keep].
-        With no factor held, an all-zero rhs gives x = 0 exactly; a NaN in
-        rhs is not zero and needs the factor."""
+        With no factor held, as on zero data, an all-zero rhs gives x = 0
+        exactly; a NaN in rhs is not zero and needs the factor."""
         if self.lu is None and not rhs.any():
             return np.zeros((2, self.grid.nx, self.grid.ny))
         y = self._unit_inverse @ rhs[self.rows]
@@ -415,27 +410,17 @@ def state_from_fields(grid, params, psi, omega):
     return FlowState(grid, params, psi, omega, *velocity_from_psi(grid, psi))
 
 
-def _stokes_workspace(grid, params):
-    """The workspace of ``grid`` and ``params``, holding the factor of A(0)
-    unless all boundary data are zero (flux 0), whose solution x = 0 needs
-    none."""
-    ws = _Workspace(grid, params)
-    if ws.rhs.any():
-        ws.factor(None, None)
-    return ws
-
-
 def solve_stokes(grid, params):
     """Linear Stokes solve (no advection): the start of the chord loops."""
-    return _stokes_workspace(grid, params).stokes()
+    return _Workspace(grid, params).stokes()
 
 
 def picard_step(state, workspace, chord=False):
     """One Picard iteration on ``workspace``; returns (new_state, residual).
 
     The plain step factors A(u) at the velocity u of ``state`` into the
-    workspace, replacing the factor it held, and solves A(u) x = b; where
-    b = 0 (flux 0) it factors nothing, as x = 0 solves A(u) x = 0.  With
+    workspace, replacing the factor it held, and solves A(u) x = b; on
+    zero data (flux 0) :meth:`_Workspace.factor` builds nothing.  With
     ``chord=True`` the step is the chord correction x + LU^-1 (b - A(u) x)
     from the fields x of ``state``, where the held factor LU may be of A
     at an earlier iterate.  The workspace holds the grid, the end data and
@@ -445,15 +430,15 @@ def picard_step(state, workspace, chord=False):
         dpsi, domega = workspace.apply(workspace.residual(state))
         psi, omega = state.psi + dpsi, state.omega + domega
     else:
-        if workspace.rhs.any():
-            workspace.factor(state.u1, state.u2)
+        workspace.factor(state.u1, state.u2)
         psi, omega = workspace.apply(workspace.rhs)
     new = state_from_fields(state.grid, state.params, psi, omega)
     return new, residual_norm(new, workspace)
 
 
-# steps without halving the defect after which the chord loop gives up
-_STALL_STEPS = 3
+# steps without halving the defect after which the chord loop gives up,
+# and the most steps of one loop
+_STALL_STEPS, _MAX_STEPS = 3, 120
 
 
 def _picard(state, config, workspace):
@@ -467,9 +452,9 @@ def _picard(state, config, workspace):
     of the Stokes-started loop.  Whenever a step shrinks the defect
     max(residual_norm, boundary_defect) by less than 2x, or when the
     workspace holds no factor, the step is the plain Picard solve, which
-    refactors A(u) at the current iterate.  Where all boundary data are
-    zero (flux 0) the workspace never holds a factor, so every step is the
-    plain one, which sets the fields to exactly 0 without factoring.
+    refactors A(u) at the current iterate.  On zero data (flux 0) the
+    workspace never factors, so every step is the plain one, which sets
+    the fields to exactly 0.
 
     ``workspace`` carries the boundary data of ``state.params``, which
     every step keeps, and counts the factorizations.  The converged state
@@ -477,13 +462,13 @@ def _picard(state, config, workspace):
     ``residual_history``, the start's as step 0.  Raises
     :class:`NonConvergence` with the smallest defect reached and every
     factorization the workspace has made as soon as the defect has not
-    halved over ``_STALL_STEPS`` steps, or after max_iter steps.
+    halved over ``_STALL_STEPS`` steps, or after ``_MAX_STEPS`` steps.
     """
     res = residual_norm(state, workspace)
     history = [(0, res)]
     stalled = 0
     best = prev = math.inf
-    for steps in range(config.max_iter + 1):
+    for steps in range(_MAX_STEPS + 1):
         defect = max(res, boundary_defect(state, workspace))
         if defect < config.tol:
             state.residual_history = history
@@ -493,7 +478,7 @@ def _picard(state, config, workspace):
             anchor, stalled = defect, 0
         else:
             stalled += 1
-        if stalled == _STALL_STEPS or steps == config.max_iter:
+        if stalled == _STALL_STEPS or steps == _MAX_STEPS:
             break
         chord = workspace.lu is not None and defect <= 0.5 * prev
         prev = defect
@@ -512,11 +497,12 @@ def _picard(state, config, workspace):
 def solve_steady(profile, params, a, b, nx, ny, config=None):
     """Stokes initialize, then one chord loop to tolerance at ``params``.
 
-    The grid's constant block is assembled and A(0) factored once (not at
-    all at flux 0); the last factor is released when the loop ends.  Raises
-    :class:`NonConvergence` rather than returning an unconverged state.
+    The grid's constant block is assembled and A(0) factored once by the
+    workspace's Stokes start (not at all at flux 0); the last factor is
+    released when the loop ends.  Raises :class:`NonConvergence` rather
+    than returning an unconverged state.
     """
-    ws = _stokes_workspace(make_grid(profile, a, b, nx, ny), params)
+    ws = _Workspace(make_grid(profile, a, b, nx, ny), params)
     return _picard(ws.stokes(), config or SolverConfig(), ws)
 
 
@@ -524,16 +510,16 @@ def solve_two_starts(profile, params, a, b, nx, ny, perturb, config):
     """The Stokes-started solution and the one started from
     ``perturb(stokes)``, with ``stokes`` the Stokes state of ``params``.
 
-    Both share one grid, constant block and workspace.  The Stokes-started
-    loop runs from the Stokes factor A(0); the perturbed loop starts from
-    the perturbed fields with chord steps on that loop's last factor,
-    under :func:`_picard`'s rules, and has a residual history of its own.
-    At flux 0 both loops end at fields that are exactly 0 and the probe
-    factors nothing.  A :class:`NonConvergence` of either loop counts
-    every factorization of the probe.  The factor goes with the workspace
-    when the probe returns.
+    Both share one grid, constant block and workspace, whose Stokes start
+    gives ``stokes``.  The Stokes-started loop runs from the factor of
+    A(0); the perturbed loop starts with chord steps on that loop's last
+    factor, under :func:`_picard`'s rules, with a residual history of its
+    own.  At flux 0 both loops end at fields that are exactly 0 and the
+    probe factors nothing.  A :class:`NonConvergence` of either loop
+    counts every factorization of the probe.  The factor goes with the
+    workspace when the probe returns.
     """
-    ws = _stokes_workspace(make_grid(profile, a, b, nx, ny), params)
+    ws = _Workspace(make_grid(profile, a, b, nx, ny), params)
     stokes = ws.stokes()
     other = perturb(stokes)
     return _picard(stokes, config, ws), _picard(other, config, ws)

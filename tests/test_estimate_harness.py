@@ -269,8 +269,10 @@ class TestUniqueness:
         assert np.array_equal(base.omega, ref.omega)
         assert base.residual_history == ref.residual_history
 
-    def test_perturbed_start_reports_nonconvergence(self, straight):
-        cfg = ns.SolverConfig(tol=1e-12, max_iter=2)
+    def test_perturbed_start_reports_nonconvergence(self, straight,
+                                                    monkeypatch):
+        monkeypatch.setattr(ns, "_MAX_STEPS", 2)
+        cfg = ns.SolverConfig(tol=1e-12)
         params = fc.CarrierParams(1.0, 0.5)
         grid = geo.make_grid(straight, -4, 4, 65, 17)
         start = eh._perturbed_start(ns.solve_stokes(grid, params),
@@ -282,12 +284,14 @@ class TestUniqueness:
         assert cfg.tol <= err.value.best_residual < np.inf
 
     def test_perturbed_nonconvergence_counts_every_factor(self, straight,
-                                                          splu_calls):
+                                                          splu_calls,
+                                                          monkeypatch):
         # the perturbed loop runs on the workspace of the Stokes-started
         # one, so its error counts the Stokes factor too; this start, 1e4
         # times the probe's perturbation, needs more than 15 steps, and the
         # Stokes-started loop 13
-        cfg = ns.SolverConfig(tol=1e-12, max_iter=15)
+        monkeypatch.setattr(ns, "_MAX_STEPS", 15)
+        cfg = ns.SolverConfig(tol=1e-12)
 
         def perturb(stokes):
             other = eh._perturbed_start(stokes, seed=7)
@@ -298,7 +302,7 @@ class TestUniqueness:
         with pytest.raises(NonConvergence) as err:
             ns.solve_two_starts(straight, fc.CarrierParams(1.0), -4, 4, 65,
                                 17, perturb, cfg)
-        assert err.value.iterations == cfg.max_iter
+        assert err.value.iterations == ns._MAX_STEPS
         assert len(splu_calls) >= 2
         assert err.value.factorizations == len(splu_calls)
 

@@ -69,7 +69,7 @@ class TestSpdSolve:
             spd_solve(sparse.csr_matrix(shifted))
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("columns", [1, 2, 5, 16])
+    @pytest.mark.parametrize("columns", [1, 2, 3, 4, 5, 16])
     @pytest.mark.parametrize("kind", ["wall_17x9", "diagonal", "one_block"])
     def test_block_matches_column_solves(self, kind, columns, order):
         # wall_17x9: n 119 in blocks of 9, the last one padded with 7 rows;

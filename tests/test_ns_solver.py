@@ -21,11 +21,10 @@ class TestConfig:
         with pytest.raises(OutOfRange):
             ns.SolverConfig(tol=0.0)
 
-    @pytest.mark.parametrize("kwargs", [{"tol": float("nan")},
-                                        {"max_iter": -1}])
+    @pytest.mark.parametrize("kwargs", [{"tol": float("nan")}])
     def test_no_step_or_no_stop_is_rejected(self, kwargs):
-        # max_iter -1 once ended solve_steady in an UnboundLocalError, and a
-        # nan tol can never be met
+        # a nan tol can never be met; the step cap is no field, so no
+        # config can ask for no step
         with pytest.raises(OutOfRange):
             ns.SolverConfig(**kwargs)
 
@@ -131,11 +130,12 @@ class TestPicard:
 
     def test_zero_data_step_keeps_the_held_factor(self, straight, splu_calls):
         # A x = 0 is solved exactly by x = 0, so neither the Stokes
-        # workspace nor a plain step on zero data factors anything: the
+        # start nor a plain step on zero data factors anything: the
         # workspace holds no factor before the step or after it
         grid = geo.make_grid(straight, -4, 4, 65, 17)
         params = fc.CarrierParams(0.0, 0.5)
-        ws = ns._stokes_workspace(grid, params)
+        ws = ns._Workspace(grid, params)
+        assert np.abs(ws.stokes().psi).max() == 0.0
         rng = np.random.default_rng(3)
         st = ns.state_from_fields(grid, params, rng.normal(size=(65, 17)),
                                   rng.normal(size=(65, 17)))
@@ -305,15 +305,17 @@ class TestSolveSteady:
         )
         assert ns.dirichlet_energy(st, -4, 4) == 0.0
 
-    def test_nonconvergence_is_reported(self, straight, carrier_unit):
-        cfg = ns.SolverConfig(tol=1e-9, max_iter=1)
+    def test_nonconvergence_is_reported(self, straight, carrier_unit,
+                                        monkeypatch):
+        monkeypatch.setattr(ns, "_MAX_STEPS", 1)
+        cfg = ns.SolverConfig(tol=1e-9)
         with pytest.raises(NonConvergence) as info:
             ns.solve_steady(straight, carrier_unit, -6, 6, 97, 25, cfg)
         assert info.value.best_residual is not None
 
     def test_stagnation_below_floor_raises_early(self, straight, carrier_unit):
         # tol 1e-17 lies below the round-off floor: the chord loop must
-        # give up once the residual stops halving, not spin to max_iter
+        # give up once the residual stops halving, not spin to _MAX_STEPS
         # (120; it stops after 18 steps)
         cfg = ns.SolverConfig(tol=1e-17)
         with pytest.raises(NonConvergence) as info:
@@ -471,11 +473,11 @@ class TestFactorReuse:
         assert not live
 
     def test_first_solve_with_data_factors_once(self, straight, splu_calls):
-        # the factor is lazy only for zero data: the Stokes workspace and a
+        # the factor is lazy only for zero data: the Stokes start and a
         # plain step on a workspace without a factor each factor once
         grid = geo.make_grid(straight, -4, 4, 65, 17)
         params = fc.CarrierParams(0.5)
-        st = ns._stokes_workspace(grid, params).stokes()
+        st = ns._Workspace(grid, params).stokes()
         assert len(splu_calls) == 1
         assert np.abs(st.psi).max() > 0.0
         ws = ns._Workspace(grid, params)
@@ -500,7 +502,7 @@ class TestFactorReuse:
                                                  splu_calls, run, built):
         # the residual applies advection from the stencils, so only a
         # refresh, which factors A(u) at a moving velocity, builds the
-        # advection pattern
+        # advection matrix's column indices and row pointers
         workspaces = []
         init = ns._Workspace.__init__
 
@@ -517,7 +519,7 @@ class TestFactorReuse:
             ns.solve_steady(straight, fc.CarrierParams(8.0), -6, 6, 97, 17)
             assert len(splu_calls) > 1
         assert len(workspaces) == 1
-        assert ("_adv_pattern" in vars(workspaces[0])) == built
+        assert ("_advection_index" in vars(workspaces[0])) == built
 
 
 def _kron_rows(weights, matrix):
@@ -551,20 +553,25 @@ def _kron_constant(ws):
         format="csr")
 
 
-def _kron_advection(ws):
-    """Reference advection pattern and eta-slot mask from the complex
-    Kronecker sum D1x x I + i I x D1y on the interior rows."""
+def _kron_advection(ws, u1, u2):
+    """Reference advection matrix: the complex Kronecker sum
+    D1x x I + i I x D1y on the interior rows, its xi slots scaled by
+    u1 / 2hx and its eta slots by (u1 J1 + u2 / f) / 2hy."""
     grid, n = ws.grid, ws.n
-    d1x, d1y = grid.xi_axis.differences[0], grid.eta_axis.differences[0]
+    d1x, s1x, _, _ = grid.xi_axis.differences
+    d1y, s1y, _, _ = grid.eta_axis.differences
     eye_x, eye_y = sparse.identity(grid.nx), sparse.identity(grid.ny)
     slots = _kron_rows(ws._interior, sparse.kron(d1x, eye_y)
                        + 1j * sparse.kron(eye_x, d1y))
     slots.sort_indices()
-    pattern = sparse.csr_matrix(
-        (-(slots.data.real + slots.data.imag), slots.indices + n,
+    per_row = np.diff(slots.indptr)
+    a_xi, a_eta = (np.repeat(a.ravel(), per_row) for a in (
+        u1 / s1x, (u1 * grid.j1 + u2 / grid.f[:, None]) / s1y))
+    weights = np.where(slots.data.imag != 0.0, a_eta, a_xi)
+    return sparse.csr_matrix(
+        (weights * -(slots.data.real + slots.data.imag), slots.indices + n,
          np.concatenate([np.zeros(n, int), slots.indptr])),
         shape=(2 * n, 2 * n))
-    return pattern, slots.data.imag != 0.0
 
 
 def _lil_differences(axis):
@@ -587,7 +594,7 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 class TestAssembly:
-    """The constant block and the advection pattern, built from the axes'
+    """The constant block and the advection matrix, built from the axes'
     stencils, bit for bit against the Kronecker assembly."""
 
     WINDOWS = {
@@ -611,10 +618,12 @@ class TestAssembly:
         _assert_same_csr(ws.a_const, _kron_constant(ws))
 
     def test_advection_pattern_matches_kronecker(self, grid):
+        # pattern and values, at seeded random velocities
         ws = ns._Workspace(grid, fc.CarrierParams(1.0))
-        pattern, eta = _kron_advection(ws)
-        _assert_same_csr(ws._adv_pattern, pattern)
-        assert np.array_equal(ws._adv_eta, eta)
+        u1, u2 = np.random.default_rng(5).standard_normal(
+            (2, grid.nx, grid.ny))
+        _assert_same_csr(ws.advection_matrix(u1, u2),
+                         _kron_advection(ws, u1, u2))
 
     def test_residual_matches_advection_matrix(self, grid):
         # the residual's stencil advection against the advection matrix,
@@ -668,7 +677,7 @@ class TestNestedDissection:
         else:
             profile = request.getfixturevalue(wall)
         grid = geo.make_grid(profile, -6, 6, 97, 17)
-        ws = ns._stokes_workspace(grid, fc.CarrierParams(2.0))
+        ws = ns._Workspace(grid, fc.CarrierParams(2.0))
         n, a = ws.n, ws.a_const
         if moving:
             st = ws.stokes()
