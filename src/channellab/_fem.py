@@ -4,7 +4,10 @@ Used by the functional-inequality estimators.  Nodes are the mapped-grid
 nodes ordered idx = i*ny + j; elements are the grid cells, integrated
 isoparametrically with 2x2 Gauss.  Holds the one copy of each element rule:
 the 2-point Gauss nodes and 1-D P1 shapes, the Q1 shapes as their products,
-one element loop behind every assembly, and the wall and end node mask.
+one Gauss-point kernel on whole cell arrays (``_cell_sums``) and one
+scatter of corner-pair sums into the nine CSR slots of each node's 3x3
+neighbourhood (``_slot_csr``) behind every assembly, and the wall and end
+node mask.
 Also holds the nested-dissection order of the grid nodes that M5's
 saddle factor in ``functional_inequalities`` keeps (its only user;
 ``ns_solver`` factors a psi-only Schur complement in minimum-degree
@@ -28,6 +31,7 @@ from scipy.linalg.lapack import dtrtri
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import EigenFailure
+from .geometry import csr_slots
 
 # 2-point Gauss-Legendre nodes on [-1, 1]; both weights are 1
 GAUSS2_NODES = np.array([-1.0, 1.0]) / np.sqrt(3.0)
@@ -51,30 +55,28 @@ def _shape(xi, eta):
             np.outer(vx, P1_SLOPES)[_CORNERS])
 
 
-def element_connectivity(nx, ny):
-    """(n_elem, 4) node indices of each cell, corners in ``_CORNERS`` order."""
-    i, j = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="ij")
-    di, dj = np.array(_CORNERS)
-    return (i.ravel()[:, None] + di) * ny + (j.ravel()[:, None] + dj)
+def _corner_arrays(v, nx, ny):
+    """(4, nx - 1, ny - 1) values of the nodal v at each cell's corners."""
+    v = v.reshape(nx, ny)
+    return np.stack([v[di:nx - 1 + di, dj:ny - 1 + dj] for di, dj in zip(*_CORNERS)])
 
 
-def _gauss_points(xe, ye):
-    """Yield (shape values, Jacobian determinant, physical shape gradients
-    bx, by) at each 2x2 Gauss point for elements with corners (xe, ye)."""
+def _cell_sums(x, y, nx, ny, kernel):
+    """Sum from 0, over the 2x2 Gauss points, of the array ``kernel(n, det,
+    bx, by)`` on all (nx - 1, ny - 1) cells of the nodes (x, y) at once: n
+    holds the four Q1 shape values of the point, det the cells' Jacobian
+    determinant, and bx, by each corner's physical shape gradient as
+    (4, nx - 1, ny - 1) arrays in ``_CORNERS`` order."""
+    xy = np.stack([_corner_arrays(x, nx, ny), _corner_arrays(y, nx, ny)], axis=1)
+    total = 0
     for i, j in zip(*_CORNERS):
         n, dxi, deta = _shape(GAUSS2_NODES[i], GAUSS2_NODES[j])
-        jx_xi = xe @ dxi
-        jx_eta = xe @ deta
-        jy_xi = ye @ dxi
-        jy_eta = ye @ deta
+        (jx_xi, jy_xi), (jx_eta, jy_eta) = np.tensordot(np.stack([dxi, deta]), xy, 1)
         det = jx_xi * jy_eta - jx_eta * jy_xi
-        bx = (jy_eta[:, None] * dxi[None, :] - jy_xi[:, None] * deta[None, :]) / det[
-            :, None
-        ]
-        by = (-jx_eta[:, None] * dxi[None, :] + jx_xi[:, None] * deta[None, :]) / det[
-            :, None
-        ]
-        yield n, det, bx, by
+        bx = (jy_eta * dxi[:, None, None] - jy_xi * deta[:, None, None]) / det
+        by = (-jx_eta * dxi[:, None, None] + jx_xi * deta[:, None, None]) / det
+        total = total + kernel(n, det, bx, by)
+    return total
 
 
 # nested dissection stops at boxes of at most this many nodes a side
@@ -109,20 +111,21 @@ def nested_dissection(nx, ny):
     return np.concatenate(parts)
 
 
-def _scatter(conn, ndof, *blocks):
-    """CSR matrices from (n_elem, 4, 4) element blocks (duplicates summed)."""
-    rows = np.repeat(conn, 4, axis=1).ravel()
-    cols = np.tile(conn, (1, 4)).ravel()
-    return [
-        sparse.csr_matrix((blk.ravel(), (rows, cols)), shape=(ndof, ndof))
-        for blk in blocks
-    ]
-
-
-def _element_sums(xe, ye, kernel):
-    """Per element with corners (xe, ye), the sum from 0 of the array
-    ``kernel(n, det, bx, by)`` over the points of :func:`_gauss_points`."""
-    return sum(kernel(*point) for point in _gauss_points(xe, ye))
+def _slot_csr(sums, pairs, nx, ny, mirror):
+    """CSR matrices from the per-cell sums ``sums[m, k]`` of corner pair
+    (p, q) = (pairs[0][k], pairs[1][k]), one matrix per m: each sum is added
+    into p's row at q's column, and, if ``mirror``, into q's row at p's
+    column too.  A row holds the nine slots of its node's 3x3 neighbourhood
+    (:func:`geometry.csr_slots`)."""
+    di, dj = np.array(_CORNERS)
+    vals = np.zeros((len(sums), 9, nx, ny))
+    for k, (p, q) in enumerate(zip(*pairs)):
+        for a, b in ((p, q), (q, p))[:1 + (mirror and p != q)]:
+            slot = 3 * (di[b] - di[a] + 1) + dj[b] - dj[a] + 1
+            vals[:, slot, di[a]:nx - 1 + di[a], dj[a]:ny - 1 + dj[a]] += sums[:, k]
+    oi, oj = np.divmod(np.arange(9), 3)
+    cols = np.arange(nx * ny)[:, None] + (oi - 1) * ny + (oj - 1)
+    return [csr_slots(cols, v.reshape(9, nx * ny).T) for v in vals]
 
 
 def assemble_q1(x, y, nx, ny):
@@ -130,45 +133,40 @@ def assemble_q1(x, y, nx, ny):
 
     Returns (K, M, lumped) as CSR / CSR / array.
     """
-    conn = element_connectivity(nx, ny)
+    p, q = np.triu_indices(4)  # mirrored: K and M come out exactly symmetric
 
     def kernel(n, det, bx, by):
-        w = det[:, None, None]
-        stiffness = bx[:, :, None] * bx[:, None, :] + by[:, :, None] * by[:, None, :]
-        return np.stack([w * stiffness, w * (n[None, :, None] * n[None, None, :])])
+        return np.stack([det * (bx[p] * bx[q] + by[p] * by[q]),
+                         det * (n[p] * n[q])[:, None, None]])
 
-    K, M = _scatter(conn, x.size, *_element_sums(x[conn], y[conn], kernel))
+    K, M = _slot_csr(_cell_sums(x, y, nx, ny, kernel), (p, q), nx, ny, mirror=True)
     return K, M, np.asarray(M.sum(axis=1)).ravel()
 
 
 # no caller in the package: kept as a patch point of bench/spans.py
 def assemble_grad_load(x, y, nx, ny, fx, fy):
     """Load vector b_A = integral (fx, fy) . grad(phi_A) dx, fields nodal."""
-    conn = element_connectivity(nx, ny)
-    fxe = fx[conn]
-    fye = fy[conn]
+    fxc, fyc = _corner_arrays(fx, nx, ny), _corner_arrays(fy, nx, ny)
 
     def kernel(n, det, bx, by):
-        fxq = fxe @ n
-        fyq = fye @ n
-        return det[:, None] * (fxq[:, None] * bx + fyq[:, None] * by)
+        return det * (np.tensordot(n, fxc, 1) * bx + np.tensordot(n, fyc, 1) * by)
 
-    be = _element_sums(x[conn], y[conn], kernel)
-    b = np.zeros(x.size)
-    np.add.at(b, conn.ravel(), be.ravel())
-    return b
+    be = _cell_sums(x, y, nx, ny, kernel)
+    b = np.zeros((nx, ny))
+    for c, (di, dj) in enumerate(zip(*_CORNERS)):
+        b[di:nx - 1 + di, dj:ny - 1 + dj] += be[c]
+    return b.ravel()
 
 
 def assemble_div(x, y, nx, ny):
     """B1, B2 with (B_k a_k)_A = integral phi_A * d(a_k)/d(x_k) dx (Q1-Q1)."""
-    conn = element_connectivity(nx, ny)
+    p, q = np.indices((4, 4)).reshape(2, 16)
 
     def kernel(n, det, bx, by):
-        w = det[:, None, None]
-        return np.stack([w * (n[None, :, None] * bx[:, None, :]),
-                         w * (n[None, :, None] * by[:, None, :])])
+        return np.stack([det * (n[p, None, None] * bx[q]),
+                         det * (n[p, None, None] * by[q])])
 
-    B1, B2 = _scatter(conn, x.size, *_element_sums(x[conn], y[conn], kernel))
+    B1, B2 = _slot_csr(_cell_sums(x, y, nx, ny, kernel), (p, q), nx, ny, mirror=False)
     return B1, B2
 
 

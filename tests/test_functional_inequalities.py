@@ -440,3 +440,21 @@ class TestBogovskii:
         (s,) = factored
         assert np.diff(s.indptr).max() <= 27
         assert np.diff(s.tocsc().indptr).max() <= 27
+
+
+class TestAssemblyCalls:
+    # the benchmark's `_fem` layer counts calls through these two names
+    @pytest.mark.parametrize("estimator, q1_calls, div_calls", [
+        (fi.poincare_m1, 2, 0), (fi.sobolev_m4, 1, 0), (fi.bogovskii_m5, 1, 1)])
+    def test_calls_per_estimator(self, straight, estimator, q1_calls, div_calls,
+                                 monkeypatch):
+        calls = []
+        for name in ("assemble_q1", "assemble_div"):
+            def counted(*args, name=name, assemble=getattr(fi, name)):
+                calls.append(name)
+                return assemble(*args)
+
+            monkeypatch.setattr(fi, name, counted)
+        estimator(straight, 0, 2, resolution=(17, 17))
+        assert calls.count("assemble_q1") == q1_calls
+        assert calls.count("assemble_div") == div_calls
