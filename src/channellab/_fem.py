@@ -3,17 +3,19 @@
 Used by the functional-inequality estimators.  Nodes are the mapped-grid
 nodes ordered idx = i*ny + j; elements are the grid cells, integrated
 isoparametrically with 2x2 Gauss.  Holds the one copy of each element rule:
-the 2-point Gauss nodes and 1-D P1 shapes, the Q1 shapes as their products,
-one Gauss-point kernel on whole cell arrays (``_cell_sums``) and one
-scatter of corner-pair sums into the nine CSR slots of each node's 3x3
-neighbourhood (``_slot_csr``) behind every assembly, and the wall and end
-node mask.
+the 2-point Gauss nodes and 1-D P1 shapes, the Q1 shapes as their products
+and their (Gauss point, corner) tables, one product of a constant table of
+shape products with per-cell quantities formed from the Jacobian entries of
+all cells at all Gauss points (``_cell_sums``) and one scatter of
+corner-pair sums into the nine CSR slots of each node's 3x3 neighbourhood
+(``_slot_csr``) behind every assembly, and the wall and end node mask.
 Also holds the nested-dissection order of the grid nodes that M5's
 saddle factor in ``functional_inequalities`` keeps (its only user;
 ``ns_solver`` factors a psi-only Schur complement in minimum-degree
 order), the banded Cholesky back-solve of every positive definite stiffness
 (``spd_solve``) and the one eigen helper behind every inequality constant
-(shift-invert Lanczos with a residual-checked acceptance).
+(a Lanczos recurrence on solve(M .) that stops on its own Ritz residual
+bound, with a residual-checked acceptance).
 
 ``spd_solve`` keeps one banded factor and two back-solve kernels: LAPACK's
 ``DPBTRS`` for a vector or a block of up to three columns, and for a block
@@ -26,9 +28,14 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import (
+    LinAlgError,
+    block_diag,
+    cho_solve_banded,
+    cholesky_banded,
+    eigh_tridiagonal,
+)
 from scipy.linalg.lapack import dtrtri
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import EigenFailure
 from .geometry import csr_slots
@@ -40,6 +47,8 @@ P1_SLOPES = np.array([-0.5, 0.5])
 # the (xi, eta) P1 factor of each Q1 corner, counterclockwise
 _CORNERS = ([0, 1, 1, 0], [0, 0, 1, 1])
 _EIGEN_RTOL = 1e-10
+# the Lanczos run of smallest_eigenpair stops with EigenFailure after this many steps
+_LANCZOS_STEPS = 300
 
 
 def p1_values(s):
@@ -55,28 +64,27 @@ def _shape(xi, eta):
             np.outer(vx, P1_SLOPES)[_CORNERS])
 
 
+# Q1 shape values and xi and eta derivatives, (Gauss point, corner) arrays
+# over the 2x2 Gauss points, both in ``_CORNERS`` order
+_N, _DXI, _DETA = map(np.array, zip(*(_shape(GAUSS2_NODES[i], GAUSS2_NODES[j])
+                                      for i, j in zip(*_CORNERS))))
+
+
 def _corner_arrays(v, nx, ny):
-    """(4, nx - 1, ny - 1) values of the nodal v at each cell's corners."""
+    """(4, (nx - 1) (ny - 1)) values of the nodal v at each cell's corners."""
     v = v.reshape(nx, ny)
-    return np.stack([v[di:nx - 1 + di, dj:ny - 1 + dj] for di, dj in zip(*_CORNERS)])
+    return np.stack([v[di:nx - 1 + di, dj:ny - 1 + dj].ravel() for di, dj in zip(*_CORNERS)])
 
 
-def _cell_sums(x, y, nx, ny, kernel):
-    """Sum from 0, over the 2x2 Gauss points, of the array ``kernel(n, det,
-    bx, by)`` on all (nx - 1, ny - 1) cells of the nodes (x, y) at once: n
-    holds the four Q1 shape values of the point, det the cells' Jacobian
-    determinant, and bx, by each corner's physical shape gradient as
-    (4, nx - 1, ny - 1) arrays in ``_CORNERS`` order."""
-    xy = np.stack([_corner_arrays(x, nx, ny), _corner_arrays(y, nx, ny)], axis=1)
-    total = 0
-    for i, j in zip(*_CORNERS):
-        n, dxi, deta = _shape(GAUSS2_NODES[i], GAUSS2_NODES[j])
-        (jx_xi, jy_xi), (jx_eta, jy_eta) = np.tensordot(np.stack([dxi, deta]), xy, 1)
-        det = jx_xi * jy_eta - jx_eta * jy_xi
-        bx = (jy_eta * dxi[:, None, None] - jy_xi * deta[:, None, None]) / det
-        by = (-jx_eta * dxi[:, None, None] + jx_xi * deta[:, None, None]) / det
-        total = total + kernel(n, det, bx, by)
-    return total
+def _cell_sums(x, y, nx, ny, table, kernel):
+    """Per-cell sums over the 2x2 Gauss points on all (nx - 1) (ny - 1)
+    cells of the nodes (x, y) at once, as the product of the constant
+    (pair, quantity) ``table`` with the (quantity, cells) array
+    ``kernel(jx_xi, jx_eta, jy_xi, jy_eta)``.  The Jacobian entries are
+    (4, cells) arrays of the values at the Gauss points, linear in the
+    corners; every Q1 integral here is such a product."""
+    xc, yc = _corner_arrays(x, nx, ny), _corner_arrays(y, nx, ny)
+    return table @ kernel(_DXI @ xc, _DETA @ xc, _DXI @ yc, _DETA @ yc)
 
 
 # nested dissection stops at boxes of at most this many nodes a side
@@ -118,6 +126,7 @@ def _slot_csr(sums, pairs, nx, ny, mirror):
     column too.  A row holds the nine slots of its node's 3x3 neighbourhood
     (:func:`geometry.csr_slots`)."""
     di, dj = np.array(_CORNERS)
+    sums = sums.reshape(len(sums), -1, nx - 1, ny - 1)
     vals = np.zeros((len(sums), 9, nx, ny))
     for k, (p, q) in enumerate(zip(*pairs)):
         for a, b in ((p, q), (q, p))[:1 + (mirror and p != q)]:
@@ -134,39 +143,53 @@ def assemble_q1(x, y, nx, ny):
     Returns (K, M, lumped) as CSR / CSR / array.
     """
     p, q = np.triu_indices(4)  # mirrored: K and M come out exactly symmetric
+    # det grad(phi_p).grad(phi_q) = a dxi_p dxi_q + b (dxi_p deta_q + deta_p
+    # dxi_q) + c deta_p deta_q, with the metric (a, b, c) over det, and
+    # det phi_p phi_q: one (10, 12) and one (10, 4) block
+    table = block_diag(np.vstack([_DXI[:, p] * _DXI[:, q],
+                                  _DXI[:, p] * _DETA[:, q] + _DETA[:, p] * _DXI[:, q],
+                                  _DETA[:, p] * _DETA[:, q]]).T,
+                       (_N[:, p] * _N[:, q]).T)
 
-    def kernel(n, det, bx, by):
-        return np.stack([det * (bx[p] * bx[q] + by[p] * by[q]),
-                         det * (n[p] * n[q])[:, None, None]])
+    def kernel(jx_xi, jx_eta, jy_xi, jy_eta):
+        det = jx_xi * jy_eta - jx_eta * jy_xi
+        return np.concatenate([(np.stack([jx_eta * jx_eta + jy_eta * jy_eta,
+                                          -(jx_xi * jx_eta + jy_xi * jy_eta),
+                                          jx_xi * jx_xi + jy_xi * jy_xi]) / det
+                                ).reshape(12, -1), det])
 
-    K, M = _slot_csr(_cell_sums(x, y, nx, ny, kernel), (p, q), nx, ny, mirror=True)
+    K, M = _slot_csr(_cell_sums(x, y, nx, ny, table, kernel).reshape(2, 10, -1),
+                     (p, q), nx, ny, mirror=True)
     return K, M, np.asarray(M.sum(axis=1)).ravel()
 
 
 # no caller in the package: kept as a patch point of bench/spans.py
 def assemble_grad_load(x, y, nx, ny, fx, fy):
     """Load vector b_A = integral (fx, fy) . grad(phi_A) dx, fields nodal."""
-    fxc, fyc = _corner_arrays(fx, nx, ny), _corner_arrays(fy, nx, ny)
+    fxg, fyg = _N @ _corner_arrays(fx, nx, ny), _N @ _corner_arrays(fy, nx, ny)
 
-    def kernel(n, det, bx, by):
-        return det * (np.tensordot(n, fxc, 1) * bx + np.tensordot(n, fyc, 1) * by)
+    def kernel(jx_xi, jx_eta, jy_xi, jy_eta):
+        # det (fx bx_A + fy by_A) at each Gauss point, split by dxi_A and deta_A
+        return np.concatenate([fxg * jy_eta - fyg * jx_eta, fyg * jx_xi - fxg * jy_xi])
 
-    be = _cell_sums(x, y, nx, ny, kernel)
+    be = _cell_sums(x, y, nx, ny, np.vstack([_DXI, _DETA]).T, kernel)
     b = np.zeros((nx, ny))
     for c, (di, dj) in enumerate(zip(*_CORNERS)):
-        b[di:nx - 1 + di, dj:ny - 1 + dj] += be[c]
+        b[di:nx - 1 + di, dj:ny - 1 + dj] += be[c].reshape(nx - 1, ny - 1)
     return b.ravel()
 
 
 def assemble_div(x, y, nx, ny):
     """B1, B2 with (B_k a_k)_A = integral phi_A * d(a_k)/d(x_k) dx (Q1-Q1)."""
     p, q = np.indices((4, 4)).reshape(2, 16)
+    # det phi_p (bx_q, by_q) = phi_p (jy_eta, -jx_eta) dxi_q - phi_p (jy_xi, -jx_xi) deta_q
+    table = np.vstack([_N[:, p] * _DXI[:, q], -_N[:, p] * _DETA[:, q]]).T
 
-    def kernel(n, det, bx, by):
-        return np.stack([det * (n[p, None, None] * bx[q]),
-                         det * (n[p, None, None] * by[q])])
+    def kernel(jx_xi, jx_eta, jy_xi, jy_eta):
+        return np.stack([np.concatenate([jy_eta, jy_xi]),
+                         -np.concatenate([jx_eta, jx_xi])])
 
-    B1, B2 = _slot_csr(_cell_sums(x, y, nx, ny, kernel), (p, q), nx, ny, mirror=False)
+    B1, B2 = _slot_csr(_cell_sums(x, y, nx, ny, table, kernel), (p, q), nx, ny, mirror=False)
     return B1, B2
 
 
@@ -287,22 +310,56 @@ def _sweeps(blocks, rhs):
 def smallest_eigenpair(M, solve, v0=None):
     """Smallest lam of K v = lam M v, given M and solve = K^(-1).
 
-    Shift-invert Lanczos (ARPACK mode 3, sigma 0) from the start ``v0``,
-    by default a seeded random vector, so reruns are byte-identical; only
-    solve and M are applied, never K.  The pair is accepted only if
-    ||lam solve(M v) - v|| <= 1e-10 ||v||; otherwise, and on any ARPACK
-    error, :class:`EigenFailure` is raised.
+    Lanczos on solve(M .), which is self-adjoint in the M inner product
+    (the spectral transformation Lanczos of Ericsson & Ruhe, Math. Comp. 35,
+    1980), from the start ``v0``, by default a seeded random vector, so
+    reruns are byte-identical; only solve and M are applied, never K.  Each
+    step back-solves once and reorthogonalizes the new vector twice against
+    the whole basis, which grows one vector per step.  The run stops at the
+    first step whose largest Ritz value mu has a residual bound beta
+    |s_last| at or below 1e-2 ``_EIGEN_RTOL`` mu; beta = 0 (an invariant
+    basis) always stops it.  It returns lam = 1/mu and the Ritz vector.
+    The pair is accepted only if ||lam solve(M v) - v|| <= 1e-10 ||v||;
+    otherwise, and on a start of no positive M-norm, a non-positive mu or
+    ``_LANCZOS_STEPS`` steps without convergence, :class:`EigenFailure` is
+    raised.
     """
-    n = M.shape[0]
-    op = LinearOperator((n, n), matvec=solve, dtype=float)
     if v0 is None:
-        v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        # in shift-invert mode the first argument is read for its shape only
-        vals, vecs = eigsh(M, k=1, M=M, sigma=0.0, OPinv=op, v0=v0)
-    except ArpackError as exc:
-        raise EigenFailure(f"shift-invert Lanczos failed: {exc}") from exc
-    lam, v = float(vals[0]), vecs[:, 0]
+        v0 = np.random.default_rng(0).standard_normal(M.shape[0])
+    Mv = M @ v0
+    square = v0 @ Mv
+    if not square > 0.0:
+        raise EigenFailure(f"Lanczos start has M-norm squared {square:.3e}, not positive")
+    norm = np.sqrt(square)
+    Q, MQ = [v0 / norm], [Mv / norm]  # the basis and M times it
+    alpha, beta = [], []
+    for _ in range(_LANCZOS_STEPS):
+        w = np.array(solve(MQ[-1]), dtype=float)  # updated in place below
+        a = 0.0
+        for _ in range(2):
+            for u, Mu in zip(Q, MQ):
+                h = Mu @ w
+                w -= h * u
+            a += h
+        alpha.append(a)
+        Mw = M @ w
+        b = np.sqrt(max(w @ Mw, 0.0))
+        k = len(alpha)
+        mu, s = eigh_tridiagonal(alpha, beta, select="i", select_range=(k - 1, k - 1))
+        mu, s = float(mu[0]), s[:, 0]
+        if not mu > 0.0:
+            raise EigenFailure(f"largest Ritz value {mu:.3e} of solve(M .) is not positive")
+        bound = b * abs(s[-1])
+        if bound <= 1e-2 * _EIGEN_RTOL * mu:
+            break
+        beta.append(b)
+        Q.append(w / b)
+        MQ.append(Mw / b)
+    else:
+        raise EigenFailure(
+            f"Lanczos did not converge in {_LANCZOS_STEPS} steps: last Ritz bound "
+            f"{bound:.3e} (lam {1.0 / mu:.6e})")
+    lam, v = 1.0 / mu, s @ np.array(Q)
     residual = np.linalg.norm(lam * solve(M @ v) - v) / np.linalg.norm(v)
     if not residual <= _EIGEN_RTOL:
         raise EigenFailure(

@@ -8,7 +8,10 @@ resolution, not a certified enclosure.
 
 M1 and M4 back-solve positive definite Q1 stiffnesses by banded Cholesky
 (``_fem.spd_solve``); only M5's indefinite saddle system is factored by
-SuperLU.
+SuperLU.  M1 and M5 are eigenvalues of ``_fem.smallest_eigenpair``, a
+Lanczos run that stops as soon as its Ritz pair converges, so its start
+sets its cost: M1 starts its coarse grid from the straight channel's
+ground mode and its full grid from the interpolated coarse eigenvector.
 """
 
 from __future__ import annotations
@@ -65,8 +68,9 @@ def _grid_nodes(profile, a, b, nx, ny):
 def _laplace_eigenpair(profile, a, b, nx, ny, v0=None):
     """Smallest Laplace eigenvalue of an nx x ny grid with Dirichlet walls
     and natural ends, and its eigenvector as (nx, ny) nodal values, 0 on
-    the walls; the Lanczos run starts from the free values of the nodal
-    array ``v0``."""
+    the walls; the Lanczos run of ``smallest_eigenpair`` starts from the
+    free values of the nodal array ``v0``, or from its seeded random start
+    if ``v0`` is None."""
     _, x, y = _grid_nodes(profile, a, b, nx, ny)
     K, M, _ = assemble_q1(x, y, nx, ny)
     free = ~boundary_mask(nx, ny, ends=False)
@@ -89,13 +93,17 @@ def poincare_m1(profile, a, b, resolution=(129, 65)):
 
     Natural (do-nothing) conditions at the truncation ends model functions
     vanishing on the walls only.  The half-resolution grid is solved first,
-    from the seeded start: its value gives the self-consistency, and its
-    eigenvector, interpolated bilinearly in index space, starts the Lanczos
-    run on the full grid.
+    from sin(pi eta) in every column: the straight channel's discrete ground
+    mode, on which the Lanczos run stops after one step, and positive, so
+    never orthogonal to the ground mode of any wall.  Its value gives the
+    self-consistency, and its eigenvector, interpolated bilinearly in index
+    space, starts the Lanczos run on the full grid.
     """
     nx, ny = resolution
     mx, my = nx // 2 + 1, ny // 2 + 1
-    lam_coarse, v_coarse = _laplace_eigenpair(profile, a, b, mx, my)
+    sine = np.sin(np.pi * np.linspace(0.0, 1.0, my))
+    lam_coarse, v_coarse = _laplace_eigenpair(profile, a, b, mx, my,
+                                              v0=np.tile(sine, (mx, 1)))
     start = (_index_interpolation(mx, nx) @ v_coarse
              @ _index_interpolation(my, ny).T)
     lam, _ = _laplace_eigenpair(profile, a, b, nx, ny, v0=start)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import eigh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from channellab import _fem
+from channellab import functional_inequalities as fi
 from channellab import geometry as geo
 from channellab._fem import (
     assemble_div,
@@ -56,6 +58,46 @@ class TestSmallestEigenpair:
         with pytest.raises(EigenFailure) as err:
             smallest_eigenpair(dense(dM, oM), lambda r: np.linalg.solve(K, r))
         assert "residual" in str(err.value)
+
+    def test_invariant_start_returns_its_pair(self):
+        # powers of two keep every step exact: the first step leaves w = 0,
+        # so beta is exactly 0 and no vector is divided by it
+        dK = 2.0 ** np.arange(6)
+        start = np.eye(6)[0]
+        with np.errstate(all="raise"):
+            lam, v = smallest_eigenpair(np.eye(6), lambda r: r / dK, start)
+        assert lam == 1.0
+        assert np.array_equal(v, start)
+
+    def test_start_of_zero_m_norm_raises(self):
+        dK, oK, dM, oM = random_pencil(50, seed=5)
+        with pytest.raises(EigenFailure, match="M-norm"):
+            smallest_eigenpair(dense(dM, oM), lambda r: np.linalg.solve(dense(dK, oK), r),
+                               np.zeros(50))
+
+    def test_step_cap_raises_with_the_last_bound(self, monkeypatch):
+        monkeypatch.setattr(_fem, "_LANCZOS_STEPS", 2)
+        dK, oK, dM, oM = random_pencil(50, seed=5)
+        with pytest.raises(EigenFailure) as err:
+            smallest_eigenpair(dense(dM, oM), lambda r: np.linalg.solve(dense(dK, oK), r))
+        message = str(err.value)
+        assert "2 steps" in message
+        assert "Ritz bound" in message
+        assert "lam" in message
+
+
+def arpack_eigenvalue(M, solve, v0=None):
+    """Smallest eigenvalue of the pencil by ARPACK's shift-invert Lanczos
+    (``eigsh``, mode 3, sigma 0) from the same start: the eigen solve that
+    ``smallest_eigenpair``'s Lanczos recurrence replaced, kept as its
+    reference."""
+    n = M.shape[0]
+    if v0 is None:
+        v0 = np.random.default_rng(0).standard_normal(n)
+    op = LinearOperator((n, n), matvec=solve, dtype=float)
+    # in shift-invert mode the first argument is read for its shape only
+    return float(eigsh(M, k=1, M=M, sigma=0.0, OPinv=op, v0=v0,
+                       return_eigenvectors=False)[0])
 
 
 class TestSpdSolve:
@@ -208,3 +250,25 @@ class TestCellArrays:
             (ri, rj), (ci, cj) = np.divmod(coo.row, ny), np.divmod(coo.col, ny)
             assert np.abs(ri - ci).max() <= 1
             assert np.abs(rj - cj).max() <= 1
+
+
+class TestLanczosReference:
+    @pytest.mark.parametrize("stem", WALLS)
+    def test_matches_arpack(self, stem, monkeypatch):
+        # M1's coarse and fine pencils and M5's, each from the start the
+        # estimator gives it
+        pencils = []
+
+        def recording(M, solve, v0=None):
+            lam, v = smallest_eigenpair(M, solve, v0)
+            pencils.append((M, solve, v0, lam))
+            return lam, v
+
+        monkeypatch.setattr(fi, "smallest_eigenpair", recording)
+        sc = parse_scenario(SCENARIOS / f"{stem}.scn", environ={})
+        a, b = sc.grid_window[:2]
+        fi.poincare_m1(sc.profile, a, b)
+        fi.bogovskii_m5(sc.profile, a, b)
+        assert len(pencils) == 3
+        for M, solve, v0, lam in pencils:
+            assert lam == pytest.approx(arpack_eigenvalue(M, solve, v0), rel=1e-13, abs=0.0)

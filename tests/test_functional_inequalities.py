@@ -91,6 +91,28 @@ class TestPoincareM1:
         if profile.label().startswith("straight"):
             assert fine < fine_seeded
 
+    def test_straight_starts_converge_at_once(self, monkeypatch):
+        # sin(pi eta) in every column is the straight channel's discrete
+        # ground mode: the coarse run takes one Lanczos step and the
+        # acceptance solve, and the interpolated coarse eigenvector starts
+        # the fine run nearly converged
+        solves = []
+
+        def counting(M, solve, v0=None):
+            solves.append(0)
+
+            def counted(rhs):
+                solves[-1] += 1
+                return solve(rhs)
+
+            return smallest_eigenpair(M, counted, v0)
+
+        monkeypatch.setattr(fi, "smallest_eigenpair", counting)
+        fi.poincare_m1(*BUNDLED["straight"])
+        coarse, fine = solves
+        assert coarse == 2
+        assert fine <= 3
+
     def test_eigen_refinement_order(self, straight):
         exact = 2.0 / math.pi
         e1 = abs(fi.poincare_m1(straight, 0, 2, resolution=(33, 33)).value - exact)
